@@ -16,6 +16,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"efactory/internal/cluster"
 	"efactory/internal/nvm"
 	"efactory/internal/stats"
 	"efactory/internal/tcpkv"
@@ -208,6 +209,25 @@ func FigRebalance(w io.Writer, spec RebalanceSpec) ([]Result, error) {
 	during = phase("during", &stop)
 	if err := <-migErr; err != nil {
 		return nil, err
+	}
+	// Convergence is made explicit, not assumed from timing: the window
+	// above closes the instant the last cutover lands, so a worker whose
+	// router never touched the last-moved PG since would pay its redirect
+	// in the "after" phase. One routed Get per migrated PG on every worker
+	// settles every router before the steady-state baseline is sampled.
+	for pg := 0; pg < spec.MigratePGs; pg++ {
+		for i := 0; i < spec.Keys; i++ {
+			key := ycsb.Key(uint64(i), KeyLen)
+			if cluster.PGForKey(key, spec.PGs) != pg {
+				continue
+			}
+			for _, cc := range ccs {
+				if _, err := cc.Get(key); err != nil {
+					return nil, fmt.Errorf("converge pg %d: %w", pg, err)
+				}
+			}
+			break
+		}
 	}
 	we1, moved := counters()
 	during.WrongEpoch = we1 - we0

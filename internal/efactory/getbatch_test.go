@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"efactory/internal/hint"
 	"efactory/internal/sim"
 )
 
@@ -207,6 +208,40 @@ func TestHintCoherentAcrossClients(t *testing.T) {
 		}
 		if st := reader.HintCache().Stats(); st.Stale == 0 {
 			t.Fatalf("no stale hints recorded: %+v", st)
+		}
+	})
+}
+
+// TestHintNamingDeadRegionRejoinsProbeWalk: a chain the responder NIC
+// refuses to post (here: a hint whose pool rkey no longer resolves) is a
+// refusal of its members, not a failure of the op — the hint is dropped
+// and the read rejoins the probe walk, single-key and batched alike.
+func TestHintNamingDeadRegionRejoinsProbeWalk(t *testing.T) {
+	c := newCluster(t, DefaultConfig(), 1)
+	c.run(func(p *sim.Proc) {
+		cl := c.clients[0]
+		cl.EnableHintCache(0)
+		key, val := []byte("relaid-key"), []byte("still-here")
+		if err := cl.Put(p, key, val); err != nil {
+			t.Fatal(err)
+		}
+		p.Sleep(5 * time.Millisecond)
+		reads := []func() ([]byte, error){
+			func() ([]byte, error) { return cl.Get(p, key) },
+			func() ([]byte, error) {
+				vals, errs := cl.GetBatch(p, [][]byte{key})
+				return vals[0], errs[0]
+			},
+		}
+		for i, read := range reads {
+			cl.HintCache().Insert(0, key, hint.Entry{Slot: -1, Pool: 0xdead, Len: 128, Durable: true})
+			before := cl.Stats
+			if got, err := read(); err != nil || string(got) != string(val) {
+				t.Fatalf("read %d through a dead-region hint: %q, %v", i, got, err)
+			}
+			if pure, fb := cl.Stats.PureReads-before.PureReads, cl.Stats.FallbackReads-before.FallbackReads; pure != 1 || fb != 0 {
+				t.Fatalf("read %d: pure=%d fallback=%d, want the probe walk to serve it (1/0)", i, pure, fb)
+			}
 		}
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"time"
 
+	"efactory/internal/client"
 	"efactory/internal/cluster"
 	"efactory/internal/fault"
 	"efactory/internal/kv"
@@ -268,22 +269,14 @@ func (s *Server) AttachClient(name string) *Client {
 	cnic := rnic.NewNIC(s.env, s.par, name)
 	ce, se := rnic.Connect(cnic, s.nic)
 	s.clients = append(s.clients, se)
-	shards := make([]shardGeom, s.st.NumShards())
+	shards := make([]client.Shard, s.st.NumShards())
 	for i := range shards {
-		shards[i] = shardGeom{
-			tableRKey: s.tableMR[i].RKey(),
-			poolRKey:  [2]uint32{s.poolMR[i][0].RKey(), s.poolMR[i][1].RKey()},
+		shards[i] = client.Shard{
+			Table: s.tableMR[i].RKey(),
+			Pool:  [2]uint32{s.poolMR[i][0].RKey(), s.poolMR[i][1].RKey()},
 		}
 	}
-	return &Client{
-		env:     s.env,
-		par:     s.par,
-		nic:     cnic,
-		ep:      ce,
-		shards:  shards,
-		buckets: s.cfg.Buckets,
-		hybrid:  true,
-	}
+	return newClient(s.env, s.par, cnic, ce, shards, s.cfg.Buckets)
 }
 
 // busy charges d of CPU time to the worker process p and accounts it.

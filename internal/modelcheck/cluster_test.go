@@ -97,7 +97,7 @@ func TestTCPClusterDifferential(t *testing.T) {
 			}
 		}
 	}
-	if err := DiffSteps(cc, tcpkv.ErrNotFound, Gen(seed, ops), step); err != nil {
+	if err := DiffSteps(cc, Gen(seed, ops), step); err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
 	}
 

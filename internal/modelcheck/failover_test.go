@@ -118,7 +118,7 @@ func TestTCPFailoverDifferential(t *testing.T) {
 			t.Fatalf("promotion epoch %d did not advance past join epoch %d", epoch, joinEpoch)
 		}
 	}
-	if err := DiffSteps(cc, tcpkv.ErrNotFound, Gen(seed, ops), step); err != nil {
+	if err := DiffSteps(cc, Gen(seed, ops), step); err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
 	}
 

@@ -20,6 +20,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+
+	"efactory/internal/client"
 )
 
 // KV is the op surface both transports share. Batched methods must return
@@ -123,10 +125,11 @@ func Gen(seed uint64, n int) []Op {
 }
 
 // Diff replays ops against kv and the map oracle in lockstep and returns
-// an error describing the first divergence (nil if none). notFound is the
-// transport's absent-key sentinel, matched with errors.Is.
-func Diff(kv KV, notFound error, ops []Op) error {
-	return DiffSteps(kv, notFound, ops, nil)
+// an error describing the first divergence (nil if none). Absent keys must
+// answer with the protocol core's sentinel (client.ErrNotFound, which both
+// transports alias), matched with errors.Is.
+func Diff(kv KV, ops []Op) error {
+	return DiffSteps(kv, ops, nil)
 }
 
 // DiffSteps is Diff with a hook: step (when non-nil) runs before op i is
@@ -134,13 +137,13 @@ func Diff(kv KV, notFound error, ops []Op) error {
 // migration, a cache flush — at deterministic op indices, so the replay
 // exercises the event's before/during/after regimes under the same
 // lockstep oracle.
-func DiffSteps(kv KV, notFound error, ops []Op, step func(i int)) error {
+func DiffSteps(kv KV, ops []Op, step func(i int)) error {
 	oracle := make(map[string][]byte)
 	for i, op := range ops {
 		if step != nil {
 			step(i)
 		}
-		if err := diffOne(kv, notFound, oracle, op); err != nil {
+		if err := diffOne(kv, oracle, op); err != nil {
 			return fmt.Errorf("op %d (%s): %w", i, op.Kind, err)
 		}
 	}
@@ -149,10 +152,10 @@ func DiffSteps(kv KV, notFound error, ops []Op, step func(i int)) error {
 
 // checkGetAgainst verifies one read result (val, err) for key against the
 // model; shared by the single, batched, and transactional read checks.
-func checkGetAgainst(oracle map[string][]byte, notFound error, key, val []byte, err error) error {
+func checkGetAgainst(oracle map[string][]byte, key, val []byte, err error) error {
 	want, ok := oracle[string(key)]
 	if !ok {
-		if !errors.Is(err, notFound) {
+		if !errors.Is(err, client.ErrNotFound) {
 			return fmt.Errorf("key %s: absent in model, got val=%q err=%v", key, val, err)
 		}
 		return nil
@@ -167,9 +170,9 @@ func checkGetAgainst(oracle map[string][]byte, notFound error, key, val []byte, 
 	return nil
 }
 
-func diffOne(kv KV, notFound error, oracle map[string][]byte, op Op) error {
+func diffOne(kv KV, oracle map[string][]byte, op Op) error {
 	checkGet := func(key, val []byte, err error) error {
-		return checkGetAgainst(oracle, notFound, key, val, err)
+		return checkGetAgainst(oracle, key, val, err)
 	}
 	switch op.Kind {
 	case OpPut:
@@ -183,7 +186,7 @@ func diffOne(kv KV, notFound error, oracle map[string][]byte, op Op) error {
 	case OpDelete:
 		err := kv.Delete(op.Keys[0])
 		if _, ok := oracle[string(op.Keys[0])]; !ok {
-			if !errors.Is(err, notFound) {
+			if !errors.Is(err, client.ErrNotFound) {
 				return fmt.Errorf("key %s: absent in model, delete err=%v", op.Keys[0], err)
 			}
 			return nil

@@ -9,8 +9,11 @@ import (
 	"efactory/internal/sim"
 )
 
-// simKV adapts the simulated-RDMA client to the KV interface; the sim
-// proc is the one the differential driver runs on.
+// simKV binds the simulated-RDMA client to the sim proc the differential
+// driver runs on — the one argument by which its op surface differs from
+// KV/TxnKV. It is the only adapter: both clients are bindings of the same
+// protocol core, and the TCP ones (tcpkv.Client, tcpkv.ClusterClient)
+// satisfy the interfaces as they are.
 type simKV struct {
 	cl *efactory.Client
 	p  *sim.Proc
@@ -21,6 +24,9 @@ func (s simKV) Get(key []byte) ([]byte, error)          { return s.cl.Get(s.p, k
 func (s simKV) Delete(key []byte) error                 { return s.cl.Delete(s.p, key) }
 func (s simKV) PutBatch(k, v [][]byte) []error          { return s.cl.PutBatch(s.p, k, v) }
 func (s simKV) GetBatch(k [][]byte) ([][]byte, []error) { return s.cl.GetBatch(s.p, k) }
+
+func (s simKV) TxnCommit(k, v [][]byte) (uint64, []error) { return s.cl.TxnCommit(s.p, k, v) }
+func (s simKV) TxnRead(k [][]byte) ([][]byte, []error)    { return s.cl.TxnRead(s.p, k) }
 
 // TestSimDifferential replays seeded mixed workloads against the
 // simulated transport across the shard/background-batching matrix, with
@@ -46,7 +52,7 @@ func TestSimDifferential(t *testing.T) {
 				cl.EnableHintCache(0)
 				var derr error
 				env.Go("driver", func(p *sim.Proc) {
-					derr = Diff(simKV{cl, p}, efactory.ErrNotFound, ops)
+					derr = Diff(simKV{cl, p}, ops)
 					srv.Stop()
 				})
 				env.Run()

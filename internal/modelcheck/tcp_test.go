@@ -10,15 +10,6 @@ import (
 	"efactory/internal/tcpkv"
 )
 
-// tcpKV adapts the TCP client; its method set already matches KV.
-type tcpKV struct{ cl *tcpkv.Client }
-
-func (c tcpKV) Put(key, value []byte) error             { return c.cl.Put(key, value) }
-func (c tcpKV) Get(key []byte) ([]byte, error)          { return c.cl.Get(key) }
-func (c tcpKV) Delete(key []byte) error                 { return c.cl.Delete(key) }
-func (c tcpKV) PutBatch(k, v [][]byte) []error          { return c.cl.PutBatch(k, v) }
-func (c tcpKV) GetBatch(k [][]byte) ([][]byte, []error) { return c.cl.GetBatch(k) }
-
 // TestTCPDifferential is the same oracle replay over real sockets,
 // goroutines, and wall-clock background verification: 4 configs x 2500
 // ops = 10k ops per run, hint cache on, run under -race in CI.
@@ -63,7 +54,7 @@ func TestTCPDifferential(t *testing.T) {
 				}
 				defer cl.Close()
 				cl.EnableHintCache(0)
-				if err := Diff(tcpKV{cl}, tcpkv.ErrNotFound, ops); err != nil {
+				if err := Diff(cl, ops); err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}
 			})

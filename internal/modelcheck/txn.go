@@ -96,17 +96,17 @@ func GenTxn(seed uint64, n int) []Op {
 // commit order, and every snapshot read must equal the model exactly —
 // observing a half-applied commit, a dead version, or a value newer than
 // the cut all diverge from the map.
-func DiffTxn(kv TxnKV, notFound error, ops []Op) error {
+func DiffTxn(kv TxnKV, ops []Op) error {
 	oracle := make(map[string][]byte)
 	for i, op := range ops {
-		if err := diffTxnOne(kv, notFound, oracle, op); err != nil {
+		if err := diffTxnOne(kv, oracle, op); err != nil {
 			return fmt.Errorf("op %d (%s): %w", i, op.Kind, err)
 		}
 	}
 	return nil
 }
 
-func diffTxnOne(kv TxnKV, notFound error, oracle map[string][]byte, op Op) error {
+func diffTxnOne(kv TxnKV, oracle map[string][]byte, op Op) error {
 	switch op.Kind {
 	case OpTxnCommit:
 		_, errs := kv.TxnCommit(op.Keys, op.Vals)
@@ -128,12 +128,12 @@ func diffTxnOne(kv TxnKV, notFound error, oracle map[string][]byte, op Op) error
 			return fmt.Errorf("txn read returned %d/%d results for %d keys", len(vals), len(errs), len(op.Keys))
 		}
 		for j := range op.Keys {
-			if err := checkGetAgainst(oracle, notFound, op.Keys[j], vals[j], errs[j]); err != nil {
+			if err := checkGetAgainst(oracle, op.Keys[j], vals[j], errs[j]); err != nil {
 				return fmt.Errorf("txn index %d: %w", j, err)
 			}
 		}
 	default:
-		return diffOne(kv, notFound, oracle, op)
+		return diffOne(kv, oracle, op)
 	}
 	return nil
 }

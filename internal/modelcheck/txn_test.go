@@ -16,12 +16,6 @@ import (
 	"efactory/internal/tcpkv"
 )
 
-func (s simKV) TxnCommit(k, v [][]byte) (uint64, []error) { return s.cl.TxnCommit(s.p, k, v) }
-func (s simKV) TxnRead(k [][]byte) ([][]byte, []error)    { return s.cl.TxnRead(s.p, k) }
-
-func (c tcpKV) TxnCommit(k, v [][]byte) (uint64, []error) { return c.cl.TxnCommit(k, v) }
-func (c tcpKV) TxnRead(k [][]byte) ([][]byte, []error)    { return c.cl.TxnRead(k) }
-
 // TestSimTxnDifferential replays seeded transactional workloads against
 // the simulated transport. Sequential replay makes the map oracle a
 // serializable-history check: commits apply whole, in commit order, and
@@ -43,7 +37,7 @@ func TestSimTxnDifferential(t *testing.T) {
 			cl.EnableHintCache(0)
 			var derr error
 			env.Go("driver", func(p *sim.Proc) {
-				derr = DiffTxn(simKV{cl, p}, efactory.ErrNotFound, ops)
+				derr = DiffTxn(simKV{cl, p}, ops)
 				srv.Stop()
 			})
 			env.Run()
@@ -95,7 +89,7 @@ func TestTCPTxnDifferential(t *testing.T) {
 			}
 			defer cl.Close()
 			cl.EnableHintCache(0)
-			if err := DiffTxn(tcpKV{cl}, tcpkv.ErrNotFound, ops); err != nil {
+			if err := DiffTxn(cl, ops); err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
 		})

@@ -5,15 +5,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"efactory/internal/adapt"
+	"efactory/internal/client"
 	"efactory/internal/cluster"
-	"efactory/internal/crc"
 	"efactory/internal/hint"
 	"efactory/internal/kv"
 	"efactory/internal/obs"
@@ -21,28 +20,38 @@ import (
 	"efactory/internal/wire"
 )
 
-// ErrNotFound is returned by Get/Delete for absent keys.
-var ErrNotFound = errors.New("tcpkv: key not found")
-
-// ErrServerFull is returned by Put when the pool is exhausted.
-var ErrServerFull = errors.New("tcpkv: server pool full")
+// The client's sentinels are the protocol core's, shared with the
+// simulated transport: errors.Is matches across both.
+var (
+	// ErrNotFound is returned by Get/Delete for absent keys.
+	ErrNotFound = client.ErrNotFound
+	// ErrServerFull is returned by Put when the pool is exhausted.
+	ErrServerFull = client.ErrServerFull
+	// ErrTxnAborted is returned for every op of a transaction the server
+	// rejected for a reason other than pool/table pressure (which maps to
+	// ErrServerFull): the transaction applied none of its ops.
+	ErrTxnAborted = client.ErrTxnAborted
+)
 
 // DefaultPipelineDepth bounds how many RPCs a client keeps in flight on
 // its pipelined channel unless SetPipelineDepth says otherwise.
 const DefaultPipelineDepth = 16
 
-// Client is a TCP-mode eFactory client implementing the client-active
-// write scheme and the hybrid read scheme over two connections: a
-// pipelined RPC channel that carries many requests in flight at once
-// (sequence-tagged frames, demultiplexed by a reader goroutine) and a
-// lock-step one-sided channel. Methods are safe for concurrent use;
-// concurrent RPCs share the pipelined connection instead of queueing
-// behind each other.
+// Client is a TCP-mode eFactory client: the protocol core
+// (internal/client) bound to two connections — a pipelined RPC channel
+// that carries many requests in flight at once (sequence-tagged frames,
+// demultiplexed by a reader goroutine) and a lock-step one-sided channel.
+// What lives here is only what is TCP: dialing and reconnecting, the
+// retry loop wrapped around each of the core's single attempts, epoch
+// stamping and wrong-epoch mapping, and the admin RPCs. Methods are safe
+// for concurrent use; concurrent RPCs share the pipelined connection
+// instead of queueing behind each other.
 type Client struct {
 	addr string
+	core *client.Core
 
-	// mu guards connection state, the retry policy, and the counters —
-	// not op I/O, which proceeds concurrently on the pipe.
+	// mu guards connection state, the retry policy, and the recovery
+	// counters — not op I/O, which proceeds concurrently on the pipe.
 	mu        sync.Mutex
 	retry     RetryPolicy       // zero value: single attempt, no deadlines
 	jitter    func(int64) int64 // backoff random source; nil = process-wide (tests seed it)
@@ -51,82 +60,39 @@ type Client struct {
 	pipe      *pipe
 	osConn    net.Conn
 
-	// osMu serializes the one-sided channel: its frames are lock-step
-	// request/response (or a batched burst of them). osAck is the reused
-	// ack-frame read buffer, guarded by osMu.
+	// osMu serializes the one-sided channel: a burst's requests and its
+	// replies are lock-step. osHdr is the reused reply-header read buffer,
+	// guarded by osMu.
 	osMu  sync.Mutex
-	osAck []byte
+	osHdr [5]byte
 
-	tableRKey    uint32 // shard 0's table rkey; shard s adds rkeysPerShard*s
-	poolRKeyBase uint32 // shard 0's pools; shard s pool i is poolRKeyBase + rkeysPerShard*s + i
-	buckets      int    // per shard
-	shards       int
-
-	// Hybrid disabled => every GET is an RPC (for comparison runs).
-	// Configure before issuing concurrent ops.
-	hybrid bool
-
-	// hints is the client-side location/durability hint cache (nil unless
-	// EnableHintCache was called). Like hybrid, configure before issuing
-	// concurrent ops; the cache itself is internally synchronized.
-	hints *hint.Cache
-
-	// pred, when non-nil (EnableAdaptive), preemptively routes reads of
-	// recently-written objects straight to RPC instead of wasting the
-	// optimistic one-sided fetch on a value whose durability flag cannot
-	// be set yet. Guarded by mu (the predictor itself is not
-	// synchronized). Configure before issuing concurrent ops.
-	pred *adapt.ReadPredictor
-
-	// epoch is the cluster-map epoch stamped on routed requests (Token
-	// field; 0 = unclustered, which every server accepts). Maintained by
-	// SetClusterEpoch, which also bulk-invalidates the hint cache — a
-	// hint learned under old placement must not survive a cutover.
-	epoch atomic.Uint64
-
-	// PureReads / FallbackReads / RPCReads mirror the simulation client's
-	// path counters. Guarded by mu while ops are in flight; read them
-	// quiesced.
-	PureReads     int
-	FallbackReads int
-	RPCReads      int
-	// BatchedGets counts GETs carried by GetBatch; HintedReads counts pure
-	// reads whose probe walk was skipped by a hint-cache hit.
-	BatchedGets int
-	HintedReads int
-	// AdaptivePreempts counts GETs the read predictor routed straight to
-	// RPC (EnableAdaptive only).
-	AdaptivePreempts int
+	// Stats holds the protocol core's path counters (PureReads,
+	// FallbackReads, RPCReads, BatchedGets, HintedReads, AdaptivePreempts,
+	// ...), promoted as fields of the client. Read them quiesced.
+	client.Stats
 	// Retries and Reconnects count recovery actions taken under the
 	// client's RetryPolicy.
 	Retries    int
 	Reconnects int
-
-	// tracer mints and retains request traces (nil unless EnableTracing
-	// was called).
-	tracer *trace.Tracer
 }
 
-// pipe is one pipelined RPC connection: a writer goroutine serializes
-// sequence-tagged request frames onto the socket, and a reader goroutine
-// demultiplexes responses back to the callers waiting on them by sequence
-// number, so the connection carries up to depth RPCs in flight at once.
+// pipe is one pipelined RPC connection: callers write their own
+// sequence-tagged request frames under a write mutex, and a reader
+// goroutine demultiplexes responses back to the callers waiting on them
+// by sequence number, so the connection carries up to depth RPCs in
+// flight at once.
 type pipe struct {
 	conn    net.Conn
 	timeout func() time.Duration // per-call bound, read at call time
 
-	wq   chan pipeFrame
 	done chan struct{}
 	sem  chan struct{} // bounds in-flight calls to the pipeline depth
+	wmu  sync.Mutex    // serializes request frames onto the socket
 
 	mu      sync.Mutex
 	pending map[uint32]chan pipeResult
 	seq     uint32
 	err     error
-}
-
-type pipeFrame struct {
-	frame []byte // [len][seq][msg], fully encoded by the caller
 }
 
 type pipeResult struct {
@@ -136,7 +102,7 @@ type pipeResult struct {
 }
 
 // callSlot is one pooled RPC call context: the request-frame scratch the
-// writer sends as-is (zero copies on the write side) and the reusable
+// caller sends as-is (zero copies on the write side) and the reusable
 // completion channel. Slots live in a package-level pool rather than on
 // the pipe, so scratch reuse survives reconnect generations — a client
 // that redials keeps its warmed buffers.
@@ -172,42 +138,12 @@ func newPipe(conn net.Conn, depth int, timeout func() time.Duration) *pipe {
 	p := &pipe{
 		conn:    conn,
 		timeout: timeout,
-		wq:      make(chan pipeFrame, depth),
 		done:    make(chan struct{}),
 		sem:     make(chan struct{}, depth),
 		pending: make(map[uint32]chan pipeResult),
 	}
-	go p.writer()
 	go p.reader()
 	return p
-}
-
-// writer owns the socket's write side. Frames are [len][seq][msg] with the
-// length prefix covering the 4-byte sequence tag. Each write runs under
-// the shared attemptDeadline discipline (arm, write, clear) — nothing
-// further is owed on the write side until the next request, and a stale
-// deadline would poison an idle connection.
-func (p *pipe) writer() {
-	for {
-		select {
-		case <-p.done:
-			return
-		case f := <-p.wq:
-			// f.frame is the caller's slot scratch, already fully framed;
-			// the caller keeps the slot checked out until its response
-			// arrives (which the server cannot send before this Write
-			// completes), so writing it directly is race-free and the
-			// write side copies nothing.
-			dl := attemptDeadline{set: p.conn.SetWriteDeadline, d: p.timeout()}
-			if err := dl.guard(func() error {
-				_, err := p.conn.Write(f.frame)
-				return err
-			}); err != nil {
-				p.fail(err)
-				return
-			}
-		}
-	}
 }
 
 // reader demultiplexes responses to waiting callers. It reads with no
@@ -243,8 +179,8 @@ func (p *pipe) reader() {
 }
 
 // fail marks the pipe dead exactly once: the socket closes (unblocking the
-// reader and writer), every pending caller gets err, and future calls fail
-// fast.
+// reader and any writer), every pending caller gets err, and future calls
+// fail fast.
 func (p *pipe) fail(err error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -274,16 +210,23 @@ func (p *pipe) forget(seq uint32) {
 
 // call issues one RPC from a prepared slot and waits for its response.
 // cs.frame must hold the 8-byte [len][seq] placeholder (callSlot.begin)
-// followed by the encoded message; call fills the placeholder. The
-// sequence number is the call's identity on the shared connection: an op
-// retried after a failure re-enters a fresh pipe under a fresh sequence,
-// so acknowledged sequences are never replayed.
+// followed by the encoded message; call fills the placeholder. Frames are
+// [len][seq][msg] with the length prefix covering the 4-byte sequence tag.
+// The sequence number is the call's identity on the shared connection: an
+// op retried after a failure re-enters a fresh pipe under a fresh
+// sequence, so acknowledged sequences are never replayed.
+//
+// The caller writes its own frame, so nothing else ever touches cs.frame:
+// a response that overtakes the return of Write finds the slot still
+// checked out. The write runs under the shared attemptDeadline discipline
+// (arm, write, clear) — nothing further is owed on the write side until
+// the next request, and a stale deadline would poison an idle connection.
 //
 // clean reports whether the slot completed its exchange (a result —
 // success or error — was received on cs.ch): only then may the caller
-// return cs to the pool. On the timeout/shutdown paths the writer or
-// reader may still touch the slot's frame or channel, so the slot must
-// be abandoned to the GC.
+// return cs to the pool. On the failure paths the reader or fail() may
+// still send on the slot's channel, so the slot must be abandoned to the
+// GC.
 func (p *pipe) call(cs *callSlot) (r pipeResult, clean bool) {
 	select {
 	case p.sem <- struct{}{}:
@@ -304,15 +247,23 @@ func (p *pipe) call(cs *callSlot) (r pipeResult, clean bool) {
 	binary.BigEndian.PutUint32(cs.frame, uint32(len(cs.frame)-4))
 	binary.BigEndian.PutUint32(cs.frame[4:], seq)
 
-	select {
-	case p.wq <- pipeFrame{frame: cs.frame}:
-	case <-p.done:
+	d := p.timeout()
+	p.wmu.Lock()
+	err := attemptDeadline{set: p.conn.SetWriteDeadline, d: d}.guard(func() error {
+		_, err := p.conn.Write(cs.frame)
+		return err
+	})
+	p.wmu.Unlock()
+	if err != nil {
+		// A torn request frame leaves the stream unparseable for everyone
+		// sharing it: fail them over together.
 		p.forget(seq)
+		p.fail(err)
 		return pipeResult{err: p.failure()}, false
 	}
 
 	var expired <-chan time.Time
-	if d := p.timeout(); d > 0 {
+	if d > 0 {
 		t := time.NewTimer(d)
 		defer t.Stop()
 		expired = t.C
@@ -357,7 +308,7 @@ func (c *Client) callTimeout() time.Duration {
 // Dial connects to a tcpkv server and performs the geometry handshake.
 // The returned client performs no retries; see SetRetryPolicy.
 func Dial(addr string) (*Client, error) {
-	c := &Client{addr: addr, hybrid: true, pipeDepth: DefaultPipelineDepth}
+	c := &Client{addr: addr, pipeDepth: DefaultPipelineDepth}
 	c.mu.Lock()
 	err := c.dialLocked()
 	c.mu.Unlock()
@@ -369,25 +320,20 @@ func Dial(addr string) (*Client, error) {
 		c.Close()
 		return nil, fmt.Errorf("tcpkv: handshake: %w", err)
 	}
-	c.tableRKey = resp.RKey
-	c.poolRKeyBase = resp.Token
-	c.buckets = int(resp.Len)
-	c.shards = int(resp.Off)
-	if c.shards <= 0 {
-		c.shards = 1 // pre-sharding servers leave Off zero
-	}
-	if c.buckets <= 0 {
+	buckets := int(resp.Len)
+	if buckets <= 0 {
 		c.Close()
 		return nil, errors.New("tcpkv: bad handshake geometry")
 	}
+	// Shard 0's table and pool rkeys; shard s adds rkeysPerShard*s.
+	// Pre-sharding servers leave the shard count (Off) zero.
+	shards := make([]client.Shard, max(int(resp.Off), 1))
+	for s := range shards {
+		d := rkeysPerShard * uint32(s)
+		shards[s] = client.Shard{Table: resp.RKey + d, Pool: [2]uint32{resp.Token + d, resp.Token + d + 1}}
+	}
+	c.core = client.New((*verbs)(c), shards, buckets, &c.Stats)
 	return c, nil
-}
-
-// shardRKeysFor returns the table rkey and pool rkey base of the shard
-// owning keyHash.
-func (c *Client) shardRKeysFor(keyHash uint64) (table, poolBase uint32) {
-	sh := uint32(cluster.ShardOf(keyHash, c.shards))
-	return c.tableRKey + rkeysPerShard*sh, c.poolRKeyBase + rkeysPerShard*sh
 }
 
 // Close tears both connections down.
@@ -398,30 +344,33 @@ func (c *Client) Close() error {
 	return c.osConn.Close()
 }
 
-// SetHybridRead toggles the hybrid read scheme.
-func (c *Client) SetHybridRead(on bool) { c.hybrid = on }
+// SetHybridRead toggles the hybrid read scheme: disabled, every GET is an
+// RPC (for comparison runs). Configure before issuing concurrent ops.
+func (c *Client) SetHybridRead(on bool) { c.core.SetHybridRead(on) }
+
+// EnableAdaptive turns on per-object adaptive hybrid reads (see
+// client.Core.EnableAdaptive). Off by default — figures and tests that
+// pin the classic hybrid path stay bit-identical. Configure before
+// issuing concurrent ops.
+func (c *Client) EnableAdaptive() { c.core.EnableAdaptive() }
+
+// EnableHintCache attaches a client-side location/durability hint cache
+// with the given per-shard capacity (hint.DefaultCap if non-positive; see
+// client.Core.EnableHintCache). Configure before issuing concurrent ops,
+// like SetHybridRead.
+func (c *Client) EnableHintCache(capPerShard int) { c.core.EnableHintCache(capPerShard) }
+
+// HintCache returns the attached hint cache (nil when disabled).
+func (c *Client) HintCache() *hint.Cache { return c.core.HintCache() }
 
 // SetClusterEpoch records the cluster-map epoch routed requests should
-// carry. Forward-only; advancing it bulk-invalidates the hint cache,
-// since every resident hint was learned under placement that may no
-// longer hold.
-func (c *Client) SetClusterEpoch(epoch uint64) {
-	for {
-		cur := c.epoch.Load()
-		if epoch <= cur {
-			return
-		}
-		if c.epoch.CompareAndSwap(cur, epoch) {
-			break
-		}
-	}
-	if c.hints != nil {
-		c.hints.AdvanceEpoch(epoch)
-	}
-}
+// carry (Token field; 0 = unclustered, which every server accepts).
+// Forward-only; advancing it bulk-invalidates the hint cache — a hint
+// learned under old placement must not survive a cutover.
+func (c *Client) SetClusterEpoch(epoch uint64) { c.core.AdvanceEpoch(epoch) }
 
 // ClusterEpoch returns the epoch routed requests currently carry.
-func (c *Client) ClusterEpoch() uint64 { return c.epoch.Load() }
+func (c *Client) ClusterEpoch() uint64 { return c.core.Epoch() }
 
 // wrongEpoch maps an StWrongEpoch response to the typed error routed
 // clients dispatch on, recording the server's proven epoch.
@@ -482,7 +431,8 @@ func (c *Client) reconnect(genSeen uint64) (uint64, error) {
 // rpc performs one request/response over the pipelined channel. Concurrent
 // callers share the connection; responses demultiplex by sequence number.
 // The decoded Msg may alias the response buffer, which is left to the GC —
-// hot paths that can bound the response's lifetime use rpcShared instead.
+// the protocol core, which bounds every response's lifetime, goes through
+// rpcShared instead.
 func (c *Client) rpc(req wire.Msg) (wire.Msg, error) {
 	m, _, err := c.rpcShared(&req)
 	return m, err
@@ -515,128 +465,43 @@ func (c *Client) rpcShared(req *wire.Msg) (wire.Msg, *[]byte, error) {
 	return m, r.raw, nil
 }
 
-// osExchange writes the given one-sided frames back-to-back and then reads
-// one response frame per request — the one-sided channel's doorbell batch.
-// One attemptDeadline covers the whole exchange, same discipline as the
-// pipelined channel's writer.
-func (c *Client) osExchange(frames [][]byte) ([][]byte, error) {
-	c.mu.Lock()
-	conn := c.osConn
-	dl := attemptDeadline{set: conn.SetDeadline, d: c.retry.Timeout}
-	c.mu.Unlock()
-	c.osMu.Lock()
-	defer c.osMu.Unlock()
-	var resps [][]byte
-	err := dl.guard(func() error {
-		for _, f := range frames {
-			if err := writeFrame(conn, f); err != nil {
-				return err
-			}
-		}
-		resps = make([][]byte, len(frames))
-		for i := range resps {
-			r, err := readFrame(conn)
-			if err != nil {
-				return err
-			}
-			resps[i] = r
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return resps, nil
-}
-
-// osReadFrame encodes a one-sided READ of length bytes at (rkey, off).
-func osReadFrame(rkey uint32, off uint64, length int) []byte {
-	frame := make([]byte, 17)
-	frame[0] = opRead
-	binary.BigEndian.PutUint32(frame[1:], rkey)
-	binary.BigEndian.PutUint64(frame[5:], off)
-	binary.BigEndian.PutUint32(frame[13:], uint32(length))
-	return frame
-}
-
-// osWriteFrame encodes a one-sided WRITE of data at (rkey, off).
-func osWriteFrame(rkey uint32, off uint64, data []byte) []byte {
-	frame := make([]byte, 17+len(data))
-	frame[0] = opWrite
-	binary.BigEndian.PutUint32(frame[1:], rkey)
-	binary.BigEndian.PutUint64(frame[5:], off)
-	binary.BigEndian.PutUint32(frame[13:], uint32(len(data)))
-	copy(frame[17:], data)
-	return frame
-}
-
-// read performs a one-sided READ of length bytes at (rkey, off).
-func (c *Client) read(rkey uint32, off uint64, length int) ([]byte, error) {
-	resps, err := c.osExchange([][]byte{osReadFrame(rkey, off, length)})
-	if err != nil {
-		return nil, err
-	}
-	if len(resps[0]) < 1 || resps[0][0] != 1 {
-		return nil, errors.New("tcpkv: one-sided read NAK")
-	}
-	return resps[0][1:], nil
-}
-
-// write performs a one-sided WRITE of data at (rkey, off).
-func (c *Client) write(rkey uint32, off uint64, data []byte) error {
-	bs := burstScratchPool.Get().(*burstScratch)
-	bs.buf = osAppendWrite(bs.buf[:0], rkey, off, data)
-	err := c.osWriteBurst(bs.buf, 1)
-	burstScratchPool.Put(bs)
-	return err
-}
-
-// writeBatch posts every WRITE frame before waiting on any completion.
-func (c *Client) writeBatch(frames [][]byte) error {
-	if len(frames) == 0 {
-		return nil
-	}
-	resps, err := c.osExchange(frames)
-	if err != nil {
-		return err
-	}
-	for _, r := range resps {
-		if len(r) < 1 || r[0] != 1 {
-			return errors.New("tcpkv: one-sided write NAK")
-		}
-	}
-	return nil
-}
-
-// burstScratch is a pooled builder for pre-framed one-sided WRITE
-// bursts; pooled package-wide so the warmed buffer survives reconnects.
+// burstScratch is a pooled builder for pre-framed one-sided bursts;
+// pooled package-wide so the warmed buffer survives reconnects.
 type burstScratch struct{ buf []byte }
 
 var burstScratchPool = sync.Pool{New: func() any {
 	return &burstScratch{buf: make([]byte, 0, 4096)}
 }}
 
-// osAppendWrite appends one framed one-sided WRITE (length prefix
-// included) to buf, so a doorbell burst becomes a single contiguous
-// buffer written with one syscall.
-func osAppendWrite(buf []byte, rkey uint32, off uint64, data []byte) []byte {
-	var hdr [21]byte
-	binary.BigEndian.PutUint32(hdr[0:], uint32(17+len(data)))
-	hdr[4] = opWrite
-	binary.BigEndian.PutUint32(hdr[5:], rkey)
-	binary.BigEndian.PutUint64(hdr[9:], off)
-	binary.BigEndian.PutUint32(hdr[17:], uint32(len(data)))
-	buf = append(buf, hdr[:]...)
-	return append(buf, data...)
-}
-
-// osWriteBurst writes a pre-framed burst of n one-sided WRITEs with one
-// syscall and consumes one ack frame per write. The ack buffer is
-// per-client scratch guarded by osMu.
-func (c *Client) osWriteBurst(burst []byte, n int) error {
-	if n == 0 {
+// osBurst is the one-sided channel's doorbell batch: the READs (op
+// opRead) or WRITEs (opWrite) in reqs are framed into one contiguous
+// buffer and sent with a single Write, then one reply per request is
+// consumed in order — a READ's data lands straight in its Req.Buf, a
+// refusal sets Req.NAK. One attemptDeadline covers the whole exchange,
+// same discipline as the pipelined channel's writes.
+func (c *Client) osBurst(op byte, reqs []client.Req) error {
+	if len(reqs) == 0 {
 		return nil
 	}
+	bs := burstScratchPool.Get().(*burstScratch)
+	defer burstScratchPool.Put(bs)
+	buf := bs.buf[:0]
+	for i := range reqs {
+		// Frame: [len][op][rkey][off][length], then a WRITE's data.
+		r := &reqs[i]
+		var hdr [21]byte
+		hdr[4] = op
+		binary.BigEndian.PutUint32(hdr[5:], r.RKey)
+		binary.BigEndian.PutUint64(hdr[9:], r.Off)
+		binary.BigEndian.PutUint32(hdr[17:], uint32(len(r.Buf)))
+		var data []byte
+		if op == opWrite {
+			data = r.Buf
+		}
+		binary.BigEndian.PutUint32(hdr[0:], uint32(17+len(data)))
+		buf = append(append(buf, hdr[:]...), data...)
+	}
+	bs.buf = buf
 	c.mu.Lock()
 	conn := c.osConn
 	dl := attemptDeadline{set: conn.SetDeadline, d: c.retry.Timeout}
@@ -644,119 +509,79 @@ func (c *Client) osWriteBurst(burst []byte, n int) error {
 	c.osMu.Lock()
 	defer c.osMu.Unlock()
 	return dl.guard(func() error {
-		if _, err := conn.Write(burst); err != nil {
+		if _, err := conn.Write(buf); err != nil {
 			return err
 		}
-		for i := 0; i < n; i++ {
-			r, err := readFrameInto(conn, c.osAck)
-			if err != nil {
+		for i := range reqs {
+			// Reply: [len][status], then a READ's data.
+			hdr := c.osHdr[:]
+			if _, err := io.ReadFull(conn, hdr); err != nil {
 				return err
 			}
-			c.osAck = r[:0]
-			if len(r) < 1 || r[0] != 1 {
-				return errors.New("tcpkv: one-sided write NAK")
+			n := int(binary.BigEndian.Uint32(hdr)) - 1
+			var dst []byte
+			if op == opRead {
+				dst = reqs[i].Buf
+			}
+			switch {
+			case hdr[4] != 1 && n == 0:
+				reqs[i].NAK = true
+			case hdr[4] == 1 && n == len(dst):
+				if _, err := io.ReadFull(conn, dst); err != nil {
+					return err
+				}
+			default:
+				// The stream can no longer be trusted to stay in sync.
+				conn.Close()
+				return fmt.Errorf("tcpkv: malformed one-sided reply (status %d, %d bytes, want %d)", hdr[4], n, len(dst))
 			}
 		}
 		return nil
 	})
 }
 
-func (c *Client) bump(field *int) {
-	c.mu.Lock()
-	*field++
-	c.mu.Unlock()
+// verbs is Client seen through the protocol core's seam. A distinct type
+// so the verbs do not join Client's exported method set.
+type verbs Client
+
+func (*verbs) Now() uint64 { return wallClock{}.Now() }
+
+// ChargeCRC is empty: the checksum's real cost is paid computing it.
+func (*verbs) ChargeCRC(int) {}
+
+// Call stamps the request with the cluster-map epoch and maps a
+// wrong-epoch rejection to the typed error routed clients dispatch on.
+// NoteCleaning is ignored: the server guards reads during cleaning itself.
+func (v *verbs) Call(req wire.Msg) (wire.Msg, *[]byte, error) {
+	c := (*Client)(v)
+	req.Token = uint32(c.core.Epoch())
+	resp, raw, err := c.rpcShared(&req)
+	if err == nil && resp.Status == wire.StWrongEpoch {
+		releaseResp(raw)
+		return wire.Msg{}, nil, wrongEpoch(resp)
+	}
+	return resp, raw, err
 }
 
-// EnableAdaptive turns on per-object adaptive hybrid reads: a read of an
-// object written within the predictor's durability horizon skips the
-// optimistic one-sided fetch (which would bounce off the unset
-// durability flag) and goes straight to RPC. Off by default — figures
-// and tests that pin the classic hybrid path stay bit-identical.
-// Configure before issuing concurrent ops.
-func (c *Client) EnableAdaptive() {
-	c.pred = adapt.NewReadPredictor()
-}
+func (*verbs) Release(buf *[]byte) { releaseResp(buf) }
 
-// predNotePut records a completed PUT with the read predictor.
-func (c *Client) predNotePut(keyHash uint64) {
-	if c.pred == nil {
-		return
-	}
-	c.mu.Lock()
-	c.pred.NotePut(keyHash)
-	c.mu.Unlock()
-}
+func (v *verbs) ReadBurst(reqs []client.Req) error { return (*Client)(v).osBurst(opRead, reqs) }
 
-// predPreempt asks the read predictor whether to skip the optimistic
-// fetch for keyHash.
-func (c *Client) predPreempt(keyHash uint64) bool {
-	if c.pred == nil {
-		return false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.pred.Preempt(keyHash)
-}
-
-// predObserve feeds a hybrid-read outcome (pure success or fallback)
-// back to the predictor's horizon estimator.
-func (c *Client) predObserve(pure bool) {
-	if c.pred == nil {
-		return
-	}
-	c.mu.Lock()
-	if pure {
-		c.pred.ObservePure()
-	} else {
-		c.pred.ObserveFallback()
-	}
-	c.mu.Unlock()
-}
+func (v *verbs) WriteBurst(reqs []client.Req) error { return (*Client)(v).osBurst(opWrite, reqs) }
 
 // Put stores value under key: checksum, allocation RPC, one-sided value
 // write — no durability round trip (asynchronous durability).
 func (c *Client) Put(key, value []byte) error {
-	tc, t0 := c.beginTrace("put", kv.HashKey(key))
+	tc, t0 := c.core.Begin("put", kv.HashKey(key))
 	err := c.putCtx(tc, key, value)
-	c.endTrace(tc, t0, err)
+	c.core.End(tc, t0, err)
 	return err
 }
 
-// putCtx is Put's body under a caller-owned trace context (nil =
-// untraced); ClusterClient threads its routed-op context through here.
+// putCtx is Put under a caller-owned trace context (nil = untraced);
+// ClusterClient threads its routed-op context through here.
 func (c *Client) putCtx(tc *trace.Ctx, key, value []byte) error {
-	tCRC := traceNow(tc)
-	sum := crc.Checksum(value)
-	tc.Add("client_crc", tCRC, traceNow(tc))
-	return c.retrying(func() error {
-		// A retried attempt redoes the allocation RPC: the previous
-		// attempt's slot (if it was granted) is left torn and gets
-		// invalidated by background verification.
-		tRPC := traceNow(tc)
-		req := wire.Msg{Type: wire.TPut, Trace: tc.ID(), Token: uint32(c.epoch.Load()), Crc: sum, Len: uint64(len(value)), Key: key}
-		resp, raw, err := c.rpcShared(&req)
-		tc.Add("alloc_rpc", tRPC, traceNow(tc))
-		if err != nil {
-			return err
-		}
-		// TPutResp carries scalars only — nothing aliases the buffer.
-		releaseResp(raw)
-		switch resp.Status {
-		case wire.StOK:
-		case wire.StFull:
-			return ErrServerFull
-		case wire.StWrongEpoch:
-			return wrongEpoch(resp)
-		default:
-			return fmt.Errorf("tcpkv: put status %d", resp.Status)
-		}
-		c.noteLocation(key, resp.RKey, resp.Off, int(resp.Len), len(key), 0, false)
-		c.predNotePut(kv.HashKey(key))
-		tW := traceNow(tc)
-		err = c.write(resp.RKey, resp.Off+uint64(kv.ValueOffset(len(key))), value)
-		tc.Add("doorbell_write", tW, traceNow(tc))
-		return err
-	})
+	return c.retrying(func() error { return c.core.Put(tc, key, value) })
 }
 
 // PutBatch stores len(keys) key/value pairs with one multi-op allocation
@@ -786,278 +611,151 @@ func (c *Client) PutBatchInto(keys, values [][]byte, errs []error) []error {
 	if len(keys) == 0 {
 		return errs
 	}
-	tc, t0 := c.beginTrace("put_batch", kv.HashKey(keys[0]))
+	tc, t0 := c.core.Begin("put_batch", kv.HashKey(keys[0]))
 	c.putBatchCtx(tc, keys, values, errs)
-	ferr := error(nil)
-	for i := 0; ferr == nil && i < len(errs); i++ {
-		ferr = errs[i]
-	}
-	c.endTrace(tc, t0, ferr)
+	c.core.End(tc, t0, client.FirstErr(errs))
 	return errs
 }
 
-// putBatchScratch holds one PutBatch call's reusable buffers: the op
-// list, its encoded payload, the decoded grants, and the one-sided WRITE
-// burst. Pooled package-wide, so the warmed buffers survive reconnects
-// and concurrent batches each check out their own.
-type putBatchScratch struct {
-	ops    []wire.PutOp
-	opsBuf []byte
-	grants []wire.PutGrant
-	wbuf   []byte
-}
-
-var putBatchScratchPool = sync.Pool{New: func() any { return &putBatchScratch{} }}
-
-// putBatchCtx is PutBatch's body under a caller-owned trace context.
-// errs must be len(keys) long; it is filled in place.
+// putBatchCtx is PutBatch under a caller-owned trace context. errs must
+// be len(keys) long; it is filled in place. The whole batch retries
+// together: a retried attempt regrants every slot.
 func (c *Client) putBatchCtx(tc *trace.Ctx, keys, values [][]byte, errs []error) {
-	sc := putBatchScratchPool.Get().(*putBatchScratch)
-	defer putBatchScratchPool.Put(sc)
-	tCRC := traceNow(tc)
-	ops := sc.ops[:0]
-	for i := range keys {
-		ops = append(ops, wire.PutOp{Crc: crc.Checksum(values[i]), VLen: len(values[i]), Key: keys[i]})
-	}
-	sc.ops = ops
-	tc.Add("client_crc", tCRC, traceNow(tc))
-	sc.opsBuf = wire.AppendPutOps(sc.opsBuf[:0], ops)
-	req := wire.Msg{Type: wire.TPutBatch, Trace: tc.ID(), Value: sc.opsBuf}
-	err := c.retrying(func() error {
-		for i := range errs {
-			errs[i] = nil // a retried attempt regrants every slot
-		}
-		req.Token = uint32(c.epoch.Load())
-		tRPC := traceNow(tc)
-		resp, raw, err := c.rpcShared(&req)
-		tc.Add("alloc_rpc", tRPC, traceNow(tc))
-		if err != nil {
-			return err
-		}
-		if resp.Status == wire.StWrongEpoch {
-			releaseResp(raw)
-			return wrongEpoch(resp)
-		}
-		if resp.Status != wire.StOK {
-			releaseResp(raw)
-			return fmt.Errorf("tcpkv: put batch status %d", resp.Status)
-		}
-		grants, gerr := wire.DecodePutGrantsInto(resp.Value, sc.grants)
-		if gerr == nil {
-			sc.grants = grants
-		}
-		// Grants are scalar copies — the response buffer is now free.
-		releaseResp(raw)
-		if gerr != nil {
-			return fmt.Errorf("tcpkv: malformed put batch response: %w", gerr)
-		}
-		if len(grants) != len(keys) {
-			return fmt.Errorf("tcpkv: put batch returned %d grants for %d ops", len(grants), len(keys))
-		}
-		wbuf := sc.wbuf[:0]
-		n := 0
-		for i, g := range grants {
-			switch g.Status {
-			case wire.StOK:
-				c.noteLocation(keys[i], g.RKey, g.Off, int(g.Len), len(keys[i]), 0, false)
-				c.predNotePut(kv.HashKey(keys[i]))
-				off := g.Off + uint64(kv.ValueOffset(len(keys[i])))
-				wbuf = osAppendWrite(wbuf, g.RKey, off, values[i])
-				n++
-			case wire.StFull:
-				errs[i] = ErrServerFull
-			default:
-				errs[i] = fmt.Errorf("tcpkv: put status %d", g.Status)
-			}
-		}
-		sc.wbuf = wbuf
-		tW := traceNow(tc)
-		werr := c.osWriteBurst(wbuf, n)
-		tc.Add("doorbell_write", tW, traceNow(tc))
-		return werr
-	})
-	if err != nil {
-		for i := range errs {
-			if errs[i] == nil {
-				errs[i] = err
-			}
-		}
-	}
+	c.retrying(func() error { return c.core.PutBatch(tc, keys, values, errs) })
 }
 
 // Get fetches key's value with the hybrid read scheme.
 func (c *Client) Get(key []byte) ([]byte, error) {
-	tc, t0 := c.beginTrace("get", kv.HashKey(key))
+	tc, t0 := c.core.Begin("get", kv.HashKey(key))
 	out, err := c.getCtx(tc, key)
-	c.endTrace(tc, t0, err)
+	c.core.End(tc, t0, err)
 	return out, err
 }
 
-// getCtx is Get's body under a caller-owned trace context.
-func (c *Client) getCtx(tc *trace.Ctx, key []byte) ([]byte, error) {
-	var out []byte
-	err := c.retrying(func() error {
-		if c.hybrid && c.predPreempt(kv.HashKey(key)) {
-			// The object was written within the durability horizon: the
-			// optimistic fetch would bounce, so spend the round trip on
-			// the authoritative path directly.
-			c.bump(&c.AdaptivePreempts)
-			val, err := c.rpcRead(tc, key)
-			if err != nil {
-				return err
-			}
-			out = val
-			return nil
-		}
-		if c.hybrid {
-			if c.hints != nil {
-				val, verdict, err := c.hintedRead(tc, key)
-				if err != nil {
-					return err
-				}
-				switch verdict {
-				case hrHit:
-					c.bump(&c.PureReads)
-					c.predObserve(true)
-					out = val
-					return nil
-				case hrFallback:
-					c.bump(&c.FallbackReads)
-					c.predObserve(false)
-					val, err := c.rpcRead(tc, key)
-					if err != nil {
-						return err
-					}
-					out = val
-					return nil
-				}
-				// hrMiss: no usable hint — run the probe walk below.
-			}
-			val, ok, err := c.pureRead(tc, key)
-			if err != nil {
-				return err
-			}
-			if ok {
-				c.bump(&c.PureReads)
-				c.predObserve(true)
-				out = val
-				return nil
-			}
-			c.bump(&c.FallbackReads)
-			c.predObserve(false)
-		} else {
-			c.bump(&c.RPCReads)
-		}
-		val, err := c.rpcRead(tc, key)
-		if err != nil {
-			return err
-		}
-		out = val
-		return nil
+// getCtx is Get under a caller-owned trace context.
+func (c *Client) getCtx(tc *trace.Ctx, key []byte) (out []byte, err error) {
+	err = c.retrying(func() (err error) {
+		out, err = c.core.Get(tc, key)
+		return err
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return out, err
 }
 
-// pureRead is the optimistic one-sided path; ok is false on fallback.
-func (c *Client) pureRead(tc *trace.Ctx, key []byte) (val []byte, ok bool, err error) {
-	keyHash := kv.HashKey(key)
-	tableRKey, poolBase := c.shardRKeysFor(keyHash)
-	idx := int(keyHash % uint64(c.buckets))
-	var entry kv.Entry
-	found := false
-	slot := -1
-	tProbe := traceNow(tc)
-	for probe := 0; probe < 4; probe++ {
-		bucket := (idx + probe) % c.buckets
-		raw, err := c.read(tableRKey, uint64(bucket*kv.EntrySize), kv.EntrySize)
-		if err != nil {
-			return nil, false, err
-		}
-		e := kv.DecodeEntry(raw)
-		if e.KeyHash == 0 {
-			if c.epoch.Load() != 0 {
-				// Clustered: an empty bucket may mean the key migrated away
-				// and was purged, not that it is absent. Only the owning
-				// server may conclude NotFound — fall back to the RPC path,
-				// where a misroute surfaces as StWrongEpoch.
-				return nil, false, nil
-			}
-			return nil, false, ErrNotFound
-		}
-		if e.Free() {
-			continue
-		}
-		if e.KeyHash == keyHash {
-			entry, found, slot = e, true, bucket
-			break
-		}
+// GetBatch resolves len(keys) GETs as one operation: each round, the
+// one-sided READs of every in-flight key go out in ONE burst on the
+// one-sided channel, and keys whose optimistic read fails verification
+// fall back together in one TGetBatch RPC on the pipelined channel (see
+// client.Core.GetBatch). Results are index-aligned with keys: values[i]
+// is valid iff errs[i] is nil (ErrNotFound, or a transport/status error
+// shared by every key the failure reached). The whole batch retries
+// together under the client's RetryPolicy.
+func (c *Client) GetBatch(keys [][]byte) ([][]byte, []error) {
+	if len(keys) == 0 {
+		return make([][]byte, 0), make([]error, 0)
 	}
-	tc.Add("entry_probe", tProbe, traceNow(tc))
-	if !found || entry.Tombstone() || entry.Current() == 0 {
-		return nil, false, nil
-	}
-	off, totalLen, _ := kv.UnpackLoc(entry.Current())
-	tObj := traceNow(tc)
-	obj, err := c.read(poolBase+uint32(entry.Mark()&1), off, totalLen)
-	tc.Add("object_read", tObj, traceNow(tc))
-	if err != nil {
-		return nil, false, err
-	}
-	h := kv.DecodeHeader(obj)
-	if h.Magic != kv.Magic || !h.Valid() || !h.Durable() {
-		return nil, false, nil
-	}
-	if h.KLen != len(key) || string(obj[kv.KeyOffset():kv.KeyOffset()+h.KLen]) != string(key) {
-		return nil, false, nil
-	}
-	vo := kv.ValueOffset(h.KLen)
-	if vo+h.VLen > len(obj) {
-		return nil, false, nil
-	}
-	if c.hints != nil {
-		c.hints.Insert(cluster.ShardOf(keyHash, c.shards), key, hint.Entry{
-			Slot: slot, Pool: poolBase + uint32(entry.Mark()&1), Off: off, Len: totalLen,
-			KLen: h.KLen, Seq: h.Seq, Durable: true,
-		})
-	}
-	return append([]byte(nil), obj[vo:vo+h.VLen]...), true, nil
+	tc, t0 := c.core.Begin("get_batch", kv.HashKey(keys[0]))
+	vals, errs := c.getBatchCtx(tc, keys)
+	c.core.End(tc, t0, client.FirstErr(errs))
+	return vals, errs
 }
 
-// rpcRead is the RPC+one-sided fallback.
-func (c *Client) rpcRead(tc *trace.Ctx, key []byte) ([]byte, error) {
-	tRPC := traceNow(tc)
-	resp, err := c.rpc(wire.Msg{Type: wire.TGet, Trace: tc.ID(), Token: uint32(c.epoch.Load()), Key: key})
-	tc.Add("get_rpc", tRPC, traceNow(tc))
-	if err != nil {
-		return nil, err
+// getBatchCtx is GetBatch under a caller-owned trace context.
+func (c *Client) getBatchCtx(tc *trace.Ctx, keys [][]byte) ([][]byte, []error) {
+	vals := make([][]byte, len(keys))
+	errs := make([]error, len(keys))
+	c.retrying(func() error { return c.core.GetBatch(tc, keys, vals, errs) })
+	return vals, errs
+}
+
+// Delete removes key.
+func (c *Client) Delete(key []byte) error {
+	var st delRetryState
+	tc, t0 := c.core.Begin("del", kv.HashKey(key))
+	err := c.delCtxState(tc, key, &st)
+	c.core.End(tc, t0, err)
+	return err
+}
+
+// delCtxState runs the DELETE with caller-owned at-least-once state, so
+// a routed caller re-trying against a different instance after a
+// failover keeps the ambiguity accumulated here (a DEL acked nowhere but
+// applied somewhere must map a later not-found to success).
+func (c *Client) delCtxState(tc *trace.Ctx, key []byte, st *delRetryState) error {
+	return c.retrying(func() error {
+		err := c.core.Delete(tc, key)
+		var we *cluster.WrongEpochError
+		var se *client.StatusError
+		switch {
+		case err == nil || errors.As(err, &we): // applied, or refused unapplied
+			return err
+		case errors.Is(err, ErrNotFound):
+			return st.mapNotFound()
+		case errors.As(err, &se):
+			// The server applied the delete locally but could not
+			// acknowledge it (e.g. the tombstone missed its replication
+			// quorum): outcome unknown cluster-wide, retry elsewhere.
+			err = fmt.Errorf("%w: %v", ErrRetryable, err)
+		}
+		st.noteUnknown()
+		return err
+	})
+}
+
+// TxnCommit commits keys[i] -> vals[i] atomically: all ops become
+// visible together or none do (see client.Core.TxnCommit). It returns the
+// transaction id and per-op errors index-aligned with keys; on failure
+// every op carries the abort reason, because no op of a failed
+// transaction is applied.
+//
+// Commits retried under the client's RetryPolicy are at-least-once like
+// every other op: a lost response frame does not reveal whether the
+// server committed, so a retried commit may apply the same transaction
+// twice (same values, a fresh transaction id).
+func (c *Client) TxnCommit(keys, vals [][]byte) (uint64, []error) {
+	if len(keys) != len(vals) {
+		panic("tcpkv: TxnCommit keys/vals length mismatch")
 	}
-	if resp.Status == wire.StNotFound {
-		return nil, ErrNotFound
+	errs := make([]error, len(keys))
+	if len(keys) == 0 {
+		return 0, errs
 	}
-	if resp.Status == wire.StWrongEpoch {
-		return nil, wrongEpoch(resp)
+	tc, t0 := c.core.Begin("txn_commit", kv.HashKey(keys[0]))
+	id, err := c.txnCommitCtx(tc, keys, vals)
+	c.core.End(tc, t0, err)
+	for i := range errs {
+		errs[i] = err
 	}
-	if resp.Status != wire.StOK {
-		return nil, fmt.Errorf("tcpkv: get status %d", resp.Status)
+	return id, errs
+}
+
+// txnCommitCtx is TxnCommit under a caller-owned trace context.
+func (c *Client) txnCommitCtx(tc *trace.Ctx, keys, vals [][]byte) (id uint64, err error) {
+	err = c.retrying(func() (err error) {
+		id, err = c.core.TxnCommit(tc, keys, vals)
+		return err
+	})
+	return id, err
+}
+
+// TxnRead snapshot-reads keys at one consistent cut across shards. It
+// returns index-aligned values and errors: an absent key yields
+// ErrNotFound for its index and a nil value.
+func (c *Client) TxnRead(keys [][]byte) ([][]byte, []error) {
+	vals := make([][]byte, len(keys))
+	errs := make([]error, len(keys))
+	if len(keys) == 0 {
+		return vals, errs
 	}
-	tObj := traceNow(tc)
-	obj, err := c.read(resp.RKey, resp.Off, int(resp.Len))
-	tc.Add("object_read", tObj, traceNow(tc))
-	if err != nil {
-		return nil, err
-	}
-	h := kv.DecodeHeader(obj)
-	vo := kv.ValueOffset(h.KLen)
-	if h.Magic != kv.Magic || vo+h.VLen > len(obj) {
-		return nil, errors.New("tcpkv: corrupt object from server")
-	}
-	// The server only grants durable versions, so the hint is warm for the
-	// next optimistic read.
-	c.noteLocation(key, resp.RKey, resp.Off, int(resp.Len), h.KLen, h.Seq, true)
-	return append([]byte(nil), obj[vo:vo+h.VLen]...), nil
+	tc, t0 := c.core.Begin("txn_read", kv.HashKey(keys[0]))
+	err := c.txnReadCtx(tc, keys, vals, errs)
+	c.core.End(tc, t0, err)
+	return vals, errs
+}
+
+// txnReadCtx is TxnRead under a caller-owned trace context. vals and errs
+// must be len(keys) long; they are filled in place.
+func (c *Client) txnReadCtx(tc *trace.Ctx, keys, vals [][]byte, errs []error) error {
+	return c.retrying(func() error { return c.core.TxnRead(tc, keys, vals, errs) })
 }
 
 // ServerStats fetches the server's counters.
@@ -1110,49 +808,4 @@ func (c *Client) Metrics() (obs.Snapshot, error) {
 		return obs.Snapshot{}, fmt.Errorf("tcpkv: metrics decode: %w", err)
 	}
 	return snap, nil
-}
-
-// Delete removes key.
-func (c *Client) Delete(key []byte) error {
-	tc, t0 := c.beginTrace("del", kv.HashKey(key))
-	err := c.delCtx(tc, key)
-	c.endTrace(tc, t0, err)
-	return err
-}
-
-// delCtx is Delete's body under a caller-owned trace context.
-func (c *Client) delCtx(tc *trace.Ctx, key []byte) error {
-	var st delRetryState
-	return c.delCtxState(tc, key, &st)
-}
-
-// delCtxState runs the DELETE with caller-owned at-least-once state, so
-// a routed caller re-trying against a different instance after a
-// failover keeps the ambiguity accumulated here (a DEL acked nowhere but
-// applied somewhere must map a later not-found to success).
-func (c *Client) delCtxState(tc *trace.Ctx, key []byte, st *delRetryState) error {
-	c.dropHint(key)
-	return c.retrying(func() error {
-		tRPC := traceNow(tc)
-		resp, err := c.rpc(wire.Msg{Type: wire.TDel, Trace: tc.ID(), Token: uint32(c.epoch.Load()), Key: key})
-		tc.Add("del_rpc", tRPC, traceNow(tc))
-		if err != nil {
-			st.noteUnknown()
-			return err
-		}
-		switch resp.Status {
-		case wire.StWrongEpoch:
-			return wrongEpoch(resp)
-		case wire.StNotFound:
-			return st.mapNotFound()
-		case wire.StOK:
-			return nil
-		default:
-			// The server applied the delete locally but could not
-			// acknowledge it (e.g. the tombstone missed its replication
-			// quorum): outcome unknown cluster-wide, retry elsewhere.
-			st.noteUnknown()
-			return fmt.Errorf("%w: del status %d", ErrRetryable, resp.Status)
-		}
-	})
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"efactory/internal/client"
 	"efactory/internal/cluster"
 	"efactory/internal/kv"
 	"efactory/internal/nvm"
@@ -338,8 +339,8 @@ func TestClusterTxnRoutingAndCrossInstanceReject(t *testing.T) {
 	}
 	// Seed the migrating pg so the cutover actually carries state; the
 	// post-migration commit must then supersede this on b.
-	if _, errs := cc.TxnCommit(movedKeys, [][]byte{[]byte("pre-0"), []byte("pre-1")}); firstErr(errs) != nil {
-		t.Fatalf("seed commit: %v", firstErr(errs))
+	if _, errs := cc.TxnCommit(movedKeys, [][]byte{[]byte("pre-0"), []byte("pre-1")}); client.FirstErr(errs) != nil {
+		t.Fatalf("seed commit: %v", client.FirstErr(errs))
 	}
 
 	if _, err := srvA.MigratePG(movedPG, "b"); err != nil {

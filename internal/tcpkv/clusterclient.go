@@ -15,6 +15,7 @@ import (
 	"sync"
 	"time"
 
+	"efactory/internal/client"
 	"efactory/internal/cluster"
 	"efactory/internal/hint"
 	"efactory/internal/kv"
@@ -628,7 +629,7 @@ func (cc *ClusterClient) TxnRead(keys [][]byte) ([][]byte, []error) {
 	err := cc.routedCtx(tc, txnResolve(keys), func(c *Client, tc *trace.Ctx) error {
 		return c.txnReadCtx(tc, keys, vals, errs)
 	})
-	endOp(cc.tracer, tc, t0, firstErr(errs))
+	endOp(cc.tracer, tc, t0, client.FirstErr(errs))
 	if err != nil {
 		for i := range errs {
 			errs[i] = err
@@ -661,7 +662,7 @@ func (cc *ClusterClient) PutBatch(keys, values [][]byte) []error {
 		c.putBatchCtx(tc, k, v, be)
 		return be
 	})
-	endOp(cc.tracer, tc, t0, firstErr(errs))
+	endOp(cc.tracer, tc, t0, client.FirstErr(errs))
 	return errs
 }
 
@@ -671,17 +672,6 @@ func batchHash(keys [][]byte) uint64 {
 		return 0
 	}
 	return kv.HashKey(keys[0])
-}
-
-// firstErr returns the first consequential error of a batch (NotFound
-// is an outcome, not a failure).
-func firstErr(errs []error) error {
-	for _, e := range errs {
-		if e != nil && e != ErrNotFound {
-			return e
-		}
-	}
-	return nil
 }
 
 // GetBatch fetches the keys, grouped by owning instance like PutBatch.
@@ -705,7 +695,7 @@ func (cc *ClusterClient) GetBatch(keys [][]byte) ([][]byte, []error) {
 		}
 		return es
 	})
-	endOp(cc.tracer, tc, t0, firstErr(errs))
+	endOp(cc.tracer, tc, t0, client.FirstErr(errs))
 	return vals, errs
 }
 

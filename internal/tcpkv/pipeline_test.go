@@ -182,6 +182,39 @@ func TestIdleConnectionOutlivesCallTimeout(t *testing.T) {
 	}
 }
 
+// TestPipeSlotReuseRaceFree pins the pooled call slot's ownership: the
+// caller writes its own request frame, so a response that overtakes the
+// return of Write never finds another goroutine still reading the frame
+// the next call is about to overwrite. Run under -race (CI does); with a
+// separate writer goroutine draining a queue of slot frames — the design
+// this replaced — the sequential leg alone reports a DATA RACE.
+func TestPipeSlotReuseRaceFree(t *testing.T) {
+	_, addr := startBenchServer(t)
+	cl := benchDial(t, addr)
+	keys, vals := benchKVs(64, 256)
+	const puts = 1500
+	for i := 0; i < puts; i++ { // sequential: one slot reused back to back
+		if err := cl.Put(keys[i%len(keys)], vals[i%len(keys)]); err != nil {
+			t.Fatalf("sequential put %d: %v", i, err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ { // concurrent: slots cycle through the pool
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < puts/8; i++ {
+				k := (g*31 + i) % len(keys)
+				if err := cl.Put(keys[k], vals[k]); err != nil {
+					t.Errorf("goroutine %d put %d: %v", g, i, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
 func TestSetPipelineDepth(t *testing.T) {
 	cfg := smallConfig()
 	_, addr := startServer(t, nvm.New(cfg.DeviceSize()), cfg)

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"efactory/internal/client"
 	"efactory/internal/wire"
 )
 
@@ -41,7 +42,7 @@ func blackholeServer(t *testing.T) string {
 func TestBothChannelsHonourAttemptDeadline(t *testing.T) {
 	addr := blackholeServer(t)
 	const d = 60 * time.Millisecond
-	c := &Client{addr: addr, pipeDepth: 1, buckets: 64, shards: 1}
+	c := &Client{addr: addr, pipeDepth: 1}
 	c.retry = RetryPolicy{Attempts: 1, Timeout: d}
 	c.mu.Lock()
 	err := c.dialLocked()
@@ -72,6 +73,6 @@ func TestBothChannelsHonourAttemptDeadline(t *testing.T) {
 	check("pipelined", err, time.Since(start))
 
 	start = time.Now()
-	_, err = c.osExchange([][]byte{osReadFrame(1, 0, 8)})
+	err = c.osBurst(opRead, []client.Req{{Buf: make([]byte, 8), RKey: 1}})
 	check("one-sided", err, time.Since(start))
 }

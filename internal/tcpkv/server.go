@@ -64,9 +64,9 @@ import (
 	"efactory/internal/wire"
 )
 
-// Channel bytes sent as the first byte of each TCP connection.
+// Channel bytes sent as the first byte of each TCP connection. 0x01 was
+// the retired blocking RPC channel; a peer announcing it is disconnected.
 const (
-	chanRPC      = 0x01
 	chanOneSided = 0x02
 	// chanRPCPipe is the pipelined RPC channel: every frame carries a
 	// 4-byte sequence tag ahead of the wire message, and responses may
@@ -446,28 +446,11 @@ func (s *Server) serveConn(conn net.Conn) {
 		return
 	}
 	switch kind[0] {
-	case chanRPC:
-		s.serveRPC(conn)
 	case chanRPCPipe:
 		s.servePipelined(conn)
 	case chanOneSided:
 		s.serveOneSided(conn)
 	}
-}
-
-// writeFrame sends one length-prefixed frame with a single Write so the
-// header and payload share a TCP segment.
-func writeFrame(conn net.Conn, payload []byte) error {
-	buf := make([]byte, 4+len(payload))
-	binary.BigEndian.PutUint32(buf, uint32(len(payload)))
-	copy(buf[4:], payload)
-	_, err := conn.Write(buf)
-	return err
-}
-
-// readFrame receives one length-prefixed frame.
-func readFrame(conn net.Conn) ([]byte, error) {
-	return readFrameInto(conn, nil)
 }
 
 // readFrameInto receives one length-prefixed frame into buf's backing
@@ -503,49 +486,6 @@ func readFrameInto(conn net.Conn, buf []byte) ([]byte, error) {
 // where frame ownership passes from the read loop to a worker (so a
 // single per-connection buffer cannot be reused in place).
 var frameBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
-
-// serveRPC is the two-sided channel: the request-processing loop. The
-// request buffer, handler scratch, and response frame are all reused
-// across requests, so steady-state handling allocates nothing.
-func (s *Server) serveRPC(conn net.Conn) {
-	var (
-		raw  []byte
-		out  = make([]byte, 0, 4096)
-		sc   handlerScratch
-		err  error
-		zero [4]byte
-	)
-	for {
-		raw, err = readFrameInto(conn, raw)
-		if err != nil {
-			return
-		}
-		m, err := wire.Decode(raw)
-		if err != nil {
-			return
-		}
-		resp := s.handle(m, &sc)
-		if s.Cleaning() {
-			resp.Note |= wire.NoteCleaning
-		}
-		// Frame: 4-byte length prefix + encoded message, one Write.
-		out = append(out[:0], zero[:]...)
-		out = resp.AppendEncode(out)
-		binary.BigEndian.PutUint32(out, uint32(len(out)-4))
-		if drop, partial := s.cfg.NetFaults.NextFrame(); drop {
-			// The op was applied; only its response is lost — the client
-			// cannot distinguish this from a server crash after commit and
-			// must treat a retried op as possibly already applied.
-			if partial {
-				conn.Write(out[:4+(len(out)-4+1)/2])
-			}
-			return // cut the connection
-		}
-		if _, err := conn.Write(out); err != nil {
-			return
-		}
-	}
-}
 
 // servePipelined is the sequence-tagged RPC channel: one connection
 // carries many requests in flight at once. Each frame's payload is a
@@ -724,9 +664,9 @@ func shardRKeys(sh int) (table, poolBase uint32) {
 	return uint32(rkeyTable + rkeysPerShard*sh), uint32(rkeyPoolBase + rkeysPerShard*sh)
 }
 
-// handlerScratch holds the reusable buffers one request-processing
-// loop (a serveRPC connection or one pipelined worker) threads through
-// the hot handlers, so steady-state PUT/GET traffic allocates nothing.
+// handlerScratch holds the reusable buffers one pipelined worker threads
+// through the hot handlers, so steady-state PUT/GET traffic allocates
+// nothing.
 // The response Msg returned by a handler may alias these buffers; the
 // caller must finish encoding it before handling the next request.
 type handlerScratch struct {

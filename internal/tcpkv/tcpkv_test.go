@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"efactory/internal/client"
 	"efactory/internal/nvm"
 	"efactory/internal/wire"
 )
@@ -271,11 +272,28 @@ func TestOneSidedBoundsChecked(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if _, err := cl.read(99, 0, 64); err == nil {
+	// One burst: refusals are reported per request, and the stream stays
+	// in sync past them (the in-bounds READ after two NAKs is served).
+	reqs := []client.Req{
+		{Buf: make([]byte, 64), RKey: 99},
+		{Buf: make([]byte, 64), RKey: rkeyPoolBase, Off: uint64(cfg.PoolSize - 10)},
+		{Buf: make([]byte, 64), RKey: rkeyPoolBase},
+	}
+	if err := cl.osBurst(opRead, reqs); err != nil {
+		t.Fatal(err)
+	}
+	if !reqs[0].NAK {
 		t.Fatal("read with bogus rkey succeeded")
 	}
-	if _, err := cl.read(rkeyPoolBase, uint64(cfg.PoolSize-10), 64); err == nil {
+	if !reqs[1].NAK {
 		t.Fatal("out-of-bounds read succeeded")
+	}
+	if reqs[2].NAK {
+		t.Fatal("in-bounds read refused")
+	}
+	wr := []client.Req{{Buf: make([]byte, 64), RKey: rkeyPoolBase, Off: uint64(cfg.PoolSize - 10)}}
+	if err := cl.osBurst(opWrite, wr); err != nil || !wr[0].NAK {
+		t.Fatalf("out-of-bounds write: err=%v NAK=%v, want a NAK", err, wr[0].NAK)
 	}
 }
 

@@ -2,31 +2,26 @@ package tcpkv
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"time"
 
-	"efactory/internal/cluster"
+	"efactory/internal/client"
 	"efactory/internal/trace"
 	"efactory/internal/wire"
 )
 
 // EnableTracing samples 1-in-sampleEvery of this client's ops into
-// propagated request traces: the client records its own sections
-// (checksum, RPCs, one-sided doorbell bursts) on the wall clock, the
-// trace ID rides the frame trailer, and the server's engine sections
-// join the same trace. Finished traces pass the tail-retention rules
-// (root duration >= slowNS; slowNS 0 retains every sampled trace) into
-// a bounded store read via Tracer. sampleEvery <= 0 disables tracing
-// (the default): no IDs are minted and no wire bytes are added.
-// Configure before issuing concurrent ops, like SetHybridRead.
+// propagated request traces on the wall clock (see
+// client.Core.EnableTracing); the trace ID rides the frame trailer.
+// sampleEvery <= 0 disables tracing (the default). Configure before
+// issuing concurrent ops, like SetHybridRead.
 func (c *Client) EnableTracing(sampleEvery int, slowNS uint64) {
-	c.tracer = trace.NewTracer(sampleEvery, slowNS)
+	c.core.EnableTracing(sampleEvery, slowNS)
 }
 
 // Tracer returns the client's retained-trace store (nil when tracing
 // was never enabled).
-func (c *Client) Tracer() *trace.Tracer { return c.tracer }
+func (c *Client) Tracer() *trace.Tracer { return c.core.Tracer() }
 
 // SetTraceRetention replaces the server's retained-trace store with one
 // that tail-keeps only traces whose root section ran at least slowNS
@@ -36,61 +31,29 @@ func (s *Server) SetTraceRetention(slowNS uint64) {
 	s.tracer = trace.NewTracer(0, slowNS)
 }
 
+// wallClock is the trace clock of ops traced above a single connection
+// (ClusterClient's routed ops).
+type wallClock struct{}
+
+func (wallClock) Now() uint64 { return uint64(time.Now().UnixNano()) }
+
 // traceNow reads the wall clock only for traced ops, so the untraced
 // path never pays the syscall.
 func traceNow(tc *trace.Ctx) uint64 {
 	if tc == nil {
 		return 0
 	}
-	return uint64(time.Now().UnixNano())
+	return wallClock{}.Now()
 }
 
-// beginOp head-samples one op against t. On the sampled path it opens
-// the root span (left un-ended until endOp) and returns the context and
-// start time; on the common path it returns (nil, 0) and every
-// downstream trace call is a no-op.
+// beginOp and endOp bracket one routed op's root span on the wall clock
+// (see client.BeginOp, client.EndOp).
 func beginOp(t *trace.Tracer, name string, keyHash uint64) (*trace.Ctx, uint64) {
-	tc := trace.NewCtx(t.Sample())
-	if tc == nil {
-		return nil, 0
-	}
-	t0 := traceNow(tc)
-	tc.Root(name, t0, 0)
-	tc.SetRoot(0, "", keyHash)
-	return tc, t0
+	return client.BeginOp(t, wallClock{}, name, keyHash)
 }
 
-// endOp closes the root span with the op's outcome and submits the
-// trace for tail retention. Wrong-epoch redirects and errors mark the
-// trace so the tail rules keep it regardless of duration.
 func endOp(t *trace.Tracer, tc *trace.Ctx, t0 uint64, err error) {
-	if tc == nil {
-		return
-	}
-	end := traceNow(tc)
-	outcome := "ok"
-	var we *cluster.WrongEpochError
-	switch {
-	case err == nil:
-	case errors.Is(err, ErrNotFound):
-		outcome = "not_found"
-	case errors.As(err, &we):
-		outcome = "wrong_epoch"
-		tc.Mark("wrong_epoch")
-	default:
-		outcome = "error"
-		tc.Mark("error")
-	}
-	tc.SetRoot(end, outcome, 0)
-	t.Submit(tc, end-t0)
-}
-
-func (c *Client) beginTrace(name string, keyHash uint64) (*trace.Ctx, uint64) {
-	return beginOp(c.tracer, name, keyHash)
-}
-
-func (c *Client) endTrace(tc *trace.Ctx, t0 uint64, err error) {
-	endOp(c.tracer, tc, t0, err)
+	client.EndOp(t, wallClock{}, tc, t0, err)
 }
 
 // TraceDump fetches the server's retained traces over the TTraceDump
