@@ -44,7 +44,7 @@ import (
 func main() {
 	addr := flag.String("addr", ":7420", "listen address")
 	store := flag.String("store", "efactory-store.nvm", "path of the file-backed NVM device")
-	poolMiB := flag.Int("pool", 64, "data pool size in MiB")
+	poolMiB := flag.Int("pool", 64, "data pool size in MiB; each shard has two pools and the device is held twice in RAM (coherent + durable image), so resident memory is about 4 x pool x shards")
 	buckets := flag.Int("buckets", 16384, "hash table buckets per shard")
 	shards := flag.Int("shards", 1, "number of storage engine shards")
 	bgBatch := flag.Int("bg-batch", 1, "max objects group-verified and group-flushed per background run (1 = per-object)")

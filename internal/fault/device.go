@@ -81,15 +81,5 @@ func (d *Device) Zero(off, n int) {
 	d.inner.Zero(off, n)
 }
 
-// ReadPersisted exposes the wrapped device's post-crash view when it has
-// one (store recovery consults it through this optional interface).
-func (d *Device) ReadPersisted(off int, dst []byte) {
-	type persistedReader interface {
-		ReadPersisted(off int, dst []byte)
-	}
-	if pr, ok := d.inner.(persistedReader); ok {
-		pr.ReadPersisted(off, dst)
-		return
-	}
-	d.inner.Read(off, dst)
-}
+// ReadPersisted copies from the wrapped device's post-crash view.
+func (d *Device) ReadPersisted(off int, dst []byte) { d.inner.ReadPersisted(off, dst) }

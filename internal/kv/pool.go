@@ -232,7 +232,7 @@ func (p *Pool) ScanPersisted(fn func(off uint64, h Header) bool) {
 	off := 0
 	for off+HeaderSize <= p.cap {
 		b := make([]byte, HeaderSize)
-		p.readPersisted(off, b)
+		p.dev.ReadPersisted(p.base+off, b)
 		h := DecodeHeader(b)
 		if h.Magic != Magic || h.KLen <= 0 || h.VLen < 0 {
 			return
@@ -242,17 +242,6 @@ func (p *Pool) ScanPersisted(fn func(off uint64, h Header) bool) {
 		}
 		off += ObjectSize(h.KLen, h.VLen)
 	}
-}
-
-func (p *Pool) readPersisted(off int, dst []byte) {
-	type persistedReader interface {
-		ReadPersisted(off int, dst []byte)
-	}
-	if pr, ok := p.dev.(persistedReader); ok {
-		pr.ReadPersisted(p.base+off, dst)
-		return
-	}
-	p.dev.Read(p.base+off, dst)
 }
 
 // SetHead fast-forwards the allocation head (used by recovery after

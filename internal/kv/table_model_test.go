@@ -104,6 +104,7 @@ func (d *memDev) Size() int { return len(d.buf) }
 func (d *memDev) Read(off int, dst []byte) {
 	copy(dst, d.buf[off:])
 }
+func (d *memDev) ReadPersisted(off int, dst []byte) { d.Read(off, dst) }
 func (d *memDev) Write(off int, src []byte) {
 	copy(d.buf[off:], src)
 }

@@ -3,21 +3,19 @@ package nvm
 import (
 	"fmt"
 	"os"
-	"sync"
+	"slices"
 )
 
 // FileBacked is a Device whose persistent media is a real file, so
-// durability survives process restarts. The volatile overlay behaves like
-// Memory's; Flush writes the covered lines to the file, and Drain issues
-// fsync. It backs the TCP deployment mode (cmd/efactory-server), where a
-// killed and restarted server must recover from genuinely persistent state.
+// durability survives process restarts: the overlay's durable image is a
+// mirror of the file, every change to it (a flushed line, a zeroed range)
+// is written through, and Drain issues fsync. It backs the TCP deployment
+// mode (cmd/efactory-server), where a killed and restarted server must
+// recover from genuinely persistent state.
 type FileBacked struct {
-	mu    sync.Mutex
-	f     *os.File
-	size  int
-	cache map[int][LineSize]byte // volatile overlay
-	base  []byte                 // in-memory mirror of the file for fast reads
-	dirty bool                   // any flush since last Drain
+	overlay
+	f       *os.File
+	pending bool // file written since the last fsync; guarded by mu
 }
 
 var _ Device = (*FileBacked)(nil)
@@ -29,9 +27,7 @@ func OpenFile(path string, size int) (*FileBacked, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("nvm: size must be positive, got %d", size)
 	}
-	if r := size % LineSize; r != 0 {
-		size += LineSize - r
-	}
+	size = roundUp(size)
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("nvm: open %s: %w", path, err)
@@ -47,17 +43,37 @@ func OpenFile(path string, size int) (*FileBacked, error) {
 			return nil, fmt.Errorf("nvm: extend %s: %w", path, err)
 		}
 	}
-	base := make([]byte, size)
-	if _, err := f.ReadAt(base, 0); err != nil {
+	persist := make([]byte, size)
+	if _, err := f.ReadAt(persist, 0); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("nvm: read %s: %w", path, err)
 	}
-	return &FileBacked{
-		f:     f,
-		size:  size,
-		cache: make(map[int][LineSize]byte),
-		base:  base,
-	}, nil
+	d := &FileBacked{f: f}
+	d.init(slices.Clone(persist), persist)
+	d.wrote = d.writeThrough
+	return d, nil
+}
+
+// writeThrough copies persist[off:off+n] to the file. An I/O error here is
+// fatal: the device can no longer honour its durability contract.
+func (d *FileBacked) writeThrough(off, n int) {
+	if _, err := d.f.WriteAt(d.persist[off:off+n], int64(off)); err != nil {
+		panic(fmt.Sprintf("nvm: write of [%d, %d) to %s failed: %v", off, off+n, d.f.Name(), err))
+	}
+	d.pending = true
+}
+
+// Drain fsyncs what flushes and zeroes have written since the last Drain.
+func (d *FileBacked) Drain() {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if !d.pending {
+		return
+	}
+	if err := d.f.Sync(); err != nil {
+		panic(fmt.Sprintf("nvm: fsync failed: %v", err))
+	}
+	d.pending = false
 }
 
 // Close releases the file handle after a final sync.
@@ -69,142 +85,4 @@ func (d *FileBacked) Close() error {
 		return err
 	}
 	return d.f.Close()
-}
-
-// Size returns the capacity in bytes.
-func (d *FileBacked) Size() int { return d.size }
-
-func (d *FileBacked) check(off, n int) {
-	if off < 0 || n < 0 || off+n > d.size {
-		panic(fmt.Sprintf("nvm: access [%d, %d) out of range [0, %d)", off, off+n, d.size))
-	}
-}
-
-// Read copies from the coherent view (overlay over the file mirror).
-func (d *FileBacked) Read(off int, dst []byte) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.check(off, len(dst))
-	copy(dst, d.base[off:off+len(dst)])
-	first := off / LineSize
-	last := (off + len(dst) - 1) / LineSize
-	for li := first; li <= last; li++ {
-		line, ok := d.cache[li]
-		if !ok {
-			continue
-		}
-		lineBase := li * LineSize
-		for i := 0; i < LineSize; i++ {
-			pos := lineBase + i
-			if pos >= off && pos < off+len(dst) {
-				dst[pos-off] = line[i]
-			}
-		}
-	}
-}
-
-// Write stores src at off in the volatile overlay only.
-func (d *FileBacked) Write(off int, src []byte) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.check(off, len(src))
-	for len(src) > 0 {
-		li := off / LineSize
-		lineBase := li * LineSize
-		line, ok := d.cache[li]
-		if !ok {
-			copy(line[:], d.base[lineBase:lineBase+LineSize])
-		}
-		n := copy(line[off-lineBase:], src)
-		d.cache[li] = line
-		off += n
-		src = src[n:]
-	}
-}
-
-// Write8 performs an 8-byte aligned volatile store.
-func (d *FileBacked) Write8(off int, v uint64) {
-	if off%AtomicUnit != 0 {
-		panic(fmt.Sprintf("nvm: Write8 at unaligned offset %d", off))
-	}
-	var b [8]byte
-	putLE64(b[:], v)
-	d.Write(off, b[:])
-}
-
-// Read8 performs an 8-byte load from the coherent view.
-func (d *FileBacked) Read8(off int) uint64 {
-	var b [8]byte
-	d.Read(off, b[:])
-	return le64(b[:])
-}
-
-// Flush writes the covering lines to the file. An I/O error here is fatal:
-// the device can no longer honour its durability contract.
-func (d *FileBacked) Flush(off, n int) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if n <= 0 {
-		return
-	}
-	d.check(off, n)
-	first := off / LineSize
-	last := (off + n - 1) / LineSize
-	for li := first; li <= last; li++ {
-		line, ok := d.cache[li]
-		if !ok {
-			continue
-		}
-		lineBase := li * LineSize
-		copy(d.base[lineBase:], line[:])
-		if _, err := d.f.WriteAt(line[:], int64(lineBase)); err != nil {
-			panic(fmt.Sprintf("nvm: flush write failed: %v", err))
-		}
-		delete(d.cache, li)
-		d.dirty = true
-	}
-}
-
-// Zero durably clears [off, off+n); see Device.Zero.
-func (d *FileBacked) Zero(off, n int) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if n <= 0 {
-		return
-	}
-	d.check(off, n)
-	zeros := make([]byte, n)
-	copy(d.base[off:], zeros)
-	if _, err := d.f.WriteAt(zeros, int64(off)); err != nil {
-		panic(fmt.Sprintf("nvm: zero write failed: %v", err))
-	}
-	first := off / LineSize
-	last := (off + n - 1) / LineSize
-	for li := first; li <= last; li++ {
-		line, ok := d.cache[li]
-		if !ok {
-			continue
-		}
-		lineBase := li * LineSize
-		for i := 0; i < LineSize; i++ {
-			if lineBase+i >= off && lineBase+i < off+n {
-				line[i] = 0
-			}
-		}
-		d.cache[li] = line
-	}
-	d.dirty = true
-}
-
-// Drain fsyncs pending flushes to stable storage.
-func (d *FileBacked) Drain() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if !d.dirty {
-		return
-	}
-	if err := d.f.Sync(); err != nil {
-		panic(fmt.Sprintf("nvm: fsync failed: %v", err))
-	}
-	d.dirty = false
 }

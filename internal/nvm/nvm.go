@@ -8,20 +8,14 @@
 // flushed (CLFLUSH equivalent) or when the crash model decides it was
 // naturally evicted before the failure. Crash discards the overlay — except
 // lines the eviction model kept — exactly reproducing "data may partially
-// exist in the NVM" from the paper.
+// exist in the NVM" from the paper. The overlay (overlay.go) exists once;
+// Memory and FileBacked embed it and differ only in what durable means.
 //
 // The failure-atomicity unit of real NVMM is 8 bytes; eviction and flushing
 // operate on 64-byte cache lines. Both granularities are modelled: flushes
 // and eviction are per-line, and Write8 provides the 8-byte atomic store
 // used for metadata.
 package nvm
-
-import (
-	"fmt"
-	"math/rand/v2"
-	"slices"
-	"sync"
-)
 
 // LineSize is the cache-line size in bytes: the granularity of flushes and
 // of data loss at a crash.
@@ -46,6 +40,10 @@ type Device interface {
 	Write8(off int, v uint64)
 	// Read8 performs an 8-byte load from the coherent view.
 	Read8(off int) uint64
+	// ReadPersisted copies len(dst) bytes at off from the persistent media
+	// only, ignoring unflushed stores: the post-crash view, which recovery
+	// and the crash oracle read.
+	ReadPersisted(off int, dst []byte)
 	// Flush makes the cache lines covering [off, off+n) durable
 	// (CLFLUSH/CLWB equivalent).
 	Flush(off, n int)
@@ -59,16 +57,12 @@ type Device interface {
 	Zero(off, n int)
 }
 
-// Memory is an emulated NVMM module.
+// Memory is an emulated NVMM module: the overlay over plain DRAM, plus the
+// crash model.
 //
 // It is safe for concurrent use; the simulator runs single-threaded but the
 // TCP transport accesses a Memory from multiple goroutines.
-type Memory struct {
-	mu      sync.Mutex
-	persist []byte                 // durable contents
-	dirty   map[int][LineSize]byte // volatile overlay, keyed by line index
-	flushes int                    // lines flushed, for stats/tests
-}
+type Memory struct{ overlay }
 
 var _ Device = (*Memory)(nil)
 
@@ -78,172 +72,14 @@ func New(size int) *Memory {
 	if size <= 0 {
 		panic("nvm: size must be positive")
 	}
-	if r := size % LineSize; r != 0 {
-		size += LineSize - r
-	}
-	return &Memory{
-		persist: make([]byte, size),
-		dirty:   make(map[int][LineSize]byte),
-	}
-}
-
-// Size returns the capacity in bytes.
-func (m *Memory) Size() int { return len(m.persist) }
-
-func (m *Memory) check(off, n int) {
-	if off < 0 || n < 0 || off+n > len(m.persist) {
-		panic(fmt.Sprintf("nvm: access [%d, %d) out of range [0, %d)", off, off+n, len(m.persist)))
-	}
-}
-
-// Read copies len(dst) bytes from the coherent (cache-visible) view.
-func (m *Memory) Read(off int, dst []byte) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.check(off, len(dst))
-	m.readLocked(off, dst)
-}
-
-func (m *Memory) readLocked(off int, dst []byte) {
-	copy(dst, m.persist[off:off+len(dst)])
-	// Overlay dirty lines.
-	first := off / LineSize
-	last := (off + len(dst) - 1) / LineSize
-	for li := first; li <= last; li++ {
-		line, ok := m.dirty[li]
-		if !ok {
-			continue
-		}
-		base := li * LineSize
-		for i := 0; i < LineSize; i++ {
-			pos := base + i
-			if pos >= off && pos < off+len(dst) {
-				dst[pos-off] = line[i]
-			}
-		}
-	}
-}
-
-// Write stores src at off in the volatile domain.
-func (m *Memory) Write(off int, src []byte) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.check(off, len(src))
-	m.writeLocked(off, src)
-}
-
-func (m *Memory) writeLocked(off int, src []byte) {
-	for len(src) > 0 {
-		li := off / LineSize
-		base := li * LineSize
-		line, ok := m.dirty[li]
-		if !ok {
-			// Bring the line into the "cache" from persistent media.
-			copy(line[:], m.persist[base:base+LineSize])
-		}
-		n := copy(line[off-base:], src)
-		m.dirty[li] = line
-		off += n
-		src = src[n:]
-	}
-}
-
-// Write8 performs an 8-byte atomic volatile store. off must be 8-byte
-// aligned so the store cannot straddle the atomicity unit.
-func (m *Memory) Write8(off int, v uint64) {
-	if off%AtomicUnit != 0 {
-		panic(fmt.Sprintf("nvm: Write8 at unaligned offset %d", off))
-	}
-	var b [8]byte
-	putLE64(b[:], v)
-	m.Write(off, b[:])
-}
-
-// Read8 performs an 8-byte load from the coherent view.
-func (m *Memory) Read8(off int) uint64 {
-	var b [8]byte
-	m.Read(off, b[:])
-	return le64(b[:])
-}
-
-// Flush persists the cache lines covering [off, off+n).
-func (m *Memory) Flush(off, n int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if n <= 0 {
-		return
-	}
-	m.check(off, n)
-	first := off / LineSize
-	last := (off + n - 1) / LineSize
-	for li := first; li <= last; li++ {
-		m.flushLineLocked(li)
-	}
-}
-
-func (m *Memory) flushLineLocked(li int) {
-	line, ok := m.dirty[li]
-	if !ok {
-		return
-	}
-	copy(m.persist[li*LineSize:], line[:])
-	delete(m.dirty, li)
-	m.flushes++
+	size = roundUp(size)
+	m := &Memory{}
+	m.init(make([]byte, size), make([]byte, size))
+	return m
 }
 
 // Drain is the SFENCE equivalent; see Device.Drain.
 func (m *Memory) Drain() {}
-
-// Zero durably clears [off, off+n); see Device.Zero.
-func (m *Memory) Zero(off, n int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if n <= 0 {
-		return
-	}
-	m.check(off, n)
-	clear(m.persist[off : off+n])
-	first := off / LineSize
-	last := (off + n - 1) / LineSize
-	for li := first; li <= last; li++ {
-		line, ok := m.dirty[li]
-		if !ok {
-			continue
-		}
-		base := li * LineSize
-		for i := 0; i < LineSize; i++ {
-			if base+i >= off && base+i < off+n {
-				line[i] = 0
-			}
-		}
-		m.dirty[li] = line
-	}
-}
-
-// DirtyLines returns the number of cache lines whose contents are volatile.
-func (m *Memory) DirtyLines() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.dirty)
-}
-
-// FlushedLines returns the cumulative number of line flushes, for tests and
-// instrumentation.
-func (m *Memory) FlushedLines() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.flushes
-}
-
-// ReadPersisted copies bytes from the persistent media only, ignoring the
-// volatile overlay: the post-crash view. Intended for tests and recovery
-// verification.
-func (m *Memory) ReadPersisted(off int, dst []byte) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.check(off, len(dst))
-	copy(dst, m.persist[off:off+len(dst)])
-}
 
 // Crash simulates a power failure. Each dirty line independently survives
 // (was evicted to media before the failure) with probability survival,
@@ -254,39 +90,4 @@ func (m *Memory) ReadPersisted(off int, dst []byte) {
 // survival = 0 models "nothing unflushed survives"; survival = 1 models
 // "everything already made it to media". Values in between produce the
 // partial, torn states the paper's consistency machinery must tolerate.
-func (m *Memory) Crash(seed uint64, survival float64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	rng := rand.New(rand.NewPCG(seed, 0xda7a_b10c))
-	// Iterate lines in sorted order for determinism (map order is random).
-	lines := make([]int, 0, len(m.dirty))
-	for li := range m.dirty {
-		lines = append(lines, li)
-	}
-	slices.Sort(lines)
-	for _, li := range lines {
-		if rng.Float64() < survival {
-			line := m.dirty[li]
-			copy(m.persist[li*LineSize:], line[:])
-		}
-	}
-	m.dirty = make(map[int][LineSize]byte)
-}
-
-func putLE64(b []byte, v uint64) {
-	_ = b[7]
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-	b[4] = byte(v >> 32)
-	b[5] = byte(v >> 40)
-	b[6] = byte(v >> 48)
-	b[7] = byte(v >> 56)
-}
-
-func le64(b []byte) uint64 {
-	_ = b[7]
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
-}
+func (m *Memory) Crash(seed uint64, survival float64) { m.crash(seed, survival) }

@@ -620,19 +620,4 @@ func (e *Engine) Del(h any, key []byte) Status {
 	return StatusOK
 }
 
-// readPersisted reads from the post-crash (persisted-only) view when the
-// device distinguishes one, falling back to the coherent view (a freshly
-// reopened file-backed device has no volatile overlay, so the two
-// coincide).
-func readPersisted(dev nvm.Device, off int, dst []byte) {
-	type persistedReader interface {
-		ReadPersisted(off int, dst []byte)
-	}
-	if pr, ok := dev.(persistedReader); ok {
-		pr.ReadPersisted(off, dst)
-		return
-	}
-	dev.Read(off, dst)
-}
-
 var errInvalidConfig = errors.New("store: invalid config (need Buckets, PoolSize, VerifyTimeout > 0)")

@@ -86,8 +86,8 @@ func (e *Engine) recover(l kv.Layout) RecoveryStats {
 					key := make([]byte, h.KLen)
 					val := make([]byte, h.VLen)
 					base := e.pools[pi].Base() + int(off)
-					readPersisted(e.dev, base+kv.KeyOffset(), key)
-					readPersisted(e.dev, base+kv.ValueOffset(h.KLen), val)
+					e.dev.ReadPersisted(base+kv.KeyOffset(), key)
+					e.dev.ReadPersisted(base+kv.ValueOffset(h.KLen), val)
 					if crc.Checksum(val) == h.CRC {
 						if best == nil || h.Seq > best.h.Seq {
 							best = &survivor{key: key, val: val, h: h}
@@ -165,6 +165,6 @@ func (e *Engine) recover(l kv.Layout) RecoveryStats {
 // readPersistedHeader decodes an object header from the persisted image.
 func (e *Engine) readPersistedHeader(pi int, off uint64) kv.Header {
 	b := make([]byte, kv.HeaderSize)
-	readPersisted(e.dev, e.pools[pi].Base()+int(off), b)
+	e.dev.ReadPersisted(e.pools[pi].Base()+int(off), b)
 	return kv.DecodeHeader(b)
 }

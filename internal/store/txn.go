@@ -444,7 +444,7 @@ func (s *Store) captureTxnRecords() (recs []txnRecord, discarded int) {
 					return true
 				}
 				manifest := make([]byte, h.VLen)
-				readPersisted(s.dev, pool.Base()+int(off)+kv.ValueOffset(h.KLen), manifest)
+				s.dev.ReadPersisted(pool.Base()+int(off)+kv.ValueOffset(h.KLen), manifest)
 				if crc.Checksum(manifest) != h.CRC {
 					discarded++ // torn record: the transaction never committed
 					return true
@@ -489,8 +489,8 @@ func (s *Store) captureTxnOps(rec *txnRecord) bool {
 		key := make([]byte, op.klen)
 		val := make([]byte, op.vlen)
 		base := pool.Base() + int(op.off)
-		readPersisted(s.dev, base+kv.KeyOffset(), key)
-		readPersisted(s.dev, base+kv.ValueOffset(op.klen), val)
+		s.dev.ReadPersisted(base+kv.KeyOffset(), key)
+		s.dev.ReadPersisted(base+kv.ValueOffset(op.klen), val)
 		if crc.Checksum(val) != op.crc {
 			return false
 		}
