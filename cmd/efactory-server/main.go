@@ -138,17 +138,10 @@ func main() {
 			log.Printf("cluster: bootstrapped map with %d placement groups (replication factor %d); instance %q at %s owns all",
 				*pgs, *replicas, *instance, adv)
 		} else {
-			srv.SetInstanceName(*instance, adv)
-			seed, err := tcpkv.Dial(*join)
+			m, err := srv.Join(*instance, adv, *join)
 			if err != nil {
-				log.Fatalf("join %s: %v", *join, err)
+				log.Fatal(err)
 			}
-			m, err := seed.JoinRPC(*instance, adv)
-			seed.Close()
-			if err != nil {
-				log.Fatalf("join %s: %v", *join, err)
-			}
-			srv.SetClusterMap(m)
 			log.Printf("cluster: joined via %s as instance %q at %s (map epoch %d, %d instances); owns nothing until a migration",
 				*join, *instance, adv, m.Epoch, len(m.Instances))
 		}

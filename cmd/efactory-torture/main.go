@@ -6,12 +6,16 @@
 //
 // Usage:
 //
-//	efactory-torture [-transport store|sim|tcp|all] [-seeds n] [-points k]
-//	                 [-ops n] [-keys n] [-survival f] [-get-batch] [-txn]
+//	efactory-torture [-transport store|sim|tcp|all|mig|failover] [-seeds n]
+//	                 [-points k] [-ops n] [-keys n] [-survival f]
+//	                 [-get-batch] [-txn]
 //
-// -points <= 0 sweeps every boundary (store and sim transports only; the
-// wall-clock tcp transport is capped). Exits 1 if any crash point leaves
-// the store in a state inconsistent with the acknowledged history.
+// "all" is store + sim + tcp. mig and failover replay the two-instance
+// cluster runners (online migration with a source crash; primary death
+// and promotion at RF=2) over the same seeded schedule. -points <= 0
+// sweeps every boundary (store and sim only; the wall-clock runners are
+// capped). Exits 1 if any crash point leaves the store in a state
+// inconsistent with the acknowledged history.
 package main
 
 import (
@@ -23,9 +27,9 @@ import (
 )
 
 func main() {
-	transport := flag.String("transport", "all", "transport to torture: store, sim, tcp, or all")
+	transport := flag.String("transport", "all", "runner to torture: store, sim, tcp, all (those three), or the cluster runners mig, failover")
 	seeds := flag.Int("seeds", 3, "number of workload seeds (1..n)")
-	points := flag.Int("points", 0, "crash points per seed (<= 0 = every boundary; tcp is capped)")
+	points := flag.Int("points", 0, "crash points per seed (<= 0 = every boundary; wall-clock runners are capped)")
 	ops := flag.Int("ops", 60, "workload length per run")
 	keys := flag.Int("keys", 0, "hot keyset size (0 = harness default)")
 	survival := flag.Float64("survival", 0, "fraction of unflushed dirty lines surviving each crash (0 = strict power failure)")
@@ -44,7 +48,7 @@ func main() {
 	switch *transport {
 	case "all":
 		spec.Transports = []string{"store", "sim", "tcp"}
-	case "store", "sim", "tcp":
+	case "store", "sim", "tcp", "mig", "failover":
 		spec.Transports = []string{*transport}
 	default:
 		fmt.Fprintf(os.Stderr, "unknown transport %q\n", *transport)

@@ -13,13 +13,9 @@ package bench
 import (
 	"fmt"
 	"io"
-	"math/rand/v2"
-	"net"
-	"sync"
 	"sync/atomic"
 	"time"
 
-	"efactory/internal/nvm"
 	"efactory/internal/stats"
 	"efactory/internal/tcpkv"
 	"efactory/internal/ycsb"
@@ -47,61 +43,6 @@ func DefaultFailoverSpec(quick bool) FailoverSpec {
 	return s
 }
 
-// failoverPhase drives the workers closed-loop until stop is set (or, with
-// stop nil, for spec.PhaseOps ops each). Unlike the rebalance phase an op
-// error does not panic: it is counted — errors ARE the measurement during
-// the outage window — and only successful ops enter the latency recorder.
-func failoverPhase(spec FailoverSpec, ccs []*tcpkv.ClusterClient, stop *atomic.Bool) (int, int, time.Duration, *stats.Recorder) {
-	var (
-		wg     sync.WaitGroup
-		mu     sync.Mutex
-		rec    stats.Recorder
-		total  int
-		failed int
-	)
-	start := time.Now()
-	for wi, cc := range ccs {
-		wg.Add(1)
-		go func(wi int, cc *tcpkv.ClusterClient) {
-			defer wg.Done()
-			rng := rand.New(rand.NewPCG(uint64(wi)+1, 0xfa110fe4))
-			local := &stats.Recorder{}
-			val := make([]byte, spec.ValueLen)
-			ops, errs := 0, 0
-			for {
-				if stop != nil {
-					if stop.Load() {
-						break
-					}
-				} else if ops >= spec.PhaseOps {
-					break
-				}
-				key := ycsb.Key(uint64(rng.IntN(spec.Keys)), KeyLen)
-				t0 := time.Now()
-				var err error
-				if rng.IntN(2) == 0 {
-					err = cc.Put(key, val)
-				} else {
-					_, err = cc.Get(key)
-				}
-				ops++
-				if err != nil {
-					errs++
-					continue
-				}
-				local.Record(time.Since(t0))
-			}
-			mu.Lock()
-			rec.Merge(local)
-			total += ops
-			failed += errs
-			mu.Unlock()
-		}(wi, cc)
-	}
-	wg.Wait()
-	return total, failed, time.Since(start), &rec
-}
-
 // FigFailover measures the cluster across a primary crash: a steady-state
 // window on the replicated map, then the same workload while instance a is
 // killed and b is promoted under a bumped epoch, then steady state against
@@ -117,83 +58,15 @@ func FigFailover(w io.Writer, spec FailoverSpec) ([]Result, error) {
 		VerifyTimeout: 20 * time.Millisecond,
 		Replicas:      2,
 	}
-	newInstance := func() (*tcpkv.Server, string, error) {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, "", err
-		}
-		srv, err := tcpkv.NewServer(nvm.New(cfg.DeviceSize()), cfg)
-		if err != nil {
-			ln.Close()
-			return nil, "", err
-		}
-		go srv.Serve(ln)
-		return srv, ln.Addr().String(), nil
-	}
-	srvA, addrA, err := newInstance()
+	rb, err := startRoutedBench(cfg, spec.PGs, spec.Workers, spec.Keys, spec.ValueLen, spec.PhaseOps)
 	if err != nil {
 		return nil, err
 	}
-	defer srvA.Close()
-	srvB, addrB, err := newInstance()
-	if err != nil {
-		return nil, err
-	}
-	defer srvB.Close()
+	defer rb.Close()
+	srvA, srvB, addrB := rb.srvA, rb.srvB, rb.addrB
 
-	srvA.EnableCluster("a", addrA, spec.PGs)
-	srvB.SetInstanceName("b", addrB)
-	seedCl, err := tcpkv.Dial(addrA)
-	if err != nil {
-		return nil, err
-	}
-	m, err := seedCl.JoinRPC("b", addrB)
-	seedCl.Close()
-	if err != nil {
-		return nil, err
-	}
-	srvB.SetClusterMap(m)
-
-	// The join's backup attach runs asynchronously; every placement group
-	// must list b before the load, or early writes would miss their mirror.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		am := srvA.ClusterMap()
-		attached := 0
-		for pg := 0; pg < spec.PGs; pg++ {
-			for _, b := range am.BackupsFor(pg) {
-				if b == "b" {
-					attached++
-				}
-			}
-		}
-		if attached == spec.PGs {
-			break
-		}
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("backup never attached to all %d PGs", spec.PGs)
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	ccs := make([]*tcpkv.ClusterClient, spec.Workers)
-	for i := range ccs {
-		cc, err := tcpkv.DialCluster(addrA, tcpkv.DefaultClusterClientConfig())
-		if err != nil {
-			return nil, err
-		}
-		defer cc.Close()
-		ccs[i] = cc
-	}
-
-	// Load phase, then drain the durability backlog so every loaded key is
-	// quorum-durable: the post-failover steady state must find all of them.
-	val := make([]byte, spec.ValueLen)
-	for i := 0; i < spec.Keys; i++ {
-		if err := ccs[0].Put(ycsb.Key(uint64(i), KeyLen), val); err != nil {
-			return nil, fmt.Errorf("load: %w", err)
-		}
-	}
+	// Drain the durability backlog so every loaded key is quorum-durable:
+	// the post-failover steady state must find all of them.
 	st := srvA.Store()
 	drainTo := time.Now().Add(10 * time.Second)
 	for {
@@ -211,20 +84,15 @@ func FigFailover(w io.Writer, spec FailoverSpec) ([]Result, error) {
 		time.Sleep(time.Millisecond)
 	}
 
+	// An op error is counted, not fatal: errors ARE the measurement during
+	// the outage window.
 	phase := func(name string, stop *atomic.Bool) Result {
-		ops, errs, elapsed, rec := failoverPhase(spec, ccs, stop)
-		r := Result{
-			System: SysEFactory, Phase: name, ValLen: spec.ValueLen,
-			Clients: spec.Workers, Ops: ops, Errors: errs, Elapsed: elapsed,
-			Mops: stats.Mops(ops-errs, elapsed),
-		}
-		r.fillLatency(rec)
+		r, _ := rb.phase(name, stop)
 		return r
 	}
 	counters := func() uint64 {
-		weA, _, _ := srvA.ClusterCounters()
-		weB, _, _ := srvB.ClusterCounters()
-		return weA + weB
+		we, _ := rb.counters()
+		return we
 	}
 
 	before := phase("before", nil)

@@ -137,8 +137,8 @@ func RunHotpath(par *model.Params, leg hotpathLeg, width, valLen, ops int, sc Sc
 		kbuf := make([][]byte, maxW)
 		vbuf := make([][]byte, maxW)
 		start = p.Now()
-		next := 0  // next op to arrive
-		head := 0  // oldest queued op
+		next := 0 // next op to arrive
+		head := 0 // oldest queued op
 		queued := func() int { return next - head }
 		admit := func() {
 			for next < ops && start+at[next] <= p.Now() {

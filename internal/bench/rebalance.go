@@ -10,14 +10,10 @@ package bench
 import (
 	"fmt"
 	"io"
-	"math/rand/v2"
-	"net"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"efactory/internal/cluster"
-	"efactory/internal/nvm"
 	"efactory/internal/stats"
 	"efactory/internal/tcpkv"
 	"efactory/internal/ycsb"
@@ -45,57 +41,6 @@ func DefaultRebalanceSpec(quick bool) RebalanceSpec {
 	return s
 }
 
-// rebalancePhase drives the workers closed-loop until stop is set (or,
-// with stop nil, for spec.PhaseOps ops each) and reports the merged
-// throughput/latency of the window. 50/50 put/get over the loaded keys.
-func rebalancePhase(spec RebalanceSpec, ccs []*tcpkv.ClusterClient, stop *atomic.Bool) (int, time.Duration, *stats.Recorder) {
-	var (
-		wg    sync.WaitGroup
-		mu    sync.Mutex
-		rec   stats.Recorder
-		total int
-	)
-	start := time.Now()
-	for wi, cc := range ccs {
-		wg.Add(1)
-		go func(wi int, cc *tcpkv.ClusterClient) {
-			defer wg.Done()
-			rng := rand.New(rand.NewPCG(uint64(wi)+1, 0x4eba1a4ce))
-			local := &stats.Recorder{}
-			val := make([]byte, spec.ValueLen)
-			ops := 0
-			for {
-				if stop != nil {
-					if stop.Load() {
-						break
-					}
-				} else if ops >= spec.PhaseOps {
-					break
-				}
-				key := ycsb.Key(uint64(rng.IntN(spec.Keys)), KeyLen)
-				t0 := time.Now()
-				var err error
-				if rng.IntN(2) == 0 {
-					err = cc.Put(key, val)
-				} else {
-					_, err = cc.Get(key)
-				}
-				if err != nil {
-					panic(fmt.Sprintf("bench: rebalance op failed: %v", err))
-				}
-				local.Record(time.Since(t0))
-				ops++
-			}
-			mu.Lock()
-			rec.Merge(local)
-			total += ops
-			mu.Unlock()
-		}(wi, cc)
-	}
-	wg.Wait()
-	return total, time.Since(start), &rec
-}
-
 // FigRebalance measures the cluster under rebalancing: a steady-state
 // window, then the same workload while half the placement groups migrate
 // to a second instance, then steady state again on the split map. The
@@ -111,89 +56,34 @@ func FigRebalance(w io.Writer, spec RebalanceSpec) ([]Result, error) {
 		// this directly sets the worst-case stall the "during" phase sees.
 		VerifyTimeout: 20 * time.Millisecond,
 	}
-	newInstance := func() (*tcpkv.Server, string, error) {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
+	rb, err := startRoutedBench(cfg, spec.PGs, spec.Workers, spec.Keys, spec.ValueLen, spec.PhaseOps)
+	if err != nil {
+		return nil, err
+	}
+	defer rb.Close()
+	srvA, ccs := rb.srvA, rb.ccs
+
+	// Nothing dies in this figure: any failed op fails it.
+	phase := func(name string, stop *atomic.Bool) (Result, error) {
+		r, err := rb.phase(name, stop)
 		if err != nil {
-			return nil, "", err
+			return r, fmt.Errorf("%s phase: %d ops failed, first: %w", name, r.Errors, err)
 		}
-		srv, err := tcpkv.NewServer(nvm.New(cfg.DeviceSize()), cfg)
-		if err != nil {
-			ln.Close()
-			return nil, "", err
-		}
-		go srv.Serve(ln)
-		return srv, ln.Addr().String(), nil
+		return r, nil
 	}
-	srvA, addrA, err := newInstance()
+
+	before, err := phase("before", nil)
 	if err != nil {
 		return nil, err
 	}
-	defer srvA.Close()
-	srvB, addrB, err := newInstance()
-	if err != nil {
-		return nil, err
-	}
-	defer srvB.Close()
-
-	srvA.EnableCluster("a", addrA, spec.PGs)
-	srvB.SetInstanceName("b", addrB)
-	seedCl, err := tcpkv.Dial(addrA)
-	if err != nil {
-		return nil, err
-	}
-	m, err := seedCl.JoinRPC("b", addrB)
-	seedCl.Close()
-	if err != nil {
-		return nil, err
-	}
-	srvB.SetClusterMap(m)
-
-	ccs := make([]*tcpkv.ClusterClient, spec.Workers)
-	for i := range ccs {
-		cc, err := tcpkv.DialCluster(addrA, tcpkv.DefaultClusterClientConfig())
-		if err != nil {
-			return nil, err
-		}
-		defer cc.Close()
-		ccs[i] = cc
-	}
-
-	// Load phase.
-	val := make([]byte, spec.ValueLen)
-	for i := 0; i < spec.Keys; i++ {
-		if err := ccs[0].Put(ycsb.Key(uint64(i), KeyLen), val); err != nil {
-			return nil, fmt.Errorf("load: %w", err)
-		}
-	}
-
-	phase := func(name string, stop *atomic.Bool) Result {
-		ops, elapsed, rec := rebalancePhase(spec, ccs, stop)
-		r := Result{
-			System: SysEFactory, Phase: name, ValLen: spec.ValueLen,
-			Clients: spec.Workers, Ops: ops, Elapsed: elapsed,
-			Mops: stats.Mops(ops, elapsed),
-		}
-		r.fillLatency(rec)
-		return r
-	}
-	counters := func() (we, moved uint64) {
-		weA, movedA, _ := srvA.ClusterCounters()
-		weB, movedB, _ := srvB.ClusterCounters()
-		return weA + weB, movedA + movedB
-	}
-
-	before := phase("before", nil)
 
 	// During: workers run free while the migrations proceed; the window
 	// closes when the last cutover lands.
-	we0, _ := counters()
+	we0, _ := rb.counters()
 	var stop atomic.Bool
-	var during Result
-	var migWG sync.WaitGroup
-	migWG.Add(1)
 	migErr := make(chan error, 1)
 	go func() {
-		defer migWG.Done()
+		defer stop.Store(true)
 		for pg := 0; pg < spec.MigratePGs; pg++ {
 			if _, err := srvA.MigratePG(pg, "b"); err != nil {
 				migErr <- fmt.Errorf("migrate pg %d: %w", pg, err)
@@ -202,12 +92,11 @@ func FigRebalance(w io.Writer, spec RebalanceSpec) ([]Result, error) {
 		}
 		migErr <- nil
 	}()
-	go func() {
-		migWG.Wait()
-		stop.Store(true)
-	}()
-	during = phase("during", &stop)
-	if err := <-migErr; err != nil {
+	during, err := phase("during", &stop)
+	if merr := <-migErr; merr != nil {
+		return nil, merr
+	}
+	if err != nil {
 		return nil, err
 	}
 	// Convergence is made explicit, not assumed from timing: the window
@@ -229,12 +118,15 @@ func FigRebalance(w io.Writer, spec RebalanceSpec) ([]Result, error) {
 			break
 		}
 	}
-	we1, moved := counters()
+	we1, moved := rb.counters()
 	during.WrongEpoch = we1 - we0
 	during.KeysMoved = moved
 
-	after := phase("after", nil)
-	we2, _ := counters()
+	after, err := phase("after", nil)
+	if err != nil {
+		return nil, err
+	}
+	we2, _ := rb.counters()
 	after.WrongEpoch = we2 - we1
 
 	out := []Result{before, during, after}

@@ -15,14 +15,21 @@ import (
 	"efactory/internal/tcpkv"
 )
 
-// tcpPointsCap bounds a "sweep everything" request on the TCP transport:
-// each of its runs costs real sockets, file I/O, and a server restart, so
-// an every-boundary sweep (thousands of runs) is not viable there.
+// tcpPointsCap bounds a "sweep everything" request on the wall-clock
+// transports (tcp, mig, failover): each of their runs costs real sockets,
+// file I/O, and a server restart or promotion, so an every-boundary sweep
+// (thousands of runs) is not viable there.
 const tcpPointsCap = 12
+
+// clusterPoolFloor is the smallest pool the cluster runners sweep with
+// (the size their tests use): below it the workload fills the backup
+// until it answers StFull and is demoted — ROADMAP item 2's bug, not
+// this sweep's subject.
+const clusterPoolFloor = 256 << 10
 
 // TortureSpec parameterizes a torture sweep across transports.
 type TortureSpec struct {
-	Transports []string // any of "store", "sim", "tcp"
+	Transports []string // any of "store", "sim", "tcp", "mig", "failover"
 	Seeds      []uint64
 	Points     int // crash points per seed; <= 0 sweeps every boundary (capped for tcp)
 	Ops        int // workload length per run
@@ -57,17 +64,23 @@ func DefaultTortureSpec(quick bool) TortureSpec {
 	}
 }
 
-// tortureRunner resolves a transport name to its Runner.
-func tortureRunner(transport string) (fault.Runner, bool) {
+// tortureRunner resolves a transport name to its Runner; wallClock marks
+// the runners over real sockets, whose runs are neither cheap nor
+// bit-reproducible.
+func tortureRunner(transport string) (run fault.Runner, wallClock, ok bool) {
 	switch transport {
 	case "store":
-		return fault.RunStore, true
+		return fault.RunStore, false, true
 	case "sim":
-		return efactory.RunSimTorture, true
+		return efactory.RunSimTorture, false, true
 	case "tcp":
-		return tcpkv.RunTCPTorture, true
+		return tcpkv.RunTCPTorture, true, true
+	case "mig":
+		return tcpkv.RunMigrationTorture, true, true
+	case "failover":
+		return tcpkv.RunFailoverTorture, true, true
 	}
-	return nil, false
+	return nil, false, false
 }
 
 // Torture runs the sweep matrix and prints one row per transport. It
@@ -82,19 +95,23 @@ func Torture(w io.Writer, spec TortureSpec) int {
 		cfg.CleanEvery = spec.Ops/3 + 1
 	}
 	fmt.Fprintf(w, "Crash-point torture: seeds=%v ops=%d bg-batch=%d survival=%.2f\n", spec.Seeds, spec.Ops, spec.BGBatch, spec.Survival)
-	fmt.Fprintf(w, "%-8s %8s %14s %12s\n", "transport", "runs", "boundaries", "violations")
+	fmt.Fprintf(w, "%-12s %6s %-14s %s\n", "transport", "runs", "boundaries", "violations")
 	total := 0
 	for _, tr := range spec.Transports {
-		run, ok := tortureRunner(tr)
+		run, wallClock, ok := tortureRunner(tr)
 		if !ok {
-			fmt.Fprintf(w, "%-8s unknown transport\n", tr)
+			fmt.Fprintf(w, "%-12s unknown transport\n", tr)
 			total++
 			continue
 		}
 		points := spec.Points
-		if tr == "tcp" && (points <= 0 || points > tcpPointsCap) {
-			fmt.Fprintf(w, "(tcp: capping sweep at %d points per seed — wall-clock runs)\n", tcpPointsCap)
+		if wallClock && (points <= 0 || points > tcpPointsCap) {
+			fmt.Fprintf(w, "(%s: capping sweep at %d points per seed — wall-clock runs)\n", tr, tcpPointsCap)
 			points = tcpPointsCap
+		}
+		cfg := cfg
+		if tr == "mig" || tr == "failover" {
+			cfg.PoolSize = max(cfg.PoolSize, clusterPoolFloor)
 		}
 		legs := []struct {
 			label string
@@ -119,11 +136,12 @@ func Torture(w io.Writer, spec TortureSpec) int {
 		for _, leg := range legs {
 			sr, err := fault.Sweep(run, leg.cfg, spec.Seeds, points)
 			if err != nil {
-				fmt.Fprintf(w, "%-8s harness error after %d runs: %v\n", leg.label, sr.Runs, err)
+				fmt.Fprintf(w, "%-12s harness error after %d runs: %v\n", leg.label, sr.Runs, err)
 				total++
 				continue
 			}
-			fmt.Fprintf(w, "%-8s %8d %14v %12d\n", leg.label, sr.Runs, sr.Boundaries, len(sr.Violations))
+			// Sprint first: a width verb on a slice pads every element.
+			fmt.Fprintf(w, "%-12s %6d %-14s %d\n", leg.label, sr.Runs, fmt.Sprint(sr.Boundaries), len(sr.Violations))
 			for _, v := range sr.Violations {
 				fmt.Fprintf(w, "  VIOLATION [%s] %s\n", leg.label, v)
 			}

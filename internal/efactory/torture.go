@@ -1,9 +1,7 @@
 package efactory
 
 import (
-	"errors"
 	"fmt"
-	"math/rand/v2"
 
 	"efactory/internal/crc"
 	"efactory/internal/fault"
@@ -14,13 +12,14 @@ import (
 
 // RunSimTorture executes one seeded crash-point torture run over the full
 // simulation transport: a real Server with RNIC, workers, and background
-// processes, driven by a Client issuing PUT/torn-PUT/GET/DEL over the
-// wire. The server's device and cost sink are wrapped under a fault.Plan;
-// when the plan trips, the server NIC crashes (truncating in-flight DMA
-// at a line boundary) and the device freezes, so the image is exactly
-// what a power failure at that boundary would leave. The image is then
-// put through the NVM eviction lottery, recovered injection-free, and
-// checked against the durability Oracle through post-crash client Gets.
+// processes, with fault.Drive replaying the seeded fault.Workload through
+// a Client over the wire. The server's device and cost sink are wrapped
+// under a fault.Plan; when the plan trips, the server NIC crashes
+// (truncating in-flight DMA at a line boundary) and the device freezes,
+// so the image is exactly what a power failure at that boundary would
+// leave. The image is then put through the NVM eviction lottery,
+// recovered injection-free, and checked against the durability Oracle
+// through post-crash client Gets.
 //
 // Compared to fault.RunStore this exercises the transport layers too:
 // wire encode/decode, worker dispatch, one-sided value writes and reads,
@@ -74,119 +73,10 @@ func RunSimTorture(tc fault.Config) (fault.Result, error) {
 	}
 
 	oracle := fault.NewOracle()
-	rng := rand.New(rand.NewPCG(tc.Seed, 0xfa17_707e))
 	var violations []string
-
 	env.Go("torture-driver", func(p *sim.Proc) {
 		defer srv.Stop()
-		for op := 0; op < tc.Ops && !plan.Tripped(); op++ {
-			if tc.CleanEvery > 0 && op > 0 && op%tc.CleanEvery == 0 {
-				srv.StartCleaning() // races the driver, like production
-			}
-			// Fixed number of draws per op keeps the workload identical
-			// across crash points.
-			kind := rng.IntN(100)
-			keyIdx := rng.IntN(tc.Keys)
-			fresh := rng.IntN(5) == 0
-			key := []byte(fmt.Sprintf("key-%02d", keyIdx))
-			if kind < 60 && fresh {
-				key = []byte(fmt.Sprintf("uniq-%04d", op))
-			}
-			switch {
-			case kind < 50: // PUT via the client-active scheme
-				val := fault.WorkloadValue(tc.Seed, string(key), op, tc.ValueLen)
-				err := cl.Put(p, key, val)
-				switch {
-				case err == nil && !plan.Tripped():
-					oracle.PutAcked(key, val, true)
-				case plan.Tripped():
-					// The crash landed inside the op: the server may or
-					// may not have processed it. Either outcome is legal.
-					oracle.PutPending(key, val)
-				}
-			case kind < 60: // torn PUT: allocation RPC, value never sent
-				val := fault.WorkloadValue(tc.Seed, string(key), op, tc.ValueLen)
-				resp, err := cl.rpc(p, wire.Msg{
-					Type: wire.TPut, Crc: crc.Checksum(val),
-					Len: uint64(len(val)), Key: key,
-				})
-				if plan.Tripped() {
-					oracle.PutPending(key, val)
-				} else if err == nil && resp.Status == wire.StOK {
-					oracle.PutAcked(key, val, false)
-				}
-			case kind >= 72 && kind < 85 && tc.Txn: // TXN: snapshot reads and multi-key commits
-				// Both sub-choice draws happen unconditionally so boundary
-				// numbering stays identical across crash points.
-				snap := rng.IntN(4) == 0
-				n := 2 + rng.IntN(fault.TxnMaxOps-1)
-				if n > tc.Keys {
-					n = tc.Keys // commits require distinct keys
-				}
-				keys := make([][]byte, n)
-				for j := range keys {
-					keys[j] = []byte(fmt.Sprintf("key-%02d", (keyIdx+j)%tc.Keys))
-				}
-				if snap {
-					vals, errs := cl.TxnRead(p, keys)
-					if !plan.Tripped() {
-						for i := range keys {
-							if errs[i] == nil {
-								if v := oracle.ObserveGet(keys[i], vals[i], true); v != "" {
-									violations = append(violations, "live: "+v)
-								}
-							}
-						}
-					}
-					break
-				}
-				vals := make([][]byte, n)
-				for j := range keys {
-					vals[j] = fault.WorkloadValue(tc.Seed, string(keys[j]), op, tc.ValueLen)
-				}
-				id, errs := cl.TxnCommit(p, keys, vals)
-				switch {
-				case plan.Tripped():
-					// The crash landed inside the commit: the whole
-					// transaction may be in or out, never partial.
-					oracle.TxnPending(id, keys, vals)
-				case errs[0] == nil:
-					oracle.TxnCommitted(id, keys, vals)
-				}
-			case kind < 85 && !tc.GetBatch: // GET: hybrid read, observes durability
-				got, err := cl.Get(p, key)
-				if !plan.Tripped() && err == nil {
-					if v := oracle.ObserveGet(key, got, true); v != "" {
-						violations = append(violations, "live: "+v)
-					}
-				}
-			case kind < 85: // batched GET leg: doorbell-chained multi-GET
-				keys := [][]byte{key}
-				for j := 1; j < fault.GetBatchFan; j++ {
-					keys = append(keys, []byte(fmt.Sprintf("key-%02d", rng.IntN(tc.Keys))))
-				}
-				vals, errs := cl.GetBatch(p, keys)
-				if !plan.Tripped() {
-					// Concurrent in-batch reads: observe as one batch so
-					// duplicate fan keys may resolve in either order.
-					found := make([]bool, len(keys))
-					for i := range keys {
-						found[i] = errs[i] == nil
-					}
-					for _, v := range oracle.ObserveGetBatch(keys, vals, found) {
-						violations = append(violations, "live: "+v)
-					}
-				}
-			default: // DEL
-				err := cl.Delete(p, key)
-				switch {
-				case err == nil && !plan.Tripped():
-					oracle.DelAcked(key)
-				case plan.Tripped() && !errors.Is(err, ErrNotFound):
-					oracle.DelPending(key)
-				}
-			}
-		}
+		violations = fault.Drive(&simTarget{p: p, tc: tc, plan: plan, srv: srv, cl: cl}, oracle, fault.Workload(tc), false)
 	})
 	env.Run()
 
@@ -220,3 +110,47 @@ func RunSimTorture(tc fault.Config) (fault.Result, error) {
 	res.Violations = violations
 	return res, nil
 }
+
+// simTarget is the simulated client/server pair as the torture driver
+// sees it; every op runs on the driver's sim process.
+type simTarget struct {
+	p    *sim.Proc
+	tc   fault.Config
+	plan *fault.Plan
+	srv  *Server
+	cl   *Client
+}
+
+func (t *simTarget) Dead() bool { return t.plan.Tripped() }
+
+func (t *simTarget) Tick(i int) {
+	if t.tc.CleanDue(i) {
+		t.srv.StartCleaning() // races the driver, like production
+	}
+}
+
+func (t *simTarget) Put(key, value []byte) error { return t.cl.Put(t.p, key, value) }
+
+// TornPut is the allocation RPC of a PUT whose value is never sent.
+func (t *simTarget) TornPut(key, value []byte) error {
+	resp, err := t.cl.rpc(t.p, wire.Msg{
+		Type: wire.TPut, Crc: crc.Checksum(value),
+		Len: uint64(len(value)), Key: key,
+	})
+	if err == nil && resp.Status != wire.StOK {
+		err = fmt.Errorf("efactory: alloc status %d", resp.Status)
+	}
+	return err
+}
+
+func (t *simTarget) Get(key []byte) ([]byte, error) { return t.cl.Get(t.p, key) }
+
+func (t *simTarget) GetBatch(keys [][]byte) ([][]byte, []error) { return t.cl.GetBatch(t.p, keys) }
+
+func (t *simTarget) Delete(key []byte) error { return t.cl.Delete(t.p, key) }
+
+func (t *simTarget) TxnCommit(keys, vals [][]byte) (uint64, []error) {
+	return t.cl.TxnCommit(t.p, keys, vals)
+}
+
+func (t *simTarget) TxnRead(keys [][]byte) ([][]byte, []error) { return t.cl.TxnRead(t.p, keys) }

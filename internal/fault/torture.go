@@ -2,10 +2,10 @@ package fault
 
 import (
 	"fmt"
-	"math/rand/v2"
 	"sync"
 	"time"
 
+	"efactory/internal/client"
 	"efactory/internal/crc"
 	"efactory/internal/kv"
 	"efactory/internal/nvm"
@@ -85,6 +85,11 @@ func (c Config) WithDefaults() Config {
 	return c
 }
 
+// CleanDue reports whether the workload starts log cleaning before op i.
+func (c Config) CleanDue(i int) bool {
+	return c.CleanEvery > 0 && i > 0 && i%c.CleanEvery == 0
+}
+
 // Result is the outcome of one torture run.
 type Result struct {
 	Boundaries int64 // boundaries counted (a CrashAt<=0 run measures the workload's total)
@@ -126,11 +131,177 @@ func WorkloadValue(seed uint64, key string, op, vlen int) []byte {
 	return v
 }
 
+// harnessDeps is the deterministic single-goroutine environment the store
+// harness builds its engines in: the cleaner is spawned inline, and its
+// wait for in-flight values just advances the clock, so VerifyTimeout
+// eventually declares them dead and the run terminates even against a
+// frozen device.
+func harnessDeps(tick *tickSink, sink store.CostSink) store.Deps {
+	return store.Deps{
+		Sink:        sink,
+		NewLock:     func() sync.Locker { return nopLocker{} },
+		Spawn:       func(name string, fn func(h any)) { fn(nil) },
+		CleanerWait: func(h any) bool { tick.now += 500; return true },
+	}
+}
+
+// StoreGet is a GET straight off st's engines — how a harness reads a
+// recovered store without a transport in the way.
+func StoreGet(st *store.Store, key []byte) ([]byte, bool) {
+	eng := st.Shard(st.ShardFor(key))
+	return engineValue(eng, eng.Get(nil, key))
+}
+
+func engineValue(eng *store.Engine, gr store.GetResult) ([]byte, bool) {
+	if gr.Status != store.StatusOK {
+		return nil, false
+	}
+	pool := eng.Pool(gr.Pool)
+	hd := pool.Header(gr.Off)
+	return pool.ReadValue(gr.Off, hd.KLen, hd.VLen), true
+}
+
+// statusErr maps an engine status to the protocol core's sentinels.
+func statusErr(st store.Status) error {
+	switch st {
+	case store.StatusOK:
+		return nil
+	case store.StatusNotFound:
+		return client.ErrNotFound
+	}
+	return client.ErrServerFull
+}
+
+// storeTarget drives a store.Store directly — no transport, one
+// goroutine, a virtual clock — as a Target.
+type storeTarget struct {
+	cfg     Config
+	plan    *Plan
+	dev     *Device
+	st      *store.Store
+	mgr     *txn.Manager
+	claimed map[string]bool // keys ever successfully allocated
+}
+
+func (t *storeTarget) Dead() bool { return t.plan.Tripped() }
+
+func (t *storeTarget) Tick(i int) {
+	if t.cfg.CleanDue(i) {
+		t.st.StartCleaning()
+		if t.plan.Tripped() {
+			return
+		}
+	}
+	if t.cfg.BGEvery > 0 && i%t.cfg.BGEvery == 0 {
+		for s := 0; s < t.st.NumShards(); s++ {
+			eng := t.st.Shard(s)
+			if t.cfg.BGBatch > 1 {
+				eng.BGBatch(nil, eng.CurrentPool(), t.cfg.BGBatch)
+			} else {
+				eng.BGStep(nil, eng.CurrentPool())
+			}
+		}
+	}
+}
+
+func (t *storeTarget) engine(key []byte) *store.Engine { return t.st.Shard(t.st.ShardFor(key)) }
+
+// TornPut is the allocation half of a PUT: the value never follows.
+func (t *storeTarget) TornPut(key, value []byte) error {
+	_, err := t.alloc(key, value)
+	return err
+}
+
+func (t *storeTarget) alloc(key, value []byte) (store.PutResult, error) {
+	pr := t.engine(key).Put(nil, key, len(value), crc.Checksum(value))
+	if pr.Status == store.StatusOK {
+		t.claimed[string(key)] = true
+	}
+	return pr, statusErr(pr.Status)
+}
+
+// Put allocates, then writes the value one-sided, as a client would.
+func (t *storeTarget) Put(key, value []byte) error {
+	pr, err := t.alloc(key, value)
+	if err == nil {
+		t.dev.Write(t.engine(key).Pool(pr.Pool).Base()+int(pr.Off)+kv.ValueOffset(len(key)), value)
+	}
+	return err
+}
+
+func (t *storeTarget) Get(key []byte) ([]byte, error) {
+	if v, ok := StoreGet(t.st, key); ok {
+		return v, nil
+	}
+	return nil, client.ErrNotFound
+}
+
+// GetBatch issues one engine multi-GET per shard group, in shard order —
+// a map walk here would make boundary numbering depend on Go's map
+// iteration. Engine.GetBatch resolves its reads sequentially under one
+// lock, which is what lets RunStore ask Drive for the per-index check.
+func (t *storeTarget) GetBatch(keys [][]byte) ([][]byte, []error) {
+	vals, errs := make([][]byte, len(keys)), make([]error, len(keys))
+	for sh := 0; sh < t.st.NumShards(); sh++ {
+		var group [][]byte
+		var idx []int
+		for i, k := range keys {
+			if t.st.ShardFor(k) == sh {
+				group, idx = append(group, k), append(idx, i)
+			}
+		}
+		if len(group) == 0 {
+			continue
+		}
+		eng := t.st.Shard(sh)
+		for j, gr := range eng.GetBatch(nil, group, nil) {
+			v, ok := engineValue(eng, gr)
+			if !ok {
+				errs[idx[j]] = client.ErrNotFound
+			}
+			vals[idx[j]] = v
+		}
+	}
+	return vals, errs
+}
+
+func (t *storeTarget) Delete(key []byte) error { return statusErr(t.engine(key).Del(nil, key)) }
+
+func (t *storeTarget) TxnCommit(keys, vals [][]byte) (uint64, []error) {
+	id, _, st := t.mgr.Commit(nil, keys, vals)
+	if st == store.StatusOK {
+		// The flip claimed table slots in memory even if the device froze
+		// mid-commit, so the capacity invariant counts these keys either way.
+		for _, k := range keys {
+			t.claimed[string(k)] = true
+		}
+	}
+	errs := make([]error, len(keys))
+	for i := range errs {
+		errs[i] = statusErr(st)
+	}
+	return id, errs
+}
+
+func (t *storeTarget) TxnRead(keys [][]byte) ([][]byte, []error) {
+	vals, errs := make([][]byte, len(keys)), make([]error, len(keys))
+	for i, r := range t.mgr.SnapshotGet(nil, keys) {
+		vals[i], errs[i] = r.Value, statusErr(r.Status)
+	}
+	return vals, errs
+}
+
 // RunStore executes one seeded torture run against a freshly built store
 // and returns the boundary count and every oracle violation found. The
 // run is deterministic: the same Config always yields the same Result.
 func RunStore(cfg Config) (Result, error) {
 	cfg = cfg.WithDefaults()
+	return runStore(cfg, Workload(cfg))
+}
+
+// runStore is the store fixture: build a store under a Plan, drive ops,
+// crash, recover injection-free on the raw device, check the oracle.
+func runStore(cfg Config, ops []Op) (Result, error) {
 	plan := NewPlan(cfg.CrashAt)
 	scfg := store.Config{
 		Shards:        cfg.Shards,
@@ -141,179 +312,14 @@ func RunStore(cfg Config) (Result, error) {
 	dev := nvm.New(scfg.DeviceSize())
 	fdev := WrapDevice(dev, plan)
 	tick := &tickSink{}
-	deps := store.Deps{
-		Sink:    WrapSink(plan, tick),
-		NewLock: func() sync.Locker { return nopLocker{} },
-		Spawn:   func(name string, fn func(h any)) { fn(nil) },
-		// The cleaner's wait for in-flight values just advances the clock,
-		// so VerifyTimeout eventually declares them dead and the run
-		// terminates even against a frozen device.
-		CleanerWait: func(h any) bool { tick.now += 500; return true },
-	}
-	st, _, err := store.New(fdev, scfg, deps)
+	st, _, err := store.New(fdev, scfg, harnessDeps(tick, WrapSink(plan, tick)))
 	if err != nil {
 		return Result{}, err
 	}
-
+	t := &storeTarget{cfg: cfg, plan: plan, dev: fdev, st: st,
+		mgr: txn.NewManager(st, nopLocker{}), claimed: make(map[string]bool)}
 	oracle := NewOracle()
-	rng := rand.New(rand.NewPCG(cfg.Seed, 0xfa17_707e))
-	var violations []string
-	claimed := make(map[string]bool) // keys ever successfully allocated
-	var mgr *txn.Manager
-	if cfg.Txn {
-		mgr = txn.NewManager(st, nopLocker{})
-	}
-
-	for op := 0; op < cfg.Ops && !plan.Tripped(); op++ {
-		if cfg.CleanEvery > 0 && op > 0 && op%cfg.CleanEvery == 0 {
-			st.StartCleaning()
-			if plan.Tripped() {
-				break
-			}
-		}
-		if cfg.BGEvery > 0 && op%cfg.BGEvery == 0 {
-			for i := 0; i < st.NumShards(); i++ {
-				eng := st.Shard(i)
-				if cfg.BGBatch > 1 {
-					eng.BGBatch(nil, eng.CurrentPool(), cfg.BGBatch)
-				} else {
-					eng.BGStep(nil, eng.CurrentPool())
-				}
-			}
-			if plan.Tripped() {
-				break
-			}
-		}
-		// Fixed number of draws per op keeps the workload identical across
-		// crash points.
-		kind := rng.IntN(100)
-		keyIdx := rng.IntN(cfg.Keys)
-		fresh := rng.IntN(5) == 0
-		key := []byte(fmt.Sprintf("key-%02d", keyIdx))
-		if kind < 60 && fresh {
-			// A slice of PUTs use never-seen keys: when the pool is full
-			// these exercise the claim-then-fail path on fresh table slots.
-			key = []byte(fmt.Sprintf("uniq-%04d", op))
-		}
-		eng := st.Shard(st.ShardFor(key))
-		switch {
-		case kind < 50: // PUT: allocate, then write the value one-sided
-			val := WorkloadValue(cfg.Seed, string(key), op, cfg.ValueLen)
-			pr := eng.Put(nil, key, len(val), crc.Checksum(val))
-			if pr.Status == store.StatusOK {
-				claimed[string(key)] = true
-				pool := eng.Pool(pr.Pool)
-				fdev.Write(pool.Base()+int(pr.Off)+kv.ValueOffset(len(key)), val)
-				if plan.Tripped() {
-					oracle.PutPending(key, val)
-				} else {
-					oracle.PutAcked(key, val, true)
-				}
-			}
-		case kind < 60: // torn PUT: the client dies before writing the value
-			val := WorkloadValue(cfg.Seed, string(key), op, cfg.ValueLen)
-			pr := eng.Put(nil, key, len(val), crc.Checksum(val))
-			if pr.Status == store.StatusOK {
-				claimed[string(key)] = true
-				oracle.PutAcked(key, val, false)
-			}
-		case kind >= 72 && kind < 85 && cfg.Txn: // TXN: snapshot reads and multi-key commits
-			// Both sub-choice draws happen unconditionally so the workload's
-			// boundary numbering stays identical across crash points.
-			snap := rng.IntN(4) == 0
-			n := 2 + rng.IntN(TxnMaxOps-1)
-			if n > cfg.Keys {
-				n = cfg.Keys // commits require distinct keys
-			}
-			keys := make([][]byte, n)
-			for j := range keys {
-				keys[j] = []byte(fmt.Sprintf("key-%02d", (keyIdx+j)%cfg.Keys))
-			}
-			if snap {
-				// Snapshot multi-key read at one cut; each hit is a durability
-				// observation like any GET (the store harness is sequential,
-				// so exact per-key checking applies).
-				for i, r := range mgr.SnapshotGet(nil, keys) {
-					if !plan.Tripped() && r.Status == store.StatusOK {
-						if v := oracle.ObserveGet(keys[i], r.Value, true); v != "" {
-							violations = append(violations, "live: "+v)
-						}
-					}
-				}
-				break
-			}
-			vals := make([][]byte, n)
-			for j := range keys {
-				vals[j] = WorkloadValue(cfg.Seed, string(keys[j]), op, cfg.ValueLen)
-			}
-			id, _, cst := mgr.Commit(nil, keys, vals)
-			if cst == store.StatusOK {
-				// The flip claimed table slots in memory even if the device
-				// froze mid-commit, so the capacity invariant counts these
-				// keys either way.
-				for _, k := range keys {
-					claimed[string(k)] = true
-				}
-				if plan.Tripped() {
-					oracle.TxnPending(id, keys, vals)
-				} else {
-					oracle.TxnCommitted(id, keys, vals)
-				}
-			}
-		case kind < 85 && !cfg.GetBatch: // GET: observe durability
-			gr := eng.Get(nil, key)
-			if !plan.Tripped() && gr.Status == store.StatusOK {
-				pool := eng.Pool(gr.Pool)
-				hd := pool.Header(gr.Off)
-				val := pool.ReadValue(gr.Off, hd.KLen, hd.VLen)
-				if v := oracle.ObserveGet(key, val, true); v != "" {
-					violations = append(violations, "live: "+v)
-				}
-			}
-		case kind < 85: // batched GET leg: one multi-GET per shard group
-			keys := [][]byte{key}
-			for j := 1; j < GetBatchFan; j++ {
-				keys = append(keys, []byte(fmt.Sprintf("key-%02d", rng.IntN(cfg.Keys))))
-			}
-			// Group per shard in shard order — a map walk here would make
-			// boundary numbering depend on Go's map iteration, breaking the
-			// run's determinism.
-			for sh := 0; sh < st.NumShards(); sh++ {
-				var group [][]byte
-				for _, k := range keys {
-					if st.ShardFor(k) == sh {
-						group = append(group, k)
-					}
-				}
-				if len(group) == 0 {
-					continue
-				}
-				geng := st.Shard(sh)
-				// Engine.GetBatch resolves reads sequentially under one
-				// lock, so per-index ObserveGet (stronger than the
-				// concurrent-batch ObserveGetBatch) is exact here.
-				for i, gr := range geng.GetBatch(nil, group, nil) {
-					if !plan.Tripped() && gr.Status == store.StatusOK {
-						pool := geng.Pool(gr.Pool)
-						hd := pool.Header(gr.Off)
-						val := pool.ReadValue(gr.Off, hd.KLen, hd.VLen)
-						if v := oracle.ObserveGet(group[i], val, true); v != "" {
-							violations = append(violations, "live: "+v)
-						}
-					}
-				}
-			}
-		default: // DEL
-			stDel := eng.Del(nil, key)
-			if stDel == store.StatusOK {
-				if plan.Tripped() {
-					oracle.DelPending(key)
-				} else {
-					oracle.DelAcked(key)
-				}
-			}
-		}
-	}
+	violations := Drive(t, oracle, ops, true)
 	st.Stop()
 
 	res := Result{Boundaries: plan.Boundaries(), Tripped: plan.Tripped(), Stats: st.StatsTotal()}
@@ -330,9 +336,9 @@ func RunStore(cfg Config) (Result, error) {
 	if res.Tripped {
 		slack = 1
 	}
-	if occ > len(claimed)+slack {
+	if occ > len(t.claimed)+slack {
 		violations = append(violations, fmt.Sprintf(
-			"table leak: %d slots occupied but only %d distinct keys ever allocated", occ, len(claimed)))
+			"table leak: %d slots occupied but only %d distinct keys ever allocated", occ, len(t.claimed)))
 	}
 
 	// Power failure: the volatile overlay is resolved by the survival
@@ -340,29 +346,14 @@ func RunStore(cfg Config) (Result, error) {
 	// the store is rebuilt, injection-free, on the raw device.
 	dev.Crash(cfg.Seed^0xc4a5_4ed, cfg.Survival)
 	tick2 := &tickSink{now: tick.now}
-	deps2 := store.Deps{
-		Sink:        tick2,
-		NewLock:     func() sync.Locker { return nopLocker{} },
-		Spawn:       func(name string, fn func(h any)) { fn(nil) },
-		CleanerWait: func(h any) bool { tick2.now += 500; return true },
-	}
-	st2, _, err := store.New(dev, scfg, deps2)
+	st2, _, err := store.New(dev, scfg, harnessDeps(tick2, tick2))
 	if err != nil {
 		return res, fmt.Errorf("recovery failed: %w", err)
 	}
-	get := func(key string) ([]byte, bool) {
-		eng := st2.Shard(st2.ShardFor([]byte(key)))
-		gr := eng.Get(nil, []byte(key))
-		if gr.Status != store.StatusOK {
-			return nil, false
-		}
-		pool := eng.Pool(gr.Pool)
-		hd := pool.Header(gr.Off)
-		return pool.ReadValue(gr.Off, hd.KLen, hd.VLen), true
-	}
-	violations = append(violations, oracle.Check(get)...)
+	res.Violations = append(violations, oracle.Check(func(k string) ([]byte, bool) {
+		return StoreGet(st2, []byte(k))
+	})...)
 	st2.Stop()
-	res.Violations = violations
 	return res, nil
 }
 

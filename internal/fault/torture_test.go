@@ -2,124 +2,41 @@ package fault
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
 	"efactory/internal/crc"
-	"efactory/internal/kv"
 	"efactory/internal/nvm"
 	"efactory/internal/store"
 )
 
-// scriptOp is one step of a hand-written workload for surgical
-// crash-point sweeps (the regression tests pinning specific engine bugs).
-type scriptOp struct {
-	kind string // put | torn | get | del
-	key  string
-	val  string
+// Script constructors: hand-written workloads for surgical crash-point
+// sweeps (the regression tests pinning specific engine bugs) are plain
+// []Op, replayed through the same store fixture and driver as the seeded
+// schedule.
+func put(k, v string) Op { return Op{Kind: Put, Keys: [][]byte{[]byte(k)}, Vals: [][]byte{[]byte(v)}} }
+func torn(k, v string) Op {
+	return Op{Kind: TornPut, Keys: [][]byte{[]byte(k)}, Vals: [][]byte{[]byte(v)}}
 }
+func get(k string) Op { return Op{Kind: Get, Keys: [][]byte{[]byte(k)}} }
+func del(k string) Op { return Op{Kind: Del, Keys: [][]byte{[]byte(k)}} }
 
 // runScript executes a scripted workload under a Plan tripping at
-// crashAt, crashes (survival 0: only flushed lines persist), recovers on
-// the raw device, and returns the boundary count and oracle violations.
-func runScript(t *testing.T, ops []scriptOp, crashAt int64) (int64, []string) {
+// crashAt — no cleaning, no background steps, survival 0 (only flushed
+// lines persist) — and returns the boundary count and oracle violations.
+func runScript(t *testing.T, ops []Op, crashAt int64) (int64, []string) {
 	t.Helper()
-	scfg := store.Config{Shards: 1, Buckets: 32, PoolSize: 4096, VerifyTimeout: 2 * time.Microsecond}
-	plan := NewPlan(crashAt)
-	dev := nvm.New(scfg.DeviceSize())
-	fdev := WrapDevice(dev, plan)
-	tick := &tickSink{}
-	deps := store.Deps{
-		Sink:        WrapSink(plan, tick),
-		NewLock:     func() sync.Locker { return nopLocker{} },
-		Spawn:       func(name string, fn func(h any)) { fn(nil) },
-		CleanerWait: func(h any) bool { tick.now += 500; return true },
-	}
-	st, _, err := store.New(fdev, scfg, deps)
+	cfg := Config{Shards: 1, Buckets: 32, PoolSize: 4096, CleanEvery: -1, BGEvery: -1, CrashAt: crashAt}
+	res, err := runStore(cfg.WithDefaults(), ops)
 	if err != nil {
-		t.Fatalf("store.New: %v", err)
+		t.Fatalf("runStore: %v", err)
 	}
-	oracle := NewOracle()
-	var violations []string
-	for _, op := range ops {
-		if plan.Tripped() {
-			break
-		}
-		key := []byte(op.key)
-		val := []byte(op.val)
-		eng := st.Shard(st.ShardFor(key))
-		switch op.kind {
-		case "put":
-			pr := eng.Put(nil, key, len(val), crc.Checksum(val))
-			if pr.Status == store.StatusOK {
-				pool := eng.Pool(pr.Pool)
-				fdev.Write(pool.Base()+int(pr.Off)+kv.ValueOffset(len(key)), val)
-				if plan.Tripped() {
-					oracle.PutPending(key, val)
-				} else {
-					oracle.PutAcked(key, val, true)
-				}
-			}
-		case "torn":
-			pr := eng.Put(nil, key, len(val), crc.Checksum(val))
-			if pr.Status == store.StatusOK {
-				oracle.PutAcked(key, val, false)
-			}
-		case "get":
-			gr := eng.Get(nil, key)
-			if !plan.Tripped() && gr.Status == store.StatusOK {
-				pool := eng.Pool(gr.Pool)
-				hd := pool.Header(gr.Off)
-				got := pool.ReadValue(gr.Off, hd.KLen, hd.VLen)
-				if v := oracle.ObserveGet(key, got, true); v != "" {
-					violations = append(violations, "live: "+v)
-				}
-			}
-		case "del":
-			stDel := eng.Del(nil, key)
-			if stDel == store.StatusOK {
-				if plan.Tripped() {
-					oracle.DelPending(key)
-				} else {
-					oracle.DelAcked(key)
-				}
-			}
-		default:
-			t.Fatalf("unknown script op %q", op.kind)
-		}
-	}
-	st.Stop()
-	boundaries := plan.Boundaries()
-	dev.Crash(0x5c21f7, 0)
-	tick2 := &tickSink{now: tick.now}
-	deps2 := store.Deps{
-		Sink:        tick2,
-		NewLock:     func() sync.Locker { return nopLocker{} },
-		Spawn:       func(name string, fn func(h any)) { fn(nil) },
-		CleanerWait: func(h any) bool { tick2.now += 500; return true },
-	}
-	st2, _, err := store.New(dev, scfg, deps2)
-	if err != nil {
-		t.Fatalf("recovery store.New: %v", err)
-	}
-	violations = append(violations, oracle.Check(func(k string) ([]byte, bool) {
-		eng := st2.Shard(st2.ShardFor([]byte(k)))
-		gr := eng.Get(nil, []byte(k))
-		if gr.Status != store.StatusOK {
-			return nil, false
-		}
-		pool := eng.Pool(gr.Pool)
-		hd := pool.Header(gr.Off)
-		return pool.ReadValue(gr.Off, hd.KLen, hd.VLen), true
-	})...)
-	st2.Stop()
-	return boundaries, violations
+	return res.Boundaries, res.Violations
 }
 
 // sweepScript sweeps the crash point over every boundary of the scripted
 // workload and fails the test on any oracle violation.
-func sweepScript(t *testing.T, ops []scriptOp) {
+func sweepScript(t *testing.T, ops []Op) {
 	t.Helper()
 	total, violations := runScript(t, ops, 0)
 	if len(violations) != 0 {
@@ -140,12 +57,12 @@ func sweepScript(t *testing.T, ops []scriptOp) {
 // clearing the tombstone, or a crash between the two persisted words
 // resurrects the pre-delete version after an acknowledged DELETE.
 func TestSweepReputAfterDelete(t *testing.T) {
-	sweepScript(t, []scriptOp{
-		{"put", "k", "v1-aaaaaaaaaaaaaaaa"},
-		{"get", "k", ""},
-		{"del", "k", ""},
-		{"put", "k", "v2-bbbbbbbbbbbbbbbb"},
-		{"get", "k", ""},
+	sweepScript(t, []Op{
+		put("k", "v1-aaaaaaaaaaaaaaaa"),
+		get("k"),
+		del("k"),
+		put("k", "v2-bbbbbbbbbbbbbbbb"),
+		get("k"),
 	})
 }
 
@@ -154,12 +71,12 @@ func TestSweepReputAfterDelete(t *testing.T) {
 // pre-delete version and its own value never lands, both live GET
 // rollback and crash recovery serve the deleted data.
 func TestSweepTornReputAfterDelete(t *testing.T) {
-	sweepScript(t, []scriptOp{
-		{"put", "k", "v1-aaaaaaaaaaaaaaaa"},
-		{"get", "k", ""},
-		{"del", "k", ""},
-		{"torn", "k", "v2-bbbbbbbbbbbbbbbb"},
-		{"get", "k", ""},
+	sweepScript(t, []Op{
+		put("k", "v1-aaaaaaaaaaaaaaaa"),
+		get("k"),
+		del("k"),
+		torn("k", "v2-bbbbbbbbbbbbbbbb"),
+		get("k"),
 	})
 }
 
@@ -169,13 +86,7 @@ func newTinyStore(t *testing.T) *store.Store {
 	t.Helper()
 	scfg := store.Config{Shards: 1, Buckets: 8, PoolSize: 256, VerifyTimeout: 2 * time.Microsecond}
 	tick := &tickSink{}
-	deps := store.Deps{
-		Sink:        tick,
-		NewLock:     func() sync.Locker { return nopLocker{} },
-		Spawn:       func(name string, fn func(h any)) { fn(nil) },
-		CleanerWait: func(h any) bool { tick.now += 500; return true },
-	}
-	st, _, err := store.New(nvm.New(scfg.DeviceSize()), scfg, deps)
+	st, _, err := store.New(nvm.New(scfg.DeviceSize()), scfg, harnessDeps(tick, tick))
 	if err != nil {
 		t.Fatalf("store.New: %v", err)
 	}

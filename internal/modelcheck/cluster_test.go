@@ -59,18 +59,9 @@ func TestTCPClusterDifferential(t *testing.T) {
 	srvA, addrA := startInstance(t, cfg)
 	srvB, addrB := startInstance(t, cfg)
 	srvA.EnableCluster("a", addrA, pgs)
-	srvB.SetInstanceName("b", addrB)
-
-	seedCl, err := tcpkv.Dial(addrA)
-	if err != nil {
+	if _, err := srvB.Join("b", addrB, addrA); err != nil {
 		t.Fatal(err)
 	}
-	m, err := seedCl.JoinRPC("b", addrB)
-	seedCl.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	srvB.SetClusterMap(m)
 
 	cc, err := tcpkv.DialCluster(addrA, tcpkv.DefaultClusterClientConfig())
 	if err != nil {

@@ -40,41 +40,17 @@ func TestTCPFailoverDifferential(t *testing.T) {
 	srvA, addrA := startInstance(t, cfg)
 	srvB, addrB := startInstance(t, cfg)
 	srvA.EnableCluster("a", addrA, pgs)
-	srvB.SetInstanceName("b", addrB)
-
-	seedCl, err := tcpkv.Dial(addrA)
+	m, err := srvB.Join("b", addrB, addrA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := seedCl.JoinRPC("b", addrB)
-	seedCl.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	srvB.SetClusterMap(m)
 	joinEpoch := m.Epoch
 
 	// The join spawns the backup attach (snapshot + map install)
 	// asynchronously; the replay must not start until every placement
 	// group lists b, or early writes would miss their mirror.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		am := srvA.ClusterMap()
-		attached := 0
-		for pg := 0; pg < pgs; pg++ {
-			for _, b := range am.BackupsFor(pg) {
-				if b == "b" {
-					attached++
-				}
-			}
-		}
-		if attached == pgs {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("backup never attached to all %d PGs", pgs)
-		}
-		time.Sleep(time.Millisecond)
+	if err := srvA.WaitBackup("b", 10*time.Second); err != nil {
+		t.Fatal(err)
 	}
 
 	cc, err := tcpkv.DialCluster(addrA, tcpkv.DefaultClusterClientConfig())

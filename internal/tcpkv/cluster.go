@@ -17,7 +17,10 @@ package tcpkv
 
 import (
 	"encoding/json"
+	"fmt"
+	"slices"
 	"sync"
+	"time"
 
 	"efactory/internal/cluster"
 	"efactory/internal/kv"
@@ -58,6 +61,51 @@ func (s *Server) SetInstanceName(name, addr string) {
 	s.clMu.Unlock()
 	s.st.Metrics().SetInstance(name)
 	s.registerClusterMetrics()
+}
+
+// Join is the whole bring-up of a joining instance: take the identity
+// name (reachable at self), ask the clustered instance at seedAddr to
+// admit it, and install the map that comes back (epoch+1, name owning
+// nothing), which is returned. The listener for self must already be
+// bound: peers dial it as soon as the map names it.
+func (s *Server) Join(name, self, seedAddr string) (*cluster.Map, error) {
+	s.SetInstanceName(name, self)
+	c, err := Dial(seedAddr)
+	if err != nil {
+		return nil, fmt.Errorf("tcpkv: join via %s: %w", seedAddr, err)
+	}
+	defer c.Close()
+	m, err := c.JoinRPC(name, self)
+	if err != nil {
+		return nil, fmt.Errorf("tcpkv: join via %s: %w", seedAddr, err)
+	}
+	s.SetClusterMap(m)
+	return m, nil
+}
+
+// WaitBackup blocks until this instance's map lists name as a backup of
+// every placement group it owns. The replica attach a join triggers runs
+// asynchronously; a write acknowledged before it finishes has no mirror.
+func (s *Server) WaitBackup(name string, timeout time.Duration) error {
+	deadline := time.Now().Add(timeout)
+	for {
+		m, missing := s.ClusterMap(), 0
+		if m == nil {
+			return fmt.Errorf("tcpkv: waiting for backup %s on an unclustered server", name)
+		}
+		for _, pg := range m.OwnedPGs(s.InstanceName()) {
+			if !slices.Contains(m.BackupsFor(pg), name) {
+				missing++
+			}
+		}
+		if missing == 0 {
+			return nil
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("tcpkv: %s never attached as backup: %d PGs missing", name, missing)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // InstanceName returns the cluster identity ("" when unclustered).
@@ -369,11 +417,16 @@ func (s *Server) handleMigIngest(m wire.Msg) wire.Msg {
 }
 
 // registerClusterMetrics exposes the placement layer's migration
-// counters through the store's telemetry registry (idempotent per
-// server: the name is only set once, before Serve). The epoch gauge and
-// wrong-epoch reject counter are first-class: NewServer registers them
-// on every server, clustered or not.
+// counters through the store's telemetry registry, once per server
+// however often it is named (Join names a server a test helper may have
+// named already). The epoch gauge and wrong-epoch reject counter are
+// first-class: NewServer registers them on every server, clustered or
+// not.
 func (s *Server) registerClusterMetrics() {
+	s.clMetrics.Do(s.addClusterMetrics)
+}
+
+func (s *Server) addClusterMetrics() {
 	reg := s.st.Metrics()
 	lbl := map[string]string{"role": "server"}
 	reg.AddCounter("efactory_cluster_migration_keys_total",

@@ -80,16 +80,11 @@ func clusterTestConfig() Config {
 // does.
 func joinInstance(t *testing.T, seedAddr string, joiner *Server) *cluster.Map {
 	t.Helper()
-	c, err := Dial(seedAddr)
+	m, err := joiner.Join(joiner.InstanceName(), joiner.clSelf, seedAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	m, err := c.JoinRPC(joiner.InstanceName(), joiner.clSelf)
-	if err != nil {
-		t.Fatalf("join: %v", err)
-	}
-	if ep := joiner.SetClusterMap(m); ep != m.Epoch {
+	if ep := joiner.ClusterMap().Epoch; ep != m.Epoch {
 		t.Fatalf("joiner at epoch %d after installing %d", ep, m.Epoch)
 	}
 	return m

@@ -11,17 +11,11 @@
 package tcpkv
 
 import (
-	"errors"
 	"fmt"
-	"math/rand/v2"
-	"net"
 	"sync/atomic"
-	"time"
 
 	"efactory/internal/fault"
-	"efactory/internal/kv"
 	"efactory/internal/nvm"
-	"efactory/internal/trace"
 )
 
 // failoverPGs is the placement-group count of the failover torture
@@ -57,223 +51,54 @@ func RunFailoverAbortTorture(tc fault.Config, crashAt string) (fault.Result, err
 	return runFailoverTorture(tc, crashAt)
 }
 
-// failoverCluster is the shared two-instance replicated fixture: a
+// startFailoverCluster is the fixture at RF=2 on in-memory devices: a
 // (primary, under plan) owns every PG, b attached as backup to all of
 // them before any traffic.
-type failoverCluster struct {
-	srvA, srvB *Server
-	addrA      string
-	cc         *ClusterClient
-	joinEpoch  uint64
+func startFailoverCluster(tc fault.Config, plan *fault.Plan) (*tortureCluster, error) {
+	tc, cfg := tortureConfig(tc)
+	cfg.Replicas = 2
+	return startTortureCluster(tc, cfg, nvm.New(cfg.DeviceSize()), plan, failoverPGs)
 }
 
-func (fc *failoverCluster) close() {
-	if fc.cc != nil {
-		fc.cc.Close()
-	}
-	if fc.srvA != nil {
-		fc.srvA.Close()
-	}
-	if fc.srvB != nil {
-		fc.srvB.Close()
-	}
-}
-
-func startFailoverCluster(tc fault.Config, plan *fault.Plan) (*failoverCluster, error) {
-	cfg := Config{
-		Buckets:        tc.Buckets,
-		PoolSize:       tc.PoolSize,
-		Shards:         tc.Shards,
-		VerifyTimeout:  tc.VerifyTimeout,
-		BGBatch:        tc.BGBatch,
-		CleanThreshold: 0,
-		Replicas:       2,
-	}
-	aCfg := cfg
-	aCfg.FaultPlan = plan
-	fc := &failoverCluster{}
-	var err error
-	fc.srvA, err = NewServer(nvm.New(cfg.DeviceSize()), aCfg)
-	if err != nil {
-		return nil, err
-	}
-	fc.srvB, err = NewServer(nvm.New(cfg.DeviceSize()), cfg)
-	if err != nil {
-		fc.close()
-		return nil, err
-	}
-	lnA, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		fc.close()
-		return nil, err
-	}
-	lnB, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		lnA.Close()
-		fc.close()
-		return nil, err
-	}
-	go fc.srvA.Serve(lnA)
-	go fc.srvB.Serve(lnB)
-	fc.addrA = lnA.Addr().String()
-	fc.srvA.EnableCluster("a", fc.addrA, failoverPGs)
-	fc.srvB.SetInstanceName("b", lnB.Addr().String())
-	seedCl, err := Dial(fc.addrA)
-	if err != nil {
-		fc.close()
-		return nil, err
-	}
-	m, err := seedCl.JoinRPC("b", lnB.Addr().String())
-	seedCl.Close()
-	if err != nil {
-		fc.close()
-		return nil, err
-	}
-	fc.joinEpoch = fc.srvB.SetClusterMap(m)
-
-	// The join spawns the replica-attach loop; traffic may only start once
-	// every PG lists b as backup, or a crash could orphan a half-attached
-	// group (the single-node-death contract starts at full attachment).
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		am := fc.srvA.ClusterMap()
-		attached := 0
-		if am != nil {
-			for pg := 0; pg < failoverPGs; pg++ {
-				for _, b := range am.BackupsFor(pg) {
-					if b == "b" {
-						attached++
-					}
-				}
-			}
-		}
-		if attached == failoverPGs {
-			break
-		}
-		if time.Now().After(deadline) {
-			fc.close()
-			return nil, fmt.Errorf("replica attach incomplete: %d/%d PGs", attached, failoverPGs)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-
-	ccfg := DefaultClusterClientConfig()
-	// One transport attempt per routed try: a crash run must see each
-	// op's first outcome. Route-level retries stay on — the failover
-	// redirect contract is exactly what is under test.
-	ccfg.Retry = RetryPolicy{Attempts: 1, Timeout: 5 * time.Second}
-	fc.cc, err = DialCluster(fc.addrA, ccfg)
-	if err != nil {
-		fc.close()
-		return nil, err
-	}
-	return fc, nil
-}
-
-// failoverWorkload drives the mixed PUT/GET/DEL traffic until the op
-// budget runs out or the primary dies, feeding the oracle under the
-// usual acked/pending rules.
-func failoverWorkload(tc fault.Config, fc *failoverCluster, ctl *migCrashCtl, oracle *fault.Oracle) []string {
-	rng := rand.New(rand.NewPCG(tc.Seed, 0xfa11_04e8))
-	var violations []string
-	for op := 0; op < tc.Ops && !ctl.died(); op++ {
-		if tc.CleanEvery > 0 && op > 0 && op%tc.CleanEvery == 0 {
-			fc.srvA.StartCleaning()
-		}
-		kind := rng.IntN(100)
-		keyIdx := rng.IntN(tc.Keys)
-		fresh := rng.IntN(5) == 0
-		key := []byte(fmt.Sprintf("key-%02d", keyIdx))
-		if kind < 60 && fresh {
-			key = []byte(fmt.Sprintf("uniq-%04d", op))
-		}
-		switch {
-		case kind < 60: // PUT
-			val := fault.WorkloadValue(tc.Seed, string(key), op, tc.ValueLen)
-			err := fc.cc.Put(key, val)
-			switch {
-			case err == nil && !ctl.died():
-				oracle.PutAcked(key, val, true)
-			case ctl.died():
-				oracle.PutPending(key, val)
-			}
-		case kind < 85: // GET — each observation forces flag, hence mirror
-			got, err := fc.cc.Get(key)
-			if !ctl.died() && err == nil {
-				if v := oracle.ObserveGet(key, got, true); v != "" {
-					violations = append(violations, "live: "+v)
-				}
-			}
-		default: // DEL — tombstone must be quorum-durable before the ack
-			err := fc.cc.Delete(key)
-			switch {
-			case err == nil && !ctl.died():
-				oracle.DelAcked(key)
-			case ctl.died() && !errors.Is(err, ErrNotFound):
-				oracle.DelPending(key)
-			}
-		}
-	}
-	return violations
+// routedGet is the oracle's post-crash read through the live routed
+// client; after a primary death its cached map still names the dead
+// instance, so every key exercises dead-pipe severing, the last-map
+// refetch fallback, and re-routing onto the promoted map.
+func (fx *tortureCluster) routedGet(key string) ([]byte, bool) {
+	v, err := fx.cc.Get([]byte(key))
+	return v, err == nil
 }
 
 func runFailoverTorture(tc fault.Config, crashAt string) (fault.Result, error) {
-	tc = tc.WithDefaults()
-	if tc.VerifyTimeout < time.Millisecond {
-		tc.VerifyTimeout = tcpVerifyTimeout
-	}
 	plan := fault.NewPlan(tc.CrashAt)
-	ctl := &migCrashCtl{plan: plan, abortAt: crashAt}
-	fc, err := startFailoverCluster(tc, plan)
+	ctl := &crashCtl{plan: plan, abortAt: crashAt}
+	fx, err := startFailoverCluster(tc, plan)
 	if err != nil {
 		return fault.Result{}, err
 	}
-	defer fc.close()
-	fc.srvA.SetReplCrash(ctl.hook)
+	defer fx.close()
+	fx.srvA.SetReplCrash(ctl.hook)
 
-	fc.cc.EnableTracing(1, 0)
-	ccTr, aTr, bTr := fc.cc.Tracer(), fc.srvA.Tracer(), fc.srvB.Tracer()
-	oracle := fault.NewOracle()
-	oracle.SetSpanDump(func(key string) string {
-		h := kv.HashKey([]byte(key))
-		spans := append(ccTr.SpansForKey(h), aTr.SpansForKey(h)...)
-		spans = append(spans, bTr.SpansForKey(h)...)
-		if len(spans) == 0 {
-			return ""
-		}
-		return trace.Timeline(spans)
-	})
-
-	violations := failoverWorkload(tc, fc, ctl, oracle)
+	// Each GET observation forces the flag, hence the mirror; a DELETE's
+	// tombstone must be quorum-durable before its ack.
+	violations := fx.drive(fx.clean, ctl.died)
 
 	res := fault.Result{
 		Boundaries: plan.Boundaries(),
 		Tripped:    plan.Tripped() || ctl.aborted.Load(),
-		Stats:      fc.srvA.Stats(),
+		Stats:      fx.srvA.Stats(),
 	}
 
 	// Primary process death, then promotion on the survivor. The backup
 	// was attached to every PG, so the take must cover all of them.
-	fc.srvA.Close()
-	fc.srvA = nil
-	if _, err := fc.srvB.PromoteFrom("a"); err != nil {
+	fx.srvA.Close()
+	if _, err := fx.srvB.PromoteFrom("a"); err != nil {
 		return res, fmt.Errorf("promotion failed: %w", err)
 	}
-	if pm := fc.srvB.ClusterMap(); pm == nil || pm.Epoch <= fc.joinEpoch {
+	if pm := fx.srvB.ClusterMap(); pm == nil || pm.Epoch <= fx.joinEpoch {
 		return res, fmt.Errorf("promotion did not advance the epoch")
 	}
-
-	// Oracle check through the routed client: its cached map still names
-	// the dead primary, so every key exercises dead-pipe severing, the
-	// last-map refetch fallback, and re-routing onto the promoted map.
-	get := func(key string) ([]byte, bool) {
-		v, err := fc.cc.Get([]byte(key))
-		if err != nil {
-			return nil, false
-		}
-		return v, true
-	}
-	res.Violations = append(violations, oracle.Check(get)...)
+	res.Violations = append(violations, fx.oracle.Check(fx.routedGet)...)
 	return res, nil
 }
 
@@ -283,86 +108,43 @@ func runFailoverTorture(tc fault.Config, crashAt string) (fault.Result, error) {
 // alone; afterwards the oracle checks the primary — the only authority
 // left — and the run asserts demotion actually happened.
 func RunBackupCrashTorture(tc fault.Config) (fault.Result, error) {
-	tc = tc.WithDefaults()
-	if tc.VerifyTimeout < time.Millisecond {
-		tc.VerifyTimeout = tcpVerifyTimeout
-	}
 	// No device plan on the primary: the only failure is the backup's.
-	plan := fault.NewPlan(0)
-	fc, err := startFailoverCluster(tc, nil)
+	fx, err := startFailoverCluster(tc, nil)
 	if err != nil {
 		return fault.Result{}, err
 	}
-	defer fc.close()
+	defer fx.close()
 
 	// The backup answers StError at its append handler from mid-run on,
-	// then its process dies; ctl only models the backup's death, so the
-	// workload keeps running — acks must keep flowing from the primary.
-	ctl := &migCrashCtl{plan: plan, abortAt: "backup-append"}
-	halfway := tc.Ops / 2
-	opCount := 0
+	// then its process dies. ctl only models the backup's death: the
+	// target never reports dead, so the workload keeps running — acks must
+	// keep flowing from the primary.
+	//
+	// This runner does not clean (it never did): a cleaning run stalled by
+	// one of the schedule's torn PUTs hits the slow-cleaner gap pinned by
+	// TestTCPTortureSlowCleaner, and would re-report it here, in the test
+	// that pins demotion.
+	ctl := &crashCtl{abortAt: "backup-append"}
 	var armed atomic.Bool // written by the workload, read by b's handler
-	fc.srvB.SetReplCrash(func(point string) bool {
-		if !armed.Load() {
-			return false
-		}
-		return ctl.hook(point)
-	})
-
-	oracle := fault.NewOracle()
-	rng := rand.New(rand.NewPCG(tc.Seed, 0xbac_c4a5))
-	var violations []string
+	fx.srvB.SetReplCrash(func(point string) bool { return armed.Load() && ctl.hook(point) })
 	killed := false
-	for op := 0; op < tc.Ops; op++ {
-		opCount++
-		if opCount == halfway {
+	violations := fx.drive(func(i int) {
+		if i+1 == fx.tc.Ops/2 {
 			armed.Store(true)
 		}
 		if !killed && ctl.aborted.Load() {
 			// The hook fired: the backup's process is gone now.
-			fc.srvB.Close()
-			fc.srvB = nil
+			fx.srvB.Close()
 			killed = true
 		}
-		kind := rng.IntN(100)
-		key := []byte(fmt.Sprintf("key-%02d", rng.IntN(tc.Keys)))
-		switch {
-		case kind < 60:
-			val := fault.WorkloadValue(tc.Seed, string(key), op, tc.ValueLen)
-			if err := fc.cc.Put(key, val); err == nil {
-				oracle.PutAcked(key, val, true)
-			}
-		case kind < 85:
-			if got, err := fc.cc.Get(key); err == nil {
-				if v := oracle.ObserveGet(key, got, true); v != "" {
-					violations = append(violations, "live: "+v)
-				}
-			}
-		default:
-			if err := fc.cc.Delete(key); err == nil {
-				oracle.DelAcked(key)
-			}
-		}
-	}
+	}, func() bool { return false })
 	if killed {
 		// Demotion is the mechanism that kept acks flowing; require it.
-		_, _, demotions, _, _ := fc.srvA.ReplCounters()
-		if demotions == 0 {
+		if _, _, demotions, _, _ := fx.srvA.ReplCounters(); demotions == 0 {
 			violations = append(violations, "backup died but was never demoted")
 		}
 	}
-	res := fault.Result{
-		Boundaries: plan.Boundaries(),
-		Tripped:    killed,
-		Stats:      fc.srvA.Stats(),
-	}
-	get := func(key string) ([]byte, bool) {
-		v, err := fc.cc.Get([]byte(key))
-		if err != nil {
-			return nil, false
-		}
-		return v, true
-	}
-	res.Violations = append(violations, oracle.Check(get)...)
+	res := fault.Result{Tripped: killed, Stats: fx.srvA.Stats()}
+	res.Violations = append(violations, fx.oracle.Check(fx.routedGet)...)
 	return res, nil
 }

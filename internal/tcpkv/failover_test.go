@@ -97,3 +97,42 @@ func TestBackupCrashDemotes(t *testing.T) {
 		t.Fatal("the backup was never killed — the scenario did not run")
 	}
 }
+
+// sweepFailoverLeg sweeps the failover runner with one workload leg on.
+func sweepFailoverLeg(t *testing.T, cfg fault.Config) {
+	t.Helper()
+	sr, err := fault.Sweep(RunFailoverTorture, cfg, []uint64{1, 2, 3}, 8)
+	if err != nil {
+		t.Fatalf("sweep: %v", err)
+	}
+	for _, v := range sr.Violations {
+		t.Error(v)
+	}
+}
+
+// TestFailoverTortureSweepGetBatch is a KNOWN GAP the shared driver found
+// the moment the failover runner drew the full schedule: the slow-cleaner
+// gap of TestTCPTortureSlowCleaner, which a replicated PG hits at the
+// default VerifyTimeout because every cleaner flag waits on a mirror
+// round trip. Un-skip in the PR that fixes it; do not widen the oracle
+// instead.
+func TestFailoverTortureSweepGetBatch(t *testing.T) {
+	t.Skip("known gap, ROADMAP items 2 and 5f: seed 1, every run — PUT o12 (observed), PUT o28 (observed), " +
+		"torn PUT o45, then the next batched read serves o12 on a replicated PG. " +
+		"Repro: delete this Skip, go test ./internal/tcpkv -run TestFailoverTortureSweepGetBatch")
+	cfg := failoverTortureConfig()
+	cfg.GetBatch = true
+	sweepFailoverLeg(t, cfg)
+}
+
+// TestFailoverTortureSweepTxn is the second KNOWN GAP: an acked commit is
+// not quorum-atomic, so a primary death right after it can promote a
+// backup holding part of the group.
+func TestFailoverTortureSweepTxn(t *testing.T) {
+	t.Skip("known gap, ROADMAP item 2d / parked 2PC: seeds 1-3 — 'torn transaction: 1 of N ops recovered' after promotion; " +
+		"txn.Manager.Commit settles the mirror per key AFTER the commit, so all-in-or-all-out and acked-writes-survive-one-death do not hold together. " +
+		"Repro: delete this Skip, go test ./internal/tcpkv -run TestFailoverTortureSweepTxn")
+	cfg := failoverTortureConfig()
+	cfg.Txn = true
+	sweepFailoverLeg(t, cfg)
+}

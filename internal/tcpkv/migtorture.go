@@ -3,19 +3,10 @@ package tcpkv
 import (
 	"errors"
 	"fmt"
-	"math/rand/v2"
-	"net"
-	"os"
-	"path/filepath"
-	"sync/atomic"
-	"time"
 
 	"efactory/internal/cluster"
 	"efactory/internal/fault"
 	"efactory/internal/kv"
-	"efactory/internal/nvm"
-	"efactory/internal/store"
-	"efactory/internal/trace"
 )
 
 // migTorturePGs is the placement-group count of the migration torture
@@ -26,37 +17,6 @@ const (
 	migTorturePGs = 4
 	migTorturePG  = 1
 )
-
-// migCrashCtl decides when the source "dies" during a migration torture
-// run. Two modes: plan mode ties death to the fault.Plan's boundary trip
-// (crash points land wherever device activity puts them), abort mode
-// kills the source deterministically at the first visit of a named
-// protocol checkpoint — so a sweep can visit every drain/cutover phase
-// even though the protocol is fast relative to the workload. Either way,
-// once died() reports true the workload stops and in-flight ops count as
-// pending, exactly as a process death would leave them.
-type migCrashCtl struct {
-	plan    *fault.Plan
-	abortAt string // "" = plan mode
-	aborted atomic.Bool
-}
-
-func (c *migCrashCtl) died() bool { return c.plan.Tripped() || c.aborted.Load() }
-
-func (c *migCrashCtl) hook(point string) bool {
-	if c.abortAt != "" {
-		if point == c.abortAt {
-			c.aborted.Store(true)
-			return true
-		}
-		return false
-	}
-	if c.plan.Tripped() {
-		c.aborted.Store(true)
-		return true
-	}
-	return false
-}
 
 // RunMigrationTorture executes one crash-point torture run of online
 // migration: a two-instance cluster (file-backed source under a
@@ -88,227 +48,62 @@ func RunMigrationAbortTorture(tc fault.Config, abortAt string) (fault.Result, er
 }
 
 func runMigrationTorture(tc fault.Config, abortAt string) (fault.Result, error) {
-	tc = tc.WithDefaults()
-	if tc.VerifyTimeout < time.Millisecond {
-		tc.VerifyTimeout = tcpVerifyTimeout
-	}
-	dir, err := os.MkdirTemp("", "efactory-migtorture-*")
-	if err != nil {
-		return fault.Result{}, err
-	}
-	defer os.RemoveAll(dir)
-	path := filepath.Join(dir, "src.img")
-
+	tc, cfg := tortureConfig(tc)
 	plan := fault.NewPlan(tc.CrashAt)
-	ctl := &migCrashCtl{plan: plan, abortAt: abortAt}
-	cfg := Config{
-		Buckets:        tc.Buckets,
-		PoolSize:       tc.PoolSize,
-		Shards:         tc.Shards,
-		VerifyTimeout:  tc.VerifyTimeout,
-		BGBatch:        tc.BGBatch,
-		CleanThreshold: 0,
-	}
-	srcCfg := cfg
-	srcCfg.FaultPlan = plan
-	dev, err := nvm.OpenFile(path, cfg.DeviceSize())
+	ctl := &crashCtl{plan: plan, abortAt: abortAt}
+	dev, err := newFileDev(cfg.DeviceSize())
 	if err != nil {
 		return fault.Result{}, err
 	}
-	srvA, err := NewServer(dev, srcCfg)
+	defer dev.remove()
+	fx, err := startTortureCluster(tc, cfg, dev, plan, migTorturePGs)
 	if err != nil {
-		dev.Close()
 		return fault.Result{}, err
 	}
-	srvA.migCrash = ctl.hook
-	srvB, err := NewServer(nvm.New(cfg.DeviceSize()), cfg)
-	if err != nil {
-		srvA.Close()
-		dev.Close()
-		return fault.Result{}, err
-	}
-	defer srvB.Close()
-	lnA, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		srvA.Close()
-		dev.Close()
-		return fault.Result{}, err
-	}
-	lnB, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		lnA.Close()
-		srvA.Close()
-		dev.Close()
-		return fault.Result{}, err
-	}
-	go srvA.Serve(lnA)
-	go srvB.Serve(lnB)
-	srvA.EnableCluster("a", lnA.Addr().String(), migTorturePGs)
-	srvB.SetInstanceName("b", lnB.Addr().String())
-	seedCl, err := Dial(lnA.Addr().String())
-	if err != nil {
-		srvA.Close()
-		dev.Close()
-		return fault.Result{}, err
-	}
-	m, err := seedCl.JoinRPC("b", lnB.Addr().String())
-	seedCl.Close()
-	if err != nil {
-		srvA.Close()
-		dev.Close()
-		return fault.Result{}, err
-	}
-	joinEpoch := srvB.SetClusterMap(m)
+	defer fx.close()
+	fx.srvA.migCrash = ctl.hook
 
-	ccfg := DefaultClusterClientConfig()
-	// One transport attempt per routed try: a crash run must see each
-	// op's first outcome. Route-level wrong-epoch retries stay on — they
-	// are the redirect contract under test.
-	ccfg.Retry = RetryPolicy{Attempts: 1, Timeout: 5 * time.Second}
-	cc, err := DialCluster(lnA.Addr().String(), ccfg)
-	if err != nil {
-		srvA.Close()
-		dev.Close()
-		return fault.Result{}, err
-	}
-
-	// Trace every routed op (and the migration run itself, via Mint) so an
-	// oracle violation prints the key's timeline across both instances.
-	cc.EnableTracing(1, 0)
-	ccTr, aTr, bTr := cc.Tracer(), srvA.Tracer(), srvB.Tracer()
-
-	oracle := fault.NewOracle()
-	oracle.SetSpanDump(func(key string) string {
-		h := kv.HashKey([]byte(key))
-		spans := append(ccTr.SpansForKey(h), aTr.SpansForKey(h)...)
-		spans = append(spans, bTr.SpansForKey(h)...)
-		if len(spans) == 0 {
-			return ""
-		}
-		return trace.Timeline(spans)
-	})
-	rng := rand.New(rand.NewPCG(tc.Seed, 0x319_0c3a4))
-	var violations []string
-	migErr := make(chan error, 1)
-	migStarted := false
-
-	for op := 0; op < tc.Ops && !ctl.died(); op++ {
-		if !migStarted && op == tc.Ops/4 {
-			migStarted = true
+	// The migration starts a quarter of the way in and races the workload.
+	var migErr chan error
+	violations := fx.drive(func(i int) {
+		if i == tc.Ops/4 {
+			migErr = make(chan error, 1)
 			go func() {
-				_, err := srvA.MigratePG(migTorturePG, "b")
+				_, err := fx.srvA.MigratePG(migTorturePG, "b")
 				migErr <- err
 			}()
 		}
-		if tc.CleanEvery > 0 && op > 0 && op%tc.CleanEvery == 0 {
-			srvA.StartCleaning()
-		}
-		kind := rng.IntN(100)
-		keyIdx := rng.IntN(tc.Keys)
-		fresh := rng.IntN(5) == 0
-		key := []byte(fmt.Sprintf("key-%02d", keyIdx))
-		if kind < 60 && fresh {
-			key = []byte(fmt.Sprintf("uniq-%04d", op))
-		}
-		switch {
-		case kind < 60: // PUT through the routed client
-			val := fault.WorkloadValue(tc.Seed, string(key), op, tc.ValueLen)
-			err := cc.Put(key, val)
-			switch {
-			case err == nil && !ctl.died():
-				oracle.PutAcked(key, val, true)
-			case ctl.died():
-				oracle.PutPending(key, val)
-			}
-		case kind < 85 && !tc.GetBatch: // GET
-			got, err := cc.Get(key)
-			if !ctl.died() && err == nil {
-				if v := oracle.ObserveGet(key, got, true); v != "" {
-					violations = append(violations, "live: "+v)
-				}
-			}
-		case kind < 85: // batched multi-GET across both instances
-			keys := [][]byte{key}
-			for j := 1; j < fault.GetBatchFan; j++ {
-				keys = append(keys, []byte(fmt.Sprintf("key-%02d", rng.IntN(tc.Keys))))
-			}
-			vals, errs := cc.GetBatch(keys)
-			if !ctl.died() {
-				for i := range keys {
-					if errs[i] == nil {
-						if v := oracle.ObserveGet(keys[i], vals[i], true); v != "" {
-							violations = append(violations, "live: "+v)
-						}
-					}
-				}
-			}
-		default: // DEL
-			err := cc.Delete(key)
-			switch {
-			case err == nil && !ctl.died():
-				oracle.DelAcked(key)
-			case ctl.died() && !errors.Is(err, ErrNotFound):
-				oracle.DelPending(key)
-			}
-		}
-	}
-
-	if migStarted {
+		fx.clean(i)
+	}, ctl.died)
+	if migErr != nil {
 		if merr := <-migErr; merr != nil && !errors.Is(merr, errMigrationAborted) {
-			cc.Close()
-			srvA.Close()
-			dev.Close()
 			return fault.Result{}, fmt.Errorf("migration failed outside a crash point: %w", merr)
 		}
 	}
 	// The protocol's own commit point decides post-crash authority: the
 	// cutover happened iff the newest-epoch map reached the target.
-	committed := false
-	if tm := srvB.ClusterMap(); tm != nil && tm.Epoch > joinEpoch {
-		committed = true
-	}
+	tm := fx.srvB.ClusterMap()
+	committed := tm != nil && tm.Epoch > fx.joinEpoch
 
-	res := fault.Result{
-		Boundaries: plan.Boundaries(),
-		Tripped:    plan.Tripped(),
-		Stats:      srvA.Stats(),
-	}
+	res := fault.Result{Boundaries: plan.Boundaries(), Tripped: plan.Tripped(), Stats: fx.srvA.Stats()}
 
-	// Source process restart: reopen the file; only flushed lines
-	// survive. The target keeps running — it did not crash.
-	cc.Close()
-	srvA.Close()
-	if err := dev.Close(); err != nil {
+	// Source process restart: only flushed lines survive. The target keeps
+	// running — it did not crash.
+	fx.cc.Close()
+	fx.srvA.Close()
+	if err := dev.reopen(); err != nil {
 		return res, err
 	}
-	dev2, err := nvm.OpenFile(path, cfg.DeviceSize())
-	if err != nil {
-		return res, err
-	}
-	defer dev2.Close()
-	srv2, err := NewServer(dev2, cfg)
+	srv2, err := NewServer(dev, cfg)
 	if err != nil {
 		return res, fmt.Errorf("source recovery failed: %w", err)
 	}
 	defer srv2.Close()
-
-	engGet := func(srv *Server, key string) ([]byte, bool) {
-		_, eng := srv.shardFor([]byte(key))
-		gr := eng.Get(nil, []byte(key))
-		if gr.Status != store.StatusOK {
-			return nil, false
-		}
-		pool := eng.Pool(gr.Pool)
-		hd := pool.Header(gr.Off)
-		return pool.ReadValue(gr.Off, hd.KLen, hd.VLen), true
-	}
-	get := func(key string) ([]byte, bool) {
+	res.Violations = append(violations, fx.oracle.Check(func(key string) ([]byte, bool) {
 		if committed && cluster.PGOf(kv.HashKey([]byte(key)), migTorturePGs) == migTorturePG {
-			return engGet(srvB, key)
+			return engineGet(fx.srvB, key)
 		}
-		return engGet(srv2, key)
-	}
-	violations = append(violations, oracle.Check(get)...)
-	res.Violations = violations
+		return engineGet(srv2, key)
+	})...)
 	return res, nil
 }

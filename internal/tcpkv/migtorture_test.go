@@ -92,3 +92,39 @@ func TestMigrationTortureSweep(t *testing.T) {
 		t.Fatalf("sweep ran only %d runs", sr.Runs)
 	}
 }
+
+// sweepMigrationLeg sweeps the migration runner with one workload leg on:
+// 3 seeds x 8 crash points.
+func sweepMigrationLeg(t *testing.T, cfg fault.Config) {
+	t.Helper()
+	sr, err := fault.Sweep(RunMigrationTorture, cfg, []uint64{1, 2, 3}, 8)
+	if err != nil {
+		t.Fatalf("sweep: %v", err)
+	}
+	for _, v := range sr.Violations {
+		t.Error(v)
+	}
+	if len(sr.Violations) == 0 && sr.Runs < 20 {
+		t.Fatalf("sweep ran only %d runs", sr.Runs)
+	}
+}
+
+// TestMigrationTortureSweepGetBatch: batched multi-GETs whose keys
+// straddle both instances while one placement group moves between them —
+// observed as one concurrent batch, like every routed multi-GET.
+func TestMigrationTortureSweepGetBatch(t *testing.T) {
+	cfg := migTortureConfig()
+	cfg.GetBatch = true
+	sweepMigrationLeg(t, cfg)
+}
+
+// TestMigrationTortureSweepTxn: multi-key commits and snapshot reads
+// through the routed client across the handoff. Once the cutover splits
+// the hot set, a commit spanning both instances is refused typed
+// (ErrTxnCrossInstance) and records nothing; single-instance commits keep
+// their all-in-or-all-out contract on either side.
+func TestMigrationTortureSweepTxn(t *testing.T) {
+	cfg := migTortureConfig()
+	cfg.Txn = true
+	sweepMigrationLeg(t, cfg)
+}

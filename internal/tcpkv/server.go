@@ -202,6 +202,7 @@ type Server struct {
 	clSelf    string       // advertised address of this instance
 	clMap     *cluster.Map // authoritative ownership; nil = disabled
 	clBlocked map[int]bool // PGs refusing routed ops mid-cutover
+	clMetrics sync.Once    // cluster counters registered
 
 	// mig points at the active migration's dirty-key tracker (nil when no
 	// migration is running); migOne serializes migrations per source.
@@ -388,7 +389,21 @@ func (s *Server) Serve(ln net.Listener) error {
 				return err
 			}
 		}
+		// Decide "closing?" and Add under the lock Close holds before it
+		// waits: an Add racing Wait breaks the WaitGroup contract, and a
+		// connection registered after Close swept conns would never be
+		// disconnected.
+		s.connMu.Lock()
+		select {
+		case <-s.closing:
+			s.connMu.Unlock()
+			conn.Close()
+			return nil
+		default:
+		}
 		s.wg.Add(1)
+		s.conns[conn] = struct{}{}
+		s.connMu.Unlock()
 		go s.serveConn(conn)
 	}
 }
@@ -433,9 +448,6 @@ func (s *Server) Close() error {
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer conn.Close()
-	s.connMu.Lock()
-	s.conns[conn] = struct{}{}
-	s.connMu.Unlock()
 	defer func() {
 		s.connMu.Lock()
 		delete(s.conns, conn)
@@ -605,7 +617,9 @@ func (s *Server) serveOneSided(conn net.Conn) {
 		off := int(binary.BigEndian.Uint64(raw[5:]))
 		length := int(binary.BigEndian.Uint32(raw[13:]))
 		base, size, ok := s.region(rkey)
-		if !ok || off < 0 || length < 0 || off+length > size {
+		// Compared without adding: off+length wraps for an offset near the
+		// top of the int range, and the sum would pass as in-bounds.
+		if !ok || off < 0 || length < 0 || off > size || length > size-off {
 			conn.Write(nak[:])
 			continue
 		}

@@ -2,8 +2,10 @@ package tcpkv
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"path/filepath"
 	"sync"
@@ -336,7 +338,9 @@ func TestLogCleaningOverTCP(t *testing.T) {
 	var mu sync.Mutex
 	stopReader := make(chan struct{})
 	var readerErr error
+	readerDone := make(chan struct{})
 	go func() {
+		defer close(readerDone)
 		rcl, err := Dial(addr)
 		if err != nil {
 			readerErr = err
@@ -383,6 +387,7 @@ func TestLogCleaningOverTCP(t *testing.T) {
 		mu.Unlock()
 	}
 	close(stopReader)
+	<-readerDone // readerErr is the reader's until it has exited
 	// Wait for any in-flight cleaning to finish.
 	for i := 0; i < 1000 && srv.Cleaning(); i++ {
 		time.Sleep(time.Millisecond)
@@ -587,5 +592,96 @@ func TestShardedConcurrentClients(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// TestOneSidedBoundsOverflow: a one-sided frame whose offset sits at the
+// top of the int range makes off+length wrap negative. The bounds check
+// must refuse it with a NAK — not index the device out of range, which
+// panics the whole process from a connection goroutine — and the same
+// connection must keep serving valid frames afterwards.
+func TestOneSidedBoundsOverflow(t *testing.T) {
+	cfg := smallConfig()
+	_, addr := startServer(t, nvm.New(cfg.DeviceSize()), cfg)
+	conn, err := dialChannel(addr, chanOneSided)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	exchange := func(op byte, off uint64, length uint32, data []byte) (status byte, payload []byte) {
+		t.Helper()
+		frame := make([]byte, 21, 21+len(data))
+		binary.BigEndian.PutUint32(frame, uint32(17+len(data)))
+		frame[4] = op
+		binary.BigEndian.PutUint32(frame[5:], rkeyTable)
+		binary.BigEndian.PutUint64(frame[9:], off)
+		binary.BigEndian.PutUint32(frame[17:], length)
+		if _, err := conn.Write(append(frame, data...)); err != nil {
+			t.Fatal(err)
+		}
+		var hdr [5]byte
+		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+			t.Fatalf("op %d off %#x: no reply (server died?): %v", op, off, err)
+		}
+		payload = make([]byte, binary.BigEndian.Uint32(hdr[:])-1)
+		if _, err := io.ReadFull(conn, payload); err != nil {
+			t.Fatal(err)
+		}
+		return hdr[4], payload
+	}
+	const top = 0x7fff_ffff_ffff_ffff
+	if st, p := exchange(opRead, top, 16, nil); st != 0 || len(p) != 0 {
+		t.Fatalf("hostile READ: status %d with %d bytes, want a bare NAK", st, len(p))
+	}
+	if st, _ := exchange(opWrite, top, 16, make([]byte, 16)); st != 0 {
+		t.Fatalf("hostile WRITE: status %d, want NAK", st)
+	}
+	if st, p := exchange(opRead, 0, 64, nil); st != 1 || len(p) != 64 {
+		t.Fatalf("valid READ after the hostile frames: status %d, %d bytes", st, len(p))
+	}
+}
+
+// TestDialDuringCloseRaceFree hammers connection attempts against a
+// server that is closing. Under -race this pins the accept loop's
+// WaitGroup discipline (Add must not run concurrently with Close's Wait);
+// without it, it pins that Close returns: a connection accepted late is
+// dropped, not left for a serve goroutine nobody will ever disconnect.
+func TestDialDuringCloseRaceFree(t *testing.T) {
+	cfg := smallConfig()
+	for round := 0; round < 20; round++ {
+		srv, err := NewServer(nvm.New(cfg.DeviceSize()), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		go srv.Serve(ln)
+		addr := ln.Addr().String()
+		var wg sync.WaitGroup
+		for d := 0; d < 4; d++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					conn, err := net.Dial("tcp", addr)
+					if err != nil {
+						return // listener closed
+					}
+					conn.Close()
+				}
+			}()
+		}
+		time.Sleep(time.Duration(round%4) * time.Millisecond)
+		closed := make(chan struct{})
+		go func() { srv.Close(); close(closed) }()
+		select {
+		case <-closed:
+		case <-time.After(10 * time.Second):
+			t.Fatal("Close hung with dials in flight")
+		}
+		wg.Wait()
 	}
 }
