@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -14,20 +13,22 @@ import (
 	"efactory/internal/hint"
 	"efactory/internal/kv"
 	"efactory/internal/nvm"
+	"efactory/internal/server"
 	"efactory/internal/store"
 	"efactory/internal/txn"
 	"efactory/internal/wire"
 )
 
-// fakeVerbs is an in-memory transport: RPCs are answered by a real
-// single-shard store on an nvm.Memory, one-sided requests touch that
-// device directly (rkey 1 = table, 2 and 3 = the pools), and a hook lets a
-// test refuse or mangle individual READs — the paths a full transport
-// reaches only by accident of timing.
+// fakeVerbs is an in-memory transport: RPCs are answered by the server
+// protocol core over a real single-shard store on an nvm.Memory, one-sided
+// requests touch that device directly (rkey 1 = table, 2 and 3 = the
+// pools), and a hook lets a test refuse or mangle individual READs — the
+// paths a full transport reaches only by accident of timing.
 type fakeVerbs struct {
-	dev *nvm.Memory
-	st  *store.Store
-	txn *txn.Manager
+	dev  *nvm.Memory
+	st   *store.Store
+	core *server.Core
+	sc   server.Scratch
 
 	rpcs   []uint8 // request types, in order
 	bursts int     // READ bursts posted
@@ -46,7 +47,8 @@ func newFake(t *testing.T, buckets int) (*fakeVerbs, *Core, *Stats) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := &fakeVerbs{dev: dev, st: st, txn: txn.NewManager(st, &sync.Mutex{})}
+	f := &fakeVerbs{dev: dev, st: st}
+	f.core = server.New(txn.NewManager(st, nil), [][2]uint32{{2, 3}}, 0, nil)
 	stats := new(Stats)
 	return f, New(f, []Shard{{Table: 1, Pool: [2]uint32{2, 3}}}, buckets, stats), stats
 }
@@ -78,93 +80,17 @@ func (f *fakeVerbs) Now() uint64     { return 0 }
 func (f *fakeVerbs) ChargeCRC(int)   {}
 func (f *fakeVerbs) Release(*[]byte) {}
 
-func wireStatus(st store.Status) uint8 {
-	switch st {
-	case store.StatusOK:
-		return wire.StOK
-	case store.StatusNotFound:
-		return wire.StNotFound
-	}
-	return wire.StFull
-}
-
+// Call hands the request to the shared server protocol core — the same
+// handlers both real transports serve — and copies the payload out of the
+// core's scratch, as crossing a wire would.
 func (f *fakeVerbs) Call(req wire.Msg) (wire.Msg, *[]byte, error) {
 	f.rpcs = append(f.rpcs, req.Type)
-	eng := f.eng()
-	switch req.Type {
-	case wire.TPut:
-		r := eng.Put(nil, req.Key, int(req.Len), req.Crc)
-		return wire.Msg{Status: wireStatus(r.Status), RKey: 2 + uint32(r.Pool), Off: r.Off, Len: uint64(r.Len)}, nil, nil
-	case wire.TPutBatch:
-		ops, err := wire.DecodePutOps(req.Value)
-		if err != nil {
-			return wire.Msg{Status: wire.StError}, nil, nil
-		}
-		grants := make([]wire.PutGrant, len(ops))
-		for i, op := range ops {
-			r := eng.Put(nil, op.Key, op.VLen, op.Crc)
-			grants[i] = wire.PutGrant{Status: wireStatus(r.Status), RKey: 2 + uint32(r.Pool), Off: r.Off, Len: uint32(r.Len)}
-		}
-		return wire.Msg{Value: wire.EncodePutGrants(grants)}, nil, nil
-	case wire.TGet:
-		r := eng.Get(nil, req.Key)
-		return wire.Msg{Status: wireStatus(r.Status), RKey: 2 + uint32(r.Pool), Off: r.Off, Len: uint64(r.Len)}, nil, nil
-	case wire.TGetBatch:
-		ops, err := wire.DecodeGetOps(req.Value)
-		if err != nil {
-			return wire.Msg{Status: wire.StError}, nil, nil
-		}
-		keys := make([][]byte, len(ops))
-		slots := make([]int, len(ops))
-		for i, op := range ops {
-			keys[i], slots[i] = op.Key, -1
-			if op.Slot != wire.NoSlot {
-				slots[i] = int(op.Slot)
-			}
-		}
-		grants := make([]wire.GetGrant, len(ops))
-		for i, r := range eng.GetBatch(nil, keys, slots) {
-			grants[i] = wire.GetGrant{Status: wireStatus(r.Status)}
-			if r.Status == store.StatusOK {
-				grants[i] = wire.GetGrant{
-					RKey: 2 + uint32(r.Pool), Slot: uint32(r.Slot), Len: uint32(r.Len),
-					KLen: uint32(r.KLen), Off: r.Off, Seq: r.Seq,
-				}
-				if r.Durable {
-					grants[i].Flags = wire.GrantDurable
-				}
-			}
-		}
-		return wire.Msg{Value: wire.EncodeGetGrants(grants)}, nil, nil
-	case wire.TDel:
-		return wire.Msg{Status: wireStatus(eng.Del(nil, req.Key))}, nil, nil
-	case wire.TTxnCommit:
-		ops, err := wire.DecodeTxnOps(req.Value)
-		if err != nil {
-			return wire.Msg{Status: wire.StError}, nil, nil
-		}
-		keys, vals := make([][]byte, len(ops)), make([][]byte, len(ops))
-		for i, op := range ops {
-			keys[i], vals[i] = op.Key, op.Value
-		}
-		id, _, st := f.txn.Commit(nil, keys, vals)
-		return wire.Msg{Status: wireStatus(st), Off: id}, nil, nil
-	case wire.TTxnRead:
-		ops, err := wire.DecodeGetOps(req.Value)
-		if err != nil {
-			return wire.Msg{Status: wire.StError}, nil, nil
-		}
-		keys := make([][]byte, len(ops))
-		for i, op := range ops {
-			keys[i] = op.Key
-		}
-		var rs []wire.TxnResult
-		for _, r := range f.txn.SnapshotGet(nil, keys) {
-			rs = append(rs, wire.TxnResult{Status: wireStatus(r.Status), Seq: r.Seq, Value: r.Value})
-		}
-		return wire.Msg{Value: wire.EncodeTxnResults(rs)}, nil, nil
+	resp, ok := f.core.Handle(nil, req, &f.sc)
+	if !ok {
+		resp.Status = wire.StError
 	}
-	return wire.Msg{Status: wire.StError}, nil, nil
+	resp.Value = bytes.Clone(resp.Value)
+	return resp, nil, nil
 }
 
 // region resolves an rkey to a device window.

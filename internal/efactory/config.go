@@ -6,14 +6,14 @@
 // The storage logic — multi-version log structuring, the background
 // verification thread (§4.3.2), the selective durability guarantee, the
 // two-stage log cleaner (§4.4), and crash recovery — lives in the shared,
-// shardable engine in internal/store. This package is the
-// simulation-transport adapter over it: it owns the RNIC, the request
-// workers, the per-shard memory regions, and charges every engine op as
-// virtual time through a store.CostSink, so the same engine code that runs
-// on real goroutines over TCP (internal/tcpkv) is here driven by the
-// discrete-event scheduler. Client.Get keeps the hybrid read scheme:
-// optimistic pure one-sided reads with a durability-flag check, falling
-// back to the RPC+RDMA path (client.go).
+// shardable engine in internal/store; the request handling lives in the
+// server protocol core (internal/server) and the client protocol in the
+// client core (internal/client). This package is the simulation transport
+// binding of all three: it owns the RNIC, the request workers, the
+// per-shard memory regions, and charges every engine op as virtual time
+// through a store.CostSink, so the same code that runs on real goroutines
+// over TCP (internal/tcpkv) is here driven by the discrete-event
+// scheduler.
 package efactory
 
 import (

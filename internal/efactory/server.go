@@ -5,13 +5,13 @@ import (
 	"time"
 
 	"efactory/internal/client"
-	"efactory/internal/cluster"
 	"efactory/internal/fault"
 	"efactory/internal/kv"
 	"efactory/internal/model"
 	"efactory/internal/nvm"
 	"efactory/internal/obs"
 	"efactory/internal/rnic"
+	"efactory/internal/server"
 	"efactory/internal/sim"
 	"efactory/internal/store"
 	"efactory/internal/trace"
@@ -86,7 +86,8 @@ func proc(h any) *sim.Proc {
 // Server is the eFactory server node: NVM device, the sharded storage
 // engine (internal/store), per-shard memory regions, request workers, and
 // one background verification process per shard. All storage logic lives
-// in the engine; this type is the simulation-transport adapter.
+// in the engine and all request handling in the protocol core
+// (internal/server); this type is the simulation transport binding.
 type Server struct {
 	env *sim.Env
 	par *model.Params
@@ -96,6 +97,7 @@ type Server struct {
 	dev  *nvm.Memory
 	st   *store.Store
 	txn  *txn.Manager
+	core *server.Core
 	sink *simSink
 
 	tableMR []*rnic.MR
@@ -170,12 +172,16 @@ func (s *Server) initStore() store.RecoveryStats {
 	l := st.Layout()
 	s.tableMR = make([]*rnic.MR, l.Shards)
 	s.poolMR = make([][2]*rnic.MR, l.Shards)
+	pools := make([][2]uint32, l.Shards)
 	for sh := 0; sh < l.Shards; sh++ {
 		s.tableMR[sh] = s.nic.RegisterMR(s.dev, l.TableBase(sh), l.TableBytesAligned())
 		for i := 0; i < 2; i++ {
 			s.poolMR[sh][i] = s.nic.RegisterMR(s.dev, l.PoolBase(sh, i), l.PoolSize)
+			pools[sh][i] = s.poolMR[sh][i].RKey()
 		}
 	}
+	// No Guard: the simulated server is unclustered.
+	s.core = server.New(s.txn, pools, 0, nil)
 	return rst
 }
 
@@ -192,25 +198,10 @@ func (s *Server) startProcs() {
 }
 
 // bgLoop drives one shard's background verification thread (§4.3.2).
-// With BGBatch > 1 it uses the group-verified, group-flushed path, sizing
-// each batch from the shard's durability lag.
 func (s *Server) bgLoop(eng *store.Engine, p *sim.Proc) {
 	for !s.stopped {
-		progressed := false
-		for pi := 0; pi < 2; pi++ {
-			if s.cfg.BGBatch > 1 {
-				for eng.BGBatch(p, pi, eng.AdaptiveBGBatch(s.cfg.BGBatch)) > 0 {
-					progressed = true
-				}
-			} else {
-				for eng.BGStep(p, pi) {
-					progressed = true
-				}
-			}
-		}
-		if !progressed {
-			p.Sleep(s.par.BGIdlePoll)
-		}
+		eng.BGDrain(p, s.cfg.BGBatch)
+		p.Sleep(s.par.BGIdlePoll)
 	}
 }
 
@@ -293,8 +284,10 @@ func (s *Server) recvCost() time.Duration {
 }
 
 // worker is one request-processing thread: it drains the shared receive
-// queue and dispatches requests to the owning shard's engine.
+// queue and hands each request to the protocol core, charging the
+// per-message receive, dispatch and send costs around it.
 func (s *Server) worker(p *sim.Proc) {
+	var sc server.Scratch
 	for {
 		msg, ok := s.srq.Get(p)
 		if !ok {
@@ -306,33 +299,19 @@ func (s *Server) worker(p *sim.Proc) {
 			continue
 		}
 		s.busy(p, s.par.DispatchCost)
-		shard := cluster.ShardFor(m.Key, s.st.NumShards())
-		eng := s.st.Shard(shard)
 		// A traced frame opens a server-side root span; engine calls see
 		// the wrapped handle and attach their section spans to it.
 		var h any = p
 		tc := trace.NewCtx(m.Trace)
 		t0 := uint64(s.env.Now())
 		if tc != nil {
-			tc.Root("server_"+serverOpName(m.Type), t0, 0)
+			tc.Root("server_"+server.OpName(m.Type), t0, 0)
 			tc.SetRoot(0, "", kv.HashKey(m.Key))
 			h = trace.Wrap(p, tc)
 		}
-		switch m.Type {
-		case wire.TPut:
-			s.handlePut(p, h, msg.From, shard, eng, m)
-		case wire.TPutBatch:
-			s.handlePutBatch(p, h, msg.From, m)
-		case wire.TGet:
-			s.handleGet(p, h, msg.From, shard, eng, m)
-		case wire.TGetBatch:
-			s.handleGetBatch(p, h, msg.From, m)
-		case wire.TDel:
-			s.handleDel(p, h, msg.From, eng, m)
-		case wire.TTxnCommit:
-			s.handleTxnCommit(p, h, msg.From, m)
-		case wire.TTxnRead:
-			s.handleTxnRead(p, h, msg.From, m)
+		if resp, ok := s.core.Handle(h, m, &sc); ok {
+			s.busy(p, s.par.SendCost)
+			_ = msg.From.Send(p, resp.Encode())
 		}
 		if tc != nil {
 			end := uint64(s.env.Now())
@@ -340,230 +319,6 @@ func (s *Server) worker(p *sim.Proc) {
 			s.tracer.Submit(tc, end-t0)
 		}
 	}
-}
-
-// serverOpName names a server root span after its request type.
-func serverOpName(t uint8) string {
-	switch t {
-	case wire.TPut:
-		return "put"
-	case wire.TPutBatch:
-		return "put_batch"
-	case wire.TGet:
-		return "get"
-	case wire.TGetBatch:
-		return "get_batch"
-	case wire.TDel:
-		return "del"
-	case wire.TTxnCommit:
-		return "txn_commit"
-	case wire.TTxnRead:
-		return "txn_read"
-	}
-	return "op"
-}
-
-func (s *Server) reply(p *sim.Proc, to *rnic.Endpoint, eng *store.Engine, m wire.Msg) {
-	if eng.Cleaning() {
-		m.Note |= wire.NoteCleaning
-	}
-	s.busy(p, s.par.SendCost)
-	_ = to.Send(p, m.Encode())
-}
-
-func (s *Server) handlePut(p *sim.Proc, h any, from *rnic.Endpoint, shard int, eng *store.Engine, m wire.Msg) {
-	res := eng.Put(h, m.Key, int(m.Len), m.Crc)
-	if res.Status != store.StatusOK {
-		s.reply(p, from, eng, wire.Msg{Type: wire.TPutResp, Status: wire.StFull})
-		return
-	}
-	s.reply(p, from, eng, wire.Msg{
-		Type:   wire.TPutResp,
-		Status: wire.StOK,
-		RKey:   s.poolMR[shard][res.Pool].RKey(),
-		Off:    res.Off,
-		Len:    uint64(res.Len),
-	})
-}
-
-// handlePutBatch allocates every op of a TPutBatch in one request: the
-// per-message recv/dispatch/send costs were paid once by the caller, so
-// the marginal cost of each extra op is just its engine work. Ops route
-// to their owning shards individually — a batch may span shards.
-func (s *Server) handlePutBatch(p *sim.Proc, h any, from *rnic.Endpoint, m wire.Msg) {
-	ops, err := wire.DecodePutOps(m.Value)
-	if err != nil {
-		s.replyAny(p, from, wire.Msg{Type: wire.TPutBatchResp, Status: wire.StError})
-		return
-	}
-	grants := make([]wire.PutGrant, len(ops))
-	for i, op := range ops {
-		shard := cluster.ShardFor(op.Key, s.st.NumShards())
-		eng := s.st.Shard(shard)
-		res := eng.Put(h, op.Key, op.VLen, op.Crc)
-		if res.Status != store.StatusOK {
-			grants[i] = wire.PutGrant{Status: wire.StFull}
-			continue
-		}
-		grants[i] = wire.PutGrant{
-			Status: wire.StOK,
-			RKey:   s.poolMR[shard][res.Pool].RKey(),
-			Off:    res.Off,
-			Len:    uint32(res.Len),
-		}
-	}
-	s.replyAny(p, from, wire.Msg{Type: wire.TPutBatchResp, Status: wire.StOK, Value: wire.EncodePutGrants(grants)})
-}
-
-// replyAny is reply for responses not tied to one shard: the cleaning
-// note is set if any shard is mid-cleaning.
-func (s *Server) replyAny(p *sim.Proc, to *rnic.Endpoint, m wire.Msg) {
-	if s.st.Cleaning() {
-		m.Note |= wire.NoteCleaning
-	}
-	s.busy(p, s.par.SendCost)
-	_ = to.Send(p, m.Encode())
-}
-
-func (s *Server) handleGet(p *sim.Proc, h any, from *rnic.Endpoint, shard int, eng *store.Engine, m wire.Msg) {
-	res := eng.Get(h, m.Key)
-	if res.Status != store.StatusOK {
-		s.reply(p, from, eng, wire.Msg{Type: wire.TGetResp, Status: wire.StNotFound})
-		return
-	}
-	s.reply(p, from, eng, wire.Msg{
-		Type:   wire.TGetResp,
-		Status: wire.StOK,
-		RKey:   s.poolMR[shard][res.Pool].RKey(),
-		Off:    res.Off,
-		Len:    uint64(res.Len),
-		KLen:   uint32(res.KLen),
-	})
-}
-
-// handleGetBatch resolves every op of a TGetBatch in one request. Ops are
-// grouped by owning shard so each shard's engine takes its lock once per
-// batch; client-learned slots pass through as engine lookup hints. The
-// reply carries index-aligned grants, each with the resolved slot, version
-// sequence, and durability flag so clients can warm their hint caches.
-func (s *Server) handleGetBatch(p *sim.Proc, h any, from *rnic.Endpoint, m wire.Msg) {
-	ops, err := wire.DecodeGetOps(m.Value)
-	if err != nil {
-		s.replyAny(p, from, wire.Msg{Type: wire.TGetResults, Status: wire.StError})
-		return
-	}
-	grants := make([]wire.GetGrant, len(ops))
-	byShard := make([][]int, s.st.NumShards())
-	for i, op := range ops {
-		sh := cluster.ShardFor(op.Key, len(byShard))
-		byShard[sh] = append(byShard[sh], i)
-	}
-	for sh, list := range byShard {
-		if len(list) == 0 {
-			continue
-		}
-		keys := make([][]byte, len(list))
-		slots := make([]int, len(list))
-		for j, i := range list {
-			keys[j] = ops[i].Key
-			slots[j] = -1
-			if ops[i].Slot != wire.NoSlot {
-				slots[j] = int(ops[i].Slot)
-			}
-		}
-		for j, res := range s.st.Shard(sh).GetBatch(h, keys, slots) {
-			i := list[j]
-			if res.Status != store.StatusOK {
-				grants[i] = wire.GetGrant{Status: wire.StNotFound}
-				continue
-			}
-			var flags uint8
-			if res.Durable {
-				flags |= wire.GrantDurable
-			}
-			grants[i] = wire.GetGrant{
-				Status: wire.StOK,
-				Flags:  flags,
-				RKey:   s.poolMR[sh][res.Pool].RKey(),
-				Slot:   uint32(res.Slot),
-				Len:    uint32(res.Len),
-				KLen:   uint32(res.KLen),
-				Off:    res.Off,
-				Seq:    res.Seq,
-			}
-		}
-	}
-	s.replyAny(p, from, wire.Msg{Type: wire.TGetResults, Status: wire.StOK, Value: wire.EncodeGetGrants(grants)})
-}
-
-func (s *Server) handleDel(p *sim.Proc, h any, from *rnic.Endpoint, eng *store.Engine, m wire.Msg) {
-	if eng.Del(h, m.Key) != store.StatusOK {
-		s.reply(p, from, eng, wire.Msg{Type: wire.TDelResp, Status: wire.StNotFound})
-		return
-	}
-	s.reply(p, from, eng, wire.Msg{Type: wire.TDelResp, Status: wire.StOK})
-}
-
-// wireStatus maps an engine status to its wire code.
-func wireStatus(st store.Status) uint8 {
-	switch st {
-	case store.StatusOK:
-		return wire.StOK
-	case store.StatusNotFound:
-		return wire.StNotFound
-	case store.StatusFull:
-		return wire.StFull
-	}
-	return wire.StError
-}
-
-// handleTxnCommit applies a multi-key transaction: the ops arrive in one
-// doorbell-grouped message (values inline — staging is server-driven,
-// there is no one-sided write phase), the manager stages and commits
-// them, and the reply carries the transaction id plus index-aligned
-// per-op statuses.
-func (s *Server) handleTxnCommit(p *sim.Proc, h any, from *rnic.Endpoint, m wire.Msg) {
-	ops, err := wire.DecodeTxnOps(m.Value)
-	if err != nil {
-		s.replyAny(p, from, wire.Msg{Type: wire.TTxnCommitResp, Status: wire.StError})
-		return
-	}
-	keys := make([][]byte, len(ops))
-	vals := make([][]byte, len(ops))
-	for i, op := range ops {
-		keys[i], vals[i] = op.Key, op.Value
-	}
-	id, per, st := s.txn.Commit(h, keys, vals)
-	sts := make([]uint8, len(per))
-	for i, pst := range per {
-		sts[i] = wireStatus(pst)
-	}
-	s.replyAny(p, from, wire.Msg{
-		Type: wire.TTxnCommitResp, Status: wireStatus(st),
-		Off: id, Value: wire.EncodeTxnStatuses(sts),
-	})
-}
-
-// handleTxnRead serves a snapshot-isolated multi-key read: every key is
-// resolved at one cut pinned across shards. Values return inline (the
-// RPC read path) — the server already walked to the snapshot's version,
-// so there is no durable-location grant for a one-sided follow-up.
-func (s *Server) handleTxnRead(p *sim.Proc, h any, from *rnic.Endpoint, m wire.Msg) {
-	ops, err := wire.DecodeGetOps(m.Value)
-	if err != nil {
-		s.replyAny(p, from, wire.Msg{Type: wire.TTxnReadResp, Status: wire.StError})
-		return
-	}
-	keys := make([][]byte, len(ops))
-	for i, op := range ops {
-		keys[i] = op.Key
-	}
-	res := s.txn.SnapshotGet(h, keys)
-	rs := make([]wire.TxnResult, len(res))
-	for i, r := range res {
-		rs[i] = wire.TxnResult{Status: wireStatus(r.Status), Seq: r.Seq, Value: r.Value}
-	}
-	s.replyAny(p, from, wire.Msg{Type: wire.TTxnReadResp, Status: wire.StOK, Value: wire.EncodeTxnResults(rs)})
 }
 
 // Txn exposes the transaction manager (tests and tortures).

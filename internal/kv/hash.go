@@ -20,6 +20,11 @@ func HashKey(key []byte) uint64 {
 	return h
 }
 
+// MaxObjectSize bounds an object's total on-pool length: PackLoc keeps it
+// in 24 bits, so a request for anything this large or larger must be
+// refused before it reaches the log.
+const MaxObjectSize = 1 << 24
+
 // PackLoc encodes an object location — pool-relative offset plus total
 // on-pool length — into one 8-byte word so the pair can be updated with a
 // single atomic store (the paper's requirement that metadata updates be
@@ -29,7 +34,7 @@ func PackLoc(off uint64, totalLen int) uint64 {
 	if off >= 1<<40 {
 		panic("kv: offset exceeds 40 bits")
 	}
-	if totalLen <= 0 || totalLen >= 1<<24 {
+	if totalLen <= 0 || totalLen >= MaxObjectSize {
 		panic("kv: length outside (0, 2^24)")
 	}
 	return off | uint64(totalLen)<<40

@@ -12,10 +12,9 @@ import (
 // persist the object and set its durability flag. A mismatching object is
 // either still in flight (stall: return false and let the caller retry
 // later) or dead (past VerifyTimeout: mark invalid and move on; log
-// cleaning reclaims the space). Transports drive the loop: the simulation
-// runs one process per shard calling BGStep until it stalls, the TCP
-// server does the same from a ticker goroutine, taking the engine lock
-// per object so request handling interleaves.
+// cleaning reclaims the space). The engine lock is taken per object so
+// request handling interleaves. BGDrain is the loop transports run;
+// BGStep stays exported as BGBatch's reference implementation.
 func (e *Engine) BGStep(h any, pi int) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -224,6 +223,24 @@ func (e *Engine) BGBatch(h any, pi, max int) int {
 		}
 	}
 	return processed
+}
+
+// BGDrain runs the shard's verifier to a standstill: it passes over both
+// pools, verifying up to max objects per step (BGBatch sized from the
+// durability lag; max <= 1 is one object per step, BGStep), until a whole
+// pass moves neither cursor — each is parked at the end of its log or on
+// an in-flight value. Both transports' verifier loops are "BGDrain, then
+// wait": the simulation one process per shard sleeping BGIdlePoll, the TCP
+// server one goroutine per shard on a ticker.
+func (e *Engine) BGDrain(h any, max int) {
+	for progressed := true; progressed; {
+		progressed = false
+		for pi := 0; pi < 2; pi++ {
+			for e.BGBatch(h, pi, e.AdaptiveBGBatch(max)) > 0 {
+				progressed = true
+			}
+		}
+	}
 }
 
 // adaptiveBatchStep is the durability-lag backlog that buys one more

@@ -243,32 +243,13 @@ func (s *Server) unblockPG(pg int) {
 	s.clMu.Unlock()
 }
 
-// unowned reports whether key must be rejected with StWrongEpoch, and
-// at which epoch. With a nil map every key is owned (clustering off).
-func (s *Server) unowned(key []byte) (epoch uint64, reject bool) {
-	s.clMu.RLock()
-	m := s.clMap
-	name := s.clName
-	var blocked bool
-	if m != nil && len(s.clBlocked) > 0 {
-		blocked = s.clBlocked[cluster.PGOf(kv.HashKey(key), m.PGs)]
-	}
-	s.clMu.RUnlock()
-	if m == nil {
-		return 0, false
-	}
-	if blocked || !m.Owns(name, kv.HashKey(key)) {
-		s.wrongEpoch.Add(1)
-		return m.Epoch, true
-	}
-	return 0, false
-}
-
-// unownedAny checks a batch: if ANY key is unowned the whole batch is
-// rejected — batches are all-or-nothing on the wire, and a split batch
+// unowned reports whether a request naming keys must be rejected with
+// StWrongEpoch, and at which epoch. If ANY key is unowned the whole request
+// is rejected — requests are all-or-nothing on the wire, and a split batch
 // would force per-op status plumbing through the grant arrays for an
 // event that is rare (it only happens while a client's map is stale).
-func (s *Server) unownedAny(keys [][]byte) (epoch uint64, reject bool) {
+// With a nil map every key is owned (clustering off).
+func (s *Server) unowned(keys [][]byte) (epoch uint64, reject bool) {
 	s.clMu.RLock()
 	m := s.clMap
 	name := s.clName
@@ -289,6 +270,27 @@ func (s *Server) unownedAny(keys [][]byte) (epoch uint64, reject bool) {
 	}
 	s.clMu.RUnlock()
 	return 0, false
+}
+
+// guard is Server seen through the protocol core's placement seam
+// (server.Guard). A distinct type so the three hooks do not join Server's
+// exported method set.
+type guard Server
+
+// Gate is the read side of opGate: every mutating request holds it across
+// ownership check, apply and dirty-note.
+func (g *guard) Gate() sync.Locker { return g.opGate.RLocker() }
+
+func (g *guard) Unowned(keys [][]byte) (uint64, bool) { return (*Server)(g).unowned(keys) }
+
+// Applied notes key dirty for a running migration and, for a DELETE,
+// mirrors the tombstone: false means it is not quorum-durable, so the
+// DELETE must not be acknowledged — a crash of this primary now must not
+// resurrect an acked delete.
+func (g *guard) Applied(h any, eng *store.Engine, key []byte, del bool) bool {
+	s := (*Server)(g)
+	s.noteDirty(key)
+	return !del || s.mirrorDelete(h, eng, key)
 }
 
 // migTracker records keys mutated while a migration is copying their

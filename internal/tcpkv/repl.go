@@ -163,7 +163,7 @@ func (s *Server) replicate(h any, rec store.ExportKey) bool {
 	defer s.replPending.Add(-1)
 	_, tc := trace.Unwrap(h)
 	t0 := uint64(time.Now().UnixNano())
-	_, eng := s.shardFor(rec.Key)
+	eng := s.st.Shard(s.st.ShardFor(rec.Key))
 	acks, live := 1, 1
 	for _, b := range backups {
 		switch s.appendTo(eng, m, b, rec) {

@@ -4,7 +4,8 @@
 // version chains, durability flags, background verification, two-stage
 // log cleaning, and crash recovery — lives in the shared sharded engine
 // (internal/store), driven here on real goroutines with real locks and
-// the wall clock; this package is the TCP protocol adapter. RDMA
+// the wall clock — and the request handling in the shared protocol core
+// (internal/server); this package is the TCP transport binding. RDMA
 // semantics are emulated faithfully:
 //
 //   - One-sided READ/WRITE frames are served by a dedicated engine
@@ -33,8 +34,8 @@
 // the NEXT cleaning recycles that region — at which point the zeroed bytes
 // fail the Magic/durability checks and the client falls back to the RPC
 // path — or (b) a reclaimed entry, which also falls back. Responses still
-// carry wire.NoteCleaning so RPC-active clients can bias toward the server
-// path during cleaning.
+// carry wire.NoteCleaning (set by the core from the shards a request
+// addressed), which this transport's client ignores.
 //
 // Backed by an nvm.FileBacked device the store survives process restarts:
 // on startup each shard recovers by walking version lists and restoring
@@ -58,6 +59,7 @@ import (
 	"efactory/internal/kv"
 	"efactory/internal/nvm"
 	"efactory/internal/obs"
+	"efactory/internal/server"
 	"efactory/internal/store"
 	"efactory/internal/trace"
 	"efactory/internal/txn"
@@ -79,9 +81,9 @@ const (
 // is zero.
 const DefaultPipelineWorkers = 4
 
-// DefaultMaxGetBatch caps the ops per TGetBatch request when
+// DefaultMaxGetBatch caps the ops per TGetBatch or TTxnRead request when
 // Config.MaxGetBatch is zero.
-const DefaultMaxGetBatch = 1024
+const DefaultMaxGetBatch = server.DefaultMaxOps
 
 // One-sided opcodes.
 const (
@@ -125,8 +127,9 @@ type Config struct {
 	// requests the server processes concurrently. 0 means
 	// DefaultPipelineWorkers.
 	PipelineWorkers int
-	// MaxGetBatch caps how many ops one TGetBatch request may carry; larger
-	// batches are rejected with StError. 0 means DefaultMaxGetBatch.
+	// MaxGetBatch caps how many ops one TGetBatch or TTxnRead request may
+	// carry; larger batches are rejected with StError. 0 means
+	// DefaultMaxGetBatch.
 	MaxGetBatch int
 	// Replicas is the copies-per-PG target (primary included) a clustered
 	// server seeds its map with: joining instances are attached as backups
@@ -185,6 +188,7 @@ type Server struct {
 	dev    nvm.Device
 	st     *store.Store
 	txn    *txn.Manager
+	core   *server.Core
 	layout kv.Layout
 
 	closing   chan struct{}
@@ -321,6 +325,12 @@ func NewServer(dev nvm.Device, cfg Config) (*Server, error) {
 	// actual mutual exclusion (unlike the cooperative simulation).
 	s.txn = txn.NewManager(st, nil)
 	s.layout = st.Layout()
+	pools := make([][2]uint32, st.NumShards())
+	for sh := range pools {
+		_, poolBase := shardRKeys(sh)
+		pools[sh] = [2]uint32{poolBase, poolBase + 1}
+	}
+	s.core = server.New(s.txn, pools, cfg.MaxGetBatch, (*guard)(s))
 	// Cluster state is first-class telemetry even on an unclustered
 	// server: epoch 0 / zero rejects say "placement layer idle" instead
 	// of the series not existing.
@@ -513,7 +523,7 @@ func (s *Server) servePipelined(conn net.Conn) {
 	}
 	// Persistent workers instead of a goroutine per request: the spawn,
 	// its closure, and its response buffer were three allocations per op
-	// on the hot path. Each worker owns a handler scratch and a response
+	// on the hot path. Each worker owns a core scratch and a response
 	// frame buffer for its connection lifetime; request frames come from
 	// frameBufPool and go back once the response is encoded.
 	jobs := make(chan pipeJob, workers)
@@ -525,14 +535,11 @@ func (s *Server) servePipelined(conn net.Conn) {
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			var sc handlerScratch
+			var sc server.Scratch
 			out := make([]byte, 0, 4096)
 			var zero [8]byte
 			for job := range jobs {
 				resp := s.handle(job.m, &sc)
-				if s.Cleaning() {
-					resp.Note |= wire.NoteCleaning
-				}
 				// Frame: 4-byte length + 4-byte seq echo + message.
 				out = append(out[:0], zero[:]...)
 				out = resp.AppendEncode(out)
@@ -678,30 +685,15 @@ func shardRKeys(sh int) (table, poolBase uint32) {
 	return uint32(rkeyTable + rkeysPerShard*sh), uint32(rkeyPoolBase + rkeysPerShard*sh)
 }
 
-// handlerScratch holds the reusable buffers one pipelined worker threads
-// through the hot handlers, so steady-state PUT/GET traffic allocates
-// nothing.
-// The response Msg returned by a handler may alias these buffers; the
-// caller must finish encoding it before handling the next request.
-type handlerScratch struct {
-	putOps   []wire.PutOp
-	keys     [][]byte
-	grants   []wire.PutGrant
-	byShard  [][]int
-	shardOps []store.PutOp
-	shardRes []store.PutResult
-	payload  []byte // encoded response payload (Msg.Value)
-}
-
 // handle processes one RPC, opening a server-side root span when the
 // request frame carried a trace ID.
-func (s *Server) handle(m wire.Msg, sc *handlerScratch) wire.Msg {
+func (s *Server) handle(m wire.Msg, sc *server.Scratch) wire.Msg {
 	tc := trace.NewCtx(m.Trace)
 	if tc == nil {
 		return s.dispatch(nil, m, sc)
 	}
 	t0 := uint64(time.Now().UnixNano())
-	tc.Root("server_"+rpcName(m.Type), t0, 0)
+	tc.Root("server_"+server.OpName(m.Type), t0, 0)
 	if len(m.Key) > 0 {
 		tc.SetRoot(0, "", kv.HashKey(m.Key))
 	}
@@ -735,35 +727,14 @@ func (s *Server) handle(m wire.Msg, sc *handlerScratch) wire.Msg {
 	return resp
 }
 
-// rpcName names a server root span after its request type.
-func rpcName(t uint8) string {
-	switch t {
-	case wire.TPut:
-		return "put"
-	case wire.TPutBatch:
-		return "put_batch"
-	case wire.TGet:
-		return "get"
-	case wire.TGetBatch:
-		return "get_batch"
-	case wire.TDel:
-		return "del"
-	case wire.TReplAppend:
-		return "repl_append"
-	case wire.TPromote:
-		return "promote"
-	case wire.TTxnCommit:
-		return "txn_commit"
-	case wire.TTxnRead:
-		return "txn_read"
+// dispatch routes one RPC: the seven data-plane requests to the protocol
+// core, everything else to this transport's control plane. h is the
+// engine handle (nil, or trace-wrapped for traced requests), sc the
+// calling worker's reusable buffers.
+func (s *Server) dispatch(h any, m wire.Msg, sc *server.Scratch) wire.Msg {
+	if resp, ok := s.core.Handle(h, m, sc); ok {
+		return resp
 	}
-	return "op"
-}
-
-// dispatch routes one RPC to its handler; h is the engine handle (nil,
-// or trace-wrapped for traced requests), sc the caller's reusable
-// buffers (only the hot handlers use it).
-func (s *Server) dispatch(h any, m wire.Msg, sc *handlerScratch) wire.Msg {
 	switch m.Type {
 	case wire.THello:
 		return wire.Msg{
@@ -771,16 +742,6 @@ func (s *Server) dispatch(h any, m wire.Msg, sc *handlerScratch) wire.Msg {
 			RKey: rkeyTable, Token: rkeyPoolBase,
 			Len: uint64(s.cfg.Buckets), Off: uint64(s.layout.Shards),
 		}
-	case wire.TPut:
-		return s.handlePut(h, m)
-	case wire.TPutBatch:
-		return s.handlePutBatch(h, m, sc)
-	case wire.TGet:
-		return s.handleGet(h, m)
-	case wire.TGetBatch:
-		return s.handleGetBatch(h, m)
-	case wire.TDel:
-		return s.handleDel(h, m)
 	case wire.TStats:
 		blob, err := json.Marshal(s.Stats())
 		if err != nil {
@@ -809,10 +770,6 @@ func (s *Server) dispatch(h any, m wire.Msg, sc *handlerScratch) wire.Msg {
 		return s.handleMigrate(m)
 	case wire.TMigIngest:
 		return s.handleMigIngest(m)
-	case wire.TTxnCommit:
-		return s.handleTxnCommit(h, m)
-	case wire.TTxnRead:
-		return s.handleTxnRead(h, m)
 	case wire.TReplAppend:
 		return s.handleReplAppend(m)
 	case wire.TReplPull:
@@ -829,302 +786,11 @@ func (s *Server) dispatch(h any, m wire.Msg, sc *handlerScratch) wire.Msg {
 	return wire.Msg{Type: m.Type + 1, Status: wire.StError}
 }
 
-func (s *Server) shardFor(key []byte) (int, *store.Engine) {
-	sh := cluster.ShardFor(key, s.st.NumShards())
-	return sh, s.st.Shard(sh)
-}
-
-func (s *Server) handlePut(h any, m wire.Msg) wire.Msg {
-	s.opGate.RLock()
-	defer s.opGate.RUnlock()
-	if ep, reject := s.unowned(m.Key); reject {
-		return wire.Msg{Type: wire.TPutResp, Status: wire.StWrongEpoch, Token: uint32(ep)}
-	}
-	sh, eng := s.shardFor(m.Key)
-	res := eng.Put(h, m.Key, int(m.Len), m.Crc)
-	if res.Status != store.StatusOK {
-		return wire.Msg{Type: wire.TPutResp, Status: wire.StFull}
-	}
-	s.noteDirty(m.Key)
-	_, poolBase := shardRKeys(sh)
-	return wire.Msg{
-		Type: wire.TPutResp, Status: wire.StOK,
-		RKey: poolBase + uint32(res.Pool), Off: res.Off, Len: uint64(res.Len),
-	}
-}
-
-// handlePutBatch allocates every op in a multi-op PUT with one received
-// message and one response: the recv/dispatch/send overhead is paid once
-// per batch instead of once per object. Ops are grouped by owning shard
-// so each shard's engine takes its lock once per batch (run-to-completion
-// write application, mirroring handleGetBatch); grants come back
-// index-aligned with the ops. Every buffer comes from sc, so the steady
-// state allocates nothing.
-func (s *Server) handlePutBatch(h any, m wire.Msg, sc *handlerScratch) wire.Msg {
-	ops, err := wire.DecodePutOpsInto(m.Value, sc.putOps)
-	if err != nil {
-		return wire.Msg{Type: wire.TPutBatchResp, Status: wire.StError}
-	}
-	sc.putOps = ops
-	s.opGate.RLock()
-	defer s.opGate.RUnlock()
-	if len(ops) > 0 {
-		keys := sc.keys[:0]
-		for i := range ops {
-			keys = append(keys, ops[i].Key)
-		}
-		sc.keys = keys
-		// Any unowned key rejects the whole batch: batches are
-		// all-or-nothing on the wire (see unownedAny).
-		if ep, reject := s.unownedAny(keys); reject {
-			return wire.Msg{Type: wire.TPutBatchResp, Status: wire.StWrongEpoch, Token: uint32(ep)}
-		}
-	}
-	ns := s.st.NumShards()
-	if cap(sc.byShard) < ns {
-		sc.byShard = make([][]int, ns)
-	}
-	byShard := sc.byShard[:ns]
-	for sh := range byShard {
-		byShard[sh] = byShard[sh][:0]
-	}
-	for i := range ops {
-		sh := cluster.ShardFor(ops[i].Key, ns)
-		byShard[sh] = append(byShard[sh], i)
-	}
-	if cap(sc.grants) < len(ops) {
-		sc.grants = make([]wire.PutGrant, len(ops))
-	}
-	grants := sc.grants[:len(ops)]
-	for sh, list := range byShard {
-		if len(list) == 0 {
-			continue
-		}
-		sops := sc.shardOps[:0]
-		for _, i := range list {
-			sops = append(sops, store.PutOp{Key: ops[i].Key, VLen: ops[i].VLen, Crc: ops[i].Crc})
-		}
-		sc.shardOps = sops
-		res := s.st.Shard(sh).PutBatch(h, sops, sc.shardRes)
-		sc.shardRes = res
-		_, poolBase := shardRKeys(sh)
-		for j, r := range res {
-			i := list[j]
-			if r.Status != store.StatusOK {
-				grants[i] = wire.PutGrant{Status: wire.StFull}
-				continue
-			}
-			s.noteDirty(ops[i].Key)
-			grants[i] = wire.PutGrant{
-				Status: wire.StOK,
-				RKey:   poolBase + uint32(r.Pool),
-				Off:    r.Off,
-				Len:    uint32(r.Len),
-			}
-		}
-	}
-	sc.payload = wire.AppendPutGrants(sc.payload[:0], grants)
-	return wire.Msg{Type: wire.TPutBatchResp, Status: wire.StOK, Value: sc.payload}
-}
-
-func (s *Server) handleGet(h any, m wire.Msg) wire.Msg {
-	if ep, reject := s.unowned(m.Key); reject {
-		return wire.Msg{Type: wire.TGetResp, Status: wire.StWrongEpoch, Token: uint32(ep)}
-	}
-	sh, eng := s.shardFor(m.Key)
-	res := eng.Get(h, m.Key)
-	if res.Status != store.StatusOK {
-		return wire.Msg{Type: wire.TGetResp, Status: wire.StNotFound}
-	}
-	_, poolBase := shardRKeys(sh)
-	return wire.Msg{
-		Type: wire.TGetResp, Status: wire.StOK,
-		RKey: poolBase + uint32(res.Pool), Off: res.Off, Len: uint64(res.Len), KLen: uint32(res.KLen),
-	}
-}
-
-// handleGetBatch resolves every op of a multi-key GET with one received
-// message and one response. Ops are grouped by owning shard so each
-// shard's engine takes its lock once per batch; client-learned slots pass
-// through as engine lookup hints. Grants come back index-aligned with the
-// ops and carry the resolved slot, version sequence, and durability flag
-// so clients can warm their hint caches.
-func (s *Server) handleGetBatch(h any, m wire.Msg) wire.Msg {
-	ops, err := wire.DecodeGetOps(m.Value)
-	if err != nil {
-		return wire.Msg{Type: wire.TGetResults, Status: wire.StError}
-	}
-	max := s.cfg.MaxGetBatch
-	if max <= 0 {
-		max = DefaultMaxGetBatch
-	}
-	if len(ops) > max {
-		return wire.Msg{Type: wire.TGetResults, Status: wire.StError}
-	}
-	if len(ops) > 0 {
-		keys := make([][]byte, len(ops))
-		for i := range ops {
-			keys[i] = ops[i].Key
-		}
-		if ep, reject := s.unownedAny(keys); reject {
-			return wire.Msg{Type: wire.TGetResults, Status: wire.StWrongEpoch, Token: uint32(ep)}
-		}
-	}
-	grants := make([]wire.GetGrant, len(ops))
-	byShard := make([][]int, s.st.NumShards())
-	for i, op := range ops {
-		sh := cluster.ShardFor(op.Key, len(byShard))
-		byShard[sh] = append(byShard[sh], i)
-	}
-	for sh, list := range byShard {
-		if len(list) == 0 {
-			continue
-		}
-		keys := make([][]byte, len(list))
-		slots := make([]int, len(list))
-		for j, i := range list {
-			keys[j] = ops[i].Key
-			slots[j] = -1
-			if ops[i].Slot != wire.NoSlot {
-				slots[j] = int(ops[i].Slot)
-			}
-		}
-		_, poolBase := shardRKeys(sh)
-		for j, res := range s.st.Shard(sh).GetBatch(h, keys, slots) {
-			i := list[j]
-			if res.Status != store.StatusOK {
-				grants[i] = wire.GetGrant{Status: wire.StNotFound}
-				continue
-			}
-			var flags uint8
-			if res.Durable {
-				flags |= wire.GrantDurable
-			}
-			grants[i] = wire.GetGrant{
-				Status: wire.StOK,
-				Flags:  flags,
-				RKey:   poolBase + uint32(res.Pool),
-				Slot:   uint32(res.Slot),
-				Len:    uint32(res.Len),
-				KLen:   uint32(res.KLen),
-				Off:    res.Off,
-				Seq:    res.Seq,
-			}
-		}
-	}
-	return wire.Msg{Type: wire.TGetResults, Status: wire.StOK, Value: wire.EncodeGetGrants(grants)}
-}
-
-func (s *Server) handleDel(h any, m wire.Msg) wire.Msg {
-	s.opGate.RLock()
-	defer s.opGate.RUnlock()
-	if ep, reject := s.unowned(m.Key); reject {
-		return wire.Msg{Type: wire.TDelResp, Status: wire.StWrongEpoch, Token: uint32(ep)}
-	}
-	_, eng := s.shardFor(m.Key)
-	if eng.Del(h, m.Key) != store.StatusOK {
-		return wire.Msg{Type: wire.TDelResp, Status: wire.StNotFound}
-	}
-	s.noteDirty(m.Key)
-	if !s.mirrorDelete(h, eng, m.Key) {
-		// The tombstone is not quorum-durable, so the DELETE cannot be
-		// acknowledged: answering StError leaves the op pending — a crash
-		// of this primary now must not resurrect an acked delete, and an
-		// unacked one makes no promise.
-		return wire.Msg{Type: wire.TDelResp, Status: wire.StError}
-	}
-	return wire.Msg{Type: wire.TDelResp, Status: wire.StOK}
-}
-
 // Txn exposes the server's transaction manager (tests and tooling).
 func (s *Server) Txn() *txn.Manager { return s.txn }
 
-// txnWireStatus maps a store status to its wire byte.
-func txnWireStatus(st store.Status) uint8 {
-	switch st {
-	case store.StatusOK:
-		return wire.StOK
-	case store.StatusNotFound:
-		return wire.StNotFound
-	case store.StatusFull:
-		return wire.StFull
-	}
-	return wire.StError
-}
-
-// handleTxnCommit applies one atomic multi-key commit. Like handleDel and
-// handlePutBatch it holds the opGate read side across ownership check,
-// commit, and dirty-notes, so a migration cutover cannot slip between
-// them; any unowned key rejects the whole transaction (commits are
-// single-instance atomic).
-func (s *Server) handleTxnCommit(h any, m wire.Msg) wire.Msg {
-	ops, err := wire.DecodeTxnOps(m.Value)
-	if err != nil || len(ops) == 0 {
-		return wire.Msg{Type: wire.TTxnCommitResp, Status: wire.StError}
-	}
-	keys := make([][]byte, len(ops))
-	vals := make([][]byte, len(ops))
-	for i := range ops {
-		keys[i] = ops[i].Key
-		vals[i] = ops[i].Value
-	}
-	s.opGate.RLock()
-	defer s.opGate.RUnlock()
-	if ep, reject := s.unownedAny(keys); reject {
-		return wire.Msg{Type: wire.TTxnCommitResp, Status: wire.StWrongEpoch, Token: uint32(ep)}
-	}
-	id, per, st := s.txn.Commit(h, keys, vals)
-	if st == store.StatusOK {
-		for _, key := range keys {
-			s.noteDirty(key)
-		}
-	}
-	sts := make([]uint8, len(per))
-	for i, p := range per {
-		sts[i] = txnWireStatus(p)
-	}
-	return wire.Msg{Type: wire.TTxnCommitResp, Status: txnWireStatus(st), Off: id, Value: wire.EncodeTxnStatuses(sts)}
-}
-
-// handleTxnRead serves a snapshot-isolated multi-key read: every key is
-// resolved against one consistent cut of the version chains. Values travel
-// inline in the response — a snapshot must be read at the pinned cut, so
-// there is no one-sided grant phase.
-func (s *Server) handleTxnRead(h any, m wire.Msg) wire.Msg {
-	ops, err := wire.DecodeGetOps(m.Value)
-	if err != nil {
-		return wire.Msg{Type: wire.TTxnReadResp, Status: wire.StError}
-	}
-	max := s.cfg.MaxGetBatch
-	if max <= 0 {
-		max = DefaultMaxGetBatch
-	}
-	if len(ops) > max {
-		return wire.Msg{Type: wire.TTxnReadResp, Status: wire.StError}
-	}
-	keys := make([][]byte, len(ops))
-	for i := range ops {
-		keys[i] = ops[i].Key
-	}
-	if len(keys) > 0 {
-		if ep, reject := s.unownedAny(keys); reject {
-			return wire.Msg{Type: wire.TTxnReadResp, Status: wire.StWrongEpoch, Token: uint32(ep)}
-		}
-	}
-	res := s.txn.SnapshotGet(h, keys)
-	rs := make([]wire.TxnResult, len(res))
-	for i, r := range res {
-		rs[i] = wire.TxnResult{Status: txnWireStatus(r.Status), Seq: r.Seq, Value: r.Value}
-	}
-	return wire.Msg{Type: wire.TTxnReadResp, Status: wire.StOK, Value: wire.EncodeTxnResults(rs)}
-}
-
 // background drives one shard's verification-and-persisting thread
-// (§4.3.2) in real time: scan the logs, verify CRCs, flush, set
-// durability flags. With BGBatch <= 1 each BGStep takes the engine lock
-// for one object so request handling interleaves; with BGBatch > 1 the
-// verifier group-verifies and group-flushes a durability-lag-sized run of
-// objects per lock acquisition.
+// (§4.3.2) in real time: on every tick, run the verifier to a standstill.
 func (s *Server) background(eng *store.Engine) {
 	defer s.wg.Done()
 	ticker := time.NewTicker(s.cfg.BGInterval)
@@ -1135,20 +801,6 @@ func (s *Server) background(eng *store.Engine) {
 			return
 		case <-ticker.C:
 		}
-		progressed := true
-		for progressed {
-			progressed = false
-			for pi := 0; pi < 2; pi++ {
-				if s.cfg.BGBatch > 1 {
-					for eng.BGBatch(nil, pi, eng.AdaptiveBGBatch(s.cfg.BGBatch)) > 0 {
-						progressed = true
-					}
-				} else {
-					for eng.BGStep(nil, pi) {
-						progressed = true
-					}
-				}
-			}
-		}
+		eng.BGDrain(nil, s.cfg.BGBatch)
 	}
 }
