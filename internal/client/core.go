@@ -469,6 +469,22 @@ func checkObject(obj, key []byte) (kv.Header, int) {
 	return h, objOK
 }
 
+// location is the client's one rule for turning a one-sidedly read hash
+// entry into a read location: the object in the entry's current pool (an
+// entry's mark equals that pool's index). ok is false — ask the server —
+// for a tombstone, for an entry with no current location, and for an
+// entry naming two locations, which happens only mid-clean: which of them
+// is the key's newest is the server's head rule to decide. This is §4.4's
+// "use the RPC path during cleaning", decided per entry rather than by a
+// notification.
+func (g Shard) location(e kv.Entry) (pool uint32, off uint64, tlen int, ok bool) {
+	if e.Tombstone() || e.Current() == 0 || e.Other() != 0 {
+		return 0, 0, 0, false
+	}
+	off, tlen, _ = kv.UnpackLoc(e.Current())
+	return g.Pool[e.Mark()&1], off, tlen, true
+}
+
 // value returns the value bytes of an object that passed checkObject or
 // grantedObject.
 func value(obj []byte, h kv.Header) []byte {
@@ -526,11 +542,10 @@ func (c *Core) pureRead(tc *trace.Ctx, sc *scratch, key []byte, keyHash uint64) 
 		}
 	}
 	tc.Add("entry_probe", t, c.now(tc))
-	if slot < 0 || entry.Tombstone() || entry.Current() == 0 {
+	pool, off, tlen, ok := g.location(entry)
+	if slot < 0 || !ok {
 		return nil, readFallback, nil // the server resolves authoritatively
 	}
-	off, tlen, _ := kv.UnpackLoc(entry.Current())
-	pool := g.Pool[entry.Mark()&1] // entry marks equal the pool index by construction
 	obj := sc.object(tlen)
 	t = c.now(tc)
 	ok, err := c.readOne(sc, obj, pool, off)
@@ -590,12 +605,11 @@ func (c *Core) hintedRead(tc *trace.Ctx, sc *scratch, key []byte, keyHash uint64
 		c.hints.Invalidate(shard, key)
 		return nil, readMiss, nil
 	}
-	if e.Tombstone() || e.Current() == 0 {
+	pool, off, tlen, ok := g.location(e)
+	if !ok {
 		c.hints.Invalidate(shard, key)
 		return nil, readFallback, nil
 	}
-	off, tlen, _ := kv.UnpackLoc(e.Current())
-	pool := g.Pool[e.Mark()&1]
 	if off != h.Off || tlen != h.Len || pool != h.Pool {
 		// The key moved; the speculative bytes are a stale version. The
 		// entry names the current location — fetch that instead.

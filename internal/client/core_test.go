@@ -37,17 +37,28 @@ type fakeVerbs struct {
 	onRead func(burst, idx int, r *Req)
 	// nakWrites refuses every one-sided WRITE.
 	nakWrites bool
+
+	// A cleaning run parks on parked whenever a value it needs is still in
+	// flight and continues on resume; cleaned closes when it ends.
+	parked, resume, cleaned chan struct{}
+	inFlight                []func() // lands each tornPut value
 }
 
 func newFake(t *testing.T, buckets int) (*fakeVerbs, *Core, *Stats) {
 	t.Helper()
 	cfg := store.Config{Buckets: buckets, PoolSize: 1 << 20, VerifyTimeout: time.Second}
 	dev := nvm.New(cfg.DeviceSize())
-	st, _, err := store.New(dev, cfg, store.Deps{})
+	f := &fakeVerbs{dev: dev, parked: make(chan struct{}), resume: make(chan struct{}), cleaned: make(chan struct{})}
+	st, _, err := store.New(dev, cfg, store.Deps{
+		Spawn: func(name string, fn func(h any)) {
+			go func() { fn(nil); close(f.cleaned) }()
+		},
+		CleanerWait: func(any) bool { f.parked <- struct{}{}; <-f.resume; return true },
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := &fakeVerbs{dev: dev, st: st}
+	f.st = st
 	f.core = server.New(txn.NewManager(st, nil), [][2]uint32{{2, 3}}, 0, nil)
 	stats := new(Stats)
 	return f, New(f, []Shard{{Table: 1, Pool: [2]uint32{2, 3}}}, buckets, stats), stats
@@ -68,12 +79,37 @@ func (f *fakeVerbs) settle() {
 // PUT): the location changes, no hint of this client learns of it.
 func (f *fakeVerbs) serverPut(t *testing.T, key, val []byte) {
 	t.Helper()
+	f.tornPut(t, key, val)()
+	f.settle()
+}
+
+// tornPut allocates key=val on the server but leaves the value in flight;
+// the returned func lands it.
+func (f *fakeVerbs) tornPut(t *testing.T, key, val []byte) (land func()) {
+	t.Helper()
 	r := f.eng().Put(nil, key, len(val), crc.Checksum(val))
 	if r.Status != store.StatusOK {
 		t.Fatalf("server put: status %d", r.Status)
 	}
-	f.dev.Write(f.st.Layout().PoolBase(0, r.Pool)+int(r.Off)+kv.ValueOffset(len(key)), val)
-	f.settle()
+	land = func() { f.dev.Write(f.st.Layout().PoolBase(0, r.Pool)+int(r.Off)+kv.ValueOffset(len(key)), val) }
+	f.inFlight = append(f.inFlight, land)
+	return land
+}
+
+// finishCleaning lands every value still in flight and lets a parked
+// cleaning run go to its end.
+func (f *fakeVerbs) finishCleaning() {
+	for _, land := range f.inFlight {
+		land()
+	}
+	for {
+		f.resume <- struct{}{}
+		select {
+		case <-f.parked:
+		case <-f.cleaned:
+			return
+		}
+	}
 }
 
 func (f *fakeVerbs) Now() uint64     { return 0 }
@@ -168,6 +204,16 @@ func (f *fakeVerbs) rpcReads() int {
 		}
 	}
 	return n
+}
+
+// noObjectReadBeforeRPC is an onRead hook failing the test on any
+// one-sided object READ posted before the first read RPC.
+func noObjectReadBeforeRPC(t *testing.T, f *fakeVerbs) func(burst, idx int, r *Req) {
+	return func(burst, idx int, r *Req) {
+		if r.RKey != 1 && f.rpcReads() == 0 {
+			t.Error("one-sided object READ posted before asking the server")
+		}
+	}
 }
 
 // TestOptimisticReadPaths drives every branch of the hybrid read —
@@ -298,6 +344,50 @@ func TestOptimisticReadPaths(t *testing.T) {
 				}
 			},
 			want: v1, rpcs: 1, delta: Stats{FallbackReads: 1},
+		},
+		{
+			name: "entry naming two locations goes to the server",
+			setup: func(t *testing.T, f *fakeVerbs, c *Core) {
+				// The key is migrated and staged, then the cleaner parks in
+				// the compress stage on another key's value still in flight.
+				f.tornPut(t, []byte("blocker"), v2)
+				if err := c.Put(nil, key, v1); err != nil {
+					t.Fatal(err)
+				}
+				f.st.StartCleaning()
+				<-f.parked
+				f.onRead = noObjectReadBeforeRPC(t, f)
+			},
+			want: v1, rpcs: 1, delta: Stats{FallbackReads: 1},
+			after: func(t *testing.T, f *fakeVerbs, c *Core) { f.finishCleaning() },
+		},
+		{
+			name: "pre-delete version named after a merge-stage re-PUT is never served",
+			setup: func(t *testing.T, f *fakeVerbs, c *Core) {
+				landFirst := f.tornPut(t, []byte("blocker"), v2)
+				if err := c.Put(nil, key, v1); err != nil {
+					t.Fatal(err)
+				}
+				f.st.StartCleaning()
+				<-f.parked // compress stage: key migrated, blocker in flight
+				if err := c.Delete(nil, key); err != nil {
+					t.Fatal(err)
+				}
+				f.tornPut(t, []byte("blocker-2"), v2)
+				landFirst()
+				f.resume <- struct{}{}
+				<-f.parked // merge stage: blocker-2 in flight
+				if err := c.Put(nil, key, v2); err != nil {
+					t.Fatal(err)
+				}
+				_, en, _ := f.eng().Table().Lookup(kv.HashKey(key))
+				if off, _, _ := kv.UnpackLoc(en.Current()); en.Other() == 0 || f.eng().Pool(en.Mark()).Header(off).Seq >= en.CutSeq() {
+					t.Fatalf("entry %+v: want its current location to name the pre-delete version", en)
+				}
+				f.onRead = noObjectReadBeforeRPC(t, f)
+			},
+			want: v2, rpcs: 1, delta: Stats{FallbackReads: 1},
+			after: func(t *testing.T, f *fakeVerbs, c *Core) { f.finishCleaning() },
 		},
 		{
 			name: "empty bucket, unclustered: absent without asking",

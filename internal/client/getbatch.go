@@ -133,13 +133,15 @@ func (c *Core) GetBatch(tc *trace.Ctx, keys, vals [][]byte, errs []error) error 
 			})
 		}
 	}
-	// located records the location an entry names and queues its object
-	// READ for the next round.
-	located := func(st *gbState, e kv.Entry) {
-		off, tlen, _ := kv.UnpackLoc(e.Current())
-		st.pool = c.shards[st.shard].Pool[e.Mark()&1]
-		st.off, st.tlen = off, tlen
-		st.wantObj = true
+	// located queues the object READ for the location an entry names for
+	// the next round, or reports false when the server must resolve it.
+	located := func(st *gbState, e kv.Entry) bool {
+		pool, off, tlen, ok := c.shards[st.shard].location(e)
+		if ok {
+			st.pool, st.off, st.tlen = pool, off, tlen
+			st.wantObj = true
+		}
+		return ok
 	}
 
 	var reqs []Req
@@ -208,21 +210,20 @@ func (c *Core) GetBatch(tc *trace.Ctx, keys, vals [][]byte, errs []error) error 
 			switch st.phase {
 			case gbHinted:
 				e := kv.DecodeEntry(st.entry)
-				switch {
-				case e.KeyHash != st.keyHash || e.Free():
+				if e.KeyHash != st.keyHash || e.Free() {
 					restart(i) // wrong slot
-				case e.Tombstone() || e.Current() == 0:
-					invalidate(i)
+					continue
+				}
+				pool, off, tlen, ok := c.shards[st.shard].location(e)
+				if ok && off == st.off && tlen == st.tlen && pool == st.pool {
+					validateObj(i) // speculative bytes are the live version
+					continue
+				}
+				// Key moved: re-fetch from the entry's location next round,
+				// or let the server resolve it.
+				invalidate(i)
+				if !located(st, e) {
 					fallback(i)
-				default:
-					off, tlen, _ := kv.UnpackLoc(e.Current())
-					if off == st.off && tlen == st.tlen && c.shards[st.shard].Pool[e.Mark()&1] == st.pool {
-						validateObj(i) // speculative bytes are the live version
-						continue
-					}
-					// Key moved: re-fetch from the entry's location next round.
-					invalidate(i)
-					located(st, e)
 				}
 			case gbEntry:
 				e := kv.DecodeEntry(st.entry)
@@ -237,11 +238,9 @@ func (c *Core) GetBatch(tc *trace.Ctx, keys, vals [][]byte, errs []error) error 
 					errs[i] = ErrNotFound
 					st.done = true
 				case !e.Free() && e.KeyHash == st.keyHash:
-					if e.Tombstone() || e.Current() == 0 {
+					if !located(st, e) {
 						fallback(i)
-						continue
 					}
-					located(st, e)
 				default: // reclaimed slot or another key: probe past it
 					st.probe++
 					if st.probe >= maxEntryProbes {

@@ -288,17 +288,20 @@ func TestTableFlipMark(t *testing.T) {
 	tab.Publish(idx, PackLoc(64, 64)) // current = slot 0
 	e := tab.Entry(idx)
 	tab.SetLoc(idx, 1-e.Mark(), PackLoc(128, 64)) // stage new-pool location
-	tab.FlipMark(idx)
-	e = tab.Entry(idx)
-	if e.Mark() != 1 {
-		t.Fatalf("mark = %d after flip", e.Mark())
-	}
-	off, _, _ := UnpackLoc(e.Current())
-	if off != 128 {
-		t.Fatalf("current offset = %d, want 128", off)
-	}
-	if e.Other() != 0 {
-		t.Fatal("old-pool location not cleared by flip")
+	// Twice: the second flip to the same pool must leave the entry alone.
+	for range 2 {
+		tab.FlipMark(idx, 1)
+		e = tab.Entry(idx)
+		if e.Mark() != 1 {
+			t.Fatalf("mark = %d after flip", e.Mark())
+		}
+		off, _, _ := UnpackLoc(e.Current())
+		if off != 128 {
+			t.Fatalf("current offset = %d, want 128", off)
+		}
+		if e.Other() != 0 {
+			t.Fatal("old-pool location not cleared by flip")
+		}
 	}
 }
 

@@ -199,13 +199,15 @@ func (t *Table) FindSlot(keyHash uint64) (idx int, existed, ok bool) {
 	}
 	// Reuse a reclaimed slot: install the hash, then clear the free flag
 	// (a racing client that reads the intermediate state sees loc == 0 and
-	// falls back to the RPC path).
+	// falls back to the RPC path). The slot starts over from mark 0 like a
+	// fresh one: the mark it was freed under is stale after an even number
+	// of cleanings, and a wrong mark reads the two locations as each
+	// other's.
 	i = firstFree
-	e := t.Entry(i)
 	t.setWord(i, 0, keyHash)
 	t.SetLoc(i, 0, 0)
 	t.SetLoc(i, 1, 0)
-	t.SetFlags(i, e.Flags&uint64(entryMark))
+	t.SetFlags(i, 0)
 	return i, false, true
 }
 
@@ -277,20 +279,26 @@ func (t *Table) Undelete(i int, cutSeq uint64) {
 	t.SetFlags(i, cutSeq<<entryFlagBits|e.Flags&uint64(entryMark|entryFree))
 }
 
-// SetMark forces bucket i's mark bit (used when creating an entry while the
-// server's global mark is 1, so all entries agree on the current pool).
+// SetMark forces bucket i's mark bit (used when claiming a slot — which
+// FindSlot leaves at mark 0 — while the server's current pool is 1, so all
+// entries agree on the current pool).
 func (t *Table) SetMark(i, mark int) {
 	e := t.Entry(i)
 	t.SetFlags(i, e.Flags&^uint64(entryMark)|uint64(mark&1))
 }
 
-// FlipMark switches bucket i's current pool and clears the old location,
-// the final step of log cleaning for each migrated entry.
-func (t *Table) FlipMark(i int) {
+// FlipMark makes pool mark bucket i's current pool and clears the other
+// location, the final step of log cleaning for each migrated entry. It
+// names the pool rather than toggling, so an entry already on it (created
+// while the cleaner merged) keeps its only location.
+func (t *Table) FlipMark(i, mark int) {
 	e := t.Entry(i)
-	old := e.Mark()
-	t.SetFlags(i, e.Flags^entryMark)
-	t.SetLoc(i, old, 0)
+	if e.Mark() != mark {
+		t.SetFlags(i, e.Flags^entryMark)
+	}
+	if e.Loc[1-mark] != 0 {
+		t.SetLoc(i, 1-mark, 0)
+	}
 }
 
 // Range iterates over all occupied, non-tombstoned buckets.

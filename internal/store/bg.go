@@ -276,12 +276,7 @@ func (e *Engine) bgSuperseded(h any, pi int, off uint64, klen int) bool {
 	if !found {
 		return true // entry reclaimed: version unreachable
 	}
-	loc := en.Loc[e.slotFor(pi)]
-	if loc == 0 {
-		// The PUT handler has appended the object but not yet published
-		// the entry: treat as current and verify normally.
-		return false
-	}
-	headOff, _, _ := kv.UnpackLoc(loc)
-	return headOff != off
+	// An entry that names no version yet is treated as current.
+	hpi, hoff, _, ok := e.head(en)
+	return ok && (hpi != pi || hoff != off)
 }

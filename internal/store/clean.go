@@ -79,33 +79,37 @@ func (e *Engine) runCleaner(h any) {
 		return
 	}
 
-	// Final sweep: flip every staged entry to the new pool; reclaim
-	// entries with no surviving version.
+	// Final sweep: flip every entry with a version in the new pool to it;
+	// reclaim the others. An entry must outlive every version of its key
+	// left in the log, live or not: reclaimed, it would take its tombstone
+	// and cut along, a later re-PUT would start a fresh entry with neither,
+	// and the next run could resurrect deleted data. So an entry whose
+	// staged version is below its cut (migrated before a DELETE and a
+	// re-PUT that then died) flips as a tombstone. The flip names the new
+	// pool rather than toggling, so an entry a merge-stage PUT created
+	// already on it is left as it is.
 	e.mu.Lock()
 	e.table.RangeAll(func(i int, en kv.Entry) bool {
 		tEntry := e.sink.Now()
 		e.sink.Charge(h, OpCleanEntry, 0)
-		if staged := en.Loc[1-e.mark]; staged != 0 && !en.Tombstone() {
-			// A staged copy older than the entry's cut sequence was
-			// migrated before the key was deleted and re-put mid-run; if
-			// the re-put version itself died, flipping to the stale copy
-			// would resurrect deleted data. Drop it and reclaim the slot.
-			stagedOff, _, _ := kv.UnpackLoc(staged)
-			if cut := en.CutSeq(); cut != 0 && e.pools[newer].Header(stagedOff).Seq < cut {
-				e.table.SetLoc(i, 1-e.mark, 0)
-				en = e.table.Entry(i)
-			}
+		// Re-read: the charge may have yielded to a request on this entry.
+		if en = e.table.Entry(i); en.Free() {
+			return true
 		}
-		if en.Tombstone() || en.Loc[1-e.mark] == 0 {
+		stagedOff, _, _ := kv.UnpackLoc(en.Loc[newer])
+		switch {
+		case en.Loc[newer] == 0:
 			e.table.Clear(i)
-		} else {
-			e.table.FlipMark(i)
+		case !en.Tombstone() && belowCut(en, e.pools[newer].Header(stagedOff).Seq):
+			e.table.Delete(i)
+			fallthrough
+		default:
+			e.table.FlipMark(i, newer)
 		}
 		e.observe(int(OpCleanEntry), tEntry)
 		return true
 	})
 	e.cur = newer
-	e.mark = 1 - e.mark
 	e.merging = false
 	e.cleaning = false
 	e.stats.Cleanings++
@@ -176,35 +180,42 @@ func (e *Engine) tryMigrate(h any, pi int, off uint64) bool {
 		e.stats.CleanDropped++
 		return true
 	}
-	if cut := en.CutSeq(); cut != 0 && hd.Seq < cut {
-		// The version predates an acknowledged DELETE of this key (the
-		// entry's tombstone was since cleared by a re-PUT, which cut the
-		// version chain). The log still holds the pre-delete bytes looking
-		// valid and durable; migrating them would resurrect deleted data.
+	// A version below the entry's cut predates an acknowledged DELETE:
+	// migrating it would resurrect deleted data. Otherwise ask the head
+	// rule with this version standing in for the old pool's location.
+	// Beside the staged location, it loses to a staged version at least as
+	// new — migrated earlier (the reverse scan visits newest first) or
+	// written to the new pool while merging — which may replace it only
+	// once durable or able to be made durable (Figure 7(b)'s D1/D2 rule);
+	// a staged version that turns out dead gives way to its predecessor and
+	// the rule is asked again.
+	if belowCut(en, hd.Seq) {
 		e.stats.CleanDropped++
 		return true
 	}
-	newSlot := 1 - e.mark
-	if staged := en.Loc[newSlot]; staged != 0 {
-		// A newer version was already migrated (reverse scan visits
-		// newest first) or written directly to the new pool during
-		// merging. Confirm it is durable — or can be made durable —
-		// before discarding this one (Figure 7(b)'s D1/D2 rule).
-		stagedOff, _, _ := kv.UnpackLoc(staged)
-		stagedHdr := e.pools[1-pi].Header(stagedOff)
-		if stagedHdr.Seq > hd.Seq {
-			switch e.ensureDurableLocked(h, 1-pi, stagedOff) {
-			case durYes:
-				// Re-read the flags: the mirror inside ensureDurableLocked
-				// may have dropped the lock, and a BG/GET verify could have
-				// flagged this version durable during the window.
-				pool.SetFlags(off, pool.Header(off).Flags|kv.FlagTrans)
-				e.stats.CleanDropped++
-				return true
-			case durInFlight:
-				return false // wait for the newer version to settle
-			}
-			// durDead: fall through and migrate this older version.
+	view := en
+	view.Loc[pi] = kv.PackLoc(off, kv.ObjectSize(hd.KLen, hd.VLen))
+	for {
+		hpi, hoff, _, _ := e.head(view)
+		if hpi == pi {
+			break
+		}
+		switch e.ensureDurableLocked(h, hpi, hoff) {
+		case durYes:
+			// Re-read the flags: the mirror inside ensureDurableLocked may
+			// have dropped the lock, and a BG/GET verify could have flagged
+			// this version durable during the window.
+			pool.SetFlags(off, pool.Header(off).Flags|kv.FlagTrans)
+			e.stats.CleanDropped++
+			return true
+		case durInFlight:
+			return false // wait for the newer version to settle
+		}
+		// Dead: the next staged candidate is its predecessor, if that was
+		// also written to the new pool while merging.
+		view.Loc[hpi] = 0
+		if ppi, poff, plen, ok := kv.UnpackVPtr(e.pools[hpi].Header(hoff).PrePtr); ok && ppi == hpi {
+			view.Loc[hpi] = kv.PackLoc(poff, plen)
 		}
 	}
 	// This version is the migration candidate: it must be intact.
@@ -216,17 +227,20 @@ func (e *Engine) tryMigrate(h any, pi int, off uint64) bool {
 		return false
 	}
 	// The mirror inside ensureDurableLocked may have dropped the engine
-	// lock; the entry looked up above can be stale — the key may have been
-	// deleted, re-put, or written directly to the new pool (merging) during
-	// the window, and staging over that state would regress the head. If
-	// anything moved, retry the whole attempt: the version is flagged
-	// durable now, so the re-run revalidates without another window.
+	// lock, and the copy's charge may yield; the entry looked up above can
+	// be stale — the key may have been deleted, re-put, or written directly
+	// to the new pool (merging) meanwhile, and staging over that state
+	// would regress the head. If anything moved, retry the whole attempt:
+	// the version is flagged durable now, so the re-run revalidates without
+	// another window.
+	size := kv.ObjectSize(hd.KLen, hd.VLen)
+	tCopy := e.sink.Now()
+	e.sink.Charge(h, OpCleanCopy, size)
 	if idx2, en2, found2 := e.table.Lookup(kv.HashKey(key)); !found2 || idx2 != idx || en2 != en {
 		return false
 	}
 	hd = pool.Header(off) // re-read: ensureDurableLocked set the flag
 	dst := e.pools[1-pi]
-	size := kv.ObjectSize(hd.KLen, hd.VLen)
 	nh := kv.Header{
 		PrePtr:    kv.NilPtr,
 		NextPtr:   kv.NilPtr,
@@ -236,8 +250,6 @@ func (e *Engine) tryMigrate(h any, pi int, off uint64) bool {
 		VLen:      hd.VLen,
 		Flags:     kv.FlagValid | kv.FlagDurable,
 	}
-	tCopy := e.sink.Now()
-	e.sink.Charge(h, OpCleanCopy, size)
 	newOff, ok := dst.AppendObject(&nh, key)
 	if !ok {
 		// Should be impossible: the live set fits by construction. Leave
@@ -249,8 +261,33 @@ func (e *Engine) tryMigrate(h any, pi int, off uint64) bool {
 	e.observe(int(OpCleanCopy), tCopy)
 	// Mark the old copy as transferred, then stage the entry.
 	pool.SetFlags(off, hd.Flags|kv.FlagTrans)
-	e.table.SetLoc(idx, 1-e.mark, kv.PackLoc(newOff, size))
+	e.table.SetLoc(idx, 1-pi, kv.PackLoc(newOff, size))
+	// An old-pool location naming dead versions that roll back to this one
+	// would outrank the copy by sequence number, and a merge-stage PUT
+	// would chain past the copy into the pool this run recycles: the copy
+	// is all the entry needs.
+	if old := en.Loc[pi]; old != 0 && old != view.Loc[pi] && e.deadDownTo(pi, old, off) {
+		e.table.SetLoc(idx, pi, 0)
+	}
 	e.stats.CleanMoved++
+	return true
+}
+
+// deadDownTo reports whether rolling back from loc in pool pi reaches the
+// version at off over invalid versions only. Callers hold mu.
+func (e *Engine) deadDownTo(pi int, loc, off uint64) bool {
+	o, _, _ := kv.UnpackLoc(loc)
+	for o != off {
+		hd := e.pools[pi].Header(o)
+		if hd.Magic != kv.Magic || hd.Valid() {
+			return false
+		}
+		ppi, po, _, ok := kv.UnpackVPtr(hd.PrePtr)
+		if !ok || ppi != pi {
+			return false
+		}
+		o = po
+	}
 	return true
 }
 

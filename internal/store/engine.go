@@ -163,8 +163,7 @@ type Engine struct {
 	pools [2]*kv.Pool
 
 	mu       sync.Locker // guards all metadata below
-	cur      int         // index of the current working pool
-	mark     int         // mark bit entries carry outside cleaning (== cur)
+	cur      int         // index of the current working pool (the mark bit entries carry)
 	cleaning bool        // log cleaning in progress
 	merging  bool        // cleaning is in the merge stage (writes go to new pool)
 	nextSeq  uint64
@@ -259,45 +258,59 @@ func (e *Engine) writePool() (int, *kv.Pool) {
 	return e.cur, e.pools[e.cur]
 }
 
-// slotFor returns which entry location slot publishes pool pi.
-// Outside cleaning all entries have mark == e.mark and slot mark == pool
-// cur; the "other" slot is the staging slot for the new pool. Callers
-// hold mu.
-func (e *Engine) slotFor(pi int) int {
-	if pi == e.cur {
-		return e.mark
+// head is the engine's one rule for which version of a key is newest (see
+// DESIGN.md, "Log cleaning"). An entry names at most one version per data
+// pool — Loc[i] lives in pool i, and the mark bit says which pool is
+// current — and names two only mid-clean. Of two, head skips one whose
+// version is below the entry's cut (belowCut), then takes the higher
+// sequence number; a tie can only be a migrated copy of the same version
+// and goes to the staged one, so chains built on it stay in the pool the
+// run keeps. Those two header reads are the rule's only cost, and only
+// mid-clean: a lone location is the head as it stands, because a live
+// entry's lone version is never below its cut (a re-PUT's version is the
+// cut it sets, and the final sweep tombstones an entry left with only a
+// pre-delete copy). The cleaner, whose candidates stand alone, applies
+// belowCut itself. Reads, version chains, the cleaner, export and import
+// all start here; recovery applies the same rule to the persisted image
+// (ResolvePersisted). The tombstone is the caller's business. Callers hold
+// mu.
+func (e *Engine) head(en kv.Entry) (pi int, off uint64, totalLen int, ok bool) {
+	if en.Loc[0] == 0 || en.Loc[1] == 0 {
+		for pi, loc := range en.Loc {
+			if loc != 0 {
+				off, totalLen, _ = kv.UnpackLoc(loc)
+				return pi, off, totalLen, true
+			}
+		}
+		return 0, 0, 0, false
 	}
-	return 1 - e.mark
-}
-
-// poolOfSlot maps an entry location slot back to its pool index (the one
-// engine method both transports now share). Callers hold mu.
-func (e *Engine) poolOfSlot(slot int) int {
-	if slot == e.mark {
-		return e.cur
-	}
-	return 1 - e.cur
-}
-
-// resolveEntry picks the location a GET should start from: the relatively
-// new offset if one is staged (during cleaning), else the current one. A
-// staged location whose version predates the entry's cut sequence is a
-// pre-delete copy left over from an interrupted cleaning run — serving it
-// would resurrect deleted data, so fall through to the current location.
-// Callers hold mu.
-func (e *Engine) resolveEntry(en kv.Entry) (pi int, off uint64, totalLen int, ok bool) {
-	if loc := en.Other(); loc != 0 {
-		off, l, _ := kv.UnpackLoc(loc)
-		pi := e.poolOfSlot(1 - en.Mark())
-		if cut := en.CutSeq(); cut == 0 || e.pools[pi].Header(off).Seq >= cut {
-			return pi, off, l, true
+	var seq uint64
+	for _, slot := range [2]int{1 - en.Mark(), en.Mark()} {
+		o, l, _ := kv.UnpackLoc(en.Loc[slot])
+		if s := e.pools[slot].Header(o).Seq; !belowCut(en, s) && (!ok || s > seq) {
+			pi, off, totalLen, seq, ok = slot, o, l, s, true
 		}
 	}
-	if loc := en.Current(); loc != 0 {
-		off, l, _ := kv.UnpackLoc(loc)
-		return e.poolOfSlot(en.Mark()), off, l, true
+	return pi, off, totalLen, ok
+}
+
+// belowCut is the head rule's cut test: a version of en's key with
+// sequence number seq predates an acknowledged DELETE and is dead, however
+// intact it looks in the log.
+func belowCut(en kv.Entry, seq uint64) bool { return seq < en.CutSeq() }
+
+// chainHead is the previous-version pointer a new version of en links to:
+// its head, or nil across a tombstone — the locations still name the
+// pre-delete version (cleaning reclaims it), but chaining to it would let
+// GET rollback and recovery serve deleted data if the new value never
+// lands intact. Callers hold mu.
+func (e *Engine) chainHead(en kv.Entry) uint64 {
+	if !en.Tombstone() {
+		if pi, off, l, ok := e.head(en); ok {
+			return kv.PackVPtr(pi, off, l)
+		}
 	}
-	return 0, 0, 0, false
+	return kv.NilPtr
 }
 
 // Put implements PUT steps 2-4 of Figure 5: allocate in the log,
@@ -364,34 +377,21 @@ func (e *Engine) putLocked(h any, key []byte, vlen int, crcv uint32) PutResult {
 		e.trace("put", "table_full", keyHash, 0)
 		return PutResult{Status: StatusFull}
 	}
-	if !existed && e.mark == 1 {
-		e.table.SetMark(idx, e.mark)
-	}
 	// Charge the allocation cost BEFORE reading the entry: from here to
 	// the entry publish below there must be no yield point, so concurrent
 	// workers updating the same key cannot interleave between reading the
 	// previous version pointer and publishing the new head (which would
-	// orphan versions from the chain).
+	// orphan versions from the chain). The write pool is re-read for the
+	// same reason: the cleaner may have switched to merging meanwhile, and
+	// a version appended to the old pool after that is never merged.
 	tAlloc := e.sink.Now()
 	e.sink.Charge(h, OpAlloc, size)
-	en := e.table.Entry(idx)
-
-	// Chain to the previous version: prefer the location in the pool
-	// being written (same-pool chain), else cross-pool. A tombstone cuts
-	// the chain: the locations still name the pre-delete version (cleaning
-	// reclaims it), but chaining to it would let GET rollback and recovery
-	// serve deleted data if this new value never lands intact.
-	pre := kv.NilPtr
-	slot := e.slotFor(pi)
-	if !en.Tombstone() {
-		if loc := en.Loc[slot]; loc != 0 {
-			off, l, _ := kv.UnpackLoc(loc)
-			pre = kv.PackVPtr(pi, off, l)
-		} else if loc := en.Loc[1-slot]; loc != 0 {
-			off, l, _ := kv.UnpackLoc(loc)
-			pre = kv.PackVPtr(e.poolOfSlot(1-slot), off, l)
-		}
+	pi, pool = e.writePool()
+	if !existed && pi == 1 {
+		e.table.SetMark(idx, pi)
 	}
+	en := e.table.Entry(idx)
+	pre := e.chainHead(en)
 
 	hd := kv.Header{
 		PrePtr:    pre,
@@ -418,7 +418,7 @@ func (e *Engine) putLocked(h any, key []byte, vlen int, crcv uint32) PutResult {
 	}
 	e.observeH(h, int(OpAlloc), tAlloc)
 
-	e.table.SetLoc(idx, slot, kv.PackLoc(off, size))
+	e.table.SetLoc(idx, pi, kv.PackLoc(off, size))
 	if en.Tombstone() {
 		// Publish the new location BEFORE clearing the tombstone: each
 		// table word persists individually, so the other order leaves a
@@ -503,7 +503,7 @@ func (e *Engine) getLocked(h any, key []byte, slotHint int, seqLimit uint64) Get
 	if !found || en.Tombstone() {
 		return GetResult{Status: StatusNotFound}
 	}
-	pi, off, totalLen, ok := e.resolveEntry(en)
+	pi, off, totalLen, ok := e.head(en)
 	if !ok {
 		return GetResult{Status: StatusNotFound}
 	}

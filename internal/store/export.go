@@ -85,9 +85,11 @@ func (e *Engine) ExportOne(key []byte) (ExportKey, bool) {
 
 // exportEntryLocked serializes one hash entry. Callers hold mu.
 func (e *Engine) exportEntryLocked(en kv.Entry) (ExportKey, bool) {
-	// The key bytes live in the log: any location the entry still names
-	// will do, including a tombstoned entry's pre-delete version.
-	pi, off, _, ok := e.resolveEntry(en)
+	// The key bytes live in the log, and head finds a location for every
+	// entry that names one — a tombstone's too, whose lone location may be
+	// a pre-delete copy below its cut: head takes a lone location as it
+	// stands.
+	pi, off, _, ok := e.head(en)
 	if !ok {
 		return ExportKey{}, false
 	}
@@ -102,17 +104,16 @@ func (e *Engine) exportEntryLocked(en kv.Entry) (ExportKey, bool) {
 		// dead and must not travel.
 		return ek, true
 	}
-	// Walk the chain newest-first, respecting the cut sequence exactly
-	// like resolveEntry and recovery: versions below the cut predate an
-	// acknowledged DELETE and stay dead.
-	cut := en.CutSeq()
+	// Walk the chain newest-first from the head, respecting the cut the
+	// record carries: versions below it predate an acknowledged DELETE and
+	// stay dead.
 	for {
 		pool := e.pools[pi]
 		hd := pool.Header(off)
 		if hd.Magic != kv.Magic || hd.KLen <= 0 {
 			break
 		}
-		if hd.Valid() && (cut == 0 || hd.Seq >= cut) {
+		if hd.Valid() && hd.Seq >= ek.CutSeq {
 			ek.Versions = append(ek.Versions, ExportVersion{
 				Seq:       hd.Seq,
 				CreatedAt: hd.CreatedAt,
@@ -171,8 +172,9 @@ func (e *Engine) ImportKey(h any, ek ExportKey) Status {
 		e.stats.AllocFailures++
 		return StatusFull
 	}
-	if !existed && e.mark == 1 {
-		e.table.SetMark(idx, e.mark)
+	pi, pool := e.writePool()
+	if !existed && pi == 1 {
+		e.table.SetMark(idx, pi)
 	}
 	en := e.table.Entry(idx)
 
@@ -186,8 +188,8 @@ func (e *Engine) ImportKey(h any, ek ExportKey) Status {
 	// losing an acknowledged write).
 	pre := kv.NilPtr
 	if existed && !en.Tombstone() {
-		if pi, off, l, ok := e.resolveEntry(en); ok {
-			hd := e.pools[pi].Header(off)
+		if hpi, off, l, ok := e.head(en); ok {
+			hd := e.pools[hpi].Header(off)
 			if hd.Magic == kv.Magic {
 				inNewest := ek.Versions[len(ek.Versions)-1]
 				if hd.Seq > inNewest.Seq ||
@@ -200,13 +202,11 @@ func (e *Engine) ImportKey(h any, ek ExportKey) Status {
 				// head, so the durable copy becomes the version reads
 				// resolve. The shadowed torn copy is unreachable garbage
 				// for the log cleaner.
-				pre = kv.PackVPtr(pi, off, l)
+				pre = kv.PackVPtr(hpi, off, l)
 			}
 		}
 	}
 
-	pi, pool := e.writePool()
-	slot := e.slotFor(pi)
 	var (
 		lastOff  uint64
 		lastSize int
@@ -250,7 +250,7 @@ func (e *Engine) ImportKey(h any, ek ExportKey) Status {
 		lastOff, lastSize = off, size
 	}
 
-	e.table.SetLoc(idx, slot, kv.PackLoc(lastOff, lastSize))
+	e.table.SetLoc(idx, pi, kv.PackLoc(lastOff, lastSize))
 	if en.Tombstone() || ek.CutSeq > 0 {
 		// One persisted word clears the tombstone (if any) and records the
 		// incoming cut sequence, exactly like a re-PUT over a tombstone.

@@ -51,7 +51,7 @@ func chainOf(t *testing.T, e *Engine, key []byte) (hds []kv.Header, vals [][]byt
 	if !found || en.Tombstone() {
 		return nil, nil
 	}
-	pi, off, _, ok := e.resolveEntry(en)
+	pi, off, _, ok := e.head(en)
 	if !ok {
 		return nil, nil
 	}

@@ -37,7 +37,7 @@ func (e *Engine) mirrorVersion(h any, pi int, off uint64, hd kv.Header) (ok, mir
 	pool := e.pools[pi]
 	e.keyScratch = pool.ReadKeyInto(e.keyScratch, off, hd.KLen)
 	_, en, found := e.table.Lookup(kv.HashKey(e.keyScratch))
-	if !found || en.Tombstone() || (en.CutSeq() > 0 && hd.Seq < en.CutSeq()) {
+	if !found || en.Tombstone() || belowCut(en, hd.Seq) {
 		return true, true
 	}
 	if e.deps.MirrorNeeded != nil && !e.deps.MirrorNeeded(e.keyScratch) {
@@ -87,7 +87,7 @@ func (e *Engine) VerifyKeySettled(h any, key []byte) bool {
 	if !found || en.Tombstone() {
 		return true
 	}
-	pi, off, _, ok := e.resolveEntry(en)
+	pi, off, _, ok := e.head(en)
 	if !ok {
 		return true
 	}

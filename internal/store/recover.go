@@ -6,11 +6,9 @@ import (
 )
 
 // recover rebuilds a consistent shard from the persisted contents of the
-// device (the post-crash state). For every hash entry it walks the version
-// list starting from the location the entry's own mark bit designates —
-// handling crashes that interrupt log cleaning at any stage — verifies
-// each candidate's CRC against the persisted bytes, and keeps the newest
-// intact version (§4.1: "a consistent state can be recovered using the
+// device (the post-crash state). Every hash entry is resolved by
+// ResolvePersisted to its newest intact version, CRC-checked against the
+// persisted bytes (§4.1: "a consistent state can be recovered using the
 // previous intact version"). The survivors are then re-materialized into a
 // fresh log in pool 0 with a clean hash table, so the recovered shard
 // starts from a canonical, fully-durable state. Keys with no intact
@@ -42,79 +40,21 @@ func (e *Engine) recover(l kv.Layout) RecoveryStats {
 		return st
 	}
 
-	// Pass 2: resolve every entry to its newest intact version. Both
-	// location slots are candidates: a crash can interrupt log cleaning at
-	// any stage, so the current (mark) slot and the staged slot may point
-	// at disjoint chains — and after a DELETE plus merge-stage re-PUT the
-	// staged chain holds the only live version while the current slot
-	// still names the dead pre-delete one. Walk each slot's chain to its
-	// newest intact, cut-respecting version and keep the newest survivor
-	// overall (mirroring resolveEntry's live-read preference).
-	type survivor struct {
-		key []byte
-		val []byte
-		h   kv.Header
-	}
-	var live []survivor
+	// Pass 2: resolve every entry to its newest intact version.
+	var live []PersistedHead
 	e.table.RangeAll(func(i int, en kv.Entry) bool {
 		if en.Tombstone() {
 			return true
 		}
-		// Versions older than the entry's cut sequence predate an
-		// acknowledged DELETE (the tombstone was cleared by a later
-		// re-PUT); restoring one would resurrect deleted data.
-		cut := en.CutSeq()
-		var best *survivor
-		bestRolled := false
-		for _, slot := range [2]int{en.Mark(), 1 - en.Mark()} {
-			loc := en.Loc[slot]
-			if loc == 0 {
-				continue
-			}
-			// Slot index equals pool index by the engine's invariant.
-			pi := slot
-			off, totalLen, _ := kv.UnpackLoc(loc)
-			rolled := false
-			for {
-				if int(off)+totalLen > e.pools[pi].Cap() {
-					break
-				}
-				h := e.readPersistedHeader(pi, off)
-				if h.Magic == kv.Magic && h.Valid() && h.KLen > 0 &&
-					(cut == 0 || h.Seq >= cut) &&
-					kv.ObjectSize(h.KLen, h.VLen) == totalLen {
-					key := make([]byte, h.KLen)
-					val := make([]byte, h.VLen)
-					base := e.pools[pi].Base() + int(off)
-					e.dev.ReadPersisted(base+kv.KeyOffset(), key)
-					e.dev.ReadPersisted(base+kv.ValueOffset(h.KLen), val)
-					if crc.Checksum(val) == h.CRC {
-						if best == nil || h.Seq > best.h.Seq {
-							best = &survivor{key: key, val: val, h: h}
-							bestRolled = rolled
-						}
-						break // newest intact version on this chain
-					}
-				}
-				st.VersionsDiscarded++
-				rolled = true
-				if h.Magic != kv.Magic {
-					break
-				}
-				var ok bool
-				pi, off, totalLen, ok = kv.UnpackVPtr(h.PrePtr)
-				if !ok {
-					break
-				}
-			}
-		}
-		if best == nil {
+		ph, ok := ResolvePersisted(e.pools, en)
+		st.VersionsDiscarded += ph.Discarded
+		if !ok {
 			st.KeysLost++
 			return true
 		}
-		live = append(live, *best)
+		live = append(live, ph)
 		st.KeysRecovered++
-		if bestRolled {
+		if ph.Rolled {
 			st.RolledBack++
 		}
 		return true
@@ -131,24 +71,24 @@ func (e *Engine) recover(l kv.Layout) RecoveryStats {
 		h := kv.Header{
 			PrePtr:    kv.NilPtr,
 			NextPtr:   kv.NilPtr,
-			Seq:       sv.h.Seq,
-			CreatedAt: sv.h.CreatedAt,
-			CRC:       sv.h.CRC,
-			VLen:      sv.h.VLen,
+			Seq:       sv.Header.Seq,
+			CreatedAt: sv.Header.CreatedAt,
+			CRC:       sv.Header.CRC,
+			VLen:      sv.Header.VLen,
 			Flags:     kv.FlagValid | kv.FlagDurable,
-			TxnID:     sv.h.TxnID,
+			TxnID:     sv.Header.TxnID,
 		}
-		off, ok := e.pools[0].AppendObject(&h, sv.key)
+		off, ok := e.pools[0].AppendObject(&h, sv.Key)
 		if !ok {
 			panic("store: recovery pool overflow")
 		}
-		e.pools[0].WriteValue(off, len(sv.key), sv.val)
-		e.pools[0].FlushObject(off, len(sv.key), sv.h.VLen)
-		idx, _, ok := e.table.FindSlot(kv.HashKey(sv.key))
+		e.pools[0].WriteValue(off, len(sv.Key), sv.Value)
+		e.pools[0].FlushObject(off, len(sv.Key), sv.Header.VLen)
+		idx, _, ok := e.table.FindSlot(kv.HashKey(sv.Key))
 		if !ok {
 			panic("store: recovery table overflow")
 		}
-		e.table.Publish(idx, kv.PackLoc(off, kv.ObjectSize(len(sv.key), sv.h.VLen)))
+		e.table.Publish(idx, kv.PackLoc(off, kv.ObjectSize(len(sv.Key), sv.Header.VLen)))
 	}
 	e.bgCursor[0] = e.pools[0].Used()
 	e.bgCursor[1] = 0
@@ -162,9 +102,69 @@ func (e *Engine) recover(l kv.Layout) RecoveryStats {
 	return st
 }
 
-// readPersistedHeader decodes an object header from the persisted image.
-func (e *Engine) readPersistedHeader(pi int, off uint64) kv.Header {
+// PersistedHead is what recovery makes of one hash entry: the version it
+// restores and how it got there.
+type PersistedHead struct {
+	Key, Value []byte
+	Header     kv.Header
+	Rolled     bool // a newer version on the winning chain was torn
+	Discarded  int  // torn or pre-cut versions walked past
+}
+
+// ResolvePersisted is recovery's per-entry resolver, and efactory-fsck's:
+// Engine.head's rule applied to the persisted image of pools, where a
+// crash can leave any version torn and can interrupt log cleaning at any
+// stage — so the two locations may name disjoint chains, and after a
+// DELETE plus merge-stage re-PUT only the staged chain holds a live
+// version. Each location's chain is walked to its newest intact version
+// at or above the entry's cut, and the higher sequence number wins (the
+// staged chain on a tie). ok is false when nothing survives: the key was
+// never durable. The tombstone is the caller's business.
+func ResolvePersisted(pools [2]*kv.Pool, en kv.Entry) (best PersistedHead, ok bool) {
+	cut := en.CutSeq()
+	discarded := 0
+	for _, slot := range [2]int{1 - en.Mark(), en.Mark()} {
+		if en.Loc[slot] == 0 {
+			continue
+		}
+		pi := slot
+		off, totalLen, _ := kv.UnpackLoc(en.Loc[slot])
+		rolled := false
+		for int(off)+totalLen <= pools[pi].Cap() {
+			pool := pools[pi]
+			h := persistedHeader(pool, off)
+			if h.Magic == kv.Magic && h.Valid() && h.KLen > 0 && h.Seq >= cut &&
+				kv.ObjectSize(h.KLen, h.VLen) == totalLen {
+				key := make([]byte, h.KLen)
+				val := make([]byte, h.VLen)
+				base := pool.Base() + int(off)
+				pool.Device().ReadPersisted(base+kv.KeyOffset(), key)
+				pool.Device().ReadPersisted(base+kv.ValueOffset(h.KLen), val)
+				if crc.Checksum(val) == h.CRC {
+					if !ok || h.Seq > best.Header.Seq {
+						best, ok = PersistedHead{Key: key, Value: val, Header: h, Rolled: rolled}, true
+					}
+					break // newest intact version on this chain
+				}
+			}
+			discarded++
+			rolled = true
+			if h.Magic != kv.Magic {
+				break
+			}
+			var okPre bool
+			if pi, off, totalLen, okPre = kv.UnpackVPtr(h.PrePtr); !okPre {
+				break
+			}
+		}
+	}
+	best.Discarded = discarded
+	return best, ok
+}
+
+// persistedHeader decodes an object header from the persisted image.
+func persistedHeader(p *kv.Pool, off uint64) kv.Header {
 	b := make([]byte, kv.HeaderSize)
-	e.dev.ReadPersisted(e.pools[pi].Base()+int(off), b)
+	p.Device().ReadPersisted(p.Base()+int(off), b)
 	return kv.DecodeHeader(b)
 }

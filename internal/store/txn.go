@@ -221,8 +221,8 @@ func (s *Store) TxnCommit(h any, txnID uint64, ops []*StagedOp) Status {
 			return StatusFull
 		}
 		if !existed {
-			if e.mark == 1 {
-				e.table.SetMark(idx, e.mark)
+			if op.pi == 1 {
+				e.table.SetMark(idx, op.pi)
 			}
 			claimed = append(claimed, claim{op.shard, idx})
 		}
@@ -282,21 +282,11 @@ func (s *Store) TxnCommit(h any, txnID uint64, ops []*StagedOp) Status {
 func (e *Engine) flipStagedLocked(op *StagedOp) {
 	pool := e.pools[op.pi]
 	en := e.table.Entry(op.idx)
-	pre := kv.NilPtr
-	slot := e.slotFor(op.pi)
-	if !en.Tombstone() {
-		if loc := en.Loc[slot]; loc != 0 {
-			off, l, _ := kv.UnpackLoc(loc)
-			pre = kv.PackVPtr(op.pi, off, l)
-		} else if loc := en.Loc[1-slot]; loc != 0 {
-			off, l, _ := kv.UnpackLoc(loc)
-			pre = kv.PackVPtr(e.poolOfSlot(1-slot), off, l)
-		}
-	}
+	pre := e.chainHead(en)
 	pool.SetVersionSeq(op.off, op.seq)
 	pool.SetPrePtr(op.off, pre)
 	pool.SetFlags(op.off, kv.FlagTxn|kv.FlagValid)
-	e.table.SetLoc(op.idx, slot, kv.PackLoc(op.off, op.size))
+	e.table.SetLoc(op.idx, op.pi, kv.PackLoc(op.off, op.size))
 	if en.Tombstone() {
 		// Publish before untombstoning, like putLocked: the other order
 		// has a crash window resurrecting the pre-delete version.
@@ -482,7 +472,7 @@ func (s *Store) captureTxnOps(rec *txnRecord) bool {
 			kv.ObjectSize(op.klen, op.vlen) != op.size {
 			return false
 		}
-		h := e.readPersistedHeader(op.pi, op.off)
+		h := persistedHeader(pool, op.off)
 		if h.Magic != kv.Magic || h.TxnID != rec.id || h.KLen != op.klen || h.VLen != op.vlen {
 			return false
 		}

@@ -551,7 +551,8 @@ func (*verbs) ChargeCRC(int) {}
 
 // Call stamps the request with the cluster-map epoch and maps a
 // wrong-epoch rejection to the typed error routed clients dispatch on.
-// NoteCleaning is ignored: the server guards reads during cleaning itself.
+// NoteCleaning is ignored: the core sends every entry naming two locations
+// — the mid-clean ones — to the server.
 func (v *verbs) Call(req wire.Msg) (wire.Msg, *[]byte, error) {
 	c := (*Client)(v)
 	req.Token = uint32(c.core.Epoch())

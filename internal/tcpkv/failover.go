@@ -119,16 +119,12 @@ func RunBackupCrashTorture(tc fault.Config) (fault.Result, error) {
 	// then its process dies. ctl only models the backup's death: the
 	// target never reports dead, so the workload keeps running — acks must
 	// keep flowing from the primary.
-	//
-	// This runner does not clean (it never did): a cleaning run stalled by
-	// one of the schedule's torn PUTs hits the slow-cleaner gap pinned by
-	// TestTCPTortureSlowCleaner, and would re-report it here, in the test
-	// that pins demotion.
 	ctl := &crashCtl{abortAt: "backup-append"}
 	var armed atomic.Bool // written by the workload, read by b's handler
 	fx.srvB.SetReplCrash(func(point string) bool { return armed.Load() && ctl.hook(point) })
 	killed := false
 	violations := fx.drive(func(i int) {
+		fx.clean(i)
 		if i+1 == fx.tc.Ops/2 {
 			armed.Store(true)
 		}

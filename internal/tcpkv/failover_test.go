@@ -110,22 +110,17 @@ func sweepFailoverLeg(t *testing.T, cfg fault.Config) {
 	}
 }
 
-// TestFailoverTortureSweepGetBatch is a KNOWN GAP the shared driver found
-// the moment the failover runner drew the full schedule: the slow-cleaner
-// gap of TestTCPTortureSlowCleaner, which a replicated PG hits at the
-// default VerifyTimeout because every cleaner flag waits on a mirror
-// round trip. Un-skip in the PR that fixes it; do not widen the oracle
-// instead.
+// TestFailoverTortureSweepGetBatch sweeps the failover runner with the
+// batched-read leg: the slow-cleaner family of TestTCPTortureSlowCleaner,
+// which a replicated PG hits at the default VerifyTimeout because every
+// cleaner flag waits on a mirror round trip.
 func TestFailoverTortureSweepGetBatch(t *testing.T) {
-	t.Skip("known gap, ROADMAP items 2 and 5f: seed 1, every run — PUT o12 (observed), PUT o28 (observed), " +
-		"torn PUT o45, then the next batched read serves o12 on a replicated PG. " +
-		"Repro: delete this Skip, go test ./internal/tcpkv -run TestFailoverTortureSweepGetBatch")
 	cfg := failoverTortureConfig()
 	cfg.GetBatch = true
 	sweepFailoverLeg(t, cfg)
 }
 
-// TestFailoverTortureSweepTxn is the second KNOWN GAP: an acked commit is
+// TestFailoverTortureSweepTxn is a KNOWN GAP: an acked commit is
 // not quorum-atomic, so a primary death right after it can promote a
 // backup holding part of the group.
 func TestFailoverTortureSweepTxn(t *testing.T) {

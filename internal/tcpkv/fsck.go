@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"io"
 
-	"efactory/internal/crc"
 	"efactory/internal/kv"
 	"efactory/internal/nvm"
+	"efactory/internal/store"
 )
 
 // FsckReport summarizes an offline consistency check of a store device.
@@ -17,7 +17,7 @@ type FsckReport struct {
 	// version.
 	LiveKeys int
 	// TornHeads counts entries whose head version fails its CRC but that
-	// recover via an older version.
+	// recover via an older version (recovery's RolledBack).
 	TornHeads int
 	// LostKeys counts entries with no intact version at all.
 	LostKeys int
@@ -29,7 +29,7 @@ type FsckReport struct {
 	// LiveBytes is the pool space held by resolvable head versions.
 	LiveBytes int
 	// UnflushedLines counts volatile cache lines (nonzero means the
-	// device was not cleanly shut down — only meaningful for *nvm.Memory).
+	// device was not cleanly shut down).
 	UnflushedLines int
 }
 
@@ -38,9 +38,10 @@ type FsckReport struct {
 func (r FsckReport) Consistent() bool { return r.LostKeys == 0 }
 
 // Fsck performs a read-only consistency check of a store device laid out
-// with cfg: it walks the log pools of every shard, verifies every entry's
-// version chain against the stored CRCs, and reports what recovery would
-// find. It never modifies the device.
+// with cfg: it walks the log pools of every shard and resolves every hash
+// entry with recovery's own resolver (store.ResolvePersisted) against the
+// persisted image, so its live, lost and torn counts are what recovery
+// would find. It never modifies the device.
 func Fsck(dev nvm.Device, cfg Config) (FsckReport, error) {
 	var r FsckReport
 	if dev.Size() < cfg.DeviceSize() {
@@ -50,8 +51,8 @@ func Fsck(dev nvm.Device, cfg Config) (FsckReport, error) {
 	for s := 0; s < l.Shards; s++ {
 		fsckShard(dev, l, s, &r)
 	}
-	if m, ok := dev.(*nvm.Memory); ok {
-		r.UnflushedLines = m.DirtyLines()
+	if d, ok := dev.(interface{ DirtyLines() int }); ok {
+		r.UnflushedLines = d.DirtyLines()
 	}
 	return r, nil
 }
@@ -60,8 +61,8 @@ func Fsck(dev nvm.Device, cfg Config) (FsckReport, error) {
 func fsckShard(dev nvm.Device, l kv.Layout, shard int, r *FsckReport) {
 	table := kv.NewTable(dev, l.TableBase(shard), l.Buckets)
 	var pools [2]*kv.Pool
-	used := 0
-	for i := 0; i < 2; i++ {
+	used, live := 0, 0
+	for i := range pools {
 		pools[i] = kv.NewPool(dev, l.PoolBase(shard, i), l.PoolSize)
 		pools[i].ScanPersisted(func(off uint64, h kv.Header) bool {
 			r.Objects++
@@ -69,61 +70,25 @@ func fsckShard(dev nvm.Device, l kv.Layout, shard int, r *FsckReport) {
 			return true
 		})
 	}
-	liveBefore := r.LiveBytes
-
 	table.RangeAll(func(i int, e kv.Entry) bool {
 		if e.Tombstone() {
 			r.Tombstones++
 			return true
 		}
-		slot := e.Mark()
-		loc := e.Loc[slot]
-		if loc == 0 {
-			slot = 1 - slot
-			loc = e.Loc[slot]
-		}
-		if loc == 0 {
+		ph, ok := store.ResolvePersisted(pools, e)
+		if !ok {
 			r.LostKeys++
 			return true
 		}
-		pi := slot
-		off, totalLen, _ := kv.UnpackLoc(loc)
-		depth := 0
-		for {
-			if int(off)+totalLen > pools[pi].Cap() {
-				r.LostKeys++
-				return true
-			}
-			h := pools[pi].Header(off)
-			if h.Magic == kv.Magic && h.Valid() && h.KLen > 0 &&
-				kv.ObjectSize(h.KLen, h.VLen) == totalLen {
-				val := pools[pi].ReadValue(off, h.KLen, h.VLen)
-				if crc.Checksum(val) == h.CRC {
-					r.LiveKeys++
-					r.LiveBytes += totalLen
-					if depth > 0 {
-						r.TornHeads++
-					}
-					return true
-				}
-			}
-			depth++
-			if h.Magic != kv.Magic {
-				r.LostKeys++
-				return true
-			}
-			var ok bool
-			pi, off, totalLen, ok = kv.UnpackVPtr(h.PrePtr)
-			if !ok {
-				r.LostKeys++
-				return true
-			}
+		r.LiveKeys++
+		live += kv.ObjectSize(ph.Header.KLen, ph.Header.VLen)
+		if ph.Rolled {
+			r.TornHeads++
 		}
+		return true
 	})
-	stale := used - (r.LiveBytes - liveBefore)
-	if stale > 0 {
-		r.StaleBytes += stale
-	}
+	r.LiveBytes += live
+	r.StaleBytes += max(used-live, 0)
 }
 
 // WriteReport renders r human-readably.

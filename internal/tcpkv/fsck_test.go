@@ -3,11 +3,15 @@ package tcpkv
 import (
 	"bytes"
 	"fmt"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"efactory/internal/crc"
+	"efactory/internal/kv"
 	"efactory/internal/nvm"
+	"efactory/internal/store"
 	"efactory/internal/wire"
 )
 
@@ -86,7 +90,9 @@ func TestFsckCountsStaleVersions(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		cl.Put([]byte("k"), bytes.Repeat([]byte{byte(i)}, 256))
 	}
-	time.Sleep(10 * time.Millisecond) // verifier settles
+	if _, err := cl.Get([]byte("k")); err != nil { // the head is durable
+		t.Fatal(err)
+	}
 	cl.Close()
 	srv.Close()
 
@@ -99,5 +105,86 @@ func TestFsckCountsStaleVersions(t *testing.T) {
 	}
 	if r.StaleBytes <= 0 {
 		t.Fatalf("StaleBytes = %d; four stale versions should be reclaimable", r.StaleBytes)
+	}
+}
+
+// TestFsckMatchesRecoveryMidMerge checks fsck against recovery on a crash
+// image taken mid-merge after a DELETE and a torn re-PUT. The entry's
+// current location still names the pre-delete version, intact and
+// durable; only the entry's cut says it is dead, so recovery drops the
+// key — and fsck, resolving entries with recovery's own resolver, must
+// count exactly what recovery finds.
+func TestFsckMatchesRecoveryMidMerge(t *testing.T) {
+	cfg := Config{Buckets: 64, PoolSize: 64 << 10, VerifyTimeout: time.Hour}
+	dev := nvm.New(cfg.DeviceSize())
+	parked, resume, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	st, _, err := store.New(dev, cfg.storeConfig(), store.Deps{
+		Spawn:       func(name string, fn func(h any)) { go func() { fn(nil); close(done) }() },
+		CleanerWait: func(any) bool { parked <- struct{}{}; _, ok := <-resume; return ok },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := st.Shard(0)
+	put := func(key, val string) (land func()) {
+		pr := eng.Put(nil, []byte(key), len(val), crc.Checksum([]byte(val)))
+		if pr.Status != store.StatusOK {
+			t.Fatalf("put %s: status %v", key, pr.Status)
+		}
+		return func() { dev.Write(eng.Pool(pr.Pool).Base()+int(pr.Off)+kv.ValueOffset(len(key)), []byte(val)) }
+	}
+	landBlocker := put("blocker", "b")
+	put("k", "pre-delete")()
+	if eng.Get(nil, []byte("k")).Status != store.StatusOK {
+		t.Fatal("k unreadable before the DELETE")
+	}
+	st.StartCleaning()
+	<-parked // compress stage: k migrated, blocker in flight
+	if eng.Del(nil, []byte("k")) != store.StatusOK {
+		t.Fatal("DELETE k failed")
+	}
+	put("blocker-2", "b2")
+	landBlocker()
+	resume <- struct{}{}
+	<-parked           // merge stage: blocker-2 in flight
+	put("k", "re-put") // torn: its value never lands
+
+	dev.Crash(1, 0)
+	close(resume) // the cleaner aborts without touching the image
+	<-done
+
+	r, err := Fsck(dev, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rst, err := store.New(dev, cfg.storeConfig(), store.Deps{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.LiveKeys != rst.KeysRecovered || r.LostKeys != rst.KeysLost || r.TornHeads != rst.RolledBack {
+		t.Errorf("fsck live/lost/torn = %d/%d/%d, recovery found %d/%d/%d",
+			r.LiveKeys, r.LostKeys, r.TornHeads, rst.KeysRecovered, rst.KeysLost, rst.RolledBack)
+	}
+	if rst.KeysLost != 2 { // k (deleted, re-PUT torn) and blocker-2
+		t.Errorf("recovery lost %d keys, want 2: %+v", rst.KeysLost, rst)
+	}
+}
+
+// TestFsckReportsUnflushedLinesOnFile: both devices share the volatile
+// overlay, so a file-backed store with unflushed writes reports them too.
+func TestFsckReportsUnflushedLinesOnFile(t *testing.T) {
+	cfg := smallConfig()
+	dev, err := nvm.OpenFile(filepath.Join(t.TempDir(), "store.nvm"), cfg.DeviceSize())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dev.Close()
+	dev.Write(0, []byte("never flushed"))
+	r, err := Fsck(dev, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.UnflushedLines != 1 {
+		t.Errorf("UnflushedLines = %d, want 1", r.UnflushedLines)
 	}
 }

@@ -29,13 +29,13 @@
 // keeps the legacy rkeys 1, 2, 3.
 //
 // Unlike the simulation transport, clients are not push-notified when
-// cleaning starts. They do not need to be for safety: a stale one-sided
-// read can only land in (a) the old pool, whose objects stay intact until
-// the NEXT cleaning recycles that region — at which point the zeroed bytes
-// fail the Magic/durability checks and the client falls back to the RPC
-// path — or (b) a reclaimed entry, which also falls back. Responses still
-// carry wire.NoteCleaning (set by the core from the shards a request
-// addressed), which this transport's client ignores.
+// cleaning starts, and they ignore the wire.NoteCleaning that responses
+// still carry (set by the core from the shards a request addressed). They
+// do not need it for consistency: mid-clean an entry names two locations,
+// and the client core never serves such an entry one-sidedly — which of
+// the two holds the key's newest version is the server's head rule to
+// decide. The simulator keeps the paper's notification (§4.4: every read
+// takes the RPC path while cleaning), which is what Figure 11 measures.
 //
 // Backed by an nvm.FileBacked device the store survives process restarts:
 // on startup each shard recovers by walking version lists and restoring

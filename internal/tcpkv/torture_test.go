@@ -120,23 +120,15 @@ func TestTCPTortureSweepTxn(t *testing.T) {
 	}
 }
 
-// TestTCPTortureSlowCleaner is a KNOWN GAP the shared driver found, in
-// its smallest form: one unreplicated server, no crash. When a cleaning
-// run is slow relative to the workload — here stalled for VerifyTimeout
-// by a torn PUT's value that will never arrive; on a replicated PG by the
-// mirror round trips — a key is (1) migrated and staged, (2) re-PUT into
-// the old pool (compress stage: published through the current slot, but
-// the server's read path prefers the staged copy), then (3) PUT again in
-// the merge stage (chained to the staged copy, past the unmerged
-// version). A read that rolls back from (3) — or any RPC-path read
-// during (2) — serves the staged copy: two versions back, after the
-// middle one was observed durable. The plain-GET leg hides it (pure
-// one-sided reads resolve the current slot first). Un-skip in the PR
-// that fixes the cleaner; do not widen the oracle instead.
+// TestTCPTortureSlowCleaner pins the slow-cleaner family in its smallest
+// form: one unreplicated server, no crash, a cleaning run stalled for
+// VerifyTimeout by a torn PUT's value that will never arrive. A key is
+// (1) migrated and staged, (2) re-PUT into the old pool in the compress
+// stage, then (3) PUT again in the merge stage. Every read and every chain
+// starts from the head rule's version — the newer of the two locations by
+// sequence number — so a read during (2), or one rolling back from a torn
+// (3), serves (2), never the staged copy of (1).
 func TestTCPTortureSlowCleaner(t *testing.T) {
-	t.Skip("known gap, ROADMAP item 5f (two-stage cleaning x a slow cleaner): seed 1, every run — " +
-		"'key-02: live GET regressed to s1:key-02:o12', older than the observed o28, after the torn PUT o45. " +
-		"Repro: delete this Skip, go test ./internal/tcpkv -run TestTCPTortureSlowCleaner")
 	res, err := RunTCPTorture(fault.Config{Seed: 1, Ops: 60, CleanEvery: 25, Buckets: 256, PoolSize: 256 << 10,
 		VerifyTimeout: 100 * time.Millisecond, GetBatch: true})
 	if err != nil {
