@@ -14,7 +14,7 @@
 //	efactory-cli [-addr host:7420] map [-json]
 //	efactory-cli [-addr host:7420] migrate <pg> <target-instance>
 //	efactory-cli [-addr host:7420] promote <dead-instance>
-//	efactory-cli [-addr host:7420] bench [-n 10000] [-vlen 256] [-batch 1] [-getbatch 1] [-hint-cache] [-adaptive] [-pipeline 0] [-trace-sample 0] [-slow-ms 0]
+//	efactory-cli [-addr host:7420] bench [-n 10000] [-vlen 256] [-batch 1] [-getbatch 1] [-trace-sample 0] [-slow-ms 0]
 //
 // txn put commits every pair atomically (all keys become visible
 // together, or none do — the commit is refused whole if any key is not
@@ -205,13 +205,10 @@ func main() {
 		vlen := fs.Int("vlen", 256, "value size in bytes")
 		batch := fs.Int("batch", 1, "keys per multi-op PUT batch (1 = plain Put)")
 		getBatch := fs.Int("getbatch", 1, "keys per multi-GET batch (1 = plain Get)")
-		hintCache := fs.Bool("hint-cache", false, "read through the client-side location/durability hint cache")
-		adaptive := fs.Bool("adaptive", false, "enable adaptive hybrid reads: preemptively take the RPC path for freshly-written keys the verifier cannot have flagged durable yet")
-		pipeline := fs.Int("pipeline", 0, "RPC pipeline depth (0 = client default)")
 		traceSample := fs.Int("trace-sample", 0, "trace 1 in N ops end to end (0 = tracing off)")
 		slowMS := fs.Int("slow-ms", 0, "client-side tail retention: keep only traces at least this slow (0 = keep every sampled trace)")
 		fs.Parse(args[1:])
-		runBench(cl, *n, *vlen, *batch, *getBatch, *hintCache, *adaptive, *pipeline, *traceSample, *slowMS)
+		runBench(cl, *n, *vlen, *batch, *getBatch, *traceSample, *slowMS)
 	default:
 		usage()
 	}
@@ -460,12 +457,7 @@ func fmtNS(ns float64) string {
 	return time.Duration(ns).Round(10 * time.Nanosecond).String()
 }
 
-func runBench(cl *tcpkv.Client, n, vlen, batch, getBatch int, hintCache, adaptive bool, pipeline, traceSample, slowMS int) {
-	if pipeline > 0 {
-		if err := cl.SetPipelineDepth(pipeline); err != nil {
-			fatal("bench: set pipeline depth: %v", err)
-		}
-	}
+func runBench(cl *tcpkv.Client, n, vlen, batch, getBatch, traceSample, slowMS int) {
 	if traceSample > 0 {
 		cl.EnableTracing(traceSample, uint64(slowMS)*1e6)
 	}
@@ -474,12 +466,6 @@ func runBench(cl *tcpkv.Client, n, vlen, batch, getBatch int, hintCache, adaptiv
 	}
 	if getBatch < 1 {
 		getBatch = 1
-	}
-	if hintCache {
-		cl.EnableHintCache(0)
-	}
-	if adaptive {
-		cl.EnableAdaptive()
 	}
 	val := make([]byte, vlen)
 	for i := range val {
@@ -562,9 +548,6 @@ func runBench(cl *tcpkv.Client, n, vlen, batch, getBatch int, hintCache, adaptiv
 		n, getDur, float64(n)/getDur.Seconds(),
 		getLat.Median(), getLat.P99(), getLat.P999(),
 		cl.PureReads, cl.HintedReads, cl.FallbackReads)
-	if adaptive {
-		fmt.Printf("adaptive: %d reads preemptively routed to RPC\n", cl.AdaptivePreempts)
-	}
 	if tr := cl.Tracer(); tr != nil {
 		fmt.Printf("traces: %d retained client-side (efactory-cli slow for the server's view)\n", tr.Retained())
 	}

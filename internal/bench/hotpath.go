@@ -6,7 +6,6 @@ import (
 	"math/rand/v2"
 	"time"
 
-	"efactory/internal/adapt"
 	"efactory/internal/efactory"
 	"efactory/internal/model"
 	"efactory/internal/sim"
@@ -14,9 +13,45 @@ import (
 	"efactory/internal/ycsb"
 )
 
-// HotpathWidths is the static PutBatch sweep the adaptive controller is
+// HotpathWidths is the static PutBatch sweep the adaptive dispatcher is
 // judged against: unbatched, the mid knee, and the widest batch.
 var HotpathWidths = []int{1, 8, 64}
+
+// The adaptive dispatcher's width bound and decay damping (see batchWidth).
+const (
+	hotpathMaxWidth  = 64
+	widthDecayStreak = 4
+)
+
+// batchWidth is the adaptive dispatcher's AIMD law for the PutBatch width.
+// It starts at 1, so an idle client pays no batching latency until load
+// proves otherwise. A queue of at least twice the width doubles it, up to
+// hotpathMaxWidth: growth is immediate, so a burst is absorbed within a
+// round or two. widthDecayStreak consecutive rounds with at most half a
+// width queued halve it, down to 1: decay is damped, so a brief lull
+// inside a burst does not collapse the batch. It is driven by queue
+// lengths alone — no clocks, no randomness — so the figure stays
+// bit-reproducible.
+type batchWidth struct{ width, lowStreak int }
+
+// observe feeds one dispatch round's queue length and returns the width
+// to dispatch with.
+func (b *batchWidth) observe(queued int) int {
+	b.width = max(b.width, 1)
+	switch {
+	case queued >= 2*b.width:
+		b.width = min(b.width*2, hotpathMaxWidth)
+		b.lowStreak = 0
+	case queued <= b.width/2:
+		if b.lowStreak++; b.lowStreak >= widthDecayStreak {
+			b.width = max(b.width/2, 1)
+			b.lowStreak = 0
+		}
+	default:
+		b.lowStreak = 0
+	}
+	return b.width
+}
 
 // hotpathLinger is how long a static-width batcher holds a partial batch
 // open waiting for it to fill before dispatching anyway — the classic
@@ -79,8 +114,8 @@ func (l hotpathLeg) arrivalTimes(ops int) []time.Duration {
 // RunHotpath drives one open-loop PUT workload through a single
 // dispatcher: ops arrive on the leg's schedule, queue, and are issued as
 // PutBatch calls. width > 0 uses that static batch width (lingering up
-// to hotpathLinger for partial batches to fill); width == 0 lets an
-// adapt.Controller size each dispatch from the queue it actually sees.
+// to hotpathLinger for partial batches to fill); width == 0 lets
+// batchWidth size each dispatch from the queue it actually sees.
 // Latency is sojourn time — completion minus arrival — so queueing delay
 // from undersized batches and linger from oversized ones both count.
 func RunHotpath(par *model.Params, leg hotpathLeg, width, valLen, ops int, sc Scale, seed uint64) Result {
@@ -88,19 +123,13 @@ func RunHotpath(par *model.Params, leg hotpathLeg, width, valLen, ops int, sc Sc
 	cfg := efactory.DefaultConfig()
 	cfg.Buckets = sc.Buckets
 	cfg.PoolSize = sc.PoolSize
-	cfg.BGBatch = 16 // background runs size themselves from durability lag (adapt.BGSize)
+	cfg.BGBatch = 16 // background runs size themselves from durability lag (Engine.AdaptiveBGBatch)
 	srv := efactory.NewServer(env, par, cfg)
 	cl := srv.AttachClient("c0")
 
 	adaptive := width == 0
-	var ctrl *adapt.Controller
-	if adaptive {
-		ctrl = adapt.New(adapt.Config{MaxWidth: 64})
-		ctrl.Register(srv.Metrics(), map[string]string{"client": "c0"})
-		cl.EnableAdaptive()
-	}
-
-	maxW := 64
+	var ctrl batchWidth
+	maxW := hotpathMaxWidth
 	if !adaptive && width > maxW {
 		maxW = width
 	}
@@ -153,8 +182,7 @@ func RunHotpath(par *model.Params, leg hotpathLeg, width, valLen, ops int, sc Sc
 			}
 			w := width
 			if adaptive {
-				ctrl.ObserveLoad(queued(), 0)
-				w = ctrl.BatchWidth()
+				w = ctrl.observe(queued())
 				if w > widthPeak {
 					widthPeak = w
 				}

@@ -81,3 +81,72 @@ func TestHotpathDeterministic(t *testing.T) {
 		t.Fatalf("adaptive hotpath run not deterministic: %+v vs %+v", a, b)
 	}
 }
+
+// TestBatchWidthBurstGrowth: a standing backlog drives the width to its cap
+// within a handful of rounds (multiplicative growth).
+func TestBatchWidthBurstGrowth(t *testing.T) {
+	var b batchWidth
+	for rounds := 1; b.observe(512) < hotpathMaxWidth; rounds++ {
+		if rounds >= 6 {
+			t.Fatalf("width %d after %d rounds, want the cap %d within 6 (multiplicative growth)", b.width, rounds, hotpathMaxWidth)
+		}
+	}
+}
+
+// TestBatchWidthDecayDamped: a lull shorter than the decay streak does not
+// shrink the width (a gap inside a burst), but a sustained idle run walks
+// it back down to 1.
+func TestBatchWidthDecayDamped(t *testing.T) {
+	var b batchWidth
+	for i := 0; i < 8; i++ {
+		b.observe(512)
+	}
+	for i := 0; i < widthDecayStreak-1; i++ {
+		if w := b.observe(0); w != hotpathMaxWidth {
+			t.Fatalf("width decayed to %d after a %d-round lull, want %d", w, i+1, hotpathMaxWidth)
+		}
+	}
+	if w := b.observe(576); w != hotpathMaxWidth {
+		t.Fatalf("width=%d after pressure resumed, want %d", w, hotpathMaxWidth)
+	}
+	for i := 0; i < 64; i++ {
+		b.observe(0)
+	}
+	if b.width != 1 {
+		t.Fatalf("width=%d after sustained idle, want 1", b.width)
+	}
+}
+
+// TestBatchWidthSteadyStateHolds: a queue matching the current width
+// neither grows nor decays it.
+func TestBatchWidthSteadyStateHolds(t *testing.T) {
+	var b batchWidth
+	for i := 0; i < 6; i++ {
+		b.observe(256)
+	}
+	w := b.width
+	for i := 0; i < 100; i++ {
+		if got := b.observe(w); got != w {
+			t.Fatalf("width drifted from %d to %d under steady load", w, got)
+		}
+	}
+}
+
+// TestBatchWidthClamps: no backlog grows the width past hotpathMaxWidth,
+// and no idle run shrinks it below 1.
+func TestBatchWidthClamps(t *testing.T) {
+	var b batchWidth
+	for i := 0; i < 32; i++ {
+		if w := b.observe(1 << 20); w > hotpathMaxWidth {
+			t.Fatalf("width %d past the cap %d", w, hotpathMaxWidth)
+		}
+	}
+	for i := 0; i < 256; i++ {
+		if w := b.observe(0); w < 1 {
+			t.Fatalf("width %d below 1", w)
+		}
+	}
+	if b.width != 1 {
+		t.Fatalf("width=%d after a long idle run, want the floor 1", b.width)
+	}
+}

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"efactory/internal/adapt"
 	"efactory/internal/cluster"
 	"efactory/internal/crc"
 	"efactory/internal/hint"
@@ -21,8 +20,8 @@ const maxEntryProbes = 4
 
 // Core runs the client protocol over one transport's Verbs against one
 // server instance. Ops are safe for concurrent use when the Verbs are; the
-// configuration methods (SetHybridRead, EnableHintCache, EnableAdaptive,
-// EnableTracing) are not — call them before issuing concurrent ops.
+// configuration methods (SetHybridRead, EnableHintCache, EnableTracing) are
+// not — call them before issuing concurrent ops.
 //
 // Every op method runs ONE attempt under a caller-owned trace context (nil
 // = untraced; see Begin/End). An error from Call or a burst ends the
@@ -38,28 +37,27 @@ type Core struct {
 	// state: while set, every read takes the RPC path (§4.4). Written only
 	// by a single-threaded binding (ObserveCleaning).
 	cleaning bool
-	hints    *hint.Cache   // nil unless EnableHintCache was called
+	hints    *hint.Cache   // nil unless the core reads hinted
 	tracer   *trace.Tracer // nil unless EnableTracing was called
 
 	// epoch is the cluster-map epoch the binding stamps on routed requests
 	// (0 = unclustered, which is all the simulator knows).
 	epoch atomic.Uint64
 
-	// mu guards stats and pred (the predictor is not synchronized).
-	mu    sync.Mutex
+	mu    sync.Mutex // guards stats
 	stats *Stats
-	// pred, when non-nil (EnableAdaptive), preemptively routes reads of
-	// recently-written objects straight to RPC instead of wasting the
-	// optimistic one-sided fetch on a value whose durability flag cannot
-	// be set yet.
-	pred *adapt.ReadPredictor
 }
 
 // New builds a core over v for a server with the given per-shard regions
 // and per-shard bucket count. Path choices are counted into stats. The
-// hybrid read scheme starts enabled; everything else starts off.
-func New(v Verbs, shards []Shard, buckets int, stats *Stats) *Core {
-	return &Core{v: v, shards: shards, buckets: buckets, hybrid: true, stats: stats}
+// hybrid read scheme starts enabled, the hint cache when hinted is set
+// (see EnableHintCache), tracing off.
+func New(v Verbs, shards []Shard, buckets int, stats *Stats, hinted bool) *Core {
+	c := &Core{v: v, shards: shards, buckets: buckets, hybrid: true, stats: stats}
+	if hinted {
+		c.EnableHintCache()
+	}
+	return c
 }
 
 // SetHybridRead toggles the hybrid read scheme. Disabling it yields the
@@ -70,21 +68,13 @@ func (c *Core) SetHybridRead(on bool) { c.hybrid = on }
 // ObserveCleaning records whether the server is cleaning its log.
 func (c *Core) ObserveCleaning(on bool) { c.cleaning = on }
 
-// EnableAdaptive turns on per-object adaptive hybrid reads: a read of an
-// object written within the predictor's durability horizon skips the
-// optimistic one-sided fetch (which would bounce off the unset durability
-// flag) and goes straight to RPC.
-func (c *Core) EnableAdaptive() { c.pred = adapt.NewReadPredictor() }
-
-// EnableHintCache attaches a client-side location/durability hint cache
-// with the given per-shard capacity (hint.DefaultCap if non-positive). A
-// hit lets the optimistic read fetch the hash entry and the object in one
-// burst instead of walking the probe chain; the entry READ always rides
-// along and is authoritative, so stale hints are detected and invalidated,
-// never served.
-func (c *Core) EnableHintCache(capPerShard int) {
-	c.hints = hint.New(len(c.shards), capPerShard)
-}
+// EnableHintCache attaches a client-side location hint cache of
+// hint.DefaultCap entries per shard. A hint is learned only from a durable
+// read and dropped by the client's own write of its key. A hit lets the
+// optimistic read fetch the hash entry and the object in one burst instead
+// of walking the probe chain; the entry READ always rides along and is
+// authoritative, so stale hints are detected and invalidated, never served.
+func (c *Core) EnableHintCache() { c.hints = hint.New(len(c.shards), hint.DefaultCap) }
 
 // HintCache returns the attached hint cache (nil when disabled).
 func (c *Core) HintCache() *hint.Cache { return c.hints }
@@ -188,64 +178,25 @@ func (c *Core) count(field *int, n int) {
 	c.mu.Unlock()
 }
 
-// notePut records a completed write with the read predictor.
-func (c *Core) notePut(keyHash uint64) {
-	if c.pred == nil {
-		return
-	}
-	c.mu.Lock()
-	c.pred.NotePut(keyHash)
-	c.mu.Unlock()
-}
-
-// preempt asks the read predictor whether to skip the optimistic fetch.
-func (c *Core) preempt(keyHash uint64) bool {
-	if c.pred == nil {
-		return false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.pred.Preempt(keyHash)
-}
-
-// readOutcome counts one hybrid read's outcome (pure success or fallback)
-// and feeds it back to the predictor's horizon estimator.
-func (c *Core) readOutcome(pure bool) {
-	c.mu.Lock()
-	if pure {
-		c.stats.PureReads++
-	} else {
-		c.stats.FallbackReads++
-	}
-	if c.pred != nil {
-		if pure {
-			c.pred.ObservePure()
-		} else {
-			c.pred.ObserveFallback()
-		}
-	}
-	c.mu.Unlock()
-}
-
-// noteLocation records a location learned from an RPC response (PUT
-// allocation, GET grant). The key's table slot survives overwrites, so a
-// previously learned slot is kept; durable records whether the version at
-// this location was known durable when the response was issued.
-func (c *Core) noteLocation(key []byte, pool uint32, off uint64, tlen, klen int, seq uint64, durable bool) {
+// learn records where a durable version of key was just read — a pure or
+// hinted read, or a server grant — the one way a hint enters the cache. A
+// location learned without its table slot (Slot < 0: a GET grant) keeps
+// the slot learned before, since a key's slot survives overwrites.
+func (c *Core) learn(shard int, key []byte, e hint.Entry) {
 	if c.hints == nil {
 		return
 	}
-	shard := cluster.ShardFor(key, len(c.shards))
-	slot := -1
-	if prev, ok := c.hints.Peek(shard, key); ok {
-		slot = prev.Slot
+	if e.Slot < 0 {
+		if prev, ok := c.hints.Peek(shard, key); ok {
+			e.Slot = prev.Slot
+		}
 	}
-	c.hints.Insert(shard, key, hint.Entry{
-		Slot: slot, Pool: pool, Off: off, Len: tlen, KLen: klen, Seq: seq, Durable: durable,
-	})
+	c.hints.Insert(shard, key, e)
 }
 
-// dropHint invalidates key's hint (client-initiated delete or commit).
+// dropHint invalidates key's hint: the client is about to write the key
+// (Put, PutBatch, Delete, TxnCommit), so the version the hint names is
+// about to be superseded.
 func (c *Core) dropHint(key []byte) {
 	if c.hints != nil {
 		c.hints.Invalidate(cluster.ShardFor(key, len(c.shards)), key)
@@ -292,6 +243,7 @@ func (c *Core) readOne(sc *scratch, buf []byte, rkey uint32, off uint64) (ok boo
 // is left torn and gets invalidated by background verification.
 func (c *Core) Put(tc *trace.Ctx, key, value []byte) error {
 	c.count(&c.stats.Puts, 1)
+	c.dropHint(key)
 	t := c.now(tc)
 	c.v.ChargeCRC(len(value))
 	sum := crc.Checksum(value)
@@ -310,8 +262,6 @@ func (c *Core) Put(tc *trace.Ctx, key, value []byte) error {
 	default:
 		return &StatusError{Op: "put", Status: resp.Status}
 	}
-	c.noteLocation(key, resp.RKey, resp.Off, int(resp.Len), len(key), 0, false)
-	c.notePut(kv.HashKey(key))
 	sc := scratchPool.Get().(*scratch)
 	sc.reqs = append(sc.reqs[:0], Req{Buf: value, RKey: resp.RKey, Off: resp.Off + uint64(kv.ValueOffset(len(key)))})
 	t = c.now(tc)
@@ -339,6 +289,7 @@ func (c *Core) PutBatch(tc *trace.Ctx, keys, values [][]byte, errs []error) erro
 	t := c.now(tc)
 	ops := sc.ops[:0]
 	for i := range keys {
+		c.dropHint(keys[i])
 		c.v.ChargeCRC(len(values[i]))
 		ops = append(ops, wire.PutOp{Crc: crc.Checksum(values[i]), VLen: len(values[i]), Key: keys[i]})
 	}
@@ -365,8 +316,6 @@ func (c *Core) PutBatch(tc *trace.Ctx, keys, values [][]byte, errs []error) erro
 	for i, g := range grants {
 		switch g.Status {
 		case wire.StOK:
-			c.noteLocation(keys[i], g.RKey, g.Off, int(g.Len), len(keys[i]), 0, false)
-			c.notePut(kv.HashKey(keys[i]))
 			reqs = append(reqs, Req{Buf: values[i], RKey: g.RKey, Off: g.Off + uint64(kv.ValueOffset(len(keys[i])))})
 		case wire.StFull:
 			errs[i] = ErrServerFull
@@ -408,12 +357,6 @@ func (c *Core) Get(tc *trace.Ctx, key []byte) ([]byte, error) {
 		return c.rpcRead(tc, sc, key)
 	}
 	keyHash := kv.HashKey(key)
-	if c.preempt(keyHash) {
-		// Written within the durability horizon: the optimistic fetch
-		// would bounce, so take the authoritative path now.
-		c.count(&c.stats.AdaptivePreempts, 1)
-		return c.rpcRead(tc, sc, key)
-	}
 	verdict := readMiss
 	if c.hints != nil {
 		val, v, err := c.hintedRead(tc, sc, key, keyHash)
@@ -429,7 +372,7 @@ func (c *Core) Get(tc *trace.Ctx, key []byte) ([]byte, error) {
 			return val, err
 		}
 	}
-	c.readOutcome(false)
+	c.count(&c.stats.FallbackReads, 1)
 	return c.rpcRead(tc, sc, key)
 }
 
@@ -557,12 +500,8 @@ func (c *Core) pureRead(tc *trace.Ctx, sc *scratch, key []byte, keyHash uint64) 
 	if !ok || verdict != objOK {
 		return nil, readFallback, nil
 	}
-	if c.hints != nil {
-		c.hints.Insert(shard, key, hint.Entry{
-			Slot: slot, Pool: pool, Off: off, Len: tlen, KLen: h.KLen, Seq: h.Seq, Durable: true,
-		})
-	}
-	c.readOutcome(true)
+	c.learn(shard, key, hint.Entry{Slot: slot, Pool: pool, Off: off, Len: tlen})
+	c.count(&c.stats.PureReads, 1)
 	return append([]byte(nil), value(obj, h)...), readHit, nil
 }
 
@@ -571,17 +510,13 @@ func (c *Core) pureRead(tc *trace.Ctx, sc *scratch, key []byte, keyHash uint64) 
 // READ at the hinted location. The entry is authoritative — the
 // speculative bytes are accepted only if the entry still names that exact
 // location; if it points elsewhere the object is re-fetched from the
-// entry's location before the usual durability/key checks.
+// entry's location before the usual durability/key checks. A hit whose
+// slot and location held leaves the cache untouched.
 func (c *Core) hintedRead(tc *trace.Ctx, sc *scratch, key []byte, keyHash uint64) ([]byte, int, error) {
 	shard := cluster.ShardOf(keyHash, len(c.shards))
 	h, ok := c.hints.Lookup(shard, key)
 	if !ok {
 		return nil, readMiss, nil
-	}
-	if !h.Durable {
-		// Last seen undurable: the optimistic read would fail its
-		// durability check anyway, so go straight to the server.
-		return nil, readFallback, nil
 	}
 	g := c.shards[shard]
 	slot := h.Slot
@@ -610,7 +545,8 @@ func (c *Core) hintedRead(tc *trace.Ctx, sc *scratch, key []byte, keyHash uint64
 		c.hints.Invalidate(shard, key)
 		return nil, readFallback, nil
 	}
-	if off != h.Off || tlen != h.Len || pool != h.Pool {
+	moved := off != h.Off || tlen != h.Len || pool != h.Pool
+	if moved {
 		// The key moved; the speculative bytes are a stale version. The
 		// entry names the current location — fetch that instead.
 		c.hints.Invalidate(shard, key)
@@ -632,11 +568,13 @@ func (c *Core) hintedRead(tc *trace.Ctx, sc *scratch, key []byte, keyHash uint64
 		}
 		return nil, readFallback, nil // not completely durable: server resolves
 	}
-	c.hints.Insert(shard, key, hint.Entry{
-		Slot: slot, Pool: pool, Off: off, Len: tlen, KLen: hd.KLen, Seq: hd.Seq, Durable: true,
-	})
-	c.count(&c.stats.HintedReads, 1)
-	c.readOutcome(true)
+	if moved || h.Slot < 0 {
+		c.learn(shard, key, hint.Entry{Slot: slot, Pool: pool, Off: off, Len: tlen})
+	}
+	c.mu.Lock()
+	c.stats.PureReads++
+	c.stats.HintedReads++
+	c.mu.Unlock()
 	return append([]byte(nil), value(obj, hd)...), readHit, nil
 }
 
@@ -673,7 +611,7 @@ func (c *Core) rpcRead(tc *trace.Ctx, sc *scratch, key []byte) ([]byte, error) {
 	}
 	// The server only grants durable versions, so the hint is warm for the
 	// next optimistic read.
-	c.noteLocation(key, resp.RKey, resp.Off, int(resp.Len), h.KLen, h.Seq, true)
+	c.learn(cluster.ShardFor(key, len(c.shards)), key, hint.Entry{Slot: -1, Pool: resp.RKey, Off: resp.Off, Len: int(resp.Len)})
 	return append([]byte(nil), value(obj, h)...), nil
 }
 

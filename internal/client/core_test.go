@@ -8,9 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"efactory/internal/cluster"
 	"efactory/internal/crc"
-	"efactory/internal/hint"
 	"efactory/internal/kv"
 	"efactory/internal/nvm"
 	"efactory/internal/server"
@@ -61,7 +59,7 @@ func newFake(t *testing.T, buckets int) (*fakeVerbs, *Core, *Stats) {
 	f.st = st
 	f.core = server.New(txn.NewManager(st, nil), [][2]uint32{{2, 3}}, 0, nil)
 	stats := new(Stats)
-	return f, New(f, []Shard{{Table: 1, Pool: [2]uint32{2, 3}}}, buckets, stats), stats
+	return f, New(f, []Shard{{Table: 1, Pool: [2]uint32{2, 3}}}, buckets, stats, false), stats
 }
 
 func (f *fakeVerbs) eng() *store.Engine { return f.st.Shard(0) }
@@ -216,28 +214,33 @@ func noObjectReadBeforeRPC(t *testing.T, f *fakeVerbs) func(burst, idx int, r *R
 	}
 }
 
+// slotted reports whether the client holds a hint for key that names its
+// table slot.
+func slotted(c *Core, key []byte) bool {
+	h, ok := c.hints.Peek(0, key)
+	return ok && h.Slot >= 0
+}
+
 // TestOptimisticReadPaths drives every branch of the hybrid read —
-// hints that went stale, refusals, torn bytes, probe exhaustion, the
-// clustered empty-bucket rule — through both Get and GetBatch, checking
-// the value served, the path counted, and whether the server was asked.
+// hints that went stale or were dropped by the client's own writes,
+// refusals, torn bytes, probe exhaustion, the clustered empty-bucket rule
+// — through both Get and GetBatch, checking the value served, the path
+// counted, and whether the server was asked.
 func TestOptimisticReadPaths(t *testing.T) {
 	key, v1, v2 := []byte("the-key"), bytes.Repeat([]byte{1}, 100), bytes.Repeat([]byte{2}, 300)
-	// warm leaves key=v1 durable on the server with a durable, slotted
-	// hint in the client's cache.
+	// warm leaves key=v1 durable on the server with a slotted hint in the
+	// client's cache, learned by the settled key's first (pure) read.
 	warm := func(t *testing.T, f *fakeVerbs, c *Core) {
-		c.EnableHintCache(0)
+		c.EnableHintCache()
 		if err := c.Put(nil, key, v1); err != nil {
 			t.Fatal(err)
 		}
 		f.settle()
-		for i := 0; i < 2; i++ { // RPC read warms the location; pure read learns the slot
-			c.hints.Invalidate(0, key)
-			if _, err := c.Get(nil, key); err != nil {
-				t.Fatal(err)
-			}
+		if _, err := c.Get(nil, key); err != nil {
+			t.Fatal(err)
 		}
-		if h, ok := c.hints.Peek(0, key); !ok || !h.Durable || h.Slot < 0 {
-			t.Fatalf("warm-up left hint %+v (present %v), want durable and slotted", h, ok)
+		if !slotted(c, key) {
+			t.Fatal("warm-up read learned no slotted hint")
 		}
 	}
 	type readCase struct {
@@ -321,20 +324,43 @@ func TestOptimisticReadPaths(t *testing.T) {
 			want: v1, rpcs: 1, delta: Stats{FallbackReads: 1},
 		},
 		{
-			name: "undurable hint goes straight to RPC",
+			name: "a settled Put is read one-sidedly, learning its hint",
 			setup: func(t *testing.T, f *fakeVerbs, c *Core) {
-				c.EnableHintCache(0)
-				if err := c.Put(nil, key, v1); err != nil { // grant noted, not yet durable
+				c.EnableHintCache()
+				if err := c.Put(nil, key, v1); err != nil { // leaves no hint
 					t.Fatal(err)
 				}
-				home := uint64(kv.HashKey(key)%64) * kv.EntrySize
-				f.onRead = func(burst, idx int, r *Req) {
-					if f.rpcReads() == 0 && (r.RKey != 1 || r.Off == home) {
-						t.Error("optimistic READ posted for a key last seen undurable")
-					}
+				f.settle()
+			},
+			want: v1, delta: Stats{PureReads: 1},
+			after: func(t *testing.T, f *fakeVerbs, c *Core) {
+				if !slotted(c, key) {
+					t.Error("the durable read learned no slotted hint")
 				}
 			},
-			want: v1, rpcs: 1, delta: Stats{FallbackReads: 1},
+		},
+		{
+			name: "TxnCommit drops the hints of its keys",
+			setup: func(t *testing.T, f *fakeVerbs, c *Core) {
+				warm(t, f, c)
+				if _, err := c.TxnCommit(nil, [][]byte{key}, [][]byte{v2}); err != nil {
+					t.Fatal(err)
+				}
+				if _, ok := c.hints.Peek(0, key); ok {
+					t.Fatal("the hint survived the commit")
+				}
+				f.settle()
+			},
+			want: v2, delta: Stats{PureReads: 1},
+			after: func(t *testing.T, f *fakeVerbs, c *Core) {
+				vals, errs := make([][]byte, 2), make([]error, 2)
+				if err := c.TxnRead(nil, [][]byte{key, []byte("t-absent")}, vals, errs); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(vals[0], v2) || errs[0] != nil || !errors.Is(errs[1], ErrNotFound) {
+					t.Errorf("TxnRead = %.8x, %v / %v; want the committed value and not found", vals[0], errs[0], errs[1])
+				}
+			},
 		},
 		{
 			name: "undurable object falls back",
@@ -540,40 +566,34 @@ func TestGrantedLocationRefused(t *testing.T) {
 	}
 }
 
-// TestTxnCommitDropsHintsAndWarmsPredictor pins the post-commit rule both
-// transports now share: a commit is a server-side write, so the keys'
-// location hints are dropped and the read predictor treats them as just
-// written.
-func TestTxnCommitDropsHintsAndWarmsPredictor(t *testing.T) {
-	f, c, stats := newFake(t, 64)
-	c.EnableHintCache(0)
-	c.EnableAdaptive()
-	keys := [][]byte{[]byte("t1"), []byte("t2")}
-	for _, k := range keys {
-		f.serverPut(t, k, []byte("old"))
-		c.hints.Insert(cluster.ShardFor(k, 1), k, hint.Entry{Slot: 1, Pool: 2, Len: 128, Durable: true})
-	}
-	id, err := c.TxnCommit(nil, keys, [][]byte{[]byte("new-1"), []byte("new-2")})
-	if err != nil || id == 0 {
-		t.Fatalf("TxnCommit = %d, %v", id, err)
-	}
-	for _, k := range keys {
-		if _, ok := c.hints.Peek(0, k); ok {
-			t.Errorf("hint for %s survived the commit", k)
-		}
-	}
-	got, err := c.Get(nil, keys[0])
-	if err != nil || string(got) != "new-1" {
-		t.Fatalf("Get after commit = %q, %v", got, err)
-	}
-	if stats.AdaptivePreempts != 1 || f.bursts != 1 {
-		t.Errorf("preempts=%d READ bursts=%d: the read of a just-committed key must skip the optimistic fetch (1 preempt, 1 granted fetch)", stats.AdaptivePreempts, f.bursts)
-	}
-	vals, errs := make([][]byte, 3), make([]error, 3)
-	if err := c.TxnRead(nil, append(keys, []byte("t-absent")), vals, errs); err != nil {
-		t.Fatal(err)
-	}
-	if string(vals[0]) != "new-1" || string(vals[1]) != "new-2" || !errors.Is(errs[2], ErrNotFound) {
-		t.Errorf("TxnRead = %q %q / %v, want new-1 new-2 / not found", vals[0], vals[1], errs)
+// TestSettledHintedReadsLeaveCacheAlone: a hinted hit whose slot and
+// location held re-inserts nothing — an Insert allocates the key string —
+// so repeat reads of a settled key cost the cache one lookup each.
+func TestSettledHintedReadsLeaveCacheAlone(t *testing.T) {
+	for _, rd := range readers {
+		t.Run(rd.name, func(t *testing.T) {
+			f, c, stats := newFake(t, 64)
+			c.EnableHintCache()
+			key, val := []byte("settled"), []byte("value")
+			if err := c.Put(nil, key, val); err != nil {
+				t.Fatal(err)
+			}
+			f.settle()
+			if _, err := rd.read(c, key); err != nil { // learns the hint
+				t.Fatal(err)
+			}
+			inserts := c.hints.Stats().Inserts
+			for i := 0; i < 100; i++ {
+				if got, err := rd.read(c, key); err != nil || !bytes.Equal(got, val) {
+					t.Fatalf("read %d = %q, %v", i, got, err)
+				}
+			}
+			if d := c.hints.Stats().Inserts - inserts; d != 0 {
+				t.Errorf("100 hinted reads moved Inserts by %d, want 0", d)
+			}
+			if stats.HintedReads != 100 {
+				t.Errorf("HintedReads = %d, want 100", stats.HintedReads)
+			}
+		})
 	}
 }

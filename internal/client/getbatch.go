@@ -75,14 +75,7 @@ func (c *Core) GetBatch(tc *trace.Ctx, keys, vals [][]byte, errs []error) error 
 			continue
 		}
 		if c.hints != nil {
-			if h, ok := c.hints.Lookup(st.shard, k); ok {
-				if !h.Durable {
-					st.fallback = true
-					c.count(&c.stats.FallbackReads, 1)
-					continue
-				}
-				st.hinted, st.useHint = h, true
-			}
+			st.hinted, st.useHint = c.hints.Lookup(st.shard, k)
 		}
 	}
 	fail := func(err error) error {
@@ -109,7 +102,8 @@ func (c *Core) GetBatch(tc *trace.Ctx, keys, vals [][]byte, errs []error) error 
 		st.phase, st.slot, st.probe, st.useHint = gbIdle, -1, 0, false
 	}
 	// validateObj applies the optimistic object checks to st.obj; it either
-	// finishes the key or sends it to the RPC fallback.
+	// finishes the key or sends it to the RPC fallback. A hinted key whose
+	// slot and location held leaves the cache untouched.
 	validateObj := func(i int) {
 		st := &sts[i]
 		hd, verdict := checkObject(st.obj, keys[i])
@@ -126,11 +120,8 @@ func (c *Core) GetBatch(tc *trace.Ctx, keys, vals [][]byte, errs []error) error 
 		if st.useHint { // the hinted slot held: the probe walk was skipped
 			c.count(&c.stats.HintedReads, 1)
 		}
-		if c.hints != nil {
-			c.hints.Insert(st.shard, keys[i], hint.Entry{
-				Slot: st.slot, Pool: st.pool, Off: st.off, Len: st.tlen,
-				KLen: hd.KLen, Seq: hd.Seq, Durable: true,
-			})
+		if st.phase != gbHinted || st.hinted.Slot < 0 {
+			c.learn(st.shard, keys[i], hint.Entry{Slot: st.slot, Pool: st.pool, Off: st.off, Len: st.tlen})
 		}
 	}
 	// located queues the object READ for the location an entry names for
@@ -331,12 +322,7 @@ func (c *Core) GetBatch(tc *trace.Ctx, keys, vals [][]byte, errs []error) error 
 			continue
 		}
 		vals[i] = value(r.Buf, hd)
-		if c.hints != nil {
-			c.hints.Insert(sts[i].shard, keys[i], hint.Entry{
-				Slot: int(g.Slot), Pool: g.RKey, Off: g.Off, Len: int(g.Len),
-				KLen: int(g.KLen), Seq: g.Seq, Durable: g.Durable(),
-			})
-		}
+		c.learn(sts[i].shard, keys[i], hint.Entry{Slot: int(g.Slot), Pool: g.RKey, Off: g.Off, Len: int(g.Len)})
 	}
 	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"efactory/internal/crc"
-	"efactory/internal/kv"
 	"efactory/internal/trace"
 	"efactory/internal/wire"
 )
@@ -21,6 +20,7 @@ func (c *Core) TxnCommit(tc *trace.Ctx, keys, vals [][]byte) (uint64, error) {
 	ops := make([]wire.TxnOp, len(keys))
 	t := c.now(tc)
 	for i := range keys {
+		c.dropHint(keys[i])
 		c.v.ChargeCRC(len(vals[i]))
 		ops[i] = wire.TxnOp{Crc: crc.Checksum(vals[i]), Key: keys[i], Value: vals[i]}
 	}
@@ -40,13 +40,6 @@ func (c *Core) TxnCommit(tc *trace.Ctx, keys, vals [][]byte) (uint64, error) {
 		return 0, ErrServerFull
 	default:
 		return 0, ErrTxnAborted
-	}
-	for _, key := range keys {
-		// The commit is a server-side write: warm the read predictor so
-		// hybrid reads skip the not-yet-durable window, and drop any
-		// location hint learned from the superseded version.
-		c.dropHint(key)
-		c.notePut(kv.HashKey(key))
 	}
 	return resp.Off, nil
 }

@@ -2,7 +2,7 @@
 // client-active PUT with asynchronous durability (Figure 5), the hybrid
 // optimistic-read / RPC-fallback GET (Figure 6), their doorbell-batched
 // forms, DELETE, the transactional commit and snapshot read, hint-cache
-// coherence, the read predictor, the path counters and the trace spans.
+// coherence, the path counters and the trace spans.
 //
 // The protocol is expressed as ONE ATTEMPT of each op against the Verbs
 // interface below. A transport binds Verbs to what it has — the simulator
@@ -95,16 +95,15 @@ type Shard struct {
 // Stats counts client-side path choices. A transport embeds or exposes one
 // and hands the Core a pointer; read it quiesced.
 type Stats struct {
-	Puts             int
-	Gets             int
-	BatchedPuts      int // PUTs carried by doorbell-batched PutBatch chains
-	BatchedGets      int // GETs carried by doorbell-batched GetBatch chains
-	PureReads        int // GETs satisfied entirely one-sidedly
-	HintedReads      int // pure reads whose probe walk was skipped by a hint hit
-	FallbackReads    int // GETs that fell back to RPC after an undurable fetch
-	RPCReads         int // GETs that went straight to RPC (cleaning / no hybrid)
-	AdaptivePreempts int // GETs the read predictor routed straight to RPC
-	Notifications    int // clean-start/end notifications processed (simulator)
+	Puts          int
+	Gets          int
+	BatchedPuts   int // PUTs carried by doorbell-batched PutBatch chains
+	BatchedGets   int // GETs carried by doorbell-batched GetBatch chains
+	PureReads     int // GETs satisfied entirely one-sidedly
+	HintedReads   int // pure reads whose probe walk was skipped by a hint hit
+	FallbackReads int // GETs that fell back to RPC after an optimistic attempt
+	RPCReads      int // GETs that went straight to RPC (cleaning / no hybrid)
+	Notifications int // clean-start/end notifications processed (simulator)
 }
 
 // FirstErr returns the first consequential error of a batch (ErrNotFound

@@ -59,7 +59,7 @@ type Client struct {
 
 func newClient(env *sim.Env, par *model.Params, nic *rnic.NIC, ep *rnic.Endpoint, shards []client.Shard, buckets int) *Client {
 	c := &Client{env: env, par: par, nic: nic, ep: ep}
-	c.core = client.New((*verbs)(c), shards, buckets, &c.Stats)
+	c.core = client.New((*verbs)(c), shards, buckets, &c.Stats, false)
 	return c
 }
 
@@ -68,17 +68,10 @@ func newClient(env *sim.Env, par *model.Params, nic *rnic.NIC, ep *rnic.Endpoint
 // every GET uses the RPC+RDMA path.
 func (c *Client) SetHybridRead(on bool) { c.core.SetHybridRead(on) }
 
-// EnableAdaptive turns on per-object adaptive hybrid reads: a read of an
-// object this client wrote within the predictor's durability horizon
-// skips the optimistic one-sided fetch and goes straight to RPC. Off by
-// default, keeping figures bit-identical.
-func (c *Client) EnableAdaptive() { c.core.EnableAdaptive() }
-
-// EnableHintCache attaches a client-side location/durability hint cache
-// with the given per-shard capacity (hint.DefaultCap if non-positive).
-// The cache is off by default, so default-configuration timings are
-// unchanged.
-func (c *Client) EnableHintCache(capPerShard int) { c.core.EnableHintCache(capPerShard) }
+// EnableHintCache attaches a client-side location hint cache (see
+// client.Core.EnableHintCache). It is off by default: the paper's figures
+// measure a client without one.
+func (c *Client) EnableHintCache() { c.core.EnableHintCache() }
 
 // HintCache returns the attached hint cache (nil when disabled).
 func (c *Client) HintCache() *hint.Cache { return c.core.HintCache() }

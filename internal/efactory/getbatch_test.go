@@ -148,7 +148,7 @@ func TestHintCacheAcceleratesRepeatReads(t *testing.T) {
 	c := newCluster(t, DefaultConfig(), 1)
 	c.run(func(p *sim.Proc) {
 		cl := c.clients[0]
-		cl.EnableHintCache(0)
+		cl.EnableHintCache()
 		keys, vals := batchKeys(8)
 		for i := range keys {
 			if err := cl.Put(p, keys[i], vals[i]); err != nil {
@@ -156,8 +156,8 @@ func TestHintCacheAcceleratesRepeatReads(t *testing.T) {
 			}
 		}
 		p.Sleep(5 * time.Millisecond)
-		// First batch: PUT-seeded hints are marked undurable, so these
-		// resolve via RPC and come back with durable, slot-bearing hints.
+		// First batch: a PUT leaves no hint, so these walk the probe chains
+		// and learn durable, slot-bearing hints.
 		if _, errs := cl.GetBatch(p, keys); errs[0] != nil {
 			t.Fatal(errs[0])
 		}
@@ -181,7 +181,7 @@ func TestHintCoherentAcrossClients(t *testing.T) {
 	c := newCluster(t, DefaultConfig(), 2)
 	c.run(func(p *sim.Proc) {
 		reader, writer := c.clients[0], c.clients[1]
-		reader.EnableHintCache(0)
+		reader.EnableHintCache()
 		key, v1, v2 := []byte("shared-key"), []byte("version-one-xxxxxxxx"), []byte("version-two-longer-yyyyyyyyyyyy")
 		if err := writer.Put(p, key, v1); err != nil {
 			t.Fatal(err)
@@ -220,7 +220,7 @@ func TestHintNamingDeadRegionRejoinsProbeWalk(t *testing.T) {
 	c := newCluster(t, DefaultConfig(), 1)
 	c.run(func(p *sim.Proc) {
 		cl := c.clients[0]
-		cl.EnableHintCache(0)
+		cl.EnableHintCache()
 		key, val := []byte("relaid-key"), []byte("still-here")
 		if err := cl.Put(p, key, val); err != nil {
 			t.Fatal(err)
@@ -234,7 +234,7 @@ func TestHintNamingDeadRegionRejoinsProbeWalk(t *testing.T) {
 			},
 		}
 		for i, read := range reads {
-			cl.HintCache().Insert(0, key, hint.Entry{Slot: -1, Pool: 0xdead, Len: 128, Durable: true})
+			cl.HintCache().Insert(0, key, hint.Entry{Slot: -1, Pool: 0xdead, Len: 128})
 			before := cl.Stats
 			if got, err := read(); err != nil || string(got) != string(val) {
 				t.Fatalf("read %d through a dead-region hint: %q, %v", i, got, err)

@@ -69,7 +69,7 @@ func RunSimTorture(tc fault.Config) (fault.Result, error) {
 	if tc.GetBatch {
 		// The batched leg reads through the hint cache so crash points land
 		// inside hinted chained READs and their fallbacks too.
-		cl.EnableHintCache(0)
+		cl.EnableHintCache()
 	}
 
 	oracle := fault.NewOracle()

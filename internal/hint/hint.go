@@ -1,7 +1,7 @@
-// Package hint is the client-side location/durability hint cache of the
-// read path (FaRM-style location caching): a bounded, per-shard map from
-// key to the last place a durable version of it was seen — table slot,
-// pool region, offset/length, version sequence, durability flag.
+// Package hint is the client-side location hint cache of the read path
+// (FaRM-style location caching): a bounded, per-shard map from key to the
+// last place a durable version of it was read — table slot, pool region,
+// offset/length.
 //
 // Hints are an accelerator, never an authority. A hit lets the client skip
 // the slot-probe READs of the optimistic read path and fetch the entry and
@@ -15,8 +15,6 @@ package hint
 import (
 	"sync"
 	"sync/atomic"
-
-	"efactory/internal/obs"
 )
 
 // DefaultCap is the per-shard entry bound used when New is given a
@@ -24,23 +22,20 @@ import (
 const DefaultCap = 4096
 
 // Entry is one cached location: where a durable version of the key was
-// last observed.
+// last read.
 type Entry struct {
-	Slot    int    // hash-table bucket index within the shard
-	Pool    uint32 // pool region (rkey) as the client addresses it
-	Off     uint64 // pool-relative object offset
-	Len     int    // total object length
-	KLen    int    // key length recorded in the object header
-	Seq     uint64 // version sequence number
-	Durable bool   // durability flag when last observed
-	epoch   uint64 // cluster-map epoch the hint was learned under
+	Slot  int    // hash-table bucket index within the shard
+	Pool  uint32 // pool region (rkey) as the client addresses it
+	Off   uint64 // pool-relative object offset
+	Len   int    // total object length
+	epoch uint64 // cluster-map epoch the hint was learned under
 }
 
 // Stats is a point-in-time snapshot of the cache counters.
 type Stats struct {
 	Hits         uint64 // lookups that found a cached entry
 	Misses       uint64 // lookups that found nothing
-	Stale        uint64 // cached entries invalidated after failing validation
+	Stale        uint64 // cached entries dropped: failed validation or the client's own write
 	Inserts      uint64 // entries stored or refreshed
 	Evictions    uint64 // entries displaced by the per-shard capacity bound
 	EpochDropped uint64 // entries bulk-invalidated by a cluster epoch change
@@ -200,8 +195,8 @@ func (c *Cache) InvalidateAll() {
 	}
 }
 
-// Invalidate drops key's hint after it failed validation (or after the
-// client itself deleted the key). It is a no-op for absent keys.
+// Invalidate drops key's hint after it failed validation (or because the
+// client itself wrote the key). It is a no-op for absent keys.
 func (c *Cache) Invalidate(shard int, key []byte) {
 	s := c.shard(shard)
 	s.mu.Lock()
@@ -238,28 +233,4 @@ func (c *Cache) Stats() Stats {
 		Evictions:    c.evictions.Load(),
 		EpochDropped: c.epochDropped.Load(),
 	}
-}
-
-// Register exports the cache counters through an obs.Registry under the
-// given role label (e.g. "client"), alongside a resident-entry gauge.
-func (c *Cache) Register(reg *obs.Registry, role string) {
-	lbl := map[string]string{"role": role}
-	outcome := func(o string) map[string]string {
-		return map[string]string{"role": role, "outcome": o}
-	}
-	reg.AddCounter("efactory_hint_cache_lookups_total", "Hint-cache lookup outcomes.", outcome("hit"),
-		func() float64 { return float64(c.hits.Load()) })
-	reg.AddCounter("efactory_hint_cache_lookups_total", "Hint-cache lookup outcomes.", outcome("miss"),
-		func() float64 { return float64(c.misses.Load()) })
-	reg.AddCounter("efactory_hint_cache_stale_total", "Hints invalidated after failing validation.", lbl,
-		func() float64 { return float64(c.stale.Load()) })
-	reg.AddCounter("efactory_hint_cache_inserts_total", "Hints stored or refreshed.", lbl,
-		func() float64 { return float64(c.inserts.Load()) })
-	reg.AddCounter("efactory_hint_cache_evictions_total", "Hints displaced by the capacity bound.", lbl,
-		func() float64 { return float64(c.evictions.Load()) })
-	reg.AddCounter("efactory_hint_cache_epoch_invalidations_total",
-		"Hints dropped because the cluster-map epoch advanced.", lbl,
-		func() float64 { return float64(c.epochDropped.Load()) })
-	reg.AddGauge("efactory_hint_cache_entries", "Resident hints across shards.", lbl,
-		func() float64 { return float64(c.Len()) })
 }

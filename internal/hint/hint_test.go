@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"efactory/internal/hint"
-	"efactory/internal/obs"
 )
 
 func TestLookupInsertInvalidate(t *testing.T) {
@@ -15,7 +14,7 @@ func TestLookupInsertInvalidate(t *testing.T) {
 	if _, ok := c.Lookup(0, key); ok {
 		t.Fatal("lookup on empty cache hit")
 	}
-	e := hint.Entry{Slot: 7, Pool: 3, Off: 640, Len: 96, KLen: 5, Seq: 12, Durable: true}
+	e := hint.Entry{Slot: 7, Pool: 3, Off: 640, Len: 96}
 	c.Insert(0, key, e)
 	got, ok := c.Lookup(0, key)
 	if !ok || got != e {
@@ -27,7 +26,7 @@ func TestLookupInsertInvalidate(t *testing.T) {
 	}
 	// Refresh replaces in place.
 	e2 := e
-	e2.Seq = 13
+	e2.Off = 1024
 	c.Insert(0, key, e2)
 	if got, _ := c.Lookup(0, key); got != e2 {
 		t.Fatalf("refresh not applied: %+v", got)
@@ -85,32 +84,6 @@ func TestDefaultsAndBadShard(t *testing.T) {
 	}
 }
 
-func TestRegisterExportsCounters(t *testing.T) {
-	c := hint.New(1, 4)
-	c.Insert(0, []byte("a"), hint.Entry{})
-	c.Lookup(0, []byte("a"))
-	c.Lookup(0, []byte("b"))
-	c.Invalidate(0, []byte("a"))
-
-	reg := obs.New("efactory", 1, []string{"noop"}, 8)
-	c.Register(reg, "client")
-	snap := reg.Snapshot()
-	check := func(name string, match map[string]string, want float64) {
-		t.Helper()
-		v, ok := snap.CounterValue(name, match)
-		if !ok || v != want {
-			t.Fatalf("%s%v = %v (ok=%v), want %v", name, match, v, ok, want)
-		}
-	}
-	check("efactory_hint_cache_lookups_total", map[string]string{"outcome": "hit"}, 1)
-	check("efactory_hint_cache_lookups_total", map[string]string{"outcome": "miss"}, 1)
-	check("efactory_hint_cache_stale_total", map[string]string{"role": "client"}, 1)
-	check("efactory_hint_cache_inserts_total", map[string]string{"role": "client"}, 1)
-	if v, ok := snap.GaugeValue("efactory_hint_cache_entries"); !ok || v != 0 {
-		t.Fatalf("entries gauge = %v (ok=%v), want 0", v, ok)
-	}
-}
-
 func TestConcurrentAccess(t *testing.T) {
 	c := hint.New(4, 64)
 	var wg sync.WaitGroup
@@ -123,7 +96,7 @@ func TestConcurrentAccess(t *testing.T) {
 				sh := i % 4
 				switch (g + i) % 3 {
 				case 0:
-					c.Insert(sh, k, hint.Entry{Slot: i, Seq: uint64(i)})
+					c.Insert(sh, k, hint.Entry{Slot: i, Off: uint64(i)})
 				case 1:
 					c.Lookup(sh, k)
 				default:
@@ -140,8 +113,8 @@ func TestConcurrentAccess(t *testing.T) {
 
 func TestEpochScoping(t *testing.T) {
 	c := hint.New(2, 64)
-	c.Insert(0, []byte("a"), hint.Entry{Slot: 1, Seq: 10})
-	c.Insert(1, []byte("b"), hint.Entry{Slot: 2, Seq: 11})
+	c.Insert(0, []byte("a"), hint.Entry{Slot: 1})
+	c.Insert(1, []byte("b"), hint.Entry{Slot: 2})
 	if _, ok := c.Lookup(0, []byte("a")); !ok {
 		t.Fatal("hint missing before epoch change")
 	}
@@ -166,34 +139,13 @@ func TestEpochScoping(t *testing.T) {
 		t.Fatal("AdvanceEpoch accepted a non-advancing epoch")
 	}
 	// New inserts are stamped with the new epoch and serve normally.
-	c.Insert(0, []byte("a"), hint.Entry{Slot: 3, Seq: 12})
+	c.Insert(0, []byte("a"), hint.Entry{Slot: 3})
 	if e, ok := c.Lookup(0, []byte("a")); !ok || e.Slot != 3 {
 		t.Fatalf("post-epoch insert not served: %+v ok=%v", e, ok)
 	}
 	st := c.Stats()
 	if st.EpochDropped < 2 {
 		t.Fatalf("EpochDropped = %d, want >= 2", st.EpochDropped)
-	}
-}
-
-func TestEpochInvalidationCounterRegistered(t *testing.T) {
-	c := hint.New(1, 8)
-	reg := obs.New("efactory", 1, []string{"noop"}, 8)
-	c.Register(reg, "client")
-	c.Insert(0, []byte("k"), hint.Entry{Slot: 1})
-	c.AdvanceEpoch(7)
-	snap := reg.Snapshot()
-	found := false
-	for _, m := range snap.Counters {
-		if m.Name == "efactory_hint_cache_epoch_invalidations_total" {
-			found = true
-			if m.Value < 1 {
-				t.Fatalf("epoch-invalidation counter = %v, want >= 1", m.Value)
-			}
-		}
-	}
-	if !found {
-		t.Fatal("epoch-invalidation counter not registered")
 	}
 }
 

@@ -49,7 +49,7 @@ func TestSimDifferential(t *testing.T) {
 				cfg.CleanThreshold = 0.15 // let cleaning move objects under live hints
 				srv := efactory.NewServer(env, &par, cfg)
 				cl := srv.AttachClient("mc")
-				cl.EnableHintCache(0)
+				cl.EnableHintCache()
 				var derr error
 				env.Go("driver", func(p *sim.Proc) {
 					derr = Diff(simKV{cl, p}, ops)

@@ -53,7 +53,6 @@ func TestTCPDifferential(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer cl.Close()
-				cl.EnableHintCache(0)
 				if err := Diff(cl, ops); err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}

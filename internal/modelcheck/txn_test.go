@@ -34,7 +34,7 @@ func TestSimTxnDifferential(t *testing.T) {
 			cfg.CleanThreshold = 0.15 // cleaning moves committed versions under live reads
 			srv := efactory.NewServer(env, &par, cfg)
 			cl := srv.AttachClient("mc-txn")
-			cl.EnableHintCache(0)
+			cl.EnableHintCache()
 			var derr error
 			env.Go("driver", func(p *sim.Proc) {
 				derr = DiffTxn(simKV{cl, p}, ops)
@@ -88,7 +88,6 @@ func TestTCPTxnDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer cl.Close()
-			cl.EnableHintCache(0)
 			if err := DiffTxn(cl, ops); err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}

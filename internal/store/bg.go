@@ -1,7 +1,6 @@
 package store
 
 import (
-	"efactory/internal/adapt"
 	"efactory/internal/crc"
 	"efactory/internal/kv"
 )
@@ -252,15 +251,26 @@ const adaptiveBatchStep = 2048
 // efactory_durability_lag_bytes gauge) to a batch size in [1, max]: an
 // idle shard verifies one object at a time, minimizing each fresh write's
 // time to durability, while a backlogged shard coalesces up to max
-// objects per lock acquisition, maximizing drain throughput. The mapping
-// itself lives in internal/adapt with the rest of the load-adaptive
-// control laws.
+// objects per lock acquisition, maximizing drain throughput.
 func (e *Engine) AdaptiveBGBatch(max int) int {
 	if max <= 1 {
 		return 1
 	}
 	backlog, _ := e.DurabilityLag()
-	return adapt.BGSize(backlog, adaptiveBatchStep, max)
+	return bgSize(backlog, adaptiveBatchStep, max)
+}
+
+// bgSize maps a durability-lag backlog (bytes not yet verified) to a
+// background batch size in [1, max]: step is the backlog that buys one
+// more object of batch.
+func bgSize(backlogBytes, step, max int) int {
+	if max <= 1 {
+		return 1
+	}
+	if step <= 0 {
+		step = 1
+	}
+	return min(1+backlogBytes/step, max)
 }
 
 // bgSuperseded reports whether the version at off in pool pi is no longer

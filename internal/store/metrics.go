@@ -175,7 +175,7 @@ func (s *Store) registerMetrics() {
 			func() float64 { b, _ := e.DurabilityLag(); return float64(b) })
 		r.AddGauge("efactory_durability_lag_oldest_ns", "Age (sink clock) of the oldest still-unverified object at a verifier cursor.", lbl,
 			func() float64 { _, a := e.DurabilityLag(); return float64(a) })
-		r.AddGauge("efactory_bg_batch_width", "Adaptive batch cap the most recent background run used (lag-driven, see adapt.BGSize).", lbl,
+		r.AddGauge("efactory_bg_batch_width", "Adaptive batch cap the most recent background run used (lag-driven, see Engine.AdaptiveBGBatch).", lbl,
 			func() float64 {
 				e.mu.Lock()
 				defer e.mu.Unlock()

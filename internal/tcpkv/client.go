@@ -34,7 +34,7 @@ var (
 )
 
 // DefaultPipelineDepth bounds how many RPCs a client keeps in flight on
-// its pipelined channel unless SetPipelineDepth says otherwise.
+// its pipelined channel.
 const DefaultPipelineDepth = 16
 
 // Client is a TCP-mode eFactory client: the protocol core
@@ -43,22 +43,22 @@ const DefaultPipelineDepth = 16
 // demultiplexed by a reader goroutine) and a lock-step one-sided channel.
 // What lives here is only what is TCP: dialing and reconnecting, the
 // retry loop wrapped around each of the core's single attempts, epoch
-// stamping and wrong-epoch mapping, and the admin RPCs. Methods are safe
-// for concurrent use; concurrent RPCs share the pipelined connection
-// instead of queueing behind each other.
+// stamping and wrong-epoch mapping, and the admin RPCs. Every client reads
+// through a location hint cache (internal/hint). Methods are safe for
+// concurrent use; concurrent RPCs share the pipelined connection instead
+// of queueing behind each other.
 type Client struct {
 	addr string
 	core *client.Core
 
 	// mu guards connection state, the retry policy, and the recovery
 	// counters — not op I/O, which proceeds concurrently on the pipe.
-	mu        sync.Mutex
-	retry     RetryPolicy       // zero value: single attempt, no deadlines
-	jitter    func(int64) int64 // backoff random source; nil = process-wide (tests seed it)
-	pipeDepth int
-	gen       uint64 // bumped per reconnect; concurrent retriers share one redial
-	pipe      *pipe
-	osConn    net.Conn
+	mu     sync.Mutex
+	retry  RetryPolicy       // zero value: single attempt, no deadlines
+	jitter func(int64) int64 // backoff random source; nil = process-wide (tests seed it)
+	gen    uint64            // bumped per reconnect; concurrent retriers share one redial
+	pipe   *pipe
+	osConn net.Conn
 
 	// osMu serializes the one-sided channel: a burst's requests and its
 	// replies are lock-step. osHdr is the reused reply-header read buffer,
@@ -67,8 +67,8 @@ type Client struct {
 	osHdr [5]byte
 
 	// Stats holds the protocol core's path counters (PureReads,
-	// FallbackReads, RPCReads, BatchedGets, HintedReads, AdaptivePreempts,
-	// ...), promoted as fields of the client. Read them quiesced.
+	// FallbackReads, RPCReads, BatchedGets, HintedReads, ...), promoted as
+	// fields of the client. Read them quiesced.
 	client.Stats
 	// Retries and Reconnects count recovery actions taken under the
 	// client's RetryPolicy.
@@ -79,14 +79,14 @@ type Client struct {
 // pipe is one pipelined RPC connection: callers write their own
 // sequence-tagged request frames under a write mutex, and a reader
 // goroutine demultiplexes responses back to the callers waiting on them
-// by sequence number, so the connection carries up to depth RPCs in
-// flight at once.
+// by sequence number, so the connection carries up to DefaultPipelineDepth
+// RPCs in flight at once.
 type pipe struct {
 	conn    net.Conn
 	timeout func() time.Duration // per-call bound, read at call time
 
 	done chan struct{}
-	sem  chan struct{} // bounds in-flight calls to the pipeline depth
+	sem  chan struct{} // bounds in-flight calls to DefaultPipelineDepth
 	wmu  sync.Mutex    // serializes request frames onto the socket
 
 	mu      sync.Mutex
@@ -131,15 +131,12 @@ func releaseResp(bp *[]byte) {
 	}
 }
 
-func newPipe(conn net.Conn, depth int, timeout func() time.Duration) *pipe {
-	if depth < 1 {
-		depth = 1
-	}
+func newPipe(conn net.Conn, timeout func() time.Duration) *pipe {
 	p := &pipe{
 		conn:    conn,
 		timeout: timeout,
 		done:    make(chan struct{}),
-		sem:     make(chan struct{}, depth),
+		sem:     make(chan struct{}, DefaultPipelineDepth),
 		pending: make(map[uint32]chan pipeResult),
 	}
 	go p.reader()
@@ -292,7 +289,7 @@ func (c *Client) dialLocked() error {
 		rpcConn.Close()
 		return err
 	}
-	c.pipe = newPipe(rpcConn, c.pipeDepth, c.callTimeout)
+	c.pipe = newPipe(rpcConn, c.callTimeout)
 	c.osConn = osConn
 	return nil
 }
@@ -308,7 +305,7 @@ func (c *Client) callTimeout() time.Duration {
 // Dial connects to a tcpkv server and performs the geometry handshake.
 // The returned client performs no retries; see SetRetryPolicy.
 func Dial(addr string) (*Client, error) {
-	c := &Client{addr: addr, pipeDepth: DefaultPipelineDepth}
+	c := &Client{addr: addr}
 	c.mu.Lock()
 	err := c.dialLocked()
 	c.mu.Unlock()
@@ -332,7 +329,7 @@ func Dial(addr string) (*Client, error) {
 		d := rkeysPerShard * uint32(s)
 		shards[s] = client.Shard{Table: resp.RKey + d, Pool: [2]uint32{resp.Token + d, resp.Token + d + 1}}
 	}
-	c.core = client.New((*verbs)(c), shards, buckets, &c.Stats)
+	c.core = client.New((*verbs)(c), shards, buckets, &c.Stats, true)
 	return c, nil
 }
 
@@ -348,19 +345,7 @@ func (c *Client) Close() error {
 // RPC (for comparison runs). Configure before issuing concurrent ops.
 func (c *Client) SetHybridRead(on bool) { c.core.SetHybridRead(on) }
 
-// EnableAdaptive turns on per-object adaptive hybrid reads (see
-// client.Core.EnableAdaptive). Off by default — figures and tests that
-// pin the classic hybrid path stay bit-identical. Configure before
-// issuing concurrent ops.
-func (c *Client) EnableAdaptive() { c.core.EnableAdaptive() }
-
-// EnableHintCache attaches a client-side location/durability hint cache
-// with the given per-shard capacity (hint.DefaultCap if non-positive; see
-// client.Core.EnableHintCache). Configure before issuing concurrent ops,
-// like SetHybridRead.
-func (c *Client) EnableHintCache(capPerShard int) { c.core.EnableHintCache(capPerShard) }
-
-// HintCache returns the attached hint cache (nil when disabled).
+// HintCache returns the client's location hint cache.
 func (c *Client) HintCache() *hint.Cache { return c.core.HintCache() }
 
 // SetClusterEpoch records the cluster-map epoch routed requests should
@@ -385,26 +370,6 @@ func (c *Client) SetRetryPolicy(rp RetryPolicy) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.retry = rp
-}
-
-// SetPipelineDepth bounds how many RPCs the client keeps in flight on the
-// pipelined channel (default DefaultPipelineDepth). The connection is
-// re-established to apply the new depth, so call it quiesced: RPCs in
-// flight on the old connection are failed.
-func (c *Client) SetPipelineDepth(n int) error {
-	if n < 1 {
-		n = 1
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.pipeDepth = n
-	c.pipe.fail(net.ErrClosed)
-	c.osConn.Close()
-	if err := c.dialLocked(); err != nil {
-		return err
-	}
-	c.gen++
-	return nil
 }
 
 // reconnect replaces both channels with fresh ones — unless another caller

@@ -17,7 +17,6 @@ import (
 
 	"efactory/internal/client"
 	"efactory/internal/cluster"
-	"efactory/internal/hint"
 	"efactory/internal/kv"
 	"efactory/internal/store"
 	"efactory/internal/trace"
@@ -174,16 +173,12 @@ const (
 // ClusterClientConfig carries the per-instance client settings a
 // ClusterClient applies to every connection it opens.
 type ClusterClientConfig struct {
-	Hybrid   bool        // hybrid read scheme on per-instance clients
-	HintCap  int         // per-shard hint cache capacity; 0 disables the cache
-	Retry    RetryPolicy // transport retry policy per instance client
-	Pipeline int         // pipeline depth (0 = DefaultPipelineDepth)
+	Retry RetryPolicy // transport retry policy per instance client
 }
 
-// DefaultClusterClientConfig enables hybrid reads and hint caching with
-// the default transport retry policy.
+// DefaultClusterClientConfig uses the default transport retry policy.
 func DefaultClusterClientConfig() ClusterClientConfig {
-	return ClusterClientConfig{Hybrid: true, HintCap: hint.DefaultCap, Retry: DefaultRetryPolicy()}
+	return ClusterClientConfig{Retry: DefaultRetryPolicy()}
 }
 
 // ClusterClient is a routed client over a set of tcpkv instances.
@@ -268,17 +263,7 @@ func (cc *ClusterClient) newClient(addr string) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.SetHybridRead(cc.cfg.Hybrid)
-	if cc.cfg.HintCap > 0 {
-		c.EnableHintCache(cc.cfg.HintCap)
-	}
 	c.SetRetryPolicy(cc.cfg.Retry)
-	if cc.cfg.Pipeline > 0 {
-		if err := c.SetPipelineDepth(cc.cfg.Pipeline); err != nil {
-			c.Close()
-			return nil, err
-		}
-	}
 	return c, nil
 }
 

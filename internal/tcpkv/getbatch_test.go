@@ -8,6 +8,7 @@ package tcpkv
 import (
 	"errors"
 	"fmt"
+	"net"
 	"strconv"
 	"strings"
 	"sync"
@@ -74,7 +75,6 @@ func TestGetBatchHintCacheTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	cl.EnableHintCache(0)
 
 	var keys, vals [][]byte
 	for i := 0; i < 12; i++ {
@@ -87,9 +87,9 @@ func TestGetBatchHintCacheTCP(t *testing.T) {
 		}
 	}
 	time.Sleep(100 * time.Millisecond)
-	// First batch resolves via RPC (PUT-seeded hints are undurable) and
-	// comes back with durable, slot-bearing hints; the second runs entirely
-	// on the hinted fast path.
+	// A PUT leaves no hint, so the first batch walks the probe chains and
+	// learns durable, slot-bearing hints; the second runs entirely on the
+	// hinted fast path.
 	if _, errs := cl.GetBatch(keys); errs[0] != nil {
 		t.Fatal(errs[0])
 	}
@@ -105,6 +105,59 @@ func TestGetBatchHintCacheTCP(t *testing.T) {
 	}
 	if st := cl.HintCache().Stats(); st.Hits == 0 || st.Inserts == 0 {
 		t.Fatalf("hint cache never used: %+v", st)
+	}
+}
+
+// writeCounter counts the writes made through a connection: on the
+// one-sided channel, one per burst.
+type writeCounter struct {
+	net.Conn
+	writes int
+}
+
+func (w *writeCounter) Write(b []byte) (int, error) {
+	w.writes++
+	return w.Conn.Write(b)
+}
+
+// TestDialReadsHinted: a client straight from Dial, with no configuration
+// call, reads through the hint cache. A settled key's first Get learns the
+// hint; the second is one one-sided burst (entry + object) and no RPC.
+func TestDialReadsHinted(t *testing.T) {
+	cfg := smallConfig()
+	srv, addr := startServer(t, nvm.New(cfg.DeviceSize()), cfg)
+	cl, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	key, val := []byte("hinted-key"), []byte("hinted-value")
+	if err := cl.Put(key, val); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if lag, _ := srv.Store().Shard(0).DurabilityLag(); lag == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the PUT never became durable")
+		}
+	}
+	if _, err := cl.Get(key); err != nil {
+		t.Fatal(err)
+	}
+	wc := &writeCounter{Conn: cl.osConn}
+	cl.mu.Lock()
+	cl.osConn = wc
+	cl.mu.Unlock()
+	rpcGets := srv.Stats().Gets
+	got, err := cl.Get(key)
+	if err != nil || string(got) != string(val) {
+		t.Fatalf("second Get = %q, %v", got, err)
+	}
+	if wc.writes != 1 || cl.HintedReads != 1 || srv.Stats().Gets != rpcGets {
+		t.Fatalf("second Get: %d one-sided bursts, HintedReads %d, %d RPC GETs; want 1, 1, 0",
+			wc.writes, cl.HintedReads, srv.Stats().Gets-rpcGets)
 	}
 }
 
@@ -227,7 +280,7 @@ func TestGetBatchHintRace(t *testing.T) {
 		}(i)
 	}
 
-	// Reader goroutines, each with its own hint-cached client, each
+	// Reader goroutines, each with its own (hint-cached) client, each
 	// checking well-formedness and per-reader version monotonicity.
 	for r := 0; r < 3; r++ {
 		cl, err := Dial(addr)
@@ -235,7 +288,6 @@ func TestGetBatchHintRace(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer cl.Close()
-		cl.EnableHintCache(64)
 		wg.Add(1)
 		go func(cl *Client, r int) {
 			defer wg.Done()

@@ -87,7 +87,7 @@ func measureAllocsPerPut(tb testing.TB, cl *Client, keys, vals [][]byte, n int) 
 // TestPutAllocFreeAcrossReconnect pins the two pooled-scratch claims the
 // benchmarks cannot express: the steady-state PUT path stays (near)
 // allocation-free in absolute terms, and the pools survive a reconnect —
-// SetPipelineDepth tears down the connection pair and redials, and the
+// reconnect tears down the connection pair and redials, and the
 // package-level slot/frame/burst pools must keep amortizing rather than
 // being rebuilt per generation.
 func TestPutAllocFreeAcrossReconnect(t *testing.T) {
@@ -115,8 +115,8 @@ func TestPutAllocFreeAcrossReconnect(t *testing.T) {
 		t.Fatalf("steady-state PUT allocates %.3f/op, budget %.1f", avg, budget)
 	}
 	// Reconnect: new connection generation, same pools.
-	if err := cl.SetPipelineDepth(8); err != nil {
-		t.Fatalf("SetPipelineDepth: %v", err)
+	if _, err := cl.reconnect(cl.gen); err != nil {
+		t.Fatalf("reconnect: %v", err)
 	}
 	for i := 0; i < 64; i++ {
 		if err := cl.Put(keys[i%len(keys)], vals[i%len(keys)]); err != nil {

@@ -97,7 +97,6 @@ func TestPutBatchLengthMismatchPanics(t *testing.T) {
 // reorder one issuer's acknowledged sequence.
 func TestPipelinedLWWOrdering(t *testing.T) {
 	cfg := smallConfig()
-	cfg.PipelineWorkers = 8
 	_, addr := startServer(t, nvm.New(cfg.DeviceSize()), cfg)
 	cl, err := Dial(addr)
 	if err != nil {
@@ -213,39 +212,6 @@ func TestPipeSlotReuseRaceFree(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-}
-
-func TestSetPipelineDepth(t *testing.T) {
-	cfg := smallConfig()
-	_, addr := startServer(t, nvm.New(cfg.DeviceSize()), cfg)
-	cl, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-
-	for _, depth := range []int{1, 32} {
-		if err := cl.SetPipelineDepth(depth); err != nil {
-			t.Fatalf("SetPipelineDepth(%d): %v", depth, err)
-		}
-		var wg sync.WaitGroup
-		for g := 0; g < 4; g++ {
-			g := g
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				key := []byte(fmt.Sprintf("depth%d-%d", depth, g))
-				if err := cl.Put(key, []byte("v")); err != nil {
-					t.Errorf("put at depth %d: %v", depth, err)
-					return
-				}
-				if _, err := cl.Get(key); err != nil {
-					t.Errorf("get at depth %d: %v", depth, err)
-				}
-			}()
-		}
-		wg.Wait()
-	}
 }
 
 // TestTCPTortureSweepBatched reruns the crash-point sweep with the

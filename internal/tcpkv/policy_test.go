@@ -42,7 +42,7 @@ func blackholeServer(t *testing.T) string {
 func TestBothChannelsHonourAttemptDeadline(t *testing.T) {
 	addr := blackholeServer(t)
 	const d = 60 * time.Millisecond
-	c := &Client{addr: addr, pipeDepth: 1}
+	c := &Client{addr: addr}
 	c.retry = RetryPolicy{Attempts: 1, Timeout: d}
 	c.mu.Lock()
 	err := c.dialLocked()

@@ -77,8 +77,7 @@ const (
 )
 
 // DefaultPipelineWorkers bounds how many of one pipelined connection's
-// requests the server processes concurrently when Config.PipelineWorkers
-// is zero.
+// requests the server processes concurrently.
 const DefaultPipelineWorkers = 4
 
 // DefaultMaxGetBatch caps the ops per TGetBatch or TTxnRead request when
@@ -123,10 +122,6 @@ type Config struct {
 	// durability lag, up to this cap. 0 or 1 keeps the classic
 	// one-object-per-step BGStep path.
 	BGBatch int
-	// PipelineWorkers bounds how many of one pipelined connection's
-	// requests the server processes concurrently. 0 means
-	// DefaultPipelineWorkers.
-	PipelineWorkers int
 	// MaxGetBatch caps how many ops one TGetBatch or TTxnRead request may
 	// carry; larger batches are rejected with StError. 0 means
 	// DefaultMaxGetBatch.
@@ -513,14 +508,11 @@ var frameBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); retur
 // carries many requests in flight at once. Each frame's payload is a
 // 4-byte big-endian sequence number followed by the wire message; the
 // response echoes the sequence so the client can demultiplex completions
-// that return out of order. Requests are handled by a bounded worker pool
-// (Config.PipelineWorkers) and responses are written under a per-connection
-// mutex so frames never interleave.
+// that return out of order. Requests are handled by a pool of
+// DefaultPipelineWorkers workers and responses are written under a
+// per-connection mutex so frames never interleave.
 func (s *Server) servePipelined(conn net.Conn) {
-	workers := s.cfg.PipelineWorkers
-	if workers <= 0 {
-		workers = DefaultPipelineWorkers
-	}
+	const workers = DefaultPipelineWorkers
 	// Persistent workers instead of a goroutine per request: the spawn,
 	// its closure, and its response buffer were three allocations per op
 	// on the hot path. Each worker owns a core scratch and a response

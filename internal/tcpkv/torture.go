@@ -215,11 +215,6 @@ func RunTCPTorture(tc fault.Config) (fault.Result, error) {
 	}
 	defer cl.Close()
 	cl.SetRetryPolicy(oneAttempt)
-	if tc.GetBatch {
-		// The batched leg reads through the hint cache so crash points land
-		// inside hinted one-sided reads and their RPC fallbacks too.
-		cl.EnableHintCache(0)
-	}
 	cl.EnableTracing(1, 0)
 	oracle := tracedOracle(cl.Tracer(), srv.Tracer())
 

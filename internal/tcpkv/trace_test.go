@@ -1,6 +1,7 @@
 package tcpkv
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -50,10 +51,23 @@ func TestRoutedGetBatchSingleTraceAcrossInstances(t *testing.T) {
 			t.Fatalf("put %s: %v", k, err)
 		}
 	}
-	_, errs := cc.GetBatch(keys)
+	// The stored keys may all be served one-sidedly. One absent key per
+	// instance forces each server round: a clustered client must confirm
+	// absence with the key's owner.
+	absent := map[bool][]byte{} // on b -> key
+	for i := 0; len(absent) < 2; i++ {
+		k := []byte(fmt.Sprintf("span-absent-%04d", i))
+		if onB := cluster.PGForKey(k, 4) == 1; absent[onB] == nil {
+			absent[onB] = k
+		}
+	}
+	_, errs := cc.GetBatch(append(keys, absent[false], absent[true]))
 	for i, err := range errs {
-		if err != nil {
+		if i < len(keys) && err != nil {
 			t.Fatalf("getbatch key %s: %v", keys[i], err)
+		}
+		if i >= len(keys) && !errors.Is(err, ErrNotFound) {
+			t.Fatalf("getbatch absent key %d: err = %v, want ErrNotFound", i-len(keys), err)
 		}
 	}
 
