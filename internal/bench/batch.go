@@ -19,7 +19,7 @@ var BatchSizes = []int{1, 2, 4, 8, 16}
 // issuing doorbell-batched PutBatch calls of the given size against a
 // server whose background verifier coalesces up to bgBatch objects per
 // group-verified, group-flushed run. batch == 1 with bgBatch <= 1 is the
-// classic Put/BGStep configuration.
+// classic one-PUT, one-object-per-run configuration.
 //
 // Per-op latency is the batch call's elapsed time divided evenly over its
 // ops: batching trades a little per-op completion latency for fewer

@@ -53,7 +53,7 @@ type Config struct {
 	// BGBatch caps how many contiguous objects the background verifier may
 	// coalesce into one group-verified, group-flushed run (Engine.BGBatch).
 	// The effective batch size adapts to the shard's durability lag, up to
-	// this cap. 0 or 1 keeps the classic one-object-per-step BGStep path.
+	// this cap. 0 or 1 verifies one object per run.
 	BGBatch int
 	// DisableSelectiveDurability makes the RPC read path verify by CRC on
 	// every request instead of trusting the durability flag — the Forca

@@ -29,8 +29,8 @@ type Config struct {
 	// workload exercises pool-full PUTs and log cleaning)
 	ValueLen      int           // value size (default 48)
 	CleanEvery    int           // StartCleaning every N ops (default 80; <0 never)
-	BGEvery       int           // one BGStep per shard every N ops (default 7; <0 never)
-	BGBatch       int           // background batch size (<= 1: per-object BGStep)
+	BGEvery       int           // one background run per shard every N ops (default 7; <0 never)
+	BGBatch       int           // background run width (<= 1: one object per run)
 	VerifyTimeout time.Duration // in-flight write invalidation bound (default 2µs virtual)
 	Survival      float64       // fraction of unflushed dirty lines surviving the crash (default 0: strict power failure)
 	CrashAt       int64         // trip at this boundary; <= 0 = run to completion, crash at end
@@ -195,11 +195,7 @@ func (t *storeTarget) Tick(i int) {
 	if t.cfg.BGEvery > 0 && i%t.cfg.BGEvery == 0 {
 		for s := 0; s < t.st.NumShards(); s++ {
 			eng := t.st.Shard(s)
-			if t.cfg.BGBatch > 1 {
-				eng.BGBatch(nil, eng.CurrentPool(), t.cfg.BGBatch)
-			} else {
-				eng.BGStep(nil, eng.CurrentPool())
-			}
+			eng.BGBatch(nil, eng.CurrentPool(), t.cfg.BGBatch)
 		}
 	}
 }

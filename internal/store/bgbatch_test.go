@@ -1,7 +1,7 @@
-// BGBatch-vs-BGStep equivalence: the group-verified, group-flushed
-// background path must land the store in exactly the state the per-object
-// path does — same values served, same durability flags, same counters
-// (modulo the BGBatched run counter), and the same post-crash image.
+// Run-width equivalence: the background verifier persisting coalesced runs
+// must land the store in exactly the state runs of one object (BGStep)
+// do — same values served, same durability flags, same counters (modulo
+// the BGBatched run counter), and the same post-crash image.
 package store_test
 
 import (
@@ -164,8 +164,8 @@ func TestBGBatchMatchesBGStep(t *testing.T) {
 	}
 }
 
-// TestBGBatchDegeneratesToStep: max <= 1 must behave exactly like BGStep
-// (it shares the implementation), and a zero-size batch request is safe.
+// TestBGBatchDegeneratesToStep: a run width below one is a run of one
+// object, like BGStep, and issues no coalesced run.
 func TestBGBatchDegeneratesToStep(t *testing.T) {
 	st, dev, _ := directStore(t)
 	defer st.Stop()

@@ -1,9 +1,6 @@
 package store
 
-import (
-	"efactory/internal/crc"
-	"efactory/internal/kv"
-)
+import "efactory/internal/kv"
 
 // Log cleaning (§4.4) reclaims deleted and stale versions in two stages:
 //
@@ -147,13 +144,6 @@ func (e *Engine) sweep(h any, pi, lo, hi int) bool {
 	return true
 }
 
-// verdicts of ensureDurableLocked.
-const (
-	durYes = iota
-	durDead
-	durInFlight
-)
-
 // tryMigrate performs one migration attempt for the version at off in pool
 // pi under the lock: migrate it to the new pool, or drop it as
 // stale/dead. It reports false when it must be retried because a value is
@@ -201,14 +191,14 @@ func (e *Engine) tryMigrate(h any, pi int, off uint64) bool {
 			break
 		}
 		switch e.ensureDurableLocked(h, hpi, hoff) {
-		case durYes:
+		case verFlagged:
 			// Re-read the flags: the mirror inside ensureDurableLocked may
 			// have dropped the lock, and a BG/GET verify could have flagged
 			// this version durable during the window.
 			pool.SetFlags(off, pool.Header(off).Flags|kv.FlagTrans)
 			e.stats.CleanDropped++
 			return true
-		case durInFlight:
+		case verPending:
 			return false // wait for the newer version to settle
 		}
 		// Dead: the next staged candidate is its predecessor, if that was
@@ -220,10 +210,10 @@ func (e *Engine) tryMigrate(h any, pi int, off uint64) bool {
 	}
 	// This version is the migration candidate: it must be intact.
 	switch e.ensureDurableLocked(h, pi, off) {
-	case durDead:
+	case verDead:
 		e.stats.CleanDropped++
 		return true // dead write; an older version may still be migrated later
-	case durInFlight:
+	case verPending:
 		return false
 	}
 	// The mirror inside ensureDurableLocked may have dropped the engine
@@ -291,51 +281,30 @@ func (e *Engine) deadDownTo(pi int, loc, off uint64) bool {
 	return true
 }
 
-// ensureDurableLocked verifies and persists the version at off if
-// possible: durYes once the durability flag is set, durDead if the version
-// is (or just became) invalid, durInFlight if the CRC mismatches but the
-// verify timeout has not elapsed — or if the version is intact but its
-// mirror did not reach a quorum yet (the flag may only be set once the
-// record is quorum-durable, exactly like the GET and BG flag sites; a
-// cleaner-flagged record is one-sided-readable the same instant). Callers
-// hold mu; the mirror drops it, so on return the caller may only trust
-// offsets when the verdict is durYes.
-func (e *Engine) ensureDurableLocked(h any, pi int, off uint64) int {
-	pool := e.pools[pi]
-	hd := pool.Header(off)
-	if !hd.Valid() {
-		return durDead
+// ensureDurableLocked is the cleaner's verify step for the version at off:
+// verFlagged once it is durable, verDead if it is (or just became)
+// invalid, verPending while its value is in flight or its mirror short of
+// a quorum. Callers hold mu; the mirror drops it, so on return the caller
+// may only trust offsets when the verdict is verFlagged.
+func (e *Engine) ensureDurableLocked(h any, pi int, off uint64) verdict {
+	hd := e.pools[pi].Header(off)
+	switch {
+	case !hd.Valid():
+		return verDead
+	case hd.Durable():
+		return verFlagged
 	}
-	if hd.Durable() {
-		return durYes
+	v := e.verify(h, pi, off, hd, OpBGCRC)
+	if v == verIntact && !e.persist(h, pi, []uint64{off}, off+uint64(kv.ObjectSize(hd.KLen, hd.VLen)), OpBGFlush) {
+		return verPending
 	}
-	tCRC := e.sink.Now()
-	e.sink.Charge(h, OpBGCRC, hd.VLen)
-	val := pool.ReadValue(off, hd.KLen, hd.VLen)
-	match := crc.Checksum(val) == hd.CRC
-	e.observe(int(OpBGCRC), tCRC)
-	if match {
-		okObj, mirrored := e.mirrorVersion(h, pi, off, hd)
-		if !okObj || !mirrored {
-			// Pool recycled under the unlock window, or no quorum: either
-			// way the flag stays clear and a later pass retries.
-			return durInFlight
-		}
-		size := kv.ObjectSize(hd.KLen, hd.VLen)
-		tFlush := e.sink.Now()
-		e.sink.Charge(h, OpBGFlush, size)
-		pool.FlushObject(off, hd.KLen, hd.VLen)
-		// Re-read the flags at set time: another flag site may have run
-		// during the mirror's unlock window.
-		pool.SetFlags(off, pool.Header(off).Flags|kv.FlagDurable)
-		e.observe(int(OpBGFlush), tFlush)
-		return durYes
-	}
-	if e.sink.Now()-hd.CreatedAt > uint64(e.cfg.VerifyTimeout) {
-		pool.SetFlags(off, hd.Flags&^kv.FlagValid)
+	switch v {
+	case verIntact, verFlagged:
+		return verFlagged
+	case verDead:
 		e.stats.BGInvalidated++
 		e.trace("clean", "invalidated", 0, hd.Seq)
-		return durDead
+		return verDead
 	}
-	return durInFlight
+	return verPending
 }

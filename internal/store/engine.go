@@ -18,7 +18,6 @@ import (
 	"sync"
 	"time"
 
-	"efactory/internal/crc"
 	"efactory/internal/kv"
 	"efactory/internal/nvm"
 	"efactory/internal/obs"
@@ -171,13 +170,13 @@ type Engine struct {
 	stopped  bool
 	stats    Stats
 
-	// lastBGBatch is the adaptive batch cap the most recent BGBatch call
-	// ran with — the efactory_bg_batch_width gauge (guarded by mu).
+	// lastBGBatch is the adaptive batch cap of the most recent BGBatch run
+	// wider than one — the efactory_bg_batch_width gauge (guarded by mu).
 	lastBGBatch int
 
-	// Scratch buffers for the hot GET/BGStep paths (guarded by mu). They
-	// never outlive a yield point: each is consumed (CRC, hash) before the
-	// next Charge, so cooperative interleavings cannot clobber live data.
+	// Scratch buffers for the hot GET and verify paths (guarded by mu).
+	// They never outlive a yield point: each is consumed (CRC, hash) before
+	// the next Charge, so cooperative interleavings cannot clobber live data.
 	keyScratch []byte
 	valScratch []byte
 	bgRun      []uint64 // verified-offset run reused across BGBatch calls
@@ -518,17 +517,7 @@ func (e *Engine) getLocked(h any, key []byte, slotHint int, seqLimit uint64) Get
 			break
 		}
 		if hd.Valid() && hd.Seq <= seqLimit {
-			if hd.Durable() && !e.cfg.DisableSelectiveDurability {
-				if first {
-					e.stats.GetFastPath++
-				} else {
-					e.stats.GetRolledBack++
-					e.trace("get", "rolled_back", keyHash, hd.Seq)
-				}
-				return GetResult{Status: StatusOK, Pool: pi, Off: off, Len: totalLen, KLen: hd.KLen,
-					Slot: idx, Seq: hd.Seq, Durable: true}
-			}
-			if hd.Durable() {
+			if hd.Durable() && e.cfg.DisableSelectiveDurability {
 				// Ablation mode: re-verify despite the flag.
 				tCRC := e.sink.Now()
 				e.sink.Charge(h, OpCRC, hd.VLen)
@@ -540,54 +529,32 @@ func (e *Engine) getLocked(h any, key []byte, slotHint int, seqLimit uint64) Get
 				return GetResult{Status: StatusOK, Pool: pi, Off: off, Len: totalLen, KLen: hd.KLen,
 					Slot: idx, Seq: hd.Seq, Durable: true}
 			}
-			// Not yet durable: verify and persist on demand.
-			tCRC := e.sink.Now()
-			e.sink.Charge(h, OpCRC, hd.VLen)
-			e.valScratch = pool.ReadValueInto(e.valScratch, off, hd.KLen, hd.VLen)
-			match := crc.Checksum(e.valScratch) == hd.CRC
-			e.observeH(h, int(OpCRC), tCRC)
-			if match {
-				okObj, mirrored := e.mirrorVersion(h, pi, off, hd)
-				if !okObj {
-					// The cleaner recycled this pool while the engine lock
-					// was dropped around the mirror call: restart from the
-					// table lookup.
-					return e.getLocked(h, key, -1, seqLimit)
+			v := verFlagged
+			if !hd.Durable() {
+				// Not yet durable: verify and persist on demand.
+				v = e.verify(h, pi, off, hd, OpCRC)
+				if v == verIntact && !e.persist(h, pi, []uint64{off}, off+uint64(totalLen), OpFlush) {
+					v = verMoved
 				}
-				if mirrored {
-					tFlush := e.sink.Now()
-					e.sink.Charge(h, OpFlush, totalLen)
-					pool.FlushObject(off, hd.KLen, hd.VLen)
-					// Re-read the flags: the cleaner may have set FlagTrans
-					// during the mirror's unlock window, and OR-ing the stale
-					// pre-window flags back would clear that mark.
-					pool.SetFlags(off, pool.Header(off).Flags|kv.FlagDurable)
-					e.observeH(h, int(OpFlush), tFlush)
-					if first {
-						e.stats.GetVerified++
-					} else {
-						e.stats.GetRolledBack++
-						e.trace("get", "rolled_back", keyHash, hd.Seq)
-					}
-					return GetResult{Status: StatusOK, Pool: pi, Off: off, Len: totalLen, KLen: hd.KLen,
-						Slot: idx, Seq: hd.Seq, Durable: true}
-				}
-				// No quorum: the version is intact but may not be served as
-				// durable — walk back like an in-flight value and let a
-				// later pass retry the mirror.
 			}
-			if e.sink.Now()-hd.CreatedAt > uint64(e.cfg.VerifyTimeout) {
-				// Re-read the flags before invalidating: a concurrent
-				// BG/verify pass may have reached quorum and set
-				// FlagDurable (or the cleaner FlagTrans) during the
-				// mirror's unlock window above, and writing the stale
-				// pre-window flags back would destroy an acknowledged
-				// write.
-				cur := pool.Header(off).Flags
-				if cur&kv.FlagDurable != 0 {
-					continue // serve it via the durable fast path
+			switch v {
+			case verFlagged, verIntact:
+				switch {
+				case !first:
+					e.stats.GetRolledBack++
+					e.trace("get", "rolled_back", keyHash, hd.Seq)
+				case v == verFlagged:
+					e.stats.GetFastPath++
+				default:
+					e.stats.GetVerified++
 				}
-				pool.SetFlags(off, cur&^kv.FlagValid)
+				return GetResult{Status: StatusOK, Pool: pi, Off: off, Len: totalLen, KLen: hd.KLen,
+					Slot: idx, Seq: hd.Seq, Durable: true}
+			case verMoved:
+				// The cleaner recycled this pool during a yield: restart
+				// from the table lookup.
+				return e.getLocked(h, key, -1, seqLimit)
+			case verDead:
 				e.stats.GetInvalidated++
 				e.trace("get", "invalidated", keyHash, hd.Seq)
 			}

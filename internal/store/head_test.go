@@ -7,6 +7,7 @@ package store_test
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -74,7 +75,7 @@ type headRig struct {
 	vt  uint64 // VerifyTimeout in clock units
 }
 
-func newHeadRig(t *testing.T, charges bool) *headRig {
+func newHeadRig(t *testing.T, charges bool, tweaks ...func(*store.Deps)) *headRig {
 	t.Helper()
 	cfg := store.Config{Shards: 1, Buckets: 64, PoolSize: 64 << 10, VerifyTimeout: time.Millisecond}
 	co := &coCleaner{charges: charges, resume: make(chan struct{}), parked: make(chan bool)}
@@ -90,6 +91,9 @@ func newHeadRig(t *testing.T, charges bool) *headRig {
 			}()
 		},
 		CleanerWait: func(h any) bool { co.yield(); return true },
+	}
+	for _, tweak := range tweaks {
+		tweak(&deps)
 	}
 	dev := nvm.New(cfg.DeviceSize())
 	st, _, err := store.New(dev, cfg, deps)
@@ -318,6 +322,41 @@ func TestMergePutChainsToMigratedCopy(t *testing.T) {
 	r.finish()
 	if v, _, _ := r.get("k"); v != "v1" {
 		t.Errorf("GET k after it = %q, want v1", v)
+	}
+}
+
+// TestBGCursorStaysOnRecycledPool: the verifier's superseded test charges
+// a lookup, a yield in the simulator, and the cleaner recycles the pool
+// being scanned during it. The cursor the cleaner reset must stay at 0:
+// advanced past the old object, it lands mid-object in the fresh pool and
+// the verifier stalls there until the next cleaning.
+func TestBGCursorStaysOnRecycledPool(t *testing.T) {
+	r := newHeadRig(t, true)
+	r.put("k", strings.Repeat("1", 100), true) // superseded, never verified
+	r.put("k", "v2", true)
+	if !r.st.StartCleaning() {
+		t.Fatal("cleaning did not start")
+	}
+	r.finish() // k now lives in pool 1; pool 0 still holds the old run
+	r.co.request = func(op store.Op) {
+		if op == store.OpBGLookup {
+			r.co.request = nil
+			if !r.st.StartCleaning() || r.co.step() {
+				t.Fatal("the second run did not park")
+			}
+		}
+	}
+	if r.eng.BGStep(nil, 0) {
+		t.Error("BGStep reported progress on a pool recycled under it")
+	}
+	r.finish()
+	r.put("fresh", strings.Repeat("f", 200), true)
+	r.eng.BGDrain(nil, 1)
+	if lag, _ := r.eng.DurabilityLag(); lag != 0 {
+		t.Errorf("backlog after a full drain = %d B, want 0", lag)
+	}
+	if n := r.st.StatsTotal().BGVerified; n != 1 {
+		t.Errorf("BGVerified = %d, want 1 (fresh)", n)
 	}
 }
 

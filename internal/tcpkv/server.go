@@ -119,8 +119,8 @@ type Config struct {
 	// BGBatch caps how many contiguous objects each shard's background
 	// verifier may coalesce into one group-verified, group-flushed run
 	// (store.Engine.BGBatch); the effective size adapts to the shard's
-	// durability lag, up to this cap. 0 or 1 keeps the classic
-	// one-object-per-step BGStep path.
+	// durability lag, up to this cap. 0 or 1 verifies one object per
+	// run.
 	BGBatch int
 	// MaxGetBatch caps how many ops one TGetBatch or TTxnRead request may
 	// carry; larger batches are rejected with StError. 0 means
