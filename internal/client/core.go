@@ -428,24 +428,15 @@ func (g Shard) location(e kv.Entry) (pool uint32, off uint64, tlen int, ok bool)
 	return g.Pool[e.Mark()&1], off, tlen, true
 }
 
-// value returns the value bytes of an object that passed checkObject or
-// grantedObject.
+// value returns the value bytes of an object that passed checkObject.
 func value(obj []byte, h kv.Header) []byte {
 	vo := kv.ValueOffset(h.KLen)
 	return obj[vo : vo+h.VLen : vo+h.VLen]
 }
 
-// grantedObject checks bytes fetched from a location the server granted
-// (it only grants durable, intact versions, so only framing is checked).
-func grantedObject(obj []byte, off uint64) (kv.Header, error) {
-	if len(obj) >= kv.HeaderSize {
-		h := kv.DecodeHeader(obj)
-		if h.Magic == kv.Magic && kv.ValueOffset(h.KLen)+h.VLen <= len(obj) {
-			return h, nil
-		}
-	}
-	return kv.Header{}, fmt.Errorf("efactory: server returned corrupt object at %d", off)
-}
+// errGrantUnverified reports a read whose every granted object failed the
+// object checks: the server's location kept moving under the READ.
+var errGrantUnverified = fmt.Errorf("efactory: %d granted objects in a row failed their checks", maxEntryProbes)
 
 // pureRead attempts the pure one-sided path: walk the probe chain for the
 // key's entry, then fetch the object it names.
@@ -579,40 +570,44 @@ func (c *Core) hintedRead(tc *trace.Ctx, sc *scratch, key []byte, keyHash uint64
 }
 
 // rpcRead is the RPC+one-sided read scheme: the server returns the
-// location of a durable, intact version; the client fetches it one-sidedly.
+// location of a durable, intact version; the client fetches it
+// one-sidedly. The fetched bytes get the optimistic read's object checks
+// — a cleaning run can recycle the granted location between the grant
+// and the READ — and a failed check asks the server again, up to
+// maxEntryProbes times.
 func (c *Core) rpcRead(tc *trace.Ctx, sc *scratch, key []byte) ([]byte, error) {
-	t := c.now(tc)
-	resp, buf, err := c.v.Call(wire.Msg{Type: wire.TGet, Key: key, Trace: tc.ID()})
-	tc.Add("get_rpc", t, c.now(tc))
-	if err != nil {
-		return nil, err
+	for ask := 0; ask < maxEntryProbes; ask++ {
+		t := c.now(tc)
+		resp, buf, err := c.v.Call(wire.Msg{Type: wire.TGet, Key: key, Trace: tc.ID()})
+		tc.Add("get_rpc", t, c.now(tc))
+		if err != nil {
+			return nil, err
+		}
+		c.v.Release(buf) // TGetResp carries scalars only
+		switch resp.Status {
+		case wire.StOK:
+		case wire.StNotFound:
+			return nil, ErrNotFound
+		default:
+			return nil, &StatusError{Op: "get", Status: resp.Status}
+		}
+		obj := sc.object(int(resp.Len))
+		t = c.now(tc)
+		ok, err := c.readOne(sc, obj, resp.RKey, resp.Off)
+		tc.Add("object_read", t, c.now(tc))
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			return nil, ErrNAK
+		}
+		if h, verdict := checkObject(obj, key); verdict == objOK {
+			// A durable version: the hint is warm for the next optimistic read.
+			c.learn(cluster.ShardFor(key, len(c.shards)), key, hint.Entry{Slot: -1, Pool: resp.RKey, Off: resp.Off, Len: int(resp.Len)})
+			return append([]byte(nil), value(obj, h)...), nil
+		}
 	}
-	c.v.Release(buf) // TGetResp carries scalars only
-	switch resp.Status {
-	case wire.StOK:
-	case wire.StNotFound:
-		return nil, ErrNotFound
-	default:
-		return nil, &StatusError{Op: "get", Status: resp.Status}
-	}
-	obj := sc.object(int(resp.Len))
-	t = c.now(tc)
-	ok, err := c.readOne(sc, obj, resp.RKey, resp.Off)
-	tc.Add("object_read", t, c.now(tc))
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return nil, ErrNAK
-	}
-	h, err := grantedObject(obj, resp.Off)
-	if err != nil {
-		return nil, err
-	}
-	// The server only grants durable versions, so the hint is warm for the
-	// next optimistic read.
-	c.learn(cluster.ShardFor(key, len(c.shards)), key, hint.Entry{Slot: -1, Pool: resp.RKey, Off: resp.Off, Len: int(resp.Len)})
-	return append([]byte(nil), value(obj, h)...), nil
+	return nil, errGrantUnverified
 }
 
 // Delete removes key. The outcome of a Delete whose attempt fails is

@@ -81,6 +81,15 @@ func (f *fakeVerbs) serverPut(t *testing.T, key, val []byte) {
 	f.settle()
 }
 
+// objectOf returns the bytes of the object key's entry currently names.
+func (f *fakeVerbs) objectOf(key []byte) []byte {
+	_, en, _ := f.eng().Table().Lookup(kv.HashKey(key))
+	off, tlen, _ := kv.UnpackLoc(en.Current())
+	obj := make([]byte, tlen)
+	f.dev.Read(f.st.Layout().PoolBase(0, int(en.Mark()&1))+int(off), obj)
+	return obj
+}
+
 // tornPut allocates key=val on the server but leaves the value in flight;
 // the returned func lands it.
 func (f *fakeVerbs) tornPut(t *testing.T, key, val []byte) (land func()) {
@@ -453,6 +462,36 @@ func TestOptimisticReadPaths(t *testing.T) {
 				}
 			},
 			want: v1, rpcs: 1, delta: Stats{FallbackReads: 1},
+		})
+	}
+	// A recycled grant: the server granted key's durable object, but by the
+	// time the READ lands a cleaning run has reused the location. The
+	// fetched bytes must pass the optimistic read's object checks, and a
+	// failure asks the server again rather than serving them or failing.
+	for _, recycled := range []struct {
+		name  string
+		reuse func(f *fakeVerbs, obj []byte)
+	}{
+		{"another key's durable object", func(f *fakeVerbs, obj []byte) {
+			copy(obj, f.objectOf([]byte("oth-key")))
+		}},
+		{"zeroed", func(f *fakeVerbs, obj []byte) { clear(obj) }},
+	} {
+		recycled := recycled
+		cases = append(cases, readCase{
+			name: "granted location now holds " + recycled.name + ": ask again",
+			setup: func(t *testing.T, f *fakeVerbs, c *Core) {
+				f.serverPut(t, []byte("oth-key"), bytes.Repeat([]byte{'B'}, len(v1)))
+				if err := c.Put(nil, key, v1); err != nil { // unsettled: the read goes to the server
+					t.Fatal(err)
+				}
+				f.onRead = func(burst, idx int, r *Req) {
+					if r.RKey != 1 && f.rpcReads() == 1 {
+						recycled.reuse(f, r.Buf)
+					}
+				}
+			},
+			want: v1, rpcs: 2, delta: Stats{FallbackReads: 1},
 		})
 	}
 	for _, rd := range readers {

@@ -246,83 +246,92 @@ func (c *Core) GetBatch(tc *trace.Ctx, keys, vals [][]byte, errs []error) error 
 	}
 
 	// RPC fallback: every unresolved key rides ONE TGetBatch, then one
-	// burst fetches the granted objects.
+	// burst fetches the granted objects. A granted object failing the
+	// object checks (its location was recycled between the grant and the
+	// READ) rides the next round's TGetBatch, up to maxEntryProbes rounds.
 	var fbIdx []int
 	for i := range sts {
 		if !sts[i].done {
 			fbIdx = append(fbIdx, i)
 		}
 	}
-	if len(fbIdx) == 0 {
-		return nil
-	}
-	ops := make([]wire.GetOp, len(fbIdx))
-	for j, i := range fbIdx {
-		slot := wire.NoSlot
-		if sts[i].slot >= 0 {
-			slot = uint32(sts[i].slot)
+	for ask := 0; len(fbIdx) > 0; ask++ {
+		if ask == maxEntryProbes {
+			for _, i := range fbIdx {
+				errs[i] = errGrantUnverified
+			}
+			return nil
 		}
-		ops[j] = wire.GetOp{Slot: slot, Key: keys[i]}
-	}
-	t := c.now(tc)
-	resp, buf, err := c.v.Call(wire.Msg{Type: wire.TGetBatch, Value: wire.EncodeGetOps(ops), Trace: tc.ID()})
-	tc.Add("get_rpc", t, c.now(tc))
-	if err != nil {
-		return fail(err)
-	}
-	if resp.Status != wire.StOK {
-		c.v.Release(buf)
-		return fail(&StatusError{Op: "get batch", Status: resp.Status})
-	}
-	grants, err := wire.DecodeGetGrants(resp.Value)
-	c.v.Release(buf) // grants are scalar copies
-	if err != nil || len(grants) != len(fbIdx) {
-		return fail(fmt.Errorf("efactory: malformed get batch response: %d grants for %d ops: %v", len(grants), len(fbIdx), err))
-	}
-	reqs = reqs[:0]
-	for j, g := range grants {
-		i := fbIdx[j]
-		switch g.Status {
-		case wire.StOK:
-			sts[i].obj = make([]byte, g.Len)
-			reqs = append(reqs, Req{Buf: sts[i].obj, RKey: g.RKey, Off: g.Off})
-			continue
-		case wire.StNotFound:
-			errs[i] = ErrNotFound
-		default:
-			errs[i] = &StatusError{Op: "get", Status: g.Status}
+		ops := make([]wire.GetOp, len(fbIdx))
+		for j, i := range fbIdx {
+			slot := wire.NoSlot
+			if sts[i].slot >= 0 {
+				slot = uint32(sts[i].slot)
+			}
+			ops[j] = wire.GetOp{Slot: slot, Key: keys[i]}
 		}
-		sts[i].done = true
-	}
-	if len(reqs) == 0 {
-		return nil
-	}
-	t = c.now(tc)
-	err = c.v.ReadBurst(reqs)
-	tc.Add("doorbell_read", t, c.now(tc))
-	if err != nil {
-		return fail(err)
-	}
-	ri := 0
-	for j, g := range grants {
-		if g.Status != wire.StOK {
-			continue
-		}
-		i := fbIdx[j]
-		sts[i].done = true
-		r := reqs[ri]
-		ri++
-		if r.NAK {
-			errs[i] = ErrNAK
-			continue
-		}
-		hd, err := grantedObject(r.Buf, g.Off)
+		t := c.now(tc)
+		resp, buf, err := c.v.Call(wire.Msg{Type: wire.TGetBatch, Value: wire.EncodeGetOps(ops), Trace: tc.ID()})
+		tc.Add("get_rpc", t, c.now(tc))
 		if err != nil {
-			errs[i] = err
-			continue
+			return fail(err)
 		}
-		vals[i] = value(r.Buf, hd)
-		c.learn(sts[i].shard, keys[i], hint.Entry{Slot: int(g.Slot), Pool: g.RKey, Off: g.Off, Len: int(g.Len)})
+		if resp.Status != wire.StOK {
+			c.v.Release(buf)
+			return fail(&StatusError{Op: "get batch", Status: resp.Status})
+		}
+		grants, err := wire.DecodeGetGrants(resp.Value)
+		c.v.Release(buf) // grants are scalar copies
+		if err != nil || len(grants) != len(fbIdx) {
+			return fail(fmt.Errorf("efactory: malformed get batch response: %d grants for %d ops: %v", len(grants), len(fbIdx), err))
+		}
+		reqs = reqs[:0]
+		for j, g := range grants {
+			i := fbIdx[j]
+			switch g.Status {
+			case wire.StOK:
+				sts[i].obj = make([]byte, g.Len)
+				reqs = append(reqs, Req{Buf: sts[i].obj, RKey: g.RKey, Off: g.Off})
+				continue
+			case wire.StNotFound:
+				errs[i] = ErrNotFound
+			default:
+				errs[i] = &StatusError{Op: "get", Status: g.Status}
+			}
+			sts[i].done = true
+		}
+		if len(reqs) == 0 {
+			return nil
+		}
+		t = c.now(tc)
+		err = c.v.ReadBurst(reqs)
+		tc.Add("doorbell_read", t, c.now(tc))
+		if err != nil {
+			return fail(err)
+		}
+		var again []int
+		ri := 0
+		for j, g := range grants {
+			if g.Status != wire.StOK {
+				continue
+			}
+			i := fbIdx[j]
+			r := reqs[ri]
+			ri++
+			hd, verdict := checkObject(r.Buf, keys[i])
+			switch {
+			case r.NAK:
+				errs[i] = ErrNAK
+			case verdict != objOK:
+				again = append(again, i)
+				continue
+			default:
+				vals[i] = value(r.Buf, hd)
+				c.learn(sts[i].shard, keys[i], hint.Entry{Slot: int(g.Slot), Pool: g.RKey, Off: g.Off, Len: int(g.Len)})
+			}
+			sts[i].done = true
+		}
+		fbIdx = again
 	}
 	return nil
 }

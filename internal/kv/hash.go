@@ -20,22 +20,34 @@ func HashKey(key []byte) uint64 {
 	return h
 }
 
-// MaxObjectSize bounds an object's total on-pool length: PackLoc keeps it
-// in 24 bits, so a request for anything this large or larger must be
-// refused before it reaches the log.
-const MaxObjectSize = 1 << 24
+// MaxObjectSize bounds an object's total on-pool length. A version
+// pointer (PackVPtr) holds the length in 22 bits, and a location
+// (PackLoc), which has room for more, is held to the same bound: an
+// object this large or larger must be refused before it reaches the log
+// (Storable).
+const MaxObjectSize = vptrLenMask + 1
+
+// Storable reports whether an object of klen key bytes and vlen value
+// bytes is one the log can hold: a non-empty key (the verifier reads a
+// zero key length as an unfinished allocation and would stall on it) and
+// a total size under MaxObjectSize. A client's PUT and a peer's shipped
+// record are admitted by this one rule.
+func Storable(klen int, vlen uint64) bool {
+	return klen > 0 && klen < MaxObjectSize && vlen < MaxObjectSize &&
+		ObjectSize(klen, int(vlen)) < MaxObjectSize
+}
 
 // PackLoc encodes an object location — pool-relative offset plus total
 // on-pool length — into one 8-byte word so the pair can be updated with a
 // single atomic store (the paper's requirement that metadata updates be
-// failure-atomic at 8 bytes). Offsets up to 2^40 and lengths up to 2^24 are
-// representable. The zero value means "no location".
+// failure-atomic at 8 bytes). Offsets up to 2^40 and lengths under
+// MaxObjectSize are accepted. The zero value means "no location".
 func PackLoc(off uint64, totalLen int) uint64 {
 	if off >= 1<<40 {
 		panic("kv: offset exceeds 40 bits")
 	}
 	if totalLen <= 0 || totalLen >= MaxObjectSize {
-		panic("kv: length outside (0, 2^24)")
+		panic("kv: length outside (0, MaxObjectSize)")
 	}
 	return off | uint64(totalLen)<<40
 }

@@ -4,7 +4,7 @@ package kv
 // so version chains can cross data pools during log cleaning:
 //
 //	bit  62    pool index
-//	bits 40-61 total object length (line multiple, < 4 MiB)
+//	bits 40-61 total object length (line multiple, < MaxObjectSize)
 //	bits 0-39  pool-relative offset
 //
 // NilPtr (all ones) marks the absence of a predecessor/successor.
@@ -17,7 +17,7 @@ const (
 
 // PackVPtr builds a version pointer.
 func PackVPtr(pool int, off uint64, totalLen int) uint64 {
-	if off > vptrOffMask || totalLen <= 0 || totalLen > vptrLenMask {
+	if off > vptrOffMask || totalLen <= 0 || totalLen >= MaxObjectSize {
 		panic("kv: version pointer out of range")
 	}
 	return uint64(pool&1)<<vptrPoolShift | uint64(totalLen)<<vptrLenShift | off

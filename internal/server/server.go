@@ -159,15 +159,6 @@ func (c *Core) Handle(h any, m wire.Msg, sc *Scratch) (resp wire.Msg, handled bo
 	return resp, true
 }
 
-// storable reports whether an object of klen key bytes and vlen value
-// bytes is one the log can hold: a non-empty key (the verifier reads a
-// zero key length as an unfinished allocation and would stall on it) and
-// a total size inside the packed location's 24-bit length field.
-func storable(klen int, vlen uint64) bool {
-	return klen > 0 && klen < kv.MaxObjectSize && vlen < kv.MaxObjectSize &&
-		kv.ObjectSize(klen, int(vlen)) < kv.MaxObjectSize
-}
-
 // parse decodes m's op list into sc and collects the keys the request
 // names in sc.keys. It reports false for a request to refuse outright: a
 // malformed payload, a read over the op cap, an empty transaction, an op
@@ -177,7 +168,7 @@ func (c *Core) parse(m wire.Msg, sc *Scratch) bool {
 	keys := sc.keys[:0]
 	switch m.Type {
 	case wire.TPut:
-		if !storable(len(m.Key), m.Len) {
+		if !kv.Storable(len(m.Key), m.Len) {
 			return false
 		}
 		keys = append(keys, m.Key)
@@ -188,7 +179,7 @@ func (c *Core) parse(m wire.Msg, sc *Scratch) bool {
 			return false
 		}
 		for _, op := range sc.putOps {
-			if !storable(len(op.Key), uint64(op.VLen)) {
+			if !kv.Storable(len(op.Key), uint64(op.VLen)) {
 				return false
 			}
 			keys = append(keys, op.Key)
@@ -205,7 +196,7 @@ func (c *Core) parse(m wire.Msg, sc *Scratch) bool {
 			return false
 		}
 		for _, op := range sc.txnOps {
-			if !storable(len(op.Key), uint64(len(op.Value))) {
+			if !kv.Storable(len(op.Key), uint64(len(op.Value))) {
 				return false
 			}
 			keys = append(keys, op.Key)

@@ -202,6 +202,9 @@ func TestConformance(t *testing.T) {
 		{"put unrepresentable length", func(f *fixture) wire.Msg {
 			return wire.Msg{Type: wire.TPut, Key: key(1), Len: 1 << 63}
 		}, func(f *fixture) wire.Msg { return wire.Msg{Status: wire.StError} }},
+		{"put over the version-pointer length", func(f *fixture) wire.Msg {
+			return wire.Msg{Type: wire.TPut, Key: key(1), Len: 5 << 20}
+		}, func(f *fixture) wire.Msg { return wire.Msg{Status: wire.StError} }},
 		{"put batch, one op too big for the pool", func(f *fixture) wire.Msg {
 			ops := []wire.PutOp{{Crc: 1, VLen: 10, Key: key(2)}, {Crc: 2, VLen: huge, Key: key(3)}}
 			for i := 4; i < 12; i++ {

@@ -9,6 +9,8 @@
 package store
 
 import (
+	"math"
+
 	"efactory/internal/kv"
 )
 
@@ -43,6 +45,24 @@ func (ek *ExportKey) NewestSeq() uint64 {
 		return 0
 	}
 	return ek.Versions[len(ek.Versions)-1].Seq
+}
+
+// Valid reports whether ek is a record an exporter can produce, the
+// check a receiver runs before importing bytes a peer shipped: a
+// non-empty key, a tombstone with no versions, and versions that each
+// pass kv.Storable with strictly ascending sequence numbers at or above
+// the cut.
+func (ek *ExportKey) Valid() bool {
+	if len(ek.Key) == 0 || ek.Tombstone && len(ek.Versions) > 0 {
+		return false
+	}
+	for i, v := range ek.Versions {
+		if !kv.Storable(len(ek.Key), uint64(len(v.Value))) || v.Seq < ek.CutSeq ||
+			i > 0 && v.Seq <= ek.Versions[i-1].Seq {
+			return false
+		}
+	}
+	return true
 }
 
 // ExportMatching walks the shard's hash table under the engine lock and
@@ -106,14 +126,18 @@ func (e *Engine) exportEntryLocked(en kv.Entry) (ExportKey, bool) {
 	}
 	// Walk the chain newest-first from the head, respecting the cut the
 	// record carries: versions below it predate an acknowledged DELETE and
-	// stay dead.
+	// stay dead. A version whose seq is not below the last one taken is a
+	// copy an import shadowed (ImportKey's equal-seq durability upgrade),
+	// so the record's seqs strictly ascend.
+	below := uint64(math.MaxUint64)
 	for {
 		pool := e.pools[pi]
 		hd := pool.Header(off)
 		if hd.Magic != kv.Magic || hd.KLen <= 0 {
 			break
 		}
-		if hd.Valid() && hd.Seq >= ek.CutSeq {
+		if hd.Valid() && hd.Seq >= ek.CutSeq && hd.Seq < below {
+			below = hd.Seq
 			ek.Versions = append(ek.Versions, ExportVersion{
 				Seq:       hd.Seq,
 				CreatedAt: hd.CreatedAt,

@@ -302,3 +302,35 @@ func TestExportFilterAndPurge(t *testing.T) {
 		t.Fatalf("stats: %+v", st)
 	}
 }
+
+// TestExportAfterDurableUpgradeAscends: a migration can ship a key first
+// with a not-yet-durable head, then again once it settled. The second
+// import appends the durable chain over the pending copy of the same seq,
+// and an export of the importer — a promotion pull, a migration onward —
+// must still be a record Valid accepts: the shadowed copy is skipped, so
+// seqs strictly ascend and the durable version is the head.
+func TestExportAfterDurableUpgradeAscends(t *testing.T) {
+	src, _, _ := exportTestEngine(t)
+	key := []byte("k")
+	putVal(t, src, key, bytes.Repeat([]byte{0x01}, 32), true)
+	putVal(t, src, key, bytes.Repeat([]byte{0x02}, 32), false)
+	pending, _ := src.ExportOne(key)
+	if gr := src.Get(nil, key); gr.Status != StatusOK {
+		t.Fatalf("settle: %v", gr.Status)
+	}
+	durable, _ := src.ExportOne(key)
+
+	dst, _, _ := exportTestEngine(t)
+	for _, ek := range []ExportKey{pending, durable} {
+		if s := dst.ImportKey(nil, ek); s != StatusOK {
+			t.Fatalf("import: %v", s)
+		}
+	}
+	got, ok := dst.ExportOne(key)
+	if !ok || !got.Valid() || len(got.Versions) != len(durable.Versions) {
+		t.Fatalf("re-export %+v (ok %v): want a valid record of %d versions", got, ok, len(durable.Versions))
+	}
+	if head := got.Versions[len(got.Versions)-1]; head.Flags&kv.FlagDurable == 0 {
+		t.Fatalf("re-exported head %+v is not the durable copy", head)
+	}
+}

@@ -28,7 +28,7 @@ type Stats struct {
 	Recovered      int // keys restored by startup recovery
 	RolledBack     int // keys recovered from a non-head (older) version
 	KeysExported   int // hash entries serialized for migration export
-	KeysImported   int // exported keys ingested from a migration source
+	KeysImported   int // exported keys ingested from a peer
 	KeysPurged     int // entries cleared after their PG migrated away
 	TxnStages      int // transactional writes staged (invisible pre-commit)
 	TxnCommits     int // multi-key transactions committed

@@ -57,6 +57,7 @@ type Client struct {
 	retry  RetryPolicy       // zero value: single attempt, no deadlines
 	jitter func(int64) int64 // backoff random source; nil = process-wide (tests seed it)
 	gen    uint64            // bumped per reconnect; concurrent retriers share one redial
+	closed bool              // Close ran: no retry may redial
 	pipe   *pipe
 	osConn net.Conn
 
@@ -278,13 +279,14 @@ func (p *pipe) call(cs *callSlot) (r pipeResult, clean bool) {
 	}
 }
 
-// dialLocked (re)establishes both channels. Callers hold c.mu.
+// dialLocked (re)establishes both channels, each connect bounded by the
+// retry policy's per-attempt timeout. Callers hold c.mu.
 func (c *Client) dialLocked() error {
-	rpcConn, err := dialChannel(c.addr, chanRPCPipe)
+	rpcConn, err := dialChannel(c.addr, chanRPCPipe, c.retry.Timeout)
 	if err != nil {
 		return err
 	}
-	osConn, err := dialChannel(c.addr, chanOneSided)
+	osConn, err := dialChannel(c.addr, chanOneSided, c.retry.Timeout)
 	if err != nil {
 		rpcConn.Close()
 		return err
@@ -304,8 +306,13 @@ func (c *Client) callTimeout() time.Duration {
 
 // Dial connects to a tcpkv server and performs the geometry handshake.
 // The returned client performs no retries; see SetRetryPolicy.
-func Dial(addr string) (*Client, error) {
-	c := &Client{addr: addr}
+func Dial(addr string) (*Client, error) { return dial(addr, RetryPolicy{}) }
+
+// dial is Dial under rp from the first byte: rp.Timeout bounds the
+// connects and the handshake as well as every later attempt, so a peer
+// that accepts but never answers costs one timeout, not a hang.
+func dial(addr string, rp RetryPolicy) (*Client, error) {
+	c := &Client{addr: addr, retry: rp}
 	c.mu.Lock()
 	err := c.dialLocked()
 	c.mu.Unlock()
@@ -333,10 +340,12 @@ func Dial(addr string) (*Client, error) {
 	return c, nil
 }
 
-// Close tears both connections down.
+// Close tears both connections down for good: an op still retrying
+// fails instead of redialing.
 func (c *Client) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.closed = true
 	c.pipe.fail(net.ErrClosed)
 	return c.osConn.Close()
 }
@@ -380,6 +389,9 @@ func (c *Client) SetRetryPolicy(rp RetryPolicy) {
 func (c *Client) reconnect(genSeen uint64) (uint64, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.closed {
+		return c.gen, net.ErrClosed
+	}
 	if c.gen != genSeen {
 		return c.gen, nil // another op's retry already reconnected
 	}

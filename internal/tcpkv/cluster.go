@@ -16,7 +16,7 @@
 package tcpkv
 
 import (
-	"encoding/json"
+	"bytes"
 	"fmt"
 	"slices"
 	"sync"
@@ -70,12 +70,11 @@ func (s *Server) SetInstanceName(name, addr string) {
 // bound: peers dial it as soon as the map names it.
 func (s *Server) Join(name, self, seedAddr string) (*cluster.Map, error) {
 	s.SetInstanceName(name, self)
-	c, err := Dial(seedAddr)
-	if err != nil {
-		return nil, fmt.Errorf("tcpkv: join via %s: %w", seedAddr, err)
-	}
-	defer c.Close()
-	m, err := c.JoinRPC(name, self)
+	var m *cluster.Map
+	err := s.peers.once(seedAddr, func(c *Client) (err error) {
+		m, err = c.JoinRPC(name, self)
+		return err
+	})
 	if err != nil {
 		return nil, fmt.Errorf("tcpkv: join via %s: %w", seedAddr, err)
 	}
@@ -339,15 +338,22 @@ func (s *Server) handleClusterMap() wire.Msg {
 	return wire.Msg{Type: wire.TClusterMapResp, Status: wire.StOK, Token: uint32(m.Epoch), Value: m.Encode()}
 }
 
-// handleClusterMapSet adopts the offered map if strictly newer; the
-// response Token carries the epoch the server ended at either way.
+// handleClusterMapSet adopts the offered map if strictly newer. It
+// answers StOK only when the server now holds that map, and otherwise
+// StWrongEpoch: a pusher — a migration's cutover above all — must never
+// count a map its target did not adopt. Token carries the server's epoch
+// either way.
 func (s *Server) handleClusterMapSet(m wire.Msg) wire.Msg {
 	nm, err := cluster.DecodeMap(m.Value)
 	if err != nil {
 		return wire.Msg{Type: wire.TClusterMapSetResp, Status: wire.StError}
 	}
 	ep := s.SetClusterMap(nm)
-	return wire.Msg{Type: wire.TClusterMapSetResp, Status: wire.StOK, Token: uint32(ep)}
+	st := wire.StOK
+	if cur := s.ClusterMap(); cur != nm && !bytes.Equal(cur.Encode(), nm.Encode()) {
+		st = wire.StWrongEpoch
+	}
+	return wire.Msg{Type: wire.TClusterMapSetResp, Status: st, Token: uint32(ep)}
 }
 
 // handleJoin admits a new instance: epoch+1 map with the joiner added
@@ -387,35 +393,20 @@ func (s *Server) handleJoin(m wire.Msg) wire.Msg {
 // map by another channel (a joiner via its response, a migration target
 // via the cutover push).
 func (s *Server) pushMapToPeers(nm *cluster.Map, skip string) {
-	s.clMu.RLock()
-	self := s.clName
-	s.clMu.RUnlock()
+	self := s.InstanceName()
 	for _, in := range nm.Instances {
-		if in.Name == self || in.Name == skip {
-			continue
-		}
-		if c, err := Dial(in.Addr); err == nil {
-			c.SetClusterMapRPC(nm)
-			c.Close()
+		if in.Name != self && in.Name != skip {
+			s.offerMap(in.Name, in.Addr, nm)
 		}
 	}
 }
 
-// handleMigIngest imports a batch of exported keys into the local
-// shards. Ownership checks deliberately do not apply: the target of a
-// migration ingests a placement group it does not own yet.
-func (s *Server) handleMigIngest(m wire.Msg) wire.Msg {
-	batch, err := decodeExportBatch(m.Value)
-	if err != nil {
-		return wire.Msg{Type: wire.TMigIngestResp, Status: wire.StError}
-	}
-	for _, ek := range batch {
-		eng := s.st.Shard(cluster.ShardFor(ek.Key, s.st.NumShards()))
-		if eng.ImportKey(nil, ek) != store.StatusOK {
-			return wire.Msg{Type: wire.TMigIngestResp, Status: wire.StFull}
-		}
-	}
-	return wire.Msg{Type: wire.TMigIngestResp, Status: wire.StOK}
+// offerMap pushes nm to the named instance; nil means it now holds nm.
+func (s *Server) offerMap(name, addr string, nm *cluster.Map) error {
+	return s.peers.call(name, addr, func(c *Client) error {
+		_, err := c.SetClusterMapRPC(nm)
+		return err
+	})
 }
 
 // registerClusterMetrics exposes the placement layer's migration
@@ -453,18 +444,6 @@ func (s *Server) addClusterMetrics() {
 		"Failover promotions completed on this instance.", lbl,
 		func() float64 { return float64(s.replPromotions.Load()) })
 	reg.AddCounter("efactory_repl_ingested_total",
-		"Replicated commit records ingested as a backup.", lbl,
+		"Records ingested from peers: mirror appends, copies, promotion pulls.", lbl,
 		func() float64 { return float64(s.replIngested.Load()) })
-}
-
-// decodeExportBatch parses a TMigIngest payload. The concrete type
-// lives in internal/store (ExportKey); JSON keeps the wire layer free
-// of a second hand-rolled codec for a control-plane path whose cost is
-// dominated by the value bytes either way.
-func decodeExportBatch(b []byte) ([]store.ExportKey, error) {
-	var batch []store.ExportKey
-	if err := json.Unmarshal(b, &batch); err != nil {
-		return nil, err
-	}
-	return batch, nil
 }

@@ -122,9 +122,14 @@ func TestClusterMapJoinAndPropagation(t *testing.T) {
 		t.Fatalf("joiner at epoch %d", got)
 	}
 
-	// Stale maps are refused: offering epoch 1 back leaves both at 2.
-	if ep, err := ca.SetClusterMapRPC(m); err != nil || ep != 2 {
-		t.Fatalf("stale map push: epoch %d err %v", ep, err)
+	// Stale maps are refused, typed: offering epoch 1 back leaves both at
+	// 2, and the pusher learns it was not adopted.
+	var we *cluster.WrongEpochError
+	if _, err := ca.SetClusterMapRPC(m); !errors.As(err, &we) || we.Epoch != 2 {
+		t.Fatalf("stale map push: err %v, want a WrongEpochError at epoch 2", err)
+	}
+	if got := srvA.ClusterMap().Epoch; got != 2 {
+		t.Fatalf("stale push moved the seed to epoch %d", got)
 	}
 }
 
@@ -555,5 +560,135 @@ func TestMigrationUnderLiveTraffic(t *testing.T) {
 	}
 	if srvB.Stats().KeysImported == 0 {
 		t.Fatal("target imported nothing under live traffic")
+	}
+}
+
+// TestMigrationCutoverNeedsTargetAdoption: the cutover counts only a map
+// the target actually adopted. Here the target already holds a different
+// map at the epoch the cutover mints (installed from the crash hook just
+// before the cutover), so it refuses the offer, and the migration aborts
+// before its commit point: nothing purged, the PG unblocked, ownership
+// unchanged, the source serving the PG as before.
+func TestMigrationCutoverNeedsTargetAdoption(t *testing.T) {
+	cfg := clusterTestConfig()
+	srvA, addrA := startClusterServer(t, "a", 4, cfg)
+	srvB, _ := startClusterServer(t, "b", 0, cfg)
+	joinInstance(t, addrA, srvB)
+	cc, err := DialCluster(addrA, DefaultClusterClientConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cc.Close()
+	const pg = 0
+	var keys [][]byte
+	for i := 0; len(keys) < 5; i++ {
+		if k := []byte(fmt.Sprintf("div-%03d", i)); cluster.PGForKey(k, 4) == pg {
+			keys = append(keys, k)
+			if err := cc.Put(k, k); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	m := srvA.ClusterMap()
+	srvA.migCrash = func(point string) bool {
+		if point == "pre-cutover" {
+			srvB.SetClusterMap(m.WithAssign(pg, "a")) // same epoch as the cutover's map
+		}
+		return false
+	}
+	var we *cluster.WrongEpochError
+	if _, err := srvA.MigratePG(pg, "b"); !errors.As(err, &we) {
+		t.Fatalf("migration against a divergent target: err = %v, want a WrongEpochError", err)
+	}
+	if got := srvA.ClusterMap(); got.Epoch != m.Epoch || got.Assign[pg] != "a" {
+		t.Fatalf("source map moved: epoch %d, pg %d owned by %q", got.Epoch, pg, got.Assign[pg])
+	}
+	if n := srvA.Stats().KeysPurged; n != 0 {
+		t.Fatalf("aborted cutover purged %d keys", n)
+	}
+	for _, k := range keys {
+		if got, err := cc.Get(k); err != nil || !bytes.Equal(got, k) {
+			t.Fatalf("get %s after the aborted cutover: %q, %v", k, got, err)
+		}
+		if err := cc.Put(k, []byte("again")); err != nil {
+			t.Fatalf("put %s after the aborted cutover: %v", k, err)
+		}
+	}
+}
+
+// TestReplicaAttachAbortSweep pins the attach's four crash points — the
+// "repl-"-prefixed checkpoints of the copy loop migrations share. An abort
+// before the primary installs the map listing the joiner leaves no map
+// anywhere naming it a backup, so no failover could promote a half-copied
+// replica, and the primary keeps serving alone. An abort after the
+// install leaves the primary mirroring to the backup already; the attach
+// carries on under the moved map until every PG lists the backup.
+func TestReplicaAttachAbortSweep(t *testing.T) {
+	for _, point := range []string{"repl-pre-snapshot", "repl-drain", "repl-pre-install", "repl-installed"} {
+		t.Run(point, func(t *testing.T) {
+			cfg := clusterTestConfig()
+			cfg.Replicas = 2
+			srvA, addrA := startClusterServer(t, "a", 4, cfg)
+			srvB, _ := startClusterServer(t, "b", 0, cfg)
+			cl, err := Dial(addrA)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			for i := 0; i < 16; i++ {
+				if err := cl.Put([]byte(fmt.Sprintf("pre-%02d", i)), []byte("v")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var fired sync.Once
+			aborted := make(chan struct{})
+			srvA.migCrash = func(p string) bool {
+				hit := false
+				if p == point {
+					fired.Do(func() { hit = true; close(aborted) })
+				}
+				return hit
+			}
+			joinInstance(t, addrA, srvB)
+			select {
+			case <-aborted:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("the attach never reached %s", point)
+			}
+			if point != "repl-installed" {
+				for _, srv := range []*Server{srvA, srvB} {
+					for pg := 0; pg < 4; pg++ {
+						if b := srv.ClusterMap().BackupsFor(pg); len(b) != 0 {
+							t.Fatalf("after an abort at %s, %s's map lists backups %v for pg %d", point, srv.InstanceName(), b, pg)
+						}
+					}
+				}
+				if err := cl.Put([]byte("after"), []byte("v")); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			if err := srvA.WaitBackup("b", 10*time.Second); err != nil {
+				t.Fatal(err)
+			}
+			cc, err := DialCluster(addrA, DefaultClusterClientConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cc.Close()
+			_, _, _, _, before := srvB.ReplCounters()
+			for i := 0; i < 16; i++ {
+				k := []byte(fmt.Sprintf("post-%02d", i))
+				if err := cc.Put(k, k); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := cc.Get(k); err != nil { // forces the flag, hence the mirror
+					t.Fatal(err)
+				}
+			}
+			if _, _, _, _, after := srvB.ReplCounters(); after-before < 16 {
+				t.Fatalf("backup ingested %d of 16 mirrored writes", after-before)
+			}
+		})
 	}
 }

@@ -23,9 +23,20 @@ import (
 	"efactory/internal/wire"
 )
 
+// idempotentRPC is rpc under the client's RetryPolicy, for the control
+// requests a replay cannot harm: map fetch and push, join, record append
+// and pull.
+func (c *Client) idempotentRPC(req wire.Msg) (resp wire.Msg, err error) {
+	err = c.retrying(func() error {
+		resp, err = c.rpc(req)
+		return err
+	})
+	return resp, err
+}
+
 // ClusterMapRPC fetches the server's current cluster map.
 func (c *Client) ClusterMapRPC() (*cluster.Map, error) {
-	resp, err := c.rpc(wire.Msg{Type: wire.TClusterMap})
+	resp, err := c.idempotentRPC(wire.Msg{Type: wire.TClusterMap})
 	if err != nil {
 		return nil, err
 	}
@@ -35,24 +46,29 @@ func (c *Client) ClusterMapRPC() (*cluster.Map, error) {
 	return cluster.DecodeMap(resp.Value)
 }
 
-// SetClusterMapRPC offers the server a map; it adopts it only if
-// strictly newer. The returned epoch is the server's view afterwards.
+// SetClusterMapRPC offers the server a map and returns the epoch it holds
+// afterwards. A server that does not now hold m — it already had a newer
+// map, or a different one at m's epoch — answers with a
+// *cluster.WrongEpochError carrying its epoch.
 func (c *Client) SetClusterMapRPC(m *cluster.Map) (uint64, error) {
-	resp, err := c.rpc(wire.Msg{Type: wire.TClusterMapSet, Value: m.Encode()})
+	resp, err := c.idempotentRPC(wire.Msg{Type: wire.TClusterMapSet, Value: m.Encode()})
 	if err != nil {
 		return 0, err
 	}
-	if resp.Status != wire.StOK {
-		return 0, fmt.Errorf("tcpkv: cluster map set status %d", resp.Status)
+	switch resp.Status {
+	case wire.StOK:
+		return uint64(resp.Token), nil
+	case wire.StWrongEpoch:
+		return uint64(resp.Token), wrongEpoch(resp)
 	}
-	return uint64(resp.Token), nil
+	return 0, fmt.Errorf("tcpkv: cluster map set status %d", resp.Status)
 }
 
 // JoinRPC asks a clustered server to admit instance name at addr; the
 // returned map (epoch+1, name owning nothing) is what the joiner should
 // install on itself.
 func (c *Client) JoinRPC(name, addr string) (*cluster.Map, error) {
-	resp, err := c.rpc(wire.Msg{Type: wire.TJoin, Key: []byte(name), Value: []byte(addr)})
+	resp, err := c.idempotentRPC(wire.Msg{Type: wire.TJoin, Key: []byte(name), Value: []byte(addr)})
 	if err != nil {
 		return nil, err
 	}
@@ -79,26 +95,11 @@ func (c *Client) MigrateRPC(pg int, target string) (MigrationSummary, error) {
 	return sum, nil
 }
 
-// MigIngest ships one batch of exported keys to a migration target.
-func (c *Client) MigIngest(batch []store.ExportKey) error {
-	blob, err := json.Marshal(batch)
-	if err != nil {
-		return err
-	}
-	resp, err := c.rpc(wire.Msg{Type: wire.TMigIngest, Value: blob})
-	if err != nil {
-		return err
-	}
-	if resp.Status != wire.StOK {
-		return fmt.Errorf("tcpkv: ingest status %d", resp.Status)
-	}
-	return nil
-}
-
-// ReplAppend ships replicated commit records to a backup under the
-// sender's map epoch. A *cluster.WrongEpochError return means the
-// backup holds a strictly newer map — the sender is deposed and must
-// stop flagging writes durable until it adopts it.
+// ReplAppend ships exported records — a mirror append, or one batch of a
+// migration or replica-attach copy — under the sender's map epoch. A
+// *cluster.WrongEpochError return means the receiver holds a strictly
+// newer map: the sender is deposed (it must stop flagging writes durable
+// until it adopts that map), or its copy runs under a stale map.
 func (c *Client) ReplAppend(batch []store.ExportKey, epoch uint64) error {
 	blob, err := json.Marshal(batch)
 	if err != nil {
@@ -107,26 +108,23 @@ func (c *Client) ReplAppend(batch []store.ExportKey, epoch uint64) error {
 	// Under the retry loop: imports are idempotent, so a replayed append
 	// is safe, and a transient transport blip gets the policy's quick
 	// retry instead of immediately demoting a healthy backup.
-	return c.retrying(func() error {
-		resp, err := c.rpc(wire.Msg{Type: wire.TReplAppend, Token: uint32(epoch), Value: blob})
-		if err != nil {
-			return err
-		}
-		switch resp.Status {
-		case wire.StOK:
-			return nil
-		case wire.StWrongEpoch:
-			return &cluster.WrongEpochError{Epoch: uint64(resp.Token)}
-		default:
-			return fmt.Errorf("tcpkv: repl append status %d", resp.Status)
-		}
-	})
+	resp, err := c.idempotentRPC(wire.Msg{Type: wire.TReplAppend, Token: uint32(epoch), Value: blob})
+	if err != nil {
+		return err
+	}
+	switch resp.Status {
+	case wire.StOK:
+		return nil
+	case wire.StWrongEpoch:
+		return wrongEpoch(resp)
+	}
+	return fmt.Errorf("tcpkv: repl append status %d", resp.Status)
 }
 
 // ReplPull fetches every record the serving replica holds in placement
 // group pg (promotion reconciliation).
 func (c *Client) ReplPull(pg int) ([]store.ExportKey, error) {
-	resp, err := c.rpc(wire.Msg{Type: wire.TReplPull, Off: uint64(pg)})
+	resp, err := c.idempotentRPC(wire.Msg{Type: wire.TReplPull, Off: uint64(pg)})
 	if err != nil {
 		return nil, err
 	}
@@ -184,13 +182,12 @@ func DefaultClusterClientConfig() ClusterClientConfig {
 // ClusterClient is a routed client over a set of tcpkv instances.
 // Methods are safe for concurrent use.
 type ClusterClient struct {
-	cfg    ClusterClientConfig
 	router cluster.Router
+	peers  *peers // per-instance connections, under ClusterClientConfig.Retry
 
 	mu      sync.Mutex
-	clients map[string]*Client // by instance name
-	seed    string             // bootstrap address, used while the map is cold
-	lastMap *cluster.Map       // last map ever installed; map-refetch fallback when the seed died
+	seed    string       // bootstrap address, used while the map is cold
+	lastMap *cluster.Map // last map ever installed; map-refetch fallback when the seed died
 
 	// WrongEpochRetries counts ops that re-routed after an StWrongEpoch
 	// rejection; MapRefreshes counts TClusterMap fetches. Read quiesced.
@@ -220,7 +217,7 @@ func (cc *ClusterClient) Tracer() *trace.Tracer { return cc.tracer }
 // DialCluster bootstraps a routed client from any instance's address:
 // the seed serves the initial map, after which ops route per-key.
 func DialCluster(seed string, cfg ClusterClientConfig) (*ClusterClient, error) {
-	cc := &ClusterClient{cfg: cfg, clients: make(map[string]*Client), seed: seed}
+	cc := &ClusterClient{peers: newPeers(cfg.Retry), seed: seed}
 	if _, err := cc.currentMap(); err != nil {
 		cc.Close()
 		return nil, err
@@ -233,62 +230,13 @@ func (cc *ClusterClient) Router() *cluster.Router { return &cc.router }
 
 // Close tears down every per-instance connection.
 func (cc *ClusterClient) Close() error {
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	var first error
-	for name, c := range cc.clients {
-		if err := c.Close(); err != nil && first == nil {
-			first = err
-		}
-		delete(cc.clients, name)
-	}
-	return first
+	cc.peers.close()
+	return nil
 }
 
 // Clients returns the per-instance clients currently connected, keyed by
 // instance name (tests and stats aggregation; do not Close them).
-func (cc *ClusterClient) Clients() map[string]*Client {
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	out := make(map[string]*Client, len(cc.clients))
-	for k, v := range cc.clients {
-		out[k] = v
-	}
-	return out
-}
-
-// newClient dials and configures one per-instance connection.
-func (cc *ClusterClient) newClient(addr string) (*Client, error) {
-	c, err := Dial(addr)
-	if err != nil {
-		return nil, err
-	}
-	c.SetRetryPolicy(cc.cfg.Retry)
-	return c, nil
-}
-
-// clientFor returns (dialing lazily) the connection to instance in.
-func (cc *ClusterClient) clientFor(in cluster.Instance) (*Client, error) {
-	cc.mu.Lock()
-	c, ok := cc.clients[in.Name]
-	cc.mu.Unlock()
-	if ok {
-		return c, nil
-	}
-	c, err := cc.newClient(in.Addr)
-	if err != nil {
-		return nil, err
-	}
-	cc.mu.Lock()
-	if prev, ok := cc.clients[in.Name]; ok {
-		cc.mu.Unlock()
-		c.Close()
-		return prev, nil
-	}
-	cc.clients[in.Name] = c
-	cc.mu.Unlock()
-	return c, nil
-}
+func (cc *ClusterClient) Clients() map[string]*Client { return cc.peers.clients() }
 
 // install records m as the freshest map seen: the router serves it to
 // routing, and lastMap remembers it past invalidation so a refetch can
@@ -302,115 +250,43 @@ func (cc *ClusterClient) install(m *cluster.Map) {
 	cc.mu.Unlock()
 }
 
-// adoptClient caches c under an instance name unless a connection is
-// already registered there (then c is closed and the incumbent kept).
-func (cc *ClusterClient) adoptClient(name string, c *Client) {
-	cc.mu.Lock()
-	if prev, ok := cc.clients[name]; ok && prev != c {
-		cc.mu.Unlock()
-		c.Close()
-		return
-	}
-	cc.clients[name] = c
-	cc.mu.Unlock()
-}
-
-// dropClient severs a connection that just failed mid-op, so the next
-// route attempt redials (or routes elsewhere) instead of reusing a pipe
-// to a dead instance. Concurrent ops sharing the connection fail
-// transiently and re-route the same way.
-func (cc *ClusterClient) dropClient(c *Client) {
-	cc.mu.Lock()
-	for name, cur := range cc.clients {
-		if cur == c {
-			delete(cc.clients, name)
-			break
-		}
-	}
-	cc.mu.Unlock()
-	c.Close()
-}
-
 // currentMap returns the cached map, fetching one when the cache is cold
-// or was invalidated. Fetches try every connected instance, then every
-// address the last-known map listed, then the seed — so neither one dead
-// instance nor specifically the dead SEED can blind the client: after a
-// primary crash the survivors named in the stale map still answer.
+// or was invalidated. Fetches ask every instance the last-known map
+// listed, through the connection table (a dead pipe is dropped and the
+// next instance tried), then the seed — so neither one dead instance nor
+// specifically the dead SEED can blind the client: after a primary crash
+// the survivors named in the stale map still answer.
 func (cc *ClusterClient) currentMap() (*cluster.Map, error) {
 	if m := cc.router.Current(); m != nil {
 		return m, nil
 	}
 	cc.mu.Lock()
 	cc.MapRefreshes++
-	conns := make([]*Client, 0, len(cc.clients))
-	for _, c := range cc.clients {
-		conns = append(conns, c)
-	}
-	seed := cc.seed
-	last := cc.lastMap
+	seed, last := cc.seed, cc.lastMap
 	cc.mu.Unlock()
-	var lastErr error
-	for _, c := range conns {
+	fetch := func(c *Client) error {
 		m, err := c.ClusterMapRPC()
 		if err == nil {
 			cc.install(m)
-			return cc.router.Current(), nil
 		}
-		if transient(err) {
-			// Dead pipe: deregister it now, or the fallback dial below
-			// would adopt-lose to the stale incumbent under its name.
-			cc.dropClient(c)
-		}
-		lastErr = err
+		return err
 	}
-	// Every live connection failed: dial fresh to each instance the last
-	// installed map named. Connections above may be stale pipes to dead
-	// instances; this pass reaches survivors we never dialed.
+	var err error
 	if last != nil {
 		for _, in := range last.Instances {
-			c, err := cc.newClient(in.Addr)
-			if err != nil {
-				lastErr = err
-				continue
+			if err = cc.peers.call(in.Name, in.Addr, fetch); err == nil {
+				return cc.router.Current(), nil
 			}
-			m, err := c.ClusterMapRPC()
-			if err != nil {
-				c.Close()
-				lastErr = err
-				continue
-			}
-			cc.adoptClient(in.Name, c)
-			cc.install(m)
-			return cc.router.Current(), nil
 		}
 	}
 	// Cold cache (or every known instance failed): ask the seed directly.
-	c, err := cc.newClient(seed)
-	if err != nil {
-		if lastErr == nil {
-			lastErr = err
+	if serr := cc.peers.once(seed, fetch); serr != nil {
+		if err == nil {
+			err = serr
 		}
-		return nil, fmt.Errorf("tcpkv: no cluster map: %w", lastErr)
-	}
-	m, err := c.ClusterMapRPC()
-	if err != nil {
-		c.Close()
 		return nil, fmt.Errorf("tcpkv: no cluster map: %w", err)
 	}
-	cc.adoptClient(mapOwner(m, seed), c)
-	cc.install(m)
 	return cc.router.Current(), nil
-}
-
-// mapOwner names the instance living at addr under m ("" when unknown —
-// the seed moved or the map predates it).
-func mapOwner(m *cluster.Map, addr string) string {
-	for _, in := range m.Instances {
-		if in.Addr == addr {
-			return in.Name
-		}
-	}
-	return ""
 }
 
 // do routes one single-key op: resolve the key's instance under the
@@ -466,14 +342,12 @@ func (cc *ClusterClient) routedCtx(tc *trace.Ctx, resolve func(m *cluster.Map) (
 			cc.router.Invalidate()
 			continue
 		}
-		c, err := cc.clientFor(in)
-		if err != nil {
-			lastErr = err
-			cc.router.Invalidate()
-			continue
-		}
-		c.SetClusterEpoch(m.Epoch)
-		err = op(c, tc)
+		// A transport failure — the instance died mid-op, or never answered
+		// the dial — drops its connection in the table.
+		err = cc.peers.call(in.Name, in.Addr, func(c *Client) error {
+			c.SetClusterEpoch(m.Epoch)
+			return op(c, tc)
+		})
 		var we *cluster.WrongEpochError
 		if errors.As(err, &we) {
 			cc.noteWrongEpoch(we)
@@ -492,9 +366,8 @@ func (cc *ClusterClient) routedCtx(tc *trace.Ctx, resolve func(m *cluster.Map) (
 		}
 		if transient(err) || errors.Is(err, ErrRetryable) {
 			// The instance died mid-op, or applied without acknowledging:
-			// sever its pipe, suspect the map, and re-route — after a
-			// failover the key's new owner is one refetch away.
-			cc.dropClient(c)
+			// suspect the map and re-route — after a failover the key's
+			// new owner is one refetch away.
 			cc.router.Invalidate()
 			lastErr = err
 			continue
@@ -706,32 +579,36 @@ func (cc *ClusterClient) batched(tc *trace.Ctx, pending []int, errs []error, key
 			}
 			continue // errs are overwritten if a later round succeeds
 		}
-		groups := make(map[string][]int)
-		insts := make(map[string]cluster.Instance)
+		groups := make(map[cluster.Instance][]int)
 		for _, i := range pending {
 			in, _, ok := m.InstanceForKey(keyAt(i))
 			if !ok {
 				errs[i] = fmt.Errorf("tcpkv: no instance owns key under epoch %d", m.Epoch)
 				continue
 			}
-			groups[in.Name] = append(groups[in.Name], i)
-			insts[in.Name] = in
+			groups[in] = append(groups[in], i)
 		}
 		var next []int
 		staleRound := false
-		for name, idx := range groups {
-			c, err := cc.clientFor(insts[name])
-			if err != nil {
-				for _, i := range idx {
-					errs[i] = err
+		for in, idx := range groups {
+			var res []error
+			err := cc.peers.call(in.Name, in.Addr, func(c *Client) error {
+				c.SetClusterEpoch(m.Epoch)
+				res = run(c, tc, idx)
+				// The group's first transport failure drops the connection.
+				for _, e := range res {
+					if transient(e) {
+						return e
+					}
 				}
-				next = append(next, idx...)
-				cc.router.Invalidate()
-				continue
+				return nil
+			})
+			if res == nil { // no connection
+				res = make([]error, len(idx))
+				for j := range res {
+					res[j] = err
+				}
 			}
-			c.SetClusterEpoch(m.Epoch)
-			res := run(c, tc, idx)
-			dropped := false
 			for j, i := range idx {
 				errs[i] = res[j]
 				var we *cluster.WrongEpochError
@@ -743,13 +620,9 @@ func (cc *ClusterClient) batched(tc *trace.Ctx, pending []int, errs []error, key
 					}
 					next = append(next, i)
 				case transient(res[j]) || errors.Is(res[j], ErrRetryable):
-					// Instance failure mid-group: sever once, re-route the
-					// whole group's failed indices under a fresh map.
-					if !dropped {
-						dropped = true
-						cc.dropClient(c)
-						cc.router.Invalidate()
-					}
+					// Instance failure mid-group: re-route the group's failed
+					// indices under a fresh map.
+					cc.router.Invalidate()
 					next = append(next, i)
 				}
 			}

@@ -5,8 +5,10 @@
 //  1. Snapshot. A dirty-key tracker is installed FIRST, then every live
 //     object of the PG — full version chains, durability flags,
 //     tombstones, cut sequences, bit-exact (store.ExportMatching) — is
-//     streamed to the target in batched TMigIngest frames. Writes that
-//     race the snapshot land in the tracker.
+//     streamed to the target in batched TReplAppend frames under the
+//     source's map epoch (a target holding a strictly newer map refuses
+//     them, and the copy aborts). Writes that race the snapshot land in
+//     the tracker.
 //  2. Drain. Keys dirtied since the previous pass are re-exported
 //     (store.ExportOne after a settling Get, whose verify-on-demand
 //     makes every acknowledged write durable before it travels).
@@ -27,6 +29,9 @@
 //     instances. The moved entries are purged from the source table so
 //     stale one-sided reads miss and fall back to the RPC path, where
 //     the wrong-epoch redirect takes over.
+//
+// Phases 1 and 2 are the copy loop a replica attach (ReplicatePG) runs
+// too; only the cutover differs.
 package tcpkv
 
 import (
@@ -42,7 +47,7 @@ import (
 	"efactory/internal/wire"
 )
 
-// migBatchKeys and migBatchBytes bound one TMigIngest frame: flush at
+// migBatchKeys and migBatchBytes bound one copy frame: flush at
 // whichever limit is hit first (well under the 64MB frame cap).
 const (
 	migBatchKeys  = 256
@@ -67,9 +72,9 @@ type MigrationSummary struct {
 	BlockedFor   string `json:"blocked_for"`  // wall time the PG refused ops
 }
 
-// errMigrationAborted reports a migration stopped at an injected crash
-// point (Server.migCrash); the protocol state is whatever the crash
-// point implies, exactly as if the source process had died there.
+// errMigrationAborted reports a copy stopped at an injected crash point
+// (Server.migCrash); the protocol state is whatever the crash point
+// implies, exactly as if the source process had died there.
 var errMigrationAborted = errors.New("tcpkv: migration aborted at crash point")
 
 // migCheckpoint asks the crash hook (if any) whether the source "dies"
@@ -95,99 +100,45 @@ func (s *Server) handleMigrate(m wire.Msg) wire.Msg {
 
 // MigratePG runs the migration protocol above as the source. Exposed so
 // tests and tooling can drive a migration without a wire round trip.
-func (s *Server) MigratePG(pg int, target string) (MigrationSummary, error) {
+func (s *Server) MigratePG(pg int, target string) (sum MigrationSummary, err error) {
 	s.migOne.Lock()
 	defer s.migOne.Unlock()
-
-	s.clMu.RLock()
-	m, self := s.clMap, s.clName
-	s.clMu.RUnlock()
-	if m == nil {
-		return MigrationSummary{}, errors.New("tcpkv: clustering not enabled")
-	}
-	if pg < 0 || pg >= m.PGs {
-		return MigrationSummary{}, fmt.Errorf("tcpkv: no placement group %d (map has %d)", pg, m.PGs)
-	}
-	if m.Assign[pg] != self {
-		return MigrationSummary{}, fmt.Errorf("tcpkv: pg %d is owned by %q, not this instance", pg, m.Assign[pg])
-	}
-	if target == self {
-		return MigrationSummary{}, errors.New("tcpkv: target is the source")
-	}
-	addr, ok := m.AddrOf(target)
-	if !ok {
-		return MigrationSummary{}, fmt.Errorf("tcpkv: unknown target instance %q", target)
-	}
-	tc, err := Dial(addr)
+	cp, err := s.beginCopy(pg, target, "")
 	if err != nil {
-		return MigrationSummary{}, fmt.Errorf("tcpkv: dial target: %w", err)
+		return sum, err
 	}
-	defer tc.Close()
-	tc.SetRetryPolicy(DefaultRetryPolicy())
-
-	sum := MigrationSummary{PG: pg, Target: target}
-	accept := func(hash uint64) bool { return cluster.PGOf(hash, m.PGs) == pg }
+	defer cp.end()
+	sum = MigrationSummary{PG: pg, Target: target}
 
 	// Every migration gets a trace unconditionally (Mint bypasses
 	// sampling): one root span plus a child per protocol phase, retained
 	// under why="migration" so /debug/slow shows where a slow or aborted
 	// run spent its time.
-	nowNS := func() uint64 { return uint64(time.Now().UnixNano()) }
 	mt := trace.NewCtx(s.tracer.Mint())
-	migT0 := nowNS()
+	migT0 := traceNow(mt)
 	mt.Root("migrate_pg", migT0, 0)
 	mt.Mark("migration")
 	defer func() {
-		end := nowNS()
+		end := traceNow(mt)
 		outcome := "ok"
 		if err != nil {
 			outcome = "error"
 		}
 		mt.SetRoot(end, outcome, 0)
-		mt.Stamp(self, sum.Epoch)
+		mt.Stamp(s.InstanceName(), sum.Epoch)
 		s.tracer.Submit(mt, end-migT0)
 	}()
 
-	// Phase 1: tracker on BEFORE the snapshot walk, so a write racing the
-	// walk is either in the snapshot or in the dirty set (or both —
-	// imports are idempotent).
-	tracker := &migTracker{accept: accept, dirty: make(map[string]struct{})}
-	s.mig.Store(tracker)
-	defer s.mig.Store(nil)
-
-	if err = s.migCheckpoint("pre-snapshot"); err != nil {
+	// Phases 1 and 2: snapshot and open drain rounds.
+	err = cp.run(mt)
+	sum.SnapshotKeys, sum.DrainKeys, sum.DrainRounds = cp.snapshotKeys, cp.drainKeys, cp.drainRounds
+	if err != nil {
 		return sum, err
-	}
-	tSnap := nowNS()
-	if sum.SnapshotKeys, err = s.exportSnapshot(tc, accept); err != nil {
-		err = fmt.Errorf("tcpkv: snapshot: %w", err)
-		return sum, err
-	}
-	mt.Add("mig_snapshot", tSnap, nowNS())
-
-	// Phase 2: open drain rounds.
-	for round := 0; round < migDrainRounds; round++ {
-		if err = s.migCheckpoint("drain"); err != nil {
-			return sum, err
-		}
-		dirty := tracker.take()
-		if len(dirty) == 0 {
-			break
-		}
-		sum.DrainRounds++
-		tRound := nowNS()
-		var n int
-		if n, err = s.exportDirty(tc, dirty); err != nil {
-			err = fmt.Errorf("tcpkv: drain round %d: %w", round, err)
-			return sum, err
-		}
-		mt.Add("mig_drain", tRound, nowNS())
-		sum.DrainKeys += n
 	}
 
 	// Phase 3: blocked cutover window.
 	s.blockPG(pg)
-	tBlocked := nowNS()
+	tBlocked := traceNow(mt)
 	blockedAt := time.Now()
 	unblock := func() { s.unblockPG(pg) }
 	defer func() { unblock() }() // re-assignable: cutover replaces it
@@ -212,25 +163,24 @@ func (s *Server) MigratePG(pg int, target string) (MigrationSummary, error) {
 	if err = s.migCheckpoint("blocked"); err != nil {
 		return sum, err
 	}
-	if sum.BlockedKeys, err = s.exportDirty(tc, tracker.take()); err != nil {
+	if sum.BlockedKeys, err = cp.drain(cp.tracker.take()); err != nil {
 		err = fmt.Errorf("tcpkv: blocked drain: %w", err)
 		return sum, err
 	}
 	if err = s.migCheckpoint("pre-cutover"); err != nil {
 		return sum, err
 	}
-	mt.Add("mig_blocked", tBlocked, nowNS())
+	mt.Add("mig_blocked", tBlocked, traceNow(mt))
 
-	// Phase 4: cutover. Target first — if the target refuses the new map
-	// the migration aborts with ownership unchanged (the copied data is
-	// harmless: the target never serves a PG its map does not assign it).
-	nm := m.WithAssign(pg, target)
-	tCut := nowNS()
-	if ep, eerr := tc.SetClusterMapRPC(nm); eerr != nil {
-		err = fmt.Errorf("tcpkv: installing map on target: %w", eerr)
-		return sum, err
-	} else if ep < nm.Epoch {
-		err = fmt.Errorf("tcpkv: target stayed at epoch %d (offered %d)", ep, nm.Epoch)
+	// Phase 4: cutover. Target first — unless the target now holds the
+	// new map (it refuses one that is not newer than its own, or that
+	// differs from the map it holds at that epoch), the migration aborts
+	// with ownership unchanged (the copied data is harmless: the target
+	// never serves a PG its map does not assign it).
+	nm := cp.m.WithAssign(pg, target)
+	tCut := traceNow(mt)
+	if err = s.offerMap(target, cp.addr, nm); err != nil {
+		err = fmt.Errorf("tcpkv: installing map on target: %w", err)
 		return sum, err
 	}
 	// From here the cutover is committed: the newest-epoch map lives on
@@ -240,17 +190,17 @@ func (s *Server) MigratePG(pg int, target string) (MigrationSummary, error) {
 	if err = s.migCheckpoint("cutover-committed"); err != nil {
 		return sum, err
 	}
-	mt.Add("mig_cutover", tCut, nowNS())
+	mt.Add("mig_cutover", tCut, traceNow(mt))
 	// Purge while the PG is still blocked locally: once stale one-sided
 	// reads can only miss here, it is safe to start redirecting clients
 	// to the target. (Purging after unblocking would leave a window
 	// where a stale read at the source returns a value the target has
 	// since overwritten.)
-	tPurge := nowNS()
+	tPurge := traceNow(mt)
 	for i := 0; i < s.st.NumShards(); i++ {
-		sum.Purged += s.st.Shard(i).PurgeMatching(accept)
+		sum.Purged += s.st.Shard(i).PurgeMatching(cp.accept)
 	}
-	mt.Add("mig_purge", tPurge, nowNS())
+	mt.Add("mig_purge", tPurge, traceNow(mt))
 	if err = s.migCheckpoint("purged"); err != nil {
 		return sum, err
 	}
@@ -265,20 +215,106 @@ func (s *Server) MigratePG(pg int, target string) (MigrationSummary, error) {
 	return sum, nil
 }
 
-// exportSnapshot streams every live key accept matches to the target.
-// Keys are collected per shard under the engine lock and shipped after
-// it is released, so the snapshot walk never holds a shard's lock
-// across a network round trip.
-func (s *Server) exportSnapshot(tc *Client, accept func(uint64) bool) (int, error) {
+// pgCopy is one run of the copy loop a migration and a replica attach
+// share: stream one placement group's live records to a target instance
+// under the map the copy started from, whose epoch rides every frame.
+type pgCopy struct {
+	s       *Server
+	m       *cluster.Map
+	target  string
+	addr    string
+	prefix  string // crash-point name prefix: "" migration, "repl-" attach
+	accept  func(hash uint64) bool
+	tracker *migTracker
+
+	snapshotKeys, drainKeys, drainRounds int
+}
+
+// beginCopy is the precondition check both copies share — clustering on,
+// pg owned here, target another instance the map knows and answering —
+// followed by the dirty-key tracker's install, BEFORE any walk, so a
+// write racing the snapshot is either in it or in the dirty set (or
+// both: imports are idempotent). The caller holds migOne and calls end.
+func (s *Server) beginCopy(pg int, target, prefix string) (*pgCopy, error) {
+	s.clMu.RLock()
+	m, self := s.clMap, s.clName
+	s.clMu.RUnlock()
+	if m == nil {
+		return nil, errors.New("tcpkv: clustering not enabled")
+	}
+	if pg < 0 || pg >= m.PGs {
+		return nil, fmt.Errorf("tcpkv: no placement group %d (map has %d)", pg, m.PGs)
+	}
+	if m.Assign[pg] != self {
+		return nil, fmt.Errorf("tcpkv: pg %d is owned by %q, not this instance", pg, m.Assign[pg])
+	}
+	if target == self {
+		return nil, errors.New("tcpkv: target is this instance")
+	}
+	addr, ok := m.AddrOf(target)
+	if !ok {
+		return nil, fmt.Errorf("tcpkv: unknown target instance %q", target)
+	}
+	if _, err := s.peers.conn(target, addr); err != nil {
+		return nil, fmt.Errorf("tcpkv: dial target: %w", err)
+	}
+	accept := func(hash uint64) bool { return cluster.PGOf(hash, m.PGs) == pg }
+	cp := &pgCopy{s: s, m: m, target: target, addr: addr, prefix: prefix, accept: accept,
+		tracker: &migTracker{accept: accept, dirty: make(map[string]struct{})}}
+	s.mig.Store(cp.tracker)
+	return cp, nil
+}
+
+// end uninstalls the copy's dirty-key tracker.
+func (cp *pgCopy) end() { cp.s.mig.Store(nil) }
+
+// run is the copy's open phase: the snapshot, then drain rounds until
+// one finds the dirty set empty or migDrainRounds is spent. mt (nil for
+// an attach) gets a span per phase.
+func (cp *pgCopy) run(mt *trace.Ctx) error {
+	if err := cp.s.migCheckpoint(cp.prefix + "pre-snapshot"); err != nil {
+		return err
+	}
+	t := traceNow(mt)
+	var err error
+	if cp.snapshotKeys, err = cp.exportSnapshot(); err != nil {
+		return fmt.Errorf("tcpkv: snapshot: %w", err)
+	}
+	mt.Add("mig_snapshot", t, traceNow(mt))
+	for round := 0; round < migDrainRounds; round++ {
+		if err := cp.s.migCheckpoint(cp.prefix + "drain"); err != nil {
+			return err
+		}
+		dirty := cp.tracker.take()
+		if len(dirty) == 0 {
+			break
+		}
+		cp.drainRounds++
+		t := traceNow(mt)
+		n, err := cp.drain(dirty)
+		cp.drainKeys += n
+		if err != nil {
+			return fmt.Errorf("tcpkv: drain round %d: %w", round, err)
+		}
+		mt.Add("mig_drain", t, traceNow(mt))
+	}
+	return nil
+}
+
+// exportSnapshot streams every live key of the PG to the target. Keys are
+// collected per shard under the engine lock and shipped after it is
+// released, so the snapshot walk never holds a shard's lock across a
+// network round trip.
+func (cp *pgCopy) exportSnapshot() (int, error) {
 	total := 0
-	for i := 0; i < s.st.NumShards(); i++ {
+	for i := 0; i < cp.s.st.NumShards(); i++ {
 		var keys []store.ExportKey
-		s.st.Shard(i).ExportMatching(accept, func(ek store.ExportKey) bool {
+		cp.s.st.Shard(i).ExportMatching(cp.accept, func(ek store.ExportKey) bool {
 			keys = append(keys, ek)
-			s.renoteIfPending(ek)
+			cp.s.renoteIfPending(ek)
 			return true
 		})
-		n, err := s.sendBatched(tc, keys)
+		n, err := cp.send(keys)
 		total += n
 		if err != nil {
 			return total, err
@@ -302,28 +338,25 @@ func (s *Server) renoteIfPending(ek store.ExportKey) {
 	}
 }
 
-// exportDirty settles and re-exports one drain round's dirty keys. The
-// settling Get runs verify-on-demand: an acknowledged write's value is
-// verified and persisted before export, so what travels is durable.
-func (s *Server) exportDirty(tc *Client, dirty map[string]struct{}) (int, error) {
-	if len(dirty) == 0 {
-		return 0, nil
-	}
+// drain settles and re-exports one round's dirty keys. The settling Get
+// runs verify-on-demand: an acknowledged write's value is verified and
+// persisted before export, so what travels is durable.
+func (cp *pgCopy) drain(dirty map[string]struct{}) (int, error) {
 	var keys []store.ExportKey
 	for k := range dirty {
 		key := []byte(k)
-		eng := s.st.Shard(cluster.ShardFor(key, s.st.NumShards()))
+		eng := cp.s.st.Shard(cp.s.st.ShardFor(key))
 		eng.Get(nil, key) // settle: verify+persist or invalidate
 		if ek, ok := eng.ExportOne(key); ok {
 			keys = append(keys, ek)
-			s.renoteIfPending(ek)
+			cp.s.renoteIfPending(ek)
 		}
 	}
-	return s.sendBatched(tc, keys)
+	return cp.send(keys)
 }
 
-// sendBatched ships exported keys in bounded TMigIngest frames.
-func (s *Server) sendBatched(tc *Client, keys []store.ExportKey) (int, error) {
+// send ships exported keys to the target in bounded record frames.
+func (cp *pgCopy) send(keys []store.ExportKey) (int, error) {
 	sent := 0
 	for len(keys) > 0 {
 		n, bytes := 0, 0
@@ -334,11 +367,11 @@ func (s *Server) sendBatched(tc *Client, keys []store.ExportKey) (int, error) {
 			bytes += len(keys[n].Key)
 			n++
 		}
-		if err := tc.MigIngest(keys[:n]); err != nil {
+		if err := cp.s.ship(cp.target, cp.addr, keys[:n], cp.m.Epoch); err != nil {
 			return sent, err
 		}
 		sent += n
-		s.migKeysMoved.Add(uint64(n))
+		cp.s.migKeysMoved.Add(uint64(n))
 		keys = keys[n:]
 	}
 	return sent, nil

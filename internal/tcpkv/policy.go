@@ -131,10 +131,11 @@ func (a attemptDeadline) guard(op func() error) error {
 	return nil
 }
 
-// dialChannel opens one connection to addr and announces its channel kind
-// with the one-byte handshake every tcpkv channel starts with.
-func dialChannel(addr string, kind byte) (net.Conn, error) {
-	conn, err := net.Dial("tcp", addr)
+// dialChannel opens one connection to addr within timeout (0 = none) and
+// announces its channel kind with the one-byte handshake every tcpkv
+// channel starts with.
+func dialChannel(addr string, kind byte, timeout time.Duration) (net.Conn, error) {
+	conn, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
 		return nil, err
 	}

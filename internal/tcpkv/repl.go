@@ -48,8 +48,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"efactory/internal/cluster"
@@ -58,17 +58,6 @@ import (
 	"efactory/internal/trace"
 	"efactory/internal/wire"
 )
-
-// replPeer is one backup's ordered append channel: a persistent client
-// connection plus the mutex that serializes sends (and the post-send
-// compensation re-check) to it. The struct — and so the mutex — outlives
-// connection resets, so ordering survives redials. The connection is an
-// atomic pointer so Server.Close can sever an in-flight append without
-// queueing behind the sender mutex.
-type replPeer struct {
-	mu sync.Mutex
-	c  atomic.Pointer[Client]
-}
 
 // replOutcome classifies one backup's response to an append.
 type replOutcome int
@@ -201,28 +190,16 @@ func (s *Server) appendTo(eng *store.Engine, m *cluster.Map, name string, rec st
 		return replFailed
 	}
 	s.replMu.Lock()
-	if s.replPeers == nil {
-		s.replPeers = make(map[string]*replPeer)
-	}
-	p := s.replPeers[name]
-	if p == nil {
-		p = &replPeer{}
-		s.replPeers[name] = p
+	mu := s.replSenders[name]
+	if mu == nil {
+		mu = new(sync.Mutex)
+		s.replSenders[name] = mu
 	}
 	s.replMu.Unlock()
 
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.c.Load() == nil {
-		c, err := Dial(addr)
-		if err != nil {
-			s.replFailures.Add(1)
-			return replFailed
-		}
-		c.SetRetryPolicy(replRetryPolicy())
-		p.c.Store(c)
-	}
-	out := s.sendAppend(p, []store.ExportKey{rec}, m.Epoch)
+	mu.Lock()
+	defer mu.Unlock()
+	out := s.sendAppend(name, addr, rec, m.Epoch)
 	if out != replAcked {
 		return out
 	}
@@ -231,37 +208,41 @@ func (s *Server) appendTo(eng *store.Engine, m *cluster.Map, name string, rec st
 		cur = store.ExportKey{Key: rec.Key, Tombstone: true}
 	}
 	if replStateChanged(&rec, &cur) {
-		if out := s.sendAppend(p, []store.ExportKey{cur}, m.Epoch); out != replAcked {
-			return out
-		}
+		return s.sendAppend(name, addr, cur, m.Epoch)
 	}
 	return replAcked
 }
 
-// sendAppend performs one TReplAppend round trip on an established peer
-// and classifies the outcome, adopting the backup's newer map on a
-// wrong-epoch depose.
-func (s *Server) sendAppend(p *replPeer, batch []store.ExportKey, epoch uint64) replOutcome {
-	c := p.c.Load()
-	if c == nil {
-		return replFailed // Server.Close severed the connection
-	}
-	err := c.ReplAppend(batch, epoch)
-	if err == nil {
+// sendAppend ships one mirror record and classifies the outcome.
+func (s *Server) sendAppend(name, addr string, rec store.ExportKey, epoch uint64) replOutcome {
+	err := s.ship(name, addr, []store.ExportKey{rec}, epoch)
+	var we *cluster.WrongEpochError
+	switch {
+	case err == nil:
 		s.replAppends.Add(1)
 		return replAcked
-	}
-	var we *cluster.WrongEpochError
-	if errors.As(err, &we) {
-		if nm, merr := c.ClusterMapRPC(); merr == nil {
-			s.SetClusterMap(nm)
-		}
+	case errors.As(err, &we):
 		return replDeposed
 	}
 	s.replFailures.Add(1)
-	c.Close()
-	p.c.CompareAndSwap(c, nil)
 	return replFailed
+}
+
+// ship sends one record frame to the named instance under epoch — the
+// one sender of TReplAppend, for mirror appends and copies alike. A
+// receiver holding a strictly newer map refuses the frame with a
+// *cluster.WrongEpochError, and this instance adopts that map.
+func (s *Server) ship(name, addr string, recs []store.ExportKey, epoch uint64) error {
+	return s.peers.call(name, addr, func(c *Client) error {
+		err := c.ReplAppend(recs, epoch)
+		var we *cluster.WrongEpochError
+		if errors.As(err, &we) {
+			if nm, merr := c.ClusterMapRPC(); merr == nil {
+				s.SetClusterMap(nm)
+			}
+		}
+		return err
+	})
 }
 
 // replStateChanged reports whether the key's authoritative state moved
@@ -273,10 +254,11 @@ func replStateChanged(sent, cur *store.ExportKey) bool {
 		cur.NewestSeq() != sent.NewestSeq()
 }
 
-// replRetryPolicy is the transport policy for primary→backup append
-// connections: one quick retry, tightly bounded attempts — a backup that
-// cannot answer inside it is demoted rather than waited on.
-func replRetryPolicy() RetryPolicy {
+// peerRetryPolicy is the transport policy of every instance-to-instance
+// call: one quick retry, tightly bounded attempts — a backup that cannot
+// answer inside it is demoted rather than waited on, and a hung peer
+// costs a map push one timeout, not a hang.
+func peerRetryPolicy() RetryPolicy {
 	return RetryPolicy{Attempts: 2, Backoff: 2 * time.Millisecond,
 		MaxBackoff: 20 * time.Millisecond, Timeout: 2 * time.Second}
 }
@@ -320,12 +302,12 @@ func (s *Server) demoteBackup(pg int, name string) bool {
 	return true
 }
 
-// handleReplAppend ingests mirrored records as a backup. The sender's
-// epoch rides in Token: a backup whose map is strictly newer refuses and
-// answers StWrongEpoch with its own epoch — that is how a deposed
-// primary (dead to the cluster, alive in the network) learns it must
-// stop flagging writes durable. Ownership checks deliberately do not
-// apply: a backup ingests PGs it does not own.
+// handleReplAppend ingests a record frame — a mirror append, or a batch
+// of a migration or replica-attach copy. The sender's epoch rides in
+// Token: an instance whose map is strictly newer refuses and answers
+// StWrongEpoch with its own epoch — that is how a deposed primary (dead
+// to the cluster, alive in the network) learns it must stop flagging
+// writes durable, and how a copy under a stale map aborts.
 func (s *Server) handleReplAppend(m wire.Msg) wire.Msg {
 	s.clMu.RLock()
 	cm := s.clMap
@@ -341,14 +323,38 @@ func (s *Server) handleReplAppend(m wire.Msg) wire.Msg {
 	if err != nil {
 		return wire.Msg{Type: wire.TReplAck, Status: wire.StError}
 	}
+	return wire.Msg{Type: wire.TReplAck, Status: s.ingest(batch)}
+}
+
+// ingest imports records a peer shipped — mirror appends, copies,
+// promotion pulls: the one door peer data enters the engines through.
+// Peer bytes are hostile input, so the whole batch is validated
+// (store.ExportKey.Valid) before any of it is imported; a refused batch
+// answers StError and changes nothing. Ownership checks deliberately do
+// not apply: a backup or a migration target ingests PGs it does not own.
+func (s *Server) ingest(batch []store.ExportKey) uint8 {
+	for i := range batch {
+		if !batch[i].Valid() {
+			return wire.StError
+		}
+	}
 	for _, ek := range batch {
-		eng := s.st.Shard(cluster.ShardFor(ek.Key, s.st.NumShards()))
-		if eng.ImportKey(nil, ek) != store.StatusOK {
-			return wire.Msg{Type: wire.TReplAck, Status: wire.StFull}
+		if s.st.Shard(s.st.ShardFor(ek.Key)).ImportKey(nil, ek) != store.StatusOK {
+			return wire.StFull
 		}
 		s.replIngested.Add(1)
 	}
-	return wire.Msg{Type: wire.TReplAck, Status: wire.StOK}
+	return wire.StOK
+}
+
+// decodeExportBatch parses a record frame's payload. The concrete type
+// lives in internal/store (ExportKey); JSON keeps the wire layer free of
+// a second hand-rolled codec for a control-plane path whose cost is
+// dominated by the value bytes either way.
+func decodeExportBatch(b []byte) ([]store.ExportKey, error) {
+	var batch []store.ExportKey
+	err := json.Unmarshal(b, &batch)
+	return batch, err
 }
 
 // handleReplPull exports every record of placement group Off for a
@@ -370,7 +376,7 @@ func (s *Server) handleReplPull(m wire.Msg) wire.Msg {
 			return true
 		})
 	}
-	blob, err := encodeExportBatch(keys)
+	blob, err := json.Marshal(keys)
 	if err != nil {
 		return wire.Msg{Type: wire.TReplPullResp, Status: wire.StError}
 	}
@@ -433,26 +439,17 @@ func (s *Server) PromoteFrom(dead string) (uint64, error) {
 	// double failure would, which is outside the contract.
 	for pg := range take {
 		for _, b := range m.BackupsFor(pg) {
-			if b == self || b == dead {
-				continue
-			}
 			addr, ok := m.AddrOf(b)
-			if !ok {
+			if b == self || b == dead || !ok {
 				continue
 			}
-			c, err := Dial(addr)
-			if err != nil {
-				continue
-			}
-			c.SetRetryPolicy(replRetryPolicy())
-			if recs, err := c.ReplPull(pg); err == nil {
-				for _, ek := range recs {
-					eng := s.st.Shard(cluster.ShardFor(ek.Key, s.st.NumShards()))
-					eng.ImportKey(nil, ek)
-					s.replIngested.Add(1)
+			s.peers.call(b, addr, func(c *Client) error {
+				recs, err := c.ReplPull(pg)
+				if err == nil {
+					s.ingest(recs)
 				}
-			}
-			c.Close()
+				return err
+			})
 		}
 	}
 
@@ -498,7 +495,7 @@ func (s *Server) settlePGs(take map[int]bool, pgs int) int {
 
 // ReplCounters returns the replication-layer event counters: records
 // shipped to backups, transport failures, backups demoted, promotions
-// completed, and records ingested as a backup.
+// completed, and records ingested from peers.
 func (s *Server) ReplCounters() (appends, failures, demotions, promotions, ingested uint64) {
 	return s.replAppends.Load(), s.replFailures.Load(), s.replDemotions.Load(),
 		s.replPromotions.Load(), s.replIngested.Load()
@@ -511,21 +508,10 @@ func (s *Server) ReplCounters() (appends, failures, demotions, promotions, inges
 // traffic.
 func (s *Server) SetReplCrash(fn func(point string) bool) { s.replCrash = fn }
 
-// ReplicationSummary reports what one attach run copied.
-type ReplicationSummary struct {
-	PG           int    `json:"pg"`
-	Target       string `json:"target"`
-	Epoch        uint64 `json:"epoch"` // map epoch after the attach
-	SnapshotKeys int    `json:"snapshot_keys"`
-	DrainKeys    int    `json:"drain_keys"`
-	DrainRounds  int    `json:"drain_rounds"`
-	FinalKeys    int    `json:"final_keys"` // keys re-copied after the cutover
-}
-
 // ReplicatePG attaches target as a backup of pg: the PG's live records
-// are streamed over (snapshot + drain rounds, exactly the migration
-// machinery), then the epoch+1 map listing the backup is installed on
-// THIS instance first — the primary is the gaining party of the mirror
+// are streamed over (snapshot + drain rounds, the copy loop a migration
+// runs), then the epoch+1 map listing the backup is installed on THIS
+// instance first — the primary is the gaining party of the mirror
 // obligation, so from that instant every new durability flag waits on
 // the backup's ack — and a final drain re-copies anything flagged solo
 // before the install. Only then does the map travel to the target and
@@ -535,91 +521,45 @@ type ReplicationSummary struct {
 // Dying mid-attach is safe at every point: until the map is installed
 // locally, no map anywhere lists the target as a backup, so no failover
 // can promote a half-copied replica.
-func (s *Server) ReplicatePG(pg int, target string) (ReplicationSummary, error) {
+func (s *Server) ReplicatePG(pg int, target string) error {
 	s.migOne.Lock()
 	defer s.migOne.Unlock()
-
-	s.clMu.RLock()
-	m, self := s.clMap, s.clName
-	s.clMu.RUnlock()
-	sum := ReplicationSummary{PG: pg, Target: target}
-	if m == nil {
-		return sum, errors.New("tcpkv: clustering not enabled")
-	}
-	if pg < 0 || pg >= m.PGs {
-		return sum, fmt.Errorf("tcpkv: no placement group %d (map has %d)", pg, m.PGs)
-	}
-	if m.Assign[pg] != self {
-		return sum, fmt.Errorf("tcpkv: pg %d is owned by %q, not this instance", pg, m.Assign[pg])
-	}
-	if target == self {
-		return sum, errors.New("tcpkv: target is the primary")
-	}
-	for _, b := range m.BackupsFor(pg) {
-		if b == target {
-			return sum, fmt.Errorf("tcpkv: %q is already a backup of pg %d", target, pg)
-		}
-	}
-	addr, ok := m.AddrOf(target)
-	if !ok {
-		return sum, fmt.Errorf("tcpkv: unknown target instance %q", target)
-	}
-	tc, err := Dial(addr)
+	cp, err := s.beginCopy(pg, target, "repl-")
 	if err != nil {
-		return sum, fmt.Errorf("tcpkv: dial target: %w", err)
+		return err
 	}
-	defer tc.Close()
-	tc.SetRetryPolicy(DefaultRetryPolicy())
-
-	accept := func(hash uint64) bool { return cluster.PGOf(hash, m.PGs) == pg }
-	tracker := &migTracker{accept: accept, dirty: make(map[string]struct{})}
-	s.mig.Store(tracker)
-	defer s.mig.Store(nil)
-
-	if err := s.migCheckpoint("repl-pre-snapshot"); err != nil {
-		return sum, err
+	defer cp.end()
+	if slices.Contains(cp.m.BackupsFor(pg), target) {
+		return fmt.Errorf("tcpkv: %q is already a backup of pg %d", target, pg)
 	}
-	if sum.SnapshotKeys, err = s.exportSnapshot(tc, accept); err != nil {
-		return sum, fmt.Errorf("tcpkv: replica snapshot: %w", err)
+	if err := cp.run(nil); err != nil {
+		return err
 	}
-	for round := 0; round < migDrainRounds; round++ {
-		if err := s.migCheckpoint("repl-drain"); err != nil {
-			return sum, err
-		}
-		dirty := tracker.take()
-		if len(dirty) == 0 {
-			break
-		}
-		sum.DrainRounds++
-		n, err := s.exportDirty(tc, dirty)
-		if err != nil {
-			return sum, fmt.Errorf("tcpkv: replica drain round %d: %w", round, err)
-		}
-		sum.DrainKeys += n
-	}
-
 	if err := s.migCheckpoint("repl-pre-install"); err != nil {
-		return sum, err
+		return err
 	}
 	// Self-first cutover: the mirror obligation starts here. Every flag
 	// set after this install waits on the backup; everything flagged
 	// before it is covered by the final drain below (a drained key whose
 	// export was still pending re-dirtied itself, so settling here ships
-	// the durable state).
-	nm := m.WithBackup(pg, target)
-	s.SetClusterMap(nm)
-	sum.Epoch = nm.Epoch
-	if sum.FinalKeys, err = s.exportDirty(tc, tracker.take()); err != nil {
-		return sum, fmt.Errorf("tcpkv: replica final drain: %w", err)
+	// the durable state). A map that moved under the copy (a join, a
+	// demotion) leaves nm uninstalled: the attach fails and the caller
+	// retries under the new map.
+	nm := cp.m.WithBackup(pg, target)
+	if s.SetClusterMap(nm); s.ClusterMap() != nm {
+		return fmt.Errorf("tcpkv: map moved during the attach of pg %d", pg)
+	}
+	if _, err := cp.drain(cp.tracker.take()); err != nil {
+		return fmt.Errorf("tcpkv: final drain: %w", err)
 	}
 	if err := s.migCheckpoint("repl-installed"); err != nil {
-		return sum, err
+		return err
 	}
-	if _, err := tc.SetClusterMapRPC(nm); err != nil {
-		return sum, fmt.Errorf("tcpkv: installing map on backup: %w", err)
+	if err := s.offerMap(target, cp.addr, nm); err != nil {
+		return fmt.Errorf("tcpkv: installing map on backup: %w", err)
 	}
 	s.pushMapToPeers(nm, target)
-	return sum, nil
+	return nil
 }
 
 // replAttach brings a newly joined instance up to the map's replication
@@ -636,20 +576,8 @@ func (s *Server) replAttach(target string) {
 		}
 		pg := -1
 		for i, owner := range m.Assign {
-			if owner != self || owner == target {
-				continue
-			}
-			if 1+len(m.BackupsFor(i)) >= m.ReplicationFactor {
-				continue
-			}
-			already := false
-			for _, b := range m.BackupsFor(i) {
-				if b == target {
-					already = true
-					break
-				}
-			}
-			if !already {
+			if owner == self && 1+len(m.BackupsFor(i)) < m.ReplicationFactor &&
+				!slices.Contains(m.BackupsFor(i), target) {
 				pg = i
 				break
 			}
@@ -657,13 +585,11 @@ func (s *Server) replAttach(target string) {
 		if pg < 0 {
 			return
 		}
-		if _, err := s.ReplicatePG(pg, target); err != nil {
-			return // target unreachable or state moved; next join retries
+		if err := s.ReplicatePG(pg, target); err != nil && s.ClusterMap().Epoch == m.Epoch {
+			return // target unreachable; the next join retries
 		}
+		// Attached, or the map moved under the attach (another join, a
+		// demotion, a target holding a newer map): continue under the
+		// current map.
 	}
-}
-
-// encodeExportBatch is decodeExportBatch's inverse (TReplPull payloads).
-func encodeExportBatch(batch []store.ExportKey) ([]byte, error) {
-	return json.Marshal(batch)
 }

@@ -145,3 +145,31 @@ func TestDeleteRetryRule(t *testing.T) {
 		t.Fatalf("rule must stay sticky across later attempts, got %v", err)
 	}
 }
+
+// TestCloseIsFinal: an op issued after Close fails instead of redialing
+// under the retry policy. A closed client must stay closed — the routed
+// client's connection table drops a failed connection by closing it, and
+// a retry that reconnected would leave two live connections no table
+// owns.
+func TestCloseIsFinal(t *testing.T) {
+	cfg := smallConfig()
+	_, addr := startServer(t, nvm.New(cfg.DeviceSize()), cfg)
+	cl, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl.SetRetryPolicy(DefaultRetryPolicy())
+	if err := cl.Put([]byte("k"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	cl.Close()
+	if v, err := cl.Get([]byte("k")); err == nil {
+		t.Fatalf("Get after Close = %q, want an error", v)
+	}
+	if err := cl.Put([]byte("k"), []byte("w")); err == nil {
+		t.Fatal("Put after Close succeeded")
+	}
+	if cl.Reconnects != 0 {
+		t.Fatalf("a closed client reconnected %d times", cl.Reconnects)
+	}
+}

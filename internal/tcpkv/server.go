@@ -227,12 +227,17 @@ type Server struct {
 	migKeysMoved atomic.Uint64 // keys copied out by sourced migrations
 	migDone      atomic.Uint64 // migrations completed as the source
 
-	// Replication state (see repl.go). replPeers holds one ordered append
-	// channel per backup this primary mirrors to; replDemoteMu serializes
-	// replica-set shrinks so concurrent verifier goroutines cannot revive
-	// each other's demotion with a stale base map.
+	// peers holds this instance's connections to every other instance:
+	// mirror appends, copies, pulls, map pushes and fetches all go through
+	// it (see peers.go).
+	peers *peers
+
+	// Replication state (see repl.go). replSenders holds one sender mutex
+	// per backup this primary mirrors to, which orders its appends;
+	// replDemoteMu serializes replica-set shrinks so concurrent verifier
+	// goroutines cannot revive each other's demotion with a stale base map.
 	replMu       sync.Mutex
-	replPeers    map[string]*replPeer
+	replSenders  map[string]*sync.Mutex
 	replDemoteMu sync.Mutex
 	// replCrash, when non-nil, is consulted at each replication protocol
 	// point; returning true makes the protocol behave as if the process
@@ -243,7 +248,7 @@ type Server struct {
 	replFailures   atomic.Uint64 // append transport failures
 	replDemotions  atomic.Uint64 // backups dropped from replica sets
 	replPromotions atomic.Uint64 // promotions completed on this instance
-	replIngested   atomic.Uint64 // records ingested as a backup
+	replIngested   atomic.Uint64 // records ingested from peers
 
 	// tracer retains the server-side spans of traced requests (frames
 	// whose trailer carries a client-minted trace ID) and of migration
@@ -274,10 +279,12 @@ func NewServer(dev nvm.Device, cfg Config) (*Server, error) {
 		dev = fault.WrapDevice(dev, cfg.FaultPlan)
 	}
 	s := &Server{
-		cfg:     cfg,
-		dev:     dev,
-		closing: make(chan struct{}),
-		conns:   make(map[net.Conn]struct{}),
+		cfg:         cfg,
+		dev:         dev,
+		closing:     make(chan struct{}),
+		conns:       make(map[net.Conn]struct{}),
+		peers:       newPeers(peerRetryPolicy()),
+		replSenders: make(map[string]*sync.Mutex),
 		// Servers never head-sample: they trace exactly the requests whose
 		// frames carry an ID, and retain all of them (threshold 0).
 		tracer: trace.NewTracer(0, 0),
@@ -436,15 +443,9 @@ func (s *Server) Close() error {
 			conn.Close()
 		}
 		s.connMu.Unlock()
-		s.replMu.Lock()
-		for _, p := range s.replPeers {
-			// Close without taking p.mu: an in-flight append must error
-			// out rather than park Close behind a peer round trip.
-			if c := p.c.Swap(nil); c != nil {
-				c.Close()
-			}
-		}
-		s.replMu.Unlock()
+		// Without taking any sender mutex: an in-flight append must error
+		// out rather than park Close behind a peer round trip.
+		s.peers.close()
 	})
 	s.wg.Wait()
 	return nil
@@ -760,8 +761,6 @@ func (s *Server) dispatch(h any, m wire.Msg, sc *server.Scratch) wire.Msg {
 		return s.handleJoin(m)
 	case wire.TMigrate:
 		return s.handleMigrate(m)
-	case wire.TMigIngest:
-		return s.handleMigIngest(m)
 	case wire.TReplAppend:
 		return s.handleReplAppend(m)
 	case wire.TReplPull:

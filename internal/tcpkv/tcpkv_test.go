@@ -321,6 +321,38 @@ func TestServerRejectsOversizedValueGracefully(t *testing.T) {
 	}
 }
 
+// TestObjectSizeLimit: the server admits only objects a version pointer
+// can describe. An object over kv.MaxObjectSize is refused at allocation
+// with a status error — accepted, its second version would panic the
+// server while chaining to the first — and an object under the limit can
+// be written again and again while the server keeps serving.
+func TestObjectSizeLimit(t *testing.T) {
+	cfg := smallConfig()
+	cfg.PoolSize = 16 << 20
+	_, addr := startServer(t, nvm.New(cfg.DeviceSize()), cfg)
+	cl, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	var se *client.StatusError
+	if err := cl.Put([]byte("big"), make([]byte, 5<<20)); !errors.As(err, &se) {
+		t.Fatalf("5 MiB put: err = %v, want a status error", err)
+	}
+	for i := byte(1); i <= 3; i++ {
+		v := bytes.Repeat([]byte{i}, 3<<20)
+		if err := cl.Put([]byte("big"), v); err != nil {
+			t.Fatalf("3 MiB put %d: %v", i, err)
+		}
+		if got, err := cl.Get([]byte("big")); err != nil || !bytes.Equal(got, v) {
+			t.Fatalf("3 MiB get %d: %d bytes, %v", i, len(got), err)
+		}
+	}
+	if err := cl.Put([]byte("small"), []byte("ok")); err != nil {
+		t.Fatalf("server stopped serving: %v", err)
+	}
+}
+
 func TestLogCleaningOverTCP(t *testing.T) {
 	cfg := smallConfig()
 	cfg.PoolSize = 256 << 10
@@ -603,7 +635,7 @@ func TestShardedConcurrentClients(t *testing.T) {
 func TestOneSidedBoundsOverflow(t *testing.T) {
 	cfg := smallConfig()
 	_, addr := startServer(t, nvm.New(cfg.DeviceSize()), cfg)
-	conn, err := dialChannel(addr, chanOneSided)
+	conn, err := dialChannel(addr, chanOneSided, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -116,12 +116,10 @@ const (
 	TMigrate
 	// TMigrateResp answers TMigrate.
 	TMigrateResp
-	// TMigIngest streams a batch of exported keys (store.ExportKey list,
-	// JSON in Value) from a migration source to its target, which imports
-	// them into its local shards. Ownership checks do not apply: the
-	// target ingests placement groups it does not own yet.
+	// TMigIngest is retired: migration batches ride TReplAppend. The
+	// number stays reserved so the types after it keep their values.
 	TMigIngest
-	// TMigIngestResp answers TMigIngest.
+	// TMigIngestResp is retired with TMigIngest.
 	TMigIngestResp
 	// TTraceDump requests the server's retained-trace store (the traces
 	// tail-retention kept: slow, errored, wrong-epoch, migration-window).
@@ -130,12 +128,14 @@ const (
 	TTraceDump
 	// TTraceDumpResp answers TTraceDump.
 	TTraceDumpResp
-	// TReplAppend streams replicated commit records (store.ExportKey
-	// list, JSON in Value — the TMigIngest payload) from a PG's primary
-	// to one of its backups, which imports them. Token carries the
-	// primary's cluster-map epoch; a backup that has adopted a newer map
-	// answers StWrongEpoch with its own epoch, which deposes the sender —
-	// it must stop flagging writes durable until it refetches.
+	// TReplAppend streams exported records (store.ExportKey list, JSON in
+	// Value) from one instance to another, which validates and imports
+	// them: a primary's mirror appends to its backups, and the batches of
+	// a migration or replica-attach copy. Token carries the sender's
+	// cluster-map epoch; a receiver that has adopted a newer map answers
+	// StWrongEpoch with its own epoch, which deposes a mirroring primary —
+	// it must stop flagging writes durable until it refetches — and
+	// aborts a copy.
 	TReplAppend
 	// TReplAck answers TReplAppend. Only an StOK ack counts toward the
 	// quorum that lets the primary persist a durability flag.
