@@ -40,6 +40,16 @@ type gbState struct {
 	fallback bool // the optimistic path gave up: ask the server
 }
 
+// slab hands out consecutive windows of one allocation, each capped at its
+// own length so an append to one cannot run into the next.
+type slab []byte
+
+func (s *slab) take(n int) []byte {
+	b := (*s)[:n:n]
+	*s = (*s)[n:]
+	return b
+}
+
 // GetBatch resolves len(keys) GETs as one operation. Under the hybrid
 // scheme every key runs the optimistic one-sided protocol, but the READs
 // of all in-flight keys are chained per round into a single burst sharing
@@ -135,10 +145,24 @@ func (c *Core) GetBatch(tc *trace.Ctx, keys, vals [][]byte, errs []error) error 
 		return ok
 	}
 
-	var reqs []Req
-	var acted []int
+	// A round issues at most an entry and an object READ per key.
+	reqs := make([]Req, 0, 2*len(keys))
+	acted := make([]int, 0, len(keys))
 	for optimistic {
 		reqs, acted = reqs[:0], acted[:0]
+		// Every object READ of the round lands in one slab.
+		var n int
+		for i := range sts {
+			st := &sts[i]
+			switch {
+			case st.done || st.fallback:
+			case st.wantObj:
+				n += st.tlen
+			case st.useHint && st.phase == gbIdle:
+				n += st.hinted.Len
+			}
+		}
+		objs := slab(make([]byte, n))
 		for i := range sts {
 			st := &sts[i]
 			if st.done || st.fallback {
@@ -149,7 +173,7 @@ func (c *Core) GetBatch(tc *trace.Ctx, keys, vals [][]byte, errs []error) error 
 			case st.wantObj:
 				st.wantObj = false
 				st.phase = gbObject
-				st.obj = make([]byte, st.tlen)
+				st.obj = objs.take(st.tlen)
 				reqs = append(reqs, Req{Buf: st.obj, RKey: st.pool, Off: st.off})
 			case st.useHint && st.phase == gbIdle:
 				st.phase = gbHinted
@@ -158,7 +182,7 @@ func (c *Core) GetBatch(tc *trace.Ctx, keys, vals [][]byte, errs []error) error 
 					st.slot = int(st.keyHash % uint64(c.buckets)) // probe-0 guess
 				}
 				st.pool, st.off, st.tlen = st.hinted.Pool, st.hinted.Off, st.hinted.Len
-				st.obj = make([]byte, st.tlen)
+				st.obj = objs.take(st.tlen)
 				reqs = append(reqs,
 					Req{Buf: st.entry, RKey: table, Off: uint64(st.slot * kv.EntrySize)},
 					Req{Buf: st.obj, RKey: st.pool, Off: st.off})
@@ -286,11 +310,18 @@ func (c *Core) GetBatch(tc *trace.Ctx, keys, vals [][]byte, errs []error) error 
 			return fail(fmt.Errorf("efactory: malformed get batch response: %d grants for %d ops: %v", len(grants), len(fbIdx), err))
 		}
 		reqs = reqs[:0]
+		var n int
+		for _, g := range grants {
+			if g.Status == wire.StOK {
+				n += int(g.Len)
+			}
+		}
+		objs := slab(make([]byte, n))
 		for j, g := range grants {
 			i := fbIdx[j]
 			switch g.Status {
 			case wire.StOK:
-				sts[i].obj = make([]byte, g.Len)
+				sts[i].obj = objs.take(int(g.Len))
 				reqs = append(reqs, Req{Buf: sts[i].obj, RKey: g.RKey, Off: g.Off})
 				continue
 			case wire.StNotFound:

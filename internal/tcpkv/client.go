@@ -1,6 +1,7 @@
 package tcpkv
 
 import (
+	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -60,6 +61,7 @@ type Client struct {
 	closed bool              // Close ran: no retry may redial
 	pipe   *pipe
 	osConn net.Conn
+	osRd   *bufio.Reader // osConn's replies; replaced with it on every dial
 
 	// osMu serializes the one-sided channel: a burst's requests and its
 	// replies are lock-step. osHdr is the reused reply-header read buffer,
@@ -149,9 +151,10 @@ func newPipe(conn net.Conn, timeout func() time.Duration) *pipe {
 // between bursts without spuriously timing out. Timeliness is enforced
 // per call in call(), where a caller that stops waiting kills the pipe.
 func (p *pipe) reader() {
+	br := bufio.NewReaderSize(p.conn, connBufSize)
 	for {
 		bp := frameBufPool.Get().(*[]byte)
-		raw, err := readFrameInto(p.conn, *bp)
+		raw, err := readFrameInto(br, *bp, maxPipeFrame)
 		if err != nil {
 			frameBufPool.Put(bp)
 			p.fail(err)
@@ -293,6 +296,7 @@ func (c *Client) dialLocked() error {
 	}
 	c.pipe = newPipe(rpcConn, c.callTimeout)
 	c.osConn = osConn
+	c.osRd = bufio.NewReaderSize(osConn, connBufSize)
 	return nil
 }
 
@@ -453,9 +457,11 @@ var burstScratchPool = sync.Pool{New: func() any {
 // osBurst is the one-sided channel's doorbell batch: the READs (op
 // opRead) or WRITEs (opWrite) in reqs are framed into one contiguous
 // buffer and sent with a single Write, then one reply per request is
-// consumed in order — a READ's data lands straight in its Req.Buf, a
-// refusal sets Req.NAK. One attemptDeadline covers the whole exchange,
-// same discipline as the pipelined channel's writes.
+// consumed in order through the channel's buffered reader — a READ's data
+// is copied into its Req.Buf, a refusal sets Req.NAK. One attemptDeadline
+// covers the whole exchange, same discipline as the pipelined channel's
+// writes. Any failure closes the connection: replies still in flight (or
+// already buffered) would otherwise be read as the next burst's own.
 func (c *Client) osBurst(op byte, reqs []client.Req) error {
 	if len(reqs) == 0 {
 		return nil
@@ -480,19 +486,19 @@ func (c *Client) osBurst(op byte, reqs []client.Req) error {
 	}
 	bs.buf = buf
 	c.mu.Lock()
-	conn := c.osConn
+	conn, rd := c.osConn, c.osRd
 	dl := attemptDeadline{set: conn.SetDeadline, d: c.retry.Timeout}
 	c.mu.Unlock()
 	c.osMu.Lock()
 	defer c.osMu.Unlock()
-	return dl.guard(func() error {
+	err := dl.guard(func() error {
 		if _, err := conn.Write(buf); err != nil {
 			return err
 		}
 		for i := range reqs {
 			// Reply: [len][status], then a READ's data.
 			hdr := c.osHdr[:]
-			if _, err := io.ReadFull(conn, hdr); err != nil {
+			if _, err := io.ReadFull(rd, hdr); err != nil {
 				return err
 			}
 			n := int(binary.BigEndian.Uint32(hdr)) - 1
@@ -504,17 +510,20 @@ func (c *Client) osBurst(op byte, reqs []client.Req) error {
 			case hdr[4] != 1 && n == 0:
 				reqs[i].NAK = true
 			case hdr[4] == 1 && n == len(dst):
-				if _, err := io.ReadFull(conn, dst); err != nil {
+				if _, err := io.ReadFull(rd, dst); err != nil {
 					return err
 				}
 			default:
-				// The stream can no longer be trusted to stay in sync.
-				conn.Close()
 				return fmt.Errorf("tcpkv: malformed one-sided reply (status %d, %d bytes, want %d)", hdr[4], n, len(dst))
 			}
 		}
 		return nil
 	})
+	if err != nil {
+		// The stream can no longer be trusted to stay in sync.
+		conn.Close()
+	}
+	return err
 }
 
 // verbs is Client seen through the protocol core's seam. A distinct type

@@ -77,14 +77,15 @@ func clusterTestConfig() Config {
 
 // joinInstance admits joiner into seed's cluster via the wire and
 // installs the returned map on the joiner, as cmd/efactory-server -join
-// does.
+// does. At Replicas ≥ 2 the seed's replica attach runs concurrently and
+// may already have pushed the joiner a newer map, which it keeps.
 func joinInstance(t *testing.T, seedAddr string, joiner *Server) *cluster.Map {
 	t.Helper()
 	m, err := joiner.Join(joiner.InstanceName(), joiner.clSelf, seedAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ep := joiner.ClusterMap().Epoch; ep != m.Epoch {
+	if ep := joiner.ClusterMap().Epoch; ep < m.Epoch {
 		t.Fatalf("joiner at epoch %d after installing %d", ep, m.Epoch)
 	}
 	return m

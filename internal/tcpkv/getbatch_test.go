@@ -135,14 +135,7 @@ func TestDialReadsHinted(t *testing.T) {
 	if err := cl.Put(key, val); err != nil {
 		t.Fatal(err)
 	}
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		if lag, _ := srv.Store().Shard(0).DurabilityLag(); lag == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("the PUT never became durable")
-		}
-	}
+	waitDurable(t, srv)
 	if _, err := cl.Get(key); err != nil {
 		t.Fatal(err)
 	}

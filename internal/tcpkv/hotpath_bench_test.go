@@ -150,6 +150,64 @@ func BenchmarkPut(b *testing.B) {
 	}
 }
 
+// settledKeys writes keys/vals, waits until the server has flagged every
+// version durable, and reads them once through GetBatch so the client
+// holds a hint for each: later reads are pure hinted one-sided bursts.
+func settledKeys(tb testing.TB, srv *Server, cl *Client, keys, vals [][]byte) {
+	tb.Helper()
+	for _, err := range cl.PutBatch(keys, vals) {
+		if err != nil {
+			tb.Fatal(err)
+		}
+	}
+	waitDurable(tb, srv)
+	for i := 0; i < 2; i++ {
+		_, errs := cl.GetBatch(keys)
+		for j, err := range errs {
+			if err != nil {
+				tb.Fatalf("warm get batch, key %d: %v", j, err)
+			}
+		}
+	}
+}
+
+// BenchmarkGet measures the single-op client GET of a settled, hinted
+// key: one one-sided burst of two READs (entry + object), no RPC. The one
+// allocation is the returned value's buffer.
+func BenchmarkGet(b *testing.B) {
+	srv, addr := startBenchServer(b)
+	cl := benchDial(b, addr)
+	keys, vals := benchKVs(64, 256)
+	settledKeys(b, srv, cl, keys, vals)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := cl.Get(keys[i%len(keys)]); err != nil {
+			b.Fatalf("get %d: %v", i, err)
+		}
+	}
+}
+
+// BenchmarkGetBatch measures a 64-key GetBatch of settled, hinted keys:
+// one one-sided burst of 128 READs, answered in one server write. Reported
+// per op, where one op is a 64-key batch.
+func BenchmarkGetBatch(b *testing.B) {
+	srv, addr := startBenchServer(b)
+	cl := benchDial(b, addr)
+	keys, vals := benchKVs(64, 256)
+	settledKeys(b, srv, cl, keys, vals)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, errs := cl.GetBatch(keys)
+		for j, err := range errs {
+			if err != nil {
+				b.Fatalf("batch %d key %d: %v", i, j, err)
+			}
+		}
+	}
+}
+
 // BenchmarkPutBatch measures the batched client PUT: one TPutBatch RPC
 // (server applies it run-to-completion per shard) plus one one-sided
 // WRITE burst — a single syscall carrying every value frame — and its

@@ -125,6 +125,57 @@ func TestClientTimeoutRecoversFromStalledRead(t *testing.T) {
 	}
 }
 
+// TestOneSidedTimeoutDoesNotServeStaleReply: a one-sided burst that times
+// out leaves its replies in flight. With no retry left to redial, the
+// client's next burst must not read them as its own: the timed-out
+// connection is closed, so the next Get fails (or reads fresh) instead of
+// returning the value the stale replies describe.
+func TestOneSidedTimeoutDoesNotServeStaleReply(t *testing.T) {
+	const stall = 200 * time.Millisecond
+	cfg := smallConfig()
+	cfg.NetFaults = &fault.NetPlan{StallEvery: 3, StallFor: stall}
+	srv, addr := startServer(t, nvm.New(cfg.DeviceSize()), cfg)
+	cl, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	key := []byte("k")
+	if err := cl.Put(key, []byte("value-1")); err != nil {
+		t.Fatal(err)
+	}
+	waitDurable(t, srv)
+	// One-sided reads 1 and 2: the probe walk, which teaches the hint.
+	if got, err := cl.Get(key); err != nil || string(got) != "value-1" {
+		t.Fatalf("first Get = %q, %v", got, err)
+	}
+	// Reads 3 and 4: the hinted burst; read 3 stalls past the deadline.
+	cl.SetRetryPolicy(RetryPolicy{Attempts: 1, Timeout: 50 * time.Millisecond})
+	if got, err := cl.Get(key); err == nil {
+		t.Fatalf("stalled Get = %q, want a deadline error", got)
+	}
+	// Past the stall the server reads value-1's entry and object and sends
+	// them; only then is the key overwritten.
+	time.Sleep(stall)
+	writer, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer writer.Close()
+	if err := writer.Put(key, []byte("value-2")); err != nil {
+		t.Fatal(err)
+	}
+	waitDurable(t, srv)
+	if got, err := cl.Get(key); err == nil && string(got) != "value-2" {
+		t.Fatalf("Get after the timeout = %q, want value-2 or an error", got)
+	}
+	// A retry redials and reads the current value.
+	cl.SetRetryPolicy(RetryPolicy{Attempts: 2, Timeout: 2 * time.Second})
+	if got, err := cl.Get(key); err != nil || string(got) != "value-2" {
+		t.Fatalf("Get with a retry = %q, %v; want value-2", got, err)
+	}
+}
+
 // TestDeleteRetryRule pins the at-least-once DELETE rule encoded once in
 // delRetryState and shared by the single-connection retry loop and the
 // routed client's cross-failover re-route: a fresh state surfaces

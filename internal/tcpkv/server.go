@@ -44,6 +44,7 @@
 package tcpkv
 
 import (
+	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -79,6 +80,20 @@ const (
 // DefaultPipelineWorkers bounds how many of one pipelined connection's
 // requests the server processes concurrently.
 const DefaultPipelineWorkers = 4
+
+// connBufSize sizes the buffered reader (and, on the one-sided server,
+// the buffered writer) at each end of a channel: 64 KiB holds a 64-key
+// hinted GetBatch burst's requests or replies whole, so either side moves
+// the burst in one syscall.
+const connBufSize = 64 << 10
+
+// Frame caps. A pipelined frame may carry a TReplAppend copy batch; a
+// one-sided request carries at most one object's bytes after its 17-byte
+// header.
+const (
+	maxPipeFrame     = 64 << 20
+	maxOneSidedFrame = 17 + kv.MaxObjectSize
+)
 
 // DefaultMaxGetBatch caps the ops per TGetBatch or TTxnRead request when
 // Config.MaxGetBatch is zero.
@@ -471,33 +486,46 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-// readFrameInto receives one length-prefixed frame into buf's backing
-// array (growing it when too small), so sequential receive loops reuse
-// one buffer once it has seen their peak frame size. The returned slice
-// aliases buf's backing; callers pass it back on the next call.
-func readFrameInto(conn net.Conn, buf []byte) ([]byte, error) {
+// readFrameInto receives one length-prefixed frame of at most limit bytes
+// into buf's backing array (growing it when too small), so sequential
+// receive loops reuse one buffer once it has seen their peak frame size.
+// A longer frame is refused before anything is allocated for it. The
+// returned slice aliases buf's backing; callers pass it back on the next
+// call. r is the channel end's bufio.Reader, so a frame already received
+// costs no syscall.
+func readFrameInto(r io.Reader, buf []byte, limit int) ([]byte, error) {
 	// The length prefix is staged in the destination buffer rather than a
-	// local array: a local would escape through the net.Conn interface
+	// local array: a local would escape through the io.Reader interface
 	// and cost a heap allocation per frame.
 	if cap(buf) < 4 {
 		buf = make([]byte, 0, 4096)
 	}
 	hdr := buf[:4]
-	if _, err := io.ReadFull(conn, hdr); err != nil {
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, err
 	}
 	n := int(binary.BigEndian.Uint32(hdr))
-	if n > 64<<20 {
+	if n > limit {
 		return nil, fmt.Errorf("tcpkv: oversized frame (%d bytes)", n)
 	}
 	if cap(buf) < n {
 		buf = make([]byte, n)
 	}
 	buf = buf[:n]
-	if _, err := io.ReadFull(conn, buf); err != nil {
+	if _, err := io.ReadFull(r, buf); err != nil {
 		return nil, err
 	}
 	return buf, nil
+}
+
+// frameBuffered reports whether br already holds a whole frame, so that
+// reading it cannot block.
+func frameBuffered(br *bufio.Reader) bool {
+	if br.Buffered() < 4 {
+		return false
+	}
+	hdr, _ := br.Peek(4)
+	return br.Buffered()-4 >= int(binary.BigEndian.Uint32(hdr))
 }
 
 // frameBufPool recycles request-frame buffers on the pipelined channel,
@@ -560,9 +588,10 @@ func (s *Server) servePipelined(conn net.Conn) {
 	}
 	defer wg.Wait() // workers finish before serveConn closes the socket
 	defer close(jobs)
+	br := bufio.NewReaderSize(conn, connBufSize)
 	for {
 		bp := frameBufPool.Get().(*[]byte)
-		raw, err := readFrameInto(conn, *bp)
+		raw, err := readFrameInto(br, *bp, maxPipeFrame)
 		if err != nil {
 			frameBufPool.Put(bp)
 			return
@@ -592,7 +621,10 @@ type pipeJob struct {
 }
 
 // serveOneSided is the RNIC-emulation channel: READ/WRITE frames touch the
-// device directly, bypassing the request loop.
+// device directly, bypassing the request loop. Replies queue in one
+// buffered writer and leave together: the writer is flushed only when the
+// next frame has not fully arrived, so a burst's replies cost one write
+// while no reply ever waits on a read that could block.
 func (s *Server) serveOneSided(conn net.Conn) {
 	// One-sided frames are strictly sequential per connection, so one
 	// request buffer and one response buffer serve the whole session.
@@ -601,11 +633,18 @@ func (s *Server) serveOneSided(conn net.Conn) {
 		out = make([]byte, 0, 4096)
 		err error
 	)
+	br := bufio.NewReaderSize(conn, connBufSize)
+	bw := bufio.NewWriterSize(conn, connBufSize)
 	// Pre-framed single-status replies (4-byte length prefix + 1 byte).
 	ack := [5]byte{0, 0, 0, 1, 1}
 	nak := [5]byte{0, 0, 0, 1, 0}
 	for {
-		raw, err = readFrameInto(conn, raw)
+		if bw.Buffered() > 0 && !frameBuffered(br) {
+			if bw.Flush() != nil {
+				return
+			}
+		}
+		raw, err = readFrameInto(br, raw, maxOneSidedFrame)
 		if err != nil {
 			return
 		}
@@ -618,9 +657,10 @@ func (s *Server) serveOneSided(conn net.Conn) {
 		length := int(binary.BigEndian.Uint32(raw[13:]))
 		base, size, ok := s.region(rkey)
 		// Compared without adding: off+length wraps for an offset near the
-		// top of the int range, and the sum would pass as in-bounds.
-		if !ok || off < 0 || length < 0 || off > size || length > size-off {
-			conn.Write(nak[:])
+		// top of the int range, and the sum would pass as in-bounds. No
+		// object is longer than kv.MaxObjectSize, so no READ needs to be.
+		if !ok || off < 0 || length < 0 || length > kv.MaxObjectSize || off > size || length > size-off {
+			bw.Write(nak[:])
 			continue
 		}
 		switch op {
@@ -628,7 +668,8 @@ func (s *Server) serveOneSided(conn net.Conn) {
 			if d := s.cfg.NetFaults.NextRead(); d > 0 {
 				time.Sleep(d) // a stalled RNIC read completion
 			}
-			// Frame: 4-byte length + status + data, one Write.
+			// Frame: 4-byte length + status + data. A reply larger than
+			// the writer's buffer goes straight to the socket.
 			if cap(out) < 5+length {
 				out = make([]byte, 0, 5+length)
 			}
@@ -636,17 +677,17 @@ func (s *Server) serveOneSided(conn net.Conn) {
 			binary.BigEndian.PutUint32(out, uint32(1+length))
 			out[4] = 1
 			s.dev.Read(base+off, out[5:])
-			if _, err := conn.Write(out); err != nil {
+			if _, err := bw.Write(out); err != nil {
 				return
 			}
 		case opWrite:
 			data := raw[17:]
 			if len(data) != length {
-				conn.Write(nak[:])
+				bw.Write(nak[:])
 				continue
 			}
 			s.dev.Write(base+off, data)
-			if _, err := conn.Write(ack[:]); err != nil {
+			if _, err := bw.Write(ack[:]); err != nil {
 				return
 			}
 		default:

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"efactory/internal/client"
+	"efactory/internal/kv"
 	"efactory/internal/nvm"
 	"efactory/internal/wire"
 )
@@ -31,6 +32,20 @@ func startServer(t *testing.T, dev nvm.Device, cfg Config) (*Server, string) {
 	go srv.Serve(ln)
 	t.Cleanup(func() { srv.Close() })
 	return srv, ln.Addr().String()
+}
+
+// waitDurable waits until srv's first shard has flagged every version
+// written so far durable.
+func waitDurable(tb testing.TB, srv *Server) {
+	tb.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if lag, _ := srv.Store().Shard(0).DurabilityLag(); lag == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			tb.Fatal("the writes never became durable")
+		}
+	}
 }
 
 func smallConfig() Config {
@@ -627,26 +642,35 @@ func TestShardedConcurrentClients(t *testing.T) {
 	}
 }
 
-// TestOneSidedBoundsOverflow: a one-sided frame whose offset sits at the
-// top of the int range makes off+length wrap negative. The bounds check
-// must refuse it with a NAK — not index the device out of range, which
-// panics the whole process from a connection goroutine — and the same
-// connection must keep serving valid frames afterwards.
+// TestOneSidedBoundsOverflow: hostile one-sided frames are refused, and
+// the server keeps serving. A frame whose offset sits at the top of the
+// int range makes off+length wrap negative: the bounds check must NAK it —
+// not index the device out of range, which panics the whole process from a
+// connection goroutine — and the same connection keeps serving. A READ
+// longer than any object is NAKed before a reply buffer is grown for it.
+// A frame longer than any one-sided request closes the connection before
+// its payload is read. After each, a valid READ on a fresh connection
+// still succeeds.
 func TestOneSidedBoundsOverflow(t *testing.T) {
 	cfg := smallConfig()
+	cfg.PoolSize = 2 * kv.MaxObjectSize // a READ past the object limit is in bounds
 	_, addr := startServer(t, nvm.New(cfg.DeviceSize()), cfg)
-	conn, err := dialChannel(addr, chanOneSided, 0)
-	if err != nil {
-		t.Fatal(err)
+	dial := func() net.Conn {
+		t.Helper()
+		conn, err := dialChannel(addr, chanOneSided, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		conn.SetDeadline(time.Now().Add(5 * time.Second))
+		return conn
 	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	exchange := func(op byte, off uint64, length uint32, data []byte) (status byte, payload []byte) {
+	exchange := func(conn net.Conn, op byte, rkey uint32, off uint64, length uint32, data []byte) (status byte, payload []byte) {
 		t.Helper()
 		frame := make([]byte, 21, 21+len(data))
 		binary.BigEndian.PutUint32(frame, uint32(17+len(data)))
 		frame[4] = op
-		binary.BigEndian.PutUint32(frame[5:], rkeyTable)
+		binary.BigEndian.PutUint32(frame[5:], rkey)
 		binary.BigEndian.PutUint64(frame[9:], off)
 		binary.BigEndian.PutUint32(frame[17:], length)
 		if _, err := conn.Write(append(frame, data...)); err != nil {
@@ -662,16 +686,40 @@ func TestOneSidedBoundsOverflow(t *testing.T) {
 		}
 		return hdr[4], payload
 	}
+	validRead := func(conn net.Conn, after string) {
+		t.Helper()
+		if st, p := exchange(conn, opRead, rkeyTable, 0, 64, nil); st != 1 || len(p) != 64 {
+			t.Fatalf("valid READ after %s: status %d, %d bytes", after, st, len(p))
+		}
+	}
+	conn := dial()
 	const top = 0x7fff_ffff_ffff_ffff
-	if st, p := exchange(opRead, top, 16, nil); st != 0 || len(p) != 0 {
+	if st, p := exchange(conn, opRead, rkeyTable, top, 16, nil); st != 0 || len(p) != 0 {
 		t.Fatalf("hostile READ: status %d with %d bytes, want a bare NAK", st, len(p))
 	}
-	if st, _ := exchange(opWrite, top, 16, make([]byte, 16)); st != 0 {
+	if st, _ := exchange(conn, opWrite, rkeyTable, top, 16, make([]byte, 16)); st != 0 {
 		t.Fatalf("hostile WRITE: status %d, want NAK", st)
 	}
-	if st, p := exchange(opRead, 0, 64, nil); st != 1 || len(p) != 64 {
-		t.Fatalf("valid READ after the hostile frames: status %d, %d bytes", st, len(p))
+	validRead(conn, "the wrapping frames")
+	validRead(dial(), "the wrapping frames")
+
+	if st, p := exchange(conn, opRead, rkeyPoolBase, 0, kv.MaxObjectSize+1, nil); st != 0 || len(p) != 0 {
+		t.Fatalf("READ of %d bytes: status %d with %d bytes, want a bare NAK", kv.MaxObjectSize+1, st, len(p))
 	}
+	validRead(conn, "the oversized READ")
+	validRead(dial(), "the oversized READ")
+
+	// Only the length prefix is sent: a server that waits for the payload
+	// instead of closing leaves the read below to hit its deadline.
+	var prefix [4]byte
+	binary.BigEndian.PutUint32(prefix[:], maxOneSidedFrame+1)
+	if _, err := conn.Write(prefix[:]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("oversized frame: read %v, want the server to close (EOF)", err)
+	}
+	validRead(dial(), "the oversized frame")
 }
 
 // TestDialDuringCloseRaceFree hammers connection attempts against a
