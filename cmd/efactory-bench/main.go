@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	efactory-bench [-fig 1|2|9a|9b|9c|9d|9|10|11|batch|getbatch|hotpath|all] [-scale quick|full] [-jsondir dir]
+//	efactory-bench [-fig 1|2|9a|9b|9c|9d|9|10|11|batch|getbatch|all] [-scale quick|full] [-jsondir dir]
 //
 // Full scale matches the experiment sizes used for EXPERIMENTS.md; quick
 // scale is the same harness at smoke-test sizes. With -jsondir set, each
@@ -26,7 +26,7 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: 1, 2, 9a-9d, 9, 10, 11, batch, getbatch, hotpath, trace, txn, ablate, sensitivity, rcommit, rebalance, failover, torture, or all")
+	fig := flag.String("fig", "all", "figure to regenerate: 1, 2, 9a-9d, 9, 10, 11, batch, getbatch, trace, txn, ablate, sensitivity, rcommit, rebalance, failover, torture, or all")
 	scale := flag.String("scale", "full", "experiment scale: quick or full")
 	jsondir := flag.String("jsondir", "", "write each figure's raw results as BENCH_<fig>.json in this directory")
 	flag.Parse()
@@ -107,9 +107,6 @@ func main() {
 	}
 	if want("getbatch") {
 		run("multi-GET sweep", func() { save("getbatch", bench.FigGetBatch(os.Stdout, &par, sc)) })
-	}
-	if want("hotpath") {
-		run("write hot path", func() { save("hotpath", bench.FigHotpath(os.Stdout, &par, sc)) })
 	}
 	if want("trace") {
 		run("tracing overhead", func() { save("trace", bench.FigTrace(os.Stdout, &par, sc)) })

@@ -16,7 +16,7 @@ import (
 // names the directory it writes its one figure to.
 const figureDirEnv = "EFACTORY_BENCH_FIGURE_DIR"
 
-// TestCommittedFiguresReproduce regenerates the seven deterministic
+// TestCommittedFiguresReproduce regenerates the six deterministic
 // simulator figures at quick scale, encodes each exactly as
 // `efactory-bench -jsondir` does, and compares the bytes with the copy
 // committed under benchdata/. A refactor that claims "figures
@@ -31,7 +31,7 @@ const figureDirEnv = "EFACTORY_BENCH_FIGURE_DIR"
 func TestCommittedFiguresReproduce(t *testing.T) {
 	childDir := os.Getenv(figureDirEnv)
 	if childDir == "" && testing.Short() {
-		t.Skip("regenerates seven figures (~6 s)")
+		t.Skip("regenerates six figures (~6 s)")
 	}
 	par := model.Default()
 	sc := QuickScale()
@@ -43,7 +43,6 @@ func TestCommittedFiguresReproduce(t *testing.T) {
 		{"fig1", func() []Result { return Fig1(io.Discard, &par, sc) }},
 		{"fig9a", func() []Result { return Fig9(io.Discard, &par, sc, 0) }},
 		{"getbatch", func() []Result { return FigGetBatch(io.Discard, &par, sc) }},
-		{"hotpath", func() []Result { return FigHotpath(io.Discard, &par, sc) }},
 		{"trace", func() []Result { return FigTrace(io.Discard, &par, sc) }},
 		{"txn", func() []Result { return FigTxn(io.Discard, &par, sc) }},
 	} {

@@ -52,23 +52,18 @@ type Result struct {
 	ValLen  int
 	Clients int
 	Ops     int
-	// Batch is the multi-op PUT batch size (0 or 1 = unbatched Put);
-	// Pipeline is the RPC pipeline depth where a run drives one. Set by the
-	// batching experiments only.
-	Batch    int `json:",omitempty"`
-	Pipeline int `json:",omitempty"`
+	// Batch is the multi-op PUT batch size (0 or 1 = unbatched Put). Set
+	// by the batching experiments only.
+	Batch int `json:",omitempty"`
 	// Hint marks runs reading through the client-side location/durability
 	// hint cache. Set by the multi-GET experiment only.
 	Hint bool `json:",omitempty"`
 	// Phase labels one window of the rebalance experiment: "before",
 	// "during", or "after" the online migration. Set by FigRebalance only.
 	Phase string `json:",omitempty"`
-	// Leg names the arrival pattern of a hot-path run ("uniform/sat",
-	// "uniform/bursty", ...); Adaptive marks the runs where the
-	// load-adaptive controller picked the batch width (Batch then records
-	// the peak width it reached). Set by FigHotpath only.
-	Leg      string `json:",omitempty"`
-	Adaptive bool   `json:",omitempty"`
+	// Leg names the path a transaction-sweep run drives ("put-seq",
+	// "commit", "get-batch", "txn-read"). Set by FigTxn only.
+	Leg string `json:",omitempty"`
 	// TraceSample is the 1-in-N tracing cadence the run used (0 = tracing
 	// off). Set by the tracing-overhead leg only.
 	TraceSample int `json:",omitempty"`

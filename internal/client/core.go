@@ -207,33 +207,18 @@ func (c *Core) dropHint(key []byte) {
 // warmed buffers survive reconnects and concurrent ops each check out
 // their own.
 type scratch struct {
-	ops    []wire.PutOp    // PutBatch op headers
-	opsBuf []byte          // encoded TPutBatch payload
-	grants []wire.PutGrant // decoded TPutBatchResp payload
-	reqs   []Req           // one-sided burst
-	entry  [kv.EntrySize]byte
-	obj    []byte // one object (single-key reads)
+	ops       []wire.PutOp    // PutBatch op headers
+	opsBuf    []byte          // encoded TPutBatch or TGetBatch payload
+	grants    []wire.PutGrant // decoded TPutBatchResp payload
+	reqs      []Req           // one-sided burst
+	sts       []gbState       // read: per-key state
+	entries   []byte          // read: one hash entry per key
+	acted     []int           // read: the keys of a round, in burst order
+	getOps    []wire.GetOp    // read: fallback op headers
+	getGrants []wire.GetGrant // read: fallback grants
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
-
-// object returns the scratch object buffer resized to n bytes.
-func (sc *scratch) object(n int) []byte {
-	if cap(sc.obj) < n {
-		sc.obj = make([]byte, n)
-	}
-	return sc.obj[:n]
-}
-
-// readOne posts a single one-sided READ into buf and reports whether the
-// responder accepted it.
-func (c *Core) readOne(sc *scratch, buf []byte, rkey uint32, off uint64) (ok bool, err error) {
-	sc.reqs = append(sc.reqs[:0], Req{Buf: buf, RKey: rkey, Off: off})
-	if err := c.v.ReadBurst(sc.reqs); err != nil {
-		return false, err
-	}
-	return !sc.reqs[0].NAK, nil
-}
 
 // Put stores value under key using the client-active scheme with
 // asynchronous durability (Figure 5): checksum the value, obtain an
@@ -344,44 +329,13 @@ func (c *Core) PutBatch(tc *trace.Ctx, keys, values [][]byte, errs []error) erro
 }
 
 // Get fetches the value for key with the hybrid read scheme (Figure 6):
-// optimistically resolve the hash entry and the object with one-sided
-// reads and check the durability flag embedded in the object; if the
-// object is not yet completely durable (or cleaning is in progress), fall
-// back to the RPC path where the server guarantees consistency.
+// GetBatch's read (see read) over one key, counted as a plain GET.
 func (c *Core) Get(tc *trace.Ctx, key []byte) ([]byte, error) {
 	c.count(&c.stats.Gets, 1)
-	sc := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(sc)
-	if !c.hybrid || c.cleaning {
-		c.count(&c.stats.RPCReads, 1)
-		return c.rpcRead(tc, sc, key)
-	}
-	keyHash := kv.HashKey(key)
-	verdict := readMiss
-	if c.hints != nil {
-		val, v, err := c.hintedRead(tc, sc, key, keyHash)
-		if err != nil || v == readHit {
-			return val, err
-		}
-		verdict = v
-	}
-	if verdict == readMiss {
-		// No usable hint: run the probe walk.
-		val, v, err := c.pureRead(tc, sc, key, keyHash)
-		if err != nil || v == readHit {
-			return val, err
-		}
-	}
-	c.count(&c.stats.FallbackReads, 1)
-	return c.rpcRead(tc, sc, key)
+	keys, vals, errs := [1][]byte{key}, [1][]byte{}, [1]error{}
+	c.read(tc, keys[:], vals[:], errs[:])
+	return vals[0], errs[0]
 }
-
-// Outcomes of one optimistic read attempt.
-const (
-	readMiss     = iota // no usable hint (or it proved stale): run the probe walk
-	readHit             // value returned one-sidedly
-	readFallback        // the key resolved to "ask the server"
-)
 
 // Verdicts of checkObject.
 const (
@@ -437,178 +391,6 @@ func value(obj []byte, h kv.Header) []byte {
 // errGrantUnverified reports a read whose every granted object failed the
 // object checks: the server's location kept moving under the READ.
 var errGrantUnverified = fmt.Errorf("efactory: %d granted objects in a row failed their checks", maxEntryProbes)
-
-// pureRead attempts the pure one-sided path: walk the probe chain for the
-// key's entry, then fetch the object it names.
-func (c *Core) pureRead(tc *trace.Ctx, sc *scratch, key []byte, keyHash uint64) ([]byte, int, error) {
-	shard := cluster.ShardOf(keyHash, len(c.shards))
-	g := c.shards[shard]
-	idx := int(keyHash % uint64(c.buckets))
-	var entry kv.Entry
-	slot := -1
-	t := c.now(tc)
-	for probe := 0; probe < maxEntryProbes; probe++ {
-		bucket := (idx + probe) % c.buckets
-		ok, err := c.readOne(sc, sc.entry[:], g.Table, uint64(bucket*kv.EntrySize))
-		if err != nil {
-			return nil, 0, err
-		}
-		if !ok {
-			break // the table region no longer resolves: the server decides
-		}
-		e := kv.DecodeEntry(sc.entry[:])
-		if e.KeyHash == 0 {
-			if c.epoch.Load() != 0 {
-				// Clustered: an empty bucket may mean the key migrated away
-				// and was purged, not that it is absent. Only the owning
-				// server may conclude NotFound — fall back to the RPC path,
-				// where a misroute surfaces as a wrong-epoch rejection.
-				return nil, readFallback, nil
-			}
-			return nil, 0, ErrNotFound
-		}
-		if e.Free() {
-			continue // reclaimed slot: probe past it
-		}
-		if e.KeyHash == keyHash {
-			entry, slot = e, bucket
-			break
-		}
-	}
-	tc.Add("entry_probe", t, c.now(tc))
-	pool, off, tlen, ok := g.location(entry)
-	if slot < 0 || !ok {
-		return nil, readFallback, nil // the server resolves authoritatively
-	}
-	obj := sc.object(tlen)
-	t = c.now(tc)
-	ok, err := c.readOne(sc, obj, pool, off)
-	tc.Add("object_read", t, c.now(tc))
-	if err != nil {
-		return nil, 0, err
-	}
-	h, verdict := checkObject(obj, key)
-	if !ok || verdict != objOK {
-		return nil, readFallback, nil
-	}
-	c.learn(shard, key, hint.Entry{Slot: slot, Pool: pool, Off: off, Len: tlen})
-	c.count(&c.stats.PureReads, 1)
-	return append([]byte(nil), value(obj, h)...), readHit, nil
-}
-
-// hintedRead attempts the hint-accelerated optimistic read: one burst
-// carrying the hash-entry READ at the hinted slot and a speculative object
-// READ at the hinted location. The entry is authoritative — the
-// speculative bytes are accepted only if the entry still names that exact
-// location; if it points elsewhere the object is re-fetched from the
-// entry's location before the usual durability/key checks. A hit whose
-// slot and location held leaves the cache untouched.
-func (c *Core) hintedRead(tc *trace.Ctx, sc *scratch, key []byte, keyHash uint64) ([]byte, int, error) {
-	shard := cluster.ShardOf(keyHash, len(c.shards))
-	h, ok := c.hints.Lookup(shard, key)
-	if !ok {
-		return nil, readMiss, nil
-	}
-	g := c.shards[shard]
-	slot := h.Slot
-	if slot < 0 {
-		slot = int(keyHash % uint64(c.buckets)) // probe-0 guess
-	}
-	obj := sc.object(h.Len)
-	sc.reqs = append(sc.reqs[:0],
-		Req{Buf: sc.entry[:], RKey: g.Table, Off: uint64(slot * kv.EntrySize)},
-		Req{Buf: obj, RKey: h.Pool, Off: h.Off})
-	t := c.now(tc)
-	err := c.v.ReadBurst(sc.reqs)
-	tc.Add("doorbell_read", t, c.now(tc))
-	if err != nil {
-		return nil, 0, err
-	}
-	e := kv.DecodeEntry(sc.entry[:])
-	if sc.reqs[0].NAK || sc.reqs[1].NAK || e.KeyHash != keyHash || e.Free() {
-		// The hinted region no longer resolves, or it is the wrong slot
-		// (cleaning or churn moved the entry): probe normally.
-		c.hints.Invalidate(shard, key)
-		return nil, readMiss, nil
-	}
-	pool, off, tlen, ok := g.location(e)
-	if !ok {
-		c.hints.Invalidate(shard, key)
-		return nil, readFallback, nil
-	}
-	moved := off != h.Off || tlen != h.Len || pool != h.Pool
-	if moved {
-		// The key moved; the speculative bytes are a stale version. The
-		// entry names the current location — fetch that instead.
-		c.hints.Invalidate(shard, key)
-		obj = sc.object(tlen)
-		t = c.now(tc)
-		ok, err := c.readOne(sc, obj, pool, off)
-		tc.Add("object_read", t, c.now(tc))
-		if err != nil {
-			return nil, 0, err
-		}
-		if !ok {
-			return nil, readFallback, nil
-		}
-	}
-	hd, verdict := checkObject(obj, key)
-	if verdict != objOK {
-		if verdict == objForeign {
-			c.hints.Invalidate(shard, key)
-		}
-		return nil, readFallback, nil // not completely durable: server resolves
-	}
-	if moved || h.Slot < 0 {
-		c.learn(shard, key, hint.Entry{Slot: slot, Pool: pool, Off: off, Len: tlen})
-	}
-	c.mu.Lock()
-	c.stats.PureReads++
-	c.stats.HintedReads++
-	c.mu.Unlock()
-	return append([]byte(nil), value(obj, hd)...), readHit, nil
-}
-
-// rpcRead is the RPC+one-sided read scheme: the server returns the
-// location of a durable, intact version; the client fetches it
-// one-sidedly. The fetched bytes get the optimistic read's object checks
-// — a cleaning run can recycle the granted location between the grant
-// and the READ — and a failed check asks the server again, up to
-// maxEntryProbes times.
-func (c *Core) rpcRead(tc *trace.Ctx, sc *scratch, key []byte) ([]byte, error) {
-	for ask := 0; ask < maxEntryProbes; ask++ {
-		t := c.now(tc)
-		resp, buf, err := c.v.Call(wire.Msg{Type: wire.TGet, Key: key, Trace: tc.ID()})
-		tc.Add("get_rpc", t, c.now(tc))
-		if err != nil {
-			return nil, err
-		}
-		c.v.Release(buf) // TGetResp carries scalars only
-		switch resp.Status {
-		case wire.StOK:
-		case wire.StNotFound:
-			return nil, ErrNotFound
-		default:
-			return nil, &StatusError{Op: "get", Status: resp.Status}
-		}
-		obj := sc.object(int(resp.Len))
-		t = c.now(tc)
-		ok, err := c.readOne(sc, obj, resp.RKey, resp.Off)
-		tc.Add("object_read", t, c.now(tc))
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return nil, ErrNAK
-		}
-		if h, verdict := checkObject(obj, key); verdict == objOK {
-			// A durable version: the hint is warm for the next optimistic read.
-			c.learn(cluster.ShardFor(key, len(c.shards)), key, hint.Entry{Slot: -1, Pool: resp.RKey, Off: resp.Off, Len: int(resp.Len)})
-			return append([]byte(nil), value(obj, h)...), nil
-		}
-	}
-	return nil, errGrantUnverified
-}
 
 // Delete removes key. The outcome of a Delete whose attempt fails is
 // unknown — the transport's retry layer owns that ambiguity.

@@ -10,7 +10,7 @@ import (
 	"efactory/internal/wire"
 )
 
-// gbPhase is the per-key step a GetBatch round just issued.
+// gbPhase is the per-key step a read round just issued.
 type gbPhase int
 
 const (
@@ -20,7 +20,7 @@ const (
 	gbObject         // object READ (location known from the entry) in flight
 )
 
-// gbState tracks one key of a GetBatch through the optimistic rounds.
+// gbState tracks one key of a read through the optimistic rounds.
 type gbState struct {
 	keyHash uint64
 	shard   int
@@ -30,7 +30,7 @@ type gbState struct {
 	hinted  hint.Entry
 	useHint bool
 	wantObj bool   // entry resolved a location; object READ pending
-	entry   []byte // this key's window of the batch's entry slab
+	entry   []byte // this key's window of the read's entry slab
 	obj     []byte
 	pool    uint32
 	off     uint64
@@ -50,35 +50,48 @@ func (s *slab) take(n int) []byte {
 	return b
 }
 
-// GetBatch resolves len(keys) GETs as one operation. Under the hybrid
-// scheme every key runs the optimistic one-sided protocol, but the READs
-// of all in-flight keys are chained per round into a single burst sharing
-// one completion wait. Hint-cache hits skip the probe walk entirely. Keys
-// whose optimistic read fails verification — undurable, tombstoned,
-// probe-exhausted, hash-collided, NAKed — fall back together in ONE
-// TGetBatch RPC (carrying any learned slots as server-side hints) followed
-// by one more burst fetching the granted objects.
+// GetBatch resolves len(keys) GETs as one operation; see read.
 //
 // vals and errs (len(keys) long) are filled in place, index-aligned with
 // keys: a key ends with its value, ErrNotFound, a per-key error, or the
 // attempt-level failure — also returned — if that struck before the key
 // resolved.
 func (c *Core) GetBatch(tc *trace.Ctx, keys, vals [][]byte, errs []error) error {
-	clear(vals)
-	clear(errs)
 	c.mu.Lock()
 	c.stats.Gets += len(keys)
 	c.stats.BatchedGets += len(keys)
 	c.mu.Unlock()
+	return c.read(tc, keys, vals, errs)
+}
+
+// read is the client's one hybrid read (Figure 6). Every key runs the
+// optimistic one-sided protocol: resolve the hash entry and the object
+// with one-sided READs and check the durability flag embedded in the
+// object. The READs of all in-flight keys are chained per round into a
+// single burst sharing one completion wait, and a hint-cache hit skips the
+// probe walk by fetching the entry and the object as one pair. Keys whose
+// optimistic read fails verification — undurable, tombstoned,
+// probe-exhausted, hash-collided, NAKed — and every key while the scheme
+// is off or the log is cleaning fall back together to the server, which
+// guarantees consistency: one read RPC, then one burst fetching the
+// granted objects.
+func (c *Core) read(tc *trace.Ctx, keys, vals [][]byte, errs []error) error {
+	clear(vals)
+	clear(errs)
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
 	optimistic := c.hybrid && !c.cleaning
-	sts := make([]gbState, len(keys))
-	entries := make([]byte, len(keys)*kv.EntrySize)
+	sts := sc.sts[:0]
+	entries := append(sc.entries[:0], make([]byte, len(keys)*kv.EntrySize)...)
 	for i, k := range keys {
+		keyHash := kv.HashKey(k)
+		sts = append(sts, gbState{
+			keyHash: keyHash,
+			shard:   cluster.ShardOf(keyHash, len(c.shards)),
+			slot:    -1,
+			entry:   entries[i*kv.EntrySize : (i+1)*kv.EntrySize],
+		})
 		st := &sts[i]
-		st.keyHash = kv.HashKey(k)
-		st.shard = cluster.ShardOf(st.keyHash, len(c.shards))
-		st.slot = -1
-		st.entry = entries[i*kv.EntrySize : (i+1)*kv.EntrySize]
 		if !optimistic {
 			st.fallback = true
 			c.count(&c.stats.RPCReads, 1)
@@ -88,6 +101,7 @@ func (c *Core) GetBatch(tc *trace.Ctx, keys, vals [][]byte, errs []error) error 
 			st.hinted, st.useHint = c.hints.Lookup(st.shard, k)
 		}
 	}
+	sc.sts, sc.entries = sts, entries
 	fail := func(err error) error {
 		for i := range sts {
 			if !sts[i].done {
@@ -146,8 +160,8 @@ func (c *Core) GetBatch(tc *trace.Ctx, keys, vals [][]byte, errs []error) error 
 	}
 
 	// A round issues at most an entry and an object READ per key.
-	reqs := make([]Req, 0, 2*len(keys))
-	acted := make([]int, 0, len(keys))
+	reqs, acted := sc.reqs[:0], sc.acted[:0]
+	defer func() { sc.reqs, sc.acted = reqs, acted }()
 	for optimistic {
 		reqs, acted = reqs[:0], acted[:0]
 		// Every object READ of the round lands in one slab.
@@ -269,16 +283,17 @@ func (c *Core) GetBatch(tc *trace.Ctx, keys, vals [][]byte, errs []error) error 
 		}
 	}
 
-	// RPC fallback: every unresolved key rides ONE TGetBatch, then one
-	// burst fetches the granted objects. A granted object failing the
-	// object checks (its location was recycled between the grant and the
-	// READ) rides the next round's TGetBatch, up to maxEntryProbes rounds.
-	var fbIdx []int
+	// RPC fallback: every unresolved key rides one read RPC, then one burst
+	// fetches the granted objects. A granted object failing the object
+	// checks (its location was recycled between the grant and the READ)
+	// rides the next round's RPC, up to maxEntryProbes rounds.
+	fbIdx := acted[:0]
 	for i := range sts {
 		if !sts[i].done {
 			fbIdx = append(fbIdx, i)
 		}
 	}
+	acted = fbIdx // the grown buffer goes back to the scratch
 	for ask := 0; len(fbIdx) > 0; ask++ {
 		if ask == maxEntryProbes {
 			for _, i := range fbIdx {
@@ -286,28 +301,9 @@ func (c *Core) GetBatch(tc *trace.Ctx, keys, vals [][]byte, errs []error) error 
 			}
 			return nil
 		}
-		ops := make([]wire.GetOp, len(fbIdx))
-		for j, i := range fbIdx {
-			slot := wire.NoSlot
-			if sts[i].slot >= 0 {
-				slot = uint32(sts[i].slot)
-			}
-			ops[j] = wire.GetOp{Slot: slot, Key: keys[i]}
-		}
-		t := c.now(tc)
-		resp, buf, err := c.v.Call(wire.Msg{Type: wire.TGetBatch, Value: wire.EncodeGetOps(ops), Trace: tc.ID()})
-		tc.Add("get_rpc", t, c.now(tc))
+		grants, err := c.askServer(tc, sc, keys, fbIdx)
 		if err != nil {
 			return fail(err)
-		}
-		if resp.Status != wire.StOK {
-			c.v.Release(buf)
-			return fail(&StatusError{Op: "get batch", Status: resp.Status})
-		}
-		grants, err := wire.DecodeGetGrants(resp.Value)
-		c.v.Release(buf) // grants are scalar copies
-		if err != nil || len(grants) != len(fbIdx) {
-			return fail(fmt.Errorf("efactory: malformed get batch response: %d grants for %d ops: %v", len(grants), len(fbIdx), err))
 		}
 		reqs = reqs[:0]
 		var n int
@@ -334,13 +330,15 @@ func (c *Core) GetBatch(tc *trace.Ctx, keys, vals [][]byte, errs []error) error 
 		if len(reqs) == 0 {
 			return nil
 		}
-		t = c.now(tc)
+		t := c.now(tc)
 		err = c.v.ReadBurst(reqs)
 		tc.Add("doorbell_read", t, c.now(tc))
 		if err != nil {
 			return fail(err)
 		}
-		var again []int
+		// The keys to ask again are compacted into fbIdx in place: the
+		// write index never passes the read index.
+		again := fbIdx[:0]
 		ri := 0
 		for j, g := range grants {
 			if g.Status != wire.StOK {
@@ -358,11 +356,59 @@ func (c *Core) GetBatch(tc *trace.Ctx, keys, vals [][]byte, errs []error) error 
 				continue
 			default:
 				vals[i] = value(r.Buf, hd)
-				c.learn(sts[i].shard, keys[i], hint.Entry{Slot: int(g.Slot), Pool: g.RKey, Off: g.Off, Len: int(g.Len)})
+				slot := -1 // a TGet grant names no slot: learn keeps the known one
+				if g.Slot != wire.NoSlot {
+					slot = int(g.Slot)
+				}
+				c.learn(sts[i].shard, keys[i], hint.Entry{Slot: slot, Pool: g.RKey, Off: g.Off, Len: int(g.Len)})
 			}
 			sts[i].done = true
 		}
 		fbIdx = again
 	}
 	return nil
+}
+
+// askServer sends one fallback round's read RPC for keys[fbIdx] and
+// returns one grant per key, index-aligned with fbIdx. A round of one key
+// asks with TGet, whose grant carries no slot; more keys ride one
+// TGetBatch carrying their learned slots as server-side hints.
+func (c *Core) askServer(tc *trace.Ctx, sc *scratch, keys [][]byte, fbIdx []int) ([]wire.GetGrant, error) {
+	var req wire.Msg
+	if len(fbIdx) == 1 {
+		req = wire.Msg{Type: wire.TGet, Key: keys[fbIdx[0]], Trace: tc.ID()}
+	} else {
+		ops := sc.getOps[:0]
+		for _, i := range fbIdx {
+			slot := wire.NoSlot
+			if s := sc.sts[i].slot; s >= 0 {
+				slot = uint32(s)
+			}
+			ops = append(ops, wire.GetOp{Slot: slot, Key: keys[i]})
+		}
+		sc.getOps = ops
+		sc.opsBuf = wire.AppendGetOps(sc.opsBuf[:0], ops)
+		req = wire.Msg{Type: wire.TGetBatch, Value: sc.opsBuf, Trace: tc.ID()}
+	}
+	t := c.now(tc)
+	resp, buf, err := c.v.Call(req)
+	tc.Add("get_rpc", t, c.now(tc))
+	if err != nil {
+		return nil, err
+	}
+	defer c.v.Release(buf) // grants are scalar copies
+	if req.Type == wire.TGet {
+		// TGetResp carries the one key's status and location as scalars.
+		sc.getGrants = append(sc.getGrants[:0], wire.GetGrant{Status: resp.Status, RKey: resp.RKey, Slot: wire.NoSlot, Len: uint32(resp.Len), Off: resp.Off})
+		return sc.getGrants, nil
+	}
+	if resp.Status != wire.StOK {
+		return nil, &StatusError{Op: "get batch", Status: resp.Status}
+	}
+	grants, err := wire.DecodeGetGrantsInto(resp.Value, sc.getGrants)
+	if err != nil || len(grants) != len(fbIdx) {
+		return nil, fmt.Errorf("efactory: malformed get batch response: %d grants for %d ops: %v", len(grants), len(fbIdx), err)
+	}
+	sc.getGrants = grants
+	return grants, nil
 }

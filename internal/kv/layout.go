@@ -94,9 +94,6 @@ func (h *Header) Trans() bool { return h.Flags&FlagTrans != 0 }
 // has not been committed (never visible to reads or recovery).
 func (h *Header) Staged() bool { return h.Flags&FlagTxn != 0 && h.Flags&FlagValid == 0 }
 
-// TxnRec reports whether the object is a transaction commit record.
-func (h *Header) IsTxnRec() bool { return h.Flags&FlagTxnRec != 0 }
-
 // EncodeHeader serializes h into a HeaderSize-byte buffer.
 func EncodeHeader(h *Header) []byte {
 	b := make([]byte, HeaderSize)

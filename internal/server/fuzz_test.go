@@ -95,7 +95,7 @@ func FuzzHandle(f *testing.F) {
 			}
 		case wire.TGetBatch:
 			ops, _ := wire.DecodeGetOps(req.Value)
-			gs, err := wire.DecodeGetGrants(resp.Value)
+			gs, err := wire.DecodeGetGrantsInto(resp.Value, nil)
 			if err != nil || len(gs) != len(ops) {
 				t.Fatalf("%d ops answered with %d grants (%v)", len(ops), len(gs), err)
 			}

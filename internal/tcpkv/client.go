@@ -631,7 +631,7 @@ func (c *Client) getCtx(tc *trace.Ctx, key []byte) (out []byte, err error) {
 // GetBatch resolves len(keys) GETs as one operation: each round, the
 // one-sided READs of every in-flight key go out in ONE burst on the
 // one-sided channel, and keys whose optimistic read fails verification
-// fall back together in one TGetBatch RPC on the pipelined channel (see
+// fall back together in one read RPC on the pipelined channel (see
 // client.Core.GetBatch). Results are index-aligned with keys: values[i]
 // is valid iff errs[i] is nil (ErrNotFound, or a transport/status error
 // shared by every key the failure reached). The whole batch retries

@@ -51,17 +51,20 @@ func TestRoutedGetBatchSingleTraceAcrossInstances(t *testing.T) {
 			t.Fatalf("put %s: %v", k, err)
 		}
 	}
-	// The stored keys may all be served one-sidedly. One absent key per
-	// instance forces each server round: a clustered client must confirm
-	// absence with the key's owner.
-	absent := map[bool][]byte{} // on b -> key
-	for i := 0; len(absent) < 2; i++ {
+	// The stored keys may all be served one-sidedly. Two absent keys per
+	// instance force each server round, and make it a TGetBatch however
+	// many stored keys join it (a round of one key asks with TGet): a
+	// clustered client must confirm absence with the key's owner.
+	var absent [][]byte
+	onB := map[bool]int{}
+	for i := 0; len(absent) < 4; i++ {
 		k := []byte(fmt.Sprintf("span-absent-%04d", i))
-		if onB := cluster.PGForKey(k, 4) == 1; absent[onB] == nil {
-			absent[onB] = k
+		if b := cluster.PGForKey(k, 4) == 1; onB[b] < 2 {
+			onB[b]++
+			absent = append(absent, k)
 		}
 	}
-	_, errs := cc.GetBatch(append(keys, absent[false], absent[true]))
+	_, errs := cc.GetBatch(append(keys, absent...))
 	for i, err := range errs {
 		if i < len(keys) && err != nil {
 			t.Fatalf("getbatch key %s: %v", keys[i], err)

@@ -53,7 +53,7 @@ func TestGetGrantsRoundTrip(t *testing.T) {
 		{Status: StNotFound},
 		{Status: StOK, RKey: 0xffffffff, Slot: NoSlot, Len: 0xffffffff, KLen: 0, Off: 0, Seq: ^uint64(0)},
 	}
-	got, err := DecodeGetGrants(EncodeGetGrants(gs))
+	got, err := DecodeGetGrantsInto(EncodeGetGrants(gs), nil)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -73,7 +73,7 @@ func TestGetGrantsRoundTrip(t *testing.T) {
 func TestGetGrantsTruncated(t *testing.T) {
 	blob := EncodeGetGrants([]GetGrant{{Status: StOK, RKey: 1, Slot: 2, Len: 3, KLen: 4, Off: 5, Seq: 6}})
 	for cut := 0; cut < len(blob); cut++ {
-		if _, err := DecodeGetGrants(blob[:cut]); !errors.Is(err, ErrShort) {
+		if _, err := DecodeGetGrantsInto(blob[:cut], nil); !errors.Is(err, ErrShort) {
 			t.Fatalf("truncated at %d: err = %v, want ErrShort", cut, err)
 		}
 	}
@@ -85,13 +85,13 @@ func TestGetGrantsMisalignedCount(t *testing.T) {
 	// otherwise map results onto the wrong keys.
 	blob := EncodeGetGrants([]GetGrant{{Status: StOK}, {Status: StNotFound}})
 	binary.LittleEndian.PutUint32(blob, 3)
-	if _, err := DecodeGetGrants(blob); !errors.Is(err, ErrShort) {
+	if _, err := DecodeGetGrantsInto(blob, nil); !errors.Is(err, ErrShort) {
 		t.Fatalf("inflated count: err = %v, want ErrShort", err)
 	}
 	// A smaller count than encoded is accepted but must decode exactly
 	// count grants — trailing bytes are the caller's concern.
 	binary.LittleEndian.PutUint32(blob, 1)
-	gs, err := DecodeGetGrants(blob)
+	gs, err := DecodeGetGrantsInto(blob, nil)
 	if err != nil {
 		t.Fatalf("deflated count: %v", err)
 	}
@@ -140,8 +140,8 @@ func FuzzWire(f *testing.F) {
 				}
 			}
 		}
-		if gs, err := DecodeGetGrants(data); err == nil {
-			again, err := DecodeGetGrants(EncodeGetGrants(gs))
+		if gs, err := DecodeGetGrantsInto(data, nil); err == nil {
+			again, err := DecodeGetGrantsInto(EncodeGetGrants(gs), nil)
 			if err != nil || len(again) != len(gs) {
 				t.Fatalf("get grants re-decode: %v", err)
 			}

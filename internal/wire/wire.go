@@ -459,13 +459,7 @@ func EncodeGetGrants(gs []GetGrant) []byte {
 	return AppendGetGrants(make([]byte, 0, GetGrantsSize(gs)), gs)
 }
 
-// DecodeGetGrants unpacks a TGetResults payload.
-func DecodeGetGrants(b []byte) ([]GetGrant, error) {
-	return decodeGetGrants(b, nil)
-}
-
-// decodeGetGrants is the shared body of DecodeGetGrants and
-// DecodeGetGrantsInto.
+// decodeGetGrants is the body of DecodeGetGrantsInto.
 func decodeGetGrants(b []byte, gs []GetGrant) ([]GetGrant, error) {
 	if len(b) < 4 {
 		return nil, fmt.Errorf("%w: get grant header", ErrShort)

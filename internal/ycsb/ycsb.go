@@ -120,15 +120,6 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// Uniform draws items uniformly from [0, n).
-type Uniform struct{ items uint64 }
-
-// NewUniform returns a uniform chooser over [0, n).
-func NewUniform(n uint64) *Uniform { return &Uniform{items: n} }
-
-// Next draws the next item.
-func (u *Uniform) Next(rng *rand.Rand) uint64 { return rng.Uint64N(u.items) }
-
 // Latest draws items skewed toward the most recently inserted, like
 // YCSB's SkewedLatestGenerator: the draw is n-1-Zipfian(n), so item n-1
 // (the newest) is the most popular. Call Extend as new items are inserted.

@@ -86,20 +86,6 @@ func TestZipfianDeterministicPerSeed(t *testing.T) {
 	}
 }
 
-func TestUniform(t *testing.T) {
-	u := NewUniform(100)
-	rng := rand.New(rand.NewPCG(1, 1))
-	counts := make([]int, 100)
-	for i := 0; i < 100000; i++ {
-		counts[u.Next(rng)]++
-	}
-	for i, c := range counts {
-		if math.Abs(float64(c)-1000) > 250 {
-			t.Fatalf("bucket %d has %d draws; not uniform", i, c)
-		}
-	}
-}
-
 func TestLatestSkewsTowardNewest(t *testing.T) {
 	l := NewLatest(1000)
 	rng := rand.New(rand.NewPCG(9, 9))
