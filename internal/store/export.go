@@ -103,18 +103,75 @@ func (e *Engine) ExportOne(key []byte) (ExportKey, bool) {
 	return ek, ok
 }
 
+// ExportState returns ExportOne(key)'s tombstone bit, cut sequence,
+// NewestSeq and found verdict without copying the chain: the walk stops
+// at the first version an export takes, normally the head. A mirror
+// sender compares it with the record it just shipped to decide whether a
+// compensating record must follow. It counts no export.
+func (e *Engine) ExportState(key []byte) (tomb bool, cut, newest uint64, found bool) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	_, en, ok := e.table.Lookup(kv.HashKey(key))
+	if !ok {
+		return false, 0, 0, false
+	}
+	pi, off, _, ok := e.exportHeadLocked(en)
+	if !ok {
+		return false, 0, 0, false
+	}
+	if en.Tombstone() {
+		return true, en.CutSeq(), 0, true
+	}
+	_, _, hd, ok := e.exportNextLocked(pi, off, en.CutSeq(), math.MaxUint64)
+	if !ok {
+		return false, 0, 0, false
+	}
+	return false, en.CutSeq(), hd.Seq, true
+}
+
+// exportHeadLocked locates the object an export of en starts at: its
+// head, whose header must name a key. head finds a location for every
+// entry that names one — a tombstone's too, whose lone location may be a
+// pre-delete copy below its cut: head takes a lone location as it stands.
+// Callers hold mu.
+func (e *Engine) exportHeadLocked(en kv.Entry) (pi int, off uint64, hd kv.Header, ok bool) {
+	if pi, off, _, ok = e.head(en); !ok {
+		return 0, 0, kv.Header{}, false
+	}
+	hd = e.pools[pi].Header(off)
+	if hd.Magic != kv.Magic || hd.KLen <= 0 {
+		return 0, 0, kv.Header{}, false
+	}
+	return pi, off, hd, true
+}
+
+// exportNextLocked walks the chain newest-first from (pi, off) to the
+// next version an export takes: a valid version at or above cut — versions
+// below the cut predate an acknowledged DELETE and stay dead — whose seq
+// is below below, the last seq taken. A version whose seq is not below it
+// is a copy an import shadowed (ImportKey's equal-seq durability upgrade),
+// so a record's seqs strictly ascend. ok is false when the chain ends
+// first. Callers hold mu.
+func (e *Engine) exportNextLocked(pi int, off, cut, below uint64) (int, uint64, kv.Header, bool) {
+	for {
+		hd := e.pools[pi].Header(off)
+		if hd.Magic != kv.Magic || hd.KLen <= 0 {
+			return 0, 0, kv.Header{}, false
+		}
+		if hd.Valid() && hd.Seq >= cut && hd.Seq < below {
+			return pi, off, hd, true
+		}
+		var ok bool
+		if pi, off, _, ok = kv.UnpackVPtr(hd.PrePtr); !ok {
+			return 0, 0, kv.Header{}, false
+		}
+	}
+}
+
 // exportEntryLocked serializes one hash entry. Callers hold mu.
 func (e *Engine) exportEntryLocked(en kv.Entry) (ExportKey, bool) {
-	// The key bytes live in the log, and head finds a location for every
-	// entry that names one — a tombstone's too, whose lone location may be
-	// a pre-delete copy below its cut: head takes a lone location as it
-	// stands.
-	pi, off, _, ok := e.head(en)
+	pi, off, head, ok := e.exportHeadLocked(en)
 	if !ok {
-		return ExportKey{}, false
-	}
-	head := e.pools[pi].Header(off)
-	if head.Magic != kv.Magic || head.KLen <= 0 {
 		return ExportKey{}, false
 	}
 	key := append([]byte(nil), e.pools[pi].ReadKeyInto(nil, off, head.KLen)...)
@@ -124,32 +181,21 @@ func (e *Engine) exportEntryLocked(en kv.Entry) (ExportKey, bool) {
 		// dead and must not travel.
 		return ek, true
 	}
-	// Walk the chain newest-first from the head, respecting the cut the
-	// record carries: versions below it predate an acknowledged DELETE and
-	// stay dead. A version whose seq is not below the last one taken is a
-	// copy an import shadowed (ImportKey's equal-seq durability upgrade),
-	// so the record's seqs strictly ascend.
-	below := uint64(math.MaxUint64)
-	for {
-		pool := e.pools[pi]
-		hd := pool.Header(off)
-		if hd.Magic != kv.Magic || hd.KLen <= 0 {
+	for below := uint64(math.MaxUint64); ; {
+		var hd kv.Header
+		if pi, off, hd, ok = e.exportNextLocked(pi, off, ek.CutSeq, below); !ok {
 			break
 		}
-		if hd.Valid() && hd.Seq >= ek.CutSeq && hd.Seq < below {
-			below = hd.Seq
-			ek.Versions = append(ek.Versions, ExportVersion{
-				Seq:       hd.Seq,
-				CreatedAt: hd.CreatedAt,
-				CRC:       hd.CRC,
-				Flags:     hd.Flags,
-				TxnID:     hd.TxnID,
-				Value:     append([]byte(nil), pool.ReadValueInto(nil, off, hd.KLen, hd.VLen)...),
-			})
-		}
-		var okPre bool
-		pi, off, _, okPre = kv.UnpackVPtr(hd.PrePtr)
-		if !okPre {
+		below = hd.Seq
+		ek.Versions = append(ek.Versions, ExportVersion{
+			Seq:       hd.Seq,
+			CreatedAt: hd.CreatedAt,
+			CRC:       hd.CRC,
+			Flags:     hd.Flags,
+			TxnID:     hd.TxnID,
+			Value:     append([]byte(nil), e.pools[pi].ReadValueInto(nil, off, hd.KLen, hd.VLen)...),
+		})
+		if pi, off, _, ok = kv.UnpackVPtr(hd.PrePtr); !ok {
 			break
 		}
 	}

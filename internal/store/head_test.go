@@ -427,3 +427,82 @@ func TestHeadMonotoneUnderCleaning(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestExportStateMatchesExportOne is the differential property of the
+// mirror's compensation check: over random interleavings of PUT, torn
+// PUT, DEL, GET, expiry, the background verifier, a durability-upgrade
+// import and cleaner steps (parking at every charge, and inside a
+// request's charge) on three keys, Engine.ExportState agrees after every
+// step with ExportOne's tombstone bit, cut, newest seq and found verdict
+// for every key.
+func TestExportStateMatchesExportOne(t *testing.T) {
+	keys := []string{"k0", "k1", "k2"}
+	prop := func(script []uint8) bool {
+		r := newHeadRig(t, true)
+		defer r.finish()
+		agree := func(at int) bool {
+			for _, k := range keys {
+				ek, ok := r.eng.ExportOne([]byte(k))
+				tomb, cut, newest, found := r.eng.ExportState([]byte(k))
+				if tomb != ek.Tombstone || cut != ek.CutSeq || newest != ek.NewestSeq() || found != ok {
+					t.Logf("op %d of %v, key %s: ExportState = (%v, %d, %d, %v), ExportOne = (%v, %d, %d, %v)",
+						at, script, k, tomb, cut, newest, found, ek.Tombstone, ek.CutSeq, ek.NewestSeq(), ok)
+					return false
+				}
+			}
+			return true
+		}
+		for i, b := range script {
+			key := keys[int(b/10)%len(keys)]
+			switch b % 10 {
+			case 0, 1: // PUT, landed or torn
+				r.put(key, fmt.Sprintf("v%d-%d", i, b), b%10 == 0)
+			case 2:
+				r.eng.Del(nil, []byte(key))
+			case 3:
+				r.get(key)
+			case 4:
+				r.expire()
+			case 5:
+				if r.co.running || r.st.StartCleaning() {
+					r.co.step()
+				}
+			case 6:
+				r.eng.BGDrain(nil, 1)
+			case 7: // step the cleaner inside the next request's charge
+				r.co.request = func(store.Op) {
+					r.co.request = nil
+					if r.co.running {
+						r.co.step()
+					}
+				}
+			case 8: // a durable copy of a pending head shadows it at its seq
+				if ek, ok := r.eng.ExportOne([]byte(key)); ok && !ek.Tombstone {
+					v := ek.Versions[len(ek.Versions)-1]
+					v.Flags |= kv.FlagDurable
+					ek.Versions = []store.ExportVersion{v}
+					r.eng.ImportKey(nil, ek)
+				}
+			case 9: // re-PUT of the same value
+				if v, _, ok := r.get(key); ok {
+					r.put(key, v, true)
+				}
+			}
+			if !agree(i) {
+				return false
+			}
+		}
+		r.finish()
+		return agree(len(script))
+	}
+	scripts := 5000
+	if raceEnabled {
+		scripts /= 10
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		cfg := &quick.Config{MaxCount: scripts, Rand: rand.New(rand.NewSource(seed))}
+		if err := quick.Check(prop, cfg); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+	}
+}

@@ -27,7 +27,7 @@ type Stats struct {
 	SlotsReleased  int // freshly claimed table slots given back after a pool-full PUT
 	Recovered      int // keys restored by startup recovery
 	RolledBack     int // keys recovered from a non-head (older) version
-	KeysExported   int // hash entries serialized for migration export
+	KeysExported   int // entries exported: copies, promotion pulls, mirrored DELETEs and compensations
 	KeysImported   int // exported keys ingested from a peer
 	KeysPurged     int // entries cleared after their PG migrated away
 	TxnStages      int // transactional writes staged (invisible pre-commit)

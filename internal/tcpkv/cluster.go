@@ -435,11 +435,20 @@ func (s *Server) addClusterMetrics() {
 		"Replicated commit records shipped to backups.", lbl,
 		func() float64 { return float64(s.replAppends.Load()) })
 	reg.AddCounter("efactory_repl_append_failures_total",
-		"Mirror appends that failed at the transport (each demotes the backup).", lbl,
+		"Mirror appends that failed (each demotes the backup).", lbl,
 		func() float64 { return float64(s.replFailures.Load()) })
-	reg.AddCounter("efactory_repl_demotions_total",
-		"Backups dropped from replica sets after append failures.", lbl,
-		func() float64 { return float64(s.replDemotions.Load()) })
+	for cause, name := range demotionCauses {
+		if name == "" {
+			continue
+		}
+		reg.AddCounter("efactory_repl_demotions_total",
+			"Backups dropped from replica sets after append failures, by cause: full (the backup answered StFull), transport (no answer), status (any other refusal).",
+			map[string]string{"role": "server", "cause": name},
+			func() float64 { return float64(s.replDemotions[cause].Load()) })
+	}
+	reg.AddGauge("efactory_replication_factor_deficit",
+		"Over the PGs this instance owns: target copies minus actual copies.", lbl,
+		func() float64 { return float64(s.replicationDeficit()) })
 	reg.AddCounter("efactory_repl_promotions_total",
 		"Failover promotions completed on this instance.", lbl,
 		func() float64 { return float64(s.replPromotions.Load()) })

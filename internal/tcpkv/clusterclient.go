@@ -118,7 +118,7 @@ func (c *Client) ReplAppend(batch []store.ExportKey, epoch uint64) error {
 	case wire.StWrongEpoch:
 		return wrongEpoch(resp)
 	}
-	return fmt.Errorf("tcpkv: repl append status %d", resp.Status)
+	return &replStatusError{resp.Status}
 }
 
 // ReplPull fetches every record the serving replica holds in placement

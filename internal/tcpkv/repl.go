@@ -36,12 +36,12 @@
 // one append in flight, and the synchronous ack means the backup applied
 // the record before the next send starts. A record built before a
 // concurrent DELETE (or newer PUT) could still be the last one sent, so
-// every send is followed — under the same sender mutex — by a re-read of
-// the key's authoritative state and a compensating append when it
-// changed: the last record in any backup's order always reflects engine
-// state current as of that send, so an acked DELETE can never be
-// resurrected by a stale mirror and an acked PUT never erased by a stale
-// tombstone.
+// every send is followed — under the same sender mutex — by a check of
+// the key's head state, and a full export only when it moved, shipped as
+// a compensating append: the last record in any backup's order always
+// reflects engine state current as of that send, so an acked DELETE can
+// never be resurrected by a stale mirror and an acked PUT never erased by
+// a stale tombstone.
 package tcpkv
 
 import (
@@ -64,9 +64,26 @@ type replOutcome int
 
 const (
 	replAcked   replOutcome = iota // record durable on the backup
-	replFailed                     // transport failure: demote the backup
 	replDeposed                    // backup holds a newer map: stop flagging
+	// The rest are failures, each of which demotes the backup; the
+	// outcome is the demotion's cause.
+	replFull      // the backup had no room for the record (StFull)
+	replTransport // no answer within the peer retry policy
+	replStatus    // any other refusal
+	numReplOutcomes
 )
+
+// demotionCauses labels efactory_repl_demotions_total by failure outcome.
+var demotionCauses = [numReplOutcomes]string{
+	replFull: "full", replTransport: "transport", replStatus: "status",
+}
+
+// replStatusError is a backup's refusal of a record frame.
+type replStatusError struct{ status uint8 }
+
+func (e *replStatusError) Error() string {
+	return fmt.Sprintf("tcpkv: repl append status %d", e.status)
+}
 
 // replMirror is the engine's Deps.Mirror hook: called (without the
 // engine lock) for every version about to be flagged durable. The
@@ -155,7 +172,7 @@ func (s *Server) replicate(h any, rec store.ExportKey) bool {
 	eng := s.st.Shard(s.st.ShardFor(rec.Key))
 	acks, live := 1, 1
 	for _, b := range backups {
-		switch s.appendTo(eng, m, b, rec) {
+		switch out := s.appendTo(eng, m, b, rec); out {
 		case replAcked:
 			acks++
 			live++
@@ -165,8 +182,8 @@ func (s *Server) replicate(h any, rec store.ExportKey) bool {
 				tc.Mark("repl_deposed")
 			}
 			return false
-		case replFailed:
-			if !s.demoteBackup(pg, b) {
+		default:
+			if !s.demoteBackup(pg, b, out) {
 				// The set could not be shrunk (this instance was deposed
 				// mid-replicate, or clustering vanished): the backup stays
 				// a live replica the record did not reach, so it counts
@@ -182,12 +199,14 @@ func (s *Server) replicate(h any, rec store.ExportKey) bool {
 }
 
 // appendTo ships rec to the named backup and, under the same sender
-// mutex, re-reads the key and ships a compensating record if a
-// concurrent mutation changed it (see the package comment on ordering).
+// mutex, checks the key's head state (Engine.ExportState) against it. Only
+// if a concurrent mutation moved that state does it export the key and
+// ship the export as a compensating record (see the package comment on
+// ordering).
 func (s *Server) appendTo(eng *store.Engine, m *cluster.Map, name string, rec store.ExportKey) replOutcome {
 	addr, ok := m.AddrOf(name)
 	if !ok {
-		return replFailed
+		return replTransport
 	}
 	s.replMu.Lock()
 	mu := s.replSenders[name]
@@ -203,11 +222,15 @@ func (s *Server) appendTo(eng *store.Engine, m *cluster.Map, name string, rec st
 	if out != replAcked {
 		return out
 	}
+	// An absent key reads as a bare tombstone on both checks.
+	if tomb, cut, newest, found := eng.ExportState(rec.Key); !replStateChanged(&rec, tomb || !found, cut, newest) {
+		return replAcked
+	}
 	cur, found := eng.ExportOne(rec.Key)
 	if !found {
 		cur = store.ExportKey{Key: rec.Key, Tombstone: true}
 	}
-	if replStateChanged(&rec, &cur) {
+	if replStateChanged(&rec, cur.Tombstone, cur.CutSeq, cur.NewestSeq()) {
 		return s.sendAppend(name, addr, cur, m.Epoch)
 	}
 	return replAcked
@@ -216,7 +239,10 @@ func (s *Server) appendTo(eng *store.Engine, m *cluster.Map, name string, rec st
 // sendAppend ships one mirror record and classifies the outcome.
 func (s *Server) sendAppend(name, addr string, rec store.ExportKey, epoch uint64) replOutcome {
 	err := s.ship(name, addr, []store.ExportKey{rec}, epoch)
-	var we *cluster.WrongEpochError
+	var (
+		we *cluster.WrongEpochError
+		se *replStatusError
+	)
 	switch {
 	case err == nil:
 		s.replAppends.Add(1)
@@ -225,7 +251,13 @@ func (s *Server) sendAppend(name, addr string, rec store.ExportKey, epoch uint64
 		return replDeposed
 	}
 	s.replFailures.Add(1)
-	return replFailed
+	switch {
+	case !errors.As(err, &se):
+		return replTransport
+	case se.status == wire.StFull:
+		return replFull
+	}
+	return replStatus
 }
 
 // ship sends one record frame to the named instance under epoch — the
@@ -245,13 +277,12 @@ func (s *Server) ship(name, addr string, recs []store.ExportKey, epoch uint64) e
 	})
 }
 
-// replStateChanged reports whether the key's authoritative state moved
-// since sent was built: a tombstone appeared or cleared, the cut
-// sequence advanced, or a different newest version landed.
-func replStateChanged(sent, cur *store.ExportKey) bool {
-	return cur.Tombstone != sent.Tombstone ||
-		cur.CutSeq != sent.CutSeq ||
-		cur.NewestSeq() != sent.NewestSeq()
+// replStateChanged reports whether the key's authoritative state — its
+// tombstone bit, cut and newest seq — moved since sent was built: a
+// tombstone appeared or cleared, the cut sequence advanced, or a
+// different newest version landed.
+func replStateChanged(sent *store.ExportKey, tomb bool, cut, newest uint64) bool {
+	return tomb != sent.Tombstone || cut != sent.CutSeq || newest != sent.NewestSeq()
 }
 
 // peerRetryPolicy is the transport policy of every instance-to-instance
@@ -263,7 +294,8 @@ func peerRetryPolicy() RetryPolicy {
 		MaxBackoff: 20 * time.Millisecond, Timeout: 2 * time.Second}
 }
 
-// demoteBackup removes a dead backup from pg's replica set: epoch+1 map
+// demoteBackup removes a failed backup from pg's replica set, counting the
+// demotion under its cause (a failure replOutcome): epoch+1 map
 // without it, installed locally BEFORE the caller acks anything against
 // the shrunk set, then pushed best-effort (a peer that misses the push
 // learns the epoch from wrong-epoch redirects). Serialized so two
@@ -276,7 +308,7 @@ func peerRetryPolicy() RetryPolicy {
 // deposed mid-replicate, and a non-owner must not strip a healthy backup
 // from the real owner's set — so the failed backup still counts against
 // the caller's quorum.
-func (s *Server) demoteBackup(pg int, name string) bool {
+func (s *Server) demoteBackup(pg int, name string, cause replOutcome) bool {
 	s.replDemoteMu.Lock()
 	defer s.replDemoteMu.Unlock()
 	s.clMu.RLock()
@@ -297,7 +329,7 @@ func (s *Server) demoteBackup(pg int, name string) bool {
 	}
 	nm := m.WithoutBackup(pg, name)
 	s.SetClusterMap(nm)
-	s.replDemotions.Add(1)
+	s.replDemotions[cause].Add(1)
 	s.pushMapToPeers(nm, name)
 	return true
 }
@@ -494,11 +526,31 @@ func (s *Server) settlePGs(take map[int]bool, pgs int) int {
 }
 
 // ReplCounters returns the replication-layer event counters: records
-// shipped to backups, transport failures, backups demoted, promotions
-// completed, and records ingested from peers.
+// shipped to backups, failed appends, backups demoted (whatever the
+// cause), promotions completed, and records ingested from peers.
 func (s *Server) ReplCounters() (appends, failures, demotions, promotions, ingested uint64) {
-	return s.replAppends.Load(), s.replFailures.Load(), s.replDemotions.Load(),
+	for i := range s.replDemotions {
+		demotions += s.replDemotions[i].Load()
+	}
+	return s.replAppends.Load(), s.replFailures.Load(), demotions,
 		s.replPromotions.Load(), s.replIngested.Load()
+}
+
+// replicationDeficit is, over the PGs this instance owns, the map's
+// target copies minus the copies each PG has: 0 while every owned PG is
+// at its replication factor.
+func (s *Server) replicationDeficit() int {
+	s.clMu.RLock()
+	m, self := s.clMap, s.clName
+	s.clMu.RUnlock()
+	if m == nil {
+		return 0
+	}
+	deficit := 0
+	for _, pg := range m.OwnedPGs(self) {
+		deficit += max(0, m.ReplicationFactor-1-len(m.BackupsFor(pg)))
+	}
+	return deficit
 }
 
 // SetReplCrash installs the failover torture hook, consulted at each

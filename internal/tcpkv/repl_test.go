@@ -1,0 +1,198 @@
+package tcpkv
+
+import (
+	"fmt"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"efactory/internal/crc"
+	"efactory/internal/store"
+)
+
+// replPair is a primary a owning pgs placement groups at Replicas 2, with b
+// attached as the backup of every one of them. The background verifiers
+// are parked, so a version is flagged — and mirrored — only when the test
+// reads it. midAppend, once set, runs inside b's next append handler,
+// before the record is ingested, and is cleared.
+type replPair struct {
+	t         *testing.T
+	a, b      *Server
+	midAppend atomic.Pointer[func()]
+}
+
+func startReplPair(t *testing.T, pgs int, cfgB Config) *replPair {
+	t.Helper()
+	cfg := clusterTestConfig()
+	cfg.Replicas = 2
+	cfg.BGInterval = time.Hour
+	cfgB.Replicas, cfgB.BGInterval = cfg.Replicas, cfg.BGInterval
+	p := &replPair{t: t}
+	var addrA string
+	p.a, addrA = startClusterServer(t, "a", pgs, cfg)
+	p.b, _ = startClusterServer(t, "b", 0, cfgB)
+	p.b.SetReplCrash(func(point string) bool {
+		if point == "backup-append" {
+			if fn := p.midAppend.Swap(nil); fn != nil {
+				(*fn)()
+			}
+		}
+		return false
+	})
+	joinInstance(t, addrA, p.b)
+	if err := p.a.WaitBackup("b", 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	// The last attach's final drain runs under migOne after its map is
+	// installed: wait it out, so no copy exports a key the test writes.
+	p.a.migOne.Lock()
+	p.a.migOne.Unlock()
+	return p
+}
+
+func (p *replPair) eng(srv *Server, key []byte) *store.Engine {
+	return srv.st.Shard(srv.st.ShardFor(key))
+}
+
+// write puts one version of key straight into the primary's engine —
+// allocation, then the value a client would write one-sidedly — and
+// returns its seq, 0 if the allocation failed. Engine.Put does not
+// mirror; the flag does.
+func (p *replPair) write(key []byte, val string) uint64 {
+	eng := p.eng(p.a, key)
+	pr := eng.Put(nil, key, len(val), crc.Checksum([]byte(val)))
+	if pr.Status != store.StatusOK {
+		return 0
+	}
+	eng.Pool(pr.Pool).WriteValue(pr.Off, len(key), []byte(val))
+	return pr.Seq
+}
+
+func (p *replPair) put(key []byte, val string) uint64 {
+	p.t.Helper()
+	seq := p.write(key, val)
+	if seq == 0 {
+		p.t.Fatalf("put %s: the primary is full", key)
+	}
+	return seq
+}
+
+// settle reads key on the primary: the read flags the newest version, so
+// it returns once that version is mirrored to a quorum.
+func (p *replPair) settle(key []byte) store.GetResult {
+	return p.eng(p.a, key).Get(nil, key)
+}
+
+// TestMirrorCompensatesConcurrentChange pins the mirror's compensation
+// check. A write whose key did not move during its append costs no export
+// on the primary; a newer PUT or a DELETE that lands in the primary's
+// engine while the append is on the wire is shipped after it, so the
+// backup ends at the primary's state — an acked DELETE is never
+// resurrected by a stale mirror.
+func TestMirrorCompensatesConcurrentChange(t *testing.T) {
+	t.Run("unchanged", func(t *testing.T) {
+		p := startReplPair(t, 4, clusterTestConfig())
+		key := []byte("hot")
+		before := p.a.Stats().KeysExported
+		var last string
+		for i := 0; i < 200; i++ {
+			last = fmt.Sprintf("value-%03d", i)
+			seq := p.put(key, last)
+			if gr := p.settle(key); gr.Status != store.StatusOK || gr.Seq != seq || !gr.Durable {
+				t.Fatalf("write %d: GET = %+v, want durable seq %d", i, gr, seq)
+			}
+		}
+		if n := p.a.Stats().KeysExported - before; n != 0 {
+			t.Errorf("the primary exported %d keys for 200 unchanged mirror appends, want 0", n)
+		}
+		ek, ok := p.eng(p.b, key).ExportOne(key)
+		if !ok || ek.Tombstone || string(ek.Versions[len(ek.Versions)-1].Value) != last {
+			t.Fatalf("backup holds %+v, %v; want newest value %q", ek, ok, last)
+		}
+	})
+
+	t.Run("newer PUT mid-append", func(t *testing.T) {
+		p := startReplPair(t, 4, clusterTestConfig())
+		key := []byte("raced-put")
+		p.put(key, "v1")
+		var seq atomic.Uint64
+		fn := func() { seq.Store(p.write(key, "v2")) }
+		p.midAppend.Store(&fn)
+		p.settle(key)
+		newer := seq.Load()
+		if newer == 0 {
+			t.Fatal("the backup's append handler never ran the newer PUT")
+		}
+		_, _, primary, _ := p.eng(p.a, key).ExportState(key)
+		tomb, _, backup, found := p.eng(p.b, key).ExportState(key)
+		if primary != newer || !found || tomb || backup != primary {
+			t.Fatalf("backup at seq %d (found %v, tombstone %v), primary at %d; want both at the newer PUT's %d",
+				backup, found, tomb, primary, newer)
+		}
+	})
+
+	t.Run("DELETE mid-append", func(t *testing.T) {
+		p := startReplPair(t, 4, clusterTestConfig())
+		key := []byte("raced-del")
+		p.put(key, "v1")
+		var deleted atomic.Bool
+		fn := func() { deleted.Store(p.eng(p.a, key).Del(nil, key) == store.StatusOK) }
+		p.midAppend.Store(&fn)
+		p.settle(key)
+		if !deleted.Load() {
+			t.Fatal("the backup's append handler never ran the DELETE")
+		}
+		if tomb, _, _, found := p.eng(p.b, key).ExportState(key); found && !tomb {
+			t.Fatal("the backup resurrected a key deleted on the primary")
+		}
+		if gr := p.eng(p.b, key).Get(nil, key); gr.Status == store.StatusOK {
+			t.Fatalf("the backup serves seq %d of a deleted key", gr.Seq)
+		}
+	})
+}
+
+// TestBackupFullDemotionSaysWhy: a backup whose pools are too small for
+// the primary's writes answers StFull, and the primary demotes it from
+// every PG it could not mirror to. The demotions count under cause
+// "full", and the deficit gauge reads one missing copy per such PG.
+func TestBackupFullDemotionSaysWhy(t *testing.T) {
+	const pgs = 4
+	tiny := clusterTestConfig()
+	tiny.PoolSize = 16 << 10
+	p := startReplPair(t, pgs, tiny)
+	val := string(make([]byte, 1024))
+	demoted := func() int {
+		n := 0
+		for pg := 0; pg < pgs; pg++ {
+			if len(p.a.ClusterMap().BackupsFor(pg)) == 0 {
+				n++
+			}
+		}
+		return n
+	}
+	for i := 0; i < 400 && demoted() < pgs; i++ {
+		key := []byte(fmt.Sprintf("fill-%03d", i))
+		p.put(key, val)
+		if gr := p.settle(key); gr.Status != store.StatusOK || !gr.Durable {
+			t.Fatalf("write %d: GET = %+v; a demotion must not fail the write", i, gr)
+		}
+	}
+	n := demoted()
+	if n == 0 {
+		t.Fatal("the backup never filled up")
+	}
+	t.Logf("the backup was demoted from %d of %d PGs", n, pgs)
+	snap := p.a.Metrics().Snapshot()
+	for cause, want := range map[string]int{"full": n, "transport": 0, "status": 0} {
+		got, ok := snap.CounterValue("efactory_repl_demotions_total", map[string]string{"cause": cause})
+		if !ok || got != float64(want) {
+			t.Errorf("demotions with cause %q = %v (registered %v), want %d", cause, got, ok, want)
+		}
+	}
+	if got, _ := snap.GaugeValue("efactory_replication_factor_deficit"); got != float64(n) {
+		t.Errorf("replication factor deficit = %v, want %d (one per demoted PG)", got, n)
+	}
+	if _, _, d, _, _ := p.a.ReplCounters(); d != uint64(n) {
+		t.Errorf("ReplCounters demotions = %d, want %d", d, n)
+	}
+}

@@ -260,10 +260,12 @@ type Server struct {
 	replCrash      func(point string) bool
 	replPending    atomic.Int64  // mirror appends awaiting backup acks
 	replAppends    atomic.Uint64 // records shipped to backups
-	replFailures   atomic.Uint64 // append transport failures
-	replDemotions  atomic.Uint64 // backups dropped from replica sets
+	replFailures   atomic.Uint64 // failed appends, whatever the cause
 	replPromotions atomic.Uint64 // promotions completed on this instance
 	replIngested   atomic.Uint64 // records ingested from peers
+	// replDemotions counts backups dropped from replica sets, indexed by
+	// the failure outcome that caused each demotion.
+	replDemotions [numReplOutcomes]atomic.Uint64
 
 	// tracer retains the server-side spans of traced requests (frames
 	// whose trailer carries a client-minted trace ID) and of migration
