@@ -4,13 +4,15 @@
 //
 // Usage:
 //
-//	efactory-bench [-fig 1|2|9a|9b|9c|9d|9|10|11|batch|getbatch|all] [-scale quick|full] [-jsondir dir]
+//	efactory-bench [-fig 1|2|9a|9b|9c|9d|9|10|11|batch|getbatch|trace|txn|all|rebalance|failover|torture] [-scale quick|full] [-jsondir dir]
 //
-// Full scale matches the experiment sizes used for EXPERIMENTS.md; quick
-// scale is the same harness at smoke-test sizes. With -jsondir set, each
-// figure's raw results — including the full log-spaced latency histogram
-// per configuration and the engine telemetry snapshot for eFactory runs —
-// are written to <dir>/BENCH_<fig>.json alongside the printed tables.
+// all runs every figure up to txn; rebalance, failover and torture run
+// only when named. Full scale matches the experiment sizes used for
+// EXPERIMENTS.md; quick scale is the same harness at smoke-test sizes.
+// With -jsondir set, each figure's raw results — including the full
+// log-spaced latency histogram per configuration and the engine telemetry
+// snapshot for eFactory runs — are written to <dir>/BENCH_<fig>.json
+// alongside the printed tables.
 package main
 
 import (
@@ -26,7 +28,7 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: 1, 2, 9a-9d, 9, 10, 11, batch, getbatch, trace, txn, ablate, sensitivity, rcommit, rebalance, failover, torture, or all")
+	fig := flag.String("fig", "all", "figure to regenerate: 1, 2, 9a-9d, 9, 10, 11, batch, getbatch, trace, txn, all, rebalance, failover, or torture")
 	scale := flag.String("scale", "full", "experiment scale: quick or full")
 	jsondir := flag.String("jsondir", "", "write each figure's raw results as BENCH_<fig>.json in this directory")
 	flag.Parse()
@@ -113,17 +115,6 @@ func main() {
 	}
 	if want("txn") {
 		run("txn commit sweep", func() { save("txn", bench.FigTxn(os.Stdout, &par, sc)) })
-	}
-	if want("ablate") {
-		run("ablations", func() { bench.Ablations(os.Stdout, &par, sc) })
-	}
-	if *fig == "sensitivity" {
-		any = true
-		run("sensitivity", func() { bench.Sensitivity(os.Stdout, &par, sc) })
-	}
-	if *fig == "rcommit" {
-		any = true
-		run("rcommit extension", func() { bench.ExtensionRCommit(os.Stdout, &par, sc) })
 	}
 	if *fig == "rebalance" {
 		any = true

@@ -52,10 +52,6 @@ func systems() []system {
 			s := NewCANP(env, par, cfg)
 			return s.AttachClient("c"), s.Stop, s.Device(), s.NIC()
 		}, false},
-		{"rcommit", func(env *sim.Env, par *model.Params, cfg Config) (KV, func(), *nvm.Memory, *rnic.NIC) {
-			s := NewRCommit(env, par, cfg)
-			return s.AttachClient("c"), s.Stop, s.Device(), s.NIC()
-		}, true},
 	}
 }
 
@@ -288,7 +284,7 @@ func TestSAWLatencyExceedsIMM(t *testing.T) {
 }
 
 func TestServerSideGetResolutionPath(t *testing.T) {
-	// SAW/IMM/RCommit clients normally resolve one-sidedly; the server
+	// SAW/IMM clients normally resolve one-sidedly; the server
 	// TGet handler is their deep-collision fallback. Exercise it directly.
 	env := sim.NewEnv(1)
 	par := model.Default()
@@ -323,17 +319,13 @@ func TestServerSideGetResolutionPath(t *testing.T) {
 }
 
 func TestIMMAndRCommitGetRPCPaths(t *testing.T) {
+	// The table once also held the RCommit baseline; only IMM remains.
 	for _, mk := range []struct {
 		name string
 		mkfn func(env *sim.Env, par *model.Params) (KV, func(), *clientCore)
 	}{
 		{"imm", func(env *sim.Env, par *model.Params) (KV, func(), *clientCore) {
 			s := NewIMM(env, par, DefaultConfig())
-			c := s.AttachClient("c")
-			return c, s.Stop, c.clientCore
-		}},
-		{"rcommit", func(env *sim.Env, par *model.Params) (KV, func(), *clientCore) {
-			s := NewRCommit(env, par, DefaultConfig())
 			c := s.AttachClient("c")
 			return c, s.Stop, c.clientCore
 		}},

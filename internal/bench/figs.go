@@ -158,7 +158,9 @@ func Fig11(w io.Writer, par *model.Params, sc Scale) []Result {
 }
 
 // runMixedCleaning is RunMixed with a controller that keeps log cleaning
-// continuously active during the measurement phase.
+// continuously active during the measurement phase. It keeps its own loop
+// because its load phase writes zero-filled values where RunMixed writes a
+// byte pattern, and Figure 11's YCSB-B row depends on that.
 func runMixedCleaning(par *model.Params, mix ycsb.Mix, nClients, valLen int, sc Scale, seed uint64) Result {
 	env := sim.NewEnv(seed)
 	c := Build(env, par, SysEFactory, nClients, sc.Buckets, sc.PoolSize)

@@ -113,8 +113,7 @@ func (r *Result) captureEngine(c *Cluster) {
 // closed-loop clients through opsPerClient YCSB operations each and
 // reports throughput and latency.
 func RunMixed(par *model.Params, sys System, mix ycsb.Mix, nClients, valLen int, sc Scale, seed uint64) Result {
-	env := sim.NewEnv(seed)
-	c := Build(env, par, sys, nClients, sc.Buckets, sc.PoolSize)
+	c := Build(sim.NewEnv(seed), par, sys, nClients, sc.Buckets, sc.PoolSize)
 	if sc.TraceSample > 0 {
 		for _, cl := range c.Clients {
 			if ec, ok := cl.(*efactory.Client); ok {
@@ -122,7 +121,17 @@ func RunMixed(par *model.Params, sys System, mix ycsb.Mix, nClients, valLen int,
 			}
 		}
 	}
+	return drive(c, mix, valLen, sc, seed)
+}
 
+// drive is RunMixed's measurement loop over an already built cluster, so
+// tests can run it against servers built with a tweaked config. It loads
+// sc.NKeys keys of valLen bytes through c's first client, lets the
+// background thread (where present) settle, then runs every client of c
+// through sc.OpsPerClient operations of mix and reports throughput and
+// latency.
+func drive(c *Cluster, mix ycsb.Mix, valLen int, sc Scale, seed uint64) Result {
+	env := c.Env
 	var rec stats.Recorder
 	var start, end time.Duration
 	totalOps := 0
@@ -145,7 +154,7 @@ func RunMixed(par *model.Params, sys System, mix ycsb.Mix, nClients, valLen int,
 
 		start = p.Now()
 		done := sim.NewSignal(env)
-		remaining := nClients
+		remaining := len(c.Clients)
 		for ci, cl := range c.Clients {
 			ci, cl := ci, cl
 			env.Go(fmt.Sprintf("client-%d", ci), func(p *sim.Proc) {
@@ -161,7 +170,7 @@ func RunMixed(par *model.Params, sys System, mix ycsb.Mix, nClients, valLen int,
 						err = cl.Put(p, key, value)
 					}
 					if err != nil && !isNotFound(err) {
-						panic(fmt.Sprintf("bench: %s op failed: %v", sys, err))
+						panic(fmt.Sprintf("bench: %s op failed: %v", c.System, err))
 					}
 					local.Record(p.Now() - t0)
 				}
@@ -181,7 +190,7 @@ func RunMixed(par *model.Params, sys System, mix ycsb.Mix, nClients, valLen int,
 
 	elapsed := end - start
 	r := Result{
-		System: sys, Mix: mix, ValLen: valLen, Clients: nClients,
+		System: c.System, Mix: mix, ValLen: valLen, Clients: len(c.Clients),
 		Ops: totalOps, Elapsed: elapsed,
 		Mops: stats.Mops(totalOps, elapsed),
 	}

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -38,18 +37,5 @@ func TestSensitivityConclusionsRobust(t *testing.T) {
 		if ef.Mops <= erda.Mops {
 			t.Errorf("crc x%.1f: eFactory %.3f not above Erda %.3f", mult, ef.Mops, erda.Mops)
 		}
-	}
-}
-
-// TestSensitivityRunnerPrints smoke-tests the printer.
-func TestSensitivityRunnerPrints(t *testing.T) {
-	par := model.Default()
-	sc := QuickScale()
-	sc.OpsPerClient = 40
-	sc.NKeys = 40
-	var sb strings.Builder
-	Sensitivity(&sb, &par, sc)
-	if !strings.Contains(sb.String(), "FlushPerLine") || !strings.Contains(sb.String(), "CRCPerByte") {
-		t.Fatalf("unexpected output:\n%s", sb.String())
 	}
 }

@@ -27,9 +27,6 @@ const (
 	SysForca
 	SysRPC
 	SysCANP
-	// SysRCommit is the extension baseline built on the proposed rcommit
-	// verb (simulated future hardware; §7.1 related work).
-	SysRCommit
 )
 
 // String returns the system's display name.
@@ -51,8 +48,6 @@ func (s System) String() string {
 		return "RPC"
 	case SysCANP:
 		return "CA-w/o-persist"
-	case SysRCommit:
-		return "RCommit"
 	}
 	return fmt.Sprintf("System(%d)", int(s))
 }
@@ -70,6 +65,7 @@ func Figure1Systems() []System {
 // Cluster is one server plus its attached clients, ready to drive.
 type Cluster struct {
 	Env     *sim.Env
+	System  System
 	Clients []baseline.KV
 	Stop    func()
 	// EF is non-nil for the eFactory systems (log-cleaning control).
@@ -78,7 +74,7 @@ type Cluster struct {
 
 // Build constructs a cluster of the given system with nClients clients.
 func Build(env *sim.Env, par *model.Params, sys System, nClients, buckets, poolSize int) *Cluster {
-	c := &Cluster{Env: env}
+	c := &Cluster{Env: env, System: sys}
 	switch sys {
 	case SysEFactory, SysEFactoryNoHR:
 		cfg := efactory.DefaultConfig()
@@ -120,10 +116,6 @@ func Build(env *sim.Env, par *model.Params, sys System, nClients, buckets, poolS
 			attach = func(n string) baseline.KV { return s.AttachClient(n) }
 		case SysCANP:
 			s := baseline.NewCANP(env, par, cfg)
-			c.Stop = s.Stop
-			attach = func(n string) baseline.KV { return s.AttachClient(n) }
-		case SysRCommit:
-			s := baseline.NewRCommit(env, par, cfg)
 			c.Stop = s.Stop
 			attach = func(n string) baseline.KV { return s.AttachClient(n) }
 		default:

@@ -38,10 +38,6 @@ type Config struct {
 	Shards int
 	// Workers is the number of request-processing threads.
 	Workers int
-	// RecvBatching enables the multiple-receive-region optimization
-	// (cheaper per-message receive handling, §6.1). On for eFactory; off
-	// for baselines that emulate single-recv servers.
-	RecvBatching bool
 	// CleanThreshold triggers log cleaning when the current pool's free
 	// fraction drops below it. Zero disables automatic cleaning.
 	CleanThreshold float64
@@ -55,10 +51,6 @@ type Config struct {
 	// The effective batch size adapts to the shard's durability lag, up to
 	// this cap. 0 or 1 verifies one object per run.
 	BGBatch int
-	// DisableSelectiveDurability makes the RPC read path verify by CRC on
-	// every request instead of trusting the durability flag — the Forca
-	// behaviour eFactory improves on (§5.3.4). Used by ablation benches.
-	DisableSelectiveDurability bool
 	// FaultPlan, when non-nil, wires the crash-point injection subsystem
 	// (internal/fault) into the server: the engine's device and cost sink
 	// are wrapped so every flush/drain and charge counts a boundary, and
@@ -73,7 +65,6 @@ func DefaultConfig() Config {
 		Buckets:        4096,
 		PoolSize:       8 << 20,
 		Workers:        4,
-		RecvBatching:   true,
 		CleanThreshold: 0, // benches size pools to avoid cleaning unless testing it
 	}
 }
@@ -81,12 +72,11 @@ func DefaultConfig() Config {
 // storeConfig maps the transport config onto the engine config.
 func (c *Config) storeConfig() store.Config {
 	return store.Config{
-		Shards:                     c.Shards,
-		Buckets:                    c.Buckets,
-		PoolSize:                   c.PoolSize,
-		VerifyTimeout:              c.VerifyTimeout,
-		CleanThreshold:             c.CleanThreshold,
-		DisableSelectiveDurability: c.DisableSelectiveDurability,
+		Shards:         c.Shards,
+		Buckets:        c.Buckets,
+		PoolSize:       c.PoolSize,
+		VerifyTimeout:  c.VerifyTimeout,
+		CleanThreshold: c.CleanThreshold,
 	}
 }
 

@@ -59,8 +59,6 @@ func (k *simSink) Charge(h any, op store.Op, n int) {
 		d = k.par.CRCTime(n)
 	case store.OpFlush:
 		d = k.par.FlushTime(n)
-	case store.OpFlushClean:
-		d = k.par.FlushCleanTime(n)
 	case store.OpBGFlush:
 		d = k.par.BGFlushTime(n)
 	case store.OpCleanCopy:
@@ -276,13 +274,6 @@ func (s *Server) busy(p *sim.Proc, d time.Duration) {
 	p.Sleep(d)
 }
 
-func (s *Server) recvCost() time.Duration {
-	if s.cfg.RecvBatching {
-		return s.par.RecvCostBatched
-	}
-	return s.par.RecvCost
-}
-
 // worker is one request-processing thread: it drains the shared receive
 // queue and hands each request to the protocol core, charging the
 // per-message receive, dispatch and send costs around it.
@@ -293,7 +284,8 @@ func (s *Server) worker(p *sim.Proc) {
 		if !ok {
 			return
 		}
-		s.busy(p, s.recvCost())
+		// eFactory reposts its multiple receive regions in batches (§6.1).
+		s.busy(p, s.par.RecvCostBatched)
 		m, err := wire.Decode(msg.Data)
 		if err != nil {
 			continue

@@ -36,7 +36,6 @@ func RunSimTorture(tc fault.Config) (fault.Result, error) {
 		PoolSize:      tc.PoolSize,
 		Shards:        tc.Shards,
 		Workers:       2,
-		RecvBatching:  true,
 		VerifyTimeout: tc.VerifyTimeout,
 		BGBatch:       tc.BGBatch,
 		FaultPlan:     plan,

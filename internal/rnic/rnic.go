@@ -417,38 +417,6 @@ func (e *Endpoint) ReadBatch(p *sim.Proc, reqs []ReadReq) error {
 	return nil
 }
 
-// Commit is the proposed "RDMA durable write commit" verb (rcommit, from
-// the IETF draft the paper discusses in §7.1): it instructs the responder
-// NIC to flush the given remote range into the persistence domain and ack
-// once durable — no responder CPU involvement. It requires hardware that
-// does not exist on the paper's testbed; this simulated implementation is
-// the "future hardware" mode used by the RCommit extension baseline.
-//
-// The NIC-side flush is charged at the pipelined (CLWB-like) rate, as the
-// draft envisions an engine that flushes asynchronously of the CPU.
-func (e *Endpoint) Commit(p *sim.Proc, rkey uint32, off, n int) error {
-	p.Sleep(e.par.PostCost)
-	p.Sleep(e.oneWay(0)) // commit request reaches the responder NIC
-	if e.peer.nic.crashed {
-		return ErrCrashed
-	}
-	mr, err := e.peer.nic.lookup(rkey, off, n)
-	if err != nil {
-		return err
-	}
-	p.Sleep(e.par.BGFlushTime(n)) // NIC flush engine drains the range
-	if e.peer.nic.crashed {
-		return ErrCrashed
-	}
-	mr.dev.Flush(mr.base+off, n)
-	mr.dev.Drain()
-	p.Sleep(e.oneWay(0)) // durability ack
-	if e.peer.nic.crashed {
-		return ErrCrashed
-	}
-	return nil
-}
-
 func (e *Endpoint) write(p *sim.Proc, src []byte, rkey uint32, off int, withImm bool, imm uint32) (*MR, error) {
 	if e.peer.nic.crashed {
 		return nil, ErrCrashed

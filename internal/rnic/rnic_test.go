@@ -310,48 +310,6 @@ func TestRestartClearsRegions(t *testing.T) {
 	env.Run()
 }
 
-func TestCommitVerbPersistsRange(t *testing.T) {
-	env, par, dev, mr, cli, _ := testRig(t, 4096)
-	payload := bytes.Repeat([]byte{0x5A}, 512)
-	env.Go("client", func(p *sim.Proc) {
-		if err := cli.Write(p, payload, mr.RKey(), 0); err != nil {
-			t.Errorf("Write: %v", err)
-		}
-		got := make([]byte, 512)
-		dev.ReadPersisted(0, got)
-		if !bytes.Equal(got, make([]byte, 512)) {
-			t.Error("data persistent before Commit")
-		}
-		start := p.Now()
-		if err := cli.Commit(p, mr.RKey(), 0, 512); err != nil {
-			t.Errorf("Commit: %v", err)
-		}
-		want := par.PostCost + 2*par.OneWay(0) + par.BGFlushTime(512)
-		if got := p.Now() - start; got != want {
-			t.Errorf("Commit took %v, want %v", got, want)
-		}
-		dev.ReadPersisted(0, got)
-		if !bytes.Equal(got, payload) {
-			t.Error("Commit did not persist the range")
-		}
-	})
-	env.Run()
-}
-
-func TestCommitErrors(t *testing.T) {
-	env, _, _, mr, cli, srv := testRig(t, 4096)
-	env.Go("client", func(p *sim.Proc) {
-		if err := cli.Commit(p, 999, 0, 64); !errors.Is(err, ErrBounds) {
-			t.Errorf("bad rkey: %v", err)
-		}
-		srv.nic.Crash()
-		if err := cli.Commit(p, mr.RKey(), 0, 64); !errors.Is(err, ErrCrashed) {
-			t.Errorf("crashed peer: %v", err)
-		}
-	})
-	env.Run()
-}
-
 func TestNICAccessors(t *testing.T) {
 	env, _, dev, mr, _, srv := testRig(t, 4096)
 	_ = env

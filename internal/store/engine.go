@@ -34,9 +34,6 @@ type Config struct {
 	// CleanThreshold triggers log cleaning when the working pool's free
 	// fraction drops below it. Zero disables automatic cleaning.
 	CleanThreshold float64
-	// DisableSelectiveDurability makes GET re-verify objects whose
-	// durability flag is already set (ablation mode, §6.3).
-	DisableSelectiveDurability bool
 }
 
 // Layout returns the device layout this config implies.
@@ -257,6 +254,19 @@ func (e *Engine) writePool() (int, *kv.Pool) {
 	return e.cur, e.pools[e.cur]
 }
 
+// maybeCleanLocked starts a cleaning run if appending size bytes would
+// leave the working pool's free fraction below CleanThreshold. Every
+// append path — PUT, transaction stage and import — calls it first, so a
+// backup that only ever imports cleans like the primary it mirrors.
+// Callers hold mu.
+func (e *Engine) maybeCleanLocked(size int) {
+	_, pool := e.writePool()
+	if e.cfg.CleanThreshold > 0 && !e.cleaning && !e.stopped &&
+		float64(pool.Free()-size) < e.cfg.CleanThreshold*float64(pool.Cap()) {
+		e.startCleaningLocked()
+	}
+}
+
 // head is the engine's one rule for which version of a key is newest (see
 // DESIGN.md, "Log cleaning"). An entry names at most one version per data
 // pool — Loc[i] lives in pool i, and the mark bit says which pool is
@@ -360,14 +370,8 @@ func (e *Engine) PutBatch(h any, ops []PutOp, res []PutResult) []PutResult {
 // putLocked is the shared body of Put and PutBatch. Callers hold mu.
 func (e *Engine) putLocked(h any, key []byte, vlen int, crcv uint32) PutResult {
 	e.stats.Puts++
-	pi, pool := e.writePool()
 	size := kv.ObjectSize(len(key), vlen)
-
-	if e.cfg.CleanThreshold > 0 && !e.cleaning && !e.stopped &&
-		float64(pool.Free()-size) < e.cfg.CleanThreshold*float64(pool.Cap()) {
-		e.startCleaningLocked()
-		pi, pool = e.writePool()
-	}
+	e.maybeCleanLocked(size)
 
 	keyHash := kv.HashKey(key)
 	idx, existed, ok := e.table.FindSlot(keyHash)
@@ -385,7 +389,7 @@ func (e *Engine) putLocked(h any, key []byte, vlen int, crcv uint32) PutResult {
 	// a version appended to the old pool after that is never merged.
 	tAlloc := e.sink.Now()
 	e.sink.Charge(h, OpAlloc, size)
-	pi, pool = e.writePool()
+	pi, pool := e.writePool()
 	if !existed && pi == 1 {
 		e.table.SetMark(idx, pi)
 	}
@@ -517,18 +521,6 @@ func (e *Engine) getLocked(h any, key []byte, slotHint int, seqLimit uint64) Get
 			break
 		}
 		if hd.Valid() && hd.Seq <= seqLimit {
-			if hd.Durable() && e.cfg.DisableSelectiveDurability {
-				// Ablation mode: re-verify despite the flag.
-				tCRC := e.sink.Now()
-				e.sink.Charge(h, OpCRC, hd.VLen)
-				e.observeH(h, int(OpCRC), tCRC)
-				tFlush := e.sink.Now()
-				e.sink.Charge(h, OpFlushClean, totalLen)
-				e.observeH(h, int(OpFlushClean), tFlush)
-				e.stats.GetVerified++
-				return GetResult{Status: StatusOK, Pool: pi, Off: off, Len: totalLen, KLen: hd.KLen,
-					Slot: idx, Seq: hd.Seq, Durable: true}
-			}
 			v := verFlagged
 			if !hd.Durable() {
 				// Not yet durable: verify and persist on demand.

@@ -237,6 +237,11 @@ func (e *Engine) ImportKey(h any, ek ExportKey) Status {
 		return StatusOK
 	}
 
+	chainSize := 0
+	for _, v := range ek.Versions {
+		chainSize += kv.ObjectSize(len(ek.Key), len(v.Value))
+	}
+	e.maybeCleanLocked(chainSize)
 	idx, existed, ok := e.table.FindSlot(keyHash)
 	if !ok {
 		e.stats.AllocFailures++

@@ -28,7 +28,6 @@ func MetricOpNames() []string {
 	names[OpGetScan] = "get_scan"
 	names[OpCRC] = "crc"
 	names[OpFlush] = "flush"
-	names[OpFlushClean] = "flush_clean"
 	names[OpBGScan] = "bg_scan"
 	names[OpBGLookup] = "bg_lookup"
 	names[OpBGCRC] = "bg_crc"

@@ -11,12 +11,11 @@ type Op int
 
 const (
 	// Foreground ops, executed by a request worker.
-	OpLookup     Op = iota // hash-table lookup on the GET/DEL path
-	OpAlloc                // PUT log allocation + metadata persist
-	OpGetScan              // per-version header fetch + durability check on GET
-	OpCRC                  // on-demand CRC verify over n value bytes
-	OpFlush                // on-demand flush of an n-byte object
-	OpFlushClean           // ablation-mode re-flush of n bytes (already-durable object)
+	OpLookup  Op = iota // hash-table lookup on the GET/DEL path
+	OpAlloc             // PUT log allocation + metadata persist
+	OpGetScan           // per-version header fetch + durability check on GET
+	OpCRC               // on-demand CRC verify over n value bytes
+	OpFlush             // on-demand flush of an n-byte object
 
 	// Background ops, executed by the verifier or the cleaner.
 	OpBGScan     // background header fetch
@@ -30,7 +29,7 @@ const (
 // Foreground reports whether op runs on a request worker (and should be
 // accounted as server-busy time by sinks that track it).
 func (op Op) Foreground() bool {
-	return op <= OpFlushClean
+	return op <= OpFlush
 }
 
 // CostSink is the engine's clock and cost model. It is the seam that lets

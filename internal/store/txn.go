@@ -88,18 +88,13 @@ func (s *Store) TxnStage(h any, txnID uint64, key, value []byte) (*StagedOp, Sta
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.stats.TxnStages++
-	pi, pool := e.writePool()
 	size := kv.ObjectSize(len(key), len(value))
-	if e.cfg.CleanThreshold > 0 && !e.cleaning && !e.stopped &&
-		float64(pool.Free()-size) < e.cfg.CleanThreshold*float64(pool.Cap()) {
-		e.startCleaningLocked()
-		pi, pool = e.writePool()
-	}
+	e.maybeCleanLocked(size)
 	tAlloc := e.sink.Now()
 	e.sink.Charge(h, OpAlloc, size)
 	// The charge may have yielded (simulation) and started a cleaning run;
 	// re-resolve the working pool so the append lands where commit expects.
-	pi, pool = e.writePool()
+	pi, pool := e.writePool()
 	op := &StagedOp{
 		shard: e.shard,
 		key:   append([]byte(nil), key...),

@@ -24,9 +24,18 @@ type replPair struct {
 func startReplPair(t *testing.T, pgs int, cfgB Config) *replPair {
 	t.Helper()
 	cfg := clusterTestConfig()
-	cfg.Replicas = 2
 	cfg.BGInterval = time.Hour
-	cfgB.Replicas, cfgB.BGInterval = cfg.Replicas, cfg.BGInterval
+	cfgB.BGInterval = cfg.BGInterval
+	return startReplPairWith(t, pgs, cfg, cfgB)
+}
+
+// startReplPairWith starts the pair with both configs as given. Unlike
+// startReplPair it leaves the background verifier running, which a
+// cleaning test needs: the cleaner retries a busy version once per
+// BGInterval.
+func startReplPairWith(t *testing.T, pgs int, cfg, cfgB Config) *replPair {
+	t.Helper()
+	cfg.Replicas, cfgB.Replicas = 2, 2
 	p := &replPair{t: t}
 	var addrA string
 	p.a, addrA = startClusterServer(t, "a", pgs, cfg)
@@ -194,5 +203,56 @@ func TestBackupFullDemotionSaysWhy(t *testing.T) {
 	}
 	if _, _, d, _, _ := p.a.ReplCounters(); d != uint64(n) {
 		t.Errorf("ReplCounters demotions = %d, want %d", d, n)
+	}
+}
+
+// TestBackupCleansUnderHotRewrites pins that a backup cleans its log like
+// the primary it mirrors. The primary rewrites a few hot keys far past one
+// pool's worth of versions while the live data stays tiny: both sides must
+// reclaim the dead versions, so the backup never answers full and is
+// never demoted (unlike TestBackupFullDemotionSaysWhy, whose live data
+// outgrows the pool).
+func TestBackupCleansUnderHotRewrites(t *testing.T) {
+	const pgs = 4
+	small := clusterTestConfig()
+	small.PoolSize = 512 << 10
+	small.CleanThreshold = 0.5
+	p := startReplPairWith(t, pgs, small, small)
+	var keys [][]byte
+	for i := 0; i < 8; i++ {
+		keys = append(keys, []byte(fmt.Sprintf("hot-%d", i)))
+	}
+	pad := string(make([]byte, 1000))
+	last := make([]uint64, len(keys))
+	// ~1 KiB versions, 300 per key: about five pools' worth in all.
+	for i := 0; i < 300*len(keys); i++ {
+		k := i % len(keys)
+		if last[k] = p.write(keys[k], fmt.Sprintf("%06d", i)+pad); last[k] == 0 {
+			t.Fatalf("write %d: the primary is full (%d cleanings)", i, p.a.Stats().Cleanings)
+		}
+		if gr := p.settle(keys[k]); gr.Status != store.StatusOK || gr.Seq != last[k] || !gr.Durable {
+			t.Fatalf("write %d: GET = %+v, want durable seq %d", i, gr, last[k])
+		}
+	}
+	for pg := 0; pg < pgs; pg++ {
+		if len(p.a.ClusterMap().BackupsFor(pg)) == 0 {
+			t.Errorf("the backup was demoted from PG %d", pg)
+		}
+	}
+	if _, _, d, _, _ := p.a.ReplCounters(); d != 0 {
+		t.Errorf("ReplCounters demotions = %d, want 0", d)
+	}
+	if got, _ := p.a.Metrics().Snapshot().GaugeValue("efactory_replication_factor_deficit"); got != 0 {
+		t.Errorf("replication factor deficit = %v, want 0", got)
+	}
+	if n := p.b.Stats().Cleanings; n == 0 {
+		t.Error("the backup never cleaned its log")
+	} else {
+		t.Logf("cleanings: primary %d, backup %d; exported %d, imported %d", p.a.Stats().Cleanings, n, p.a.Stats().KeysExported, p.b.Stats().KeysImported)
+	}
+	for k, key := range keys {
+		if gr := p.eng(p.b, key).Get(nil, key); gr.Status != store.StatusOK || gr.Seq != last[k] {
+			t.Errorf("backup GET %s = %+v, want seq %d", key, gr, last[k])
+		}
 	}
 }
