@@ -19,23 +19,24 @@ import (
 // that was not yet durable on the source imports as not-yet-durable on
 // the target, where the usual verify-on-demand path re-checks its CRC.
 type ExportVersion struct {
-	Seq       uint64 `json:"seq"`
-	CreatedAt uint64 `json:"at"`
-	CRC       uint32 `json:"crc"`
-	Flags     uint8  `json:"flags"`
-	TxnID     uint64 `json:"txn,omitempty"`
-	Value     []byte `json:"value"`
+	Seq       uint64
+	CreatedAt uint64
+	CRC       uint32
+	Flags     uint8
+	TxnID     uint64
+	Value     []byte
 }
 
 // ExportKey is one hash entry's exported state: the key, its tombstone
 // bit, its cut sequence, and its version chain oldest-first. A
 // tombstoned key exports with no versions — importing it applies the
-// delete.
+// delete. Between instances it travels in a record frame
+// (AppendRecords, DecodeRecordsInto).
 type ExportKey struct {
-	Key       []byte          `json:"key"`
-	Tombstone bool            `json:"tombstone,omitempty"`
-	CutSeq    uint64          `json:"cut,omitempty"`
-	Versions  []ExportVersion `json:"versions,omitempty"`
+	Key       []byte
+	Tombstone bool
+	CutSeq    uint64
+	Versions  []ExportVersion
 }
 
 // NewestSeq returns the sequence number of the newest exported version
@@ -215,7 +216,8 @@ func (e *Engine) exportEntryLocked(en kv.Entry) (ExportKey, bool) {
 // and cut sequences. Imports are idempotent and monotone: if the engine
 // already holds this key at a sequence >= the incoming newest, the
 // import is a no-op, so migration's snapshot + drain re-copies can
-// overlap safely. Returns StatusFull only when the table or pool cannot
+// overlap safely; otherwise only the versions newer than the resident
+// head are appended. Returns StatusFull only when the table or pool cannot
 // hold the data.
 func (e *Engine) ImportKey(h any, ek ExportKey) Status {
 	e.mu.Lock()
@@ -261,22 +263,28 @@ func (e *Engine) ImportKey(h any, ek ExportKey) Status {
 	// sequence durable. The durable copy must win, or the importer is left
 	// holding only the torn one (which its verifier will invalidate,
 	// losing an acknowledged write).
+	//
+	// Only the incoming versions newer than the resident head are
+	// appended: the resident chain already holds the older ones, and
+	// re-appending them (a compensating record or a re-copy ships the
+	// whole chain) would only hand the cleaner duplicates. An equal seq
+	// is appended in the one upgrade case: resident pending, incoming
+	// durable.
 	pre := kv.NilPtr
+	versions := ek.Versions
 	if existed && !en.Tombstone() {
 		if hpi, off, l, ok := e.head(en); ok {
 			hd := e.pools[hpi].Header(off)
 			if hd.Magic == kv.Magic {
-				inNewest := ek.Versions[len(ek.Versions)-1]
-				if hd.Seq > inNewest.Seq ||
-					(hd.Seq == inNewest.Seq &&
-						(hd.Durable() || inNewest.Flags&kv.FlagDurable == 0)) {
+				for len(versions) > 0 && (versions[0].Seq < hd.Seq || versions[0].Seq == hd.Seq &&
+					(hd.Durable() || versions[0].Flags&kv.FlagDurable == 0)) {
+					versions = versions[1:]
+				}
+				if len(versions) == 0 {
 					return StatusOK
 				}
-				// Equal seq, resident pending, incoming durable: fall
-				// through and append the incoming chain over the resident
-				// head, so the durable copy becomes the version reads
-				// resolve. The shadowed torn copy is unreachable garbage
-				// for the log cleaner.
+				// The shadowed torn copy of an upgrade is unreachable
+				// garbage for the log cleaner.
 				pre = kv.PackVPtr(hpi, off, l)
 			}
 		}
@@ -286,7 +294,7 @@ func (e *Engine) ImportKey(h any, ek ExportKey) Status {
 		lastOff  uint64
 		lastSize int
 	)
-	for _, v := range ek.Versions {
+	for _, v := range versions {
 		hd := kv.Header{
 			PrePtr:    pre,
 			NextPtr:   kv.NilPtr,

@@ -101,14 +101,15 @@ func (c *Client) MigrateRPC(pg int, target string) (MigrationSummary, error) {
 // newer map: the sender is deposed (it must stop flagging writes durable
 // until it adopts that map), or its copy runs under a stale map.
 func (c *Client) ReplAppend(batch []store.ExportKey, epoch uint64) error {
-	blob, err := json.Marshal(batch)
-	if err != nil {
-		return err
-	}
+	bp := recBufPool.Get().(*[]byte)
+	*bp = store.AppendRecords((*bp)[:0], batch)
 	// Under the retry loop: imports are idempotent, so a replayed append
 	// is safe, and a transient transport blip gets the policy's quick
-	// retry instead of immediately demoting a healthy backup.
-	resp, err := c.idempotentRPC(wire.Msg{Type: wire.TReplAppend, Token: uint32(epoch), Value: blob})
+	// retry instead of immediately demoting a healthy backup. Every
+	// attempt copies the frame into its own request buffer, so the
+	// encoded frame is free again once the call returns.
+	resp, err := c.idempotentRPC(wire.Msg{Type: wire.TReplAppend, Token: uint32(epoch), Value: *bp})
+	recBufPool.Put(bp)
 	if err != nil {
 		return err
 	}
@@ -131,8 +132,15 @@ func (c *Client) ReplPull(pg int) ([]store.ExportKey, error) {
 	if resp.Status != wire.StOK {
 		return nil, fmt.Errorf("tcpkv: repl pull status %d", resp.Status)
 	}
-	return decodeExportBatch(resp.Value)
+	recs, err := store.DecodeRecordsInto(resp.Value, nil)
+	if err != nil {
+		return nil, fmt.Errorf("tcpkv: repl pull: %w", err)
+	}
+	return recs, nil
 }
+
+// recBufPool holds the buffers ReplAppend encodes record frames into.
+var recBufPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // PromoteRPC asks the serving instance to fail over from the named dead
 // primary, taking ownership of every PG it backs up for it. Returns the

@@ -1,7 +1,6 @@
 package tcpkv
 
 import (
-	"encoding/json"
 	"fmt"
 	"testing"
 
@@ -25,18 +24,11 @@ func record(key string, cut uint64, seqs ...uint64) store.ExportKey {
 	return ek
 }
 
-func frame(t testing.TB, recs ...store.ExportKey) []byte {
-	t.Helper()
-	b, err := json.Marshal(recs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
-}
+func frame(recs ...store.ExportKey) []byte { return store.AppendRecords(nil, recs) }
 
 // ingestCases are the record frames every ingest check runs: the shapes
 // an exporter produces, then one of each shape it never does.
-func ingestCases(t testing.TB) []struct {
+func ingestCases() []struct {
 	name string
 	blob []byte
 	want uint8
@@ -46,22 +38,25 @@ func ingestCases(t testing.TB) []struct {
 	tomb := store.ExportKey{Key: []byte("gone"), Tombstone: true, CutSeq: 4}
 	tombWithVersions := record("gone", 4, 5)
 	tombWithVersions.Tombstone = true
+	unknownFormat := frame(record("f", 0, 1))
+	unknownFormat[0]++
 	return []struct {
 		name string
 		blob []byte
 		want uint8
 	}{
-		{"mirror record", frame(t, record("m", 0, 7)), wire.StOK},
-		{"snapshot batch", frame(t, record("a", 0, 1, 2, 3), record("b", 2, 2, 9), tomb), wire.StOK},
-		{"tombstone", frame(t, tomb), wire.StOK},
-		{"version over the object-size limit", frame(t, oversized), wire.StError},
-		{"empty key", frame(t, record("", 0, 1)), wire.StError},
-		{"repeated seq", frame(t, record("r", 0, 3, 3)), wire.StError},
-		{"descending seqs", frame(t, record("d", 0, 4, 2)), wire.StError},
-		{"version below the cut", frame(t, record("c", 5, 4, 6)), wire.StError},
-		{"tombstone carrying versions", frame(t, tombWithVersions), wire.StError},
-		{"one bad record refuses the whole frame", frame(t, record("ok", 0, 1), record("", 0, 1)), wire.StError},
-		{"not JSON", []byte("{\x00"), wire.StError},
+		{"mirror record", frame(record("m", 0, 7)), wire.StOK},
+		{"snapshot batch", frame(record("a", 0, 1, 2, 3), record("b", 2, 2, 9), tomb), wire.StOK},
+		{"tombstone", frame(tomb), wire.StOK},
+		{"version over the object-size limit", frame(oversized), wire.StError},
+		{"empty key", frame(record("", 0, 1)), wire.StError},
+		{"repeated seq", frame(record("r", 0, 3, 3)), wire.StError},
+		{"descending seqs", frame(record("d", 0, 4, 2)), wire.StError},
+		{"version below the cut", frame(record("c", 5, 4, 6)), wire.StError},
+		{"tombstone carrying versions", frame(tombWithVersions), wire.StError},
+		{"one bad record refuses the whole frame", frame(record("ok", 0, 1), record("", 0, 1)), wire.StError},
+		{"unknown format byte", unknownFormat, wire.StError},
+		{"JSON frame from an old peer", []byte(`[{"key":"b2xk","versions":[{"seq":7,"at":1,"crc":0,"flags":3,"value":"dg=="}]}]`), wire.StError},
 	}
 }
 
@@ -84,7 +79,7 @@ func newIngestServer(t testing.TB, poolSize int) *Server {
 // for a version pointer, which the import would otherwise panic on.
 func TestIngestRefusesMalformedRecords(t *testing.T) {
 	srv := newIngestServer(t, 20<<20)
-	for _, tc := range ingestCases(t) {
+	for _, tc := range ingestCases() {
 		before := srv.Stats().KeysImported
 		resp := srv.handleReplAppend(wire.Msg{Type: wire.TReplAppend, Value: tc.blob})
 		if resp.Status != tc.want {
@@ -103,7 +98,7 @@ func TestIngestRefusesMalformedRecords(t *testing.T) {
 // unserved server: whatever the bytes, ingest must not panic, and a frame
 // it refuses must import nothing.
 func FuzzIngest(f *testing.F) {
-	for _, tc := range ingestCases(f) {
+	for _, tc := range ingestCases() {
 		f.Add(tc.blob)
 	}
 	srv := newIngestServer(f, 1<<20)

@@ -45,7 +45,6 @@
 package tcpkv
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"slices"
@@ -351,12 +350,21 @@ func (s *Server) handleReplAppend(m wire.Msg) wire.Msg {
 	if s.replCrash != nil && s.replCrash("backup-append") {
 		return wire.Msg{Type: wire.TReplAck, Status: wire.StError}
 	}
-	batch, err := decodeExportBatch(m.Value)
+	rp := recScratchPool.Get().(*[]store.ExportKey)
+	defer recScratchPool.Put(rp)
+	batch, err := store.DecodeRecordsInto(m.Value, *rp)
+	*rp = batch
 	if err != nil {
 		return wire.Msg{Type: wire.TReplAck, Status: wire.StError}
 	}
 	return wire.Msg{Type: wire.TReplAck, Status: s.ingest(batch)}
 }
+
+// recScratchPool holds the record slices handleReplAppend decodes frames
+// into, so a steady stream of appends reuses them. The decoded keys and
+// values alias the request frame; ingest copies them into the device
+// before the handler returns.
+var recScratchPool = sync.Pool{New: func() any { return new([]store.ExportKey) }}
 
 // ingest imports records a peer shipped — mirror appends, copies,
 // promotion pulls: the one door peer data enters the engines through.
@@ -379,16 +387,6 @@ func (s *Server) ingest(batch []store.ExportKey) uint8 {
 	return wire.StOK
 }
 
-// decodeExportBatch parses a record frame's payload. The concrete type
-// lives in internal/store (ExportKey); JSON keeps the wire layer free of
-// a second hand-rolled codec for a control-plane path whose cost is
-// dominated by the value bytes either way.
-func decodeExportBatch(b []byte) ([]store.ExportKey, error) {
-	var batch []store.ExportKey
-	err := json.Unmarshal(b, &batch)
-	return batch, err
-}
-
 // handleReplPull exports every record of placement group Off for a
 // promoting co-backup. One frame — replica reconciliation sets are
 // backup-sized, not dataset-sized, and stay far under the frame cap.
@@ -408,11 +406,7 @@ func (s *Server) handleReplPull(m wire.Msg) wire.Msg {
 			return true
 		})
 	}
-	blob, err := json.Marshal(keys)
-	if err != nil {
-		return wire.Msg{Type: wire.TReplPullResp, Status: wire.StError}
-	}
-	return wire.Msg{Type: wire.TReplPullResp, Status: wire.StOK, Value: blob}
+	return wire.Msg{Type: wire.TReplPullResp, Status: wire.StOK, Value: store.AppendRecords(nil, keys)}
 }
 
 // handlePromote runs PromoteFrom for the dead instance named in Key.

@@ -128,8 +128,8 @@ const (
 	TTraceDump
 	// TTraceDumpResp answers TTraceDump.
 	TTraceDumpResp
-	// TReplAppend streams exported records (store.ExportKey list, JSON in
-	// Value) from one instance to another, which validates and imports
+	// TReplAppend streams exported records (a store.AppendRecords frame
+	// in Value) from one instance to another, which validates and imports
 	// them: a primary's mirror appends to its backups, and the batches of
 	// a migration or replica-attach copy. Token carries the sender's
 	// cluster-map epoch; a receiver that has adopted a newer map answers
@@ -149,7 +149,7 @@ const (
 	// TPromoteResp answers TPromote.
 	TPromoteResp
 	// TReplPull asks a replica for every record it holds in placement
-	// group Off (JSON []store.ExportKey in the response Value). A newly
+	// group Off (a store.AppendRecords frame in the response Value). A newly
 	// promoted primary pulls from the other surviving backups so a write
 	// acked by a quorum that did not include it is recovered before the
 	// promotion commits.
