@@ -60,9 +60,9 @@ func RunGetBatch(par *model.Params, batch int, hint bool, valLen, ops int, sc Sc
 		// durable objects over the one-sided path.
 		p.Sleep(100 * time.Millisecond)
 		// One warm pass populates the hint cache (when enabled) the way a
-		// steady-state client would have: a PUT leaves no hint, so each
-		// key's first read walks the probe chain and learns its durable
-		// location.
+		// steady-state client would have: a PUT's hint names no table slot,
+		// so each key's first read guesses its home bucket and learns the
+		// slot.
 		kbuf := make([][]byte, batch)
 		for n := uint64(0); n < keys; n++ {
 			kbuf[0] = ycsb.Key(n, KeyLen)

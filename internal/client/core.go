@@ -68,13 +68,15 @@ func (c *Core) SetHybridRead(on bool) { c.hybrid = on }
 // ObserveCleaning records whether the server is cleaning its log.
 func (c *Core) ObserveCleaning(on bool) { c.cleaning = on }
 
-// EnableHintCache attaches a client-side location hint cache of
-// hint.DefaultCap entries per shard. A hint is learned only from a durable
-// read and dropped by the client's own write of its key. A hit lets the
-// optimistic read fetch the hash entry and the object in one burst instead
-// of walking the probe chain; the entry READ always rides along and is
-// authoritative, so stale hints are detected and invalidated, never served.
-func (c *Core) EnableHintCache() { c.hints = hint.New(len(c.shards), hint.DefaultCap) }
+// EnableHintCache attaches a client-side location hint cache with one slot
+// per server bucket (see internal/hint). A hint is learned from a durable
+// read or from the client's own acknowledged write, which re-points it at
+// the new version; Delete and TxnCommit drop it. A hit lets the optimistic
+// read fetch the hash entry and the object in one burst instead of walking
+// the probe chain; the entry READ always rides along and is authoritative,
+// and the object keeps every check, so stale hints are detected and
+// invalidated, never served.
+func (c *Core) EnableHintCache() { c.hints = hint.New(len(c.shards), c.buckets) }
 
 // HintCache returns the attached hint cache (nil when disabled).
 func (c *Core) HintCache() *hint.Cache { return c.hints }
@@ -178,28 +180,35 @@ func (c *Core) count(field *int, n int) {
 	c.mu.Unlock()
 }
 
-// learn records where a durable version of key was just read — a pure or
-// hinted read, or a server grant — the one way a hint enters the cache. A
-// location learned without its table slot (Slot < 0: a GET grant) keeps
-// the slot learned before, since a key's slot survives overwrites.
-func (c *Core) learn(shard int, key []byte, e hint.Entry) {
-	if c.hints == nil {
-		return
+// learn records where a version of the key whose hash is keyHash lives —
+// one just read durable (a pure or hinted read, or a server grant) or one
+// the client just wrote — the one way a hint enters the cache. A location
+// learned without its table slot (Slot < 0: a GET or PUT grant) keeps the
+// slot learned before, since a key's slot survives overwrites.
+func (c *Core) learn(shard int, keyHash uint64, e hint.Entry) {
+	if c.hints != nil {
+		c.hints.Insert(shard, keyHash, e)
 	}
-	if e.Slot < 0 {
-		if prev, ok := c.hints.Peek(shard, key); ok {
-			e.Slot = prev.Slot
-		}
-	}
-	c.hints.Insert(shard, key, e)
 }
 
-// dropHint invalidates key's hint: the client is about to write the key
-// (Put, PutBatch, Delete, TxnCommit), so the version the hint names is
-// about to be superseded.
+// learnWrite points key's hint at the object of the client's own write,
+// acknowledged at the grant (rkey, off, tlen). If that version is not
+// durable yet when it is read, the read's object check sends it to the
+// server like any other undurable version.
+func (c *Core) learnWrite(key []byte, rkey uint32, off uint64, tlen int) {
+	if c.hints != nil {
+		keyHash := kv.HashKey(key)
+		c.learn(cluster.ShardOf(keyHash, len(c.shards)), keyHash, hint.Entry{Slot: -1, Pool: rkey, Off: off, Len: tlen})
+	}
+}
+
+// dropHint invalidates key's hint: the client is about to delete the key
+// or commit a transaction over it (Delete, TxnCommit), so the version the
+// hint names is about to be superseded by one the client gets no grant for.
 func (c *Core) dropHint(key []byte) {
 	if c.hints != nil {
-		c.hints.Invalidate(cluster.ShardFor(key, len(c.shards)), key)
+		keyHash := kv.HashKey(key)
+		c.hints.Invalidate(cluster.ShardOf(keyHash, len(c.shards)), keyHash)
 	}
 }
 
@@ -223,12 +232,13 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 // Put stores value under key using the client-active scheme with
 // asynchronous durability (Figure 5): checksum the value, obtain an
 // allocation via RPC, then push the value with a one-sided write. No
-// durability round trip — the background thread persists it. A repeated
-// attempt redoes the allocation: the previous attempt's slot (if granted)
-// is left torn and gets invalidated by background verification.
+// durability round trip — the background thread persists it. Once the
+// WRITE is acknowledged, key's hint names the new object, so the client's
+// next read of the key is one burst. A repeated attempt redoes the
+// allocation: the previous attempt's slot (if granted) is left torn and
+// gets invalidated by background verification.
 func (c *Core) Put(tc *trace.Ctx, key, value []byte) error {
 	c.count(&c.stats.Puts, 1)
-	c.dropHint(key)
 	t := c.now(tc)
 	c.v.ChargeCRC(len(value))
 	sum := crc.Checksum(value)
@@ -256,6 +266,9 @@ func (c *Core) Put(tc *trace.Ctx, key, value []byte) error {
 		err = ErrNAK
 	}
 	scratchPool.Put(sc)
+	if err == nil {
+		c.learnWrite(key, resp.RKey, resp.Off, int(resp.Len))
+	}
 	return err
 }
 
@@ -263,9 +276,10 @@ func (c *Core) Put(tc *trace.Ctx, key, value []byte) error {
 // RPC and one burst of one-sided value writes, every request posted before
 // the first completion is awaited. Completion-vs-durability semantics
 // match Put — durability stays asynchronous, one object at a time, in the
-// background. errs (len(keys) long) is filled in place, one entry per op
-// in order: nil, ErrServerFull, or the attempt-level failure — also
-// returned — shared by every op it reached.
+// background, and every acknowledged op re-points its key's hint as Put
+// does. errs (len(keys) long) is filled in place, one entry per op in
+// order: nil, ErrServerFull, or the attempt-level failure — also returned
+// — shared by every op it reached.
 func (c *Core) PutBatch(tc *trace.Ctx, keys, values [][]byte, errs []error) error {
 	clear(errs)
 	c.count(&c.stats.Puts, len(keys))
@@ -274,7 +288,6 @@ func (c *Core) PutBatch(tc *trace.Ctx, keys, values [][]byte, errs []error) erro
 	t := c.now(tc)
 	ops := sc.ops[:0]
 	for i := range keys {
-		c.dropHint(keys[i])
 		c.v.ChargeCRC(len(values[i]))
 		ops = append(ops, wire.PutOp{Crc: crc.Checksum(values[i]), VLen: len(values[i]), Key: keys[i]})
 	}
@@ -320,6 +333,8 @@ func (c *Core) PutBatch(tc *trace.Ctx, keys, values [][]byte, errs []error) erro
 		if g.Status == wire.StOK {
 			if reqs[j].NAK {
 				errs[i] = ErrNAK
+			} else {
+				c.learnWrite(keys[i], g.RKey, g.Off, int(g.Len))
 			}
 			j++
 		}

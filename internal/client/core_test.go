@@ -241,7 +241,7 @@ func noObjectReadBeforeRPC(t *testing.T, f *fakeVerbs) func(burst, idx int, r *R
 // slotted reports whether the client holds a hint for key that names its
 // table slot.
 func slotted(c *Core, key []byte) bool {
-	h, ok := c.hints.Peek(0, key)
+	h, ok := c.hints.Peek(0, kv.HashKey(key))
 	return ok && h.Slot >= 0
 }
 
@@ -294,14 +294,14 @@ func TestOptimisticReadPaths(t *testing.T) {
 			name: "stale-slot hint",
 			setup: func(t *testing.T, f *fakeVerbs, c *Core) {
 				warm(t, f, c)
-				h, _ := c.hints.Peek(0, key)
+				h, _ := c.hints.Peek(0, kv.HashKey(key))
 				h.Slot = (h.Slot + 3) % c.buckets // an empty bucket: the entry is not there
-				c.hints.Insert(0, key, h)
+				c.hints.Insert(0, kv.HashKey(key), h)
 			},
 			want: v1, bursts: 3, delta: Stats{PureReads: 1},
 			after: func(t *testing.T, f *fakeVerbs, c *Core) {
 				want := int(kv.HashKey(key) % uint64(c.buckets))
-				if h, ok := c.hints.Peek(0, key); !ok || h.Slot != want {
+				if h, ok := c.hints.Peek(0, kv.HashKey(key)); !ok || h.Slot != want {
 					t.Errorf("probe walk re-learned hint %+v (present %v), want slot %d", h, ok, want)
 				}
 			},
@@ -315,7 +315,7 @@ func TestOptimisticReadPaths(t *testing.T) {
 			// The slot hint held, so the probe walk was still skipped.
 			want: v2, bursts: 2, delta: Stats{PureReads: 1, HintedReads: 1},
 			after: func(t *testing.T, f *fakeVerbs, c *Core) {
-				if h, ok := c.hints.Peek(0, key); !ok || h.Len != kv.ObjectSize(len(key), len(v2)) {
+				if h, ok := c.hints.Peek(0, kv.HashKey(key)); !ok || h.Len != kv.ObjectSize(len(key), len(v2)) {
 					t.Errorf("hint after re-fetch = %+v (present %v), want v2's location", h, ok)
 				}
 			},
@@ -348,18 +348,76 @@ func TestOptimisticReadPaths(t *testing.T) {
 			want: v1, rpcs: []uint8{wire.TGet}, bursts: 2, delta: Stats{FallbackReads: 1},
 		},
 		{
+			// The Put's hint names the object but no table slot, so the read
+			// guesses the home bucket, where the entry is.
 			name: "a settled Put is read one-sidedly, learning its hint",
 			setup: func(t *testing.T, f *fakeVerbs, c *Core) {
 				c.EnableHintCache()
-				if err := c.Put(nil, key, v1); err != nil { // leaves no hint
+				if err := c.Put(nil, key, v1); err != nil {
+					t.Fatal(err)
+				}
+				if slotted(c, key) {
+					t.Fatal("the Put's hint names a slot")
+				}
+				f.settle()
+			},
+			want: v1, bursts: 1, delta: Stats{PureReads: 1, HintedReads: 1},
+			after: func(t *testing.T, f *fakeVerbs, c *Core) {
+				if !slotted(c, key) {
+					t.Error("the durable read learned no slotted hint")
+				}
+			},
+		},
+		{
+			name: "a settled own Put is read in one burst",
+			setup: func(t *testing.T, f *fakeVerbs, c *Core) {
+				warm(t, f, c)
+				if err := c.Put(nil, key, v2); err != nil {
 					t.Fatal(err)
 				}
 				f.settle()
 			},
-			want: v1, bursts: 2, delta: Stats{PureReads: 1},
+			want: v2, bursts: 1, delta: Stats{PureReads: 1, HintedReads: 1},
 			after: func(t *testing.T, f *fakeVerbs, c *Core) {
 				if !slotted(c, key) {
-					t.Error("the durable read learned no slotted hint")
+					t.Error("the own write lost the key's slot")
+				}
+			},
+		},
+		{
+			// The own-write hint names the new object exactly; its durable
+			// flag is not set yet, so the server decides, and it serves v2.
+			name: "an undurable own Put takes one burst, then the server",
+			setup: func(t *testing.T, f *fakeVerbs, c *Core) {
+				warm(t, f, c)
+				if err := c.Put(nil, key, v2); err != nil {
+					t.Fatal(err)
+				}
+			},
+			want: v2, rpcs: []uint8{wire.TGet}, bursts: 2, delta: Stats{FallbackReads: 1},
+		},
+		{
+			name: "a PutBatch followed by a GetBatch is one burst",
+			setup: func(t *testing.T, f *fakeVerbs, c *Core) {
+				c.EnableHintCache()
+				errs := make([]error, 2)
+				if err := c.PutBatch(nil, [][]byte{key, []byte("batch-mate")}, [][]byte{v2, v1}, errs); err != nil || errs[0] != nil || errs[1] != nil {
+					t.Fatal(err, errs)
+				}
+				f.settle()
+			},
+			want: v2, bursts: 1, delta: Stats{PureReads: 1, HintedReads: 1},
+			after: func(t *testing.T, f *fakeVerbs, c *Core) {
+				f.bursts, f.rpcs = 0, nil
+				vals, errs := make([][]byte, 2), make([]error, 2)
+				if err := c.GetBatch(nil, [][]byte{key, []byte("batch-mate")}, vals, errs); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(vals[0], v2) || !bytes.Equal(vals[1], v1) || errs[0] != nil || errs[1] != nil {
+					t.Fatalf("GetBatch = %.8x, %.8x / %v, %v", vals[0], vals[1], errs[0], errs[1])
+				}
+				if f.bursts != 1 || len(f.rpcs) != 0 {
+					t.Errorf("GetBatch of the batch's keys: %d READ bursts and RPCs %v, want 1 and none", f.bursts, f.rpcs)
 				}
 			},
 		},
@@ -370,7 +428,7 @@ func TestOptimisticReadPaths(t *testing.T) {
 				if _, err := c.TxnCommit(nil, [][]byte{key}, [][]byte{v2}); err != nil {
 					t.Fatal(err)
 				}
-				if _, ok := c.hints.Peek(0, key); ok {
+				if _, ok := c.hints.Peek(0, kv.HashKey(key)); ok {
 					t.Fatal("the hint survived the commit")
 				}
 				f.settle()
@@ -653,8 +711,156 @@ func TestSettledHintedReadsLeaveCacheAlone(t *testing.T) {
 			if d := c.hints.Stats().Inserts - inserts; d != 0 {
 				t.Errorf("100 hinted reads moved Inserts by %d, want 0", d)
 			}
-			if stats.HintedReads != 100 {
-				t.Errorf("HintedReads = %d, want 100", stats.HintedReads)
+			// The learning read is hinted too: the Put's hint named the
+			// object, and the read learned the slot it guessed.
+			if stats.HintedReads != 101 {
+				t.Errorf("HintedReads = %d, want 101", stats.HintedReads)
+			}
+		})
+	}
+}
+
+// keysSharingHome returns two keys with one home bucket among buckets.
+func keysSharingHome(buckets int) (a, b []byte) {
+	home := map[uint64][]byte{}
+	for i := 0; ; i++ {
+		k := []byte(fmt.Sprintf("cell-%d", i))
+		h := kv.HashKey(k) % uint64(buckets)
+		if prev, ok := home[h]; ok {
+			return prev, k
+		}
+		home[h] = k
+	}
+}
+
+// TestSharedCacheSlotAlternates: two keys with one home bucket share one
+// cache cell. Written and read alternately — settled or not, interleaved
+// or each read right after its write — every read returns that key's own
+// latest value, and each write or read that learns one key's location
+// displaces the other's hint, counted in Evictions.
+func TestSharedCacheSlotAlternates(t *testing.T) {
+	for _, rd := range readers {
+		t.Run(rd.name, func(t *testing.T) {
+			const buckets = 8
+			f, c, _ := newFake(t, buckets)
+			c.EnableHintCache()
+			a, b := keysSharingHome(buckets)
+			latest := map[string][]byte{}
+			put := func(k []byte, round int) {
+				v := []byte(fmt.Sprintf("%s=%d", k, round))
+				if err := c.Put(nil, k, v); err != nil {
+					t.Fatal(err)
+				}
+				latest[string(k)] = v
+			}
+			get := func(k []byte) {
+				if got, err := rd.read(c, k); err != nil || !bytes.Equal(got, latest[string(k)]) {
+					t.Fatalf("read %s = %q, %v; want %q", k, got, err, latest[string(k)])
+				}
+			}
+			for round := 0; round < 8; round++ {
+				if round%2 == 0 {
+					put(a, round)
+					put(b, round)
+					get(a)
+					get(b)
+				} else {
+					put(a, round)
+					get(a)
+					put(b, round)
+					get(b)
+				}
+				if round%4 < 2 {
+					f.settle()
+				}
+			}
+			// Every insert but the first finds the other key's hint in the
+			// cell: 2 writes + 2 learning reads per interleaved round, and 2
+			// writes per alternating round, whose reads hit and learn only
+			// their slot.
+			st := c.hints.Stats()
+			if want := uint64(4*4 + 2*4 - 1); st.Evictions != want {
+				t.Errorf("Evictions = %d, want %d (%+v)", st.Evictions, want, st)
+			}
+		})
+	}
+}
+
+// TestKeyHashCollisionNeverServed: the cache knows a key by its 64-bit
+// hash alone. A second key whose hash collides with a cached key's — built
+// here by serving the first key's hint under the second key's hash and
+// rewriting the fetched entry's hash to match — passes the entry check,
+// and the object's key check refuses it: the read drops the hint and asks
+// the server, which says the second key is absent.
+func TestKeyHashCollisionNeverServed(t *testing.T) {
+	for _, rd := range readers {
+		t.Run(rd.name, func(t *testing.T) {
+			f, c, stats := newFake(t, 64)
+			c.EnableHintCache()
+			owner, other := []byte("owner"), []byte("collider")
+			if err := c.Put(nil, owner, []byte("owner's value")); err != nil {
+				t.Fatal(err)
+			}
+			f.settle()
+			if _, err := c.Get(nil, owner); err != nil {
+				t.Fatal(err)
+			}
+			h, ok := c.hints.Peek(0, kv.HashKey(owner))
+			if !ok || h.Slot < 0 {
+				t.Fatalf("owner's hint %+v (present %v), want a slotted hint", h, ok)
+			}
+			collided := kv.HashKey(other)
+			c.hints.Insert(0, collided, h)
+			f.onRead = func(burst, idx int, r *Req) {
+				if r.RKey == 1 && r.Off == uint64(h.Slot*kv.EntrySize) {
+					binary.LittleEndian.PutUint64(r.Buf, collided)
+				}
+			}
+			before, rpcs0 := *stats, len(f.rpcs)
+			if got, err := rd.read(c, other); !errors.Is(err, ErrNotFound) {
+				t.Fatalf("read of the colliding key = %q, %v; want ErrNotFound", got, err)
+			}
+			if stats.PureReads != before.PureReads || len(f.readRPCs(rpcs0)) != 1 {
+				t.Errorf("pure reads +%d, read RPCs %v; want the server asked once", stats.PureReads-before.PureReads, f.readRPCs(rpcs0))
+			}
+			if _, ok := c.hints.Peek(0, collided); ok {
+				t.Error("the colliding hint survived the object check")
+			}
+		})
+	}
+}
+
+// TestEpochAdvanceMissesOlderHints: after the client's epoch advances,
+// every hint learned by a read or a write before it misses, and the read
+// walks the probe chain again.
+func TestEpochAdvanceMissesOlderHints(t *testing.T) {
+	for _, rd := range readers {
+		t.Run(rd.name, func(t *testing.T) {
+			f, c, stats := newFake(t, 64)
+			c.EnableHintCache()
+			keys := [][]byte{[]byte("read-key"), []byte("written-key")}
+			for _, k := range keys {
+				if err := c.Put(nil, k, k); err != nil {
+					t.Fatal(err)
+				}
+			}
+			f.settle()
+			if _, err := c.Get(nil, keys[0]); err != nil { // a learned, slotted hint
+				t.Fatal(err)
+			}
+			c.AdvanceEpoch(2)
+			for _, k := range keys {
+				before := *stats
+				misses := c.hints.Stats().Misses
+				if got, err := rd.read(c, k); err != nil || !bytes.Equal(got, k) {
+					t.Fatalf("read %s = %q, %v", k, got, err)
+				}
+				if stats.HintedReads != before.HintedReads || stats.PureReads != before.PureReads+1 {
+					t.Errorf("read %s: hinted +%d, pure +%d; want a probe walk", k, stats.HintedReads-before.HintedReads, stats.PureReads-before.PureReads)
+				}
+				if c.hints.Stats().Misses == misses {
+					t.Errorf("read %s: the older hint did not miss", k)
+				}
 			}
 		})
 	}

@@ -98,7 +98,7 @@ func (c *Core) read(tc *trace.Ctx, keys, vals [][]byte, errs []error) error {
 			continue
 		}
 		if c.hints != nil {
-			st.hinted, st.useHint = c.hints.Lookup(st.shard, k)
+			st.hinted, st.useHint = c.hints.Lookup(st.shard, keyHash)
 		}
 	}
 	sc.sts, sc.entries = sts, entries
@@ -116,7 +116,7 @@ func (c *Core) read(tc *trace.Ctx, keys, vals [][]byte, errs []error) error {
 	}
 	invalidate := func(i int) {
 		if c.hints != nil {
-			c.hints.Invalidate(sts[i].shard, keys[i])
+			c.hints.Invalidate(sts[i].shard, sts[i].keyHash)
 		}
 	}
 	// restart sends a hinted key whose hint proved stale to the probe walk.
@@ -145,7 +145,7 @@ func (c *Core) read(tc *trace.Ctx, keys, vals [][]byte, errs []error) error {
 			c.count(&c.stats.HintedReads, 1)
 		}
 		if st.phase != gbHinted || st.hinted.Slot < 0 {
-			c.learn(st.shard, keys[i], hint.Entry{Slot: st.slot, Pool: st.pool, Off: st.off, Len: st.tlen})
+			c.learn(st.shard, st.keyHash, hint.Entry{Slot: st.slot, Pool: st.pool, Off: st.off, Len: st.tlen})
 		}
 	}
 	// located queues the object READ for the location an entry names for
@@ -305,10 +305,13 @@ func (c *Core) read(tc *trace.Ctx, keys, vals [][]byte, errs []error) error {
 		if err != nil {
 			return fail(err)
 		}
+		// A granted object lands in the window of the key's own unserved
+		// READ when it fits, so an undurable own write, whose hint named
+		// exactly the granted object, costs no second slab.
 		reqs = reqs[:0]
 		var n int
-		for _, g := range grants {
-			if g.Status == wire.StOK {
+		for j, g := range grants {
+			if g.Status == wire.StOK && cap(sts[fbIdx[j]].obj) < int(g.Len) {
 				n += int(g.Len)
 			}
 		}
@@ -317,7 +320,11 @@ func (c *Core) read(tc *trace.Ctx, keys, vals [][]byte, errs []error) error {
 			i := fbIdx[j]
 			switch g.Status {
 			case wire.StOK:
-				sts[i].obj = objs.take(int(g.Len))
+				if obj := sts[i].obj; cap(obj) >= int(g.Len) {
+					sts[i].obj = obj[:g.Len]
+				} else {
+					sts[i].obj = objs.take(int(g.Len))
+				}
 				reqs = append(reqs, Req{Buf: sts[i].obj, RKey: g.RKey, Off: g.Off})
 				continue
 			case wire.StNotFound:
@@ -360,7 +367,7 @@ func (c *Core) read(tc *trace.Ctx, keys, vals [][]byte, errs []error) error {
 				if g.Slot != wire.NoSlot {
 					slot = int(g.Slot)
 				}
-				c.learn(sts[i].shard, keys[i], hint.Entry{Slot: slot, Pool: g.RKey, Off: g.Off, Len: int(g.Len)})
+				c.learn(sts[i].shard, sts[i].keyHash, hint.Entry{Slot: slot, Pool: g.RKey, Off: g.Off, Len: int(g.Len)})
 			}
 			sts[i].done = true
 		}

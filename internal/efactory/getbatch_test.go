@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"efactory/internal/hint"
+	"efactory/internal/kv"
 	"efactory/internal/sim"
 )
 
@@ -156,8 +157,8 @@ func TestHintCacheAcceleratesRepeatReads(t *testing.T) {
 			}
 		}
 		p.Sleep(5 * time.Millisecond)
-		// First batch: a PUT leaves no hint, so these walk the probe chains
-		// and learn durable, slot-bearing hints.
+		// First batch: a PUT's hint names no table slot, so these guess the
+		// home bucket and learn slot-bearing hints.
 		if _, errs := cl.GetBatch(p, keys); errs[0] != nil {
 			t.Fatal(errs[0])
 		}
@@ -234,7 +235,7 @@ func TestHintNamingDeadRegionRejoinsProbeWalk(t *testing.T) {
 			},
 		}
 		for i, read := range reads {
-			cl.HintCache().Insert(0, key, hint.Entry{Slot: -1, Pool: 0xdead, Len: 128})
+			cl.HintCache().Insert(0, kv.HashKey(key), hint.Entry{Slot: -1, Pool: 0xdead, Len: 128})
 			before := cl.Stats
 			if got, err := read(); err != nil || string(got) != string(val) {
 				t.Fatalf("read %d through a dead-region hint: %q, %v", i, got, err)

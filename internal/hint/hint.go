@@ -1,7 +1,7 @@
 // Package hint is the client-side location hint cache of the read path
-// (FaRM-style location caching): a bounded, per-shard map from key to the
-// last place a durable version of it was read — table slot, pool region,
-// offset/length.
+// (FaRM-style location caching): per shard, a flat table with one slot per
+// server bucket, each remembering where a version of one key lives — table
+// slot, pool region, offset/length.
 //
 // Hints are an accelerator, never an authority. A hit lets the client skip
 // the slot-probe READs of the optimistic read path and fetch the entry and
@@ -17,90 +17,91 @@ import (
 	"sync/atomic"
 )
 
-// DefaultCap is the per-shard entry bound used when New is given a
-// non-positive capacity.
-const DefaultCap = 4096
-
-// Entry is one cached location: where a durable version of the key was
-// last read.
+// Entry is one cached location: where a version of the key lives.
 type Entry struct {
-	Slot  int    // hash-table bucket index within the shard
-	Pool  uint32 // pool region (rkey) as the client addresses it
-	Off   uint64 // pool-relative object offset
-	Len   int    // total object length
-	epoch uint64 // cluster-map epoch the hint was learned under
+	Slot int    // hash-table bucket index within the shard; -1 = not known
+	Pool uint32 // pool region (rkey) as the client addresses it
+	Off  uint64 // pool-relative object offset
+	Len  int    // total object length
 }
 
 // Stats is a point-in-time snapshot of the cache counters.
 type Stats struct {
-	Hits         uint64 // lookups that found a cached entry
-	Misses       uint64 // lookups that found nothing
-	Stale        uint64 // cached entries dropped: failed validation or the client's own write
-	Inserts      uint64 // entries stored or refreshed
-	Evictions    uint64 // entries displaced by the per-shard capacity bound
-	EpochDropped uint64 // entries bulk-invalidated by a cluster epoch change
+	Hits      uint64 // lookups that found the key's hint
+	Misses    uint64 // lookups that found nothing, another key, or an older epoch
+	Stale     uint64 // hints dropped after failing validation or by the client's Delete/TxnCommit
+	Inserts   uint64 // hints stored or refreshed
+	Evictions uint64 // live hints of another key displaced from their slot
 }
 
-// Cache is a bounded per-shard hint cache. All methods are safe for
-// concurrent use; counters are atomic so readers under -race never
-// serialize on the shard locks.
-// A Cache is implicitly scoped to one server instance — each routed
-// client owns one cache per connection — and explicitly scoped to a
-// cluster-map epoch: every hint is stamped with the epoch it was learned
-// under, and AdvanceEpoch bulk-invalidates all hints from older epochs.
-// Hints are thus keyed by (instance, epoch, shard, key): a hint learned
-// before a migration cutover can never satisfy a lookup after it, even
-// racing inserts that straddle the epoch change.
-type Cache struct {
-	perShard int
-	shards   []cacheShard
-	epoch    atomic.Uint64 // current cluster-map epoch (0 = unclustered)
+// cell is one table slot. It holds no pointer, so a table of any size
+// costs the garbage collector nothing to scan. hash 0 marks an empty cell
+// (kv.HashKey never returns 0).
+type cell struct {
+	hash  uint64 // the key's 64-bit hash
+	off   uint64
+	pool  uint32
+	len   uint32
+	slot  int32  // -1 = not known
+	epoch uint32 // low 32 bits of the epoch the hint was learned under
+}
 
-	hits, misses, stale, inserts, evictions, epochDropped atomic.Uint64
+// Cache is a flat per-shard hint table. All methods are safe for concurrent
+// use; counters are atomic so readers under -race never serialize on the
+// shard locks.
+//
+// A key's hint lives in the cell of its home bucket (keyHash % buckets),
+// so two keys sharing a home bucket displace each other, and a key is
+// identified by its 64-bit hash alone: a colliding key's hint is served to
+// the read, whose object key check refuses it.
+//
+// A Cache is implicitly scoped to one server instance — each routed client
+// owns one cache per connection — and explicitly scoped to a cluster-map
+// epoch: every hint is stamped with the epoch it was learned under, and a
+// stamp other than the current epoch reads as a miss. Advancing the epoch
+// thus drops every older hint at once, including one a racing insert
+// stamps after the advance.
+type Cache struct {
+	shards []cacheShard
+	epoch  atomic.Uint64 // current cluster-map epoch (0 = unclustered)
+
+	hits, misses, stale, inserts, evictions atomic.Uint64
 }
 
 type cacheShard struct {
-	mu sync.Mutex
-	m  map[string]Entry
+	mu    sync.Mutex
+	cells []cell
 }
 
-// New builds a cache for nshards shards with at most capPerShard entries
-// each (DefaultCap if non-positive).
-func New(nshards, capPerShard int) *Cache {
-	if nshards < 1 {
-		nshards = 1
-	}
-	if capPerShard <= 0 {
-		capPerShard = DefaultCap
-	}
-	c := &Cache{perShard: capPerShard, shards: make([]cacheShard, nshards)}
+// New builds a cache for nshards shards of buckets cells each — one per
+// server hash bucket, so the server's geometry sizes it.
+func New(nshards, buckets int) *Cache {
+	c := &Cache{shards: make([]cacheShard, max(nshards, 1))}
 	for i := range c.shards {
-		c.shards[i].m = make(map[string]Entry)
+		c.shards[i].cells = make([]cell, max(buckets, 1))
 	}
 	return c
 }
 
-func (c *Cache) shard(i int) *cacheShard {
+// cell returns keyHash's cell in shard i (clamped to shard 0 when out of
+// range) and the shard to lock around it.
+func (c *Cache) cell(i int, keyHash uint64) (*cacheShard, *cell) {
 	if i < 0 || i >= len(c.shards) {
 		i = 0
 	}
-	return &c.shards[i]
+	s := &c.shards[i]
+	return s, &s.cells[keyHash%uint64(len(s.cells))]
 }
 
-// Lookup returns the cached entry for key in shard, if any. A hint
-// stamped with an older epoch than the cache's current one is dropped on
-// sight (an insert that raced an AdvanceEpoch) and counts as a miss.
-func (c *Cache) Lookup(shard int, key []byte) (Entry, bool) {
-	s := c.shard(shard)
-	epoch := c.epoch.Load()
-	s.mu.Lock()
-	e, ok := s.m[string(key)]
-	if ok && e.epoch != epoch {
-		delete(s.m, string(key))
-		ok = false
-		c.epochDropped.Add(1)
-	}
-	s.mu.Unlock()
+// live reports whether e holds keyHash's hint under the current epoch.
+func (c *Cache) live(e *cell, keyHash uint64) bool {
+	return e.hash == keyHash && e.epoch == uint32(c.epoch.Load())
+}
+
+// Lookup returns keyHash's hint in shard, if the cache holds one learned
+// under the current epoch.
+func (c *Cache) Lookup(shard int, keyHash uint64) (Entry, bool) {
+	e, ok := c.Peek(shard, keyHash)
 	if ok {
 		c.hits.Add(1)
 	} else {
@@ -109,101 +110,49 @@ func (c *Cache) Lookup(shard int, key []byte) (Entry, bool) {
 	return e, ok
 }
 
-// Peek returns the cached entry without touching the hit/miss counters —
-// for callers refreshing a hint, not deciding a read path with it. Like
-// Lookup it refuses hints from older epochs.
-func (c *Cache) Peek(shard int, key []byte) (Entry, bool) {
-	s := c.shard(shard)
-	epoch := c.epoch.Load()
+// Peek is Lookup without touching the hit/miss counters.
+func (c *Cache) Peek(shard int, keyHash uint64) (Entry, bool) {
+	s, e := c.cell(shard, keyHash)
 	s.mu.Lock()
-	e, ok := s.m[string(key)]
+	v, ok := *e, c.live(e, keyHash)
 	s.mu.Unlock()
-	if ok && e.epoch != epoch {
+	if !ok {
 		return Entry{}, false
 	}
-	return e, ok
+	return Entry{Slot: int(v.slot), Pool: v.pool, Off: v.off, Len: int(v.len)}, true
 }
 
-// Insert stores or refreshes key's hint, stamping it with the cache's
-// current epoch. When the shard is at capacity an arbitrary resident
-// entry is evicted — random replacement is plenty for a cache whose
-// misses only cost the probe walk the hit would have skipped.
-func (c *Cache) Insert(shard int, key []byte, e Entry) {
-	e.epoch = c.epoch.Load()
-	s := c.shard(shard)
+// Insert stores or refreshes keyHash's hint, stamping it with the current
+// epoch. A location without its table slot (Slot < 0) keeps the slot
+// already known for the key, since a key's slot survives overwrites. A
+// live hint of another key in the cell is evicted.
+func (c *Cache) Insert(shard int, keyHash uint64, e Entry) {
+	s, cl := c.cell(shard, keyHash)
+	epoch := uint32(c.epoch.Load())
+	slot := int32(e.Slot)
 	s.mu.Lock()
-	k := string(key)
-	if _, resident := s.m[k]; !resident && len(s.m) >= c.perShard {
-		for victim := range s.m {
-			delete(s.m, victim)
-			c.evictions.Add(1)
-			break
-		}
+	resident := cl.hash != 0 && cl.epoch == epoch
+	if resident && cl.hash == keyHash && slot < 0 {
+		slot = cl.slot
 	}
-	s.m[k] = e
+	evicted := resident && cl.hash != keyHash
+	*cl = cell{hash: keyHash, off: e.Off, pool: e.Pool, len: uint32(e.Len), slot: slot, epoch: epoch}
 	s.mu.Unlock()
 	c.inserts.Add(1)
-}
-
-// Epoch returns the cluster-map epoch the cache is currently scoped to.
-func (c *Cache) Epoch() uint64 { return c.epoch.Load() }
-
-// AdvanceEpoch moves the cache to a new cluster-map epoch, bulk-dropping
-// every hint learned under older placement. Offering an older or equal
-// epoch is a no-op — concurrent map refreshes may observe epochs out of
-// order, and the cache must never move backwards. Reports whether the
-// epoch advanced. The sweep is delegated to InvalidateAll, which
-// compares each entry's stamped epoch under its shard lock: a hint a
-// racing reader inserted under the NEW epoch is kept, where an
-// unconditional clear would clobber it.
-func (c *Cache) AdvanceEpoch(epoch uint64) bool {
-	for {
-		cur := c.epoch.Load()
-		if epoch <= cur {
-			return false
-		}
-		if c.epoch.CompareAndSwap(cur, epoch) {
-			break
-		}
-	}
-	c.InvalidateAll()
-	return true
-}
-
-// InvalidateAll is the bulk-invalidation barrier of an epoch advance: it
-// drops every resident hint stamped with an epoch older than the cache's
-// current one. It is idempotent under concurrency — each entry is judged
-// against the current epoch under its shard lock, so two barriers racing
-// (concurrent wrong-epoch rejections advancing to the same epoch) do the
-// same deletions once between them, and entries inserted under the
-// current epoch mid-sweep survive. Lookup lazily drops stragglers a
-// concurrent insert-at-old-epoch might leave behind.
-func (c *Cache) InvalidateAll() {
-	epoch := c.epoch.Load()
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		n := 0
-		for k, e := range s.m {
-			if e.epoch < epoch {
-				delete(s.m, k)
-				n++
-			}
-		}
-		s.mu.Unlock()
-		c.epochDropped.Add(uint64(n))
+	if evicted {
+		c.evictions.Add(1)
 	}
 }
 
-// Invalidate drops key's hint after it failed validation (or because the
-// client itself wrote the key). It is a no-op for absent keys.
-func (c *Cache) Invalidate(shard int, key []byte) {
-	s := c.shard(shard)
+// Invalidate drops keyHash's hint after it failed validation (or because
+// the client itself deletes the key or commits a transaction over it). It
+// is a no-op when the cell holds no live hint of the key.
+func (c *Cache) Invalidate(shard int, keyHash uint64) {
+	s, e := c.cell(shard, keyHash)
 	s.mu.Lock()
-	k := string(key)
-	_, ok := s.m[k]
+	ok := c.live(e, keyHash)
 	if ok {
-		delete(s.m, k)
+		*e = cell{}
 	}
 	s.mu.Unlock()
 	if ok {
@@ -211,13 +160,38 @@ func (c *Cache) Invalidate(shard int, key []byte) {
 	}
 }
 
-// Len returns the total number of cached hints across shards.
+// Epoch returns the cluster-map epoch the cache is currently scoped to.
+func (c *Cache) Epoch() uint64 { return c.epoch.Load() }
+
+// AdvanceEpoch moves the cache to a new cluster-map epoch; every hint
+// learned under an older one reads as a miss from then on. Offering an
+// older or equal epoch is a no-op — concurrent map refreshes may observe
+// epochs out of order, and the cache must never move backwards. Reports
+// whether the epoch advanced.
+func (c *Cache) AdvanceEpoch(epoch uint64) bool {
+	for {
+		cur := c.epoch.Load()
+		if epoch <= cur {
+			return false
+		}
+		if c.epoch.CompareAndSwap(cur, epoch) {
+			return true
+		}
+	}
+}
+
+// Len returns the number of hints a lookup could serve, across shards.
 func (c *Cache) Len() int {
+	epoch := uint32(c.epoch.Load())
 	n := 0
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		n += len(s.m)
+		for _, e := range s.cells {
+			if e.hash != 0 && e.epoch == epoch {
+				n++
+			}
+		}
 		s.mu.Unlock()
 	}
 	return n
@@ -226,11 +200,10 @@ func (c *Cache) Len() int {
 // Stats snapshots the counters.
 func (c *Cache) Stats() Stats {
 	return Stats{
-		Hits:         c.hits.Load(),
-		Misses:       c.misses.Load(),
-		Stale:        c.stale.Load(),
-		Inserts:      c.inserts.Load(),
-		Evictions:    c.evictions.Load(),
-		EpochDropped: c.epochDropped.Load(),
+		Hits:      c.hits.Load(),
+		Misses:    c.misses.Load(),
+		Stale:     c.stale.Load(),
+		Inserts:   c.inserts.Load(),
+		Evictions: c.evictions.Load(),
 	}
 }

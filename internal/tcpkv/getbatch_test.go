@@ -12,6 +12,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -87,9 +88,9 @@ func TestGetBatchHintCacheTCP(t *testing.T) {
 		}
 	}
 	time.Sleep(100 * time.Millisecond)
-	// A PUT leaves no hint, so the first batch walks the probe chains and
-	// learns durable, slot-bearing hints; the second runs entirely on the
-	// hinted fast path.
+	// A PUT's hint names no table slot, so the first batch guesses the home
+	// buckets and learns slot-bearing hints; the second runs entirely on
+	// the hinted fast path.
 	if _, errs := cl.GetBatch(keys); errs[0] != nil {
 		t.Fatal(errs[0])
 	}
@@ -122,7 +123,8 @@ func (w *writeCounter) Write(b []byte) (int, error) {
 
 // TestDialReadsHinted: a client straight from Dial, with no configuration
 // call, reads through the hint cache. A settled key's first Get learns the
-// hint; the second is one one-sided burst (entry + object) and no RPC.
+// hint's table slot; the second is one one-sided burst (entry + object)
+// and no RPC.
 func TestDialReadsHinted(t *testing.T) {
 	cfg := smallConfig()
 	srv, addr := startServer(t, nvm.New(cfg.DeviceSize()), cfg)
@@ -143,14 +145,133 @@ func TestDialReadsHinted(t *testing.T) {
 	cl.mu.Lock()
 	cl.osConn = wc
 	cl.mu.Unlock()
-	rpcGets := srv.Stats().Gets
+	rpcGets, hinted := srv.Stats().Gets, cl.HintedReads
 	got, err := cl.Get(key)
 	if err != nil || string(got) != string(val) {
 		t.Fatalf("second Get = %q, %v", got, err)
 	}
+	if wc.writes != 1 || cl.HintedReads-hinted != 1 || srv.Stats().Gets != rpcGets {
+		t.Fatalf("second Get: %d one-sided bursts, HintedReads +%d, %d RPC GETs; want 1, 1, 0",
+			wc.writes, cl.HintedReads-hinted, srv.Stats().Gets-rpcGets)
+	}
+}
+
+// TestDialReadsOwnWriteHinted: a client's own acknowledged Put teaches its
+// hint cache where the new version lives, so the first Get of the settled
+// key is already one one-sided burst (entry + object) and no RPC.
+func TestDialReadsOwnWriteHinted(t *testing.T) {
+	cfg := smallConfig()
+	srv, addr := startServer(t, nvm.New(cfg.DeviceSize()), cfg)
+	cl, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	key, val := []byte("own-write-key"), []byte("own-write-value")
+	if err := cl.Put(key, val); err != nil {
+		t.Fatal(err)
+	}
+	waitDurable(t, srv)
+	wc := &writeCounter{Conn: cl.osConn}
+	cl.mu.Lock()
+	cl.osConn = wc
+	cl.mu.Unlock()
+	rpcGets := srv.Stats().Gets
+	got, err := cl.Get(key)
+	if err != nil || string(got) != string(val) {
+		t.Fatalf("first Get = %q, %v", got, err)
+	}
 	if wc.writes != 1 || cl.HintedReads != 1 || srv.Stats().Gets != rpcGets {
-		t.Fatalf("second Get: %d one-sided bursts, HintedReads %d, %d RPC GETs; want 1, 1, 0",
+		t.Fatalf("first Get: %d one-sided bursts, HintedReads %d, %d RPC GETs; want 1, 1, 0",
 			wc.writes, cl.HintedReads, srv.Stats().Gets-rpcGets)
+	}
+}
+
+// TestOwnWritesNeverReadOlder hammers one key from one client: goroutines
+// take turns writing it (each Put acked before the next is issued) while
+// every goroutine reads it through Get and GetBatch. Own-write hints race
+// with hints learned by reads that started before a Put; whatever the
+// cache holds, no read may return a version older than the last Put acked
+// before the read began. Run under -race.
+func TestOwnWritesNeverReadOlder(t *testing.T) {
+	cfg := smallConfig()
+	_, addr := startServer(t, nvm.New(cfg.DeviceSize()), cfg)
+	cl, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	const key, size, writers, readers, puts = "hammered", 96, 2, 2, 200
+	var (
+		mu      sync.Mutex // serializes the Puts, so acked versions are ordered
+		version int
+		acked   atomic.Int64
+		done    atomic.Bool
+		wg      sync.WaitGroup
+	)
+	check := func(g, i int) {
+		floor := int(acked.Load())
+		var raw []byte
+		var err error
+		if i%2 == 0 {
+			raw, err = cl.Get([]byte(key))
+		} else {
+			vals, errs := cl.GetBatch([][]byte{[]byte(key)})
+			raw, err = vals[0], errs[0]
+		}
+		if err != nil {
+			t.Errorf("goroutine %d: read: %v", g, err)
+			return
+		}
+		v, err := parseRaceVal(key, raw, size)
+		if err != nil {
+			t.Errorf("goroutine %d: %v", g, err)
+		} else if v < floor {
+			t.Errorf("goroutine %d: read version %d after version %d was acked", g, v, floor)
+		}
+	}
+	mu.Lock()
+	version = 1
+	if err := cl.Put([]byte(key), raceVal(key, version, size)); err != nil {
+		t.Fatal(err)
+	}
+	acked.Store(1)
+	mu.Unlock()
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < puts; i++ {
+				mu.Lock()
+				version++
+				v := version
+				if err := cl.Put([]byte(key), raceVal(key, v, size)); err != nil {
+					mu.Unlock()
+					t.Errorf("writer %d: put %d: %v", g, v, err)
+					return
+				}
+				acked.Store(int64(v))
+				mu.Unlock()
+				check(g, i)
+			}
+		}(g)
+	}
+	for g := writers; g < writers+readers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; !done.Load(); i++ {
+				check(g, i)
+			}
+		}(g)
+	}
+	for acked.Load() < 1+writers*puts && !t.Failed() {
+		time.Sleep(time.Millisecond)
+	}
+	done.Store(true)
+	wg.Wait()
+	if st := cl.HintCache().Stats(); st.Hits == 0 {
+		t.Errorf("the reads never hit a hint: %+v", st)
 	}
 }
 

@@ -188,6 +188,37 @@ func BenchmarkGet(b *testing.B) {
 	}
 }
 
+// BenchmarkGetOwnWrite measures a client reading back its own write: one
+// op is a PUT and then a GET of the same key. The PUT's acknowledged grant
+// is the key's hint, so the GET is one one-sided burst — followed by the
+// RPC fallback when the background verifier has not flagged the version
+// durable yet, whose object lands in the burst's buffer. The one
+// allocation is the GET's object slab, which the returned value aliases.
+func BenchmarkGetOwnWrite(b *testing.B) {
+	_, addr := startBenchServer(b)
+	cl := benchDial(b, addr)
+	keys, vals := benchKVs(64, 256)
+	for i := 0; i < 4*len(keys); i++ {
+		if err := cl.Put(keys[i%len(keys)], vals[i%len(keys)]); err != nil {
+			b.Fatalf("warm put %d: %v", i, err)
+		}
+		if _, err := cl.Get(keys[i%len(keys)]); err != nil {
+			b.Fatalf("warm get %d: %v", i, err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := keys[i%len(keys)]
+		if err := cl.Put(k, vals[i%len(keys)]); err != nil {
+			b.Fatalf("put %d: %v", i, err)
+		}
+		if _, err := cl.Get(k); err != nil {
+			b.Fatalf("get %d: %v", i, err)
+		}
+	}
+}
+
 // BenchmarkGetBatch measures a 64-key GetBatch of settled, hinted keys:
 // one one-sided burst of 128 READs, answered in one server write. Reported
 // per op, where one op is a 64-key batch.
