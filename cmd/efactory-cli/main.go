@@ -120,11 +120,9 @@ func main() {
 				keys = append(keys, []byte(k))
 				vals = append(vals, []byte(v))
 			}
-			id, errs := cl.TxnCommit(keys, vals)
-			for i, err := range errs {
-				if err != nil {
-					fatal("txn put %s: %v", keys[i], err)
-				}
+			id, err := cl.TxnCommit(keys, vals)
+			if err != nil {
+				fatal("txn put: %v", err)
 			}
 			fmt.Printf("committed txn %d (%d keys)\n", id, len(keys))
 		case "get":

@@ -4,11 +4,10 @@
 //
 // Usage:
 //
-//	efactory-server [-addr :7420] [-store /path/store.nvm] [-pool 64MiB] [-buckets 16384] [-shards 1] [-bg-batch 1] [-max-get-batch 1024] [-metrics-addr :9420] [-slow-ms 0] [-instance name [-join host:7420] [-pgs 16] [-advertise host:port] [-replicas 1]]
+//	efactory-server [-addr :7420] [-store /path/store.nvm] [-pool 64MiB] [-buckets 16384] [-shards 1] [-bg-batch 1] [-metrics-addr :9420] [-slow-ms 0] [-instance name [-join host:7420] [-pgs 16] [-advertise host:port] [-replicas 1]]
 //
 // -bg-batch > 1 lets the background verifier group-verify and group-flush
-// up to that many contiguous objects per run; -max-get-batch caps how many
-// keys one multi-GET request may carry.
+// up to that many contiguous objects per run.
 //
 // -instance enables the cluster placement layer: alone it bootstraps a
 // new epoch-versioned cluster map with -pgs placement groups, all owned
@@ -47,7 +46,6 @@ func main() {
 	buckets := flag.Int("buckets", 16384, "hash table buckets per shard")
 	shards := flag.Int("shards", 1, "number of storage engine shards")
 	bgBatch := flag.Int("bg-batch", 1, "max objects group-verified and group-flushed per background run (1 = per-object)")
-	maxGetBatch := flag.Int("max-get-batch", 0, "max keys per multi-GET request (0 = built-in default)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics (Prometheus), /debug/vars (JSON), /debug/slow (retained traces), and /debug/pprof on this address; empty disables")
 	slowMS := flag.Int("slow-ms", 0, "retain only traces whose root section took at least this many milliseconds (0 = keep every submitted trace; errored/wrong-epoch/migration traces are kept regardless)")
 	instance := flag.String("instance", "", "cluster instance name; enables the epoch-versioned cluster map layer")
@@ -68,7 +66,6 @@ func main() {
 	cfg.PoolSize = *poolMiB << 20
 	cfg.Shards = *shards
 	cfg.BGBatch = *bgBatch
-	cfg.MaxGetBatch = *maxGetBatch
 	cfg.Replicas = *replicas
 
 	dev, err := nvm.OpenFile(*store, cfg.DeviceSize())

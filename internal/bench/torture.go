@@ -34,7 +34,6 @@ type TortureSpec struct {
 	Points     int // crash points per seed; <= 0 sweeps every boundary (capped for tcp)
 	Ops        int // workload length per run
 	Keys       int // hot keyset size (0 = harness default)
-	BGBatch    int // background verification batch size (<= 1: per-object)
 	Survival   float64
 	GetBatch   bool // also sweep a leg whose GETs go through batched multi-GET + hint cache
 	Txn        bool // also sweep a leg with multi-key commits and snapshot reads
@@ -89,12 +88,12 @@ func tortureRunner(transport string) (run fault.Runner, wallClock, ok bool) {
 // history); an unknown transport or a harness error counts as a
 // violation so callers can exit nonzero on it.
 func Torture(w io.Writer, spec TortureSpec) int {
-	cfg := fault.Config{Ops: spec.Ops, Keys: spec.Keys, BGBatch: spec.BGBatch, Survival: spec.Survival}
+	cfg := fault.Config{Ops: spec.Ops, Keys: spec.Keys, Survival: spec.Survival}
 	if spec.Ops > 0 {
 		// Trigger cleaning a couple of times inside the shortened workload.
 		cfg.CleanEvery = spec.Ops/3 + 1
 	}
-	fmt.Fprintf(w, "Crash-point torture: seeds=%v ops=%d bg-batch=%d survival=%.2f\n", spec.Seeds, spec.Ops, spec.BGBatch, spec.Survival)
+	fmt.Fprintf(w, "Crash-point torture: seeds=%v ops=%d survival=%.2f\n", spec.Seeds, spec.Ops, spec.Survival)
 	fmt.Fprintf(w, "%-12s %6s %-14s %s\n", "transport", "runs", "boundaries", "violations")
 	total := 0
 	for _, tr := range spec.Transports {

@@ -78,8 +78,8 @@ func RunTxn(par *model.Params, leg string, width, valLen, ops int, sc Scale, see
 			t0 := p.Now()
 			switch leg {
 			case "commit":
-				if _, errs := cl.TxnCommit(p, kbuf[:m], vbuf[:m]); errs[0] != nil {
-					panic(fmt.Sprintf("bench: txn commit failed: %v", errs[0]))
+				if _, err := cl.TxnCommit(p, kbuf[:m], vbuf[:m]); err != nil {
+					panic(fmt.Sprintf("bench: txn commit failed: %v", err))
 				}
 			case "put-seq":
 				for j := 0; j < m; j++ {

@@ -13,7 +13,6 @@ import (
 	"efactory/internal/nvm"
 	"efactory/internal/server"
 	"efactory/internal/store"
-	"efactory/internal/txn"
 	"efactory/internal/wire"
 )
 
@@ -57,7 +56,7 @@ func newFake(t *testing.T, buckets int) (*fakeVerbs, *Core, *Stats) {
 		t.Fatal(err)
 	}
 	f.st = st
-	f.core = server.New(txn.NewManager(st, nil), [][2]uint32{{2, 3}}, 0, nil)
+	f.core = server.New(st, [][2]uint32{{2, 3}}, nil)
 	stats := new(Stats)
 	return f, New(f, []Shard{{Table: 1, Pool: [2]uint32{2, 3}}}, buckets, stats, false), stats
 }
@@ -863,5 +862,41 @@ func TestEpochAdvanceMissesOlderHints(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// parentTxnVerbs answers a TTxnCommit the way servers did while commit
+// replies carried a payload: the status and the id in Off, plus a u32
+// count and one status byte per op, each equal to the overall status.
+type parentTxnVerbs struct{ *fakeVerbs }
+
+func (v parentTxnVerbs) Call(req wire.Msg) (wire.Msg, *[]byte, error) {
+	resp, buf, err := v.fakeVerbs.Call(req)
+	if req.Type == wire.TTxnCommit {
+		ops, _ := wire.DecodeTxnOpsInto(req.Value, nil)
+		resp.Value = binary.LittleEndian.AppendUint32(nil, uint32(len(ops)))
+		for range ops {
+			resp.Value = append(resp.Value, resp.Status)
+		}
+	}
+	return resp, buf, err
+}
+
+// TestTxnCommitIgnoresStatusPayload pins interoperation with a server
+// that still sends per-op commit statuses: the client reads the status
+// and the id, and the commit succeeds as it would without the payload.
+func TestTxnCommitIgnoresStatusPayload(t *testing.T) {
+	f, _, stats := newFake(t, 64)
+	c := New(parentTxnVerbs{f}, []Shard{{Table: 1, Pool: [2]uint32{2, 3}}}, 64, stats, false)
+	keys := [][]byte{[]byte("left"), []byte("right")}
+	vals := [][]byte{[]byte("v-left"), []byte("v-right")}
+	id, err := c.TxnCommit(nil, keys, vals)
+	if err != nil || id == 0 {
+		t.Fatalf("commit against a payload-carrying reply: id %d, %v", id, err)
+	}
+	for i, key := range keys {
+		if got, err := c.Get(nil, key); err != nil || !bytes.Equal(got, vals[i]) {
+			t.Fatalf("%s after commit: %q, %v", key, got, err)
+		}
 	}
 }

@@ -26,13 +26,13 @@ func (c *Core) TxnCommit(tc *trace.Ctx, keys, vals [][]byte) (uint64, error) {
 	}
 	tc.Add("client_crc", t, c.now(tc))
 	t = c.now(tc)
-	resp, buf, err := c.v.Call(wire.Msg{Type: wire.TTxnCommit, Value: wire.EncodeTxnOps(ops), Trace: tc.ID()})
+	resp, buf, err := c.v.Call(wire.Msg{Type: wire.TTxnCommit, Value: wire.AppendTxnOps(nil, ops), Trace: tc.ID()})
 	tc.Add("commit_rpc", t, c.now(tc))
 	if err != nil {
 		return 0, err
 	}
-	// Per-op statuses are redundant with the overall status today
-	// (all-or-nothing), so only the scalar outcome is consumed.
+	// The reply is the status and the id in Off; a payload (older
+	// servers sent one status byte per op, all equal) is ignored.
 	c.v.Release(buf)
 	switch resp.Status {
 	case wire.StOK:
@@ -56,7 +56,7 @@ func (c *Core) TxnRead(tc *trace.Ctx, keys, vals [][]byte, errs []error) error {
 		ops[i] = wire.GetOp{Slot: wire.NoSlot, Key: key}
 	}
 	t := c.now(tc)
-	resp, buf, err := c.v.Call(wire.Msg{Type: wire.TTxnRead, Value: wire.EncodeGetOps(ops), Trace: tc.ID()})
+	resp, buf, err := c.v.Call(wire.Msg{Type: wire.TTxnRead, Value: wire.AppendGetOps(nil, ops), Trace: tc.ID()})
 	tc.Add("txn_read_rpc", t, c.now(tc))
 	if err != nil {
 		return failAll(errs, err)
@@ -65,7 +65,7 @@ func (c *Core) TxnRead(tc *trace.Ctx, keys, vals [][]byte, errs []error) error {
 	if resp.Status != wire.StOK {
 		return failAll(errs, &StatusError{Op: "txn read", Status: resp.Status})
 	}
-	rs, err := wire.DecodeTxnResults(resp.Value)
+	rs, err := wire.DecodeTxnResultsInto(resp.Value, nil)
 	if err != nil || len(rs) != len(keys) {
 		return failAll(errs, fmt.Errorf("efactory: malformed txn read response: %d results for %d keys: %v", len(rs), len(keys), err))
 	}

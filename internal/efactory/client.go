@@ -251,25 +251,20 @@ func (c *Client) Delete(p *sim.Proc, key []byte) error {
 }
 
 // TxnCommit commits keys[i] -> vals[i] atomically: all ops become
-// visible together or none do. It returns the transaction id and per-op
-// errors index-aligned with keys; on failure every op carries the abort
-// reason, because no op of a failed transaction is applied.
-func (c *Client) TxnCommit(p *sim.Proc, keys, vals [][]byte) (uint64, []error) {
+// visible together or none do. It returns the transaction id; on failure
+// no op is applied. An empty commit returns (0, nil) without a request.
+func (c *Client) TxnCommit(p *sim.Proc, keys, vals [][]byte) (uint64, error) {
 	if len(keys) != len(vals) {
 		panic("efactory: TxnCommit keys/vals length mismatch")
 	}
-	errs := make([]error, len(keys))
 	if len(keys) == 0 {
-		return 0, errs
+		return 0, nil
 	}
 	c.enter(p)
 	tc, t0 := c.core.Begin("txn_commit", kv.HashKey(keys[0]))
 	id, err := c.core.TxnCommit(tc, keys, vals)
 	c.core.End(tc, t0, err)
-	for i := range errs {
-		errs[i] = err
-	}
-	return id, errs
+	return id, err
 }
 
 // TxnRead snapshot-reads keys at one consistent cut across shards. It

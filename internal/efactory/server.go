@@ -15,7 +15,6 @@ import (
 	"efactory/internal/sim"
 	"efactory/internal/store"
 	"efactory/internal/trace"
-	"efactory/internal/txn"
 	"efactory/internal/wire"
 )
 
@@ -26,10 +25,10 @@ type ServerStats struct {
 	ServerBusyNanos int64
 }
 
-// nopLocker is the engine lock in simulation mode: the cooperative
-// scheduler runs one process at a time and the engine only yields inside
-// cost charges, so mutual exclusion holds by construction (a real mutex
-// would deadlock the single-threaded event loop).
+// nopLocker is the engine and commit lock in simulation mode: the
+// cooperative scheduler runs one process at a time and the engine only
+// yields inside cost charges, so mutual exclusion holds by construction
+// (a real mutex would deadlock the single-threaded event loop).
 type nopLocker struct{}
 
 func (nopLocker) Lock()   {}
@@ -94,7 +93,6 @@ type Server struct {
 	nic  *rnic.NIC
 	dev  *nvm.Memory
 	st   *store.Store
-	txn  *txn.Manager
 	core *server.Core
 	sink *simSink
 
@@ -163,10 +161,6 @@ func (s *Server) initStore() store.RecoveryStats {
 		panic("efactory: " + err.Error())
 	}
 	s.st = st
-	// The commit lock is a no-op for the same reason the engine locks are:
-	// the commit section never yields, so the scheduler cannot interleave
-	// another process inside it.
-	s.txn = txn.NewManager(st, nopLocker{})
 	l := st.Layout()
 	s.tableMR = make([]*rnic.MR, l.Shards)
 	s.poolMR = make([][2]*rnic.MR, l.Shards)
@@ -179,7 +173,7 @@ func (s *Server) initStore() store.RecoveryStats {
 		}
 	}
 	// No Guard: the simulated server is unclustered.
-	s.core = server.New(s.txn, pools, 0, nil)
+	s.core = server.New(st, pools, nil)
 	return rst
 }
 
@@ -312,9 +306,6 @@ func (s *Server) worker(p *sim.Proc) {
 		}
 	}
 }
-
-// Txn exposes the transaction manager (tests and tortures).
-func (s *Server) Txn() *txn.Manager { return s.txn }
 
 // broadcast notifies every connected client (cleaning start/end).
 func (s *Server) broadcast(p *sim.Proc, typ uint8) {

@@ -148,7 +148,7 @@ func (t *simTarget) GetBatch(keys [][]byte) ([][]byte, []error) { return t.cl.Ge
 
 func (t *simTarget) Delete(key []byte) error { return t.cl.Delete(t.p, key) }
 
-func (t *simTarget) TxnCommit(keys, vals [][]byte) (uint64, []error) {
+func (t *simTarget) TxnCommit(keys, vals [][]byte) (uint64, error) {
 	return t.cl.TxnCommit(t.p, keys, vals)
 }
 

@@ -116,7 +116,7 @@ func TestSimTortureSweepTxn(t *testing.T) {
 }
 
 // TestSimTortureTxnCoverage: the sim txn leg must actually commit and
-// snapshot-read through the server's transaction manager.
+// snapshot-read through the server's store (Commit, SnapshotGet).
 func TestSimTortureTxnCoverage(t *testing.T) {
 	cfg := simTortureConfig()
 	cfg.Txn = true

@@ -10,7 +10,6 @@ import (
 	"efactory/internal/kv"
 	"efactory/internal/nvm"
 	"efactory/internal/store"
-	"efactory/internal/txn"
 )
 
 // Config parameterizes one store-level torture run: a seeded mixed
@@ -179,7 +178,6 @@ type storeTarget struct {
 	plan    *Plan
 	dev     *Device
 	st      *store.Store
-	mgr     *txn.Manager
 	claimed map[string]bool // keys ever successfully allocated
 }
 
@@ -263,8 +261,8 @@ func (t *storeTarget) GetBatch(keys [][]byte) ([][]byte, []error) {
 
 func (t *storeTarget) Delete(key []byte) error { return statusErr(t.engine(key).Del(nil, key)) }
 
-func (t *storeTarget) TxnCommit(keys, vals [][]byte) (uint64, []error) {
-	id, _, st := t.mgr.Commit(nil, keys, vals)
+func (t *storeTarget) TxnCommit(keys, vals [][]byte) (uint64, error) {
+	id, st := t.st.Commit(nil, keys, vals)
 	if st == store.StatusOK {
 		// The flip claimed table slots in memory even if the device froze
 		// mid-commit, so the capacity invariant counts these keys either way.
@@ -272,16 +270,12 @@ func (t *storeTarget) TxnCommit(keys, vals [][]byte) (uint64, []error) {
 			t.claimed[string(k)] = true
 		}
 	}
-	errs := make([]error, len(keys))
-	for i := range errs {
-		errs[i] = statusErr(st)
-	}
-	return id, errs
+	return id, statusErr(st)
 }
 
 func (t *storeTarget) TxnRead(keys [][]byte) ([][]byte, []error) {
 	vals, errs := make([][]byte, len(keys)), make([]error, len(keys))
-	for i, r := range t.mgr.SnapshotGet(nil, keys) {
+	for i, r := range t.st.SnapshotGet(nil, keys) {
 		vals[i], errs[i] = r.Value, statusErr(r.Status)
 	}
 	return vals, errs
@@ -312,8 +306,7 @@ func runStore(cfg Config, ops []Op) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	t := &storeTarget{cfg: cfg, plan: plan, dev: fdev, st: st,
-		mgr: txn.NewManager(st, nopLocker{}), claimed: make(map[string]bool)}
+	t := &storeTarget{cfg: cfg, plan: plan, dev: fdev, st: st, claimed: make(map[string]bool)}
 	oracle := NewOracle()
 	violations := Drive(t, oracle, ops, true)
 	st.Stop()

@@ -314,8 +314,8 @@ func TestTortureSweepStoreTxn(t *testing.T) {
 }
 
 // TestTortureTxnCoverageAndDeterminism: the txn leg must really commit
-// and snapshot-read through the transaction manager, and stay a pure
-// function of the config.
+// and snapshot-read through Store.Commit and Store.SnapshotGet, and stay
+// a pure function of the config.
 func TestTortureTxnCoverageAndDeterminism(t *testing.T) {
 	cfg := Config{Seed: 7, Ops: 160, Shards: 2, Txn: true}
 	a, err := RunStore(cfg)

@@ -103,7 +103,7 @@ type Target interface {
 	Get(key []byte) ([]byte, error)
 	GetBatch(keys [][]byte) ([][]byte, []error)
 	Delete(key []byte) error
-	TxnCommit(keys, vals [][]byte) (uint64, []error)
+	TxnCommit(keys, vals [][]byte) (uint64, error)
 	TxnRead(keys [][]byte) ([][]byte, []error)
 }
 
@@ -167,11 +167,11 @@ func Drive(t Target, o *Oracle, ops []Op, sequentialBatch bool) []string {
 			}
 		case TxnCommit:
 			// Pending or acknowledged, the group recovers all-in or all-out.
-			id, errs := t.TxnCommit(op.Keys, op.Vals)
+			id, err := t.TxnCommit(op.Keys, op.Vals)
 			switch {
 			case t.Dead():
 				o.TxnPending(id, op.Keys, op.Vals)
-			case client.FirstErr(errs) == nil:
+			case err == nil:
 				o.TxnCommitted(id, op.Keys, op.Vals)
 			}
 		case Get:

@@ -92,13 +92,9 @@ func (f *fakeTarget) Get(k []byte) ([]byte, error) {
 }
 func (f *fakeTarget) GetBatch(keys [][]byte) ([][]byte, []error) { f.op(); return f.read(len(keys)) }
 func (f *fakeTarget) TxnRead(keys [][]byte) ([][]byte, []error)  { f.op(); return f.read(len(keys)) }
-func (f *fakeTarget) TxnCommit(keys, vals [][]byte) (uint64, []error) {
-	errs := make([]error, len(keys))
-	for i := range errs {
-		errs[i] = f.err
-	}
+func (f *fakeTarget) TxnCommit(keys, vals [][]byte) (uint64, error) {
 	f.op()
-	return 7, errs
+	return 7, f.err
 }
 
 // records renders what the driver wrote into o beyond the seeded first

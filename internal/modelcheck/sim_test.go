@@ -25,8 +25,8 @@ func (s simKV) Delete(key []byte) error                 { return s.cl.Delete(s.p
 func (s simKV) PutBatch(k, v [][]byte) []error          { return s.cl.PutBatch(s.p, k, v) }
 func (s simKV) GetBatch(k [][]byte) ([][]byte, []error) { return s.cl.GetBatch(s.p, k) }
 
-func (s simKV) TxnCommit(k, v [][]byte) (uint64, []error) { return s.cl.TxnCommit(s.p, k, v) }
-func (s simKV) TxnRead(k [][]byte) ([][]byte, []error)    { return s.cl.TxnRead(s.p, k) }
+func (s simKV) TxnCommit(k, v [][]byte) (uint64, error) { return s.cl.TxnCommit(s.p, k, v) }
+func (s simKV) TxnRead(k [][]byte) ([][]byte, []error)  { return s.cl.TxnRead(s.p, k) }
 
 // TestSimDifferential replays seeded mixed workloads against the
 // simulated transport across the shard/background-batching matrix, with

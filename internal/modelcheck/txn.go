@@ -6,11 +6,11 @@ import (
 )
 
 // TxnKV extends KV with the transactional surface both transports share:
-// all-or-nothing multi-key commits and snapshot multi-key reads, each
-// returning index-aligned per-op errors.
+// all-or-nothing multi-key commits, and snapshot multi-key reads
+// returning index-aligned per-key errors.
 type TxnKV interface {
 	KV
-	TxnCommit(keys, vals [][]byte) (uint64, []error)
+	TxnCommit(keys, vals [][]byte) (uint64, error)
 	TxnRead(keys [][]byte) ([][]byte, []error)
 }
 
@@ -109,14 +109,8 @@ func DiffTxn(kv TxnKV, ops []Op) error {
 func diffTxnOne(kv TxnKV, oracle map[string][]byte, op Op) error {
 	switch op.Kind {
 	case OpTxnCommit:
-		_, errs := kv.TxnCommit(op.Keys, op.Vals)
-		if len(errs) != len(op.Keys) {
-			return fmt.Errorf("txn commit returned %d errs for %d ops", len(errs), len(op.Keys))
-		}
-		for j, err := range errs {
-			if err != nil {
-				return fmt.Errorf("txn index %d key %s: %w", j, op.Keys[j], err)
-			}
+		if _, err := kv.TxnCommit(op.Keys, op.Vals); err != nil {
+			return fmt.Errorf("txn commit of %d keys: %w", len(op.Keys), err)
 		}
 		// All-or-nothing: the whole write set lands in the model together.
 		for j := range op.Keys {

@@ -178,8 +178,8 @@ func TestTCPTxnAtomicity(t *testing.T) {
 				for j := range vals {
 					vals[j] = marker
 				}
-				if _, errs := cl.TxnCommit(keys, vals); errs[0] != nil {
-					errCh <- fmt.Errorf("writer %d commit %d: %v", w, i, errs[0])
+				if _, err := cl.TxnCommit(keys, vals); err != nil {
+					errCh <- fmt.Errorf("writer %d commit %d: %v", w, i, err)
 					return
 				}
 			}

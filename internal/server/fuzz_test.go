@@ -20,7 +20,7 @@ func FuzzHandle(f *testing.F) {
 	k := [][]byte{[]byte("fuzz-a"), []byte("fuzz-b"), []byte("fuzz-c")}
 	// One valid frame per request type.
 	f.Add(frame(wire.Msg{Type: wire.TPut, Key: k[0], Len: 64, Crc: 7}))
-	f.Add(frame(wire.Msg{Type: wire.TPutBatch, Value: wire.EncodePutOps([]wire.PutOp{{Crc: 1, VLen: 32, Key: k[0]}, {Crc: 2, VLen: 48, Key: []byte("new")}})}))
+	f.Add(frame(wire.Msg{Type: wire.TPutBatch, Value: wire.AppendPutOps(nil, []wire.PutOp{{Crc: 1, VLen: 32, Key: k[0]}, {Crc: 2, VLen: 48, Key: []byte("new")}})}))
 	f.Add(frame(wire.Msg{Type: wire.TGet, Key: k[1]}))
 	f.Add(frame(wire.Msg{Type: wire.TGetBatch, Value: getOps(k, noSlot)}))
 	f.Add(frame(wire.Msg{Type: wire.TDel, Key: k[2]}))
@@ -28,19 +28,19 @@ func FuzzHandle(f *testing.F) {
 	f.Add(frame(wire.Msg{Type: wire.TTxnRead, Value: getOps(k, noSlot)}))
 	// Truncated op lists, an over-cap count, out-of-range slot hints, and
 	// lengths no log can hold.
-	pb := wire.EncodePutOps([]wire.PutOp{{VLen: 8, Key: k[0]}, {VLen: 8, Key: k[1]}})
+	pb := wire.AppendPutOps(nil, []wire.PutOp{{VLen: 8, Key: k[0]}, {VLen: 8, Key: k[1]}})
 	f.Add(frame(wire.Msg{Type: wire.TPutBatch, Value: pb[:len(pb)-2]}))
 	tb := txnOps(k, 16)
 	f.Add(frame(wire.Msg{Type: wire.TTxnCommit, Value: tb[:len(tb)-5]}))
 	f.Add(frame(wire.Msg{Type: wire.TGetBatch, Value: []byte{0xff, 0xff, 0xff, 0x7f}}))
-	f.Add(frame(wire.Msg{Type: wire.TGetBatch, Value: getOps(keys(0, testMaxOps+1), noSlot)}))
-	f.Add(frame(wire.Msg{Type: wire.TTxnRead, Value: getOps(keys(0, testMaxOps+1), noSlot)}))
+	f.Add(frame(wire.Msg{Type: wire.TGetBatch, Value: getOps(keys(0, DefaultMaxOps+1), noSlot)}))
+	f.Add(frame(wire.Msg{Type: wire.TTxnRead, Value: getOps(keys(0, DefaultMaxOps+1), noSlot)}))
 	f.Add(frame(wire.Msg{Type: wire.TGetBatch, Value: getOps(k, func(i int) uint32 { return []uint32{1 << 31, 64, 0}[i] })}))
 	f.Add(frame(wire.Msg{Type: wire.TPut, Key: k[0], Len: 1 << 63}))
 	f.Add(frame(wire.Msg{Type: wire.TPut, Key: k[0], Len: 1<<24 - 1}))
 	f.Add(frame(wire.Msg{Type: wire.TPut, Len: 8}))
-	f.Add(frame(wire.Msg{Type: wire.TPutBatch, Value: wire.EncodePutOps([]wire.PutOp{{VLen: 1<<32 - 1, Key: k[0]}})}))
-	f.Add(frame(wire.Msg{Type: wire.TTxnCommit, Value: wire.EncodeTxnOps(nil)}))
+	f.Add(frame(wire.Msg{Type: wire.TPutBatch, Value: wire.AppendPutOps(nil, []wire.PutOp{{VLen: 1<<32 - 1, Key: k[0]}})}))
+	f.Add(frame(wire.Msg{Type: wire.TTxnCommit, Value: wire.AppendTxnOps(nil, nil)}))
 	f.Add(frame(wire.Msg{Type: wire.THello}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -53,7 +53,7 @@ func FuzzHandle(f *testing.F) {
 			r.seed(t, key, bytes.Repeat(key, 10))
 		}
 		pools := [][2]uint32{{11, 12}, {21, 22}}
-		resp, ok := New(r.tm, pools, testMaxOps, nil).Handle(nil, req, nil)
+		resp, ok := New(r.st, pools, nil).Handle(nil, req, nil)
 		if !ok {
 			return
 		}
@@ -68,11 +68,7 @@ func FuzzHandle(f *testing.F) {
 			}
 		}
 		if resp.Status != wire.StOK {
-			granted := resp.RKey != 0 || resp.Off != 0 || resp.Len != 0 || resp.KLen != 0
-			if req.Type != wire.TTxnCommit { // a failed commit still carries its per-op statuses
-				granted = granted || resp.Value != nil
-			}
-			if granted {
+			if resp.RKey != 0 || resp.Off != 0 || resp.Len != 0 || resp.KLen != 0 || resp.Value != nil {
 				t.Fatalf("status %d reply grants something: %+v", resp.Status, resp)
 			}
 			return
@@ -81,8 +77,8 @@ func FuzzHandle(f *testing.F) {
 		case wire.TPut, wire.TGet:
 			inPool(req.Key, resp.RKey, resp.Off, resp.Len)
 		case wire.TPutBatch:
-			ops, _ := wire.DecodePutOps(req.Value)
-			gs, err := wire.DecodePutGrants(resp.Value)
+			ops, _ := wire.DecodePutOpsInto(req.Value, nil)
+			gs, err := wire.DecodePutGrantsInto(resp.Value, nil)
 			if err != nil || len(gs) != len(ops) {
 				t.Fatalf("%d ops answered with %d grants (%v)", len(ops), len(gs), err)
 			}
@@ -94,7 +90,7 @@ func FuzzHandle(f *testing.F) {
 				}
 			}
 		case wire.TGetBatch:
-			ops, _ := wire.DecodeGetOps(req.Value)
+			ops, _ := wire.DecodeGetOpsInto(req.Value, nil)
 			gs, err := wire.DecodeGetGrantsInto(resp.Value, nil)
 			if err != nil || len(gs) != len(ops) {
 				t.Fatalf("%d ops answered with %d grants (%v)", len(ops), len(gs), err)

@@ -21,12 +21,10 @@ import (
 
 	"efactory/internal/kv"
 	"efactory/internal/store"
-	"efactory/internal/txn"
 	"efactory/internal/wire"
 )
 
-// DefaultMaxOps caps the ops of one TGetBatch or TTxnRead request when the
-// transport sets no cap of its own.
+// DefaultMaxOps caps the ops of one TGetBatch or TTxnRead request.
 const DefaultMaxOps = 1024
 
 // Guard is the placement layer a clustered transport puts in front of the
@@ -51,22 +49,16 @@ type Guard interface {
 // concurrent use as far as the store's locks and the Guard are; each
 // concurrent caller brings its own Scratch.
 type Core struct {
-	st     *store.Store
-	txn    *txn.Manager
-	pools  [][2]uint32
-	maxOps int
-	guard  Guard
+	st    *store.Store
+	pools [][2]uint32
+	guard Guard
 }
 
-// New builds a Core over tm's store. pools holds each shard's two data
-// pool rkeys — data, not arithmetic, because a transport's registration
-// decides them. maxOps <= 0 means DefaultMaxOps; a nil guard disables the
-// placement layer.
-func New(tm *txn.Manager, pools [][2]uint32, maxOps int, guard Guard) *Core {
-	if maxOps <= 0 {
-		maxOps = DefaultMaxOps
-	}
-	return &Core{st: tm.Store(), txn: tm, pools: pools, maxOps: maxOps, guard: guard}
+// New builds a Core over st. pools holds each shard's two data pool
+// rkeys — data, not arithmetic, because a transport's registration
+// decides them. A nil guard disables the placement layer.
+func New(st *store.Store, pools [][2]uint32, guard Guard) *Core {
+	return &Core{st: st, pools: pools, guard: guard}
 }
 
 // Scratch holds the reusable buffers one caller threads through Handle,
@@ -185,7 +177,7 @@ func (c *Core) parse(m wire.Msg, sc *Scratch) bool {
 			keys = append(keys, op.Key)
 		}
 	case wire.TGetBatch, wire.TTxnRead:
-		if sc.getOps, err = wire.DecodeGetOpsInto(m.Value, sc.getOps); err != nil || len(sc.getOps) > c.maxOps {
+		if sc.getOps, err = wire.DecodeGetOpsInto(m.Value, sc.getOps); err != nil || len(sc.getOps) > DefaultMaxOps {
 			return false
 		}
 		for _, op := range sc.getOps {
@@ -378,25 +370,19 @@ func (c *Core) del(h any, m wire.Msg) wire.Msg {
 
 // txnCommit applies one atomic multi-key commit. The values arrive inline
 // — staging is server-driven, there is no one-sided write phase — and the
-// reply carries the transaction id in Off plus index-aligned per-op
-// statuses.
+// reply carries the transaction id in Off.
 func (c *Core) txnCommit(h any, sc *Scratch) wire.Msg {
 	vals := make([][]byte, len(sc.txnOps))
 	for i, op := range sc.txnOps {
 		vals[i] = op.Value
 	}
-	id, per, st := c.txn.Commit(h, sc.keys, vals)
+	id, st := c.st.Commit(h, sc.keys, vals)
 	if st == store.StatusOK {
 		for _, key := range sc.keys {
 			c.applied(h, c.st.ShardFor(key), key, false)
 		}
 	}
-	sts := make([]uint8, len(per))
-	for i, p := range per {
-		sts[i] = Status(p)
-	}
-	sc.payload = wire.AppendTxnStatuses(sc.payload[:0], sts)
-	return wire.Msg{Status: Status(st), Off: id, Value: sc.payload}
+	return wire.Msg{Status: Status(st), Off: id}
 }
 
 // txnRead serves a snapshot-isolated multi-key read: every key is
@@ -404,7 +390,7 @@ func (c *Core) txnCommit(h any, sc *Scratch) wire.Msg {
 // server already walked to the snapshot's version, so there is no
 // durable-location grant for a one-sided follow-up.
 func (c *Core) txnRead(h any, sc *Scratch) wire.Msg {
-	res := c.txn.SnapshotGet(h, sc.keys)
+	res := c.st.SnapshotGet(h, sc.keys)
 	rs := make([]wire.TxnResult, len(res))
 	for i, r := range res {
 		rs[i] = wire.TxnResult{Status: Status(r.Status), Seq: r.Seq, Value: r.Value}

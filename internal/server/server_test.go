@@ -12,20 +12,15 @@ import (
 	"efactory/internal/kv"
 	"efactory/internal/nvm"
 	"efactory/internal/store"
-	"efactory/internal/txn"
 	"efactory/internal/wire"
 )
 
-const (
-	testPool   = 64 << 10
-	testMaxOps = 4
-)
+const testPool = 64 << 10
 
-// replica is one store with its device and transaction manager.
+// replica is one store with its device.
 type replica struct {
 	dev *nvm.Memory
 	st  *store.Store
-	tm  *txn.Manager
 }
 
 func newReplica(t testing.TB, shards int, deps store.Deps) replica {
@@ -36,7 +31,7 @@ func newReplica(t testing.TB, shards int, deps store.Deps) replica {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return replica{dev, st, txn.NewManager(st, nil)}
+	return replica{dev, st}
 }
 
 func (r replica) eng(key []byte) (int, *store.Engine) {
@@ -75,7 +70,7 @@ func newFixture(t testing.TB, shards int, g Guard) *fixture {
 	for sh := 0; sh < shards; sh++ {
 		f.pools = append(f.pools, [2]uint32{uint32(100 + 7*sh), uint32(900 - 5*sh)})
 	}
-	f.core = New(f.tm, f.pools, testMaxOps, g)
+	f.core = New(f.st, f.pools, g)
 	return f
 }
 
@@ -110,7 +105,7 @@ func getOps(ks [][]byte, slot func(i int) uint32) []byte {
 	for i, k := range ks {
 		ops[i] = wire.GetOp{Slot: slot(i), Key: k}
 	}
-	return wire.EncodeGetOps(ops)
+	return wire.AppendGetOps(nil, ops)
 }
 
 func noSlot(int) uint32 { return wire.NoSlot }
@@ -121,7 +116,7 @@ func txnOps(ks [][]byte, vlen int) []byte {
 		v := bytes.Repeat([]byte{byte(i + 1)}, vlen)
 		ops[i] = wire.TxnOp{Crc: crc.Checksum(v), Key: k, Value: v}
 	}
-	return wire.EncodeTxnOps(ops)
+	return wire.AppendTxnOps(nil, ops)
 }
 
 // putGrant is the grant a direct Engine.Put on the twin store implies.
@@ -210,19 +205,19 @@ func TestConformance(t *testing.T) {
 			for i := 4; i < 12; i++ {
 				ops = append(ops, wire.PutOp{Crc: uint32(i), VLen: 10 * i, Key: key(i)})
 			}
-			return wire.Msg{Type: wire.TPutBatch, Value: wire.EncodePutOps(ops)}
+			return wire.Msg{Type: wire.TPutBatch, Value: wire.AppendPutOps(nil, ops)}
 		}, func(f *fixture) wire.Msg {
 			gs := []wire.PutGrant{f.putGrant(key(2), 10, 1), f.putGrant(key(3), huge, 2)}
 			for i := 4; i < 12; i++ {
 				gs = append(gs, f.putGrant(key(i), 10*i, uint32(i)))
 			}
-			return wire.Msg{Value: wire.EncodePutGrants(gs)}
+			return wire.Msg{Value: wire.AppendPutGrants(nil, gs)}
 		}},
 		{"put batch malformed", func(f *fixture) wire.Msg {
 			return wire.Msg{Type: wire.TPutBatch, Value: []byte{1}}
 		}, func(f *fixture) wire.Msg { return wire.Msg{Status: wire.StError} }},
 		{"put batch truncated op list", func(f *fixture) wire.Msg {
-			b := wire.EncodePutOps([]wire.PutOp{{VLen: 8, Key: key(20)}, {VLen: 8, Key: key(21)}})
+			b := wire.AppendPutOps(nil, []wire.PutOp{{VLen: 8, Key: key(20)}, {VLen: 8, Key: key(21)}})
 			return wire.Msg{Type: wire.TPutBatch, Value: b[:len(b)-3]}
 		}, func(f *fixture) wire.Msg { return wire.Msg{Status: wire.StError} }},
 		{"get durable", func(f *fixture) wire.Msg {
@@ -255,10 +250,10 @@ func TestConformance(t *testing.T) {
 			if gs[0].Status != wire.StOK || !gs[0].Durable() || gs[1].Status != wire.StNotFound || gs[3].Status != wire.StOK {
 				t.Fatalf("direct get batch: %+v", gs)
 			}
-			return wire.Msg{Value: wire.EncodeGetGrants(gs)}
+			return wire.Msg{Value: wire.AppendGetGrants(nil, gs)}
 		}},
 		{"get batch over the op cap", func(f *fixture) wire.Msg {
-			return wire.Msg{Type: wire.TGetBatch, Value: getOps(keys(0, testMaxOps+1), noSlot)}
+			return wire.Msg{Type: wire.TGetBatch, Value: getOps(keys(0, DefaultMaxOps+1), noSlot)}
 		}, func(f *fixture) wire.Msg { return wire.Msg{Status: wire.StError} }},
 		{"get batch malformed", func(f *fixture) wire.Msg {
 			return wire.Msg{Type: wire.TGetBatch, Value: []byte{9, 0, 0, 0, 1}}
@@ -281,33 +276,28 @@ func TestConformance(t *testing.T) {
 		{"txn commit", func(f *fixture) wire.Msg {
 			return wire.Msg{Type: wire.TTxnCommit, Value: txnOps(keys(30, 36), 64)}
 		}, func(f *fixture) wire.Msg {
-			ops, _ := wire.DecodeTxnOps(txnOps(keys(30, 36), 64))
+			ops, _ := wire.DecodeTxnOpsInto(txnOps(keys(30, 36), 64), nil)
 			vals := make([][]byte, len(ops))
 			for i := range ops {
 				vals[i] = ops[i].Value
 			}
-			id, per, st := f.ref.tm.Commit(nil, keys(30, 36), vals)
+			id, st := f.ref.st.Commit(nil, keys(30, 36), vals)
 			if st != store.StatusOK || id == 0 {
 				t.Fatalf("direct commit: id %d status %d", id, st)
 			}
-			sts := make([]uint8, len(per))
-			for i := range per {
-				sts[i] = Status(per[i])
-			}
-			return wire.Msg{Off: id, Value: wire.EncodeTxnStatuses(sts)}
+			return wire.Msg{Off: id}
 		}},
 		{"txn commit too big for the pool", func(f *fixture) wire.Msg {
 			return wire.Msg{Type: wire.TTxnCommit, Value: txnOps(keys(40, 42), huge)}
 		}, func(f *fixture) wire.Msg {
 			v := bytes.Repeat([]byte{1}, huge)
-			_, per, st := f.ref.tm.Commit(nil, keys(40, 42), [][]byte{v, v})
-			if st != store.StatusFull {
+			if _, st := f.ref.st.Commit(nil, keys(40, 42), [][]byte{v, v}); st != store.StatusFull {
 				t.Fatalf("direct commit: status %d, want full", st)
 			}
-			return wire.Msg{Status: wire.StFull, Value: wire.EncodeTxnStatuses([]uint8{Status(per[0]), Status(per[1])})}
+			return wire.Msg{Status: wire.StFull}
 		}},
 		{"txn commit empty", func(f *fixture) wire.Msg {
-			return wire.Msg{Type: wire.TTxnCommit, Value: wire.EncodeTxnOps(nil)}
+			return wire.Msg{Type: wire.TTxnCommit, Value: wire.AppendTxnOps(nil, nil)}
 		}, func(f *fixture) wire.Msg { return wire.Msg{Status: wire.StError} }},
 		{"txn commit malformed", func(f *fixture) wire.Msg {
 			b := txnOps(keys(50, 52), 8)
@@ -316,7 +306,7 @@ func TestConformance(t *testing.T) {
 		{"txn read: committed, seeded, absent", func(f *fixture) wire.Msg {
 			return wire.Msg{Type: wire.TTxnRead, Value: getOps([][]byte{key(31), []byte("seeded-a"), []byte("nobody")}, noSlot)}
 		}, func(f *fixture) wire.Msg {
-			res := f.ref.tm.SnapshotGet(nil, [][]byte{key(31), []byte("seeded-a"), []byte("nobody")})
+			res := f.ref.st.SnapshotGet(nil, [][]byte{key(31), []byte("seeded-a"), []byte("nobody")})
 			if res[0].Status != store.StatusOK || len(res[0].Value) != 64 || res[2].Status != store.StatusNotFound {
 				t.Fatalf("direct snapshot read: %+v", res)
 			}
@@ -324,10 +314,10 @@ func TestConformance(t *testing.T) {
 			for i, r := range res {
 				rs[i] = wire.TxnResult{Status: Status(r.Status), Seq: r.Seq, Value: r.Value}
 			}
-			return wire.Msg{Value: wire.EncodeTxnResults(rs)}
+			return wire.Msg{Value: wire.AppendTxnResults(nil, rs)}
 		}},
 		{"txn read over the op cap", func(f *fixture) wire.Msg {
-			return wire.Msg{Type: wire.TTxnRead, Value: getOps(keys(0, testMaxOps+1), noSlot)}
+			return wire.Msg{Type: wire.TTxnRead, Value: getOps(keys(0, DefaultMaxOps+1), noSlot)}
 		}, func(f *fixture) wire.Msg { return wire.Msg{Status: wire.StError} }},
 		{"txn read malformed", func(f *fixture) wire.Msg {
 			return wire.Msg{Type: wire.TTxnRead}
@@ -342,6 +332,9 @@ func TestConformance(t *testing.T) {
 			for _, row := range rows {
 				req := row.req(f)
 				got := f.handle(t, req)
+				if req.Type == wire.TTxnCommit && len(got.Value) != 0 {
+					t.Errorf("%s: commit reply carries a %d B payload, want none", row.name, len(got.Value))
+				}
 				want := row.want(f)
 				want.Type = req.Type + 1
 				if len(want.Value) == 0 {
@@ -368,7 +361,7 @@ func TestConformance(t *testing.T) {
 func TestCleaningNote(t *testing.T) {
 	// A cleaner that never runs leaves the shard in the cleaning state.
 	r := newReplica(t, 3, store.Deps{Spawn: func(string, func(any)) {}})
-	core := New(r.tm, make([][2]uint32, 3), 0, nil)
+	core := New(r.st, make([][2]uint32, 3), nil)
 	var in, out []byte // a key on the cleaning shard, a key on another
 	for i := 0; in == nil || out == nil; i++ {
 		if k := key(i); r.st.ShardFor(k) == 1 {
@@ -446,7 +439,7 @@ func TestGuard(t *testing.T) {
 		muts  int      // engine mutations the request applies
 	}{
 		{wire.Msg{Type: wire.TPut, Key: key(1), Len: 8}, 1, []string{"key-01 del=false"}, 1},
-		{wire.Msg{Type: wire.TPutBatch, Value: wire.EncodePutOps([]wire.PutOp{{VLen: 8, Key: key(2)}})}, 1, []string{"key-02 del=false"}, 1},
+		{wire.Msg{Type: wire.TPutBatch, Value: wire.AppendPutOps(nil, []wire.PutOp{{VLen: 8, Key: key(2)}})}, 1, []string{"key-02 del=false"}, 1},
 		{wire.Msg{Type: wire.TDel, Key: key(9)}, 1, []string{"key-09 del=true"}, 1},
 		{wire.Msg{Type: wire.TTxnCommit, Value: txnOps(keys(3, 5), 8)}, 2, []string{"key-03 del=false", "key-04 del=false"}, 2},
 		{wire.Msg{Type: wire.TGet, Key: key(1)}, 1, nil, 0},

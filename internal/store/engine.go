@@ -56,10 +56,11 @@ func (c Config) DeviceSize() int { return c.Layout().DeviceSize() }
 type Deps struct {
 	// Sink is the engine clock and cost model. Nil means wall clock.
 	Sink CostSink
-	// NewLock returns the lock guarding one engine's metadata. The
-	// simulation supplies a no-op locker: its scheduler runs one process
-	// at a time and the engine only yields inside Charge, so mutual
-	// exclusion holds by construction (a real mutex would deadlock it).
+	// NewLock returns the lock guarding one engine's metadata, and the
+	// store's transaction commit lock. The simulation supplies a no-op
+	// locker: its scheduler runs one process at a time and the engine
+	// only yields inside Charge, so mutual exclusion holds by
+	// construction (a real mutex would deadlock it).
 	NewLock func() sync.Locker
 	// Spawn starts the cleaner. h is passed through to the engine's
 	// callbacks (the simulation passes the spawned *sim.Proc).
@@ -451,7 +452,7 @@ func (e *Engine) Get(h any, key []byte) GetResult {
 	defer e.mu.Unlock()
 	t0 := e.sink.Now()
 	defer func() { e.observeMop(h, mopGet, t0) }()
-	return e.getLocked(h, key, -1, NoSeqLimit)
+	return e.getLocked(h, key, -1, noSeqLimit)
 }
 
 // GetBatch resolves several keys under ONE lock acquisition — the engine
@@ -470,7 +471,7 @@ func (e *Engine) GetBatch(h any, keys [][]byte, slots []int) []GetResult {
 		if slots != nil {
 			hint = slots[i]
 		}
-		res[i] = e.getLocked(h, key, hint, NoSeqLimit)
+		res[i] = e.getLocked(h, key, hint, noSeqLimit)
 		e.observeMop(h, mopGet, t0)
 	}
 	return res
@@ -480,7 +481,7 @@ func (e *Engine) GetBatch(h any, keys [][]byte, slots []int) []GetResult {
 // seqLimit bounds which versions may be served: versions with a larger
 // sequence number are walked past untouched (no verify, no timeout
 // invalidation) — they are simply "in the snapshot's future". Normal
-// reads pass NoSeqLimit, which admits everything. Callers hold mu.
+// reads pass noSeqLimit, which admits everything. Callers hold mu.
 func (e *Engine) getLocked(h any, key []byte, slotHint int, seqLimit uint64) GetResult {
 	e.stats.Gets++
 	keyHash := kv.HashKey(key)

@@ -2,6 +2,8 @@ package store
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"efactory/internal/cluster"
 	"efactory/internal/kv"
@@ -18,6 +20,8 @@ type Store struct {
 	dev     nvm.Device
 	engines []*Engine
 	reg     *obs.Registry
+	txnMu   sync.Locker   // the commit lock (see txn.go)
+	txnID   atomic.Uint64 // last transaction id handed out
 }
 
 // New carves dev into per-shard regions, builds one engine per shard, and
@@ -38,6 +42,7 @@ func New(dev nvm.Device, cfg Config, deps Deps) (*Store, RecoveryStats, error) {
 		cfg: cfg, layout: l, dev: dev,
 		engines: make([]*Engine, l.Shards),
 		reg:     obs.New("efactory", l.Shards, MetricOpNames(), traceRingCap),
+		txnMu:   deps.NewLock(),
 	}
 	var rst RecoveryStats
 	for i := range s.engines {

@@ -1,8 +1,7 @@
-// Multi-key transactions over the version chains. The store-level half of
-// internal/txn: staging, the commit record, the atomic visibility flip,
+// Multi-key transactions over the version chains: atomic commit,
 // snapshot reads, and crash recovery replay.
 //
-// A transaction writes in three phases:
+// A commit takes a fresh transaction id and writes in three phases:
 //
 //  1. Stage. Each op is appended to its shard's working pool as a normal
 //     log object, fully persisted (header + key + value), but carrying
@@ -13,7 +12,7 @@
 //     reclaims.
 //
 //  2. Commit record. With every involved engine locked (ascending shard
-//     order, under the manager's commit lock) the ops are assigned final
+//     order, under the store's commit lock) the ops are assigned final
 //     sequence numbers, table slots are reserved, and a commit record —
 //     a log object flagged FlagTxnRec whose value is the manifest of
 //     (shard, pool, off, seq, crc) locators — is appended and flushed to
@@ -34,10 +33,18 @@
 // simulation's cooperative scheduler it is yield-free, so it is atomic by
 // construction, exactly like the no-yield window inside putLocked.
 //
+// The commit lock (Deps.NewLock) serializes commit records and snapshot
+// cuts: a cut taken under it can never land between one transaction's
+// record and its flips, so snapshots observe every transaction entirely
+// or not at all.
+//
 // Durability follows the single-key rule: flipped versions are valid but
 // not durable; the post-commit settle pass (and the background verifier)
 // pushes each one through the mirror seam — CRC check, Deps.Mirror,
 // flush, flag — so flag⇒quorum-durable extends to whole transactions.
+//
+// Commits are single-node-atomic: all keys must land on one store. The
+// cluster client enforces this with a typed cross-instance rejection.
 package store
 
 import (
@@ -49,18 +56,16 @@ import (
 	"efactory/internal/kv"
 )
 
-// NoSeqLimit makes getLocked consider every version (the non-snapshot
+// noSeqLimit makes getLocked consider every version (the non-snapshot
 // read path).
-const NoSeqLimit = ^uint64(0)
+const noSeqLimit = ^uint64(0)
 
 // txnRecKey is the marker key commit records are filed under. Records are
 // never table-published, so the key only needs to parse (KLen > 0).
 var txnRecKey = []byte("\x00txnrec\x00")
 
-// StagedOp is one staged write of an in-flight transaction. Its fields
-// are private to the store: internal/txn threads the values through
-// opaquely between TxnStage and TxnCommit.
-type StagedOp struct {
+// stagedOp is one staged write of an in-flight transaction.
+type stagedOp struct {
 	shard int
 	pi    int      // pool index at stage time
 	pool  *kv.Pool // pool identity at stage time (revalidated at commit)
@@ -69,21 +74,102 @@ type StagedOp struct {
 	key   []byte // retained so commit can restage after a pool recycle
 	value []byte
 	crc   uint32
-	// assigned by TxnCommit:
+	// assigned by txnCommit:
 	seq     uint64
 	idx     int
 	existed bool
 }
 
-// Sink exposes the store's cost sink so the transaction manager can
-// charge commit costs before entering the yield-free commit section.
-func (s *Store) Sink() CostSink { return s.engines[0].sink }
+// Commit atomically writes vals[i] to keys[i] for all i, or none of
+// them. It returns the transaction id and the status: StatusOK means
+// every op committed and is visible; anything else means no op is
+// (staged garbage is left for the cleaner). Duplicate keys are allowed
+// and apply in op order. An empty commit is a no-op that returns
+// (0, StatusOK); keys and vals of different lengths panic.
+//
+// A returned StatusOK is an acknowledgment that the whole transaction
+// survives any crash from this point on: the commit record and every
+// staged value are persisted before the record write, and recovery
+// replays recorded transactions whole. The per-version durability flags
+// then settle asynchronously (or synchronously below, best-effort)
+// through the usual verify/mirror path.
+func (s *Store) Commit(h any, keys, vals [][]byte) (uint64, Status) {
+	if len(keys) != len(vals) {
+		panic("store: Commit keys/vals length mismatch")
+	}
+	if len(keys) == 0 {
+		return 0, StatusOK
+	}
+	id := s.txnID.Add(1)
+	ops := make([]*stagedOp, len(keys))
+	for i := range keys {
+		op, st := s.txnStage(h, id, keys[i], vals[i])
+		if st != StatusOK {
+			return 0, st
+		}
+		ops[i] = op
+	}
 
-// TxnStage appends one transactional write to key's shard, fully
+	// Charge the commit record's cost before taking the commit lock: the
+	// locked section below must not yield (simulation) or do slow work
+	// under the global lock (TCP).
+	sink := s.engines[0].sink
+	sink.Charge(h, OpAlloc, txnRecordCost(len(ops)))
+	sink.Charge(h, OpFlush, txnRecordCost(len(ops)))
+
+	s.txnMu.Lock()
+	st := s.txnCommit(id, ops)
+	s.txnMu.Unlock()
+	if st != StatusOK {
+		return 0, st
+	}
+
+	// Best-effort synchronous settle: push each committed head through
+	// the verify/mirror/flag path so flag⇒quorum-durable extends to the
+	// whole transaction promptly. Failure is benign — the background
+	// verifier and the GET path retry.
+	for _, key := range keys {
+		s.engines[s.ShardFor(key)].VerifyKeySettled(h, key)
+	}
+	return id, StatusOK
+}
+
+// SnapshotResult is one key's outcome of a SnapshotGet.
+type SnapshotResult struct {
+	Status Status
+	Seq    uint64 // served version's sequence number (0 if not found)
+	Value  []byte
+}
+
+// SnapshotGet reads keys at one consistent cut: a per-shard sequence
+// vector pinned under the commit lock. Every key is served from the
+// newest version at or below its shard's pinned sequence, so the result
+// set reflects a prefix of each shard's history that contains every
+// committed transaction entirely or not at all. Results are
+// index-aligned with keys.
+//
+// Two documented limits, both inherent to the substrate: DELETEs are not
+// versioned (a tombstone hides every version regardless of the cut), and
+// a snapshot does not pin versions against the log cleaner — the cut is
+// meant to be used promptly (one RPC), not held open.
+func (s *Store) SnapshotGet(h any, keys [][]byte) []SnapshotResult {
+	s.txnMu.Lock()
+	vec := s.seqVector()
+	s.txnMu.Unlock()
+	res := make([]SnapshotResult, len(keys))
+	for i, key := range keys {
+		sh := s.ShardFor(key)
+		val, seq, st := s.engines[sh].getAt(h, key, vec[sh])
+		res[i] = SnapshotResult{Status: st, Seq: seq, Value: val}
+	}
+	return res
+}
+
+// txnStage appends one transactional write to key's shard, fully
 // persisted but invisible (FlagTxn, no FlagValid, sequence 0). The
-// returned op is the handle TxnCommit flips; a failed stage leaves only
+// returned op is the handle txnCommit flips; a failed stage leaves only
 // unreferenced garbage behind.
-func (s *Store) TxnStage(h any, txnID uint64, key, value []byte) (*StagedOp, Status) {
+func (s *Store) txnStage(h any, txnID uint64, key, value []byte) (*stagedOp, Status) {
 	e := s.engines[s.ShardFor(key)]
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -95,7 +181,7 @@ func (s *Store) TxnStage(h any, txnID uint64, key, value []byte) (*StagedOp, Sta
 	// The charge may have yielded (simulation) and started a cleaning run;
 	// re-resolve the working pool so the append lands where commit expects.
 	pi, pool := e.writePool()
-	op := &StagedOp{
+	op := &stagedOp{
 		shard: e.shard,
 		key:   append([]byte(nil), key...),
 		value: append([]byte(nil), value...),
@@ -127,18 +213,15 @@ func (s *Store) TxnStage(h any, txnID uint64, key, value []byte) (*StagedOp, Sta
 	return op, StatusOK
 }
 
-// TxnCommit atomically commits the staged ops of one transaction: it
+// txnCommit atomically commits the staged ops of one transaction: it
 // locks every involved engine (ascending shard order), revalidates each
 // staged object (restaging any the cleaner recycled), reserves table
 // slots, assigns sequence numbers, writes the commit record, flips every
-// op visible, and marks the record applied. Callers MUST hold the
-// manager's commit lock; the section between the first engine lock and
-// the return performs no sink charges, so it is yield-free under the
-// simulation and lock-covered over TCP.
-func (s *Store) TxnCommit(h any, txnID uint64, ops []*StagedOp) Status {
-	if len(ops) == 0 {
-		return StatusOK
-	}
+// op visible, and marks the record applied. Callers MUST hold the commit
+// lock; the section between the first engine lock and the return
+// performs no sink charges, so it is yield-free under the simulation and
+// lock-covered over TCP.
+func (s *Store) txnCommit(txnID uint64, ops []*stagedOp) Status {
 	// Involved shards, ascending, deduplicated.
 	shards := make([]int, 0, len(ops))
 	seen := make(map[int]bool, len(ops))
@@ -274,7 +357,7 @@ func (s *Store) TxnCommit(h any, txnID uint64, ops []*StagedOp) Status {
 // flipStagedLocked publishes one staged op: sequence number, chain link,
 // valid flag, table entry — the transactional twin of putLocked's publish
 // tail. Callers hold the engine lock.
-func (e *Engine) flipStagedLocked(op *StagedOp) {
+func (e *Engine) flipStagedLocked(op *stagedOp) {
 	pool := e.pools[op.pi]
 	en := e.table.Entry(op.idx)
 	pre := e.chainHead(en)
@@ -292,12 +375,11 @@ func (e *Engine) flipStagedLocked(op *StagedOp) {
 	}
 }
 
-// SeqVector pins a snapshot cut: every shard's current sequence number,
-// each read under its engine lock. Callers hold the manager's commit
-// lock, so no multi-key commit is between its record and its flips while
-// the vector is taken — a snapshot sees every transaction entirely or
-// not at all.
-func (s *Store) SeqVector() []uint64 {
+// seqVector pins a snapshot cut: every shard's current sequence number,
+// each read under its engine lock. Callers hold the commit lock, so no
+// multi-key commit is between its record and its flips while the vector
+// is taken — a snapshot sees every transaction entirely or not at all.
+func (s *Store) seqVector() []uint64 {
 	vec := make([]uint64, len(s.engines))
 	for i, e := range s.engines {
 		e.mu.Lock()
@@ -307,13 +389,13 @@ func (s *Store) SeqVector() []uint64 {
 	return vec
 }
 
-// GetAt is the snapshot read: resolve key like a normal GET but serve the
+// getAt is the snapshot read: resolve key like a normal GET but serve the
 // newest version with Seq <= seqLimit, walking past newer ones without
 // invalidating them. The returned value is a private copy read under the
 // same lock hold that resolved it. Served versions go through the usual
 // verify/mirror/flag path, so a snapshot read never weakens the
 // observed⇒durable contract.
-func (e *Engine) GetAt(h any, key []byte, seqLimit uint64) (val []byte, seq uint64, st Status) {
+func (e *Engine) getAt(h any, key []byte, seqLimit uint64) (val []byte, seq uint64, st Status) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.stats.TxnReads++
@@ -334,15 +416,15 @@ const txnManifestVersion = 1
 // Per-op manifest footprint: shard, pool, off, size, klen, vlen, crc, seq.
 const txnManifestOpSize = 4 + 4 + 8 + 4 + 4 + 4 + 4 + 8
 
-// TxnRecordCost returns the pool footprint of an n-op commit record, so
-// the transaction manager can charge its cost before entering the
-// yield-free commit section.
-func TxnRecordCost(n int) int {
+// txnRecordCost returns the pool footprint of an n-op commit record, so
+// Commit can charge its cost before entering the yield-free commit
+// section.
+func txnRecordCost(n int) int {
 	return kv.ObjectSize(len(txnRecKey), 13+txnManifestOpSize*n)
 }
 
 // encodeTxnManifest serializes the committed ops' locators.
-func encodeTxnManifest(txnID uint64, ops []*StagedOp) []byte {
+func encodeTxnManifest(txnID uint64, ops []*stagedOp) []byte {
 	b := make([]byte, 13+txnManifestOpSize*len(ops))
 	le := binary.LittleEndian
 	b[0] = txnManifestVersion

@@ -1,4 +1,4 @@
-package txn_test
+package store
 
 import (
 	"bytes"
@@ -9,17 +9,15 @@ import (
 	"time"
 
 	"efactory/internal/nvm"
-	"efactory/internal/store"
-	"efactory/internal/txn"
 )
 
-// newStore builds a direct store (no transport) for transaction tests and
-// returns it with its device, so tests can crash and recover it.
-func newStore(t *testing.T, shards int) (*store.Store, *nvm.Memory, store.Config) {
+// newTxnStore builds a direct store (no transport) for transaction tests
+// and returns it with its device, so tests can crash and recover it.
+func newTxnStore(t *testing.T, shards int) (*Store, *nvm.Memory, Config) {
 	t.Helper()
-	cfg := store.Config{Shards: shards, Buckets: 256, PoolSize: 64 << 10, VerifyTimeout: time.Second}
+	cfg := Config{Shards: shards, Buckets: 256, PoolSize: 64 << 10, VerifyTimeout: time.Second}
 	dev := nvm.New(cfg.DeviceSize())
-	st, _, err := store.New(dev, cfg, store.Deps{})
+	st, _, err := New(dev, cfg, Deps{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,69 +25,83 @@ func newStore(t *testing.T, shards int) (*store.Store, *nvm.Memory, store.Config
 }
 
 // getNow reads key's current head (no snapshot bound).
-func getNow(t *testing.T, st *store.Store, key []byte) ([]byte, bool) {
+func getNow(t *testing.T, st *Store, key []byte) ([]byte, bool) {
 	t.Helper()
 	e := st.Shard(st.ShardFor(key))
-	val, _, s := e.GetAt(nil, key, store.NoSeqLimit)
-	if s == store.StatusNotFound {
+	val, _, s := e.getAt(nil, key, noSeqLimit)
+	if s == StatusNotFound {
 		return nil, false
 	}
-	if s != store.StatusOK {
+	if s != StatusOK {
 		t.Fatalf("get %q: status %v", key, s)
 	}
 	return val, true
 }
 
 func TestCommitAtomicVisibility(t *testing.T) {
-	st, _, _ := newStore(t, 4)
+	st, _, _ := newTxnStore(t, 4)
 	defer st.Stop()
-	m := txn.NewManager(st, nil)
 	keys := [][]byte{[]byte("alpha"), []byte("bravo"), []byte("charlie")}
 	vals := [][]byte{[]byte("v-alpha"), []byte("v-bravo"), []byte("v-charlie")}
-	id, per, s := m.Commit(nil, keys, vals)
-	if s != store.StatusOK || id == 0 {
+	id, s := st.Commit(nil, keys, vals)
+	if s != StatusOK || id == 0 {
 		t.Fatalf("commit: id=%d status %v", id, s)
 	}
-	for i, ps := range per {
-		if ps != store.StatusOK {
-			t.Fatalf("per-op %d: %v", i, ps)
-		}
+	for i := range keys {
 		got, ok := getNow(t, st, keys[i])
 		if !ok || !bytes.Equal(got, vals[i]) {
 			t.Fatalf("key %q after commit: got %q ok=%v", keys[i], got, ok)
 		}
 	}
-	id2, _, s := m.Commit(nil, keys[:1], [][]byte{[]byte("v2")})
-	if s != store.StatusOK || id2 <= id {
+	id2, s := st.Commit(nil, keys[:1], [][]byte{[]byte("v2")})
+	if s != StatusOK || id2 <= id {
 		t.Fatalf("second commit: id %d after %d, status %v", id2, id, s)
 	}
+}
+
+// TestEmptyCommitIsNoop pins Commit's edges to the client APIs': an
+// empty commit changes nothing and succeeds without a transaction id,
+// and a key list whose length differs from the values is a caller bug.
+func TestEmptyCommitIsNoop(t *testing.T) {
+	st, _, _ := newTxnStore(t, 2)
+	defer st.Stop()
+	before := st.StatsTotal()
+	if id, s := st.Commit(nil, nil, nil); id != 0 || s != StatusOK {
+		t.Fatalf("empty commit: id=%d status %v, want 0 OK", id, s)
+	}
+	if after := st.StatsTotal(); after != before {
+		t.Fatalf("empty commit touched the engines: %+v -> %+v", before, after)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("mismatched commit did not panic")
+		}
+	}()
+	st.Commit(nil, [][]byte{[]byte("k")}, nil)
 }
 
 func TestCommitAbortLeavesOldStateIntact(t *testing.T) {
 	// A pool too small for the transaction: the commit must fail whole and
 	// every key must keep serving its pre-transaction value.
-	cfg := store.Config{Shards: 1, Buckets: 64, PoolSize: 2 << 10, VerifyTimeout: time.Second}
+	cfg := Config{Shards: 1, Buckets: 64, PoolSize: 2 << 10, VerifyTimeout: time.Second}
 	dev := nvm.New(cfg.DeviceSize())
-	st, _, err := store.New(dev, cfg, store.Deps{})
+	st, _, err := New(dev, cfg, Deps{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Stop()
-	m := txn.NewManager(st, nil)
 	keys := [][]byte{[]byte("a"), []byte("b")}
 	old := [][]byte{[]byte("old-a"), []byte("old-b")}
-	if _, _, s := m.Commit(nil, keys, old); s != store.StatusOK {
+	if _, s := st.Commit(nil, keys, old); s != StatusOK {
 		t.Fatalf("seed commit: %v", s)
 	}
 	big := bytes.Repeat([]byte{0xee}, 1500)
-	_, per, s := m.Commit(nil, keys, [][]byte{big, big})
-	if s == store.StatusOK {
+	id, s := st.Commit(nil, keys, [][]byte{big, big})
+	if s == StatusOK {
 		t.Skip("pool unexpectedly fit the oversized transaction")
 	}
-	for i, ps := range per {
-		if ps != s {
-			t.Fatalf("per-op %d status %v != overall %v", i, ps, s)
-		}
+	if id != 0 {
+		t.Fatalf("aborted commit returned id %d", id)
 	}
 	for i := range keys {
 		got, ok := getNow(t, st, keys[i])
@@ -100,23 +112,22 @@ func TestCommitAbortLeavesOldStateIntact(t *testing.T) {
 }
 
 func TestSnapshotCutExcludesLaterCommits(t *testing.T) {
-	st, _, _ := newStore(t, 2)
+	st, _, _ := newTxnStore(t, 2)
 	defer st.Stop()
-	m := txn.NewManager(st, nil)
 	keys := [][]byte{[]byte("k0"), []byte("k1"), []byte("k2")}
 	a := [][]byte{[]byte("a0"), []byte("a1"), []byte("a2")}
 	b := [][]byte{[]byte("b0"), []byte("b1"), []byte("b2")}
-	if _, _, s := m.Commit(nil, keys, a); s != store.StatusOK {
+	if _, s := st.Commit(nil, keys, a); s != StatusOK {
 		t.Fatalf("commit a: %v", s)
 	}
-	vec := st.SeqVector() // the cut: everything of a, nothing of b
-	if _, _, s := m.Commit(nil, keys, b); s != store.StatusOK {
+	vec := st.seqVector() // the cut: everything of a, nothing of b
+	if _, s := st.Commit(nil, keys, b); s != StatusOK {
 		t.Fatalf("commit b: %v", s)
 	}
 	for i, key := range keys {
 		sh := st.ShardFor(key)
-		val, seq, s := st.Shard(sh).GetAt(nil, key, vec[sh])
-		if s != store.StatusOK || !bytes.Equal(val, a[i]) {
+		val, seq, s := st.Shard(sh).getAt(nil, key, vec[sh])
+		if s != StatusOK || !bytes.Equal(val, a[i]) {
 			t.Fatalf("snapshot read %q: %q status %v, want %q", key, val, s, a[i])
 		}
 		if seq > vec[sh] {
@@ -128,24 +139,23 @@ func TestSnapshotCutExcludesLaterCommits(t *testing.T) {
 		}
 	}
 	// SnapshotGet pins its own (current) cut: it must see b entirely.
-	for i, r := range m.SnapshotGet(nil, keys) {
-		if r.Status != store.StatusOK || !bytes.Equal(r.Value, b[i]) {
+	for i, r := range st.SnapshotGet(nil, keys) {
+		if r.Status != StatusOK || !bytes.Equal(r.Value, b[i]) {
 			t.Fatalf("SnapshotGet %q: %q status %v", keys[i], r.Value, r.Status)
 		}
 	}
 }
 
 func TestRecoveryCommittedTxnSurvivesWhole(t *testing.T) {
-	st, dev, cfg := newStore(t, 2)
-	m := txn.NewManager(st, nil)
+	st, dev, cfg := newTxnStore(t, 2)
 	keys := [][]byte{[]byte("left"), []byte("right")}
 	vals := [][]byte{[]byte("surviving-left"), []byte("surviving-right")}
-	if _, _, s := m.Commit(nil, keys, vals); s != store.StatusOK {
+	if _, s := st.Commit(nil, keys, vals); s != StatusOK {
 		t.Fatalf("commit: %v", s)
 	}
 	st.Stop()
 	dev.Crash(42, 0) // strict power failure: only flushed lines persist
-	st2, rs, err := store.New(dev, cfg, store.Deps{})
+	st2, rs, err := New(dev, cfg, Deps{})
 	if err != nil {
 		t.Fatalf("recovery: %v", err)
 	}
@@ -159,18 +169,18 @@ func TestRecoveryCommittedTxnSurvivesWhole(t *testing.T) {
 }
 
 func TestRecoveryStagedWithoutRecordDiscarded(t *testing.T) {
-	st, dev, cfg := newStore(t, 1)
+	st, dev, cfg := newTxnStore(t, 1)
 	// Stage two writes and never commit: the crash must discard them whole
 	// — staged objects carry no FlagValid, so recovery skips them.
-	if _, s := st.TxnStage(nil, 99, []byte("ghost-a"), []byte("gv-a")); s != store.StatusOK {
+	if _, s := st.txnStage(nil, 99, []byte("ghost-a"), []byte("gv-a")); s != StatusOK {
 		t.Fatalf("stage: %v", s)
 	}
-	if _, s := st.TxnStage(nil, 99, []byte("ghost-b"), []byte("gv-b")); s != store.StatusOK {
+	if _, s := st.txnStage(nil, 99, []byte("ghost-b"), []byte("gv-b")); s != StatusOK {
 		t.Fatalf("stage: %v", s)
 	}
 	st.Stop()
 	dev.Crash(43, 0)
-	st2, rs, err := store.New(dev, cfg, store.Deps{})
+	st2, rs, err := New(dev, cfg, Deps{})
 	if err != nil {
 		t.Fatalf("recovery: %v", err)
 	}
@@ -194,9 +204,8 @@ func TestRecoveryStagedWithoutRecordDiscarded(t *testing.T) {
 func TestQuickSnapshotNeverObservesDeadVersion(t *testing.T) {
 	property := func(seed uint64, opByte uint8) bool {
 		nOps := 4 + int(opByte%28)
-		st, _, _ := newStore(t, 2)
+		st, _, _ := newTxnStore(t, 2)
 		defer st.Stop()
-		m := txn.NewManager(st, nil)
 		rng := rand.New(rand.NewPCG(seed, 0x5eed))
 		keys := make([][]byte, 6)
 		for i := range keys {
@@ -213,7 +222,7 @@ func TestQuickSnapshotNeverObservesDeadVersion(t *testing.T) {
 			case 0: // single-key put through the transactional path's substrate
 				k := keys[rng.IntN(len(keys))]
 				v := []byte(fmt.Sprintf("solo-%d-%d", seed, op))
-				if _, _, s := m.Commit(nil, [][]byte{k}, [][]byte{v}); s != store.StatusOK {
+				if _, s := st.Commit(nil, [][]byte{k}, [][]byte{v}); s != StatusOK {
 					return false
 				}
 				model[string(k)] = v
@@ -226,7 +235,7 @@ func TestQuickSnapshotNeverObservesDeadVersion(t *testing.T) {
 					ck[j] = keys[(base+j)%len(keys)]
 					cv[j] = []byte(fmt.Sprintf("txn-%d-%d-%d", seed, op, j))
 				}
-				if _, _, s := m.Commit(nil, ck, cv); s != store.StatusOK {
+				if _, s := st.Commit(nil, ck, cv); s != StatusOK {
 					return false
 				}
 				for j := range ck {
@@ -237,7 +246,7 @@ func TestQuickSnapshotNeverObservesDeadVersion(t *testing.T) {
 				for k, v := range model {
 					state[k] = v
 				}
-				cuts = append(cuts, cut{vec: st.SeqVector(), state: state})
+				cuts = append(cuts, cut{vec: st.seqVector(), state: state})
 			}
 		}
 		// Every pinned cut, read after all the later writes: the snapshot
@@ -245,15 +254,15 @@ func TestQuickSnapshotNeverObservesDeadVersion(t *testing.T) {
 		for _, c := range cuts {
 			for _, key := range keys {
 				sh := st.ShardFor(key)
-				val, seq, s := st.Shard(sh).GetAt(nil, key, c.vec[sh])
+				val, seq, s := st.Shard(sh).getAt(nil, key, c.vec[sh])
 				want, ok := c.state[string(key)]
 				if !ok {
-					if s != store.StatusNotFound {
+					if s != StatusNotFound {
 						return false // observed a version born after the cut
 					}
 					continue
 				}
-				if s != store.StatusOK || !bytes.Equal(val, want) || seq > c.vec[sh] {
+				if s != StatusOK || !bytes.Equal(val, want) || seq > c.vec[sh] {
 					return false
 				}
 			}

@@ -690,29 +690,24 @@ func (c *Client) delCtxState(tc *trace.Ctx, key []byte, st *delRetryState) error
 
 // TxnCommit commits keys[i] -> vals[i] atomically: all ops become
 // visible together or none do (see client.Core.TxnCommit). It returns the
-// transaction id and per-op errors index-aligned with keys; on failure
-// every op carries the abort reason, because no op of a failed
-// transaction is applied.
+// transaction id; on failure no op is applied. An empty commit returns
+// (0, nil) without a request.
 //
 // Commits retried under the client's RetryPolicy are at-least-once like
 // every other op: a lost response frame does not reveal whether the
 // server committed, so a retried commit may apply the same transaction
 // twice (same values, a fresh transaction id).
-func (c *Client) TxnCommit(keys, vals [][]byte) (uint64, []error) {
+func (c *Client) TxnCommit(keys, vals [][]byte) (uint64, error) {
 	if len(keys) != len(vals) {
 		panic("tcpkv: TxnCommit keys/vals length mismatch")
 	}
-	errs := make([]error, len(keys))
 	if len(keys) == 0 {
-		return 0, errs
+		return 0, nil
 	}
 	tc, t0 := c.core.Begin("txn_commit", kv.HashKey(keys[0]))
 	id, err := c.txnCommitCtx(tc, keys, vals)
 	c.core.End(tc, t0, err)
-	for i := range errs {
-		errs[i] = err
-	}
-	return id, errs
+	return id, err
 }
 
 // txnCommitCtx is TxnCommit under a caller-owned trace context.

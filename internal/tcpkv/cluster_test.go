@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"efactory/internal/client"
 	"efactory/internal/cluster"
 	"efactory/internal/kv"
 	"efactory/internal/nvm"
@@ -329,19 +328,17 @@ func TestClusterTxnRoutingAndCrossInstanceReject(t *testing.T) {
 	defer cc.Close()
 
 	stayVals := [][]byte{[]byte("stay-0"), []byte("stay-1")}
-	id, errs := cc.TxnCommit(stayKeys, stayVals)
-	for i, e := range errs {
-		if e != nil {
-			t.Fatalf("pre-migration commit op %d: %v", i, e)
-		}
+	id, err := cc.TxnCommit(stayKeys, stayVals)
+	if err != nil {
+		t.Fatalf("pre-migration commit: %v", err)
 	}
 	if id == 0 {
 		t.Fatal("pre-migration commit returned id 0")
 	}
 	// Seed the migrating pg so the cutover actually carries state; the
 	// post-migration commit must then supersede this on b.
-	if _, errs := cc.TxnCommit(movedKeys, [][]byte{[]byte("pre-0"), []byte("pre-1")}); client.FirstErr(errs) != nil {
-		t.Fatalf("seed commit: %v", client.FirstErr(errs))
+	if _, err := cc.TxnCommit(movedKeys, [][]byte{[]byte("pre-0"), []byte("pre-1")}); err != nil {
+		t.Fatalf("seed commit: %v", err)
 	}
 
 	if _, err := srvA.MigratePG(movedPG, "b"); err != nil {
@@ -351,11 +348,9 @@ func TestClusterTxnRoutingAndCrossInstanceReject(t *testing.T) {
 	// The client's cached map predates the cutover: this commit must ride
 	// the wrong-epoch reject, refetch, and land on b.
 	movedVals := [][]byte{[]byte("moved-0"), []byte("moved-1")}
-	id2, errs := cc.TxnCommit(movedKeys, movedVals)
-	for i, e := range errs {
-		if e != nil {
-			t.Fatalf("post-migration commit op %d: %v", i, e)
-		}
+	id2, err := cc.TxnCommit(movedKeys, movedVals)
+	if err != nil {
+		t.Fatalf("post-migration commit: %v", err)
 	}
 	if id2 == 0 {
 		t.Fatal("post-migration commit returned id 0")
@@ -380,11 +375,8 @@ func TestClusterTxnRoutingAndCrossInstanceReject(t *testing.T) {
 	// A set straddling both instances fails whole, typed, on commit and
 	// on read — and applies nothing.
 	mixed := [][]byte{stayKeys[0], movedKeys[0]}
-	_, errs = cc.TxnCommit(mixed, [][]byte{[]byte("poison-a"), []byte("poison-b")})
-	for i, e := range errs {
-		if !errors.Is(e, ErrTxnCrossInstance) {
-			t.Fatalf("cross-instance commit op %d: %v, want ErrTxnCrossInstance", i, e)
-		}
+	if _, err := cc.TxnCommit(mixed, [][]byte{[]byte("poison-a"), []byte("poison-b")}); !errors.Is(err, ErrTxnCrossInstance) {
+		t.Fatalf("cross-instance commit: %v, want ErrTxnCrossInstance", err)
 	}
 	if _, rerrs := cc.TxnRead(mixed); !errors.Is(rerrs[0], ErrTxnCrossInstance) || !errors.Is(rerrs[1], ErrTxnCrossInstance) {
 		t.Fatalf("cross-instance read: %v / %v, want ErrTxnCrossInstance", rerrs[0], rerrs[1])

@@ -454,16 +454,14 @@ func txnResolve(keys [][]byte) func(m *cluster.Map) (cluster.Instance, bool, err
 // TxnCommit commits keys[i] -> vals[i] atomically on the single instance
 // owning every key (the fast path — and today the only path; a key set
 // spanning instances fails whole with ErrTxnCrossInstance). Returns the
-// transaction id and index-aligned per-op errors; on failure every op
-// carries the shared reason, because no op of a failed transaction is
-// applied.
-func (cc *ClusterClient) TxnCommit(keys, vals [][]byte) (uint64, []error) {
+// transaction id; on failure no op is applied. An empty commit returns
+// (0, nil) without a request.
+func (cc *ClusterClient) TxnCommit(keys, vals [][]byte) (uint64, error) {
 	if len(keys) != len(vals) {
 		panic("tcpkv: TxnCommit keys/vals length mismatch")
 	}
-	errs := make([]error, len(keys))
 	if len(keys) == 0 {
-		return 0, errs
+		return 0, nil
 	}
 	var id uint64
 	tc, t0 := beginOp(cc.tracer, "txn_commit", batchHash(keys))
@@ -473,12 +471,7 @@ func (cc *ClusterClient) TxnCommit(keys, vals [][]byte) (uint64, []error) {
 		return cerr
 	})
 	endOp(cc.tracer, tc, t0, err)
-	if err != nil {
-		for i := range errs {
-			errs[i] = err
-		}
-	}
-	return id, errs
+	return id, err
 }
 
 // TxnRead snapshot-reads keys at one consistent cut on the single

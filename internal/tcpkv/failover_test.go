@@ -125,7 +125,7 @@ func TestFailoverTortureSweepGetBatch(t *testing.T) {
 // backup holding part of the group.
 func TestFailoverTortureSweepTxn(t *testing.T) {
 	t.Skip("known gap, ROADMAP item 1(c) / parked 2PC: seeds 1-3 — 'torn transaction: 1 of N ops recovered' after promotion; " +
-		"txn.Manager.Commit settles the mirror per key AFTER the commit, so all-in-or-all-out and acked-writes-survive-one-death do not hold together. " +
+		"Store.Commit settles the mirror per key AFTER the commit, so all-in-or-all-out and acked-writes-survive-one-death do not hold together. " +
 		"Repro: delete this Skip, go test ./internal/tcpkv -run TestFailoverTortureSweepTxn")
 	cfg := failoverTortureConfig()
 	cfg.Txn = true

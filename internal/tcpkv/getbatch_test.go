@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"efactory/internal/nvm"
+	"efactory/internal/server"
 )
 
 func TestGetBatchMatchesGetTCP(t *testing.T) {
@@ -277,7 +278,6 @@ func TestOwnWritesNeverReadOlder(t *testing.T) {
 
 func TestGetBatchRejectsOversized(t *testing.T) {
 	cfg := smallConfig()
-	cfg.MaxGetBatch = 4
 	_, addr := startServer(t, nvm.New(cfg.DeviceSize()), cfg)
 	cl, err := Dial(addr)
 	if err != nil {
@@ -285,7 +285,7 @@ func TestGetBatchRejectsOversized(t *testing.T) {
 	}
 	defer cl.Close()
 	var keys [][]byte
-	for i := 0; i < 8; i++ {
+	for i := 0; i < server.DefaultMaxOps+1; i++ {
 		keys = append(keys, []byte(fmt.Sprintf("big-%d", i)))
 	}
 	cl.SetHybridRead(false) // force the RPC path so the cap is exercised

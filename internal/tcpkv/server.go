@@ -63,7 +63,6 @@ import (
 	"efactory/internal/server"
 	"efactory/internal/store"
 	"efactory/internal/trace"
-	"efactory/internal/txn"
 	"efactory/internal/wire"
 )
 
@@ -94,10 +93,6 @@ const (
 	maxPipeFrame     = 64 << 20
 	maxOneSidedFrame = 17 + kv.MaxObjectSize
 )
-
-// DefaultMaxGetBatch caps the ops per TGetBatch or TTxnRead request when
-// Config.MaxGetBatch is zero.
-const DefaultMaxGetBatch = server.DefaultMaxOps
 
 // One-sided opcodes.
 const (
@@ -137,10 +132,6 @@ type Config struct {
 	// durability lag, up to this cap. 0 or 1 verifies one object per
 	// run.
 	BGBatch int
-	// MaxGetBatch caps how many ops one TGetBatch or TTxnRead request may
-	// carry; larger batches are rejected with StError. 0 means
-	// DefaultMaxGetBatch.
-	MaxGetBatch int
 	// Replicas is the copies-per-PG target (primary included) a clustered
 	// server seeds its map with: joining instances are attached as backups
 	// until every PG has this many copies, and every durability flag
@@ -197,7 +188,6 @@ type Server struct {
 	cfg    Config
 	dev    nvm.Device
 	st     *store.Store
-	txn    *txn.Manager
 	core   *server.Core
 	layout kv.Layout
 
@@ -339,17 +329,13 @@ func NewServer(dev nvm.Device, cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("tcpkv: %w", err)
 	}
 	s.st = st
-	// nil lock = a real mutex: TCP handlers run on concurrent goroutines,
-	// so the transaction layer's commit/snapshot critical sections need
-	// actual mutual exclusion (unlike the cooperative simulation).
-	s.txn = txn.NewManager(st, nil)
 	s.layout = st.Layout()
 	pools := make([][2]uint32, st.NumShards())
 	for sh := range pools {
 		_, poolBase := shardRKeys(sh)
 		pools[sh] = [2]uint32{poolBase, poolBase + 1}
 	}
-	s.core = server.New(s.txn, pools, cfg.MaxGetBatch, (*guard)(s))
+	s.core = server.New(st, pools, (*guard)(s))
 	// Cluster state is first-class telemetry even on an unclustered
 	// server: epoch 0 / zero rejects say "placement layer idle" instead
 	// of the series not existing.
@@ -819,9 +805,6 @@ func (s *Server) dispatch(h any, m wire.Msg, sc *server.Scratch) wire.Msg {
 	}
 	return wire.Msg{Type: m.Type + 1, Status: wire.StError}
 }
-
-// Txn exposes the server's transaction manager (tests and tooling).
-func (s *Server) Txn() *txn.Manager { return s.txn }
 
 // background drives one shard's verification-and-persisting thread
 // (§4.3.2) in real time: on every tick, run the verifier to a standstill.

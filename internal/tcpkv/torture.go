@@ -58,7 +58,7 @@ type tortureClient interface {
 	Get(key []byte) ([]byte, error)
 	GetBatch(keys [][]byte) ([][]byte, []error)
 	Delete(key []byte) error
-	TxnCommit(keys, vals [][]byte) (uint64, []error)
+	TxnCommit(keys, vals [][]byte) (uint64, error)
 	TxnRead(keys [][]byte) ([][]byte, []error)
 }
 

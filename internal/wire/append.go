@@ -5,10 +5,10 @@ import "encoding/binary"
 // Append-style encoding: every wire structure can be serialized into a
 // caller-owned scratch buffer, so the transports' hot paths (PUT,
 // PutBatch, pipelined mux frames) reuse one arena per connection instead
-// of allocating per op. The allocating Encode* functions in wire.go are
-// thin wrappers over these. Each Append* call appends exactly
-// *EncodedSize bytes and returns the extended slice; callers reslice
-// their scratch to [:0] and keep the capacity across calls.
+// of allocating per op. Each payload has this one encoder and one
+// Decode*Into decoder. Each Append* call appends exactly *Size bytes and
+// returns the extended slice; callers reslice their scratch to [:0] and
+// keep the capacity across calls (or pass nil for a one-off buffer).
 
 // EncodedSize returns the exact number of bytes AppendEncode will append.
 func (m *Msg) EncodedSize() int {
@@ -94,17 +94,6 @@ func AppendPutGrants(b []byte, gs []PutGrant) []byte {
 	return b
 }
 
-// DecodePutOpsInto unpacks a TPutBatch payload into ops (reslicing it to
-// [:0] first), so a decode loop reuses one backing array across calls.
-func DecodePutOpsInto(b []byte, ops []PutOp) ([]PutOp, error) {
-	return decodePutOps(b, ops[:0])
-}
-
-// DecodePutGrantsInto unpacks a TPutBatchResp payload into gs.
-func DecodePutGrantsInto(b []byte, gs []PutGrant) ([]PutGrant, error) {
-	return decodePutGrants(b, gs[:0])
-}
-
 // GetOpsSize returns the encoded size of a TGetBatch payload.
 func GetOpsSize(ops []GetOp) int {
 	n := 4
@@ -154,16 +143,6 @@ func AppendGetGrants(b []byte, gs []GetGrant) []byte {
 		p += getGrantSize
 	}
 	return b
-}
-
-// DecodeGetOpsInto unpacks a TGetBatch payload into ops.
-func DecodeGetOpsInto(b []byte, ops []GetOp) ([]GetOp, error) {
-	return decodeGetOps(b, ops[:0])
-}
-
-// DecodeGetGrantsInto unpacks a TGetResults payload into gs.
-func DecodeGetGrantsInto(b []byte, gs []GetGrant) ([]GetGrant, error) {
-	return decodeGetGrants(b, gs[:0])
 }
 
 // appendZeros grows b by n writable bytes. Appending (rather than

@@ -12,7 +12,7 @@ func TestPutOpsRoundTrip(t *testing.T) {
 		{Crc: 1, VLen: 0, Key: []byte("")},
 		{Crc: 0xffffffff, VLen: 1 << 20, Key: bytes.Repeat([]byte{'k'}, 300)},
 	}
-	got, err := DecodePutOps(EncodePutOps(ops))
+	got, err := DecodePutOpsInto(AppendPutOps(nil, ops), nil)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -28,7 +28,7 @@ func TestPutOpsRoundTrip(t *testing.T) {
 }
 
 func TestPutOpsEmptyBatch(t *testing.T) {
-	got, err := DecodePutOps(EncodePutOps(nil))
+	got, err := DecodePutOpsInto(AppendPutOps(nil, nil), nil)
 	if err != nil {
 		t.Fatalf("decode empty: %v", err)
 	}
@@ -38,9 +38,9 @@ func TestPutOpsEmptyBatch(t *testing.T) {
 }
 
 func TestPutOpsTruncated(t *testing.T) {
-	blob := EncodePutOps([]PutOp{{Crc: 7, VLen: 48, Key: []byte("victim")}})
+	blob := AppendPutOps(nil, []PutOp{{Crc: 7, VLen: 48, Key: []byte("victim")}})
 	for cut := 0; cut < len(blob); cut++ {
-		if _, err := DecodePutOps(blob[:cut]); !errors.Is(err, ErrShort) {
+		if _, err := DecodePutOpsInto(blob[:cut], nil); !errors.Is(err, ErrShort) {
 			t.Fatalf("truncated at %d: err = %v, want ErrShort", cut, err)
 		}
 	}
@@ -52,7 +52,7 @@ func TestPutGrantsRoundTrip(t *testing.T) {
 		{Status: StFull},
 		{Status: StOK, RKey: 0xffffffff, Off: 0, Len: 0xffffffff},
 	}
-	got, err := DecodePutGrants(EncodePutGrants(gs))
+	got, err := DecodePutGrantsInto(AppendPutGrants(nil, gs), nil)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -67,9 +67,9 @@ func TestPutGrantsRoundTrip(t *testing.T) {
 }
 
 func TestPutGrantsTruncated(t *testing.T) {
-	blob := EncodePutGrants([]PutGrant{{Status: StOK, RKey: 1, Off: 2, Len: 3}})
+	blob := AppendPutGrants(nil, []PutGrant{{Status: StOK, RKey: 1, Off: 2, Len: 3}})
 	for cut := 0; cut < len(blob); cut++ {
-		if _, err := DecodePutGrants(blob[:cut]); !errors.Is(err, ErrShort) {
+		if _, err := DecodePutGrantsInto(blob[:cut], nil); !errors.Is(err, ErrShort) {
 			t.Fatalf("truncated at %d: err = %v, want ErrShort", cut, err)
 		}
 	}

@@ -13,7 +13,7 @@ func TestGetOpsRoundTrip(t *testing.T) {
 		{Slot: NoSlot, Key: []byte("")},
 		{Slot: 0, Key: bytes.Repeat([]byte{'k'}, 300)},
 	}
-	got, err := DecodeGetOps(EncodeGetOps(ops))
+	got, err := DecodeGetOpsInto(AppendGetOps(nil, ops), nil)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -29,7 +29,7 @@ func TestGetOpsRoundTrip(t *testing.T) {
 }
 
 func TestGetOpsEmptyBatch(t *testing.T) {
-	got, err := DecodeGetOps(EncodeGetOps(nil))
+	got, err := DecodeGetOpsInto(AppendGetOps(nil, nil), nil)
 	if err != nil {
 		t.Fatalf("decode empty: %v", err)
 	}
@@ -39,9 +39,9 @@ func TestGetOpsEmptyBatch(t *testing.T) {
 }
 
 func TestGetOpsTruncated(t *testing.T) {
-	blob := EncodeGetOps([]GetOp{{Slot: 3, Key: []byte("victim")}})
+	blob := AppendGetOps(nil, []GetOp{{Slot: 3, Key: []byte("victim")}})
 	for cut := 0; cut < len(blob); cut++ {
-		if _, err := DecodeGetOps(blob[:cut]); !errors.Is(err, ErrShort) {
+		if _, err := DecodeGetOpsInto(blob[:cut], nil); !errors.Is(err, ErrShort) {
 			t.Fatalf("truncated at %d: err = %v, want ErrShort", cut, err)
 		}
 	}
@@ -53,7 +53,7 @@ func TestGetGrantsRoundTrip(t *testing.T) {
 		{Status: StNotFound},
 		{Status: StOK, RKey: 0xffffffff, Slot: NoSlot, Len: 0xffffffff, KLen: 0, Off: 0, Seq: ^uint64(0)},
 	}
-	got, err := DecodeGetGrantsInto(EncodeGetGrants(gs), nil)
+	got, err := DecodeGetGrantsInto(AppendGetGrants(nil, gs), nil)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -71,7 +71,7 @@ func TestGetGrantsRoundTrip(t *testing.T) {
 }
 
 func TestGetGrantsTruncated(t *testing.T) {
-	blob := EncodeGetGrants([]GetGrant{{Status: StOK, RKey: 1, Slot: 2, Len: 3, KLen: 4, Off: 5, Seq: 6}})
+	blob := AppendGetGrants(nil, []GetGrant{{Status: StOK, RKey: 1, Slot: 2, Len: 3, KLen: 4, Off: 5, Seq: 6}})
 	for cut := 0; cut < len(blob); cut++ {
 		if _, err := DecodeGetGrantsInto(blob[:cut], nil); !errors.Is(err, ErrShort) {
 			t.Fatalf("truncated at %d: err = %v, want ErrShort", cut, err)
@@ -83,7 +83,7 @@ func TestGetGrantsMisalignedCount(t *testing.T) {
 	// A response whose count field claims more grants than the payload
 	// carries must fail cleanly: an index-misaligned error array would
 	// otherwise map results onto the wrong keys.
-	blob := EncodeGetGrants([]GetGrant{{Status: StOK}, {Status: StNotFound}})
+	blob := AppendGetGrants(nil, []GetGrant{{Status: StOK}, {Status: StNotFound}})
 	binary.LittleEndian.PutUint32(blob, 3)
 	if _, err := DecodeGetGrantsInto(blob, nil); !errors.Is(err, ErrShort) {
 		t.Fatalf("inflated count: err = %v, want ErrShort", err)
@@ -101,9 +101,9 @@ func TestGetGrantsMisalignedCount(t *testing.T) {
 }
 
 func TestGetOpsMisalignedCount(t *testing.T) {
-	blob := EncodeGetOps([]GetOp{{Slot: 1, Key: []byte("a")}, {Slot: 2, Key: []byte("b")}})
+	blob := AppendGetOps(nil, []GetOp{{Slot: 1, Key: []byte("a")}, {Slot: 2, Key: []byte("b")}})
 	binary.LittleEndian.PutUint32(blob, 5)
-	if _, err := DecodeGetOps(blob); !errors.Is(err, ErrShort) {
+	if _, err := DecodeGetOpsInto(blob, nil); !errors.Is(err, ErrShort) {
 		t.Fatalf("inflated count: err = %v, want ErrShort", err)
 	}
 }
@@ -121,16 +121,16 @@ func TestGetBatchTypeValuesStable(t *testing.T) {
 // panic or over-allocate, and anything accepted must survive a re-encode.
 func FuzzWire(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(EncodeGetOps([]GetOp{{Slot: 1, Key: []byte("k")}, {Slot: NoSlot, Key: []byte("q")}}))
-	f.Add(EncodeGetGrants([]GetGrant{{Status: StOK, Flags: GrantDurable, RKey: 2, Slot: 3, Len: 4, KLen: 1, Off: 5, Seq: 6}}))
-	f.Add(EncodePutOps([]PutOp{{Crc: 9, VLen: 48, Key: []byte("p")}}))
-	f.Add(EncodePutGrants([]PutGrant{{Status: StOK, RKey: 1, Off: 2, Len: 3}}))
-	f.Add(EncodeTxnOps([]TxnOp{{Crc: 5, Key: []byte("t"), Value: []byte("tv")}, {Key: []byte("u")}}))
-	f.Add(EncodeTxnResults([]TxnResult{{Status: StOK, Seq: 8, Value: []byte("r")}, {Status: StNotFound}}))
-	f.Add(EncodeTxnStatuses([]uint8{StOK, StFull}))
+	f.Add(AppendGetOps(nil, []GetOp{{Slot: 1, Key: []byte("k")}, {Slot: NoSlot, Key: []byte("q")}}))
+	f.Add(AppendGetGrants(nil, []GetGrant{{Status: StOK, Flags: GrantDurable, RKey: 2, Slot: 3, Len: 4, KLen: 1, Off: 5, Seq: 6}}))
+	f.Add(AppendPutOps(nil, []PutOp{{Crc: 9, VLen: 48, Key: []byte("p")}}))
+	f.Add(AppendPutGrants(nil, []PutGrant{{Status: StOK, RKey: 1, Off: 2, Len: 3}}))
+	f.Add(AppendTxnOps(nil, []TxnOp{{Crc: 5, Key: []byte("t"), Value: []byte("tv")}, {Key: []byte("u")}}))
+	f.Add(AppendTxnResults(nil, []TxnResult{{Status: StOK, Seq: 8, Value: []byte("r")}, {Status: StNotFound}}))
+	f.Add(AppendTxnOps(nil, nil)) // a zero count, which every payload decoder accepts
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if ops, err := DecodeGetOps(data); err == nil {
-			again, err := DecodeGetOps(EncodeGetOps(ops))
+		if ops, err := DecodeGetOpsInto(data, nil); err == nil {
+			again, err := DecodeGetOpsInto(AppendGetOps(nil, ops), nil)
 			if err != nil || len(again) != len(ops) {
 				t.Fatalf("get ops re-decode: %v (%d vs %d)", err, len(again), len(ops))
 			}
@@ -141,7 +141,7 @@ func FuzzWire(f *testing.F) {
 			}
 		}
 		if gs, err := DecodeGetGrantsInto(data, nil); err == nil {
-			again, err := DecodeGetGrantsInto(EncodeGetGrants(gs), nil)
+			again, err := DecodeGetGrantsInto(AppendGetGrants(nil, gs), nil)
 			if err != nil || len(again) != len(gs) {
 				t.Fatalf("get grants re-decode: %v", err)
 			}
@@ -151,18 +151,18 @@ func FuzzWire(f *testing.F) {
 				}
 			}
 		}
-		if ops, err := DecodePutOps(data); err == nil {
-			if _, err := DecodePutOps(EncodePutOps(ops)); err != nil {
+		if ops, err := DecodePutOpsInto(data, nil); err == nil {
+			if _, err := DecodePutOpsInto(AppendPutOps(nil, ops), nil); err != nil {
 				t.Fatalf("put ops re-decode: %v", err)
 			}
 		}
-		if gs, err := DecodePutGrants(data); err == nil {
-			if _, err := DecodePutGrants(EncodePutGrants(gs)); err != nil {
+		if gs, err := DecodePutGrantsInto(data, nil); err == nil {
+			if _, err := DecodePutGrantsInto(AppendPutGrants(nil, gs), nil); err != nil {
 				t.Fatalf("put grants re-decode: %v", err)
 			}
 		}
-		if ops, err := DecodeTxnOps(data); err == nil {
-			again, err := DecodeTxnOps(EncodeTxnOps(ops))
+		if ops, err := DecodeTxnOpsInto(data, nil); err == nil {
+			again, err := DecodeTxnOpsInto(AppendTxnOps(nil, ops), nil)
 			if err != nil || len(again) != len(ops) {
 				t.Fatalf("txn ops re-decode: %v (%d vs %d)", err, len(again), len(ops))
 			}
@@ -172,8 +172,8 @@ func FuzzWire(f *testing.F) {
 				}
 			}
 		}
-		if rs, err := DecodeTxnResults(data); err == nil {
-			again, err := DecodeTxnResults(EncodeTxnResults(rs))
+		if rs, err := DecodeTxnResultsInto(data, nil); err == nil {
+			again, err := DecodeTxnResultsInto(AppendTxnResults(nil, rs), nil)
 			if err != nil || len(again) != len(rs) {
 				t.Fatalf("txn results re-decode: %v", err)
 			}
@@ -181,12 +181,6 @@ func FuzzWire(f *testing.F) {
 				if again[i].Status != rs[i].Status || again[i].Seq != rs[i].Seq || !bytes.Equal(again[i].Value, rs[i].Value) {
 					t.Fatalf("txn result %d round trip mismatch", i)
 				}
-			}
-		}
-		if sts, err := DecodeTxnStatuses(data); err == nil {
-			again, err := DecodeTxnStatuses(EncodeTxnStatuses(sts))
-			if err != nil || !bytes.Equal(again, sts) {
-				t.Fatalf("txn statuses re-decode: %v", err)
 			}
 		}
 	})

@@ -6,11 +6,12 @@ import (
 )
 
 // Transaction payloads. A TTxnCommit carries TxnOps (key + value + CRC
-// per op) in Msg.Value; the response carries one status byte per op. A
-// TTxnRead reuses the GetOps codec for its keys (Slot = NoSlot) and
-// answers with TxnResults. Both follow the batch codecs' shape: u32
-// count header, per-element fixed prefix + variable bytes, capHint
-// bounding preallocation against corrupt counts.
+// per op) in Msg.Value; the response carries the status and the
+// transaction id in Off, and no payload. A TTxnRead reuses the GetOps
+// codec for its keys (Slot = NoSlot) and answers with TxnResults. Both
+// follow the batch codecs' shape: u32 count header, per-element fixed
+// prefix + variable bytes, capHint bounding preallocation against
+// corrupt counts.
 
 // TxnOp is one write of a TTxnCommit request. Unlike TPut, the value
 // travels in the message: transactional staging is server-driven, so
@@ -57,23 +58,10 @@ func AppendTxnOps(b []byte, ops []TxnOp) []byte {
 	return b
 }
 
-// EncodeTxnOps packs a TTxnCommit payload (carried in Msg.Value).
-func EncodeTxnOps(ops []TxnOp) []byte {
-	return AppendTxnOps(make([]byte, 0, TxnOpsSize(ops)), ops)
-}
-
-// DecodeTxnOps unpacks a TTxnCommit payload.
-func DecodeTxnOps(b []byte) ([]TxnOp, error) {
-	return decodeTxnOps(b, nil)
-}
-
 // DecodeTxnOpsInto unpacks a TTxnCommit payload into ops (resliced to
-// [:0]), reusing its backing array across calls.
+// [:0]), reusing its backing array across calls. Keys and values alias b.
 func DecodeTxnOpsInto(b []byte, ops []TxnOp) ([]TxnOp, error) {
-	return decodeTxnOps(b, ops[:0])
-}
-
-func decodeTxnOps(b []byte, ops []TxnOp) ([]TxnOp, error) {
+	ops = ops[:0]
 	if len(b) < 4 {
 		return nil, fmt.Errorf("%w: txn batch header", ErrShort)
 	}
@@ -101,37 +89,6 @@ func decodeTxnOps(b []byte, ops []TxnOp) ([]TxnOp, error) {
 		p += 12 + klen + vlen
 	}
 	return ops, nil
-}
-
-// TxnStatusesSize returns the encoded size of a TTxnCommitResp payload.
-func TxnStatusesSize(sts []uint8) int { return 4 + len(sts) }
-
-// AppendTxnStatuses appends a TTxnCommitResp payload (one status byte
-// per op, index-aligned with the request) to b.
-func AppendTxnStatuses(b []byte, sts []uint8) []byte {
-	base := len(b)
-	b = appendZeros(b, TxnStatusesSize(sts))
-	o := b[base:]
-	binary.LittleEndian.PutUint32(o, uint32(len(sts)))
-	copy(o[4:], sts)
-	return b
-}
-
-// EncodeTxnStatuses packs a TTxnCommitResp payload.
-func EncodeTxnStatuses(sts []uint8) []byte {
-	return AppendTxnStatuses(make([]byte, 0, TxnStatusesSize(sts)), sts)
-}
-
-// DecodeTxnStatuses unpacks a TTxnCommitResp payload.
-func DecodeTxnStatuses(b []byte) ([]uint8, error) {
-	if len(b) < 4 {
-		return nil, fmt.Errorf("%w: txn status header", ErrShort)
-	}
-	count := int(binary.LittleEndian.Uint32(b))
-	if count < 0 || len(b) < 4+count {
-		return nil, fmt.Errorf("%w: %d txn statuses in %d bytes", ErrShort, count, len(b))
-	}
-	return append([]uint8(nil), b[4:4+count]...), nil
 }
 
 // txnResultFixed is the fixed wire footprint of one TxnResult.
@@ -164,22 +121,10 @@ func AppendTxnResults(b []byte, rs []TxnResult) []byte {
 	return b
 }
 
-// EncodeTxnResults packs a TTxnReadResp payload (carried in Msg.Value).
-func EncodeTxnResults(rs []TxnResult) []byte {
-	return AppendTxnResults(make([]byte, 0, TxnResultsSize(rs)), rs)
-}
-
-// DecodeTxnResults unpacks a TTxnReadResp payload.
-func DecodeTxnResults(b []byte) ([]TxnResult, error) {
-	return decodeTxnResults(b, nil)
-}
-
-// DecodeTxnResultsInto unpacks a TTxnReadResp payload into rs.
+// DecodeTxnResultsInto unpacks a TTxnReadResp payload into rs (resliced
+// to [:0]). Values alias b.
 func DecodeTxnResultsInto(b []byte, rs []TxnResult) ([]TxnResult, error) {
-	return decodeTxnResults(b, rs[:0])
-}
-
-func decodeTxnResults(b []byte, rs []TxnResult) ([]TxnResult, error) {
+	rs = rs[:0]
 	if len(b) < 4 {
 		return nil, fmt.Errorf("%w: txn result header", ErrShort)
 	}

@@ -13,7 +13,7 @@ func TestTxnOpsRoundTrip(t *testing.T) {
 		{Crc: 0, Key: []byte("longer-key"), Value: nil},
 		{Crc: 7, Key: []byte("b"), Value: bytes.Repeat([]byte{0xab}, 900)},
 	}
-	got, err := DecodeTxnOps(EncodeTxnOps(ops))
+	got, err := DecodeTxnOpsInto(AppendTxnOps(nil, ops), nil)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -28,39 +28,19 @@ func TestTxnOpsRoundTrip(t *testing.T) {
 }
 
 func TestTxnOpsTruncated(t *testing.T) {
-	blob := EncodeTxnOps([]TxnOp{{Crc: 1, Key: []byte("key"), Value: []byte("value")}})
+	blob := AppendTxnOps(nil, []TxnOp{{Crc: 1, Key: []byte("key"), Value: []byte("value")}})
 	for cut := 0; cut < len(blob); cut++ {
-		if _, err := DecodeTxnOps(blob[:cut]); !errors.Is(err, ErrShort) {
+		if _, err := DecodeTxnOpsInto(blob[:cut], nil); !errors.Is(err, ErrShort) {
 			t.Fatalf("cut at %d: err = %v, want ErrShort", cut, err)
 		}
 	}
 }
 
 func TestTxnOpsMisalignedCount(t *testing.T) {
-	blob := EncodeTxnOps([]TxnOp{{Key: []byte("a"), Value: []byte("v")}})
+	blob := AppendTxnOps(nil, []TxnOp{{Key: []byte("a"), Value: []byte("v")}})
 	binary.LittleEndian.PutUint32(blob, 9)
-	if _, err := DecodeTxnOps(blob); !errors.Is(err, ErrShort) {
+	if _, err := DecodeTxnOpsInto(blob, nil); !errors.Is(err, ErrShort) {
 		t.Fatalf("inflated count: err = %v, want ErrShort", err)
-	}
-}
-
-func TestTxnStatusesRoundTrip(t *testing.T) {
-	sts := []uint8{StOK, StFull, StError, StNotFound}
-	got, err := DecodeTxnStatuses(EncodeTxnStatuses(sts))
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if !bytes.Equal(got, sts) {
-		t.Fatalf("statuses round trip: %v vs %v", got, sts)
-	}
-}
-
-func TestTxnStatusesTruncated(t *testing.T) {
-	blob := EncodeTxnStatuses([]uint8{StOK, StOK, StFull})
-	for cut := 0; cut < len(blob); cut++ {
-		if _, err := DecodeTxnStatuses(blob[:cut]); !errors.Is(err, ErrShort) {
-			t.Fatalf("cut at %d: err = %v, want ErrShort", cut, err)
-		}
 	}
 }
 
@@ -70,7 +50,7 @@ func TestTxnResultsRoundTrip(t *testing.T) {
 		{Status: StNotFound},
 		{Status: StOK, Seq: 1 << 40, Value: bytes.Repeat([]byte{7}, 2048)},
 	}
-	got, err := DecodeTxnResults(EncodeTxnResults(rs))
+	got, err := DecodeTxnResultsInto(AppendTxnResults(nil, rs), nil)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -85,9 +65,9 @@ func TestTxnResultsRoundTrip(t *testing.T) {
 }
 
 func TestTxnResultsTruncated(t *testing.T) {
-	blob := EncodeTxnResults([]TxnResult{{Status: StOK, Seq: 3, Value: []byte("val")}})
+	blob := AppendTxnResults(nil, []TxnResult{{Status: StOK, Seq: 3, Value: []byte("val")}})
 	for cut := 0; cut < len(blob); cut++ {
-		if _, err := DecodeTxnResults(blob[:cut]); !errors.Is(err, ErrShort) {
+		if _, err := DecodeTxnResultsInto(blob[:cut], nil); !errors.Is(err, ErrShort) {
 			t.Fatalf("cut at %d: err = %v, want ErrShort", cut, err)
 		}
 	}

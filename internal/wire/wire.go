@@ -293,18 +293,11 @@ type PutGrant struct {
 	Len    uint32 // total object length
 }
 
-// EncodePutOps packs a TPutBatch payload (carried in Msg.Value).
-func EncodePutOps(ops []PutOp) []byte {
-	return AppendPutOps(make([]byte, 0, PutOpsSize(ops)), ops)
-}
-
-// DecodePutOps unpacks a TPutBatch payload.
-func DecodePutOps(b []byte) ([]PutOp, error) {
-	return decodePutOps(b, nil)
-}
-
-// decodePutOps is the shared body of DecodePutOps and DecodePutOpsInto.
-func decodePutOps(b []byte, ops []PutOp) ([]PutOp, error) {
+// DecodePutOpsInto unpacks a TPutBatch payload into ops (reslicing it to
+// [:0] first), so a decode loop reuses one backing array across calls.
+// Keys alias b.
+func DecodePutOpsInto(b []byte, ops []PutOp) ([]PutOp, error) {
+	ops = ops[:0]
 	if len(b) < 4 {
 		return nil, fmt.Errorf("%w: batch header", ErrShort)
 	}
@@ -330,19 +323,10 @@ func decodePutOps(b []byte, ops []PutOp) ([]PutOp, error) {
 	return ops, nil
 }
 
-// EncodePutGrants packs a TPutBatchResp payload (carried in Msg.Value).
-func EncodePutGrants(gs []PutGrant) []byte {
-	return AppendPutGrants(make([]byte, 0, PutGrantsSize(gs)), gs)
-}
-
-// DecodePutGrants unpacks a TPutBatchResp payload.
-func DecodePutGrants(b []byte) ([]PutGrant, error) {
-	return decodePutGrants(b, nil)
-}
-
-// decodePutGrants is the shared body of DecodePutGrants and
-// DecodePutGrantsInto.
-func decodePutGrants(b []byte, gs []PutGrant) ([]PutGrant, error) {
+// DecodePutGrantsInto unpacks a TPutBatchResp payload into gs (resliced
+// to [:0]).
+func DecodePutGrantsInto(b []byte, gs []PutGrant) ([]PutGrant, error) {
+	gs = gs[:0]
 	if len(b) < 4 {
 		return nil, fmt.Errorf("%w: grant header", ErrShort)
 	}
@@ -418,18 +402,10 @@ func (g *GetGrant) Durable() bool { return g.Flags&GrantDurable != 0 }
 // getGrantSize is the fixed wire footprint of one GetGrant.
 const getGrantSize = 1 + 1 + 4 + 4 + 4 + 4 + 8 + 8
 
-// EncodeGetOps packs a TGetBatch payload (carried in Msg.Value).
-func EncodeGetOps(ops []GetOp) []byte {
-	return AppendGetOps(make([]byte, 0, GetOpsSize(ops)), ops)
-}
-
-// DecodeGetOps unpacks a TGetBatch payload.
-func DecodeGetOps(b []byte) ([]GetOp, error) {
-	return decodeGetOps(b, nil)
-}
-
-// decodeGetOps is the shared body of DecodeGetOps and DecodeGetOpsInto.
-func decodeGetOps(b []byte, ops []GetOp) ([]GetOp, error) {
+// DecodeGetOpsInto unpacks a TGetBatch payload into ops (resliced to
+// [:0]). Keys alias b.
+func DecodeGetOpsInto(b []byte, ops []GetOp) ([]GetOp, error) {
+	ops = ops[:0]
 	if len(b) < 4 {
 		return nil, fmt.Errorf("%w: get batch header", ErrShort)
 	}
@@ -454,13 +430,10 @@ func decodeGetOps(b []byte, ops []GetOp) ([]GetOp, error) {
 	return ops, nil
 }
 
-// EncodeGetGrants packs a TGetResults payload (carried in Msg.Value).
-func EncodeGetGrants(gs []GetGrant) []byte {
-	return AppendGetGrants(make([]byte, 0, GetGrantsSize(gs)), gs)
-}
-
-// decodeGetGrants is the body of DecodeGetGrantsInto.
-func decodeGetGrants(b []byte, gs []GetGrant) ([]GetGrant, error) {
+// DecodeGetGrantsInto unpacks a TGetResults payload into gs (resliced to
+// [:0]).
+func DecodeGetGrantsInto(b []byte, gs []GetGrant) ([]GetGrant, error) {
+	gs = gs[:0]
 	if len(b) < 4 {
 		return nil, fmt.Errorf("%w: get grant header", ErrShort)
 	}

@@ -152,31 +152,9 @@ func TestAppendEncodeMatchesEncode(t *testing.T) {
 	}
 }
 
-func TestAppendBatchPayloadsMatchEncode(t *testing.T) {
-	ops := []PutOp{{Crc: 1, VLen: 10, Key: []byte("a")}, {Crc: 2, VLen: 20, Key: []byte("bb")}}
-	if got, want := string(AppendPutOps(nil, ops)), string(EncodePutOps(ops)); got != want {
-		t.Fatalf("AppendPutOps differs from EncodePutOps")
-	}
-	if PutOpsSize(ops) != len(EncodePutOps(ops)) {
-		t.Fatalf("PutOpsSize mismatch")
-	}
-	grants := []PutGrant{{Status: StOK, RKey: 3, Off: 99, Len: 55}, {Status: StFull}}
-	if got, want := string(AppendPutGrants(nil, grants)), string(EncodePutGrants(grants)); got != want {
-		t.Fatalf("AppendPutGrants differs from EncodePutGrants")
-	}
-	gops := []GetOp{{Slot: NoSlot, Key: []byte("x")}, {Slot: 4, Key: []byte("yy")}}
-	if got, want := string(AppendGetOps(nil, gops)), string(EncodeGetOps(gops)); got != want {
-		t.Fatalf("AppendGetOps differs from EncodeGetOps")
-	}
-	ggrants := []GetGrant{{Status: StOK, Flags: GrantDurable, RKey: 1, Slot: 2, Len: 3, KLen: 4, Off: 5, Seq: 6}}
-	if got, want := string(AppendGetGrants(nil, ggrants)), string(EncodeGetGrants(ggrants)); got != want {
-		t.Fatalf("AppendGetGrants differs from EncodeGetGrants")
-	}
-}
-
 func TestDecodeIntoReusesBacking(t *testing.T) {
 	ops := []PutOp{{Crc: 1, VLen: 10, Key: []byte("a")}, {Crc: 2, VLen: 20, Key: []byte("bb")}}
-	payload := EncodePutOps(ops)
+	payload := AppendPutOps(nil, ops)
 	scratch := make([]PutOp, 0, 8)
 	out, err := DecodePutOpsInto(payload, scratch)
 	if err != nil || len(out) != 2 || &out[0] != &scratch[:1][0] {
@@ -188,18 +166,18 @@ func TestDecodeIntoReusesBacking(t *testing.T) {
 		t.Fatalf("repeat DecodePutOpsInto must not reallocate")
 	}
 	grants := []PutGrant{{Status: StOK, Off: 7}}
-	gp := EncodePutGrants(grants)
+	gp := AppendPutGrants(nil, grants)
 	gscratch := make([]PutGrant, 0, 4)
 	gout, err := DecodePutGrantsInto(gp, gscratch)
 	if err != nil || len(gout) != 1 || gout[0].Off != 7 {
 		t.Fatalf("DecodePutGrantsInto: %v %+v", err, gout)
 	}
-	ggp := EncodeGetGrants([]GetGrant{{Status: StOK, Seq: 9}})
+	ggp := AppendGetGrants(nil, []GetGrant{{Status: StOK, Seq: 9}})
 	ggout, err := DecodeGetGrantsInto(ggp, make([]GetGrant, 0, 4))
 	if err != nil || len(ggout) != 1 || ggout[0].Seq != 9 {
 		t.Fatalf("DecodeGetGrantsInto: %v %+v", err, ggout)
 	}
-	gosOut, err := DecodeGetOpsInto(EncodeGetOps([]GetOp{{Slot: 3, Key: []byte("k")}}), make([]GetOp, 0, 4))
+	gosOut, err := DecodeGetOpsInto(AppendGetOps(nil, []GetOp{{Slot: 3, Key: []byte("k")}}), make([]GetOp, 0, 4))
 	if err != nil || len(gosOut) != 1 || gosOut[0].Slot != 3 {
 		t.Fatalf("DecodeGetOpsInto: %v %+v", err, gosOut)
 	}
