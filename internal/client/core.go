@@ -39,6 +39,10 @@ type Core struct {
 	cleaning bool
 	hints    *hint.Cache   // nil unless the core reads hinted
 	tracer   *trace.Tracer // nil unless EnableTracing was called
+	// inline is the server's inline budget: a PUT whose values total at
+	// most this many bytes carries them in its allocation request. 0 means
+	// never, the paper's alloc-then-WRITE path.
+	inline int
 
 	// epoch is the cluster-map epoch the binding stamps on routed requests
 	// (0 = unclustered, which is all the simulator knows).
@@ -49,11 +53,12 @@ type Core struct {
 }
 
 // New builds a core over v for a server with the given per-shard regions
-// and per-shard bucket count. Path choices are counted into stats. The
+// and per-shard bucket count, and the inline budget in bytes the server
+// announced (0: none; see put). Path choices are counted into stats. The
 // hybrid read scheme starts enabled, the hint cache when hinted is set
 // (see EnableHintCache), tracing off.
-func New(v Verbs, shards []Shard, buckets int, stats *Stats, hinted bool) *Core {
-	c := &Core{v: v, shards: shards, buckets: buckets, hybrid: true, stats: stats}
+func New(v Verbs, shards []Shard, buckets int, stats *Stats, hinted bool, inline int) *Core {
+	c := &Core{v: v, shards: shards, buckets: buckets, hybrid: true, stats: stats, inline: inline}
 	if hinted {
 		c.EnableHintCache()
 	}
@@ -229,92 +234,95 @@ type scratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-// Put stores value under key using the client-active scheme with
-// asynchronous durability (Figure 5): checksum the value, obtain an
-// allocation via RPC, then push the value with a one-sided write. No
-// durability round trip — the background thread persists it. Once the
-// WRITE is acknowledged, key's hint names the new object, so the client's
-// next read of the key is one burst. A repeated attempt redoes the
-// allocation: the previous attempt's slot (if granted) is left torn and
-// gets invalidated by background verification.
+// Put stores value under key: PutBatch's body (see put) over one key,
+// sent as TPut and counted as a plain PUT.
 func (c *Core) Put(tc *trace.Ctx, key, value []byte) error {
-	c.count(&c.stats.Puts, 1)
-	t := c.now(tc)
-	c.v.ChargeCRC(len(value))
-	sum := crc.Checksum(value)
-	tc.Add("client_crc", t, c.now(tc))
-	t = c.now(tc)
-	resp, buf, err := c.v.Call(wire.Msg{Type: wire.TPut, Crc: sum, Len: uint64(len(value)), Key: key, Trace: tc.ID()})
-	tc.Add("alloc_rpc", t, c.now(tc))
-	if err != nil {
-		return err
-	}
-	c.v.Release(buf) // TPutResp carries scalars only — nothing aliases buf
-	switch resp.Status {
-	case wire.StOK:
-	case wire.StFull:
-		return ErrServerFull
-	default:
-		return &StatusError{Op: "put", Status: resp.Status}
-	}
-	sc := scratchPool.Get().(*scratch)
-	sc.reqs = append(sc.reqs[:0], Req{Buf: value, RKey: resp.RKey, Off: resp.Off + uint64(kv.ValueOffset(len(key)))})
-	t = c.now(tc)
-	err = c.v.WriteBurst(sc.reqs)
-	tc.Add("doorbell_write", t, c.now(tc))
-	if err == nil && sc.reqs[0].NAK {
-		err = ErrNAK
-	}
-	scratchPool.Put(sc)
-	if err == nil {
-		c.learnWrite(key, resp.RKey, resp.Off, int(resp.Len))
-	}
-	return err
+	keys, vals, errs := [1][]byte{key}, [1][]byte{value}, [1]error{}
+	c.put(tc, keys[:], vals[:], errs[:], true)
+	return errs[0]
 }
 
-// PutBatch stores len(keys) key/value pairs with one multi-op allocation
-// RPC and one burst of one-sided value writes, every request posted before
-// the first completion is awaited. Completion-vs-durability semantics
-// match Put — durability stays asynchronous, one object at a time, in the
-// background, and every acknowledged op re-points its key's hint as Put
-// does. errs (len(keys) long) is filled in place, one entry per op in
+// PutBatch stores len(keys) key/value pairs in one multi-op RPC (see
+// put). errs (len(keys) long) is filled in place, one entry per op in
 // order: nil, ErrServerFull, or the attempt-level failure — also returned
 // — shared by every op it reached.
 func (c *Core) PutBatch(tc *trace.Ctx, keys, values [][]byte, errs []error) error {
+	return c.put(tc, keys, values, errs, false)
+}
+
+// put is the one PUT body: the client-active scheme with asynchronous
+// durability (Figure 5). It checksums the values and asks for an
+// allocation per key in one RPC — TPut for a single Put, TPutBatch
+// otherwise. When the values total at most the server's inline budget
+// they ride that request, the server writes them before the entries
+// publish, and the RPC's ack is the PUT's. Otherwise one burst of
+// one-sided WRITEs, every request posted before the first completion is
+// awaited, pushes them to the granted objects. No durability round trip
+// either way: the background verifier persists each object. Every
+// acknowledged op re-points its key's hint at the new object, so the
+// client's next read of the key is one burst. A repeated attempt redoes
+// the allocation: the previous attempt's slot (if granted) is left torn
+// and gets invalidated by background verification.
+func (c *Core) put(tc *trace.Ctx, keys, values [][]byte, errs []error, single bool) error {
 	clear(errs)
 	c.count(&c.stats.Puts, len(keys))
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
 	t := c.now(tc)
 	ops := sc.ops[:0]
+	total := 0
 	for i := range keys {
 		c.v.ChargeCRC(len(values[i]))
-		ops = append(ops, wire.PutOp{Crc: crc.Checksum(values[i]), VLen: len(values[i]), Key: keys[i]})
+		ops = append(ops, wire.PutOp{Crc: crc.Checksum(values[i]), VLen: len(values[i]), Key: keys[i], Value: values[i]})
+		total += len(values[i])
 	}
 	sc.ops = ops
 	tc.Add("client_crc", t, c.now(tc))
-	sc.opsBuf = wire.AppendPutOps(sc.opsBuf[:0], ops)
+	inline := c.inline > 0 && total <= c.inline
+	req := wire.Msg{Type: wire.TPutBatch, Trace: tc.ID()}
+	if single {
+		req.Type, req.Crc, req.Len, req.Key = wire.TPut, ops[0].Crc, uint64(total), keys[0]
+		if inline {
+			req.Value = values[0]
+		}
+	} else {
+		if inline {
+			// Selects the inline layout; 0 when every value is empty,
+			// which the allocation-only layout says just as well.
+			req.Len = uint64(total)
+		}
+		sc.opsBuf = wire.AppendPutOps(sc.opsBuf[:0], ops, req.Len != 0)
+		req.Value = sc.opsBuf
+	}
 	t = c.now(tc)
-	resp, buf, err := c.v.Call(wire.Msg{Type: wire.TPutBatch, Value: sc.opsBuf, Trace: tc.ID()})
+	resp, buf, err := c.v.Call(req)
 	tc.Add("alloc_rpc", t, c.now(tc))
 	if err != nil {
 		return failAll(errs, err)
 	}
-	if resp.Status != wire.StOK {
+	grants := sc.grants[:0]
+	switch {
+	case single:
+		grants = append(grants, wire.PutGrant{Status: resp.Status, RKey: resp.RKey, Off: resp.Off, Len: uint32(resp.Len)})
+	case resp.Status != wire.StOK:
 		c.v.Release(buf)
 		return failAll(errs, &StatusError{Op: "put batch", Status: resp.Status})
+	default:
+		grants, err = wire.DecodePutGrantsInto(resp.Value, grants)
 	}
-	grants, err := wire.DecodePutGrantsInto(resp.Value, sc.grants)
 	c.v.Release(buf) // grants are scalar copies
 	if err != nil || len(grants) != len(keys) {
 		return failAll(errs, fmt.Errorf("efactory: malformed put batch response: %d grants for %d ops: %v", len(grants), len(keys), err))
 	}
 	sc.grants = grants
-	reqs := sc.reqs[:0]
+	reqs, granted := sc.reqs[:0], 0
 	for i, g := range grants {
 		switch g.Status {
 		case wire.StOK:
-			reqs = append(reqs, Req{Buf: values[i], RKey: g.RKey, Off: g.Off + uint64(kv.ValueOffset(len(keys[i])))})
+			granted++
+			if !inline {
+				reqs = append(reqs, Req{Buf: values[i], RKey: g.RKey, Off: g.Off + uint64(kv.ValueOffset(len(keys[i])))})
+			}
 		case wire.StFull:
 			errs[i] = ErrServerFull
 		default:
@@ -322,24 +330,31 @@ func (c *Core) PutBatch(tc *trace.Ctx, keys, values [][]byte, errs []error) erro
 		}
 	}
 	sc.reqs = reqs
-	t = c.now(tc)
-	err = c.v.WriteBurst(reqs)
-	tc.Add("doorbell_write", t, c.now(tc))
-	if err != nil {
-		return failAll(errs, err)
-	}
-	j := 0
-	for i, g := range grants {
-		if g.Status == wire.StOK {
-			if reqs[j].NAK {
-				errs[i] = ErrNAK
-			} else {
-				c.learnWrite(keys[i], g.RKey, g.Off, int(g.Len))
-			}
-			j++
+	if len(reqs) > 0 {
+		t = c.now(tc)
+		err = c.v.WriteBurst(reqs)
+		tc.Add("doorbell_write", t, c.now(tc))
+		if err != nil {
+			return failAll(errs, err)
 		}
 	}
-	c.count(&c.stats.BatchedPuts, len(reqs))
+	j := 0 // the next WRITE, in grant order
+	for i, g := range grants {
+		if g.Status != wire.StOK {
+			continue
+		}
+		if !inline {
+			j++
+			if reqs[j-1].NAK {
+				errs[i] = ErrNAK
+				continue
+			}
+		}
+		c.learnWrite(keys[i], g.RKey, g.Off, int(g.Len))
+	}
+	if !single {
+		c.count(&c.stats.BatchedPuts, granted)
+	}
 	return nil
 }
 

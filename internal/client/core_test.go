@@ -27,8 +27,9 @@ type fakeVerbs struct {
 	core *server.Core
 	sc   server.Scratch
 
-	rpcs   []uint8 // request types, in order
-	bursts int     // READ bursts posted
+	rpcs        []uint8 // request types, in order
+	bursts      int     // READ bursts posted
+	writeBursts int     // WRITE bursts posted
 	// onRead, when set, sees every READ after its bytes were fetched: burst
 	// counts READ bursts from 1, idx is the request's position in it.
 	onRead func(burst, idx int, r *Req)
@@ -58,7 +59,7 @@ func newFake(t *testing.T, buckets int) (*fakeVerbs, *Core, *Stats) {
 	f.st = st
 	f.core = server.New(st, [][2]uint32{{2, 3}}, nil)
 	stats := new(Stats)
-	return f, New(f, []Shard{{Table: 1, Pool: [2]uint32{2, 3}}}, buckets, stats, false), stats
+	return f, New(f, []Shard{{Table: 1, Pool: [2]uint32{2, 3}}}, buckets, stats, false, 0), stats
 }
 
 func (f *fakeVerbs) eng() *store.Engine { return f.st.Shard(0) }
@@ -166,6 +167,7 @@ func (f *fakeVerbs) ReadBurst(reqs []Req) error {
 }
 
 func (f *fakeVerbs) WriteBurst(reqs []Req) error {
+	f.writeBursts++
 	for i := range reqs {
 		base, ok := f.region(reqs[i])
 		if !ok || f.nakWrites {
@@ -685,6 +687,53 @@ func TestGrantedLocationRefused(t *testing.T) {
 	}
 }
 
+// TestPutInlineBudget pins the one PUT body's path choice. With the
+// server's budget 0 — the simulator's — a Put or PutBatch is one
+// allocation RPC and one WRITE burst. A budget that covers the values
+// sends them in that RPC and no burst follows. Values over the budget
+// take the WRITE path. Every value reads back either way.
+func TestPutInlineBudget(t *testing.T) {
+	keys := [][]byte{[]byte("inline-a"), []byte("inline-b")}
+	vals := [][]byte{bytes.Repeat([]byte{'a'}, 20), bytes.Repeat([]byte{'b'}, 20)}
+	for _, tc := range []struct {
+		name   string
+		budget int
+		batch  bool
+		bursts int
+	}{
+		{"Put budget 0", 0, false, 1},
+		{"PutBatch budget 0", 0, true, 1},
+		{"Put within budget", 20, false, 0},
+		{"PutBatch within budget", 40, true, 0},
+		{"Put over budget", 19, false, 1},
+		{"PutBatch over budget", 39, true, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f, _, stats := newFake(t, 64)
+			c := New(f, []Shard{{Table: 1, Pool: [2]uint32{2, 3}}}, 64, stats, false, tc.budget)
+			want, n := []uint8{wire.TPut}, 1
+			if tc.batch {
+				want, n = []uint8{wire.TPutBatch}, len(keys)
+				errs := make([]error, len(keys))
+				if err := c.PutBatch(nil, keys, vals, errs); err != nil || FirstErr(errs) != nil {
+					t.Fatalf("PutBatch: %v %v", err, errs)
+				}
+			} else if err := c.Put(nil, keys[0], vals[0]); err != nil {
+				t.Fatalf("Put: %v", err)
+			}
+			if !bytes.Equal(f.rpcs, want) || f.writeBursts != tc.bursts {
+				t.Errorf("RPCs %v and %d WRITE bursts, want %v and %d", f.rpcs, f.writeBursts, want, tc.bursts)
+			}
+			f.settle()
+			for i := range keys[:n] {
+				if got, err := c.Get(nil, keys[i]); err != nil || !bytes.Equal(got, vals[i]) {
+					t.Errorf("Get(%q) = %q, %v", keys[i], got, err)
+				}
+			}
+		})
+	}
+}
+
 // TestSettledHintedReadsLeaveCacheAlone: a hinted hit whose slot and
 // location held re-inserts nothing — an Insert allocates the key string —
 // so repeat reads of a settled key cost the cache one lookup each.
@@ -887,7 +936,7 @@ func (v parentTxnVerbs) Call(req wire.Msg) (wire.Msg, *[]byte, error) {
 // and the id, and the commit succeeds as it would without the payload.
 func TestTxnCommitIgnoresStatusPayload(t *testing.T) {
 	f, _, stats := newFake(t, 64)
-	c := New(parentTxnVerbs{f}, []Shard{{Table: 1, Pool: [2]uint32{2, 3}}}, 64, stats, false)
+	c := New(parentTxnVerbs{f}, []Shard{{Table: 1, Pool: [2]uint32{2, 3}}}, 64, stats, false, 0)
 	keys := [][]byte{[]byte("left"), []byte("right")}
 	vals := [][]byte{[]byte("v-left"), []byte("v-right")}
 	id, err := c.TxnCommit(nil, keys, vals)

@@ -59,7 +59,9 @@ type Client struct {
 
 func newClient(env *sim.Env, par *model.Params, nic *rnic.NIC, ep *rnic.Endpoint, shards []client.Shard, buckets int) *Client {
 	c := &Client{env: env, par: par, nic: nic, ep: ep}
-	c.core = client.New((*verbs)(c), shards, buckets, &c.Stats, false)
+	// No inline budget: every PUT is the paper's allocation RPC, then a
+	// one-sided WRITE.
+	c.core = client.New((*verbs)(c), shards, buckets, &c.Stats, false, 0)
 	return c
 }
 

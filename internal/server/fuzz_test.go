@@ -20,7 +20,7 @@ func FuzzHandle(f *testing.F) {
 	k := [][]byte{[]byte("fuzz-a"), []byte("fuzz-b"), []byte("fuzz-c")}
 	// One valid frame per request type.
 	f.Add(frame(wire.Msg{Type: wire.TPut, Key: k[0], Len: 64, Crc: 7}))
-	f.Add(frame(wire.Msg{Type: wire.TPutBatch, Value: wire.AppendPutOps(nil, []wire.PutOp{{Crc: 1, VLen: 32, Key: k[0]}, {Crc: 2, VLen: 48, Key: []byte("new")}})}))
+	f.Add(frame(wire.Msg{Type: wire.TPutBatch, Value: wire.AppendPutOps(nil, []wire.PutOp{{Crc: 1, VLen: 32, Key: k[0]}, {Crc: 2, VLen: 48, Key: []byte("new")}}, false)}))
 	f.Add(frame(wire.Msg{Type: wire.TGet, Key: k[1]}))
 	f.Add(frame(wire.Msg{Type: wire.TGetBatch, Value: getOps(k, noSlot)}))
 	f.Add(frame(wire.Msg{Type: wire.TDel, Key: k[2]}))
@@ -28,7 +28,7 @@ func FuzzHandle(f *testing.F) {
 	f.Add(frame(wire.Msg{Type: wire.TTxnRead, Value: getOps(k, noSlot)}))
 	// Truncated op lists, an over-cap count, out-of-range slot hints, and
 	// lengths no log can hold.
-	pb := wire.AppendPutOps(nil, []wire.PutOp{{VLen: 8, Key: k[0]}, {VLen: 8, Key: k[1]}})
+	pb := wire.AppendPutOps(nil, []wire.PutOp{{VLen: 8, Key: k[0]}, {VLen: 8, Key: k[1]}}, false)
 	f.Add(frame(wire.Msg{Type: wire.TPutBatch, Value: pb[:len(pb)-2]}))
 	tb := txnOps(k, 16)
 	f.Add(frame(wire.Msg{Type: wire.TTxnCommit, Value: tb[:len(tb)-5]}))
@@ -39,9 +39,17 @@ func FuzzHandle(f *testing.F) {
 	f.Add(frame(wire.Msg{Type: wire.TPut, Key: k[0], Len: 1 << 63}))
 	f.Add(frame(wire.Msg{Type: wire.TPut, Key: k[0], Len: 1<<24 - 1}))
 	f.Add(frame(wire.Msg{Type: wire.TPut, Len: 8}))
-	f.Add(frame(wire.Msg{Type: wire.TPutBatch, Value: wire.AppendPutOps(nil, []wire.PutOp{{VLen: 1<<32 - 1, Key: k[0]}})}))
+	f.Add(frame(wire.Msg{Type: wire.TPutBatch, Value: wire.AppendPutOps(nil, []wire.PutOp{{VLen: 1<<32 - 1, Key: k[0]}}, false)}))
 	f.Add(frame(wire.Msg{Type: wire.TTxnCommit, Value: wire.AppendTxnOps(nil, nil)}))
 	f.Add(frame(wire.Msg{Type: wire.THello}))
+	// Inline values: well formed, a length that is not the declared one, a
+	// batch cut short, a batch whose values do not sum to its Len.
+	f.Add(frame(wire.Msg{Type: wire.TPut, Key: k[0], Len: 5, Crc: 7, Value: []byte("value")}))
+	f.Add(frame(wire.Msg{Type: wire.TPut, Key: k[0], Len: 9, Value: []byte("value")}))
+	ib := wire.AppendPutOps(nil, []wire.PutOp{{Crc: 1, Key: k[0], Value: []byte("inline-a")}, {Crc: 2, Key: []byte("new"), Value: []byte("b")}}, true)
+	f.Add(frame(wire.Msg{Type: wire.TPutBatch, Len: 9, Value: ib}))
+	f.Add(frame(wire.Msg{Type: wire.TPutBatch, Len: 9, Value: ib[:len(ib)-1]}))
+	f.Add(frame(wire.Msg{Type: wire.TPutBatch, Len: 10, Value: ib}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		req, err := wire.Decode(data)
@@ -77,7 +85,7 @@ func FuzzHandle(f *testing.F) {
 		case wire.TPut, wire.TGet:
 			inPool(req.Key, resp.RKey, resp.Off, resp.Len)
 		case wire.TPutBatch:
-			ops, _ := wire.DecodePutOpsInto(req.Value, nil)
+			ops, _ := wire.DecodePutOpsInto(req.Value, nil, req.Len != 0)
 			gs, err := wire.DecodePutGrantsInto(resp.Value, nil)
 			if err != nil || len(gs) != len(ops) {
 				t.Fatalf("%d ops answered with %d grants (%v)", len(ops), len(gs), err)

@@ -1,9 +1,9 @@
 // Package server is the eFactory server protocol, written once: the
 // request layer between a decoded wire.Msg and the storage engine for the
 // seven data-plane requests — PUT steps 2-4 of Figure 5 (allocate, fill
-// metadata, publish, grant), the RPC leg of the hybrid read (§4.3), their
-// doorbell-batched forms, DELETE, the transactional commit and the
-// snapshot read.
+// metadata, write an inline value, publish, grant), the RPC leg of the
+// hybrid read (§4.3), their doorbell-batched forms, DELETE, the
+// transactional commit and the snapshot read.
 //
 // Every request runs the same four steps: parse the op list (refusing
 // what is malformed, over the op cap, or not storable), admit it through
@@ -153,28 +153,34 @@ func (c *Core) Handle(h any, m wire.Msg, sc *Scratch) (resp wire.Msg, handled bo
 
 // parse decodes m's op list into sc and collects the keys the request
 // names in sc.keys. It reports false for a request to refuse outright: a
-// malformed payload, a read over the op cap, an empty transaction, an op
-// that is not storable.
+// malformed payload, an inline value whose length is not the one
+// declared, a read over the op cap, an empty transaction, an op that is
+// not storable.
 func (c *Core) parse(m wire.Msg, sc *Scratch) bool {
 	var err error
 	keys := sc.keys[:0]
 	switch m.Type {
 	case wire.TPut:
-		if !kv.Storable(len(m.Key), m.Len) {
+		if !kv.Storable(len(m.Key), m.Len) || (m.Value != nil && uint64(len(m.Value)) != m.Len) {
 			return false
 		}
 		keys = append(keys, m.Key)
 	case wire.TGet, wire.TDel:
 		keys = append(keys, m.Key)
 	case wire.TPutBatch:
-		if sc.putOps, err = wire.DecodePutOpsInto(m.Value, sc.putOps); err != nil {
+		if sc.putOps, err = wire.DecodePutOpsInto(m.Value, sc.putOps, m.Len != 0); err != nil {
 			return false
 		}
+		var inline uint64
 		for _, op := range sc.putOps {
 			if !kv.Storable(len(op.Key), uint64(op.VLen)) {
 				return false
 			}
+			inline += uint64(len(op.Value))
 			keys = append(keys, op.Key)
+		}
+		if inline != m.Len {
+			return false
 		}
 	case wire.TGetBatch, wire.TTxnRead:
 		if sc.getOps, err = wire.DecodeGetOpsInto(m.Value, sc.getOps); err != nil || len(sc.getOps) > DefaultMaxOps {
@@ -235,9 +241,16 @@ func (c *Core) applied(h any, sh int, key []byte, del bool) bool {
 	return c.guard == nil || c.guard.Applied(h, c.st.Shard(sh), key, del)
 }
 
+// put allocates one PUT's object and, when the request carries its value
+// inline, writes it there before the entry publishes.
 func (c *Core) put(h any, m wire.Msg) wire.Msg {
 	sh := c.st.ShardFor(m.Key)
-	res := c.st.Shard(sh).Put(h, m.Key, int(m.Len), m.Crc)
+	var res store.PutResult
+	if m.Value != nil {
+		res = c.st.Shard(sh).PutInline(h, m.Key, m.Value, m.Crc)
+	} else {
+		res = c.st.Shard(sh).Put(h, m.Key, int(m.Len), m.Crc)
+	}
 	if res.Status != store.StatusOK {
 		return wire.Msg{Status: wire.StFull}
 	}
@@ -263,10 +276,10 @@ func (c *Core) group(sc *Scratch) [][]int {
 	return byShard
 }
 
-// putBatch allocates every op of a multi-op PUT with one received message
-// and one response: each shard's group runs to completion under one lock
-// acquisition (Engine.PutBatch) and the grants come back index-aligned
-// with the ops. Every buffer comes from sc.
+// putBatch allocates every op of a multi-op PUT, and writes the inline
+// values, with one received message and one response: each shard's group
+// runs to completion under one lock acquisition (Engine.PutBatch) and the
+// grants come back index-aligned with the ops. Every buffer comes from sc.
 func (c *Core) putBatch(h any, sc *Scratch) wire.Msg {
 	ops := sc.putOps
 	if cap(sc.grants) < len(ops) {
@@ -279,7 +292,7 @@ func (c *Core) putBatch(h any, sc *Scratch) wire.Msg {
 		}
 		sops := sc.shardOps[:0]
 		for _, i := range list {
-			sops = append(sops, store.PutOp{Key: ops[i].Key, VLen: ops[i].VLen, Crc: ops[i].Crc})
+			sops = append(sops, store.PutOp{Key: ops[i].Key, VLen: ops[i].VLen, Crc: ops[i].Crc, Value: ops[i].Value})
 		}
 		sc.shardOps = sops
 		sc.shardRes = c.st.Shard(sh).PutBatch(h, sops, sc.shardRes)

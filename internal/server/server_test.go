@@ -129,6 +129,20 @@ func (f *fixture) putGrant(k []byte, vlen int, c uint32) wire.PutGrant {
 	return wire.PutGrant{Status: wire.StOK, RKey: f.pools[sh][r.Pool], Off: r.Off, Len: uint32(r.Len)}
 }
 
+// putInlineGrant is the grant a direct Engine.PutInline on the twin store
+// implies, after checking that the store under test holds v at it.
+func (f *fixture) putInlineGrant(t testing.TB, k, v []byte, c uint32) wire.PutGrant {
+	sh, eng := f.ref.eng(k)
+	r := eng.PutInline(nil, k, v, c)
+	if r.Status != store.StatusOK {
+		return wire.PutGrant{Status: Status(r.Status)}
+	}
+	if _, e := f.eng(k); !bytes.Equal(e.Pool(r.Pool).ReadValue(r.Off, len(k), len(v)), v) {
+		t.Fatalf("inline value of %q not at its grant", k)
+	}
+	return wire.PutGrant{Status: wire.StOK, RKey: f.pools[sh][r.Pool], Off: r.Off, Len: uint32(r.Len)}
+}
+
 // getWant is the reply a direct Engine.Get on the twin store implies.
 func (f *fixture) getWant(k []byte) wire.Msg {
 	sh, eng := f.ref.eng(k)
@@ -205,7 +219,7 @@ func TestConformance(t *testing.T) {
 			for i := 4; i < 12; i++ {
 				ops = append(ops, wire.PutOp{Crc: uint32(i), VLen: 10 * i, Key: key(i)})
 			}
-			return wire.Msg{Type: wire.TPutBatch, Value: wire.AppendPutOps(nil, ops)}
+			return wire.Msg{Type: wire.TPutBatch, Value: wire.AppendPutOps(nil, ops, false)}
 		}, func(f *fixture) wire.Msg {
 			gs := []wire.PutGrant{f.putGrant(key(2), 10, 1), f.putGrant(key(3), huge, 2)}
 			for i := 4; i < 12; i++ {
@@ -213,11 +227,31 @@ func TestConformance(t *testing.T) {
 			}
 			return wire.Msg{Value: wire.AppendPutGrants(nil, gs)}
 		}},
+		{"put inline", func(f *fixture) wire.Msg {
+			return wire.Msg{Type: wire.TPut, Key: key(60), Len: 5, Crc: 9, Value: []byte("value")}
+		}, func(f *fixture) wire.Msg {
+			g := f.putInlineGrant(t, key(60), []byte("value"), 9)
+			return wire.Msg{Status: g.Status, RKey: g.RKey, Off: g.Off, Len: uint64(g.Len)}
+		}},
+		{"put inline, value length not Len", func(f *fixture) wire.Msg {
+			return wire.Msg{Type: wire.TPut, Key: key(61), Len: 6, Value: []byte("value")}
+		}, func(f *fixture) wire.Msg { return wire.Msg{Status: wire.StError} }},
+		{"put batch inline", func(f *fixture) wire.Msg {
+			ops := []wire.PutOp{{Crc: 1, Key: key(62), Value: []byte("inline-a")}, {Crc: 2, Key: key(63), Value: []byte("b")}}
+			return wire.Msg{Type: wire.TPutBatch, Len: 9, Value: wire.AppendPutOps(nil, ops, true)}
+		}, func(f *fixture) wire.Msg {
+			gs := []wire.PutGrant{f.putInlineGrant(t, key(62), []byte("inline-a"), 1), f.putInlineGrant(t, key(63), []byte("b"), 2)}
+			return wire.Msg{Value: wire.AppendPutGrants(nil, gs)}
+		}},
+		{"put batch inline, values not Len", func(f *fixture) wire.Msg {
+			ops := []wire.PutOp{{Key: key(64), Value: []byte("inline")}}
+			return wire.Msg{Type: wire.TPutBatch, Len: 7, Value: wire.AppendPutOps(nil, ops, true)}
+		}, func(f *fixture) wire.Msg { return wire.Msg{Status: wire.StError} }},
 		{"put batch malformed", func(f *fixture) wire.Msg {
 			return wire.Msg{Type: wire.TPutBatch, Value: []byte{1}}
 		}, func(f *fixture) wire.Msg { return wire.Msg{Status: wire.StError} }},
 		{"put batch truncated op list", func(f *fixture) wire.Msg {
-			b := wire.AppendPutOps(nil, []wire.PutOp{{VLen: 8, Key: key(20)}, {VLen: 8, Key: key(21)}})
+			b := wire.AppendPutOps(nil, []wire.PutOp{{VLen: 8, Key: key(20)}, {VLen: 8, Key: key(21)}}, false)
 			return wire.Msg{Type: wire.TPutBatch, Value: b[:len(b)-3]}
 		}, func(f *fixture) wire.Msg { return wire.Msg{Status: wire.StError} }},
 		{"get durable", func(f *fixture) wire.Msg {
@@ -439,7 +473,7 @@ func TestGuard(t *testing.T) {
 		muts  int      // engine mutations the request applies
 	}{
 		{wire.Msg{Type: wire.TPut, Key: key(1), Len: 8}, 1, []string{"key-01 del=false"}, 1},
-		{wire.Msg{Type: wire.TPutBatch, Value: wire.AppendPutOps(nil, []wire.PutOp{{VLen: 8, Key: key(2)}})}, 1, []string{"key-02 del=false"}, 1},
+		{wire.Msg{Type: wire.TPutBatch, Value: wire.AppendPutOps(nil, []wire.PutOp{{VLen: 8, Key: key(2)}}, false)}, 1, []string{"key-02 del=false"}, 1},
 		{wire.Msg{Type: wire.TDel, Key: key(9)}, 1, []string{"key-09 del=true"}, 1},
 		{wire.Msg{Type: wire.TTxnCommit, Value: txnOps(keys(3, 5), 8)}, 2, []string{"key-03 del=false", "key-04 del=false"}, 2},
 		{wire.Msg{Type: wire.TGet, Key: key(1)}, 1, nil, 0},

@@ -329,19 +329,33 @@ func (e *Engine) chainHead(en kv.Entry) uint64 {
 // arrives later via the client's one-sided write; durability is
 // asynchronous (§4.3.1).
 func (e *Engine) Put(h any, key []byte, vlen int, crcv uint32) PutResult {
+	return e.put(h, PutOp{Key: key, VLen: vlen, Crc: crcv})
+}
+
+// PutInline is Put with the value in hand: it is written into the
+// allocated object before the entry publishes, so no one-sided write
+// follows. Durability stays asynchronous — the value is not flushed, and
+// the verifier still checks its CRC and sets the flag.
+func (e *Engine) PutInline(h any, key, value []byte, crcv uint32) PutResult {
+	return e.put(h, PutOp{Key: key, VLen: len(value), Crc: crcv, Value: value})
+}
+
+func (e *Engine) put(h any, op PutOp) PutResult {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	t0 := e.sink.Now()
 	defer func() { e.observeMop(h, mopPut, t0) }()
-	return e.putLocked(h, key, vlen, crcv)
+	return e.putLocked(h, op)
 }
 
 // PutOp is one allocation request of a PutBatch: the store-level twin of
-// wire.PutOp, kept separate so the engine stays transport-agnostic.
+// wire.PutOp, kept separate so the engine stays transport-agnostic. A
+// non-nil Value (VLen bytes) is written as PutInline writes it.
 type PutOp struct {
-	Key  []byte
-	VLen int
-	Crc  uint32
+	Key   []byte
+	VLen  int
+	Crc   uint32
+	Value []byte
 }
 
 // PutBatch applies several allocations under ONE lock acquisition — the
@@ -362,16 +376,18 @@ func (e *Engine) PutBatch(h any, ops []PutOp, res []PutResult) []PutResult {
 	}
 	for i, op := range ops {
 		t0 := e.sink.Now()
-		res[i] = e.putLocked(h, op.Key, op.VLen, op.Crc)
+		res[i] = e.putLocked(h, op)
 		e.observeMop(h, mopPut, t0)
 	}
 	return res
 }
 
-// putLocked is the shared body of Put and PutBatch. Callers hold mu.
-func (e *Engine) putLocked(h any, key []byte, vlen int, crcv uint32) PutResult {
+// putLocked is the shared body of Put, PutInline and PutBatch. Callers
+// hold mu.
+func (e *Engine) putLocked(h any, op PutOp) PutResult {
 	e.stats.Puts++
-	size := kv.ObjectSize(len(key), vlen)
+	key := op.Key
+	size := kv.ObjectSize(len(key), op.VLen)
 	e.maybeCleanLocked(size)
 
 	keyHash := kv.HashKey(key)
@@ -402,8 +418,8 @@ func (e *Engine) putLocked(h any, key []byte, vlen int, crcv uint32) PutResult {
 		NextPtr:   kv.NilPtr,
 		Seq:       e.seq(),
 		CreatedAt: e.sink.Now(),
-		CRC:       crcv,
-		VLen:      vlen,
+		CRC:       op.Crc,
+		VLen:      op.VLen,
 		Flags:     kv.FlagValid,
 	}
 	off, allocOK := pool.AppendObject(&hd, key)
@@ -421,6 +437,11 @@ func (e *Engine) putLocked(h any, key []byte, vlen int, crcv uint32) PutResult {
 		return PutResult{Status: StatusFull}
 	}
 	e.observeH(h, int(OpAlloc), tAlloc)
+	if op.Value != nil {
+		// Before the entry publishes: a reader that finds the new version
+		// finds its value, and it cannot land past VerifyTimeout.
+		pool.WriteValue(off, len(key), op.Value)
+	}
 
 	e.table.SetLoc(idx, pi, kv.PackLoc(off, size))
 	if en.Tombstone() {

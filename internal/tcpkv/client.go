@@ -340,7 +340,7 @@ func dial(addr string, rp RetryPolicy) (*Client, error) {
 		d := rkeysPerShard * uint32(s)
 		shards[s] = client.Shard{Table: resp.RKey + d, Pool: [2]uint32{resp.Token + d, resp.Token + d + 1}}
 	}
-	c.core = client.New((*verbs)(c), shards, buckets, &c.Stats, true)
+	c.core = client.New((*verbs)(c), shards, buckets, &c.Stats, true, int(resp.KLen))
 	return c, nil
 }
 
@@ -556,8 +556,10 @@ func (v *verbs) ReadBurst(reqs []client.Req) error { return (*Client)(v).osBurst
 
 func (v *verbs) WriteBurst(reqs []client.Req) error { return (*Client)(v).osBurst(opWrite, reqs) }
 
-// Put stores value under key: checksum, allocation RPC, one-sided value
-// write — no durability round trip (asynchronous durability).
+// Put stores value under key: checksum, then one allocation RPC that
+// carries the value inline when the server's hello allows it (otherwise
+// a one-sided value write follows) — no durability round trip
+// (asynchronous durability).
 func (c *Client) Put(key, value []byte) error {
 	tc, t0 := c.core.Begin("put", kv.HashKey(key))
 	err := c.putCtx(tc, key, value)
@@ -572,12 +574,13 @@ func (c *Client) putCtx(tc *trace.Ctx, key, value []byte) error {
 }
 
 // PutBatch stores len(keys) key/value pairs with one multi-op allocation
-// RPC and one burst of one-sided value writes, every frame posted before
-// the first completion is awaited — the TCP analogue of a doorbell-batched
-// WRITE chain. Completion semantics match Put: durability stays
-// asynchronous, handled by the background verifier. The returned slice has
-// one entry per op, in order: nil, ErrServerFull, or a transport error
-// shared by every op the failure reached.
+// RPC. The values ride it when they total at most the server's inline
+// budget; otherwise one burst of one-sided value writes follows, every
+// frame posted before the first completion is awaited — the TCP analogue
+// of a doorbell-batched WRITE chain. Completion semantics match Put:
+// durability stays asynchronous, handled by the background verifier. The
+// returned slice has one entry per op, in order: nil, ErrServerFull, or a
+// transport error shared by every op the failure reached.
 func (c *Client) PutBatch(keys, values [][]byte) []error {
 	return c.PutBatchInto(keys, values, nil)
 }

@@ -124,7 +124,7 @@ func TestFailoverTortureSweepGetBatch(t *testing.T) {
 // not quorum-atomic, so a primary death right after it can promote a
 // backup holding part of the group.
 func TestFailoverTortureSweepTxn(t *testing.T) {
-	t.Skip("known gap, ROADMAP item 1(c) / parked 2PC: seeds 1-3 — 'torn transaction: 1 of N ops recovered' after promotion; " +
+	t.Skip("known gap, ROADMAP item 3 / parked 2PC: seeds 1-3 — 'torn transaction: 1 of N ops recovered' after promotion; " +
 		"Store.Commit settles the mirror per key AFTER the commit, so all-in-or-all-out and acked-writes-survive-one-death do not hold together. " +
 		"Repro: delete this Skip, go test ./internal/tcpkv -run TestFailoverTortureSweepTxn")
 	cfg := failoverTortureConfig()

@@ -2,8 +2,8 @@
 // (pipelined RPC mux + one-sided data channel) against an in-process
 // server. Go benchmarks count allocations across ALL goroutines, so a
 // "0 allocs/op" result here certifies the whole round trip — client
-// encode, mux writer, server read/decode/handle/respond, client demux
-// and decode, one-sided WRITE burst and ack — allocation-free in steady
+// encode, mux writer, server read/decode/handle (the inline value write
+// included)/respond, client demux and decode — allocation-free in steady
 // state. CI greps these results as the alloc-budget gate.
 package tcpkv
 
@@ -128,8 +128,9 @@ func TestPutAllocFreeAcrossReconnect(t *testing.T) {
 	}
 }
 
-// BenchmarkPut measures the single-op client PUT: one pipelined alloc
-// RPC plus a one-sided value WRITE and its ack.
+// BenchmarkPut measures the single-op client PUT: one pipelined RPC
+// whose request carries the value inline, written by the server before
+// the entry publishes — no one-sided WRITE.
 func BenchmarkPut(b *testing.B) {
 	_, addr := startBenchServer(b)
 	cl := benchDial(b, addr)
@@ -189,11 +190,12 @@ func BenchmarkGet(b *testing.B) {
 }
 
 // BenchmarkGetOwnWrite measures a client reading back its own write: one
-// op is a PUT and then a GET of the same key. The PUT's acknowledged grant
-// is the key's hint, so the GET is one one-sided burst — followed by the
-// RPC fallback when the background verifier has not flagged the version
-// durable yet, whose object lands in the burst's buffer. The one
-// allocation is the GET's object slab, which the returned value aliases.
+// op is an inline PUT (one round trip) and then a GET of the same key. The
+// PUT's acknowledged grant is the key's hint, so the GET is one one-sided
+// burst — followed by the RPC fallback when the background verifier has
+// not flagged the version durable yet, whose object lands in the burst's
+// buffer. The one allocation is the GET's object slab, which the returned
+// value aliases.
 func BenchmarkGetOwnWrite(b *testing.B) {
 	_, addr := startBenchServer(b)
 	cl := benchDial(b, addr)
@@ -240,9 +242,9 @@ func BenchmarkGetBatch(b *testing.B) {
 }
 
 // BenchmarkPutBatch measures the batched client PUT: one TPutBatch RPC
-// (server applies it run-to-completion per shard) plus one one-sided
-// WRITE burst — a single syscall carrying every value frame — and its
-// acks. Reported per op, where one op is a 64-key batch.
+// carrying every value inline, which the server applies
+// run-to-completion per shard — no one-sided WRITE burst. Reported per
+// op, where one op is a 64-key batch.
 func BenchmarkPutBatch(b *testing.B) {
 	const width = 64
 	_, addr := startBenchServer(b)

@@ -15,7 +15,12 @@
 //     and CRC machinery handle it.
 //   - PUT acknowledges before durability (client-active scheme with
 //     asynchronous durability); a background goroutine per shard verifies
-//     and persists, setting the durability flag.
+//     and persists, setting the durability flag. The hello announces an
+//     inline budget (inlineBudget), so a PUT carries its value in the
+//     allocation request and is one round trip: a one-sided WRITE here is
+//     a server goroutine copying bytes, and the alloc round trip in front
+//     of it buys nothing. The opWrite path stays for batches over the
+//     budget and for clients that do not inline.
 //   - GET uses the hybrid read scheme: one-sided entry + object reads,
 //     falling back to an RPC when the fetched object is not durable.
 //   - Log cleaning (§4.4) runs the two-stage compress/merge protocol over
@@ -93,6 +98,13 @@ const (
 	maxPipeFrame     = 64 << 20
 	maxOneSidedFrame = 17 + kv.MaxObjectSize
 )
+
+// inlineBudget is the inline budget the hello announces: a PUT whose
+// values total at most this many bytes sends them in its allocation
+// request, so it is one pipelined round trip with no one-sided WRITE.
+// Half a pipelined frame leaves the other half for the batch's keys and
+// op headers, and it holds any storable object.
+const inlineBudget = maxPipeFrame / 2
 
 // One-sided opcodes.
 const (
@@ -763,6 +775,7 @@ func (s *Server) dispatch(h any, m wire.Msg, sc *server.Scratch) wire.Msg {
 			Type: wire.THelloResp, Status: wire.StOK,
 			RKey: rkeyTable, Token: rkeyPoolBase,
 			Len: uint64(s.cfg.Buckets), Off: uint64(s.layout.Shards),
+			KLen: inlineBudget,
 		}
 	case wire.TStats:
 		blob, err := json.Marshal(s.Stats())

@@ -46,29 +46,40 @@ func (m *Msg) AppendEncode(b []byte) []byte {
 	return b
 }
 
-// PutOpsSize returns the encoded size of a TPutBatch payload.
-func PutOpsSize(ops []PutOp) int {
+// PutOpsSize returns the encoded size of a TPutBatch payload in the
+// allocation-only (inline false) or the inline layout.
+func PutOpsSize(ops []PutOp, inline bool) int {
 	n := 4
 	for _, op := range ops {
 		n += 12 + len(op.Key)
+		if inline {
+			n += len(op.Value)
+		}
 	}
 	return n
 }
 
-// AppendPutOps appends a TPutBatch payload to b.
-func AppendPutOps(b []byte, ops []PutOp) []byte {
+// AppendPutOps appends a TPutBatch payload to b. In the inline layout
+// each op's Value follows its key, and its VLen field is len(Value).
+func AppendPutOps(b []byte, ops []PutOp, inline bool) []byte {
 	base := len(b)
-	b = appendZeros(b, PutOpsSize(ops))
+	b = appendZeros(b, PutOpsSize(ops, inline))
 	o := b[base:]
 	le := binary.LittleEndian
 	le.PutUint32(o, uint32(len(ops)))
 	p := 4
 	for _, op := range ops {
+		vlen := op.VLen
+		if inline {
+			vlen = len(op.Value)
+		}
 		le.PutUint32(o[p:], op.Crc)
-		le.PutUint32(o[p+4:], uint32(op.VLen))
+		le.PutUint32(o[p+4:], uint32(vlen))
 		le.PutUint32(o[p+8:], uint32(len(op.Key)))
-		copy(o[p+12:], op.Key)
-		p += 12 + len(op.Key)
+		p += 12 + copy(o[p+12:], op.Key)
+		if inline {
+			p += copy(o[p:], op.Value)
+		}
 	}
 	return b
 }

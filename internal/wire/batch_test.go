@@ -12,7 +12,7 @@ func TestPutOpsRoundTrip(t *testing.T) {
 		{Crc: 1, VLen: 0, Key: []byte("")},
 		{Crc: 0xffffffff, VLen: 1 << 20, Key: bytes.Repeat([]byte{'k'}, 300)},
 	}
-	got, err := DecodePutOpsInto(AppendPutOps(nil, ops), nil)
+	got, err := DecodePutOpsInto(AppendPutOps(nil, ops, false), nil, false)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -27,8 +27,37 @@ func TestPutOpsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPutOpsInlineRoundTrip: in the inline layout each op's value rides
+// behind its key, and the decoder refuses a payload cut anywhere short.
+func TestPutOpsInlineRoundTrip(t *testing.T) {
+	ops := []PutOp{
+		{Crc: 7, Key: []byte("alpha"), Value: []byte("first value")},
+		{Crc: 8, Key: []byte("b")},
+		{Crc: 9, Key: bytes.Repeat([]byte{'k'}, 300), Value: bytes.Repeat([]byte{'v'}, 1000)},
+	}
+	blob := AppendPutOps(nil, ops, true)
+	if len(blob) != PutOpsSize(ops, true) {
+		t.Fatalf("encoded %d bytes, PutOpsSize says %d", len(blob), PutOpsSize(ops, true))
+	}
+	got, err := DecodePutOpsInto(blob, nil, true)
+	if err != nil || len(got) != len(ops) {
+		t.Fatalf("decode: %d ops, %v", len(got), err)
+	}
+	for i, op := range ops {
+		g := got[i]
+		if g.Crc != op.Crc || g.VLen != len(op.Value) || !bytes.Equal(g.Key, op.Key) || !bytes.Equal(g.Value, op.Value) {
+			t.Errorf("op %d: got %+v, want %+v", i, g, op)
+		}
+	}
+	for cut := 0; cut < len(blob); cut++ {
+		if _, err := DecodePutOpsInto(blob[:cut], nil, true); !errors.Is(err, ErrShort) {
+			t.Fatalf("truncated at %d: err = %v, want ErrShort", cut, err)
+		}
+	}
+}
+
 func TestPutOpsEmptyBatch(t *testing.T) {
-	got, err := DecodePutOpsInto(AppendPutOps(nil, nil), nil)
+	got, err := DecodePutOpsInto(AppendPutOps(nil, nil, false), nil, false)
 	if err != nil {
 		t.Fatalf("decode empty: %v", err)
 	}
@@ -38,9 +67,9 @@ func TestPutOpsEmptyBatch(t *testing.T) {
 }
 
 func TestPutOpsTruncated(t *testing.T) {
-	blob := AppendPutOps(nil, []PutOp{{Crc: 7, VLen: 48, Key: []byte("victim")}})
+	blob := AppendPutOps(nil, []PutOp{{Crc: 7, VLen: 48, Key: []byte("victim")}}, false)
 	for cut := 0; cut < len(blob); cut++ {
-		if _, err := DecodePutOpsInto(blob[:cut], nil); !errors.Is(err, ErrShort) {
+		if _, err := DecodePutOpsInto(blob[:cut], nil, false); !errors.Is(err, ErrShort) {
 			t.Fatalf("truncated at %d: err = %v, want ErrShort", cut, err)
 		}
 	}

@@ -123,7 +123,8 @@ func FuzzWire(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(AppendGetOps(nil, []GetOp{{Slot: 1, Key: []byte("k")}, {Slot: NoSlot, Key: []byte("q")}}))
 	f.Add(AppendGetGrants(nil, []GetGrant{{Status: StOK, Flags: GrantDurable, RKey: 2, Slot: 3, Len: 4, KLen: 1, Off: 5, Seq: 6}}))
-	f.Add(AppendPutOps(nil, []PutOp{{Crc: 9, VLen: 48, Key: []byte("p")}}))
+	f.Add(AppendPutOps(nil, []PutOp{{Crc: 9, VLen: 48, Key: []byte("p")}}, false))
+	f.Add(AppendPutOps(nil, []PutOp{{Crc: 9, Key: []byte("p"), Value: []byte("inline")}, {Key: []byte("q")}}, true))
 	f.Add(AppendPutGrants(nil, []PutGrant{{Status: StOK, RKey: 1, Off: 2, Len: 3}}))
 	f.Add(AppendTxnOps(nil, []TxnOp{{Crc: 5, Key: []byte("t"), Value: []byte("tv")}, {Key: []byte("u")}}))
 	f.Add(AppendTxnResults(nil, []TxnResult{{Status: StOK, Seq: 8, Value: []byte("r")}, {Status: StNotFound}}))
@@ -151,9 +152,20 @@ func FuzzWire(f *testing.F) {
 				}
 			}
 		}
-		if ops, err := DecodePutOpsInto(data, nil); err == nil {
-			if _, err := DecodePutOpsInto(AppendPutOps(nil, ops), nil); err != nil {
-				t.Fatalf("put ops re-decode: %v", err)
+		for _, inline := range []bool{false, true} {
+			ops, err := DecodePutOpsInto(data, nil, inline)
+			if err != nil {
+				continue
+			}
+			again, err := DecodePutOpsInto(AppendPutOps(nil, ops, inline), nil, inline)
+			if err != nil || len(again) != len(ops) {
+				t.Fatalf("put ops (inline %v) re-decode: %v (%d vs %d)", inline, err, len(again), len(ops))
+			}
+			for i := range ops {
+				if again[i].Crc != ops[i].Crc || again[i].VLen != ops[i].VLen ||
+					!bytes.Equal(again[i].Key, ops[i].Key) || !bytes.Equal(again[i].Value, ops[i].Value) {
+					t.Fatalf("put op %d (inline %v) round trip mismatch", i, inline)
+				}
 			}
 		}
 		if gs, err := DecodePutGrantsInto(data, nil); err == nil {

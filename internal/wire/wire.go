@@ -12,11 +12,16 @@ import (
 
 // Message types.
 const (
-	// TPut asks the server to allocate a log region for a value of Aux
-	// bytes whose CRC is Crc, under Key (PUT steps 1-4 of Figure 5).
+	// TPut asks the server to allocate a log region for a value of Len
+	// bytes whose CRC is Crc, under Key (PUT steps 1-4 of Figure 5). A
+	// client the server's THelloResp allows to (KLen > 0) may send the
+	// value inline in Value, whose length must then equal Len: the server
+	// writes it into the granted object before the entry publishes, and no
+	// one-sided WRITE follows.
 	TPut uint8 = iota + 1
-	// TPutResp returns the allocation: RKey + Off of the object, Token
-	// identifying the allocation for later persist/imm messages.
+	// TPutResp returns the allocation: the object's region RKey, its
+	// offset Off and its total length Len. The baselines' persist and IMM
+	// schemes also name the allocation by Token.
 	TPutResp
 	// TGet asks the server to resolve Key (the RPC+RDMA read path).
 	TGet
@@ -49,9 +54,11 @@ const (
 	// THello requests the server's memory-region geometry at connection
 	// setup (TCP transport): the reply carries shard 0's hash-table rkey
 	// (RKey), shard 0's data-pool rkey base (Token), the per-shard bucket
-	// count (Len), and the shard count (Off; 0 from pre-sharding servers
-	// means 1). Shard s's regions are at rkey RKey+3*s, Token+3*s, and
-	// Token+3*s+1.
+	// count (Len), the shard count (Off; 0 from pre-sharding servers
+	// means 1), and the inline budget in bytes (KLen): a TPut or TPutBatch
+	// whose values total at most KLen may carry them inline. 0, what
+	// servers before the budget send, means no inline values. Shard s's
+	// regions are at rkey RKey+3*s, Token+3*s, and Token+3*s+1.
 	THello
 	// THelloResp answers THello.
 	THelloResp
@@ -74,18 +81,21 @@ const (
 	TMetricsResp
 	// TPutBatch asks the server to allocate log regions for several values
 	// in one round trip (the doorbell-batched PUT). Value carries the ops
-	// encoded by EncodePutOps; the other header fields are unused.
+	// encoded by AppendPutOps. Len 0 is the allocation-only layout. A
+	// non-zero Len is the values' total length and selects the inline
+	// layout, each op's value following its key, which the server writes
+	// as TPut writes an inline value.
 	TPutBatch
 	// TPutBatchResp answers TPutBatch: Value carries one PutGrant per op
-	// (EncodePutGrants), in request order.
+	// (AppendPutGrants), in request order.
 	TPutBatchResp
 	// TGetBatch asks the server to resolve several keys in one round trip
 	// (the read-side counterpart of TPutBatch). Value carries the ops
-	// encoded by EncodeGetOps; each op may carry the client's cached table
+	// encoded by AppendGetOps; each op may carry the client's cached table
 	// slot so the server can try a slot-hinted lookup first.
 	TGetBatch
 	// TGetResults answers TGetBatch: Value carries one GetGrant per key
-	// (EncodeGetGrants), index-aligned with the request so per-key errors
+	// (AppendGetGrants), index-aligned with the request so per-key errors
 	// map back to their ops.
 	TGetResults
 	// TClusterMap requests the server's current cluster map (TCP
@@ -158,20 +168,19 @@ const (
 	TReplPullResp
 	// TTxnCommit asks the server to commit a multi-key transaction
 	// atomically: all ops become visible together or none do. Value
-	// carries the ops encoded by EncodeTxnOps (key, value, and CRC per
+	// carries the ops encoded by AppendTxnOps (key, value, and CRC per
 	// op); the values travel in the message (the RPC write path) because
 	// staging is server-driven.
 	TTxnCommit
-	// TTxnCommitResp answers TTxnCommit: Off carries the transaction id,
-	// Status the overall verdict, and Value one status byte per op
-	// (EncodeTxnStatuses), index-aligned with the request.
+	// TTxnCommitResp answers TTxnCommit: Status carries the verdict for
+	// the whole transaction and Off the transaction id. It has no payload.
 	TTxnCommitResp
 	// TTxnRead asks the server for a snapshot-isolated multi-key read:
 	// every key is resolved at one consistent cut across shards. Value
-	// carries the keys encoded by EncodeGetOps (Slot unused, NoSlot).
+	// carries the keys encoded by AppendGetOps (Slot unused, NoSlot).
 	TTxnRead
 	// TTxnReadResp answers TTxnRead: Value carries one TxnResult per key
-	// (EncodeTxnResults), index-aligned with the request.
+	// (AppendTxnResults), index-aligned with the request.
 	TTxnReadResp
 )
 
@@ -200,8 +209,8 @@ type Msg struct {
 	RKey   uint32 // memory region for the client's one-sided follow-up
 	Crc    uint32 // client-computed value checksum (TPut)
 	Off    uint64 // object offset within the MR
-	Len    uint64 // total object length (TGetResp) or value length (TPut)
-	KLen   uint32 // key length of the located object (TGetResp)
+	Len    uint64 // total object length (TGetResp), value length (TPut), or inline values' total (TPutBatch)
+	KLen   uint32 // key length of the located object (TGetResp), or the inline budget (THelloResp)
 	Trace  uint64 // trace ID of a sampled request (0 = untraced); rides an optional trailer, not the fixed header
 	Key    []byte
 	Value  []byte
@@ -277,11 +286,13 @@ func Decode(b []byte) (Msg, error) {
 }
 
 // PutOp is one operation of a TPutBatch request: the allocation request a
-// single TPut would carry in its header fields.
+// single TPut would carry in its header fields, and in the inline layout
+// its value (VLen bytes).
 type PutOp struct {
-	Crc  uint32
-	VLen int
-	Key  []byte
+	Crc   uint32
+	VLen  int
+	Key   []byte
+	Value []byte
 }
 
 // PutGrant is one allocation result of a TPutBatchResp, in request order.
@@ -295,8 +306,9 @@ type PutGrant struct {
 
 // DecodePutOpsInto unpacks a TPutBatch payload into ops (reslicing it to
 // [:0] first), so a decode loop reuses one backing array across calls.
-// Keys alias b.
-func DecodePutOpsInto(b []byte, ops []PutOp) ([]PutOp, error) {
+// inline selects the layout in which each op's VLen value bytes follow
+// its key. Keys and values alias b.
+func DecodePutOpsInto(b []byte, ops []PutOp, inline bool) ([]PutOp, error) {
 	ops = ops[:0]
 	if len(b) < 4 {
 		return nil, fmt.Errorf("%w: batch header", ErrShort)
@@ -317,8 +329,16 @@ func DecodePutOpsInto(b []byte, ops []PutOp) ([]PutOp, error) {
 		if klen < 0 || vlen < 0 || len(b) < p+12+klen {
 			return nil, fmt.Errorf("%w: batch op %d key", ErrShort, i)
 		}
-		ops = append(ops, PutOp{Crc: crc, VLen: vlen, Key: b[p+12 : p+12+klen : p+12+klen]})
+		op := PutOp{Crc: crc, VLen: vlen, Key: b[p+12 : p+12+klen : p+12+klen]}
 		p += 12 + klen
+		if inline {
+			if len(b)-p < vlen {
+				return nil, fmt.Errorf("%w: batch op %d value", ErrShort, i)
+			}
+			op.Value = b[p : p+vlen : p+vlen]
+			p += vlen
+		}
+		ops = append(ops, op)
 	}
 	return ops, nil
 }

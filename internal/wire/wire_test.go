@@ -154,14 +154,14 @@ func TestAppendEncodeMatchesEncode(t *testing.T) {
 
 func TestDecodeIntoReusesBacking(t *testing.T) {
 	ops := []PutOp{{Crc: 1, VLen: 10, Key: []byte("a")}, {Crc: 2, VLen: 20, Key: []byte("bb")}}
-	payload := AppendPutOps(nil, ops)
+	payload := AppendPutOps(nil, ops, false)
 	scratch := make([]PutOp, 0, 8)
-	out, err := DecodePutOpsInto(payload, scratch)
+	out, err := DecodePutOpsInto(payload, scratch, false)
 	if err != nil || len(out) != 2 || &out[0] != &scratch[:1][0] {
 		t.Fatalf("DecodePutOpsInto must fill the provided backing: %v %d", err, len(out))
 	}
 	// Second decode reuses the same backing from [:0].
-	out2, err := DecodePutOpsInto(payload, out)
+	out2, err := DecodePutOpsInto(payload, out, false)
 	if err != nil || &out2[0] != &out[:1][0] {
 		t.Fatalf("repeat DecodePutOpsInto must not reallocate")
 	}
