@@ -40,8 +40,9 @@ type Core struct {
 	hints    *hint.Cache   // nil unless the core reads hinted
 	tracer   *trace.Tracer // nil unless EnableTracing was called
 	// inline is the server's inline budget: a PUT whose values total at
-	// most this many bytes carries them in its allocation request. 0 means
-	// never, the paper's alloc-then-WRITE path.
+	// most this many bytes carries them in its allocation request, and a
+	// read RPC asks for up to this many bytes of values in its reply. 0
+	// means never, the paper's alloc-then-WRITE and grant-then-READ paths.
 	inline int
 
 	// epoch is the cluster-map epoch the binding stamps on routed requests
@@ -54,9 +55,9 @@ type Core struct {
 
 // New builds a core over v for a server with the given per-shard regions
 // and per-shard bucket count, and the inline budget in bytes the server
-// announced (0: none; see put). Path choices are counted into stats. The
-// hybrid read scheme starts enabled, the hint cache when hinted is set
-// (see EnableHintCache), tracing off.
+// announced (0: none; see put and read). Path choices are counted into
+// stats. The hybrid read scheme starts enabled, the hint cache when
+// hinted is set (see EnableHintCache), tracing off.
 func New(v Verbs, shards []Shard, buckets int, stats *Stats, hinted bool, inline int) *Core {
 	c := &Core{v: v, shards: shards, buckets: buckets, hybrid: true, stats: stats, inline: inline}
 	if hinted {

@@ -35,6 +35,9 @@ type fakeVerbs struct {
 	onRead func(burst, idx int, r *Req)
 	// nakWrites refuses every one-sided WRITE.
 	nakWrites bool
+	// onReply, when set, may rewrite every RPC reply before the client
+	// sees it.
+	onReply func(req wire.Msg, resp *wire.Msg)
 
 	// A cleaning run parks on parked whenever a value it needs is still in
 	// flight and continues on resume; cleaned closes when it ends.
@@ -43,6 +46,13 @@ type fakeVerbs struct {
 }
 
 func newFake(t *testing.T, buckets int) (*fakeVerbs, *Core, *Stats) {
+	t.Helper()
+	return newFakeBudget(t, buckets, 0)
+}
+
+// newFakeBudget is newFake whose server announces, and whose client
+// uses, an inline budget of budget bytes (see read).
+func newFakeBudget(t *testing.T, buckets, budget int) (*fakeVerbs, *Core, *Stats) {
 	t.Helper()
 	cfg := store.Config{Buckets: buckets, PoolSize: 1 << 20, VerifyTimeout: time.Second}
 	dev := nvm.New(cfg.DeviceSize())
@@ -57,9 +67,9 @@ func newFake(t *testing.T, buckets int) (*fakeVerbs, *Core, *Stats) {
 		t.Fatal(err)
 	}
 	f.st = st
-	f.core = server.New(st, [][2]uint32{{2, 3}}, nil)
+	f.core = server.New(st, [][2]uint32{{2, 3}}, nil, budget)
 	stats := new(Stats)
-	return f, New(f, []Shard{{Table: 1, Pool: [2]uint32{2, 3}}}, buckets, stats, false, 0), stats
+	return f, New(f, []Shard{{Table: 1, Pool: [2]uint32{2, 3}}}, buckets, stats, false, budget), stats
 }
 
 func (f *fakeVerbs) eng() *store.Engine { return f.st.Shard(0) }
@@ -133,6 +143,9 @@ func (f *fakeVerbs) Call(req wire.Msg) (wire.Msg, *[]byte, error) {
 		resp.Status = wire.StError
 	}
 	resp.Value = bytes.Clone(resp.Value)
+	if f.onReply != nil {
+		f.onReply(req, &resp)
+	}
 	return resp, nil, nil
 }
 
@@ -280,6 +293,9 @@ func TestOptimisticReadPaths(t *testing.T) {
 		rpcs   []uint8
 		bursts int
 		delta  Stats // counters the read itself must move
+		// budget is the inline budget the server announces and the client
+		// uses; 0 is the paper's read, the simulator's.
+		budget int
 		// after checks what the read left behind.
 		after func(t *testing.T, f *fakeVerbs, c *Core)
 	}
@@ -568,10 +584,78 @@ func TestOptimisticReadPaths(t *testing.T) {
 			want: v1, rpcs: []uint8{wire.TGet, wire.TGet}, bursts: 4, delta: Stats{FallbackReads: 1},
 		})
 	}
+	// With a budget the read RPC's reply carries the value, so a read is at
+	// most the hinted burst and one RPC, and nothing is READ after it.
+	const budget = 1 << 10
+	cases = append(cases, []readCase{
+		{
+			name: "budget: an unhinted key asks the server at once",
+			setup: func(t *testing.T, f *fakeVerbs, c *Core) {
+				c.EnableHintCache()
+				f.serverPut(t, key, v1)
+			},
+			want: v1, rpcs: []uint8{wire.TGet}, delta: Stats{RPCReads: 1}, budget: budget,
+			after: func(t *testing.T, f *fakeVerbs, c *Core) {
+				if !slotted(c, key) {
+					t.Error("the served value left no slotted hint")
+				}
+			},
+		},
+		{
+			name: "budget: an absent key asks the server at once",
+			want: nil, err: ErrNotFound, rpcs: []uint8{wire.TGet}, delta: Stats{RPCReads: 1}, budget: budget,
+		},
+		{
+			name: "budget: a wrong slot asks the server",
+			setup: func(t *testing.T, f *fakeVerbs, c *Core) {
+				warm(t, f, c)
+				h, _ := c.hints.Peek(0, kv.HashKey(key))
+				h.Slot = (h.Slot + 3) % c.buckets
+				c.hints.Insert(0, kv.HashKey(key), h)
+			},
+			want: v1, rpcs: []uint8{wire.TGet}, bursts: 1, delta: Stats{FallbackReads: 1}, budget: budget,
+			after: func(t *testing.T, f *fakeVerbs, c *Core) {
+				want := int(kv.HashKey(key) % uint64(c.buckets))
+				if h, ok := c.hints.Peek(0, kv.HashKey(key)); !ok || h.Slot != want {
+					t.Errorf("the server's reply re-learned hint %+v (present %v), want slot %d", h, ok, want)
+				}
+			},
+		},
+		{
+			name: "budget: a NAKed hinted pair asks the server",
+			setup: func(t *testing.T, f *fakeVerbs, c *Core) {
+				warm(t, f, c)
+				f.onRead = func(burst, idx int, r *Req) {
+					if burst == 1 && idx == 1 {
+						r.NAK = true
+					}
+				}
+			},
+			want: v1, rpcs: []uint8{wire.TGet}, bursts: 1, delta: Stats{FallbackReads: 1}, budget: budget,
+		},
+		{
+			name: "budget: a moved key is re-read one-sidedly",
+			setup: func(t *testing.T, f *fakeVerbs, c *Core) {
+				warm(t, f, c)
+				f.serverPut(t, key, v2)
+			},
+			want: v2, bursts: 2, delta: Stats{PureReads: 1, HintedReads: 1}, budget: budget,
+		},
+		{
+			name: "budget: an undurable own Put is one burst and the server's value",
+			setup: func(t *testing.T, f *fakeVerbs, c *Core) {
+				warm(t, f, c)
+				if err := c.Put(nil, key, v2); err != nil {
+					t.Fatal(err)
+				}
+			},
+			want: v2, rpcs: []uint8{wire.TGet}, bursts: 1, delta: Stats{FallbackReads: 1}, budget: budget,
+		},
+	}...)
 	for _, rd := range readers {
 		for _, tc := range cases {
 			t.Run(rd.name+"/"+tc.name, func(t *testing.T) {
-				f, c, stats := newFake(t, 64)
+				f, c, stats := newFakeBudget(t, 64, tc.budget)
 				if tc.setup != nil {
 					tc.setup(t, f, c)
 				}
@@ -586,6 +670,12 @@ func TestOptimisticReadPaths(t *testing.T) {
 				}
 				rpcs := f.readRPCs(rpcs0)
 				switch {
+				case rd.rider && tc.budget > 0:
+					// The unhinted absent rider asks the server at once, so
+					// the key's read shares that one RPC.
+					if len(rpcs) != 1 || f.bursts != tc.bursts {
+						t.Errorf("read RPCs %v and %d READ bursts, want 1 RPC and %d", rpcs, f.bursts, tc.bursts)
+					}
 				case rd.rider:
 					// The rider may turn a TGet into a TGetBatch but not add
 					// an ask, and its one probe rides the key's first burst.
@@ -603,10 +693,18 @@ func TestOptimisticReadPaths(t *testing.T) {
 				}
 				if rd.rider {
 					// The absent rider resolves one-sidedly (unclustered)
-					// or through the shared fallback RPC (clustered).
-					if c.Epoch() != 0 {
+					// or through the shared fallback RPC (clustered), or
+					// with a budget goes to it at once.
+					switch {
+					case tc.budget > 0:
+						d.RPCReads--
+					case c.Epoch() != 0:
 						d.FallbackReads--
 					}
+				}
+				if want := len(tc.rpcs); !rd.rider && (stats.ReadRPCs-before.ReadRPCs != want || stats.ReadBursts-before.ReadBursts != tc.bursts) {
+					t.Errorf("ReadRPCs and ReadBursts moved by %d and %d, want %d and %d",
+						stats.ReadRPCs-before.ReadRPCs, stats.ReadBursts-before.ReadBursts, want, tc.bursts)
 				}
 				if d != tc.delta {
 					t.Errorf("path counters moved by %+v, want %+v", d, tc.delta)
@@ -947,5 +1045,124 @@ func TestTxnCommitIgnoresStatusPayload(t *testing.T) {
 		if got, err := c.Get(nil, key); err != nil || !bytes.Equal(got, vals[i]) {
 			t.Fatalf("%s after commit: %q, %v", key, got, err)
 		}
+	}
+}
+
+// TestReadBudgetBounds: a reply carries the values that fit the budget
+// and bare grants for the rest, whose objects the client READs
+// one-sidedly in one burst after the RPC — as a Get of a value over the
+// budget does.
+func TestReadBudgetBounds(t *testing.T) {
+	const budget = 250
+	f, c, stats := newFakeBudget(t, 64, budget)
+	keys := [][]byte{[]byte("b-0"), []byte("b-1"), []byte("b-2"), []byte("b-3")}
+	for i, k := range keys {
+		f.serverPut(t, k, bytes.Repeat([]byte{byte('a' + i)}, 100))
+	}
+	f.onRead = func(burst, idx int, r *Req) {
+		if f.rpcReads() != 1 {
+			t.Errorf("READ %d of burst %d posted before the read RPC", idx, burst)
+		}
+	}
+	vals, errs := make([][]byte, len(keys)), make([]error, len(keys))
+	if err := c.GetBatch(nil, keys, vals, errs); err != nil {
+		t.Fatal(err)
+	}
+	for i := range keys {
+		if errs[i] != nil || !bytes.Equal(vals[i], bytes.Repeat([]byte{byte('a' + i)}, 100)) {
+			t.Errorf("key %d: %.8x, %v", i, vals[i], errs[i])
+		}
+	}
+	// Two values fit 250 bytes; the other two keys' objects ride one burst.
+	if f.rpcReads() != 1 || f.bursts != 1 || stats.ReadRPCs != 1 || stats.ReadBursts != 1 {
+		t.Errorf("%d read RPCs and %d READ bursts (counted %d and %d), want 1 and 1",
+			f.rpcReads(), f.bursts, stats.ReadRPCs, stats.ReadBursts)
+	}
+
+	f2, c2, _ := newFakeBudget(t, 64, 50)
+	big := bytes.Repeat([]byte{'z'}, 100)
+	f2.serverPut(t, keys[0], big)
+	if got, err := c2.Get(nil, keys[0]); err != nil || !bytes.Equal(got, big) {
+		t.Fatalf("Get over the budget = %.8x, %v", got, err)
+	}
+	if f2.rpcReads() != 1 || f2.bursts != 1 {
+		t.Errorf("Get over the budget: %d read RPCs and %d READ bursts, want 1 and 1", f2.rpcReads(), f2.bursts)
+	}
+
+	// An empty value is carried, not left to a READ.
+	f2.serverPut(t, keys[1], nil)
+	f2.bursts = 0
+	if got, err := c2.Get(nil, keys[1]); err != nil || len(got) != 0 || f2.bursts != 0 {
+		t.Errorf("Get of an empty value = %q, %v after %d READ bursts, want no burst", got, err, f2.bursts)
+	}
+}
+
+// TestMalformedInlineReplyRefused: a read reply whose values are cut
+// short, run past the payload, exceed the ask's budget, disagree with
+// their grants, or come unasked fails the read — no key is served a value.
+func TestMalformedInlineReplyRefused(t *testing.T) {
+	keys := [][]byte{[]byte("m-0"), []byte("m-1")}
+	val := bytes.Repeat([]byte{'v'}, 100)
+	// regrant re-encodes a TGetBatch reply after edit changed its grants.
+	regrant := func(edit func(gs []wire.GetGrant)) func(req wire.Msg, resp *wire.Msg) {
+		return func(req wire.Msg, resp *wire.Msg) {
+			gs, err := wire.DecodeGetGrantsInto(resp.Value, nil, resp.Len != 0)
+			if err != nil {
+				panic(err)
+			}
+			edit(gs)
+			resp.Value = wire.AppendGetGrants(nil, gs, resp.Len != 0)
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		budget int
+		batch  bool
+		mangle func(req wire.Msg, resp *wire.Msg)
+	}{
+		{"batch payload cut short", 1 << 10, true, func(req wire.Msg, resp *wire.Msg) { resp.Value = resp.Value[:len(resp.Value)-1] }},
+		{"batch payload overlong", 1 << 10, true, func(req wire.Msg, resp *wire.Msg) { resp.Value = append(resp.Value, 0) }},
+		{"batch budget over the ask", 1 << 10, true, func(req wire.Msg, resp *wire.Msg) { resp.Len = req.Len + 1 }},
+		{"batch values over the ask", 150, true, regrant(func(gs []wire.GetGrant) {
+			for i := range gs {
+				gs[i].Flags |= wire.GrantValue
+				gs[i].Value = val
+			}
+		})},
+		{"batch value shorter than its object", 1 << 10, true, regrant(func(gs []wire.GetGrant) { gs[1].Value = gs[1].Value[:30] })},
+		{"batch value under another key's length", 1 << 10, true, regrant(func(gs []wire.GetGrant) { gs[0].KLen++ })},
+		{"get value longer than its object", 1 << 10, false, func(req wire.Msg, resp *wire.Msg) {
+			resp.Value = append(resp.Value, bytes.Repeat([]byte{'x'}, 64)...)
+		}},
+		{"get value over the ask", 1 << 10, false, func(req wire.Msg, resp *wire.Msg) {
+			resp.Value = bytes.Repeat([]byte{'v'}, int(req.Len)+1)
+		}},
+		{"get value unasked", 0, false, func(req wire.Msg, resp *wire.Msg) {
+			resp.Note, resp.Value = wire.NoteValue, val
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f, c, _ := newFakeBudget(t, 64, tc.budget)
+			for _, k := range keys {
+				f.serverPut(t, k, val)
+			}
+			f.onReply = tc.mangle
+			n := 1
+			if tc.batch {
+				n = len(keys)
+			}
+			// Without the one-sided path every key asks the server, budget
+			// or not.
+			c.SetHybridRead(false)
+			vals, errs := make([][]byte, n), make([]error, n)
+			if c.GetBatch(nil, keys[:n], vals, errs) == nil {
+				t.Fatal("the read succeeded")
+			}
+			for i := range vals {
+				if vals[i] != nil || errs[i] == nil {
+					t.Errorf("key %d served %d bytes, err %v", i, len(vals[i]), errs[i])
+				}
+			}
+		})
 	}
 }

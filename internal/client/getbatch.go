@@ -75,14 +75,25 @@ func (c *Core) GetBatch(tc *trace.Ctx, keys, vals [][]byte, errs []error) error 
 // is off or the log is cleaning fall back together to the server, which
 // guarantees consistency: one read RPC, then one burst fetching the
 // granted objects.
+//
+// When the server's hello announced an inline budget, the read RPC's
+// reply carries the values it verified, so a read is at most the hinted
+// burst and one RPC: an unhinted key, a hinted one whose slot proved
+// wrong or was refused, and an undurable object all go straight to the
+// RPC, whose reply serves them with no READ after it. A hinted key whose
+// entry names one new location is still re-read one-sidedly, which is
+// cheaper than an RPC. Without a budget — the simulator's — the read is
+// the paper's: the probe walk, then grant-then-READ.
 func (c *Core) read(tc *trace.Ctx, keys, vals [][]byte, errs []error) error {
 	clear(vals)
 	clear(errs)
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
 	optimistic := c.hybrid && !c.cleaning
+	inline := c.inline > 0
 	sts := sc.sts[:0]
 	entries := append(sc.entries[:0], make([]byte, len(keys)*kv.EntrySize)...)
+	straight := 0
 	for i, k := range keys {
 		keyHash := kv.HashKey(k)
 		sts = append(sts, gbState{
@@ -92,14 +103,16 @@ func (c *Core) read(tc *trace.Ctx, keys, vals [][]byte, errs []error) error {
 			entry:   entries[i*kv.EntrySize : (i+1)*kv.EntrySize],
 		})
 		st := &sts[i]
-		if !optimistic {
-			st.fallback = true
-			c.count(&c.stats.RPCReads, 1)
-			continue
-		}
-		if c.hints != nil {
+		if optimistic && c.hints != nil {
 			st.hinted, st.useHint = c.hints.Lookup(st.shard, keyHash)
 		}
+		if !optimistic || (inline && !st.useHint) {
+			st.fallback = true
+			straight++
+		}
+	}
+	if straight > 0 {
+		c.count(&c.stats.RPCReads, straight)
 	}
 	sc.sts, sc.entries = sts, entries
 	fail := func(err error) error {
@@ -119,11 +132,15 @@ func (c *Core) read(tc *trace.Ctx, keys, vals [][]byte, errs []error) error {
 			c.hints.Invalidate(sts[i].shard, sts[i].keyHash)
 		}
 	}
-	// restart sends a hinted key whose hint proved stale to the probe walk.
+	// restart sends a hinted key whose hint proved stale to the probe walk,
+	// or to the server when its reply carries the value.
 	restart := func(i int) {
 		invalidate(i)
 		st := &sts[i]
 		st.phase, st.slot, st.probe, st.useHint = gbIdle, -1, 0, false
+		if inline {
+			fallback(i)
+		}
 	}
 	// validateObj applies the optimistic object checks to st.obj; it either
 	// finishes the key or sends it to the RPC fallback. A hinted key whose
@@ -213,6 +230,7 @@ func (c *Core) read(tc *trace.Ctx, keys, vals [][]byte, errs []error) error {
 		t := c.now(tc)
 		err := c.v.ReadBurst(reqs)
 		tc.Add("doorbell_read", t, c.now(tc))
+		c.count(&c.stats.ReadBursts, 1)
 		if err != nil {
 			return fail(err)
 		}
@@ -283,10 +301,11 @@ func (c *Core) read(tc *trace.Ctx, keys, vals [][]byte, errs []error) error {
 		}
 	}
 
-	// RPC fallback: every unresolved key rides one read RPC, then one burst
-	// fetches the granted objects. A granted object failing the object
-	// checks (its location was recycled between the grant and the READ)
-	// rides the next round's RPC, up to maxEntryProbes rounds.
+	// RPC fallback: every unresolved key rides one read RPC. A value its
+	// reply carries is served from it; a bare grant's object is fetched by
+	// one burst after it. A granted object failing the object checks (its
+	// location was recycled between the grant and the READ) rides the
+	// next round's RPC, up to maxEntryProbes rounds.
 	fbIdx := acted[:0]
 	for i := range sts {
 		if !sts[i].done {
@@ -301,45 +320,52 @@ func (c *Core) read(tc *trace.Ctx, keys, vals [][]byte, errs []error) error {
 			}
 			return nil
 		}
-		grants, err := c.askServer(tc, sc, keys, fbIdx)
+		grants, buf, err := c.askServer(tc, sc, keys, fbIdx)
 		if err != nil {
 			return fail(err)
 		}
-		// A granted object lands in the window of the key's own unserved
-		// READ when it fits, so an undurable own write, whose hint named
-		// exactly the granted object, costs no second slab.
+		// A value or granted object lands in the window of the key's own
+		// unserved READ when it fits, so an undurable own write, whose hint
+		// named exactly the granted object, costs no second slab.
 		reqs = reqs[:0]
 		var n int
-		for j, g := range grants {
-			if g.Status == wire.StOK && cap(sts[fbIdx[j]].obj) < int(g.Len) {
-				n += int(g.Len)
+		for j := range grants {
+			if need := grantBytes(&grants[j]); cap(sts[fbIdx[j]].obj) < need {
+				n += need
 			}
 		}
 		objs := slab(make([]byte, n))
-		for j, g := range grants {
+		for j := range grants {
+			g := &grants[j]
 			i := fbIdx[j]
-			switch g.Status {
-			case wire.StOK:
-				if obj := sts[i].obj; cap(obj) >= int(g.Len) {
-					sts[i].obj = obj[:g.Len]
-				} else {
-					sts[i].obj = objs.take(int(g.Len))
-				}
+			if need := grantBytes(g); cap(sts[i].obj) >= need {
+				sts[i].obj = sts[i].obj[:need]
+			} else {
+				sts[i].obj = objs.take(need)
+			}
+			switch {
+			case g.Value != nil:
+				copy(sts[i].obj, g.Value)
+				vals[i] = sts[i].obj
+				c.learnGrant(&sts[i], g)
+			case g.Status == wire.StOK:
 				reqs = append(reqs, Req{Buf: sts[i].obj, RKey: g.RKey, Off: g.Off})
 				continue
-			case wire.StNotFound:
+			case g.Status == wire.StNotFound:
 				errs[i] = ErrNotFound
 			default:
 				errs[i] = &StatusError{Op: "get", Status: g.Status}
 			}
 			sts[i].done = true
 		}
+		c.v.Release(buf) // every value was copied out
 		if len(reqs) == 0 {
 			return nil
 		}
 		t := c.now(tc)
 		err = c.v.ReadBurst(reqs)
 		tc.Add("doorbell_read", t, c.now(tc))
+		c.count(&c.stats.ReadBursts, 1)
 		if err != nil {
 			return fail(err)
 		}
@@ -347,8 +373,9 @@ func (c *Core) read(tc *trace.Ctx, keys, vals [][]byte, errs []error) error {
 		// write index never passes the read index.
 		again := fbIdx[:0]
 		ri := 0
-		for j, g := range grants {
-			if g.Status != wire.StOK {
+		for j := range grants {
+			g := &grants[j]
+			if g.Status != wire.StOK || g.Value != nil {
 				continue
 			}
 			i := fbIdx[j]
@@ -363,11 +390,7 @@ func (c *Core) read(tc *trace.Ctx, keys, vals [][]byte, errs []error) error {
 				continue
 			default:
 				vals[i] = value(r.Buf, hd)
-				slot := -1 // a TGet grant names no slot: learn keeps the known one
-				if g.Slot != wire.NoSlot {
-					slot = int(g.Slot)
-				}
-				c.learn(sts[i].shard, sts[i].keyHash, hint.Entry{Slot: slot, Pool: g.RKey, Off: g.Off, Len: int(g.Len)})
+				c.learnGrant(&sts[i], g)
 			}
 			sts[i].done = true
 		}
@@ -376,14 +399,41 @@ func (c *Core) read(tc *trace.Ctx, keys, vals [][]byte, errs []error) error {
 	return nil
 }
 
+// grantBytes is the room a grant's outcome takes in the read's slab: its
+// value when the reply carries it, its object when a READ must fetch it.
+func grantBytes(g *wire.GetGrant) int {
+	switch {
+	case g.Value != nil:
+		return len(g.Value)
+	case g.Status == wire.StOK:
+		return int(g.Len)
+	}
+	return 0
+}
+
+// learnGrant points a key's hint at the durable version the server
+// granted it. A grant naming no slot keeps the slot known before.
+func (c *Core) learnGrant(st *gbState, g *wire.GetGrant) {
+	slot := -1
+	if g.Slot != wire.NoSlot {
+		slot = int(g.Slot)
+	}
+	c.learn(st.shard, st.keyHash, hint.Entry{Slot: slot, Pool: g.RKey, Off: g.Off, Len: int(g.Len)})
+}
+
 // askServer sends one fallback round's read RPC for keys[fbIdx] and
-// returns one grant per key, index-aligned with fbIdx. A round of one key
-// asks with TGet, whose grant carries no slot; more keys ride one
-// TGetBatch carrying their learned slots as server-side hints.
-func (c *Core) askServer(tc *trace.Ctx, sc *scratch, keys [][]byte, fbIdx []int) ([]wire.GetGrant, error) {
-	var req wire.Msg
+// returns one grant per key, index-aligned with fbIdx, and the reply's
+// buffer, which the caller releases once it has copied the values out.
+// A round of one key asks with TGet, whose grant carries no slot unless
+// the ask carried a budget; more keys ride one TGetBatch carrying their
+// learned slots as server-side hints. With the server's inline budget
+// the ask carries it, and the reply's values are checked against their
+// keys and grants: a value over the budget, or whose key or object length
+// disagrees with its grant, fails the round rather than being served.
+func (c *Core) askServer(tc *trace.Ctx, sc *scratch, keys [][]byte, fbIdx []int) ([]wire.GetGrant, *[]byte, error) {
+	req := wire.Msg{Type: wire.TGetBatch, Len: uint64(c.inline), Trace: tc.ID()}
 	if len(fbIdx) == 1 {
-		req = wire.Msg{Type: wire.TGet, Key: keys[fbIdx[0]], Trace: tc.ID()}
+		req.Type, req.Key = wire.TGet, keys[fbIdx[0]]
 	} else {
 		ops := sc.getOps[:0]
 		for _, i := range fbIdx {
@@ -395,27 +445,73 @@ func (c *Core) askServer(tc *trace.Ctx, sc *scratch, keys [][]byte, fbIdx []int)
 		}
 		sc.getOps = ops
 		sc.opsBuf = wire.AppendGetOps(sc.opsBuf[:0], ops)
-		req = wire.Msg{Type: wire.TGetBatch, Value: sc.opsBuf, Trace: tc.ID()}
+		req.Value = sc.opsBuf
 	}
 	t := c.now(tc)
 	resp, buf, err := c.v.Call(req)
 	tc.Add("get_rpc", t, c.now(tc))
+	c.count(&c.stats.ReadRPCs, 1)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	defer c.v.Release(buf) // grants are scalar copies
-	if req.Type == wire.TGet {
-		// TGetResp carries the one key's status and location as scalars.
-		sc.getGrants = append(sc.getGrants[:0], wire.GetGrant{Status: resp.Status, RKey: resp.RKey, Slot: wire.NoSlot, Len: uint32(resp.Len), Off: resp.Off})
-		return sc.getGrants, nil
+	grants, inline := sc.getGrants[:0], req.Len != 0
+	switch {
+	case req.Type == wire.TGet:
+		// TGetResp carries the one key's status and location as scalars,
+		// and what a budget asked for: the slot in Token, the value.
+		g := wire.GetGrant{Status: resp.Status, RKey: resp.RKey, Slot: wire.NoSlot, Len: uint32(resp.Len), KLen: resp.KLen, Off: resp.Off}
+		if inline {
+			g.Slot = resp.Token
+		}
+		if resp.Note&wire.NoteValue != 0 {
+			g.Value = resp.Value
+			if g.Value == nil {
+				g.Value = []byte{} // an empty value, not a bare grant
+			}
+		}
+		grants = append(grants, g)
+	case resp.Status != wire.StOK:
+		c.v.Release(buf)
+		return nil, nil, &StatusError{Op: "get batch", Status: resp.Status}
+	case resp.Len > req.Len:
+		err = fmt.Errorf("a budget of %d bytes applied to an ask of %d", resp.Len, req.Len)
+	default:
+		inline = resp.Len != 0
+		grants, err = wire.DecodeGetGrantsInto(resp.Value, grants, inline)
+		if err == nil && len(grants) != len(fbIdx) {
+			err = fmt.Errorf("%d grants for %d ops", len(grants), len(fbIdx))
+		}
 	}
-	if resp.Status != wire.StOK {
-		return nil, &StatusError{Op: "get batch", Status: resp.Status}
+	if err == nil {
+		sc.getGrants = grants
+		err = checkValues(grants, keys, fbIdx, inline, int(req.Len))
 	}
-	grants, err := wire.DecodeGetGrantsInto(resp.Value, sc.getGrants)
-	if err != nil || len(grants) != len(fbIdx) {
-		return nil, fmt.Errorf("efactory: malformed get batch response: %d grants for %d ops: %v", len(grants), len(fbIdx), err)
+	if err != nil {
+		c.v.Release(buf)
+		return nil, nil, fmt.Errorf("efactory: malformed get response: %w", err)
 	}
-	sc.getGrants = grants
-	return grants, nil
+	return grants, buf, nil
+}
+
+// checkValues refuses a read reply's values unless the ask carried a
+// budget and the reply took the inline layout, the values total at most
+// budget bytes, and each is the value of its own key's granted object.
+func checkValues(grants []wire.GetGrant, keys [][]byte, fbIdx []int, inline bool, budget int) error {
+	total := 0
+	for j := range grants {
+		g := &grants[j]
+		if g.Value == nil {
+			continue
+		}
+		total += len(g.Value)
+		switch {
+		case !inline || g.Status != wire.StOK:
+			return fmt.Errorf("a value where none was asked for")
+		case total > budget:
+			return fmt.Errorf("values total over the %d-byte budget", budget)
+		case int(g.KLen) != len(keys[fbIdx[j]]) || kv.ObjectSize(int(g.KLen), len(g.Value)) != int(g.Len):
+			return fmt.Errorf("a %d-byte value under a %d-byte key does not fill its %d-byte object", len(g.Value), g.KLen, g.Len)
+		}
+	}
+	return nil
 }

@@ -102,8 +102,13 @@ type Stats struct {
 	PureReads     int // GETs satisfied entirely one-sidedly
 	HintedReads   int // pure reads whose probe walk was skipped by a hint hit
 	FallbackReads int // GETs that fell back to RPC after an optimistic attempt
-	RPCReads      int // GETs that went straight to RPC (cleaning / no hybrid)
+	RPCReads      int // GETs that went straight to RPC (cleaning / no hybrid / unhinted with an inline budget)
 	Notifications int // clean-start/end notifications processed (simulator)
+	// ReadBursts and ReadRPCs count the round trips reads took: one-sided
+	// READ bursts and read RPCs (TGet, TGetBatch), per Get or GetBatch
+	// call, not per key.
+	ReadBursts int
+	ReadRPCs   int
 }
 
 // FirstErr returns the first consequential error of a batch (ErrNotFound

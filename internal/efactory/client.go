@@ -60,7 +60,7 @@ type Client struct {
 func newClient(env *sim.Env, par *model.Params, nic *rnic.NIC, ep *rnic.Endpoint, shards []client.Shard, buckets int) *Client {
 	c := &Client{env: env, par: par, nic: nic, ep: ep}
 	// No inline budget: every PUT is the paper's allocation RPC, then a
-	// one-sided WRITE.
+	// one-sided WRITE, and a read's RPC a grant, then a one-sided READ.
 	c.core = client.New((*verbs)(c), shards, buckets, &c.Stats, false, 0)
 	return c
 }

@@ -172,8 +172,9 @@ func (s *Server) initStore() store.RecoveryStats {
 			pools[sh][i] = s.poolMR[sh][i].RKey()
 		}
 	}
-	// No Guard: the simulated server is unclustered.
-	s.core = server.New(st, pools, nil)
+	// No Guard: the simulated server is unclustered. No inline budget: its
+	// PUTs and reads keep the paper's grant-then-WRITE and grant-then-READ.
+	s.core = server.New(st, pools, nil, 0)
 	return rst
 }
 

@@ -10,12 +10,15 @@ import (
 
 // FuzzHandle is where network bytes become engine state: any frame
 // wire.Decode accepts goes through Core.Handle on a small two-shard store
-// holding a few durable keys. Whatever the frame says, the Core must not
-// panic, must answer with the request's response type, must grant nothing
-// unless the status is StOK, and must grant only locations inside the
-// owning shard's two pool regions — the client's one-sided follow-up goes
-// wherever the grant points.
+// holding a few durable keys, behind a fuzzBudget-byte inline budget.
+// Whatever the frame says, the Core must not panic, must answer with the
+// request's response type, must grant nothing unless the status is StOK,
+// and must grant only locations inside the owning shard's two pool
+// regions — the client's one-sided follow-up goes wherever the grant
+// points. A value a read reply carries must be its key's, and the values
+// must fit the budget the request asked for and the Core's.
 func FuzzHandle(f *testing.F) {
+	const fuzzBudget = 96
 	frame := func(m wire.Msg) []byte { return m.Encode() }
 	k := [][]byte{[]byte("fuzz-a"), []byte("fuzz-b"), []byte("fuzz-c")}
 	// One valid frame per request type.
@@ -50,6 +53,12 @@ func FuzzHandle(f *testing.F) {
 	f.Add(frame(wire.Msg{Type: wire.TPutBatch, Len: 9, Value: ib}))
 	f.Add(frame(wire.Msg{Type: wire.TPutBatch, Len: 9, Value: ib[:len(ib)-1]}))
 	f.Add(frame(wire.Msg{Type: wire.TPutBatch, Len: 10, Value: ib}))
+	// Reads asking for values: within both budgets, over the Core's, and
+	// a batch whose values overrun the ask part way.
+	f.Add(frame(wire.Msg{Type: wire.TGet, Key: k[1], Len: 1 << 10}))
+	f.Add(frame(wire.Msg{Type: wire.TGet, Key: k[1], Len: 1}))
+	f.Add(frame(wire.Msg{Type: wire.TGetBatch, Len: 1 << 10, Value: getOps(k, noSlot)}))
+	f.Add(frame(wire.Msg{Type: wire.TGetBatch, Len: 70, Value: getOps(k, noSlot)}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		req, err := wire.Decode(data)
@@ -61,7 +70,7 @@ func FuzzHandle(f *testing.F) {
 			r.seed(t, key, bytes.Repeat(key, 10))
 		}
 		pools := [][2]uint32{{11, 12}, {21, 22}}
-		resp, ok := New(r.st, pools, nil).Handle(nil, req, nil)
+		resp, ok := New(r.st, pools, nil, fuzzBudget).Handle(nil, req, nil)
 		if !ok {
 			return
 		}
@@ -81,9 +90,27 @@ func FuzzHandle(f *testing.F) {
 			}
 			return
 		}
+		// carried checks a value a read reply carries for key.
+		budget := min(req.Len, fuzzBudget)
+		carried := func(key, val []byte) {
+			if !bytes.Equal(val, bytes.Repeat(key, 10)) {
+				t.Fatalf("value %q carried for %q", val, key)
+			}
+			if uint64(len(val)) > budget {
+				t.Fatalf("%d-byte value carried under a %d-byte budget", len(val), budget)
+			}
+			budget -= uint64(len(val))
+		}
 		switch req.Type {
-		case wire.TPut, wire.TGet:
+		case wire.TPut:
 			inPool(req.Key, resp.RKey, resp.Off, resp.Len)
+		case wire.TGet:
+			inPool(req.Key, resp.RKey, resp.Off, resp.Len)
+			if resp.Note&wire.NoteValue != 0 {
+				carried(req.Key, resp.Value)
+			} else if resp.Value != nil {
+				t.Fatalf("bare TGet grant carries %d bytes", len(resp.Value))
+			}
 		case wire.TPutBatch:
 			ops, _ := wire.DecodePutOpsInto(req.Value, nil, req.Len != 0)
 			gs, err := wire.DecodePutGrantsInto(resp.Value, nil)
@@ -99,14 +126,21 @@ func FuzzHandle(f *testing.F) {
 			}
 		case wire.TGetBatch:
 			ops, _ := wire.DecodeGetOpsInto(req.Value, nil)
-			gs, err := wire.DecodeGetGrantsInto(resp.Value, nil)
+			if resp.Len != min(req.Len, fuzzBudget) {
+				t.Fatalf("ask of %d bytes answered with a budget of %d", req.Len, resp.Len)
+			}
+			gs, err := wire.DecodeGetGrantsInto(resp.Value, nil, resp.Len != 0)
 			if err != nil || len(gs) != len(ops) {
 				t.Fatalf("%d ops answered with %d grants (%v)", len(ops), len(gs), err)
 			}
 			for i, g := range gs {
-				if g.Status == wire.StOK {
+				switch {
+				case g.Status == wire.StOK:
 					inPool(ops[i].Key, g.RKey, g.Off, uint64(g.Len))
-				} else if g != (wire.GetGrant{Status: g.Status}) {
+					if g.Value != nil {
+						carried(ops[i].Key, g.Value)
+					}
+				case g.Flags != 0 || g.RKey != 0 || g.Slot != 0 || g.Len != 0 || g.KLen != 0 || g.Off != 0 || g.Seq != 0 || g.Value != nil:
 					t.Fatalf("status %d get grant carries a location: %+v", g.Status, g)
 				}
 			}

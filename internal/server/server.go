@@ -52,13 +52,19 @@ type Core struct {
 	st    *store.Store
 	pools [][2]uint32
 	guard Guard
+	// budget is the inline budget the transport announces: the most value
+	// bytes one read reply carries, whatever the request asks for. 0 means
+	// none, the paper's grant-then-READ.
+	budget int
 }
 
 // New builds a Core over st. pools holds each shard's two data pool
 // rkeys — data, not arithmetic, because a transport's registration
-// decides them. A nil guard disables the placement layer.
-func New(st *store.Store, pools [][2]uint32, guard Guard) *Core {
-	return &Core{st: st, pools: pools, guard: guard}
+// decides them. A nil guard disables the placement layer. budget is the
+// inline budget in bytes the transport announces to its clients (0:
+// none).
+func New(st *store.Store, pools [][2]uint32, guard Guard, budget int) *Core {
+	return &Core{st: st, pools: pools, guard: guard, budget: budget}
 }
 
 // Scratch holds the reusable buffers one caller threads through Handle,
@@ -73,7 +79,13 @@ type Scratch struct {
 	byShard  [][]int
 	shardOps []store.PutOp
 	shardRes []store.PutResult
-	payload  []byte // encoded response payload (Msg.Value)
+	// A TGetBatch's grants, and one shard group's keys, slots and results.
+	getGrants []wire.GetGrant
+	getKeys   [][]byte
+	getSlots  []int
+	getRes    []store.GetResult
+	vals      []byte // the values a TGetBatch reply carries
+	payload   []byte // encoded response payload (Msg.Value)
 }
 
 // OpName names a data-plane request type ("op" for anything else); both
@@ -225,9 +237,9 @@ func (c *Core) admit(h any, m wire.Msg, sc *Scratch, mutating bool) wire.Msg {
 	case wire.TPutBatch:
 		return c.putBatch(h, sc)
 	case wire.TGet:
-		return c.get(h, m)
+		return c.get(h, m, sc)
 	case wire.TGetBatch:
-		return c.getBatch(h, sc)
+		return c.getBatch(h, m, sc)
 	case wire.TDel:
 		return c.del(h, m)
 	case wire.TTxnCommit:
@@ -310,40 +322,71 @@ func (c *Core) putBatch(h any, sc *Scratch) wire.Msg {
 	return wire.Msg{Status: wire.StOK, Value: sc.payload}
 }
 
-func (c *Core) get(h any, m wire.Msg) wire.Msg {
+// limit is the value budget of read request m: the client's (Len), held
+// to the one the core announces. It is -1 when either is 0, and then the
+// reply is the grant alone.
+func (c *Core) limit(m wire.Msg) int {
+	if m.Len == 0 || c.budget == 0 {
+		return -1
+	}
+	return int(min(m.Len, uint64(c.budget)))
+}
+
+// get resolves one key. Asked for the value, it names the key's slot,
+// and copies the value into sc's payload under the engine lock that
+// verified the version when it fits the budget.
+func (c *Core) get(h any, m wire.Msg, sc *Scratch) wire.Msg {
 	sh := c.st.ShardFor(m.Key)
-	res := c.st.Shard(sh).Get(h, m.Key)
+	limit := c.limit(m)
+	res, vals := c.st.Shard(sh).GetInto(h, m.Key, sc.payload[:0], limit)
+	sc.payload = vals
 	if res.Status != store.StatusOK {
 		return wire.Msg{Status: wire.StNotFound}
 	}
-	return wire.Msg{
+	resp := wire.Msg{
 		Status: wire.StOK,
 		RKey:   c.pools[sh][res.Pool], Off: res.Off, Len: uint64(res.Len), KLen: uint32(res.KLen),
 	}
+	if m.Len != 0 {
+		resp.Token = uint32(res.Slot)
+	}
+	if res.Value != nil {
+		resp.Note, resp.Value = wire.NoteValue, res.Value
+	}
+	return resp
 }
 
 // getBatch resolves every op of a multi-key GET with one received message
 // and one response; client-learned slots pass through as engine lookup
 // hints. Grants come back index-aligned with the ops and carry the
 // resolved slot, version sequence and durability flag so clients can warm
-// their hint caches.
-func (c *Core) getBatch(h any, sc *Scratch) wire.Msg {
+// their hint caches. Asked for values, the reply takes the inline layout
+// and carries each found key's value while they fit the budget, copied
+// under the engine lock that verified the version; a key past the budget
+// gets its bare grant. Every buffer comes from sc.
+func (c *Core) getBatch(h any, m wire.Msg, sc *Scratch) wire.Msg {
 	ops := sc.getOps
-	grants := make([]wire.GetGrant, len(ops))
+	limit := c.limit(m)
+	if cap(sc.getGrants) < len(ops) {
+		sc.getGrants = make([]wire.GetGrant, len(ops))
+	}
+	grants := sc.getGrants[:len(ops)]
+	vals := sc.vals[:0]
 	for sh, list := range c.group(sc) {
 		if len(list) == 0 {
 			continue
 		}
-		keys := make([][]byte, len(list))
-		slots := make([]int, len(list))
-		for j, i := range list {
-			keys[j] = ops[i].Key
-			slots[j] = -1
+		keys, slots := sc.getKeys[:0], sc.getSlots[:0]
+		for _, i := range list {
+			slot := -1
 			if ops[i].Slot != wire.NoSlot {
-				slots[j] = int(ops[i].Slot)
+				slot = int(ops[i].Slot)
 			}
+			keys, slots = append(keys, ops[i].Key), append(slots, slot)
 		}
-		for j, res := range c.st.Shard(sh).GetBatch(h, keys, slots) {
+		sc.getKeys, sc.getSlots = keys, slots
+		sc.getRes, vals = c.st.Shard(sh).GetBatchInto(h, keys, slots, sc.getRes, vals, limit)
+		for j, res := range sc.getRes {
 			if res.Status != store.StatusOK {
 				grants[list[j]] = wire.GetGrant{Status: wire.StNotFound}
 				continue
@@ -351,6 +394,9 @@ func (c *Core) getBatch(h any, sc *Scratch) wire.Msg {
 			var flags uint8
 			if res.Durable {
 				flags |= wire.GrantDurable
+			}
+			if res.Value != nil {
+				flags |= wire.GrantValue
 			}
 			grants[list[j]] = wire.GetGrant{
 				Status: wire.StOK,
@@ -361,11 +407,18 @@ func (c *Core) getBatch(h any, sc *Scratch) wire.Msg {
 				KLen:   uint32(res.KLen),
 				Off:    res.Off,
 				Seq:    res.Seq,
+				Value:  res.Value,
 			}
 		}
 	}
-	sc.payload = wire.AppendGetGrants(sc.payload[:0], grants)
-	return wire.Msg{Status: wire.StOK, Value: sc.payload}
+	sc.vals = vals
+	resp := wire.Msg{Status: wire.StOK}
+	if limit >= 0 {
+		resp.Len = uint64(limit)
+	}
+	sc.payload = wire.AppendGetGrants(sc.payload[:0], grants, resp.Len != 0)
+	resp.Value = sc.payload
+	return resp
 }
 
 func (c *Core) del(h any, m wire.Msg) wire.Msg {

@@ -70,7 +70,7 @@ func newFixture(t testing.TB, shards int, g Guard) *fixture {
 	for sh := 0; sh < shards; sh++ {
 		f.pools = append(f.pools, [2]uint32{uint32(100 + 7*sh), uint32(900 - 5*sh)})
 	}
-	f.core = New(f.st, f.pools, g)
+	f.core = New(f.st, f.pools, g, 0)
 	return f
 }
 
@@ -284,7 +284,7 @@ func TestConformance(t *testing.T) {
 			if gs[0].Status != wire.StOK || !gs[0].Durable() || gs[1].Status != wire.StNotFound || gs[3].Status != wire.StOK {
 				t.Fatalf("direct get batch: %+v", gs)
 			}
-			return wire.Msg{Value: wire.AppendGetGrants(nil, gs)}
+			return wire.Msg{Value: wire.AppendGetGrants(nil, gs, false)}
 		}},
 		{"get batch over the op cap", func(f *fixture) wire.Msg {
 			return wire.Msg{Type: wire.TGetBatch, Value: getOps(keys(0, DefaultMaxOps+1), noSlot)}
@@ -395,7 +395,7 @@ func TestConformance(t *testing.T) {
 func TestCleaningNote(t *testing.T) {
 	// A cleaner that never runs leaves the shard in the cleaning state.
 	r := newReplica(t, 3, store.Deps{Spawn: func(string, func(any)) {}})
-	core := New(r.st, make([][2]uint32, 3), nil)
+	core := New(r.st, make([][2]uint32, 3), nil, 0)
 	var in, out []byte // a key on the cleaning shard, a key on another
 	for i := 0; in == nil || out == nil; i++ {
 		if k := key(i); r.st.ShardFor(k) == 1 {
@@ -532,5 +532,75 @@ func TestGuard(t *testing.T) {
 	}
 	if resp := f.handle(t, wire.Msg{Type: wire.TPut, Key: key(1), Len: 8}); resp.Status != wire.StOK {
 		t.Errorf("PUT under a vetoing guard: status %d, want StOK (writes are never vetoed)", resp.Status)
+	}
+}
+
+// TestReadBudget: a read asking for values gets them while they fit the
+// smaller of its budget and the Core's, in op order, and bare grants
+// past that, so the reply never exceeds the budget plus its grant array.
+// Every value is the one the direct engine read names, and every grant
+// is the direct read's. A Core announcing no budget answers an ask as if
+// there were none.
+func TestReadBudget(t *testing.T) {
+	ks := keys(0, 6)
+	val := func(i int) []byte { return bytes.Repeat([]byte{byte('a' + i)}, 100) }
+	for _, tc := range []struct {
+		name        string
+		ask, budget int
+		carried     int // values the reply carries
+	}{
+		{"ask under the Core's budget", 250, 1 << 20, 2},
+		{"Core's budget under the ask", 1 << 20, 350, 3},
+		{"every value fits", 1 << 20, 1 << 20, 6},
+		{"no value fits", 99, 1 << 20, 0},
+		{"the Core announces none", 1 << 20, 0, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newReplica(t, 1, store.Deps{})
+			for i, k := range ks {
+				r.seed(t, k, val(i))
+			}
+			pools := [][2]uint32{{5, 6}}
+			core := New(r.st, pools, nil, tc.budget)
+			resp, _ := core.Handle(nil, wire.Msg{Type: wire.TGetBatch, Len: uint64(tc.ask), Value: getOps(ks, noSlot)}, nil)
+			limit := uint64(min(tc.ask, tc.budget))
+			if resp.Status != wire.StOK || resp.Len != limit {
+				t.Fatalf("status %d, budget applied %d, want %d", resp.Status, resp.Len, limit)
+			}
+			inline := resp.Len != 0
+			gs, err := wire.DecodeGetGrantsInto(resp.Value, nil, inline)
+			if err != nil || len(gs) != len(ks) {
+				t.Fatalf("%d grants for %d keys: %v", len(gs), len(ks), err)
+			}
+			if bound := wire.GetGrantsSize(make([]wire.GetGrant, len(ks)), inline) + int(limit); len(resp.Value) > bound {
+				t.Errorf("%d-byte reply exceeds the budget plus the grant array, %d", len(resp.Value), bound)
+			}
+			for i, g := range gs {
+				r := r.st.Shard(0).Get(nil, ks[i])
+				want := wire.GetGrant{Status: wire.StOK, Flags: wire.GrantDurable, RKey: pools[0][r.Pool], Slot: uint32(r.Slot),
+					Len: uint32(r.Len), KLen: uint32(r.KLen), Off: r.Off, Seq: r.Seq}
+				if i < tc.carried {
+					want.Flags |= wire.GrantValue
+					want.Value = val(i)
+				}
+				if !reflect.DeepEqual(g, want) {
+					t.Errorf("key %d: grant %+v, want %+v", i, g, want)
+				}
+			}
+
+			// The one-key TGet: the value when it fits, the slot either way.
+			resp, _ = core.Handle(nil, wire.Msg{Type: wire.TGet, Key: ks[0], Len: uint64(tc.ask)}, nil)
+			r0 := r.st.Shard(0).Get(nil, ks[0])
+			if resp.Status != wire.StOK || resp.Token != uint32(r0.Slot) || resp.Off != r0.Off || resp.Len != uint64(r0.Len) {
+				t.Fatalf("TGet: %+v, want the grant of %+v", resp, r0)
+			}
+			var want []byte
+			if tc.carried > 0 {
+				want = val(0)
+			}
+			if (resp.Note&wire.NoteValue != 0) != (want != nil) || !bytes.Equal(resp.Value, want) {
+				t.Errorf("TGet: note %#x and %d value bytes, want %d", resp.Note, len(resp.Value), len(want))
+			}
+		})
 	}
 }

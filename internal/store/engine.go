@@ -15,6 +15,7 @@ package store
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"time"
 
@@ -135,7 +136,9 @@ type PutResult struct {
 // Seq, and Durable describe the resolved entry and version so transports
 // can hand clients hint-cache material: Slot is the table bucket the key
 // lives in, Seq the served version's sequence number, and Durable whether
-// its durability flag was set when the result was produced.
+// its durability flag was set when the result was produced. Value is the
+// served version's value when the caller asked for it and it fit
+// (GetInto, GetBatchInto), and nil otherwise; an empty value is non-nil.
 type GetResult struct {
 	Status  Status
 	Pool    int
@@ -145,6 +148,7 @@ type GetResult struct {
 	Slot    int
 	Seq     uint64
 	Durable bool
+	Value   []byte
 }
 
 // Engine is one shard of the storage engine.
@@ -469,11 +473,24 @@ func (e *Engine) putLocked(h any, op PutOp) PutResult {
 // flag first, verify+persist only when needed, and roll back through the
 // version list to the newest intact version.
 func (e *Engine) Get(h any, key []byte) GetResult {
+	r, _ := e.GetInto(h, key, nil, -1)
+	return r
+}
+
+// GetInto is Get that also returns the value: when len(vals) plus the
+// served version's value length stays within limit, the value is
+// appended to vals and the result's Value aliases it. The copy is made
+// under the lock hold that resolved and verified the version, so it is
+// exactly the version the result names. vals grows only when too small;
+// a negative limit copies nothing.
+func (e *Engine) GetInto(h any, key, vals []byte, limit int) (GetResult, []byte) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	t0 := e.sink.Now()
 	defer func() { e.observeMop(h, mopGet, t0) }()
-	return e.getLocked(h, key, -1, noSeqLimit)
+	r := e.getLocked(h, key, -1, noSeqLimit)
+	vals = e.valueLocked(&r, vals, limit)
+	return r, vals
 }
 
 // GetBatch resolves several keys under ONE lock acquisition — the engine
@@ -482,10 +499,23 @@ func (e *Engine) Get(h any, key []byte) GetResult {
 // probe walk, a stale one degrades to a full lookup. Results are
 // index-aligned with keys.
 func (e *Engine) GetBatch(h any, keys [][]byte, slots []int) []GetResult {
+	res, _ := e.GetBatchInto(h, keys, slots, nil, nil, -1)
+	return res
+}
+
+// GetBatchInto is GetBatch that also returns values, as GetInto does for
+// each key in turn against the one limit: a value that would take vals
+// past limit is not copied and its key's result is bare. res, when it has
+// the capacity, is reused as the result backing.
+func (e *Engine) GetBatchInto(h any, keys [][]byte, slots []int, res []GetResult, vals []byte, limit int) ([]GetResult, []byte) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.stats.GetBatches++
-	res := make([]GetResult, len(keys))
+	if cap(res) >= len(keys) {
+		res = res[:len(keys)]
+	} else {
+		res = make([]GetResult, len(keys))
+	}
 	for i, key := range keys {
 		t0 := e.sink.Now()
 		hint := -1
@@ -493,9 +523,31 @@ func (e *Engine) GetBatch(h any, keys [][]byte, slots []int) []GetResult {
 			hint = slots[i]
 		}
 		res[i] = e.getLocked(h, key, hint, noSeqLimit)
+		vals = e.valueLocked(&res[i], vals, limit)
 		e.observeMop(h, mopGet, t0)
 	}
-	return res
+	return res, vals
+}
+
+// valueLocked appends the value of the version r names to vals when r
+// found one and the value fits within limit, and points r.Value at it.
+// Callers hold mu, the same hold that produced r.
+func (e *Engine) valueLocked(r *GetResult, vals []byte, limit int) []byte {
+	if r.Status != StatusOK || limit < 0 {
+		return vals
+	}
+	pool := e.pools[r.Pool]
+	vlen := pool.Header(r.Off).VLen
+	n := len(vals)
+	if n+vlen > limit {
+		return vals
+	}
+	if vals == nil {
+		vals = []byte{} // so an empty value's window is non-nil
+	}
+	vals = slices.Grow(vals, vlen)[:n+vlen]
+	r.Value = pool.ReadValueInto(vals[n:n+vlen:n+vlen], r.Off, r.KLen, vlen)
+	return vals
 }
 
 // getLocked is the shared body of Get, GetBatch, and the snapshot read.

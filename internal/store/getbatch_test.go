@@ -5,6 +5,7 @@ package store_test
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"efactory/internal/crc"
@@ -54,7 +55,7 @@ func TestEngineGetBatchMatchesGet(t *testing.T) {
 		t.Fatalf("GetBatch returned %d results for %d keys", len(got), len(keys))
 	}
 	for i := range keys {
-		if got[i] != want[i] {
+		if !reflect.DeepEqual(got[i], want[i]) {
 			t.Errorf("key %s: GetBatch %+v != Get %+v", keys[i], got[i], want[i])
 		}
 	}
@@ -89,7 +90,7 @@ func TestEngineSlotHintedLookup(t *testing.T) {
 	hinted := eng.GetBatch(nil, keys, slots)
 	after := eng.Stats()
 	for i := range keys {
-		if hinted[i] != base[i] {
+		if !reflect.DeepEqual(hinted[i], base[i]) {
 			t.Errorf("key %s: hinted %+v != base %+v", keys[i], hinted[i], base[i])
 		}
 	}
@@ -104,7 +105,7 @@ func TestEngineSlotHintedLookup(t *testing.T) {
 	stale := eng.GetBatch(nil, keys, bad)
 	after = eng.Stats()
 	for i := range keys {
-		if stale[i] != base[i] {
+		if !reflect.DeepEqual(stale[i], base[i]) {
 			t.Errorf("key %s: stale-hinted %+v != base %+v", keys[i], stale[i], base[i])
 		}
 	}

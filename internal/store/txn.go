@@ -50,6 +50,7 @@ package store
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sort"
 
 	"efactory/internal/crc"
@@ -403,9 +404,8 @@ func (e *Engine) getAt(h any, key []byte, seqLimit uint64) (val []byte, seq uint
 	if r.Status != StatusOK {
 		return nil, 0, r.Status
 	}
-	pool := e.pools[r.Pool]
-	hd := pool.Header(r.Off)
-	return pool.ReadValueInto(nil, r.Off, hd.KLen, hd.VLen), r.Seq, StatusOK
+	e.valueLocked(&r, nil, math.MaxInt)
+	return r.Value, r.Seq, StatusOK
 }
 
 // --- commit-record manifest -------------------------------------------

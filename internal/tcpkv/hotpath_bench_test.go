@@ -192,10 +192,10 @@ func BenchmarkGet(b *testing.B) {
 // BenchmarkGetOwnWrite measures a client reading back its own write: one
 // op is an inline PUT (one round trip) and then a GET of the same key. The
 // PUT's acknowledged grant is the key's hint, so the GET is one one-sided
-// burst — followed by the RPC fallback when the background verifier has
-// not flagged the version durable yet, whose object lands in the burst's
-// buffer. The one allocation is the GET's object slab, which the returned
-// value aliases.
+// burst — followed by the read RPC when the background verifier has not
+// flagged the version durable yet, whose reply carries the value, copied
+// into the burst's buffer. The one allocation is the GET's object slab,
+// which the returned value aliases.
 func BenchmarkGetOwnWrite(b *testing.B) {
 	_, addr := startBenchServer(b)
 	cl := benchDial(b, addr)

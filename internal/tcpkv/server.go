@@ -22,7 +22,12 @@
 //     of it buys nothing. The opWrite path stays for batches over the
 //     budget and for clients that do not inline.
 //   - GET uses the hybrid read scheme: one-sided entry + object reads,
-//     falling back to an RPC when the fetched object is not durable.
+//     falling back to an RPC when the fetched object is not durable. The
+//     read RPC asks for the values under the same inline budget, and its
+//     reply carries them, copied under the engine lock that verified the
+//     version, so a read is at most the hinted burst and one RPC: a key
+//     with no hint, or a wrong one, goes to the RPC rather than walking the
+//     probe chain, and no READ of a granted object follows it.
 //   - Log cleaning (§4.4) runs the two-stage compress/merge protocol over
 //     two data pools per shard, triggered by a free-space threshold.
 //
@@ -101,9 +106,10 @@ const (
 
 // inlineBudget is the inline budget the hello announces: a PUT whose
 // values total at most this many bytes sends them in its allocation
-// request, so it is one pipelined round trip with no one-sided WRITE.
-// Half a pipelined frame leaves the other half for the batch's keys and
-// op headers, and it holds any storable object.
+// request, so it is one pipelined round trip with no one-sided WRITE, and
+// a read RPC's reply carries up to this many bytes of values. Half a
+// pipelined frame leaves the other half for the keys and op headers or
+// grants, and it holds any storable object.
 const inlineBudget = maxPipeFrame / 2
 
 // One-sided opcodes.
@@ -347,7 +353,7 @@ func NewServer(dev nvm.Device, cfg Config) (*Server, error) {
 		_, poolBase := shardRKeys(sh)
 		pools[sh] = [2]uint32{poolBase, poolBase + 1}
 	}
-	s.core = server.New(st, pools, (*guard)(s))
+	s.core = server.New(st, pools, (*guard)(s), inlineBudget)
 	// Cluster state is first-class telemetry even on an unclustered
 	// server: epoch 0 / zero rejects say "placement layer idle" instead
 	// of the series not existing.

@@ -131,18 +131,37 @@ func AppendGetOps(b []byte, ops []GetOp) []byte {
 	return b
 }
 
-// GetGrantsSize returns the encoded size of a TGetResults payload.
-func GetGrantsSize(gs []GetGrant) int { return 4 + getGrantSize*len(gs) }
+// GetGrantsSize returns the encoded size of a TGetResults payload in the
+// grant-only (inline false) or the inline layout.
+func GetGrantsSize(gs []GetGrant, inline bool) int {
+	if !inline {
+		return 4 + getGrantSize*len(gs)
+	}
+	n := 4 + (getGrantSize+getGrantVLen)*len(gs)
+	for i := range gs {
+		if gs[i].Flags&GrantValue != 0 {
+			n += len(gs[i].Value)
+		}
+	}
+	return n
+}
 
-// AppendGetGrants appends a TGetResults payload to b.
-func AppendGetGrants(b []byte, gs []GetGrant) []byte {
+// AppendGetGrants appends a TGetResults payload to b. In the inline
+// layout each grant names len(Value), and the Values of the grants
+// flagged GrantValue follow the array in op order.
+func AppendGetGrants(b []byte, gs []GetGrant, inline bool) []byte {
 	base := len(b)
-	b = appendZeros(b, GetGrantsSize(gs))
+	b = appendZeros(b, GetGrantsSize(gs, inline))
 	o := b[base:]
 	le := binary.LittleEndian
 	le.PutUint32(o, uint32(len(gs)))
-	p := 4
-	for _, g := range gs {
+	size := getGrantSize
+	if inline {
+		size += getGrantVLen
+	}
+	p, v := 4, 4+size*len(gs)
+	for i := range gs {
+		g := &gs[i]
 		o[p] = g.Status
 		o[p+1] = g.Flags
 		le.PutUint32(o[p+2:], g.RKey)
@@ -151,7 +170,11 @@ func AppendGetGrants(b []byte, gs []GetGrant) []byte {
 		le.PutUint32(o[p+14:], g.KLen)
 		le.PutUint64(o[p+18:], g.Off)
 		le.PutUint64(o[p+26:], g.Seq)
-		p += getGrantSize
+		if inline && g.Flags&GrantValue != 0 {
+			le.PutUint32(o[p+getGrantSize:], uint32(len(g.Value)))
+			v += copy(o[v:], g.Value)
+		}
+		p += size
 	}
 	return b
 }

@@ -53,7 +53,7 @@ func TestGetGrantsRoundTrip(t *testing.T) {
 		{Status: StNotFound},
 		{Status: StOK, RKey: 0xffffffff, Slot: NoSlot, Len: 0xffffffff, KLen: 0, Off: 0, Seq: ^uint64(0)},
 	}
-	got, err := DecodeGetGrantsInto(AppendGetGrants(nil, gs), nil)
+	got, err := DecodeGetGrantsInto(AppendGetGrants(nil, gs, false), nil, false)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -61,7 +61,7 @@ func TestGetGrantsRoundTrip(t *testing.T) {
 		t.Fatalf("decoded %d grants, want %d", len(got), len(gs))
 	}
 	for i := range gs {
-		if got[i] != gs[i] {
+		if !sameGrant(got[i], gs[i]) {
 			t.Errorf("grant %d: got %+v, want %+v", i, got[i], gs[i])
 		}
 	}
@@ -70,12 +70,72 @@ func TestGetGrantsRoundTrip(t *testing.T) {
 	}
 }
 
+// sameGrant compares two grants field by field, the value by its bytes
+// and by whether it is there at all.
+func sameGrant(a, b GetGrant) bool {
+	return a.Status == b.Status && a.Flags == b.Flags && a.RKey == b.RKey && a.Slot == b.Slot &&
+		a.Len == b.Len && a.KLen == b.KLen && a.Off == b.Off && a.Seq == b.Seq &&
+		bytes.Equal(a.Value, b.Value) && (a.Value == nil) == (b.Value == nil)
+}
+
 func TestGetGrantsTruncated(t *testing.T) {
-	blob := AppendGetGrants(nil, []GetGrant{{Status: StOK, RKey: 1, Slot: 2, Len: 3, KLen: 4, Off: 5, Seq: 6}})
+	blob := AppendGetGrants(nil, []GetGrant{{Status: StOK, RKey: 1, Slot: 2, Len: 3, KLen: 4, Off: 5, Seq: 6}}, false)
 	for cut := 0; cut < len(blob); cut++ {
-		if _, err := DecodeGetGrantsInto(blob[:cut], nil); !errors.Is(err, ErrShort) {
+		if _, err := DecodeGetGrantsInto(blob[:cut], nil, false); !errors.Is(err, ErrShort) {
 			t.Fatalf("truncated at %d: err = %v, want ErrShort", cut, err)
 		}
+	}
+}
+
+// inlineGrants is an inline-layout TGetResults payload: a value, a bare
+// grant, an empty value and a miss.
+var inlineGrants = []GetGrant{
+	{Status: StOK, Flags: GrantDurable | GrantValue, RKey: 2, Slot: 7, Len: 128, KLen: 5, Off: 64, Seq: 3, Value: []byte("value-one")},
+	{Status: StOK, Flags: GrantDurable, RKey: 3, Slot: 8, Len: 4096, KLen: 5, Off: 128, Seq: 4},
+	{Status: StOK, Flags: GrantDurable | GrantValue, RKey: 2, Slot: 9, Len: 64, KLen: 5, Off: 192, Seq: 5, Value: []byte{}},
+	{Status: StNotFound},
+}
+
+// TestGetGrantsInlineRoundTrip: the inline layout carries each flagged
+// grant's value after the array, an empty one included, and leaves a
+// bare grant's Value nil. The grant-only layout of the same grants
+// carries no value bytes.
+func TestGetGrantsInlineRoundTrip(t *testing.T) {
+	blob := AppendGetGrants(nil, inlineGrants, true)
+	if len(blob) != GetGrantsSize(inlineGrants, true) || len(blob) != 4+len(inlineGrants)*(getGrantSize+getGrantVLen)+len("value-one") {
+		t.Fatalf("inline payload is %d bytes", len(blob))
+	}
+	got, err := DecodeGetGrantsInto(blob, nil, true)
+	if err != nil || len(got) != len(inlineGrants) {
+		t.Fatalf("decode: %d grants, %v", len(got), err)
+	}
+	for i := range inlineGrants {
+		if !sameGrant(got[i], inlineGrants[i]) {
+			t.Errorf("grant %d: got %+v, want %+v", i, got[i], inlineGrants[i])
+		}
+	}
+	if bare := AppendGetGrants(nil, inlineGrants, false); len(bare) != 4+len(inlineGrants)*getGrantSize {
+		t.Errorf("grant-only payload is %d bytes, want no values", len(bare))
+	}
+}
+
+// TestGetGrantsInlineMalformed: an inline payload cut anywhere, a value
+// length past the payload, and bytes after the last value are ErrShort —
+// never a value read from the wrong bytes.
+func TestGetGrantsInlineMalformed(t *testing.T) {
+	blob := AppendGetGrants(nil, inlineGrants, true)
+	for cut := 0; cut < len(blob); cut++ {
+		if _, err := DecodeGetGrantsInto(blob[:cut], nil, true); !errors.Is(err, ErrShort) {
+			t.Fatalf("truncated at %d: err = %v, want ErrShort", cut, err)
+		}
+	}
+	if _, err := DecodeGetGrantsInto(append(append([]byte(nil), blob...), 0), nil, true); !errors.Is(err, ErrShort) {
+		t.Errorf("a byte past the last value: err = %v, want ErrShort", err)
+	}
+	long := append([]byte(nil), blob...)
+	binary.LittleEndian.PutUint32(long[4+getGrantSize:], uint32(len("value-one")+1))
+	if _, err := DecodeGetGrantsInto(long, nil, true); !errors.Is(err, ErrShort) {
+		t.Errorf("a value length past the payload: err = %v, want ErrShort", err)
 	}
 }
 
@@ -83,15 +143,15 @@ func TestGetGrantsMisalignedCount(t *testing.T) {
 	// A response whose count field claims more grants than the payload
 	// carries must fail cleanly: an index-misaligned error array would
 	// otherwise map results onto the wrong keys.
-	blob := AppendGetGrants(nil, []GetGrant{{Status: StOK}, {Status: StNotFound}})
+	blob := AppendGetGrants(nil, []GetGrant{{Status: StOK}, {Status: StNotFound}}, false)
 	binary.LittleEndian.PutUint32(blob, 3)
-	if _, err := DecodeGetGrantsInto(blob, nil); !errors.Is(err, ErrShort) {
+	if _, err := DecodeGetGrantsInto(blob, nil, false); !errors.Is(err, ErrShort) {
 		t.Fatalf("inflated count: err = %v, want ErrShort", err)
 	}
 	// A smaller count than encoded is accepted but must decode exactly
 	// count grants — trailing bytes are the caller's concern.
 	binary.LittleEndian.PutUint32(blob, 1)
-	gs, err := DecodeGetGrantsInto(blob, nil)
+	gs, err := DecodeGetGrantsInto(blob, nil, false)
 	if err != nil {
 		t.Fatalf("deflated count: %v", err)
 	}
@@ -122,7 +182,9 @@ func TestGetBatchTypeValuesStable(t *testing.T) {
 func FuzzWire(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(AppendGetOps(nil, []GetOp{{Slot: 1, Key: []byte("k")}, {Slot: NoSlot, Key: []byte("q")}}))
-	f.Add(AppendGetGrants(nil, []GetGrant{{Status: StOK, Flags: GrantDurable, RKey: 2, Slot: 3, Len: 4, KLen: 1, Off: 5, Seq: 6}}))
+	f.Add(AppendGetGrants(nil, []GetGrant{{Status: StOK, Flags: GrantDurable, RKey: 2, Slot: 3, Len: 4, KLen: 1, Off: 5, Seq: 6}}, false))
+	f.Add(AppendGetGrants(nil, inlineGrants, true))
+	f.Add(AppendGetGrants(nil, inlineGrants[1:2], true)) // a bare grant only
 	f.Add(AppendPutOps(nil, []PutOp{{Crc: 9, VLen: 48, Key: []byte("p")}}, false))
 	f.Add(AppendPutOps(nil, []PutOp{{Crc: 9, Key: []byte("p"), Value: []byte("inline")}, {Key: []byte("q")}}, true))
 	f.Add(AppendPutGrants(nil, []PutGrant{{Status: StOK, RKey: 1, Off: 2, Len: 3}}))
@@ -141,14 +203,18 @@ func FuzzWire(f *testing.F) {
 				}
 			}
 		}
-		if gs, err := DecodeGetGrantsInto(data, nil); err == nil {
-			again, err := DecodeGetGrantsInto(AppendGetGrants(nil, gs), nil)
+		for _, inline := range []bool{false, true} {
+			gs, err := DecodeGetGrantsInto(data, nil, inline)
+			if err != nil {
+				continue
+			}
+			again, err := DecodeGetGrantsInto(AppendGetGrants(nil, gs, inline), nil, inline)
 			if err != nil || len(again) != len(gs) {
-				t.Fatalf("get grants re-decode: %v", err)
+				t.Fatalf("get grants (inline %v) re-decode: %v", inline, err)
 			}
 			for i := range gs {
-				if again[i] != gs[i] {
-					t.Fatalf("get grant %d round trip mismatch", i)
+				if !sameGrant(again[i], gs[i]) {
+					t.Fatalf("get grant %d (inline %v) round trip mismatch", i, inline)
 				}
 			}
 		}

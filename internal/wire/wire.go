@@ -23,10 +23,15 @@ const (
 	// offset Off and its total length Len. The baselines' persist and IMM
 	// schemes also name the allocation by Token.
 	TPutResp
-	// TGet asks the server to resolve Key (the RPC+RDMA read path).
+	// TGet asks the server to resolve Key (the RPC+RDMA read path). A
+	// non-zero Len asks for the value too: Len is the client's budget in
+	// value bytes. Len 0 asks for the grant alone.
 	TGet
 	// TGetResp returns the object location (RKey, Off, Len) and the key
-	// length so the client can address the value.
+	// length so the client can address the value. Answering a request
+	// with a budget, Token carries the table slot the key resolved to, and
+	// when the value fits the budget Value carries its bytes and Note has
+	// NoteValue set — no one-sided READ follows.
 	TGetResp
 	// TDel deletes Key.
 	TDel
@@ -56,8 +61,9 @@ const (
 	// (RKey), shard 0's data-pool rkey base (Token), the per-shard bucket
 	// count (Len), the shard count (Off; 0 from pre-sharding servers
 	// means 1), and the inline budget in bytes (KLen): a TPut or TPutBatch
-	// whose values total at most KLen may carry them inline. 0, what
-	// servers before the budget send, means no inline values. Shard s's
+	// whose values total at most KLen may carry them inline, and a TGet or
+	// TGetBatch may ask for up to KLen bytes of values. 0, what servers
+	// before the budget send, means no inline values. Shard s's
 	// regions are at rkey RKey+3*s, Token+3*s, and Token+3*s+1.
 	THello
 	// THelloResp answers THello.
@@ -92,11 +98,17 @@ const (
 	// TGetBatch asks the server to resolve several keys in one round trip
 	// (the read-side counterpart of TPutBatch). Value carries the ops
 	// encoded by AppendGetOps; each op may carry the client's cached table
-	// slot so the server can try a slot-hinted lookup first.
+	// slot so the server can try a slot-hinted lookup first. A non-zero
+	// Len asks for the values too, as TGet's does: the found keys' values
+	// may total at most Len bytes.
 	TGetBatch
 	// TGetResults answers TGetBatch: Value carries one GetGrant per key
 	// (AppendGetGrants), index-aligned with the request so per-key errors
-	// map back to their ops.
+	// map back to their ops. Answering a request with a budget, Len is the
+	// budget the server applied and selects the inline layout: each grant
+	// names its value's length, and the values of the grants flagged
+	// GrantValue follow the grant array in op order. A key whose value
+	// did not fit gets a bare grant.
 	TGetResults
 	// TClusterMap requests the server's current cluster map (TCP
 	// transport). The reply's Value carries the JSON-encoded map
@@ -204,12 +216,12 @@ const (
 type Msg struct {
 	Type   uint8
 	Status uint8
-	Note   uint8  // server state hints piggybacked on responses (NoteCleaning)
-	Token  uint32 // allocation token (PUT/PERSIST/IMM correlation); on routed TCP requests (TPut/TGet/TDel/TPutBatch/TGetBatch) the client's cluster-map epoch (0 = unclustered), and on StWrongEpoch responses the server's current epoch
+	Note   uint8  // flags piggybacked on responses (NoteCleaning, NoteValue)
+	Token  uint32 // allocation token (PUT/PERSIST/IMM correlation); on routed TCP requests (TPut/TGet/TDel/TPutBatch/TGetBatch) the client's cluster-map epoch (0 = unclustered), on StWrongEpoch responses the server's current epoch, and on a TGetResp to a request with a budget the key's table slot
 	RKey   uint32 // memory region for the client's one-sided follow-up
 	Crc    uint32 // client-computed value checksum (TPut)
 	Off    uint64 // object offset within the MR
-	Len    uint64 // total object length (TGetResp), value length (TPut), or inline values' total (TPutBatch)
+	Len    uint64 // total object length (TGetResp), value length (TPut), inline values' total (TPutBatch), the value budget (TGet, TGetBatch), or the budget applied (TGetResults)
 	KLen   uint32 // key length of the located object (TGetResp), or the inline budget (THelloResp)
 	Trace  uint64 // trace ID of a sampled request (0 = untraced); rides an optional trailer, not the fixed header
 	Key    []byte
@@ -219,6 +231,10 @@ type Msg struct {
 // NoteCleaning in Msg.Note tells the client log cleaning is in progress, so
 // it must use the RPC+RDMA read scheme until TCleanEnd (§4.4).
 const NoteCleaning uint8 = 1 << 0
+
+// NoteValue in a TGetResp's Note marks its Value as the located version's
+// value, which may be empty. Without it the reply is a bare grant.
+const NoteValue uint8 = 1 << 2
 
 // NoteTraced in Msg.Note marks a frame carrying the optional 8-byte
 // trace-ID trailer after Value. Untraced frames (the overwhelming
@@ -399,6 +415,10 @@ const (
 	// (its durability flag is set), so the client may cache the location
 	// for future optimistic reads.
 	GrantDurable uint8 = 1 << 0
+	// GrantValue marks a grant of the inline layout whose Value is the
+	// located version's value (possibly empty); without it the grant is
+	// bare.
+	GrantValue uint8 = 1 << 1
 )
 
 // GetGrant is one per-key result of a TGetResults response, index-aligned
@@ -414,13 +434,20 @@ type GetGrant struct {
 	KLen   uint32
 	Off    uint64
 	Seq    uint64
+	// Value is the located version's value when Flags has GrantValue (the
+	// inline layout only). Decoded values alias the payload.
+	Value []byte
 }
 
 // Durable reports the GrantDurable flag.
 func (g *GetGrant) Durable() bool { return g.Flags&GrantDurable != 0 }
 
-// getGrantSize is the fixed wire footprint of one GetGrant.
-const getGrantSize = 1 + 1 + 4 + 4 + 4 + 4 + 8 + 8
+// getGrantSize is the fixed wire footprint of one GetGrant; the inline
+// layout adds its value's length (getGrantVLen).
+const (
+	getGrantSize = 1 + 1 + 4 + 4 + 4 + 4 + 8 + 8
+	getGrantVLen = 4
+)
 
 // DecodeGetOpsInto unpacks a TGetBatch payload into ops (resliced to
 // [:0]). Keys alias b.
@@ -451,20 +478,29 @@ func DecodeGetOpsInto(b []byte, ops []GetOp) ([]GetOp, error) {
 }
 
 // DecodeGetGrantsInto unpacks a TGetResults payload into gs (resliced to
-// [:0]).
-func DecodeGetGrantsInto(b []byte, gs []GetGrant) ([]GetGrant, error) {
+// [:0]). inline selects the layout in which each grant names its value's
+// length and the flagged grants' values follow the array: that layout
+// must end exactly at its last value, and a value cut short, a length
+// past the payload, or a byte after the last value is ErrShort. Values
+// alias b.
+func DecodeGetGrantsInto(b []byte, gs []GetGrant, inline bool) ([]GetGrant, error) {
 	gs = gs[:0]
 	if len(b) < 4 {
 		return nil, fmt.Errorf("%w: get grant header", ErrShort)
 	}
 	le := binary.LittleEndian
 	count := int(le.Uint32(b))
-	if len(b) < 4+getGrantSize*count {
+	size := getGrantSize
+	if inline {
+		size += getGrantVLen
+	}
+	if count < 0 || (len(b)-4)/size < count {
 		return nil, fmt.Errorf("%w: %d get grants in %d bytes", ErrShort, count, len(b))
 	}
+	v := 4 + size*count // the next value's offset
 	for i := 0; i < count; i++ {
-		p := 4 + getGrantSize*i
-		gs = append(gs, GetGrant{
+		p := 4 + size*i
+		g := GetGrant{
 			Status: b[p],
 			Flags:  b[p+1],
 			RKey:   le.Uint32(b[p+2:]),
@@ -473,7 +509,19 @@ func DecodeGetGrantsInto(b []byte, gs []GetGrant) ([]GetGrant, error) {
 			KLen:   le.Uint32(b[p+14:]),
 			Off:    le.Uint64(b[p+18:]),
 			Seq:    le.Uint64(b[p+26:]),
-		})
+		}
+		if inline && g.Flags&GrantValue != 0 {
+			vlen := int(le.Uint32(b[p+getGrantSize:]))
+			if vlen < 0 || len(b)-v < vlen {
+				return nil, fmt.Errorf("%w: get grant %d value", ErrShort, i)
+			}
+			g.Value = b[v : v+vlen : v+vlen]
+			v += vlen
+		}
+		gs = append(gs, g)
+	}
+	if inline && v != len(b) {
+		return nil, fmt.Errorf("%w: %d bytes after the last value", ErrShort, len(b)-v)
 	}
 	return gs, nil
 }

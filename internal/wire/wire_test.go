@@ -172,8 +172,8 @@ func TestDecodeIntoReusesBacking(t *testing.T) {
 	if err != nil || len(gout) != 1 || gout[0].Off != 7 {
 		t.Fatalf("DecodePutGrantsInto: %v %+v", err, gout)
 	}
-	ggp := AppendGetGrants(nil, []GetGrant{{Status: StOK, Seq: 9}})
-	ggout, err := DecodeGetGrantsInto(ggp, make([]GetGrant, 0, 4))
+	ggp := AppendGetGrants(nil, []GetGrant{{Status: StOK, Seq: 9}}, false)
+	ggout, err := DecodeGetGrantsInto(ggp, make([]GetGrant, 0, 4), false)
 	if err != nil || len(ggout) != 1 || ggout[0].Seq != 9 {
 		t.Fatalf("DecodeGetGrantsInto: %v %+v", err, ggout)
 	}
