@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"io"
 	"sync/atomic"
-	"time"
 
 	"efactory/internal/cluster"
 	"efactory/internal/stats"
@@ -52,9 +51,6 @@ func FigRebalance(w io.Writer, spec RebalanceSpec) ([]Result, error) {
 		Buckets:  4096,
 		PoolSize: 64 << 20,
 		Shards:   2,
-		// The cutover's blocked window waits out one verify window, so
-		// this directly sets the worst-case stall the "during" phase sees.
-		VerifyTimeout: 20 * time.Millisecond,
 	}
 	rb, err := startRoutedBench(cfg, spec.PGs, spec.Workers, spec.Keys, spec.ValueLen, spec.PhaseOps)
 	if err != nil {

@@ -243,30 +243,56 @@ func (c *Core) Put(tc *trace.Ctx, key, value []byte) error {
 	return errs[0]
 }
 
-// PutBatch stores len(keys) key/value pairs in one multi-op RPC (see
-// put). errs (len(keys) long) is filled in place, one entry per op in
-// order: nil, ErrServerFull, or the attempt-level failure — also returned
-// — shared by every op it reached.
+// PutBatch stores len(keys) key/value pairs (see put). errs (len(keys)
+// long) is filled in place, one entry per op in order: nil,
+// ErrServerFull, a status error, or the attempt-level failure — also
+// returned — shared by every op without an outcome of its own.
 func (c *Core) PutBatch(tc *trace.Ctx, keys, values [][]byte, errs []error) error {
 	return c.put(tc, keys, values, errs, false)
 }
 
 // put is the one PUT body: the client-active scheme with asynchronous
-// durability (Figure 5). It checksums the values and asks for an
-// allocation per key in one RPC — TPut for a single Put, TPutBatch
-// otherwise. When the values total at most the server's inline budget
-// they ride that request, the server writes them before the entries
-// publish, and the RPC's ack is the PUT's. Otherwise one burst of
-// one-sided WRITEs, every request posted before the first completion is
-// awaited, pushes them to the granted objects. No durability round trip
-// either way: the background verifier persists each object. Every
-// acknowledged op re-points its key's hint at the new object, so the
-// client's next read of the key is one burst. A repeated attempt redoes
-// the allocation: the previous attempt's slot (if granted) is left torn
-// and gets invalidated by background verification.
+// durability (Figure 5). With no inline budget (the simulator's) the batch
+// is one putRun. With one, it goes as consecutive runs whose values fit
+// the budget, each of at least one op, and an op the log cannot hold
+// (kv.Storable) is refused unsent. A repeated attempt redoes every
+// allocation: the previous attempt's slots are superseded, or left torn
+// and invalidated by background verification.
 func (c *Core) put(tc *trace.Ctx, keys, values [][]byte, errs []error, single bool) error {
 	clear(errs)
 	c.count(&c.stats.Puts, len(keys))
+	if c.inline == 0 {
+		return c.putRun(tc, keys, values, errs, single)
+	}
+	for i := 0; i < len(keys); {
+		if !kv.Storable(len(keys[i]), uint64(len(values[i]))) {
+			errs[i] = &StatusError{Op: "put", Status: wire.StError}
+			i++
+			continue
+		}
+		j, total := i+1, len(values[i])
+		for j < len(keys) && kv.Storable(len(keys[j]), uint64(len(values[j]))) && total+len(values[j]) <= c.inline {
+			total += len(values[j])
+			j++
+		}
+		if err := c.putRun(tc, keys[i:j], values[i:j], errs[i:j], single); err != nil {
+			return failAll(errs, err)
+		}
+		i = j
+	}
+	return nil
+}
+
+// putRun is one allocation round: it checksums the values and asks for an
+// allocation per key in one RPC — TPut for a single Put, TPutBatch
+// otherwise. With an inline budget the values ride that request, the
+// server writes them before the entries publish, and the RPC's ack is the
+// PUT's. Otherwise one burst of one-sided WRITEs, every request posted
+// before the first completion is awaited, pushes them to the granted
+// objects. No durability round trip either way: the background verifier
+// persists each object. Every acknowledged op re-points its key's hint at
+// the new object, so the client's next read of the key is one burst.
+func (c *Core) putRun(tc *trace.Ctx, keys, values [][]byte, errs []error, single bool) error {
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
 	t := c.now(tc)
@@ -279,7 +305,7 @@ func (c *Core) put(tc *trace.Ctx, keys, values [][]byte, errs []error, single bo
 	}
 	sc.ops = ops
 	tc.Add("client_crc", t, c.now(tc))
-	inline := c.inline > 0 && total <= c.inline
+	inline := c.inline > 0
 	req := wire.Msg{Type: wire.TPutBatch, Trace: tc.ID()}
 	if single {
 		req.Type, req.Crc, req.Len, req.Key = wire.TPut, ops[0].Crc, uint64(total), keys[0]

@@ -787,9 +787,10 @@ func TestGrantedLocationRefused(t *testing.T) {
 
 // TestPutInlineBudget pins the one PUT body's path choice. With the
 // server's budget 0 — the simulator's — a Put or PutBatch is one
-// allocation RPC and one WRITE burst. A budget that covers the values
-// sends them in that RPC and no burst follows. Values over the budget
-// take the WRITE path. Every value reads back either way.
+// allocation RPC and one WRITE burst. With a budget, no burst ever
+// follows: values that fit it ride one RPC, a batch over it goes as one
+// inline RPC per run that fits, and a single value over it still rides
+// its own. Every value reads back either way.
 func TestPutInlineBudget(t *testing.T) {
 	keys := [][]byte{[]byte("inline-a"), []byte("inline-b")}
 	vals := [][]byte{bytes.Repeat([]byte{'a'}, 20), bytes.Repeat([]byte{'b'}, 20)}
@@ -797,21 +798,22 @@ func TestPutInlineBudget(t *testing.T) {
 		name   string
 		budget int
 		batch  bool
+		rpcs   []uint8
 		bursts int
 	}{
-		{"Put budget 0", 0, false, 1},
-		{"PutBatch budget 0", 0, true, 1},
-		{"Put within budget", 20, false, 0},
-		{"PutBatch within budget", 40, true, 0},
-		{"Put over budget", 19, false, 1},
-		{"PutBatch over budget", 39, true, 1},
+		{"Put budget 0", 0, false, []uint8{wire.TPut}, 1},
+		{"PutBatch budget 0", 0, true, []uint8{wire.TPutBatch}, 1},
+		{"Put within budget", 20, false, []uint8{wire.TPut}, 0},
+		{"PutBatch within budget", 40, true, []uint8{wire.TPutBatch}, 0},
+		{"Put over budget", 19, false, []uint8{wire.TPut}, 0},
+		{"PutBatch over budget", 39, true, []uint8{wire.TPutBatch, wire.TPutBatch}, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			f, _, stats := newFake(t, 64)
 			c := New(f, []Shard{{Table: 1, Pool: [2]uint32{2, 3}}}, 64, stats, false, tc.budget)
-			want, n := []uint8{wire.TPut}, 1
+			n := 1
 			if tc.batch {
-				want, n = []uint8{wire.TPutBatch}, len(keys)
+				n = len(keys)
 				errs := make([]error, len(keys))
 				if err := c.PutBatch(nil, keys, vals, errs); err != nil || FirstErr(errs) != nil {
 					t.Fatalf("PutBatch: %v %v", err, errs)
@@ -819,8 +821,8 @@ func TestPutInlineBudget(t *testing.T) {
 			} else if err := c.Put(nil, keys[0], vals[0]); err != nil {
 				t.Fatalf("Put: %v", err)
 			}
-			if !bytes.Equal(f.rpcs, want) || f.writeBursts != tc.bursts {
-				t.Errorf("RPCs %v and %d WRITE bursts, want %v and %d", f.rpcs, f.writeBursts, want, tc.bursts)
+			if !bytes.Equal(f.rpcs, tc.rpcs) || f.writeBursts != tc.bursts {
+				t.Errorf("RPCs %v and %d WRITE bursts, want %v and %d", f.rpcs, f.writeBursts, tc.rpcs, tc.bursts)
 			}
 			f.settle()
 			for i := range keys[:n] {

@@ -354,10 +354,6 @@ func (c *Client) Close() error {
 	return c.osConn.Close()
 }
 
-// SetHybridRead toggles the hybrid read scheme: disabled, every GET is an
-// RPC (for comparison runs). Configure before issuing concurrent ops.
-func (c *Client) SetHybridRead(on bool) { c.core.SetHybridRead(on) }
-
 // HintCache returns the client's location hint cache.
 func (c *Client) HintCache() *hint.Cache { return c.core.HintCache() }
 
@@ -454,15 +450,15 @@ var burstScratchPool = sync.Pool{New: func() any {
 	return &burstScratch{buf: make([]byte, 0, 4096)}
 }}
 
-// osBurst is the one-sided channel's doorbell batch: the READs (op
-// opRead) or WRITEs (opWrite) in reqs are framed into one contiguous
-// buffer and sent with a single Write, then one reply per request is
-// consumed in order through the channel's buffered reader — a READ's data
-// is copied into its Req.Buf, a refusal sets Req.NAK. One attemptDeadline
-// covers the whole exchange, same discipline as the pipelined channel's
-// writes. Any failure closes the connection: replies still in flight (or
-// already buffered) would otherwise be read as the next burst's own.
-func (c *Client) osBurst(op byte, reqs []client.Req) error {
+// osBurst is the one-sided channel's doorbell batch: the READs in reqs
+// are framed into one contiguous buffer and sent with a single Write, then
+// one reply per request is consumed in order through the channel's
+// buffered reader — a READ's data is copied into its Req.Buf, a refusal
+// sets Req.NAK. One attemptDeadline covers the whole exchange, same
+// discipline as the pipelined channel's writes. Any failure closes the
+// connection: replies still in flight (or already buffered) would
+// otherwise be read as the next burst's own.
+func (c *Client) osBurst(reqs []client.Req) error {
 	if len(reqs) == 0 {
 		return nil
 	}
@@ -470,19 +466,15 @@ func (c *Client) osBurst(op byte, reqs []client.Req) error {
 	defer burstScratchPool.Put(bs)
 	buf := bs.buf[:0]
 	for i := range reqs {
-		// Frame: [len][op][rkey][off][length], then a WRITE's data.
+		// Frame: [len][opRead][rkey][off][length].
 		r := &reqs[i]
-		var hdr [21]byte
-		hdr[4] = op
+		var hdr [4 + maxOneSidedFrame]byte
+		binary.BigEndian.PutUint32(hdr[0:], maxOneSidedFrame)
+		hdr[4] = opRead
 		binary.BigEndian.PutUint32(hdr[5:], r.RKey)
 		binary.BigEndian.PutUint64(hdr[9:], r.Off)
 		binary.BigEndian.PutUint32(hdr[17:], uint32(len(r.Buf)))
-		var data []byte
-		if op == opWrite {
-			data = r.Buf
-		}
-		binary.BigEndian.PutUint32(hdr[0:], uint32(17+len(data)))
-		buf = append(append(buf, hdr[:]...), data...)
+		buf = append(buf, hdr[:]...)
 	}
 	bs.buf = buf
 	c.mu.Lock()
@@ -496,16 +488,13 @@ func (c *Client) osBurst(op byte, reqs []client.Req) error {
 			return err
 		}
 		for i := range reqs {
-			// Reply: [len][status], then a READ's data.
+			// Reply: [len][status], then the data.
 			hdr := c.osHdr[:]
 			if _, err := io.ReadFull(rd, hdr); err != nil {
 				return err
 			}
 			n := int(binary.BigEndian.Uint32(hdr)) - 1
-			var dst []byte
-			if op == opRead {
-				dst = reqs[i].Buf
-			}
+			dst := reqs[i].Buf
 			switch {
 			case hdr[4] != 1 && n == 0:
 				reqs[i].NAK = true
@@ -552,14 +541,18 @@ func (v *verbs) Call(req wire.Msg) (wire.Msg, *[]byte, error) {
 
 func (*verbs) Release(buf *[]byte) { releaseResp(buf) }
 
-func (v *verbs) ReadBurst(reqs []client.Req) error { return (*Client)(v).osBurst(opRead, reqs) }
+func (v *verbs) ReadBurst(reqs []client.Req) error { return (*Client)(v).osBurst(reqs) }
 
-func (v *verbs) WriteBurst(reqs []client.Req) error { return (*Client)(v).osBurst(opWrite, reqs) }
+// WriteBurst is unreachable: the core sends every value inline to a
+// server that announces a budget, and the one-sided channel has no WRITE.
+func (*verbs) WriteBurst([]client.Req) error {
+	return errors.New("tcpkv: the one-sided channel serves only READs")
+}
 
 // Put stores value under key: checksum, then one allocation RPC that
-// carries the value inline when the server's hello allows it (otherwise
-// a one-sided value write follows) — no durability round trip
-// (asynchronous durability).
+// carries the value inline — no durability round trip (asynchronous
+// durability). A value the log cannot hold (kv.Storable) is refused with
+// a status error before anything is sent.
 func (c *Client) Put(key, value []byte) error {
 	tc, t0 := c.core.Begin("put", kv.HashKey(key))
 	err := c.putCtx(tc, key, value)
@@ -573,14 +566,14 @@ func (c *Client) putCtx(tc *trace.Ctx, key, value []byte) error {
 	return c.retrying(func() error { return c.core.Put(tc, key, value) })
 }
 
-// PutBatch stores len(keys) key/value pairs with one multi-op allocation
-// RPC. The values ride it when they total at most the server's inline
-// budget; otherwise one burst of one-sided value writes follows, every
-// frame posted before the first completion is awaited — the TCP analogue
-// of a doorbell-batched WRITE chain. Completion semantics match Put:
-// durability stays asynchronous, handled by the background verifier. The
-// returned slice has one entry per op, in order: nil, ErrServerFull, or a
-// transport error shared by every op the failure reached.
+// PutBatch stores len(keys) key/value pairs with multi-op allocation RPCs
+// that carry the values: one per run of consecutive ops whose values fit
+// the server's inline budget, so one RPC for any batch of at most 32 MiB
+// of values. Completion semantics match Put: durability stays
+// asynchronous, handled by the background verifier. The returned slice
+// has one entry per op, in order: nil, ErrServerFull, a status error for
+// an unstorable op, or a transport error shared by every op without an
+// outcome of its own.
 func (c *Client) PutBatch(keys, values [][]byte) []error {
 	return c.PutBatchInto(keys, values, nil)
 }

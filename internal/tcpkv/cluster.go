@@ -8,11 +8,12 @@
 // map is nil behaves exactly like a pre-cluster server: no ownership
 // checks, no new wire traffic, bit-identical behavior.
 //
-// Ownership applies to the RPC path only. One-sided READ/WRITE frames
-// model RNIC DMA and cannot be checked per-key; they stay safe because
-// migration purges moved entries from the source hash table, so a stale
-// one-sided read misses (or fails the object checks) and the client
+// Ownership applies to the RPC path only. One-sided frames are READs
+// that model RNIC DMA and cannot be checked per-key; they stay safe
+// because migration purges moved entries from the source hash table, so a
+// stale one-sided read misses (or fails the object checks) and the client
 // falls back to the RPC path, where the wrong-epoch redirect happens.
+// Every write is an RPC, so every write is owner-checked.
 package tcpkv
 
 import (

@@ -396,16 +396,11 @@ func TestClusterTxnRoutingAndCrossInstanceReject(t *testing.T) {
 // converges to zero steady-state wrong-epoch rejects after cutover.
 func TestMigrationUnderLiveTraffic(t *testing.T) {
 	cfg := clusterTestConfig()
-	// The verify window is the system's crash detector: a pending version
-	// whose value has not landed within VerifyTimeout is treated as a
-	// dead client's torn write and invalidated. The race detector's
-	// scheduler can stall a perfectly healthy worker goroutine for tens
-	// of milliseconds between its alloc RPC and its one-sided value
-	// write, so the 20ms test default misclassifies live clients as
-	// crashed ones and the oracle (rightly) reports the acked write as
-	// lost. Size the window the way a deployment must: well above the
-	// worst-case alloc-to-value-write latency.
-	cfg.VerifyTimeout = 250 * time.Millisecond
+	// Every PUT carries its value, written before the entry publishes, so
+	// no value is still in flight once its op has applied, and the blocked
+	// cutover window has nothing to wait out. A long verify window pins
+	// that: each migration must return within half of it.
+	cfg.VerifyTimeout = 2 * time.Second
 	const pgs = 4
 	srvA, addrA := startClusterServer(t, "a", pgs, cfg)
 	srvB, _ := startClusterServer(t, "b", 0, cfg)
@@ -504,10 +499,14 @@ func TestMigrationUnderLiveTraffic(t *testing.T) {
 	// Let traffic warm up, then migrate every PG while it runs.
 	time.Sleep(50 * time.Millisecond)
 	for pg := 0; pg < pgs; pg++ {
+		t0 := time.Now()
 		if _, err := srvA.MigratePG(pg, "b"); err != nil {
 			close(stop)
 			wg.Wait()
 			t.Fatalf("migrate pg %d: %v", pg, err)
+		}
+		if d := time.Since(t0); d > cfg.VerifyTimeout/2 {
+			t.Errorf("migrate pg %d took %v, want at most %v: the cutover waited on the verify window", pg, d, cfg.VerifyTimeout/2)
 		}
 		select {
 		case err := <-errCh:

@@ -158,8 +158,9 @@ func (c *Client) PromoteRPC(dead string) (uint64, error) {
 
 // ccRouteAttempts bounds how many times one op re-routes after
 // wrong-epoch rejections or instance failures. A blocked cutover window
-// lasts VerifyTimeout+slack; with the capped backoff below this budget
-// rides out windows two orders of magnitude longer than the defaults.
+// lasts one final drain of the keys dirtied since the last open round;
+// with the capped backoff below this budget rides out windows far longer
+// than that.
 const ccRouteAttempts = 64
 
 // ccStaleRounds bounds consecutive rounds in which the routed instance

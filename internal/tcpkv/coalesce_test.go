@@ -8,10 +8,8 @@ import (
 	"time"
 
 	"efactory/internal/client"
-	"efactory/internal/crc"
 	"efactory/internal/kv"
 	"efactory/internal/nvm"
-	"efactory/internal/wire"
 )
 
 // chanCalls counts the Read and Write calls a server makes on the
@@ -101,11 +99,10 @@ func ratio(t *testing.T, what string, num, den int64) float64 {
 }
 
 // TestBurstRepliesCoalesce pins the buffered transport in calls, not
-// time: the one-sided server answers a burst of 64 WRITEs or 128 READs
-// with about one write, and the pipelined server reads a request frame
-// with about one read. Both are averages, so a burst split across TCP
-// segments does not fail the test. An inline PutBatch sends no one-sided
-// frame at all, so the WRITE burst is posted directly.
+// time: the one-sided server answers a burst of 128 READs with about one
+// write, and the pipelined server reads a request frame with about one
+// read. Both are averages, so a burst split across TCP segments does not
+// fail the test. A PutBatch sends no one-sided frame at all.
 func TestBurstRepliesCoalesce(t *testing.T) {
 	const (
 		width  = 64
@@ -139,35 +136,8 @@ func TestBurstRepliesCoalesce(t *testing.T) {
 		t.Errorf("inline PutBatch: %d one-sided bursts, %d one-sided server reads, want 0", bursts.writes, n)
 	}
 
-	// The allocation-only path's WRITE burst: 64 value writes to granted
-	// objects, posted as the client does for a batch over the budget.
-	resp, err := cl.rpc(wire.Msg{Type: wire.TPutBatch, Value: wire.AppendPutOps(nil, putOps(keys, vals), false)})
-	if err != nil || resp.Status != wire.StOK {
-		t.Fatalf("allocation-only put batch: status %d, %v", resp.Status, err)
-	}
-	grants, err := wire.DecodePutGrantsInto(resp.Value, nil)
-	if err != nil || len(grants) != width {
-		t.Fatalf("%d grants for %d ops: %v", len(grants), width, err)
-	}
-	reqs := make([]client.Req, width)
-	osWrites := ln.oneSided.writes.Load()
-	for i := 0; i < rounds; i++ {
-		for j, g := range grants {
-			reqs[j] = client.Req{Buf: vals[j], RKey: g.RKey, Off: g.Off + uint64(kv.ValueOffset(len(keys[j])))}
-		}
-		if err := cl.osBurst(opWrite, reqs); err != nil {
-			t.Fatalf("write burst %d: %v", i, err)
-		}
-	}
-	perBurst := ratio(t, "WRITE bursts", ln.oneSided.writes.Load()-osWrites, int64(bursts.writes))
-	t.Logf("WRITE burst: %.2f one-sided server writes per burst (%d bursts)", perBurst, bursts.writes)
-	if perBurst > 2 {
-		t.Errorf("WRITE burst: one-sided server writes %.2f times per burst, want at most 2", perBurst)
-	}
-
 	waitDurable(t, srv)
-	osWrites, osReads = ln.oneSided.writes.Load(), ln.oneSided.reads.Load()
-	bursts.writes = 0
+	osWrites, osReads := ln.oneSided.writes.Load(), ln.oneSided.reads.Load()
 	for i := 0; i < rounds; i++ {
 		_, errs := cl.GetBatch(keys)
 		for j, err := range errs {
@@ -176,21 +146,12 @@ func TestBurstRepliesCoalesce(t *testing.T) {
 			}
 		}
 	}
-	perBurst = ratio(t, "GetBatch bursts", ln.oneSided.writes.Load()-osWrites, int64(bursts.writes))
+	perBurst := ratio(t, "GetBatch bursts", ln.oneSided.writes.Load()-osWrites, int64(bursts.writes))
 	t.Logf("GetBatch: %.2f one-sided server writes and %.2f reads per burst (%d bursts)",
 		perBurst, ratio(t, "GetBatch bursts", ln.oneSided.reads.Load()-osReads, int64(bursts.writes)), bursts.writes)
 	if perBurst > 2 {
 		t.Errorf("GetBatch: one-sided server writes %.2f times per burst, want at most 2", perBurst)
 	}
-}
-
-// putOps builds the wire ops of a PutBatch of keys/vals.
-func putOps(keys, vals [][]byte) []wire.PutOp {
-	ops := make([]wire.PutOp, len(keys))
-	for i := range keys {
-		ops[i] = wire.PutOp{Crc: crc.Checksum(vals[i]), VLen: len(vals[i]), Key: keys[i], Value: vals[i]}
-	}
-	return ops
 }
 
 // TestPutIsOneRoundTrip pins the inline PUT in frames: after warm-up, a

@@ -276,6 +276,9 @@ func TestOwnWritesNeverReadOlder(t *testing.T) {
 	}
 }
 
+// TestGetBatchRejectsOversized: a read RPC over the server's op cap is
+// refused for every key. A fresh client holds no hints, so under the
+// server's inline budget every key goes straight to that one RPC.
 func TestGetBatchRejectsOversized(t *testing.T) {
 	cfg := smallConfig()
 	_, addr := startServer(t, nvm.New(cfg.DeviceSize()), cfg)
@@ -288,7 +291,6 @@ func TestGetBatchRejectsOversized(t *testing.T) {
 	for i := 0; i < server.DefaultMaxOps+1; i++ {
 		keys = append(keys, []byte(fmt.Sprintf("big-%d", i)))
 	}
-	cl.SetHybridRead(false) // force the RPC path so the cap is exercised
 	_, errs := cl.GetBatch(keys)
 	for i := range keys {
 		if errs[i] == nil || errors.Is(errs[i], ErrNotFound) {

@@ -17,10 +17,10 @@
 //     budget is spent.
 //  3. Blocked cutover. The PG briefly refuses routed ops (StWrongEpoch
 //     at the CURRENT epoch — clients with a fresh map back off and
-//     retry rather than refetch), the source waits out VerifyTimeout so
-//     in-flight one-sided value writes either settle durable or age
-//     into invalidation (the same contract a crash enforces), and one
-//     final drain copies the remainder.
+//     retry rather than refetch), the source waits for every mutating op
+//     admitted before the block to apply, and one final drain copies the
+//     remainder. Every tcpkv PUT carries its value, written before the
+//     entry publishes, so an applied op's bytes are already on the device.
 //  4. Cutover. The epoch+1 map assigning the PG to the target is
 //     installed on the TARGET first — from that instant at least one
 //     instance acks ownership under the newest epoch — then locally
@@ -145,20 +145,11 @@ func (s *Server) MigratePG(pg int, target string) (sum MigrationSummary, err err
 
 	// Barrier: wait out every mutating op that passed its ownership
 	// check before the block — once the write side is acquired, all of
-	// them have applied and landed in the dirty set, and every later op
-	// sees the block. The final drain below therefore misses nothing.
+	// them have applied, values included, and landed in the dirty set,
+	// and every later op sees the block. The final drain's settling Get
+	// therefore sees every acknowledged write's final bytes.
 	s.opGate.Lock()
 	s.opGate.Unlock() //nolint:staticcheck // empty critical section IS the barrier
-
-	// Wait out the verify window: a value write granted before the block
-	// either lands (and the settling Get below persists it) or ages past
-	// VerifyTimeout (and the Get invalidates it — exactly what a crash at
-	// the same point would have done to the unfinished write).
-	slack := s.cfg.VerifyTimeout / 8
-	if slack < 2*time.Millisecond {
-		slack = 2 * time.Millisecond
-	}
-	time.Sleep(s.cfg.VerifyTimeout + slack)
 
 	if err = s.migCheckpoint("blocked"); err != nil {
 		return sum, err
@@ -324,14 +315,15 @@ func (cp *pgCopy) exportSnapshot() (int, error) {
 }
 
 // renoteIfPending puts a key back in the dirty set when its exported
-// head version is not yet durable: the client's one-sided value write
-// has not landed, so the copy that just traveled is torn, and when the
-// value does land nothing else re-marks the key (a write whose alloc
-// predates the tracker never entered it at all). Re-noting guarantees a
-// later round — at latest the final blocked drain, which runs after the
-// verify window has forced every pre-block write to settle — re-exports
-// the real state, which the importer's equal-seq durability upgrade
-// then accepts.
+// head version is not yet durable: the verifier has not flagged it, so
+// the copy that just traveled lacks its durability flag, and when the
+// flag is set nothing else re-marks the key (a write that predates the
+// tracker never entered it at all). Re-noting guarantees a later round —
+// at latest the final blocked drain, whose settling Get verifies the
+// version on demand — re-exports the settled state, which the importer's
+// equal-seq durability upgrade then accepts. A version no value will
+// ever fill (an allocation-only grant) travels unflagged, and the
+// target's verifier invalidates it once its window has passed.
 func (s *Server) renoteIfPending(ek store.ExportKey) {
 	if n := len(ek.Versions); n > 0 && ek.Versions[n-1].Flags&kv.FlagDurable == 0 {
 		s.noteDirty(ek.Key)

@@ -73,6 +73,6 @@ func TestBothChannelsHonourAttemptDeadline(t *testing.T) {
 	check("pipelined", err, time.Since(start))
 
 	start = time.Now()
-	err = c.osBurst(opRead, []client.Req{{Buf: make([]byte, 8), RKey: 1}})
+	err = c.osBurst([]client.Req{{Buf: make([]byte, 8), RKey: 1}})
 	check("one-sided", err, time.Since(start))
 }

@@ -8,19 +8,21 @@
 // (internal/server); this package is the TCP transport binding. RDMA
 // semantics are emulated faithfully:
 //
-//   - One-sided READ/WRITE frames are served by a dedicated engine
-//     goroutine per connection that touches the device directly, never the
-//     request loop — like an RNIC bypassing the host CPU. Racing reads can
-//     observe torn objects, exactly as over real RDMA; the durability flag
-//     and CRC machinery handle it.
+//   - One-sided READ frames are served by a dedicated engine goroutine
+//     per connection that reads the device directly, never the request
+//     loop — like an RNIC bypassing the host CPU. Racing reads can observe
+//     torn objects, exactly as over real RDMA; the durability flag and CRC
+//     machinery handle it. The channel has no WRITE.
 //   - PUT acknowledges before durability (client-active scheme with
 //     asynchronous durability); a background goroutine per shard verifies
 //     and persists, setting the durability flag. The hello announces an
-//     inline budget (inlineBudget), so a PUT carries its value in the
-//     allocation request and is one round trip: a one-sided WRITE here is
-//     a server goroutine copying bytes, and the alloc round trip in front
-//     of it buys nothing. The opWrite path stays for batches over the
-//     budget and for clients that do not inline.
+//     inline budget (inlineBudget), and every PUT carries its values in
+//     its allocation requests, which the server writes before the entries
+//     publish: a one-sided WRITE here would be a server goroutine copying
+//     bytes behind a round trip that buys nothing, and could land after
+//     its version is visible. An allocation-only grant (the simulator's
+//     protocol) is still served, but nothing can fill it, so the verifier
+//     invalidates it.
 //   - GET uses the hybrid read scheme: one-sided entry + object reads,
 //     falling back to an RPC when the fetched object is not durable. The
 //     read RPC asks for the values under the same inline budget, and its
@@ -97,26 +99,23 @@ const DefaultPipelineWorkers = 4
 const connBufSize = 64 << 10
 
 // Frame caps. A pipelined frame may carry a TReplAppend copy batch; a
-// one-sided request carries at most one object's bytes after its 17-byte
-// header.
+// one-sided request is a READ's 17-byte header and nothing else.
 const (
 	maxPipeFrame     = 64 << 20
-	maxOneSidedFrame = 17 + kv.MaxObjectSize
+	maxOneSidedFrame = 17
 )
 
-// inlineBudget is the inline budget the hello announces: a PUT whose
-// values total at most this many bytes sends them in its allocation
-// request, so it is one pipelined round trip with no one-sided WRITE, and
+// inlineBudget is the inline budget the hello announces: a PUT sends its
+// values in allocation requests carrying at most this many bytes each
+// (a larger batch goes as several), so it needs no one-sided WRITE, and
 // a read RPC's reply carries up to this many bytes of values. Half a
 // pipelined frame leaves the other half for the keys and op headers or
 // grants, and it holds any storable object.
 const inlineBudget = maxPipeFrame / 2
 
-// One-sided opcodes.
-const (
-	opRead  = 0x01
-	opWrite = 0x02
-)
+// opRead is the one one-sided opcode. 0x02 was the retired WRITE; a
+// frame naming it closes the connection.
+const opRead = 0x01
 
 // Region keys for shard 0 (and pre-sharding servers): the hash table plus
 // one rkey per data pool. Shard s adds 3*s to each.
@@ -626,23 +625,24 @@ type pipeJob struct {
 	raw *[]byte
 }
 
-// serveOneSided is the RNIC-emulation channel: READ/WRITE frames touch the
+// serveOneSided is the RNIC-emulation channel: READ frames read the
 // device directly, bypassing the request loop. Replies queue in one
 // buffered writer and leave together: the writer is flushed only when the
 // next frame has not fully arrived, so a burst's replies cost one write
-// while no reply ever waits on a read that could block.
+// while no reply ever waits on a read that could block. A frame that is
+// not a bare READ header — the retired WRITE, or any payload — closes the
+// connection.
 func (s *Server) serveOneSided(conn net.Conn) {
 	// One-sided frames are strictly sequential per connection, so one
 	// request buffer and one response buffer serve the whole session.
 	var (
-		raw []byte
+		raw = make([]byte, 0, maxOneSidedFrame)
 		out = make([]byte, 0, 4096)
 		err error
 	)
 	br := bufio.NewReaderSize(conn, connBufSize)
 	bw := bufio.NewWriterSize(conn, connBufSize)
-	// Pre-framed single-status replies (4-byte length prefix + 1 byte).
-	ack := [5]byte{0, 0, 0, 1, 1}
+	// Pre-framed refusal (4-byte length prefix + status 0).
 	nak := [5]byte{0, 0, 0, 1, 0}
 	for {
 		if bw.Buffered() > 0 && !frameBuffered(br) {
@@ -651,13 +651,9 @@ func (s *Server) serveOneSided(conn net.Conn) {
 			}
 		}
 		raw, err = readFrameInto(br, raw, maxOneSidedFrame)
-		if err != nil {
+		if err != nil || len(raw) != maxOneSidedFrame || raw[0] != opRead {
 			return
 		}
-		if len(raw) < 17 {
-			return
-		}
-		op := raw[0]
 		rkey := binary.BigEndian.Uint32(raw[1:])
 		off := int(binary.BigEndian.Uint64(raw[5:]))
 		length := int(binary.BigEndian.Uint32(raw[13:]))
@@ -669,34 +665,19 @@ func (s *Server) serveOneSided(conn net.Conn) {
 			bw.Write(nak[:])
 			continue
 		}
-		switch op {
-		case opRead:
-			if d := s.cfg.NetFaults.NextRead(); d > 0 {
-				time.Sleep(d) // a stalled RNIC read completion
-			}
-			// Frame: 4-byte length + status + data. A reply larger than
-			// the writer's buffer goes straight to the socket.
-			if cap(out) < 5+length {
-				out = make([]byte, 0, 5+length)
-			}
-			out = out[:5+length]
-			binary.BigEndian.PutUint32(out, uint32(1+length))
-			out[4] = 1
-			s.dev.Read(base+off, out[5:])
-			if _, err := bw.Write(out); err != nil {
-				return
-			}
-		case opWrite:
-			data := raw[17:]
-			if len(data) != length {
-				bw.Write(nak[:])
-				continue
-			}
-			s.dev.Write(base+off, data)
-			if _, err := bw.Write(ack[:]); err != nil {
-				return
-			}
-		default:
+		if d := s.cfg.NetFaults.NextRead(); d > 0 {
+			time.Sleep(d) // a stalled RNIC read completion
+		}
+		// Frame: 4-byte length + status + data. A reply larger than the
+		// writer's buffer goes straight to the socket.
+		if cap(out) < 5+length {
+			out = make([]byte, 0, 5+length)
+		}
+		out = out[:5+length]
+		binary.BigEndian.PutUint32(out, uint32(1+length))
+		out[4] = 1
+		s.dev.Read(base+off, out[5:])
+		if _, err := bw.Write(out); err != nil {
 			return
 		}
 	}

@@ -296,7 +296,7 @@ func TestOneSidedBoundsChecked(t *testing.T) {
 		{Buf: make([]byte, 64), RKey: rkeyPoolBase, Off: uint64(cfg.PoolSize - 10)},
 		{Buf: make([]byte, 64), RKey: rkeyPoolBase},
 	}
-	if err := cl.osBurst(opRead, reqs); err != nil {
+	if err := cl.osBurst(reqs); err != nil {
 		t.Fatal(err)
 	}
 	if !reqs[0].NAK {
@@ -307,10 +307,6 @@ func TestOneSidedBoundsChecked(t *testing.T) {
 	}
 	if reqs[2].NAK {
 		t.Fatal("in-bounds read refused")
-	}
-	wr := []client.Req{{Buf: make([]byte, 64), RKey: rkeyPoolBase, Off: uint64(cfg.PoolSize - 10)}}
-	if err := cl.osBurst(opWrite, wr); err != nil || !wr[0].NAK {
-		t.Fatalf("out-of-bounds write: err=%v NAK=%v, want a NAK", err, wr[0].NAK)
 	}
 }
 
@@ -337,10 +333,11 @@ func TestServerRejectsOversizedValueGracefully(t *testing.T) {
 }
 
 // TestObjectSizeLimit: the server admits only objects a version pointer
-// can describe. An object over kv.MaxObjectSize is refused at allocation
-// with a status error — accepted, its second version would panic the
-// server while chaining to the first — and an object under the limit can
-// be written again and again while the server keeps serving.
+// can describe. An object over kv.MaxObjectSize is refused with a status
+// error — accepted, its second version would panic the server while
+// chaining to the first — and so is a value larger than a pipelined frame,
+// which the server would drop the connection over. An object under the
+// limit can be written again and again while the server keeps serving.
 func TestObjectSizeLimit(t *testing.T) {
 	cfg := smallConfig()
 	cfg.PoolSize = 16 << 20
@@ -353,6 +350,9 @@ func TestObjectSizeLimit(t *testing.T) {
 	var se *client.StatusError
 	if err := cl.Put([]byte("big"), make([]byte, 5<<20)); !errors.As(err, &se) {
 		t.Fatalf("5 MiB put: err = %v, want a status error", err)
+	}
+	if err := cl.Put([]byte("big"), make([]byte, maxPipeFrame+1)); !errors.As(err, &se) {
+		t.Fatalf("put over a pipelined frame: err = %v, want a status error", err)
 	}
 	for i := byte(1); i <= 3; i++ {
 		v := bytes.Repeat([]byte{i}, 3<<20)
@@ -643,15 +643,17 @@ func TestShardedConcurrentClients(t *testing.T) {
 }
 
 // TestOneSidedBoundsOverflow: hostile one-sided frames are refused, and
-// the server keeps serving. A frame whose offset sits at the top of the
-// int range makes off+length wrap negative: the bounds check must NAK it —
-// not index the device out of range, which panics the whole process from a
+// the server keeps serving. A READ whose offset sits at the top of the int
+// range makes off+length wrap negative: the bounds check must NAK it — not
+// index the device out of range, which panics the whole process from a
 // connection goroutine — and the same connection keeps serving. A READ
 // longer than any object is NAKed before a reply buffer is grown for it.
-// A frame longer than any one-sided request closes the connection before
-// its payload is read. After each, a valid READ on a fresh connection
-// still succeeds.
+// A frame naming the retired WRITE opcode, in bounds, with its data or
+// bare, closes the connection and leaves the device unchanged, and a frame
+// longer than a READ header closes the connection before its payload is
+// read. After each, a valid READ on a fresh connection still succeeds.
 func TestOneSidedBoundsOverflow(t *testing.T) {
+	const retiredWrite = 0x02
 	cfg := smallConfig()
 	cfg.PoolSize = 2 * kv.MaxObjectSize // a READ past the object limit is in bounds
 	_, addr := startServer(t, nvm.New(cfg.DeviceSize()), cfg)
@@ -665,7 +667,7 @@ func TestOneSidedBoundsOverflow(t *testing.T) {
 		conn.SetDeadline(time.Now().Add(5 * time.Second))
 		return conn
 	}
-	exchange := func(conn net.Conn, op byte, rkey uint32, off uint64, length uint32, data []byte) (status byte, payload []byte) {
+	send := func(conn net.Conn, op byte, rkey uint32, off uint64, length uint32, data []byte) {
 		t.Helper()
 		frame := make([]byte, 21, 21+len(data))
 		binary.BigEndian.PutUint32(frame, uint32(17+len(data)))
@@ -676,9 +678,13 @@ func TestOneSidedBoundsOverflow(t *testing.T) {
 		if _, err := conn.Write(append(frame, data...)); err != nil {
 			t.Fatal(err)
 		}
+	}
+	exchange := func(conn net.Conn, rkey uint32, off uint64, length uint32) (status byte, payload []byte) {
+		t.Helper()
+		send(conn, opRead, rkey, off, length, nil)
 		var hdr [5]byte
 		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-			t.Fatalf("op %d off %#x: no reply (server died?): %v", op, off, err)
+			t.Fatalf("READ off %#x: no reply (server died?): %v", off, err)
 		}
 		payload = make([]byte, binary.BigEndian.Uint32(hdr[:])-1)
 		if _, err := io.ReadFull(conn, payload); err != nil {
@@ -688,37 +694,54 @@ func TestOneSidedBoundsOverflow(t *testing.T) {
 	}
 	validRead := func(conn net.Conn, after string) {
 		t.Helper()
-		if st, p := exchange(conn, opRead, rkeyTable, 0, 64, nil); st != 1 || len(p) != 64 {
+		if st, p := exchange(conn, rkeyTable, 0, 64); st != 1 || len(p) != 64 {
 			t.Fatalf("valid READ after %s: status %d, %d bytes", after, st, len(p))
+		}
+	}
+	// closed fails unless the server closed conn: EOF, or a reset when it
+	// left the rest of a frame unread. A deadline means it is still open.
+	closed := func(conn net.Conn, after string) {
+		t.Helper()
+		n, err := conn.Read(make([]byte, 1))
+		var ne net.Error
+		if n != 0 || err == nil || errors.As(err, &ne) && ne.Timeout() {
+			t.Fatalf("%s: read %d bytes, %v; want the server to close", after, n, err)
 		}
 	}
 	conn := dial()
 	const top = 0x7fff_ffff_ffff_ffff
-	if st, p := exchange(conn, opRead, rkeyTable, top, 16, nil); st != 0 || len(p) != 0 {
+	if st, p := exchange(conn, rkeyTable, top, 16); st != 0 || len(p) != 0 {
 		t.Fatalf("hostile READ: status %d with %d bytes, want a bare NAK", st, len(p))
 	}
-	if st, _ := exchange(conn, opWrite, rkeyTable, top, 16, make([]byte, 16)); st != 0 {
-		t.Fatalf("hostile WRITE: status %d, want NAK", st)
-	}
-	validRead(conn, "the wrapping frames")
-	validRead(dial(), "the wrapping frames")
+	validRead(conn, "the wrapping READ")
+	validRead(dial(), "the wrapping READ")
 
-	if st, p := exchange(conn, opRead, rkeyPoolBase, 0, kv.MaxObjectSize+1, nil); st != 0 || len(p) != 0 {
+	if st, p := exchange(conn, rkeyPoolBase, 0, kv.MaxObjectSize+1); st != 0 || len(p) != 0 {
 		t.Fatalf("READ of %d bytes: status %d with %d bytes, want a bare NAK", kv.MaxObjectSize+1, st, len(p))
 	}
 	validRead(conn, "the oversized READ")
 	validRead(dial(), "the oversized READ")
 
+	_, before := exchange(dial(), rkeyTable, 0, 16)
+	for _, data := range [][]byte{bytes.Repeat([]byte{0xab}, 16), nil} {
+		what := fmt.Sprintf("WRITE frame with %d data bytes", len(data))
+		conn := dial()
+		send(conn, retiredWrite, rkeyTable, 0, 16, data)
+		closed(conn, what)
+		if st, after := exchange(dial(), rkeyTable, 0, 16); st != 1 || !bytes.Equal(after, before) {
+			t.Fatalf("%s changed the device: %x, was %x", what, after, before)
+		}
+	}
+
 	// Only the length prefix is sent: a server that waits for the payload
 	// instead of closing leaves the read below to hit its deadline.
+	conn = dial()
 	var prefix [4]byte
 	binary.BigEndian.PutUint32(prefix[:], maxOneSidedFrame+1)
 	if _, err := conn.Write(prefix[:]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
-		t.Fatalf("oversized frame: read %v, want the server to close (EOF)", err)
-	}
+	closed(conn, "oversized frame")
 	validRead(dial(), "the oversized frame")
 }
 

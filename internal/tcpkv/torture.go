@@ -18,8 +18,9 @@ import (
 
 // tcpVerifyTimeout replaces the fault.Config default when the caller did
 // not pick a wall-clock-scale bound: the shared default (2µs) is tuned
-// for the harnesses' virtual clocks and would invalidate every in-flight
-// value write before its TCP frame could arrive.
+// for the harnesses' virtual clocks, and at wall-clock speed it would
+// invalidate every torn PUT before the next op's frame could arrive, so
+// no op would ever meet one pending.
 const tcpVerifyTimeout = 25 * time.Millisecond
 
 // oneAttempt is every torture client's transport policy: no retries — a
