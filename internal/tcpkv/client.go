@@ -555,15 +555,9 @@ func (*verbs) WriteBurst([]client.Req) error {
 // a status error before anything is sent.
 func (c *Client) Put(key, value []byte) error {
 	tc, t0 := c.core.Begin("put", kv.HashKey(key))
-	err := c.putCtx(tc, key, value)
+	err := c.retrying(func() error { return c.core.Put(tc, key, value) })
 	c.core.End(tc, t0, err)
 	return err
-}
-
-// putCtx is Put under a caller-owned trace context (nil = untraced);
-// ClusterClient threads its routed-op context through here.
-func (c *Client) putCtx(tc *trace.Ctx, key, value []byte) error {
-	return c.retrying(func() error { return c.core.Put(tc, key, value) })
 }
 
 // PutBatch stores len(keys) key/value pairs with multi-op allocation RPCs
@@ -581,7 +575,8 @@ func (c *Client) PutBatch(keys, values [][]byte) []error {
 // PutBatchInto is PutBatch with a caller-owned error slice: when errs
 // has the capacity it is resliced and returned, so a steady-state caller
 // (a closed-loop load driver, a benchmark) reuses one slice for its
-// whole run and the batch write path allocates nothing.
+// whole run and the batch write path allocates nothing. The whole batch
+// retries together: a retried attempt regrants every slot.
 func (c *Client) PutBatchInto(keys, values [][]byte, errs []error) []error {
 	if len(keys) != len(values) {
 		panic("tcpkv: PutBatch keys/values length mismatch")
@@ -595,32 +590,19 @@ func (c *Client) PutBatchInto(keys, values [][]byte, errs []error) []error {
 		return errs
 	}
 	tc, t0 := c.core.Begin("put_batch", kv.HashKey(keys[0]))
-	c.putBatchCtx(tc, keys, values, errs)
+	c.retrying(func() error { return c.core.PutBatch(tc, keys, values, errs) })
 	c.core.End(tc, t0, client.FirstErr(errs))
 	return errs
 }
 
-// putBatchCtx is PutBatch under a caller-owned trace context. errs must
-// be len(keys) long; it is filled in place. The whole batch retries
-// together: a retried attempt regrants every slot.
-func (c *Client) putBatchCtx(tc *trace.Ctx, keys, values [][]byte, errs []error) {
-	c.retrying(func() error { return c.core.PutBatch(tc, keys, values, errs) })
-}
-
 // Get fetches key's value with the hybrid read scheme.
-func (c *Client) Get(key []byte) ([]byte, error) {
+func (c *Client) Get(key []byte) (out []byte, err error) {
 	tc, t0 := c.core.Begin("get", kv.HashKey(key))
-	out, err := c.getCtx(tc, key)
-	c.core.End(tc, t0, err)
-	return out, err
-}
-
-// getCtx is Get under a caller-owned trace context.
-func (c *Client) getCtx(tc *trace.Ctx, key []byte) (out []byte, err error) {
 	err = c.retrying(func() (err error) {
 		out, err = c.core.Get(tc, key)
 		return err
 	})
+	c.core.End(tc, t0, err)
 	return out, err
 }
 
@@ -633,20 +615,14 @@ func (c *Client) getCtx(tc *trace.Ctx, key []byte) (out []byte, err error) {
 // shared by every key the failure reached). The whole batch retries
 // together under the client's RetryPolicy.
 func (c *Client) GetBatch(keys [][]byte) ([][]byte, []error) {
-	if len(keys) == 0 {
-		return make([][]byte, 0), make([]error, 0)
-	}
-	tc, t0 := c.core.Begin("get_batch", kv.HashKey(keys[0]))
-	vals, errs := c.getBatchCtx(tc, keys)
-	c.core.End(tc, t0, client.FirstErr(errs))
-	return vals, errs
-}
-
-// getBatchCtx is GetBatch under a caller-owned trace context.
-func (c *Client) getBatchCtx(tc *trace.Ctx, keys [][]byte) ([][]byte, []error) {
 	vals := make([][]byte, len(keys))
 	errs := make([]error, len(keys))
+	if len(keys) == 0 {
+		return vals, errs
+	}
+	tc, t0 := c.core.Begin("get_batch", kv.HashKey(keys[0]))
 	c.retrying(func() error { return c.core.GetBatch(tc, keys, vals, errs) })
+	c.core.End(tc, t0, client.FirstErr(errs))
 	return vals, errs
 }
 
@@ -654,34 +630,32 @@ func (c *Client) getBatchCtx(tc *trace.Ctx, keys [][]byte) ([][]byte, []error) {
 func (c *Client) Delete(key []byte) error {
 	var st delRetryState
 	tc, t0 := c.core.Begin("del", kv.HashKey(key))
-	err := c.delCtxState(tc, key, &st)
+	err := c.retrying(func() error { return c.delAttempt(tc, key, &st) })
 	c.core.End(tc, t0, err)
 	return err
 }
 
-// delCtxState runs the DELETE with caller-owned at-least-once state, so
-// a routed caller re-trying against a different instance after a
-// failover keeps the ambiguity accumulated here (a DEL acked nowhere but
-// applied somewhere must map a later not-found to success).
-func (c *Client) delCtxState(tc *trace.Ctx, key []byte, st *delRetryState) error {
-	return c.retrying(func() error {
-		err := c.core.Delete(tc, key)
-		var we *cluster.WrongEpochError
-		var se *client.StatusError
-		switch {
-		case err == nil || errors.As(err, &we): // applied, or refused unapplied
-			return err
-		case errors.Is(err, ErrNotFound):
-			return st.mapNotFound()
-		case errors.As(err, &se):
-			// The server applied the delete locally but could not
-			// acknowledge it (e.g. the tombstone missed its replication
-			// quorum): outcome unknown cluster-wide, retry elsewhere.
-			err = fmt.Errorf("%w: %v", ErrRetryable, err)
-		}
-		st.noteUnknown()
+// delAttempt is one DELETE attempt under the at-least-once rule, shared by
+// the client's retry loop and the routed client's route loop: st spans
+// every attempt of the op, so a DEL acked nowhere but applied somewhere
+// maps a later not-found to success (see delRetryState).
+func (c *Client) delAttempt(tc *trace.Ctx, key []byte, st *delRetryState) error {
+	err := c.core.Delete(tc, key)
+	var we *cluster.WrongEpochError
+	var se *client.StatusError
+	switch {
+	case err == nil || errors.As(err, &we): // applied, or refused unapplied
 		return err
-	})
+	case errors.Is(err, ErrNotFound):
+		return st.mapNotFound()
+	case errors.As(err, &se):
+		// The server applied the delete locally but could not
+		// acknowledge it (e.g. the tombstone missed its replication
+		// quorum): outcome unknown cluster-wide, retry elsewhere.
+		err = fmt.Errorf("%w: %v", ErrRetryable, err)
+	}
+	st.noteUnknown()
+	return err
 }
 
 // TxnCommit commits keys[i] -> vals[i] atomically: all ops become
@@ -693,7 +667,7 @@ func (c *Client) delCtxState(tc *trace.Ctx, key []byte, st *delRetryState) error
 // every other op: a lost response frame does not reveal whether the
 // server committed, so a retried commit may apply the same transaction
 // twice (same values, a fresh transaction id).
-func (c *Client) TxnCommit(keys, vals [][]byte) (uint64, error) {
+func (c *Client) TxnCommit(keys, vals [][]byte) (id uint64, err error) {
 	if len(keys) != len(vals) {
 		panic("tcpkv: TxnCommit keys/vals length mismatch")
 	}
@@ -701,17 +675,11 @@ func (c *Client) TxnCommit(keys, vals [][]byte) (uint64, error) {
 		return 0, nil
 	}
 	tc, t0 := c.core.Begin("txn_commit", kv.HashKey(keys[0]))
-	id, err := c.txnCommitCtx(tc, keys, vals)
-	c.core.End(tc, t0, err)
-	return id, err
-}
-
-// txnCommitCtx is TxnCommit under a caller-owned trace context.
-func (c *Client) txnCommitCtx(tc *trace.Ctx, keys, vals [][]byte) (id uint64, err error) {
 	err = c.retrying(func() (err error) {
 		id, err = c.core.TxnCommit(tc, keys, vals)
 		return err
 	})
+	c.core.End(tc, t0, err)
 	return id, err
 }
 
@@ -725,15 +693,9 @@ func (c *Client) TxnRead(keys [][]byte) ([][]byte, []error) {
 		return vals, errs
 	}
 	tc, t0 := c.core.Begin("txn_read", kv.HashKey(keys[0]))
-	err := c.txnReadCtx(tc, keys, vals, errs)
+	err := c.retrying(func() error { return c.core.TxnRead(tc, keys, vals, errs) })
 	c.core.End(tc, t0, err)
 	return vals, errs
-}
-
-// txnReadCtx is TxnRead under a caller-owned trace context. vals and errs
-// must be len(keys) long; they are filled in place.
-func (c *Client) txnReadCtx(tc *trace.Ctx, keys, vals [][]byte, errs []error) error {
-	return c.retrying(func() error { return c.core.TxnRead(tc, keys, vals, errs) })
 }
 
 // ServerStats fetches the server's counters.

@@ -156,11 +156,11 @@ func (c *Client) PromoteRPC(dead string) (uint64, error) {
 	return uint64(resp.Token), nil
 }
 
-// ccRouteAttempts bounds how many times one op re-routes after
-// wrong-epoch rejections or instance failures. A blocked cutover window
-// lasts one final drain of the keys dirtied since the last open round;
-// with the capped backoff below this budget rides out windows far longer
-// than that.
+// ccRouteAttempts bounds how many rounds one routed op runs: its first,
+// then one per re-route after wrong-epoch rejections or instance
+// failures. A blocked cutover window lasts one final drain of the keys
+// dirtied since the last open round; with the capped backoff below this
+// budget rides out windows far longer than that.
 const ccRouteAttempts = 64
 
 // ccStaleRounds bounds consecutive rounds in which the routed instance
@@ -177,29 +177,30 @@ const (
 	ccRouteMaxBackoff = 50 * time.Millisecond
 )
 
-// ClusterClientConfig carries the per-instance client settings a
-// ClusterClient applies to every connection it opens.
+// ClusterClientConfig carries the settings a ClusterClient applies to
+// every connection it opens.
 type ClusterClientConfig struct {
-	Retry RetryPolicy // transport retry policy per instance client
+	Timeout time.Duration // per-attempt I/O deadline, bounding dial and handshake too (0 = none)
 }
 
-// DefaultClusterClientConfig uses the default transport retry policy.
+// DefaultClusterClientConfig bounds each attempt like DefaultRetryPolicy.
 func DefaultClusterClientConfig() ClusterClientConfig {
-	return ClusterClientConfig{Retry: DefaultRetryPolicy()}
+	return ClusterClientConfig{Timeout: DefaultRetryPolicy().Timeout}
 }
 
 // ClusterClient is a routed client over a set of tcpkv instances.
 // Methods are safe for concurrent use.
 type ClusterClient struct {
 	router cluster.Router
-	peers  *peers // per-instance connections, under ClusterClientConfig.Retry
+	peers  *peers // per-instance connections, one attempt each: route is the only retry
 
 	mu      sync.Mutex
 	seed    string       // bootstrap address, used while the map is cold
 	lastMap *cluster.Map // last map ever installed; map-refetch fallback when the seed died
 
-	// WrongEpochRetries counts ops that re-routed after an StWrongEpoch
-	// rejection; MapRefreshes counts TClusterMap fetches. Read quiesced.
+	// WrongEpochRetries counts op rounds on one instance that re-routed
+	// after an StWrongEpoch rejection; MapRefreshes counts TClusterMap
+	// fetches. Read quiesced.
 	WrongEpochRetries int
 	MapRefreshes      int
 
@@ -224,9 +225,12 @@ func (cc *ClusterClient) EnableTracing(sampleEvery int, slowNS uint64) {
 func (cc *ClusterClient) Tracer() *trace.Tracer { return cc.tracer }
 
 // DialCluster bootstraps a routed client from any instance's address:
-// the seed serves the initial map, after which ops route per-key.
+// the seed serves the initial map, after which ops route per-key. Every
+// connection makes one attempt per call, bounded by cfg.Timeout: a
+// transport failure reaches the route loop at once, which refetches the
+// map and redials instead of retrying an instance that may be gone.
 func DialCluster(seed string, cfg ClusterClientConfig) (*ClusterClient, error) {
-	cc := &ClusterClient{peers: newPeers(cfg.Retry), seed: seed}
+	cc := &ClusterClient{peers: newPeers(RetryPolicy{Attempts: 1, Timeout: cfg.Timeout}), seed: seed}
 	if _, err := cc.currentMap(); err != nil {
 		cc.Close()
 		return nil, err
@@ -298,115 +302,201 @@ func (cc *ClusterClient) currentMap() (*cluster.Map, error) {
 	return cc.router.Current(), nil
 }
 
-// do routes one single-key op: resolve the key's instance under the
-// cached map, stamp the client with the map's epoch, run the op, and on
-// a wrong-epoch rejection refetch/back off and re-route. Transport
-// errors also invalidate the map (the instance may have left).
-func (cc *ClusterClient) do(name string, key []byte, op func(c *Client, tc *trace.Ctx) error) error {
-	tc, t0 := beginOp(cc.tracer, name, kv.HashKey(key))
-	err := cc.doCtx(tc, key, op)
-	endOp(cc.tracer, tc, t0, err)
-	return err
+// routeScratch holds one routed op's index buffers, pooled so the route
+// loop's bookkeeping allocates nothing per op.
+type routeScratch struct {
+	pending, next, group []int
+	owner                []cluster.Instance // owner[j] serves pending[j] this round; Name "" once grouped or unowned
 }
 
-func (cc *ClusterClient) doCtx(tc *trace.Ctx, key []byte, op func(c *Client, tc *trace.Ctx) error) error {
-	return cc.routedCtx(tc, func(m *cluster.Map) (cluster.Instance, bool, error) {
-		in, _, ok := m.InstanceForKey(key)
-		if !ok {
-			return cluster.Instance{}, true, fmt.Errorf("tcpkv: no instance owns key under epoch %d", m.Epoch)
-		}
-		return in, false, nil
-	}, op)
-}
+var routeScratchPool = sync.Pool{New: func() any { return new(routeScratch) }}
 
-// routedCtx drives the route/refetch/backoff loop shared by single-key
-// ops and transactional multi-key ops: resolve picks the serving
-// instance under the current map (retryable=true means invalidate the
-// map and re-route; false means the error is terminal), op runs against
-// it, and wrong-epoch / transport outcomes feed the router.
-func (cc *ClusterClient) routedCtx(tc *trace.Ctx, resolve func(m *cluster.Map) (cluster.Instance, bool, error), op func(c *Client, tc *trace.Ctx) error) error {
+// route is the routed client's one retry loop, under every op. Each
+// round groups the pending indices of keys by owning instance under the
+// current map and runs each group once on that instance's connection:
+// run makes one attempt over keys[idx] and leaves each index's outcome
+// in errs. An index whose outcome is a wrong-epoch reject, a transport
+// failure or ErrRetryable stays pending for the next round; any other
+// outcome is final. A single-key op is a group of one. With txn set the
+// keys must resolve to one instance, so run sees every index, in order;
+// keys split between instances fail whole with ErrTxnCrossInstance.
+//
+// Rounds share one attempt budget, one backoff schedule and one
+// stale-round bound. A transport failure drops the instance's connection
+// and, like ErrRetryable, a key no instance owns and a rejection proving
+// a newer epoch, drops the cached map: the next round refetches it and
+// redials, so after a failover the key's new owner is one refetch away.
+// A rejection at the map's own epoch keeps it — a blocked cutover
+// window, which the backoff rides out.
+func (cc *ClusterClient) route(name string, keys [][]byte, txn bool, errs []error, run func(c *Client, tc *trace.Ctx, idx []int)) {
+	tc, t0 := beginOp(cc.tracer, name, batchHash(keys))
+	rs := routeScratchPool.Get().(*routeScratch)
+	pending, next := rs.pending[:0], rs.next[:0]
+	for i := range keys {
+		pending = append(pending, i)
+	}
 	backoff := ccRouteBackoff
 	staleRounds := 0
-	var lastErr error
-	for attempt := 0; attempt < ccRouteAttempts; attempt++ {
+	for attempt := 0; attempt < ccRouteAttempts && len(pending) > 0; attempt++ {
 		if attempt > 0 {
 			// The route_retry span covers the backoff sleep: the gap
-			// between a rejected attempt and the re-routed one.
+			// between a rejected round and the re-routed one.
 			tRetry := traceNow(tc)
 			time.Sleep(backoff)
 			tc.Add("route_retry", tRetry, traceNow(tc))
 			backoff = jitteredBackoff(backoff, ccRouteBackoff, ccRouteMaxBackoff, nil)
 		}
+		next = next[:0]
 		m, err := cc.currentMap()
 		if err != nil {
-			lastErr = err
-			continue
-		}
-		in, retryable, err := resolve(m)
-		if err != nil {
-			if !retryable {
-				return err
+			for _, i := range pending {
+				errs[i] = err
 			}
-			lastErr = err
-			cc.router.Invalidate()
-			continue
+			continue // every index stays pending
 		}
-		// A transport failure — the instance died mid-op, or never answered
-		// the dial — drops its connection in the table.
-		err = cc.peers.call(in.Name, in.Addr, func(c *Client) error {
-			c.SetClusterEpoch(m.Epoch)
-			return op(c, tc)
-		})
-		var we *cluster.WrongEpochError
-		if errors.As(err, &we) {
-			cc.noteWrongEpoch(we)
-			if we.Epoch < m.Epoch {
-				// The instance proved an epoch OLDER than the map that
-				// routed us there: a refetch cannot advance past a map
-				// the client already holds, so looping is pointless.
-				if staleRounds++; staleRounds >= ccStaleRounds {
-					return fmt.Errorf("%w: instance %s at epoch %d, map at epoch %d", ErrRouteStale, in.Name, we.Epoch, m.Epoch)
+		var owner []cluster.Instance
+		owner, next = rs.resolve(m, keys, pending, txn, errs, next)
+		if len(next) > 0 {
+			cc.router.Invalidate()
+		}
+		staleRound := false
+		for j, in := range owner {
+			if in.Name == "" {
+				continue
+			}
+			group := rs.group[:0]
+			for k := j; k < len(owner); k++ {
+				if owner[k].Name == in.Name {
+					group = append(group, pending[k])
+					owner[k].Name = ""
 				}
-			} else {
-				staleRounds = 0
 			}
-			lastErr = err
-			continue
+			rs.group = group
+			var stale bool
+			next, stale = cc.attempt(m, in, tc, group, errs, next, run)
+			staleRound = staleRound || stale
 		}
-		if transient(err) || errors.Is(err, ErrRetryable) {
-			// The instance died mid-op, or applied without acknowledging:
-			// suspect the map and re-route — after a failover the key's
-			// new owner is one refetch away.
-			cc.router.Invalidate()
-			lastErr = err
-			continue
+		if staleRound {
+			if staleRounds++; staleRounds >= ccStaleRounds {
+				for _, i := range next {
+					errs[i] = fmt.Errorf("%w: %v", ErrRouteStale, errs[i])
+				}
+				next = next[:0]
+			}
+		} else {
+			staleRounds = 0
 		}
-		return err
+		pending, next = next, pending
 	}
-	return lastErr
+	rs.pending, rs.next = pending, next
+	routeScratchPool.Put(rs)
+	endOp(cc.tracer, tc, t0, client.FirstErr(errs))
 }
 
-// noteWrongEpoch feeds a rejection into the router: a newer proven epoch
-// drops the cached map (next attempt refetches); a same-epoch rejection
-// keeps it (blocked cutover — the backoff in do rides it out).
-func (cc *ClusterClient) noteWrongEpoch(we *cluster.WrongEpochError) {
-	cc.router.Observe(we.Epoch)
-	cc.mu.Lock()
-	cc.WrongEpochRetries++
-	cc.mu.Unlock()
+// resolve finds each pending index's owner under m, in rs.owner. A key
+// no instance owns gets its error and joins next; under txn it holds the
+// whole transaction back, and keys split between instances fail whole
+// with ErrTxnCrossInstance. Either way nothing of a transaction runs
+// this round: the returned owners are empty.
+func (rs *routeScratch) resolve(m *cluster.Map, keys [][]byte, pending []int, txn bool, errs []error, next []int) ([]cluster.Instance, []int) {
+	owner := rs.owner[:0]
+	for _, i := range pending {
+		in, _, ok := m.InstanceForKey(keys[i])
+		if !ok {
+			errs[i] = fmt.Errorf("tcpkv: no instance owns key under epoch %d", m.Epoch)
+			next = append(next, i)
+		}
+		owner = append(owner, in)
+	}
+	rs.owner = owner
+	if !txn {
+		return owner, next
+	}
+	if len(next) > 0 {
+		for _, i := range pending {
+			errs[i] = errs[next[0]]
+		}
+		return owner[:0], append(next[:0], pending...)
+	}
+	for _, in := range owner {
+		if in.Name != owner[0].Name {
+			err := fmt.Errorf("%w: keys split between %s and %s under epoch %d", ErrTxnCrossInstance, owner[0].Name, in.Name, m.Epoch)
+			for _, i := range pending {
+				errs[i] = err
+			}
+			return owner[:0], next
+		}
+	}
+	return owner, next
+}
+
+// attempt runs one group of route's round on in's connection, stamped
+// with m's epoch, and appends the indices to retry to next. stale reports
+// a rejection at an epoch older than m.
+func (cc *ClusterClient) attempt(m *cluster.Map, in cluster.Instance, tc *trace.Ctx, idx []int, errs []error, next []int, run func(c *Client, tc *trace.Ctx, idx []int)) (_ []int, stale bool) {
+	c, err := cc.peers.conn(in.Name, in.Addr)
+	if err != nil {
+		for _, i := range idx {
+			errs[i] = err
+		}
+	} else {
+		c.SetClusterEpoch(m.Epoch)
+		run(c, tc, idx)
+	}
+	var rejected *cluster.WrongEpochError
+	dead, suspect := false, false
+	for _, i := range idx {
+		e := errs[i]
+		if e == nil {
+			continue
+		}
+		var we *cluster.WrongEpochError
+		switch {
+		case errors.As(e, &we):
+			rejected = we
+		case transient(e):
+			dead = c != nil
+			suspect = true
+		case errors.Is(e, ErrRetryable):
+			suspect = true
+		default:
+			continue // a final outcome
+		}
+		next = append(next, i)
+	}
+	if dead {
+		cc.peers.drop(in.Name, c)
+	}
+	if suspect {
+		cc.router.Invalidate()
+	}
+	if rejected != nil {
+		cc.router.Observe(rejected.Epoch) // drops the map only for a newer epoch
+		cc.mu.Lock()
+		cc.WrongEpochRetries++
+		cc.mu.Unlock()
+		stale = rejected.Epoch < m.Epoch
+	}
+	return next, stale
+}
+
+// one routes a single-key op: a group of one.
+func (cc *ClusterClient) one(name string, key []byte, run func(c *Client, tc *trace.Ctx) error) error {
+	keys, errs := [1][]byte{key}, [1]error{}
+	cc.route(name, keys[:], false, errs[:], func(c *Client, tc *trace.Ctx, _ []int) { errs[0] = run(c, tc) })
+	return errs[0]
 }
 
 // Put stores value under key on the instance owning it.
 func (cc *ClusterClient) Put(key, value []byte) error {
-	return cc.do("put", key, func(c *Client, tc *trace.Ctx) error { return c.putCtx(tc, key, value) })
+	return cc.one("put", key, func(c *Client, tc *trace.Ctx) error { return c.core.Put(tc, key, value) })
 }
 
 // Get fetches key's value from the instance owning it.
 func (cc *ClusterClient) Get(key []byte) ([]byte, error) {
 	var out []byte
-	err := cc.do("get", key, func(c *Client, tc *trace.Ctx) error {
-		v, err := c.getCtx(tc, key)
-		out = v
+	err := cc.one("get", key, func(c *Client, tc *trace.Ctx) (err error) {
+		out, err = c.core.Get(tc, key)
 		return err
 	})
 	return out, err
@@ -419,7 +509,7 @@ func (cc *ClusterClient) Get(key []byte) ([]byte, error) {
 // (the tombstone mirrored before the crash) instead of ErrNotFound.
 func (cc *ClusterClient) Delete(key []byte) error {
 	var st delRetryState
-	return cc.do("del", key, func(c *Client, tc *trace.Ctx) error { return c.delCtxState(tc, key, &st) })
+	return cc.one("del", key, func(c *Client, tc *trace.Ctx) error { return c.delAttempt(tc, key, &st) })
 }
 
 // ErrTxnCrossInstance reports a transactional op whose keys resolve to
@@ -429,28 +519,6 @@ func (cc *ClusterClient) Delete(key []byte) error {
 // Terminal, not retryable: refetching the map cannot merge two placement
 // groups.
 var ErrTxnCrossInstance = errors.New("tcpkv: transaction spans multiple instances")
-
-// txnResolve builds the routedCtx resolver for a transactional op: every
-// key must land on one instance, or the op is rejected with the terminal
-// ErrTxnCrossInstance.
-func txnResolve(keys [][]byte) func(m *cluster.Map) (cluster.Instance, bool, error) {
-	return func(m *cluster.Map) (cluster.Instance, bool, error) {
-		in, _, ok := m.InstanceForKey(keys[0])
-		if !ok {
-			return cluster.Instance{}, true, fmt.Errorf("tcpkv: no instance owns key under epoch %d", m.Epoch)
-		}
-		for _, key := range keys[1:] {
-			o, _, ok := m.InstanceForKey(key)
-			if !ok {
-				return cluster.Instance{}, true, fmt.Errorf("tcpkv: no instance owns key under epoch %d", m.Epoch)
-			}
-			if o.Name != in.Name {
-				return cluster.Instance{}, false, fmt.Errorf("%w: keys split between %s and %s under epoch %d", ErrTxnCrossInstance, in.Name, o.Name, m.Epoch)
-			}
-		}
-		return in, false, nil
-	}
-}
 
 // TxnCommit commits keys[i] -> vals[i] atomically on the single instance
 // owning every key (the fast path — and today the only path; a key set
@@ -465,14 +533,15 @@ func (cc *ClusterClient) TxnCommit(keys, vals [][]byte) (uint64, error) {
 		return 0, nil
 	}
 	var id uint64
-	tc, t0 := beginOp(cc.tracer, "txn_commit", batchHash(keys))
-	err := cc.routedCtx(tc, txnResolve(keys), func(c *Client, tc *trace.Ctx) error {
-		var cerr error
-		id, cerr = c.txnCommitCtx(tc, keys, vals)
-		return cerr
+	errs := make([]error, len(keys))
+	cc.route("txn_commit", keys, true, errs, func(c *Client, tc *trace.Ctx, _ []int) {
+		var err error
+		id, err = c.core.TxnCommit(tc, keys, vals)
+		for i := range errs {
+			errs[i] = err
+		}
 	})
-	endOp(cc.tracer, tc, t0, err)
-	return id, err
+	return id, errs[0]
 }
 
 // TxnRead snapshot-reads keys at one consistent cut on the single
@@ -485,53 +554,30 @@ func (cc *ClusterClient) TxnRead(keys [][]byte) ([][]byte, []error) {
 	if len(keys) == 0 {
 		return vals, errs
 	}
-	tc, t0 := beginOp(cc.tracer, "txn_read", batchHash(keys))
-	err := cc.routedCtx(tc, txnResolve(keys), func(c *Client, tc *trace.Ctx) error {
-		return c.txnReadCtx(tc, keys, vals, errs)
+	cc.route("txn_read", keys, true, errs, func(c *Client, tc *trace.Ctx, _ []int) {
+		c.core.TxnRead(tc, keys, vals, errs)
 	})
-	endOp(cc.tracer, tc, t0, client.FirstErr(errs))
-	if err != nil {
-		for i := range errs {
-			errs[i] = err
-		}
-	}
 	return vals, errs
 }
 
 // PutBatch stores the pairs, grouping ops by owning instance so each
 // group rides that instance's multi-op PUT path. Groups run
-// sequentially; keys rejected with wrong-epoch re-group under the
-// refreshed map and retry. Results are index-aligned with keys.
+// sequentially; keys rejected with wrong-epoch, or whose instance
+// failed, re-group under the refreshed map and retry (see route).
+// Results are index-aligned with keys.
 func (cc *ClusterClient) PutBatch(keys, values [][]byte) []error {
 	if len(keys) != len(values) {
 		panic("tcpkv: PutBatch keys/values length mismatch")
 	}
 	errs := make([]error, len(keys))
-	pending := make([]int, len(keys))
-	for i := range pending {
-		pending[i] = i
-	}
-	tc, t0 := beginOp(cc.tracer, "put_batch", batchHash(keys))
-	cc.batched(tc, pending, errs, func(i int) []byte { return keys[i] }, func(c *Client, tc *trace.Ctx, idx []int) []error {
-		k := make([][]byte, len(idx))
-		v := make([][]byte, len(idx))
+	cc.route("put_batch", keys, false, errs, func(c *Client, tc *trace.Ctx, idx []int) {
+		ge := make([]error, len(idx))
+		c.core.PutBatch(tc, pick(keys, idx), pick(values, idx), ge)
 		for j, i := range idx {
-			k[j], v[j] = keys[i], values[i]
+			errs[i] = ge[j]
 		}
-		be := make([]error, len(idx))
-		c.putBatchCtx(tc, k, v, be)
-		return be
 	})
-	endOp(cc.tracer, tc, t0, client.FirstErr(errs))
 	return errs
-}
-
-// batchHash is the key hash a batch op's root span carries (first key).
-func batchHash(keys [][]byte) uint64 {
-	if len(keys) == 0 {
-		return 0
-	}
-	return kv.HashKey(keys[0])
 }
 
 // GetBatch fetches the keys, grouped by owning instance like PutBatch.
@@ -539,108 +585,29 @@ func batchHash(keys [][]byte) uint64 {
 func (cc *ClusterClient) GetBatch(keys [][]byte) ([][]byte, []error) {
 	vals := make([][]byte, len(keys))
 	errs := make([]error, len(keys))
-	pending := make([]int, len(keys))
-	for i := range pending {
-		pending[i] = i
-	}
-	tc, t0 := beginOp(cc.tracer, "get_batch", batchHash(keys))
-	cc.batched(tc, pending, errs, func(i int) []byte { return keys[i] }, func(c *Client, tc *trace.Ctx, idx []int) []error {
-		k := make([][]byte, len(idx))
+	cc.route("get_batch", keys, false, errs, func(c *Client, tc *trace.Ctx, idx []int) {
+		gv, ge := make([][]byte, len(idx)), make([]error, len(idx))
+		c.core.GetBatch(tc, pick(keys, idx), gv, ge)
 		for j, i := range idx {
-			k[j] = keys[i]
+			vals[i], errs[i] = gv[j], ge[j]
 		}
-		vs, es := c.getBatchCtx(tc, k)
-		for j, i := range idx {
-			vals[i] = vs[j]
-		}
-		return es
 	})
-	endOp(cc.tracer, tc, t0, client.FirstErr(errs))
 	return vals, errs
 }
 
-// batched drives the group/run/retry loop shared by PutBatch and
-// GetBatch: group pending indices by owning instance under the current
-// map, run each group, keep wrong-epoch-rejected indices pending for
-// the next round (under a refreshed map), and write final outcomes into
-// errs.
-func (cc *ClusterClient) batched(tc *trace.Ctx, pending []int, errs []error, keyAt func(i int) []byte, run func(c *Client, tc *trace.Ctx, idx []int) []error) {
-	backoff := ccRouteBackoff
-	staleRounds := 0
-	for attempt := 0; attempt < ccRouteAttempts && len(pending) > 0; attempt++ {
-		if attempt > 0 {
-			tRetry := traceNow(tc)
-			time.Sleep(backoff)
-			tc.Add("route_retry", tRetry, traceNow(tc))
-			backoff = jitteredBackoff(backoff, ccRouteBackoff, ccRouteMaxBackoff, nil)
-		}
-		m, err := cc.currentMap()
-		if err != nil {
-			for _, i := range pending {
-				errs[i] = err
-			}
-			continue // errs are overwritten if a later round succeeds
-		}
-		groups := make(map[cluster.Instance][]int)
-		for _, i := range pending {
-			in, _, ok := m.InstanceForKey(keyAt(i))
-			if !ok {
-				errs[i] = fmt.Errorf("tcpkv: no instance owns key under epoch %d", m.Epoch)
-				continue
-			}
-			groups[in] = append(groups[in], i)
-		}
-		var next []int
-		staleRound := false
-		for in, idx := range groups {
-			var res []error
-			err := cc.peers.call(in.Name, in.Addr, func(c *Client) error {
-				c.SetClusterEpoch(m.Epoch)
-				res = run(c, tc, idx)
-				// The group's first transport failure drops the connection.
-				for _, e := range res {
-					if transient(e) {
-						return e
-					}
-				}
-				return nil
-			})
-			if res == nil { // no connection
-				res = make([]error, len(idx))
-				for j := range res {
-					res[j] = err
-				}
-			}
-			for j, i := range idx {
-				errs[i] = res[j]
-				var we *cluster.WrongEpochError
-				switch {
-				case errors.As(res[j], &we):
-					cc.noteWrongEpoch(we)
-					if we.Epoch < m.Epoch {
-						staleRound = true
-					}
-					next = append(next, i)
-				case transient(res[j]) || errors.Is(res[j], ErrRetryable):
-					// Instance failure mid-group: re-route the group's failed
-					// indices under a fresh map.
-					cc.router.Invalidate()
-					next = append(next, i)
-				}
-			}
-		}
-		// Same stale-instance bound as doCtx: rounds rejected at an epoch
-		// older than the routing map cannot converge by refetching.
-		if staleRound {
-			if staleRounds++; staleRounds >= ccStaleRounds {
-				for _, i := range next {
-					errs[i] = fmt.Errorf("%w: %v", ErrRouteStale, errs[i])
-				}
-				return
-			}
-		} else {
-			staleRounds = 0
-		}
-		pending = next
+// pick gathers s's elements at idx.
+func pick[T any](s []T, idx []int) []T {
+	out := make([]T, len(idx))
+	for j, i := range idx {
+		out[j] = s[i]
 	}
+	return out
+}
+
+// batchHash is the key hash a routed op's root span carries (first key).
+func batchHash(keys [][]byte) uint64 {
+	if len(keys) == 0 {
+		return 0
+	}
+	return kv.HashKey(keys[0])
 }

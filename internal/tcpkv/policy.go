@@ -36,10 +36,10 @@ var ErrRouteStale = errors.New("tcpkv: routing stalled on a stale instance")
 // failover. Once any attempt ends without revealing whether the server
 // applied the op (transport error, or an unacknowledged quorum
 // failure), a later StNotFound means an earlier attempt's delete landed
-// and maps to success, not ErrNotFound. The rule lives here, once, so
-// the single-connection retry loop and the routed client's failover
-// re-route can never drift apart: ClusterClient.Delete threads ONE
-// state through every route attempt.
+// and maps to success, not ErrNotFound. The rule lives here, once, and
+// runs in Client.delAttempt, the one DELETE attempt both the plain
+// client's retry loop and the routed client's route loop make:
+// ClusterClient.Delete threads ONE state through every route attempt.
 type delRetryState struct {
 	unknown bool
 }

@@ -23,11 +23,12 @@ import (
 // no op would ever meet one pending.
 const tcpVerifyTimeout = 25 * time.Millisecond
 
-// oneAttempt is every torture client's transport policy: no retries — a
-// crash run must see each op's first outcome, not a masked one — and a
-// deadline that is a hang safety net only. Route-level wrong-epoch
-// retries stay on in the routed client; they are the redirect contract
-// under test.
+// oneAttempt is the single-instance torture client's transport policy:
+// no retries — a crash run must see each op's first outcome, not a masked
+// one — and a deadline that is a hang safety net only. The routed
+// client's connections make one attempt by construction; its route
+// loop's re-routes, after wrong-epoch rejects and transport failures
+// alike, stay on: they are the redirect contract under test.
 var oneAttempt = RetryPolicy{Attempts: 1, Timeout: 5 * time.Second}
 
 // allocOnly sends a PUT allocation RPC and never writes the value — the
@@ -49,7 +50,7 @@ func (c *Client) allocOnly(key, value []byte) error {
 // allocOnly is the routed torn PUT: the allocation lands on the instance
 // owning key, under the same re-route loop as every other single-key op.
 func (cc *ClusterClient) allocOnly(key, value []byte) error {
-	return cc.do("torn_put", key, func(c *Client, _ *trace.Ctx) error { return c.allocOnly(key, value) })
+	return cc.one("torn_put", key, func(c *Client, _ *trace.Ctx) error { return c.allocOnly(key, value) })
 }
 
 // tortureClient is the op surface Client and ClusterClient share.
@@ -332,9 +333,7 @@ func startTortureCluster(tc fault.Config, cfg Config, devA nvm.Device, plan *fau
 			return nil, err
 		}
 	}
-	ccfg := DefaultClusterClientConfig()
-	ccfg.Retry = oneAttempt
-	if fx.cc, err = DialCluster(addrA, ccfg); err != nil {
+	if fx.cc, err = DialCluster(addrA, DefaultClusterClientConfig()); err != nil {
 		return nil, err
 	}
 	fx.cc.EnableTracing(1, 0)

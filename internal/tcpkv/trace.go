@@ -14,7 +14,7 @@ import (
 // propagated request traces on the wall clock (see
 // client.Core.EnableTracing); the trace ID rides the frame trailer.
 // sampleEvery <= 0 disables tracing (the default). Configure before
-// issuing concurrent ops, like SetHybridRead.
+// issuing concurrent ops.
 func (c *Client) EnableTracing(sampleEvery int, slowNS uint64) {
 	c.core.EnableTracing(sampleEvery, slowNS)
 }
