@@ -35,8 +35,8 @@ func (d *Device) Size() int { return d.inner.Size() }
 // Read copies from the coherent view of the wrapped device.
 func (d *Device) Read(off int, dst []byte) { d.inner.Read(off, dst) }
 
-// Read8 performs an 8-byte load from the coherent view.
-func (d *Device) Read8(off int) uint64 { return d.inner.Read8(off) }
+// ReadLine loads one cache line from the coherent view.
+func (d *Device) ReadLine(off int) [8]uint64 { return d.inner.ReadLine(off) }
 
 // Write stores src unless the plan has tripped.
 func (d *Device) Write(off int, src []byte) {
@@ -52,6 +52,14 @@ func (d *Device) Write8(off int, v uint64) {
 		return
 	}
 	d.inner.Write8(off, v)
+}
+
+// WriteLine stores one cache line unless the plan has tripped.
+func (d *Device) WriteLine(off int, w [8]uint64) {
+	if d.plan.Tripped() {
+		return
+	}
+	d.inner.WriteLine(off, w)
 }
 
 // Flush counts a boundary, then persists the covered lines unless the

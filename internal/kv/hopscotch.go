@@ -138,11 +138,10 @@ func (h *Hopscotch) HomeIndex(keyHash uint64) int { return int(keyHash % uint64(
 // BucketOffset(HomeIndex(hash)).
 func (h *Hopscotch) BucketOffset(i int) int { return i * EntrySize }
 
-// Entry loads slot i.
+// Entry loads slot i with one device call, as Table.Entry does.
 func (h *Hopscotch) Entry(i int) HopEntry {
-	b := make([]byte, EntrySize)
-	h.dev.Read(h.base+h.BucketOffset(i), b)
-	return DecodeHopEntry(b)
+	w := entryWords(h.dev, h.base+h.BucketOffset(i))
+	return HopEntry{KeyHash: w[0], Atomic: w[1], Lens: w[2], Hop: w[3]}
 }
 
 func (h *Hopscotch) setWord(i, w int, v uint64) {

@@ -144,62 +144,61 @@ func KeyOffset() int { return HeaderSize }
 // key is klen bytes.
 func ValueOffset(klen int) int { return HeaderSize + pad8(klen) }
 
-// WriteHeader stores (volatile) an encoded header at pool offset off. It
-// writes word-by-word through Write8, the mirror of ReadHeader's
-// buffer-free form: header writes sit on the PUT allocation path, and an
-// encode buffer would escape through the Device interface and cost one
-// heap allocation per PUT. Every word is 8-aligned because objects are
-// line-aligned; the pad, reserved, and trailing words are written zero,
-// exactly as the buffer encoding left them.
+// WriteHeader stores (volatile) an encoded header at pool offset off, as
+// one line: the header is exactly the object's first cache line (objects
+// are line-aligned), so one WriteLine moves it under one device lock hold
+// instead of one per word. The words travel in an array by value, so
+// nothing escapes through the Device interface and the PUT allocation
+// path stays off the heap. The pad, reserved, and trailing bytes are
+// written zero, exactly as EncodeHeader leaves them.
 func WriteHeader(dev nvm.Device, base int, off uint64, h *Header) {
-	a := base + int(off)
-	dev.Write8(a+offPrePtr, h.PrePtr)
-	dev.Write8(a+offNextPtr, h.NextPtr)
-	dev.Write8(a+offSeq, h.Seq)
-	dev.Write8(a+offCreatedAt, h.CreatedAt)
-	dev.Write8(a+offCRC, uint64(h.CRC)|uint64(uint32(h.KLen))<<32)
-	dev.Write8(a+offVLen, uint64(uint32(h.VLen))|uint64(h.Flags)<<32)
-	dev.Write8(a+offMagic, uint64(h.Magic))
-	dev.Write8(a+offTxnID, h.TxnID)
+	dev.WriteLine(base+int(off), [8]uint64{
+		offPrePtr / 8:    h.PrePtr,
+		offNextPtr / 8:   h.NextPtr,
+		offSeq / 8:       h.Seq,
+		offCreatedAt / 8: h.CreatedAt,
+		offCRC / 8:       uint64(h.CRC) | uint64(uint32(h.KLen))<<32,
+		offVLen / 8:      uint64(uint32(h.VLen)) | uint64(h.Flags)<<32,
+		offMagic / 8:     uint64(h.Magic),
+		offTxnID / 8:     h.TxnID,
+	})
 }
 
 // ReadHeader loads a header from pool offset off through the coherent
-// view. It reads word-by-word through Read8 rather than copying the line
-// into a temporary buffer: header reads dominate the GET path and the
-// background scan, and the buffer-free form keeps them off the heap (the
-// slice would escape through the Device interface). Every field word is
-// 8-aligned because objects are line-aligned.
+// view, as one line: header reads dominate the GET path and the
+// background scan, so they take one ReadLine (one device lock hold)
+// rather than one load per word, and the words come back by value, so
+// no buffer escapes through the Device interface.
 func ReadHeader(dev nvm.Device, base int, off uint64) Header {
-	a := base + int(off)
-	wCRC := dev.Read8(a + offCRC)   // CRC | KLen<<32
-	wVLen := dev.Read8(a + offVLen) // VLen | Flags<<32
-	wMagic := dev.Read8(a + offMagic)
+	w := dev.ReadLine(base + int(off))
+	wCRC := w[offCRC/8]   // CRC | KLen<<32
+	wVLen := w[offVLen/8] // VLen | Flags<<32
 	return Header{
-		PrePtr:    dev.Read8(a + offPrePtr),
-		NextPtr:   dev.Read8(a + offNextPtr),
-		Seq:       dev.Read8(a + offSeq),
-		CreatedAt: dev.Read8(a + offCreatedAt),
+		PrePtr:    w[offPrePtr/8],
+		NextPtr:   w[offNextPtr/8],
+		Seq:       w[offSeq/8],
+		CreatedAt: w[offCreatedAt/8],
 		CRC:       uint32(wCRC),
 		KLen:      int(uint32(wCRC >> 32)),
 		VLen:      int(uint32(wVLen)),
 		Flags:     uint8(wVLen >> 32),
-		Magic:     uint32(wMagic),
-		TxnID:     dev.Read8(a + offTxnID),
+		Magic:     uint32(w[offMagic/8]),
+		TxnID:     w[offTxnID/8],
 	}
 }
 
 // SetFlags atomically updates the flags byte of the header at off. The
 // flags share an 8-byte word with padding only, so an 8-byte atomic store
-// updates them without touching neighbouring fields.
+// updates them without touching neighbouring fields. It is two device
+// calls, once per object the background thread verifies: the word comes
+// from one ReadLine of the header line, and goes back with Write8, the
+// failure-atomic unit, so the flip never rewrites the rest of the header.
 func SetFlags(dev nvm.Device, base int, off uint64, flags uint8) {
-	addr := base + int(off) + offFlags
 	// offFlags is 44: not 8-aligned. Read-modify-write the containing
 	// aligned word (bytes 40..47 hold VLen, Flags, pad — VLen is
-	// immutable after allocation, so this is safe). Word-granular
-	// Read8/Write8 keeps the flag flip buffer-free: it runs once per
-	// object verified by the background thread.
-	word := addr &^ 7
-	shift := uint((addr - word) * 8) // little-endian: byte i = bits 8i..8i+7
-	w := dev.Read8(word)
-	dev.Write8(word, w&^(0xff<<shift)|uint64(flags)<<shift)
+	// immutable after allocation, so this is safe).
+	a := base + int(off)
+	const shift = (offFlags - offVLen) * 8 // little-endian: byte i = bits 8i..8i+7
+	w := dev.ReadLine(a)[offVLen/8]
+	dev.Write8(a+offVLen, w&^(0xff<<shift)|uint64(flags)<<shift)
 }

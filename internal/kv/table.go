@@ -118,18 +118,24 @@ func (t *Table) BucketIndex(keyHash uint64) int { return int(keyHash % uint64(t.
 // offset a client passes to an RDMA read of the entry.
 func (t *Table) BucketOffset(i int) int { return i * EntrySize }
 
-// Entry loads bucket i. Like ReadHeader, it reads word-by-word through
-// Read8: lookups probe one entry per step on the GET and PUT hot paths,
-// and a temporary buffer would escape through the Device interface. Each
-// word is written atomically, so word-granular loads observe exactly the
-// states the update protocol persists.
+// Entry loads bucket i with one device call, like ReadHeader: lookups
+// probe one entry per step on the GET and PUT hot paths, so they pay one
+// line per probe, not a lock hold per word, and the words come back by
+// value, so nothing escapes through the Device interface. Each word is
+// written atomically, so the load observes exactly the states the update
+// protocol persists.
 func (t *Table) Entry(i int) Entry {
-	a := t.base + t.BucketOffset(i)
-	return Entry{
-		KeyHash: t.dev.Read8(a),
-		Loc:     [2]uint64{t.dev.Read8(a + 8), t.dev.Read8(a + 16)},
-		Flags:   t.dev.Read8(a + 24),
-	}
+	w := entryWords(t.dev, t.base+t.BucketOffset(i))
+	return Entry{KeyHash: w[0], Loc: [2]uint64{w[1], w[2]}, Flags: w[3]}
+}
+
+// entryWords loads the four words of the EntrySize-byte entry at device
+// offset a from the one line that holds it: an entry in a line-aligned
+// window never straddles a line.
+func entryWords(dev nvm.Device, a int) (w [EntrySize / 8]uint64) {
+	line := dev.ReadLine(a &^ (nvm.LineSize - 1))
+	copy(w[:], line[a%nvm.LineSize/8:])
+	return w
 }
 
 // Lookup probes for a key hash and returns the bucket index and entry.

@@ -1,6 +1,7 @@
 package kv
 
 import (
+	"encoding/binary"
 	"math/rand/v2"
 	"testing"
 )
@@ -113,12 +114,16 @@ func (d *memDev) Write8(off int, v uint64) {
 		d.buf[off+i] = byte(v >> (8 * i))
 	}
 }
-func (d *memDev) Read8(off int) uint64 {
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v |= uint64(d.buf[off+i]) << (8 * i)
+func (d *memDev) ReadLine(off int) (w [8]uint64) {
+	for i := range w {
+		w[i] = binary.LittleEndian.Uint64(d.buf[off+8*i:])
 	}
-	return v
+	return w
+}
+func (d *memDev) WriteLine(off int, w [8]uint64) {
+	for i, v := range w {
+		binary.LittleEndian.PutUint64(d.buf[off+8*i:], v)
+	}
 }
 func (d *memDev) Flush(off, n int) {}
 func (d *memDev) Drain()           {}

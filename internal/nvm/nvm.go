@@ -13,8 +13,8 @@
 //
 // The failure-atomicity unit of real NVMM is 8 bytes; eviction and flushing
 // operate on 64-byte cache lines. Both granularities are modelled: flushes
-// and eviction are per-line, and Write8 provides the 8-byte atomic store
-// used for metadata.
+// and eviction are per-line, Write8 provides the 8-byte atomic store used
+// for metadata, and ReadLine/WriteLine move one whole line per call.
 package nvm
 
 // LineSize is the cache-line size in bytes: the granularity of flushes and
@@ -26,6 +26,11 @@ const AtomicUnit = 8
 
 // Device is the interface storage engines program against. *Memory is the
 // canonical in-process implementation; *FileBacked adds real durability.
+// Every call takes the device's lock once, so metadata moves a line at a
+// time: an object header or a hash entry is one ReadLine or WriteLine,
+// its words in an array by value so nothing escapes through the
+// interface, and Write8 is kept for the one word that must change
+// atomically.
 type Device interface {
 	// Size returns the capacity in bytes.
 	Size() int
@@ -36,10 +41,17 @@ type Device interface {
 	// durable until the covering lines are flushed.
 	Write(off int, src []byte)
 	// Write8 performs an 8-byte atomic store at off (which must be
-	// 8-byte aligned) in the volatile domain.
+	// 8-byte aligned) in the volatile domain: the unit of failure
+	// atomicity, for a metadata word that must never tear.
 	Write8(off int, v uint64)
-	// Read8 performs an 8-byte load from the coherent view.
-	Read8(off int) uint64
+	// ReadLine loads the cache line at off (which must be line-aligned)
+	// from the coherent view as eight little-endian words.
+	ReadLine(off int) [8]uint64
+	// WriteLine stores eight little-endian words over the cache line at
+	// off (which must be line-aligned) in the volatile domain, dirtying
+	// that one line. The crash model keeps or reverts a line whole, but
+	// a line is not a failure-atomic unit on real NVMM: only Write8 is.
+	WriteLine(off int, w [8]uint64)
 	// ReadPersisted copies len(dst) bytes at off from the persistent media
 	// only, ignoring unflushed stores: the post-crash view, which recovery
 	// and the crash oracle read.

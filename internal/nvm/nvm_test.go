@@ -124,8 +124,8 @@ func TestCrashPartialIsDeterministic(t *testing.T) {
 func TestWrite8Atomicity(t *testing.T) {
 	m := New(128)
 	m.Write8(16, 0xdeadbeefcafef00d)
-	if v := m.Read8(16); v != 0xdeadbeefcafef00d {
-		t.Fatalf("Read8 = %#x", v)
+	if v := m.ReadLine(0)[2]; v != 0xdeadbeefcafef00d {
+		t.Fatalf("word 2 of line 0 = %#x", v)
 	}
 	defer func() {
 		if recover() == nil {
@@ -270,8 +270,124 @@ func TestFileBackedWrite8(t *testing.T) {
 	}
 	defer d.Close()
 	d.Write8(8, 12345)
-	if v := d.Read8(8); v != 12345 {
-		t.Fatalf("Read8 = %d", v)
+	if v := d.ReadLine(0)[1]; v != 12345 {
+		t.Fatalf("word 1 of line 0 = %d", v)
+	}
+}
+
+// lineWords is a recognisable line: word i holds seed+i.
+func lineWords(seed uint64) (w [8]uint64) {
+	for i := range w {
+		w[i] = seed + uint64(i)
+	}
+	return w
+}
+
+// eachDevice runs fn against a fresh Memory and a fresh FileBacked of size
+// bytes.
+func eachDevice(t *testing.T, size int, fn func(t *testing.T, dev diffDevice)) {
+	t.Run("Memory", func(t *testing.T) { fn(t, New(size)) })
+	t.Run("FileBacked", func(t *testing.T) {
+		d, err := OpenFile(filepath.Join(t.TempDir(), "pool.nvm"), size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.Close()
+		fn(t, d)
+	})
+}
+
+func TestLineRoundTrip(t *testing.T) {
+	eachDevice(t, 4*LineSize, func(t *testing.T, dev diffDevice) {
+		w := lineWords(0x1122334455667788)
+		dev.WriteLine(2*LineSize, w)
+		if got := dev.ReadLine(2 * LineSize); got != w {
+			t.Fatalf("ReadLine = %#x, want %#x", got, w)
+		}
+		// Little-endian words at their byte offsets, as Read sees them.
+		b := make([]byte, LineSize)
+		dev.Read(2*LineSize, b)
+		for i, v := range w {
+			if g := binary.LittleEndian.Uint64(b[8*i:]); g != v {
+				t.Fatalf("byte view of word %d = %#x, want %#x", i, g, v)
+			}
+		}
+		// A Write8 into the line shows in the next ReadLine.
+		dev.Write8(2*LineSize+24, 7)
+		if got := dev.ReadLine(2 * LineSize)[3]; got != 7 {
+			t.Fatalf("word 3 after Write8 = %#x", got)
+		}
+		if got := dev.ReadLine(LineSize); got != ([8]uint64{}) {
+			t.Fatalf("neighbouring line = %#x, want zero", got)
+		}
+	})
+}
+
+func TestWriteLineDirtiesOneLine(t *testing.T) {
+	eachDevice(t, 4*LineSize, func(t *testing.T, dev diffDevice) {
+		dev.WriteLine(LineSize, lineWords(1))
+		if n := dev.DirtyLines(); n != 1 {
+			t.Fatalf("DirtyLines = %d after one WriteLine, want 1", n)
+		}
+		dev.WriteLine(LineSize, lineWords(2)) // already dirty
+		if n := dev.DirtyLines(); n != 1 {
+			t.Fatalf("DirtyLines = %d after rewriting the line, want 1", n)
+		}
+		dev.WriteLine(3*LineSize, lineWords(3))
+		if n := dev.DirtyLines(); n != 2 {
+			t.Fatalf("DirtyLines = %d after a second line, want 2", n)
+		}
+	})
+}
+
+func TestWriteLineVolatileUntilFlush(t *testing.T) {
+	eachDevice(t, 4*LineSize, func(t *testing.T, dev diffDevice) {
+		w := lineWords(0xabc)
+		dev.WriteLine(LineSize, w)
+		got := make([]byte, LineSize)
+		dev.ReadPersisted(LineSize, got)
+		if !bytes.Equal(got, make([]byte, LineSize)) {
+			t.Fatalf("unflushed WriteLine visible to ReadPersisted: %x", got)
+		}
+		dev.Flush(LineSize, LineSize)
+		dev.ReadPersisted(LineSize, got)
+		for i, v := range w {
+			if g := binary.LittleEndian.Uint64(got[8*i:]); g != v {
+				t.Fatalf("persisted word %d = %#x after Flush, want %#x", i, g, v)
+			}
+		}
+	})
+	m := New(4 * LineSize)
+	m.WriteLine(0, lineWords(5))
+	m.Flush(0, LineSize)
+	m.WriteLine(0, lineWords(9))
+	m.Crash(1, 0)
+	if got := m.ReadLine(0); got != lineWords(5) {
+		t.Fatalf("after Crash(survival 0) line = %#x, want the flushed %#x", got, lineWords(5))
+	}
+}
+
+func TestLineMisalignedPanics(t *testing.T) {
+	m := New(4 * LineSize)
+	for _, op := range []struct {
+		name string
+		fn   func()
+	}{
+		{"ReadLine", func() { m.ReadLine(8) }},
+		{"WriteLine", func() { m.WriteLine(LineSize+32, [8]uint64{}) }},
+		{"ReadLine out of range", func() { m.ReadLine(4 * LineSize) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", op.name)
+				}
+			}()
+			op.fn()
+		}()
+	}
+	if n := m.DirtyLines(); n != 0 {
+		t.Fatalf("a refused WriteLine dirtied %d lines", n)
 	}
 }
 
@@ -503,13 +619,25 @@ func replayAgainstModel(t *testing.T, seed uint64, dev diffDevice, crash func(re
 			op = fmt.Sprintf("Write(%d, %d B)", off, n)
 			dev.Write(off, src)
 			ref.write(off, src)
-		case k < 9:
+		case k < 8:
 			off, v := 8*rng.IntN(size/8), rng.Uint64()
 			op = fmt.Sprintf("Write8(%d)", off)
 			dev.Write8(off, v)
 			var b [8]byte
 			binary.LittleEndian.PutUint64(b[:], v)
 			ref.write(off, b[:])
+		case k < 9:
+			off, w := LineSize*rng.IntN(size/LineSize), [8]uint64{}
+			for i := range w {
+				w[i] = rng.Uint64()
+			}
+			op = fmt.Sprintf("WriteLine(%d)", off)
+			dev.WriteLine(off, w)
+			b := make([]byte, LineSize)
+			for i, v := range w {
+				binary.LittleEndian.PutUint64(b[8*i:], v)
+			}
+			ref.write(off, b)
 		case k < 14: // partial, clean and empty ranges
 			off, n := span(0, 8*LineSize)
 			if k == 13 {
@@ -532,11 +660,14 @@ func replayAgainstModel(t *testing.T, seed uint64, dev diffDevice, crash func(re
 				t.Fatalf("seed %d step %d %s: got %x want %x", seed, step, op, got[:n], want[:n])
 			}
 		case k < 18:
-			off, _ := span(8, 8)
-			op = fmt.Sprintf("Read8(%d)", off)
-			ref.read(off, want[:8])
-			if g, w := dev.Read8(off), binary.LittleEndian.Uint64(want); g != w {
-				t.Fatalf("seed %d step %d %s: got %#x want %#x", seed, step, op, g, w)
+			off := LineSize * rng.IntN(size/LineSize)
+			op = fmt.Sprintf("ReadLine(%d)", off)
+			ref.read(off, want[:LineSize])
+			g := dev.ReadLine(off)
+			for i := range g {
+				if w := binary.LittleEndian.Uint64(want[8*i:]); g[i] != w {
+					t.Fatalf("seed %d step %d %s: word %d got %#x want %#x", seed, step, op, i, g[i], w)
+				}
 			}
 		case k < 19:
 			off, n := span(0, 3*LineSize)
@@ -741,7 +872,7 @@ func TestConcurrentWritersFlusherReaders(t *testing.T) {
 
 var sink uint64
 
-// The three micro-benchmarks below are in CI's alloc gate: the device is the
+// The five micro-benchmarks below are in CI's alloc gate: the device is the
 // bottom rung of every hot path, so it must stay at 0 allocs/op.
 
 func BenchmarkWriteFlush4K(b *testing.B) {
@@ -778,6 +909,34 @@ func BenchmarkWrite8Flush(b *testing.B) {
 		off := i % (1 << 17) * AtomicUnit
 		m.Write8(off, uint64(i))
 		m.Flush(off, AtomicUnit)
-		sink += m.Read8(off)
+		sink += m.ReadLine(off &^ (LineSize - 1))[off%LineSize/AtomicUnit]
+	}
+}
+
+// BenchmarkReadLine loads one header-sized line per op, half of them dirty:
+// the access every header read and hash-entry probe makes.
+func BenchmarkReadLine(b *testing.B) {
+	m := New(1 << 20)
+	m.Write(0, bytes.Repeat([]byte{0xA5}, 1<<19)) // half dirty, half clean
+	var dev Device = m                            // through the interface, as the engine calls it
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w := dev.ReadLine(i % (1 << 14) * LineSize)
+		sink += w[i%8]
+	}
+}
+
+// BenchmarkWriteLineFlush stores and persists one line per op: a header
+// write followed by its flush, as the PUT allocation path makes them.
+func BenchmarkWriteLineFlush(b *testing.B) {
+	m := New(1 << 20)
+	var dev Device = m
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		off := i % (1 << 14) * LineSize
+		dev.WriteLine(off, [8]uint64{uint64(i), 1, 2, 3, 4, 5, 6, 7})
+		dev.Flush(off, LineSize)
 	}
 }

@@ -68,7 +68,11 @@ func (o *overlay) Write(off int, src []byte) {
 		return
 	}
 	copy(o.view[off:], src)
-	first, last := off/LineSize, (off+len(src)-1)/LineSize
+	o.markDirty(off/LineSize, (off+len(src)-1)/LineSize)
+}
+
+// markDirty sets the dirty bits of lines [first, last]; callers hold mu.
+func (o *overlay) markDirty(first, last int) {
 	for w := first >> 6; w <= last>>6; w++ {
 		m := wordMask(w, first, last)
 		o.ndirty += bits.OnesCount64(m &^ o.dirty[w])
@@ -87,11 +91,40 @@ func (o *overlay) Write8(off int, v uint64) {
 	o.Write(off, b[:])
 }
 
-// Read8 performs an 8-byte load from the coherent view.
-func (o *overlay) Read8(off int) uint64 {
-	var b [8]byte
-	o.Read(off, b[:])
-	return binary.LittleEndian.Uint64(b[:])
+// ReadLine loads the line-aligned cache line at off from the coherent view
+// under one lock hold.
+func (o *overlay) ReadLine(off int) (w [8]uint64) {
+	checkLineAligned("ReadLine", off)
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.check(off, LineSize)
+	line := o.view[off : off+LineSize]
+	for i := range w {
+		w[i] = binary.LittleEndian.Uint64(line[8*i:])
+	}
+	return w
+}
+
+// WriteLine stores the line-aligned cache line at off in the volatile
+// domain under one lock hold, dirtying that line only.
+func (o *overlay) WriteLine(off int, w [8]uint64) {
+	checkLineAligned("WriteLine", off)
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.check(off, LineSize)
+	line := o.view[off : off+LineSize]
+	for i, v := range w {
+		binary.LittleEndian.PutUint64(line[8*i:], v)
+	}
+	o.markDirty(off/LineSize, off/LineSize)
+}
+
+// checkLineAligned panics unless off starts a cache line, as Write8 does
+// for an offset that does not start a word.
+func checkLineAligned(op string, off int) {
+	if off%LineSize != 0 {
+		panic(fmt.Sprintf("nvm: %s at unaligned offset %d", op, off))
+	}
 }
 
 // ReadPersisted copies bytes from the durable image only, ignoring
