@@ -5,16 +5,11 @@ import (
 	"encoding/json"
 	"io"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"testing"
 
 	"efactory/internal/model"
 )
-
-// figureDirEnv marks the child half of TestCommittedFiguresReproduce and
-// names the directory it writes its one figure to.
-const figureDirEnv = "EFACTORY_BENCH_FIGURE_DIR"
 
 // TestCommittedFiguresReproduce regenerates the six deterministic
 // simulator figures at quick scale, encodes each exactly as
@@ -23,14 +18,11 @@ const figureDirEnv = "EFACTORY_BENCH_FIGURE_DIR"
 // bit-identical" fails here if it is not; a PR that means to move a
 // figure regenerates the file and explains the diff in CHANGES.md.
 //
-// Each figure runs in a fresh copy of the test binary, as the committed
-// files were each produced by their own `efactory-bench -fig <x>` run: the
-// trace figure's exemplar trace IDs embed the process-wide tracer
-// sequence (trace.NewTracer), so it reproduces only in a process that has
-// built no other server first.
+// All six run in this process: the trace figure's exemplar
+// trace IDs come from each simulation's own tracer numbering
+// (sim.Env.TracerID), not from what the process built before.
 func TestCommittedFiguresReproduce(t *testing.T) {
-	childDir := os.Getenv(figureDirEnv)
-	if childDir == "" && testing.Short() {
+	if testing.Short() {
 		t.Skip("regenerates six figures (~6 s)")
 	}
 	par := model.Default()
@@ -48,26 +40,11 @@ func TestCommittedFiguresReproduce(t *testing.T) {
 	} {
 		name := "BENCH_" + fig.key + ".json"
 		t.Run(fig.key, func(t *testing.T) {
-			if childDir != "" {
-				blob, err := json.MarshalIndent(fig.run(), "", " ")
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(filepath.Join(childDir, name), append(blob, '\n'), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			dir := t.TempDir()
-			child := exec.Command(os.Args[0], "-test.run=^TestCommittedFiguresReproduce$/^"+fig.key+"$")
-			child.Env = append(os.Environ(), figureDirEnv+"="+dir)
-			if out, err := child.CombinedOutput(); err != nil {
-				t.Fatalf("regenerating in a child process: %v\n%s", err, out)
-			}
-			got, err := os.ReadFile(filepath.Join(dir, name))
+			blob, err := json.MarshalIndent(fig.run(), "", " ")
 			if err != nil {
 				t.Fatal(err)
 			}
+			got := append(blob, '\n')
 			committed := filepath.Join("..", "..", "benchdata", name)
 			want, err := os.ReadFile(committed)
 			if err != nil {

@@ -108,16 +108,15 @@ func (c *Core) AdvanceEpoch(epoch uint64) {
 // Epoch returns the epoch routed requests currently carry.
 func (c *Core) Epoch() uint64 { return c.epoch.Load() }
 
-// EnableTracing samples 1-in-sampleEvery ops into propagated request
-// traces: the client records its own sections (checksum, RPCs, one-sided
-// bursts) on the Verbs clock, the trace ID rides the wire, and the
-// server's engine sections join the same trace. Finished traces pass the
-// tail-retention rules (root duration >= slowNS; 0 retains every sampled
-// trace) into a bounded store read via Tracer. sampleEvery <= 0 disables
-// tracing (the default): no IDs are minted and no wire bytes are added.
-func (c *Core) EnableTracing(sampleEvery int, slowNS uint64) {
-	c.tracer = trace.NewTracer(sampleEvery, slowNS)
-}
+// EnableTracing samples ops into propagated request traces under t's
+// head sampling: the client records its own sections (checksum, RPCs,
+// one-sided bursts) on the Verbs clock, the trace ID rides the wire, and
+// the server's engine sections join the same trace. Finished traces pass
+// t's tail-retention rules into its bounded store, read via Tracer. A
+// tracer that never samples mints no IDs and adds no wire bytes, as with
+// no tracer (the default). The binding builds t, so it owns the tracer
+// numbering (trace.NewTracer).
+func (c *Core) EnableTracing(t *trace.Tracer) { c.tracer = t }
 
 // Tracer returns the retained-trace store (nil when tracing was never
 // enabled).

@@ -83,7 +83,7 @@ func (c *Client) HintCache() *hint.Cache { return c.core.HintCache() }
 // sampleEvery <= 0 disables tracing (the default): timings are
 // bit-identical to an untraced client.
 func (c *Client) EnableTracing(sampleEvery int, slowNS uint64) {
-	c.core.EnableTracing(sampleEvery, slowNS)
+	c.core.EnableTracing(trace.NewTracer(c.env.TracerID(), sampleEvery, slowNS))
 }
 
 // Tracer returns the client's retained-trace store (nil when tracing

@@ -120,7 +120,7 @@ func NewServer(env *sim.Env, par *model.Params, cfg Config) *Server {
 	// The server never head-samples on its own: it traces exactly the
 	// requests whose frames carry a client-minted ID, and retains every
 	// one of them (threshold 0) in the bounded store.
-	s.tracer = trace.NewTracer(0, 0)
+	s.tracer = trace.NewTracer(env.TracerID(), 0, 0)
 	s.nic = rnic.NewNIC(env, par, "efactory-server")
 	s.srq = s.nic.EnableSRQ()
 	s.initStore()

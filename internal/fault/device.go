@@ -26,9 +26,6 @@ func WrapDevice(inner nvm.Device, plan *Plan) *Device {
 	return &Device{inner: inner, plan: plan}
 }
 
-// Inner returns the wrapped device.
-func (d *Device) Inner() nvm.Device { return d.inner }
-
 // Size returns the capacity in bytes.
 func (d *Device) Size() int { return d.inner.Size() }
 

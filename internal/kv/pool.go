@@ -18,7 +18,6 @@ type Pool struct {
 	base int // window start within dev
 	cap  int // window length
 	head int // next free pool-relative offset
-	seq  uint64
 }
 
 // NewPool creates a pool over dev[base, base+capacity).
@@ -46,20 +45,6 @@ func (p *Pool) Used() int { return p.head }
 
 // Free returns the remaining bytes.
 func (p *Pool) Free() int { return p.cap - p.head }
-
-// NextSeq returns a fresh, monotonically increasing sequence number.
-func (p *Pool) NextSeq() uint64 {
-	p.seq++
-	return p.seq
-}
-
-// SetSeq fast-forwards the sequence counter (used by recovery so new writes
-// sort after everything found in the log).
-func (p *Pool) SetSeq(s uint64) {
-	if s > p.seq {
-		p.seq = s
-	}
-}
 
 // Alloc reserves size bytes (already rounded by ObjectSize) and returns the
 // pool-relative offset, or ok == false if the pool is full.

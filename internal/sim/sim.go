@@ -62,6 +62,7 @@ type Env struct {
 	rng     *rand.Rand
 	live    int // processes that have started and not finished
 	blocked int // processes currently waiting on a Signal/Queue/Resource
+	tracers uint64
 }
 
 // NewEnv returns an environment whose clock starts at zero and whose
@@ -75,6 +76,15 @@ func NewEnv(seed uint64) *Env {
 
 // Now returns the current virtual time since the start of the simulation.
 func (e *Env) Now() time.Duration { return time.Duration(e.now) }
+
+// TracerID numbers the trace.Tracers built in this environment, 1 for
+// the first: their trace IDs depend on the environment's own build order
+// only, not on what else the process simulated before. Like Rand, call it
+// from simulation processes or between Run calls.
+func (e *Env) TracerID() uint64 {
+	e.tracers++
+	return e.tracers
+}
 
 // Rand returns the environment's deterministic random source. It must only
 // be used from simulation processes (or between Run calls), never from

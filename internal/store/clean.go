@@ -43,6 +43,16 @@ func (e *Engine) startCleaningLocked() {
 	e.deps.Spawn("store-cleaner", e.runCleaner)
 }
 
+// cleanScratch is one cleaning run's reusable buffers: the window's
+// object offsets, and the key and value of the object being migrated.
+// It belongs to the run, not the engine: e.keyScratch cannot serve,
+// because the mirror inside ensureDurableLocked drops mu and the verifier
+// rewrites keyScratch in that window.
+type cleanScratch struct {
+	offs     []uint64
+	key, val []byte
+}
+
 // runCleaner is the log-cleaning process for one run.
 func (e *Engine) runCleaner(h any) {
 	e.trace("clean", "start", 0, 0)
@@ -57,13 +67,14 @@ func (e *Engine) runCleaner(h any) {
 	// headers from the run before last cannot be misread.
 	e.dev.Zero(e.pools[newer].Base(), e.cfg.PoolSize)
 	e.pools[newer] = kv.NewPool(e.dev, e.pools[newer].Base(), e.cfg.PoolSize)
-	e.pools[newer].SetSeq(e.nextSeq)
 	e.bgCursor[newer] = 0
 	compressEnd := e.pools[old].Used()
 	e.mu.Unlock()
 
+	var sc cleanScratch
+
 	// ---- Stage 1: log compressing ----
-	if !e.sweep(h, old, 0, compressEnd) {
+	if !e.sweep(h, &sc, old, 0, compressEnd) {
 		return // shutdown mid-run: staged state stays; recovery handles it
 	}
 
@@ -72,7 +83,7 @@ func (e *Engine) runCleaner(h any) {
 	e.merging = true // new writes now target the new pool
 	mergeEnd := e.pools[old].Used()
 	e.mu.Unlock()
-	if !e.sweep(h, old, compressEnd, mergeEnd) {
+	if !e.sweep(h, &sc, old, compressEnd, mergeEnd) {
 		return
 	}
 
@@ -120,19 +131,20 @@ func (e *Engine) runCleaner(h any) {
 
 // sweep reverse-scans pool pi over [lo, hi) and migrates live versions to
 // the other pool. It returns false if the run was aborted by CleanerWait.
-func (e *Engine) sweep(h any, pi, lo, hi int) bool {
+func (e *Engine) sweep(h any, sc *cleanScratch, pi, lo, hi int) bool {
 	e.mu.Lock()
 	// Collect object offsets in the window, then walk newest-first.
-	var offs []uint64
+	offs := sc.offs[:0]
 	e.pools[pi].Scan(hi, func(off uint64, hd kv.Header) bool {
 		if int(off) >= lo {
 			offs = append(offs, off)
 		}
 		return true
 	})
+	sc.offs = offs
 	e.mu.Unlock()
 	for i := len(offs) - 1; i >= 0; i-- {
-		for !e.tryMigrate(h, pi, offs[i]) {
+		for !e.tryMigrate(h, sc, pi, offs[i]) {
 			// An involved version's value is still in flight: back off and
 			// retry (the paper's merge rule: skip the older version only
 			// once the newer "already or can be made durable").
@@ -147,8 +159,8 @@ func (e *Engine) sweep(h any, pi, lo, hi int) bool {
 // tryMigrate performs one migration attempt for the version at off in pool
 // pi under the lock: migrate it to the new pool, or drop it as
 // stale/dead. It reports false when it must be retried because a value is
-// still in flight.
-func (e *Engine) tryMigrate(h any, pi int, off uint64) bool {
+// still in flight. The key and value are read into sc.
+func (e *Engine) tryMigrate(h any, sc *cleanScratch, pi int, off uint64) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	pool := e.pools[pi]
@@ -160,9 +172,9 @@ func (e *Engine) tryMigrate(h any, pi int, off uint64) bool {
 		e.stats.CleanDropped++
 		return true
 	}
-	key := make([]byte, hd.KLen)
 	tLookup := e.sink.Now()
-	e.dev.Read(pool.Base()+int(off)+kv.KeyOffset(), key)
+	sc.key = pool.ReadKeyInto(sc.key, off, hd.KLen)
+	key := sc.key
 	e.sink.Charge(h, OpBGLookup, 0)
 	idx, en, found := e.table.Lookup(kv.HashKey(key))
 	e.observe(int(OpBGLookup), tLookup)
@@ -246,7 +258,8 @@ func (e *Engine) tryMigrate(h any, pi int, off uint64) bool {
 		// the old copy authoritative.
 		return true
 	}
-	dst.WriteValue(newOff, hd.KLen, pool.ReadValue(off, hd.KLen, hd.VLen))
+	sc.val = pool.ReadValueInto(sc.val, off, hd.KLen, hd.VLen)
+	dst.WriteValue(newOff, hd.KLen, sc.val)
 	dst.FlushObject(newOff, hd.KLen, hd.VLen)
 	e.observe(int(OpCleanCopy), tCopy)
 	// Mark the old copy as transferred, then stage the entry.

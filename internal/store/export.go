@@ -342,8 +342,6 @@ func (e *Engine) ImportKey(h any, ek ExportKey) Status {
 	if ns := ek.NewestSeq(); ns > e.nextSeq {
 		e.nextSeq = ns
 	}
-	e.pools[0].SetSeq(e.nextSeq)
-	e.pools[1].SetSeq(e.nextSeq)
 	e.stats.KeysImported++
 	return StatusOK
 }

@@ -93,8 +93,6 @@ func (e *Engine) recover(l kv.Layout) RecoveryStats {
 	e.bgCursor[0] = e.pools[0].Used()
 	e.bgCursor[1] = 0
 	e.nextSeq = maxSeq
-	e.pools[0].SetSeq(maxSeq)
-	e.pools[1].SetSeq(maxSeq)
 	e.dev.Drain()
 
 	e.stats.Recovered = st.KeysRecovered

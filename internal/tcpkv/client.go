@@ -42,26 +42,23 @@ const DefaultPipelineDepth = 16
 // (internal/client) bound to two connections — a pipelined RPC channel
 // that carries many requests in flight at once (sequence-tagged frames,
 // demultiplexed by a reader goroutine) and a lock-step one-sided channel.
-// What lives here is only what is TCP: dialing and reconnecting, the
-// retry loop wrapped around each of the core's single attempts, epoch
-// stamping and wrong-epoch mapping, and the admin RPCs. Every client reads
-// through a location hint cache (internal/hint). Methods are safe for
-// concurrent use; concurrent RPCs share the pipelined connection instead
-// of queueing behind each other.
+// A Client keeps the connection pair it dialed for its whole life and
+// makes exactly one attempt per op, bounded by the timeout fixed at dial:
+// a transport failure reaches the caller, and recovery is a fresh client
+// (the peer table's quick retry, the routed client's route loop). What
+// lives here is only what is TCP: dialing, epoch stamping and
+// wrong-epoch mapping, and the admin RPCs. Every client reads through a
+// location hint cache (internal/hint). Methods are safe for concurrent
+// use; concurrent RPCs share the pipelined connection instead of queueing
+// behind each other.
 type Client struct {
-	addr string
-	core *client.Core
+	addr    string
+	timeout time.Duration // per-attempt I/O bound, dial and handshake included (0 = none)
+	core    *client.Core
 
-	// mu guards connection state, the retry policy, and the recovery
-	// counters — not op I/O, which proceeds concurrently on the pipe.
-	mu     sync.Mutex
-	retry  RetryPolicy       // zero value: single attempt, no deadlines
-	jitter func(int64) int64 // backoff random source; nil = process-wide (tests seed it)
-	gen    uint64            // bumped per reconnect; concurrent retriers share one redial
-	closed bool              // Close ran: no retry may redial
 	pipe   *pipe
 	osConn net.Conn
-	osRd   *bufio.Reader // osConn's replies; replaced with it on every dial
+	osRd   *bufio.Reader // osConn's replies
 
 	// osMu serializes the one-sided channel: a burst's requests and its
 	// replies are lock-step. osHdr is the reused reply-header read buffer,
@@ -73,8 +70,9 @@ type Client struct {
 	// FallbackReads, RPCReads, BatchedGets, HintedReads, ...), promoted as
 	// fields of the client. Read them quiesced.
 	client.Stats
-	// Retries and Reconnects count recovery actions taken under the
-	// client's RetryPolicy.
+	// Retries and Reconnects read 0 for every client: a Client neither
+	// retries nor redials. They remain because the benchmark module's
+	// tcpkv.retries and tcpkv.reconnects rows read them.
 	Retries    int
 	Reconnects int
 }
@@ -86,7 +84,7 @@ type Client struct {
 // RPCs in flight at once.
 type pipe struct {
 	conn    net.Conn
-	timeout func() time.Duration // per-call bound, read at call time
+	timeout time.Duration // per-call bound (0 = none)
 
 	done chan struct{}
 	sem  chan struct{} // bounds in-flight calls to DefaultPipelineDepth
@@ -107,8 +105,8 @@ type pipeResult struct {
 // callSlot is one pooled RPC call context: the request-frame scratch the
 // caller sends as-is (zero copies on the write side) and the reusable
 // completion channel. Slots live in a package-level pool rather than on
-// the pipe, so scratch reuse survives reconnect generations — a client
-// that redials keeps its warmed buffers.
+// the pipe, so scratch reuse outlives any one connection — a fresh
+// client starts on warmed buffers.
 type callSlot struct {
 	frame []byte
 	ch    chan pipeResult
@@ -134,7 +132,7 @@ func releaseResp(bp *[]byte) {
 	}
 }
 
-func newPipe(conn net.Conn, timeout func() time.Duration) *pipe {
+func newPipe(conn net.Conn, timeout time.Duration) *pipe {
 	p := &pipe{
 		conn:    conn,
 		timeout: timeout,
@@ -213,9 +211,9 @@ func (p *pipe) forget(seq uint32) {
 // cs.frame must hold the 8-byte [len][seq] placeholder (callSlot.begin)
 // followed by the encoded message; call fills the placeholder. Frames are
 // [len][seq][msg] with the length prefix covering the 4-byte sequence tag.
-// The sequence number is the call's identity on the shared connection: an
-// op retried after a failure re-enters a fresh pipe under a fresh
-// sequence, so acknowledged sequences are never replayed.
+// The sequence number is the call's identity on the shared connection;
+// a pipe never resends a frame, so acknowledged sequences are never
+// replayed.
 //
 // The caller writes its own frame, so nothing else ever touches cs.frame:
 // a response that overtakes the return of Write finds the slot still
@@ -248,9 +246,8 @@ func (p *pipe) call(cs *callSlot) (r pipeResult, clean bool) {
 	binary.BigEndian.PutUint32(cs.frame, uint32(len(cs.frame)-4))
 	binary.BigEndian.PutUint32(cs.frame[4:], seq)
 
-	d := p.timeout()
 	p.wmu.Lock()
-	err := attemptDeadline{set: p.conn.SetWriteDeadline, d: d}.guard(func() error {
+	err := attemptDeadline{set: p.conn.SetWriteDeadline, d: p.timeout}.guard(func() error {
 		_, err := p.conn.Write(cs.frame)
 		return err
 	})
@@ -264,8 +261,8 @@ func (p *pipe) call(cs *callSlot) (r pipeResult, clean bool) {
 	}
 
 	var expired <-chan time.Time
-	if d > 0 {
-		t := time.NewTimer(d)
+	if p.timeout > 0 {
+		t := time.NewTimer(p.timeout)
 		defer t.Stop()
 		expired = t.C
 	}
@@ -274,52 +271,40 @@ func (p *pipe) call(cs *callSlot) (r pipeResult, clean bool) {
 		return r, true
 	case <-expired:
 		// This sequence has no waiter anymore; the connection can no
-		// longer be trusted to stay in sync, so fail everything over
-		// together and let the retry path redial.
+		// longer be trusted to stay in sync, so fail everything on it
+		// together.
 		p.forget(seq)
 		p.fail(os.ErrDeadlineExceeded)
 		return pipeResult{err: os.ErrDeadlineExceeded}, false
 	}
 }
 
-// dialLocked (re)establishes both channels, each connect bounded by the
-// retry policy's per-attempt timeout. Callers hold c.mu.
-func (c *Client) dialLocked() error {
-	rpcConn, err := dialChannel(c.addr, chanRPCPipe, c.retry.Timeout)
+// connect opens both channels to addr, each connect bounded by timeout.
+// The client has no protocol core until dial's handshake builds one.
+func connect(addr string, timeout time.Duration) (*Client, error) {
+	rpcConn, err := dialChannel(addr, chanRPCPipe, timeout)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	osConn, err := dialChannel(c.addr, chanOneSided, c.retry.Timeout)
+	osConn, err := dialChannel(addr, chanOneSided, timeout)
 	if err != nil {
 		rpcConn.Close()
-		return err
+		return nil, err
 	}
-	c.pipe = newPipe(rpcConn, c.callTimeout)
-	c.osConn = osConn
-	c.osRd = bufio.NewReaderSize(osConn, connBufSize)
-	return nil
-}
-
-// callTimeout reads the current per-attempt timeout; the pipe consults it
-// at call time so SetRetryPolicy applies to live connections.
-func (c *Client) callTimeout() time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.retry.Timeout
+	return &Client{addr: addr, timeout: timeout, pipe: newPipe(rpcConn, timeout),
+		osConn: osConn, osRd: bufio.NewReaderSize(osConn, connBufSize)}, nil
 }
 
 // Dial connects to a tcpkv server and performs the geometry handshake.
-// The returned client performs no retries; see SetRetryPolicy.
-func Dial(addr string) (*Client, error) { return dial(addr, RetryPolicy{}) }
+// The returned client sets no deadlines: each op is one attempt that
+// waits as long as the server takes.
+func Dial(addr string) (*Client, error) { return dial(addr, 0) }
 
-// dial is Dial under rp from the first byte: rp.Timeout bounds the
+// dial is Dial with every I/O bounded by timeout from the first byte: the
 // connects and the handshake as well as every later attempt, so a peer
 // that accepts but never answers costs one timeout, not a hang.
-func dial(addr string, rp RetryPolicy) (*Client, error) {
-	c := &Client{addr: addr, retry: rp}
-	c.mu.Lock()
-	err := c.dialLocked()
-	c.mu.Unlock()
+func dial(addr string, timeout time.Duration) (*Client, error) {
+	c, err := connect(addr, timeout)
 	if err != nil {
 		return nil, err
 	}
@@ -344,12 +329,8 @@ func dial(addr string, rp RetryPolicy) (*Client, error) {
 	return c, nil
 }
 
-// Close tears both connections down for good: an op still retrying
-// fails instead of redialing.
+// Close tears both connections down for good: later ops fail.
 func (c *Client) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.closed = true
 	c.pipe.fail(net.ErrClosed)
 	return c.osConn.Close()
 }
@@ -363,46 +344,10 @@ func (c *Client) HintCache() *hint.Cache { return c.core.HintCache() }
 // learned under old placement must not survive a cutover.
 func (c *Client) SetClusterEpoch(epoch uint64) { c.core.AdvanceEpoch(epoch) }
 
-// ClusterEpoch returns the epoch routed requests currently carry.
-func (c *Client) ClusterEpoch() uint64 { return c.core.Epoch() }
-
 // wrongEpoch maps an StWrongEpoch response to the typed error routed
 // clients dispatch on, recording the server's proven epoch.
 func wrongEpoch(resp wire.Msg) error {
 	return &cluster.WrongEpochError{Epoch: uint64(resp.Token)}
-}
-
-// SetRetryPolicy installs rp; ops issued afterwards retry transient
-// transport failures (reconnecting between attempts) and bound each
-// attempt with rp.Timeout.
-func (c *Client) SetRetryPolicy(rp RetryPolicy) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.retry = rp
-}
-
-// reconnect replaces both channels with fresh ones — unless another caller
-// already did: concurrent ops that observed a failure on the same
-// connection generation share a single redial instead of dialing over each
-// other. Geometry is not re-fetched: it is a property of the server's
-// device layout, which a reconnect cannot change.
-func (c *Client) reconnect(genSeen uint64) (uint64, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return c.gen, net.ErrClosed
-	}
-	if c.gen != genSeen {
-		return c.gen, nil // another op's retry already reconnected
-	}
-	c.pipe.fail(net.ErrClosed)
-	c.osConn.Close()
-	if err := c.dialLocked(); err != nil {
-		return c.gen, err
-	}
-	c.gen++
-	c.Reconnects++
-	return c.gen, nil
 }
 
 // rpc performs one request/response over the pipelined channel. Concurrent
@@ -420,13 +365,10 @@ func (c *Client) rpc(req wire.Msg) (wire.Msg, error) {
 // buffer, which the caller gives back via releaseResp once every aliased
 // byte (Key/Value) is dead. A nil buffer is safe to release.
 func (c *Client) rpcShared(req *wire.Msg) (wire.Msg, *[]byte, error) {
-	c.mu.Lock()
-	p := c.pipe
-	c.mu.Unlock()
 	cs := callSlotPool.Get().(*callSlot)
 	cs.begin()
 	cs.frame = req.AppendEncode(cs.frame)
-	r, clean := p.call(cs)
+	r, clean := c.pipe.call(cs)
 	if clean {
 		callSlotPool.Put(cs)
 	}
@@ -443,7 +385,7 @@ func (c *Client) rpcShared(req *wire.Msg) (wire.Msg, *[]byte, error) {
 }
 
 // burstScratch is a pooled builder for pre-framed one-sided bursts;
-// pooled package-wide so the warmed buffer survives reconnects.
+// pooled package-wide so the warmed buffer outlives any one client.
 type burstScratch struct{ buf []byte }
 
 var burstScratchPool = sync.Pool{New: func() any {
@@ -477,13 +419,10 @@ func (c *Client) osBurst(reqs []client.Req) error {
 		buf = append(buf, hdr[:]...)
 	}
 	bs.buf = buf
-	c.mu.Lock()
 	conn, rd := c.osConn, c.osRd
-	dl := attemptDeadline{set: conn.SetDeadline, d: c.retry.Timeout}
-	c.mu.Unlock()
 	c.osMu.Lock()
 	defer c.osMu.Unlock()
-	err := dl.guard(func() error {
+	err := attemptDeadline{set: conn.SetDeadline, d: c.timeout}.guard(func() error {
 		if _, err := conn.Write(buf); err != nil {
 			return err
 		}
@@ -555,7 +494,7 @@ func (*verbs) WriteBurst([]client.Req) error {
 // a status error before anything is sent.
 func (c *Client) Put(key, value []byte) error {
 	tc, t0 := c.core.Begin("put", kv.HashKey(key))
-	err := c.retrying(func() error { return c.core.Put(tc, key, value) })
+	err := c.core.Put(tc, key, value)
 	c.core.End(tc, t0, err)
 	return err
 }
@@ -575,8 +514,7 @@ func (c *Client) PutBatch(keys, values [][]byte) []error {
 // PutBatchInto is PutBatch with a caller-owned error slice: when errs
 // has the capacity it is resliced and returned, so a steady-state caller
 // (a closed-loop load driver, a benchmark) reuses one slice for its
-// whole run and the batch write path allocates nothing. The whole batch
-// retries together: a retried attempt regrants every slot.
+// whole run and the batch write path allocates nothing.
 func (c *Client) PutBatchInto(keys, values [][]byte, errs []error) []error {
 	if len(keys) != len(values) {
 		panic("tcpkv: PutBatch keys/values length mismatch")
@@ -590,7 +528,7 @@ func (c *Client) PutBatchInto(keys, values [][]byte, errs []error) []error {
 		return errs
 	}
 	tc, t0 := c.core.Begin("put_batch", kv.HashKey(keys[0]))
-	c.retrying(func() error { return c.core.PutBatch(tc, keys, values, errs) })
+	c.core.PutBatch(tc, keys, values, errs)
 	c.core.End(tc, t0, client.FirstErr(errs))
 	return errs
 }
@@ -598,10 +536,7 @@ func (c *Client) PutBatchInto(keys, values [][]byte, errs []error) []error {
 // Get fetches key's value with the hybrid read scheme.
 func (c *Client) Get(key []byte) (out []byte, err error) {
 	tc, t0 := c.core.Begin("get", kv.HashKey(key))
-	err = c.retrying(func() (err error) {
-		out, err = c.core.Get(tc, key)
-		return err
-	})
+	out, err = c.core.Get(tc, key)
 	c.core.End(tc, t0, err)
 	return out, err
 }
@@ -612,8 +547,7 @@ func (c *Client) Get(key []byte) (out []byte, err error) {
 // fall back together in one read RPC on the pipelined channel (see
 // client.Core.GetBatch). Results are index-aligned with keys: values[i]
 // is valid iff errs[i] is nil (ErrNotFound, or a transport/status error
-// shared by every key the failure reached). The whole batch retries
-// together under the client's RetryPolicy.
+// shared by every key the failure reached).
 func (c *Client) GetBatch(keys [][]byte) ([][]byte, []error) {
 	vals := make([][]byte, len(keys))
 	errs := make([]error, len(keys))
@@ -621,7 +555,7 @@ func (c *Client) GetBatch(keys [][]byte) ([][]byte, []error) {
 		return vals, errs
 	}
 	tc, t0 := c.core.Begin("get_batch", kv.HashKey(keys[0]))
-	c.retrying(func() error { return c.core.GetBatch(tc, keys, vals, errs) })
+	c.core.GetBatch(tc, keys, vals, errs)
 	c.core.End(tc, t0, client.FirstErr(errs))
 	return vals, errs
 }
@@ -630,15 +564,15 @@ func (c *Client) GetBatch(keys [][]byte) ([][]byte, []error) {
 func (c *Client) Delete(key []byte) error {
 	var st delRetryState
 	tc, t0 := c.core.Begin("del", kv.HashKey(key))
-	err := c.retrying(func() error { return c.delAttempt(tc, key, &st) })
+	err := c.delAttempt(tc, key, &st)
 	c.core.End(tc, t0, err)
 	return err
 }
 
 // delAttempt is one DELETE attempt under the at-least-once rule, shared by
-// the client's retry loop and the routed client's route loop: st spans
-// every attempt of the op, so a DEL acked nowhere but applied somewhere
-// maps a later not-found to success (see delRetryState).
+// Delete and the routed client's route loop: st spans every attempt of
+// the op, so a DEL acked nowhere but applied somewhere maps a later
+// not-found to success (see delRetryState).
 func (c *Client) delAttempt(tc *trace.Ctx, key []byte, st *delRetryState) error {
 	err := c.core.Delete(tc, key)
 	var we *cluster.WrongEpochError
@@ -663,10 +597,10 @@ func (c *Client) delAttempt(tc *trace.Ctx, key []byte, st *delRetryState) error 
 // transaction id; on failure no op is applied. An empty commit returns
 // (0, nil) without a request.
 //
-// Commits retried under the client's RetryPolicy are at-least-once like
-// every other op: a lost response frame does not reveal whether the
-// server committed, so a retried commit may apply the same transaction
-// twice (same values, a fresh transaction id).
+// A caller that retries a commit is at-least-once like every other op: a
+// lost response frame does not reveal whether the server committed, so a
+// retried commit may apply the same transaction twice (same values, a
+// fresh transaction id).
 func (c *Client) TxnCommit(keys, vals [][]byte) (id uint64, err error) {
 	if len(keys) != len(vals) {
 		panic("tcpkv: TxnCommit keys/vals length mismatch")
@@ -675,10 +609,7 @@ func (c *Client) TxnCommit(keys, vals [][]byte) (id uint64, err error) {
 		return 0, nil
 	}
 	tc, t0 := c.core.Begin("txn_commit", kv.HashKey(keys[0]))
-	err = c.retrying(func() (err error) {
-		id, err = c.core.TxnCommit(tc, keys, vals)
-		return err
-	})
+	id, err = c.core.TxnCommit(tc, keys, vals)
 	c.core.End(tc, t0, err)
 	return id, err
 }
@@ -693,7 +624,7 @@ func (c *Client) TxnRead(keys [][]byte) ([][]byte, []error) {
 		return vals, errs
 	}
 	tc, t0 := c.core.Begin("txn_read", kv.HashKey(keys[0]))
-	err := c.retrying(func() error { return c.core.TxnRead(tc, keys, vals, errs) })
+	err := c.core.TxnRead(tc, keys, vals, errs)
 	c.core.End(tc, t0, err)
 	return vals, errs
 }

@@ -23,20 +23,9 @@ import (
 	"efactory/internal/wire"
 )
 
-// idempotentRPC is rpc under the client's RetryPolicy, for the control
-// requests a replay cannot harm: map fetch and push, join, record append
-// and pull.
-func (c *Client) idempotentRPC(req wire.Msg) (resp wire.Msg, err error) {
-	err = c.retrying(func() error {
-		resp, err = c.rpc(req)
-		return err
-	})
-	return resp, err
-}
-
 // ClusterMapRPC fetches the server's current cluster map.
 func (c *Client) ClusterMapRPC() (*cluster.Map, error) {
-	resp, err := c.idempotentRPC(wire.Msg{Type: wire.TClusterMap})
+	resp, err := c.rpc(wire.Msg{Type: wire.TClusterMap})
 	if err != nil {
 		return nil, err
 	}
@@ -51,7 +40,7 @@ func (c *Client) ClusterMapRPC() (*cluster.Map, error) {
 // map, or a different one at m's epoch — answers with a
 // *cluster.WrongEpochError carrying its epoch.
 func (c *Client) SetClusterMapRPC(m *cluster.Map) (uint64, error) {
-	resp, err := c.idempotentRPC(wire.Msg{Type: wire.TClusterMapSet, Value: m.Encode()})
+	resp, err := c.rpc(wire.Msg{Type: wire.TClusterMapSet, Value: m.Encode()})
 	if err != nil {
 		return 0, err
 	}
@@ -68,7 +57,7 @@ func (c *Client) SetClusterMapRPC(m *cluster.Map) (uint64, error) {
 // returned map (epoch+1, name owning nothing) is what the joiner should
 // install on itself.
 func (c *Client) JoinRPC(name, addr string) (*cluster.Map, error) {
-	resp, err := c.idempotentRPC(wire.Msg{Type: wire.TJoin, Key: []byte(name), Value: []byte(addr)})
+	resp, err := c.rpc(wire.Msg{Type: wire.TJoin, Key: []byte(name), Value: []byte(addr)})
 	if err != nil {
 		return nil, err
 	}
@@ -103,12 +92,10 @@ func (c *Client) MigrateRPC(pg int, target string) (MigrationSummary, error) {
 func (c *Client) ReplAppend(batch []store.ExportKey, epoch uint64) error {
 	bp := recBufPool.Get().(*[]byte)
 	*bp = store.AppendRecords((*bp)[:0], batch)
-	// Under the retry loop: imports are idempotent, so a replayed append
-	// is safe, and a transient transport blip gets the policy's quick
-	// retry instead of immediately demoting a healthy backup. Every
-	// attempt copies the frame into its own request buffer, so the
-	// encoded frame is free again once the call returns.
-	resp, err := c.idempotentRPC(wire.Msg{Type: wire.TReplAppend, Token: uint32(epoch), Value: *bp})
+	// Imports are idempotent, so the peer table may replay an append on
+	// a fresh connection. The call copies the frame into its own request
+	// buffer, so the encoded frame is free again once it returns.
+	resp, err := c.rpc(wire.Msg{Type: wire.TReplAppend, Token: uint32(epoch), Value: *bp})
 	recBufPool.Put(bp)
 	if err != nil {
 		return err
@@ -125,7 +112,7 @@ func (c *Client) ReplAppend(batch []store.ExportKey, epoch uint64) error {
 // ReplPull fetches every record the serving replica holds in placement
 // group pg (promotion reconciliation).
 func (c *Client) ReplPull(pg int) ([]store.ExportKey, error) {
-	resp, err := c.idempotentRPC(wire.Msg{Type: wire.TReplPull, Off: uint64(pg)})
+	resp, err := c.rpc(wire.Msg{Type: wire.TReplPull, Off: uint64(pg)})
 	if err != nil {
 		return nil, err
 	}
@@ -183,9 +170,13 @@ type ClusterClientConfig struct {
 	Timeout time.Duration // per-attempt I/O deadline, bounding dial and handshake too (0 = none)
 }
 
-// DefaultClusterClientConfig bounds each attempt like DefaultRetryPolicy.
+// defaultTimeout bounds each attempt of a routed client's connections
+// unless configured otherwise.
+const defaultTimeout = 2 * time.Second
+
+// DefaultClusterClientConfig bounds each attempt by defaultTimeout.
 func DefaultClusterClientConfig() ClusterClientConfig {
-	return ClusterClientConfig{Timeout: DefaultRetryPolicy().Timeout}
+	return ClusterClientConfig{Timeout: defaultTimeout}
 }
 
 // ClusterClient is a routed client over a set of tcpkv instances.
@@ -217,7 +208,7 @@ type ClusterClient struct {
 // when the op lands on a different instance per attempt. Configure
 // before issuing concurrent ops.
 func (cc *ClusterClient) EnableTracing(sampleEvery int, slowNS uint64) {
-	cc.tracer = trace.NewTracer(sampleEvery, slowNS)
+	cc.tracer = newTracer(sampleEvery, slowNS)
 }
 
 // Tracer returns the routed client's retained-trace store (nil when
@@ -230,7 +221,7 @@ func (cc *ClusterClient) Tracer() *trace.Tracer { return cc.tracer }
 // transport failure reaches the route loop at once, which refetches the
 // map and redials instead of retrying an instance that may be gone.
 func DialCluster(seed string, cfg ClusterClientConfig) (*ClusterClient, error) {
-	cc := &ClusterClient{peers: newPeers(RetryPolicy{Attempts: 1, Timeout: cfg.Timeout}), seed: seed}
+	cc := &ClusterClient{peers: newPeers(cfg.Timeout, false), seed: seed}
 	if _, err := cc.currentMap(); err != nil {
 		cc.Close()
 		return nil, err
@@ -434,7 +425,7 @@ func (rs *routeScratch) resolve(m *cluster.Map, keys [][]byte, pending []int, tx
 // with m's epoch, and appends the indices to retry to next. stale reports
 // a rejection at an epoch older than m.
 func (cc *ClusterClient) attempt(m *cluster.Map, in cluster.Instance, tc *trace.Ctx, idx []int, errs []error, next []int, run func(c *Client, tc *trace.Ctx, idx []int)) (_ []int, stale bool) {
-	c, err := cc.peers.conn(in.Name, in.Addr)
+	c, _, err := cc.peers.conn(in.Name, in.Addr)
 	if err != nil {
 		for _, i := range idx {
 			errs[i] = err

@@ -111,9 +111,7 @@ func TestBurstRepliesCoalesce(t *testing.T) {
 	srv, ln, cl := startCountedServer(t, smallConfig())
 	// One client write per burst: the denominator.
 	bursts := &writeCounter{Conn: cl.osConn}
-	cl.mu.Lock()
 	cl.osConn = bursts
-	cl.mu.Unlock()
 
 	keys, vals := benchKVs(width, 256)
 	errs := make([]error, 0, width)

@@ -143,9 +143,7 @@ func TestDialReadsHinted(t *testing.T) {
 		t.Fatal(err)
 	}
 	wc := &writeCounter{Conn: cl.osConn}
-	cl.mu.Lock()
 	cl.osConn = wc
-	cl.mu.Unlock()
 	rpcGets, hinted := srv.Stats().Gets, cl.HintedReads
 	got, err := cl.Get(key)
 	if err != nil || string(got) != string(val) {
@@ -174,9 +172,7 @@ func TestDialReadsOwnWriteHinted(t *testing.T) {
 	}
 	waitDurable(t, srv)
 	wc := &writeCounter{Conn: cl.osConn}
-	cl.mu.Lock()
 	cl.osConn = wc
-	cl.mu.Unlock()
 	rpcGets := srv.Stats().Gets
 	got, err := cl.Get(key)
 	if err != nil || string(got) != string(val) {

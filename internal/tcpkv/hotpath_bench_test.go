@@ -87,9 +87,9 @@ func measureAllocsPerPut(tb testing.TB, cl *Client, keys, vals [][]byte, n int) 
 // TestPutAllocFreeAcrossReconnect pins the two pooled-scratch claims the
 // benchmarks cannot express: the steady-state PUT path stays (near)
 // allocation-free in absolute terms, and the pools survive a reconnect —
-// reconnect tears down the connection pair and redials, and the
-// package-level slot/frame/burst pools must keep amortizing rather than
-// being rebuilt per generation.
+// closing the client tears down its connection pair, a fresh client
+// dials a new one, and the package-level slot/frame/burst pools must keep
+// amortizing rather than being rebuilt per connection.
 func TestPutAllocFreeAcrossReconnect(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc accounting is load-sensitive under -short")
@@ -114,10 +114,9 @@ func TestPutAllocFreeAcrossReconnect(t *testing.T) {
 	if avg := measureAllocsPerPut(t, cl, keys, vals, 2000); avg > budget {
 		t.Fatalf("steady-state PUT allocates %.3f/op, budget %.1f", avg, budget)
 	}
-	// Reconnect: new connection generation, same pools.
-	if _, err := cl.reconnect(cl.gen); err != nil {
-		t.Fatalf("reconnect: %v", err)
-	}
+	// Reconnect: a fresh client on new connections, same pools.
+	cl.Close()
+	cl = benchDial(t, addr)
 	for i := 0; i < 64; i++ {
 		if err := cl.Put(keys[i%len(keys)], vals[i%len(keys)]); err != nil {
 			t.Fatalf("post-reconnect warm put %d: %v", i, err)

@@ -1,12 +1,9 @@
 package tcpkv
 
 import (
-	"io"
 	"math/rand"
 	"testing"
 	"time"
-
-	"efactory/internal/nvm"
 )
 
 // TestJitteredBackoffDeterministic pins the decorrelated-jitter schedule:
@@ -69,35 +66,5 @@ func TestJitteredBackoffBounds(t *testing.T) {
 		if d < 2*time.Millisecond || d > 10*time.Millisecond {
 			t.Fatalf("draw %v outside [base, max]", d)
 		}
-	}
-}
-
-// TestRetryingDrawsJitteredBackoff pins that the client's retry loop
-// consults the injected random source once per backed-off retry — the
-// loop really runs the decorrelated schedule, not a silent doubling.
-func TestRetryingDrawsJitteredBackoff(t *testing.T) {
-	cfg := smallConfig()
-	_, addr := startServer(t, nvm.New(cfg.DeviceSize()), cfg)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	c.SetRetryPolicy(RetryPolicy{Attempts: 4, Backoff: time.Microsecond, MaxBackoff: 5 * time.Microsecond})
-	draws := 0
-	c.mu.Lock()
-	c.jitter = func(n int64) int64 {
-		draws++
-		if n <= 0 {
-			t.Fatalf("jitter span must be positive, got %d", n)
-		}
-		return 0
-	}
-	c.mu.Unlock()
-	if err := c.retrying(func() error { return io.EOF }); err == nil {
-		t.Fatal("retrying reported success though every attempt failed")
-	}
-	if draws != 3 {
-		t.Fatalf("jitter drawn %d times, want one per backed-off retry (3)", draws)
 	}
 }

@@ -246,7 +246,7 @@ func (s *Server) beginCopy(pg int, target, prefix string) (*pgCopy, error) {
 	if !ok {
 		return nil, fmt.Errorf("tcpkv: unknown target instance %q", target)
 	}
-	if _, err := s.peers.conn(target, addr); err != nil {
+	if _, _, err := s.peers.conn(target, addr); err != nil {
 		return nil, fmt.Errorf("tcpkv: dial target: %w", err)
 	}
 	accept := func(hash uint64) bool { return cluster.PGOf(hash, m.PGs) == pg }

@@ -1,16 +1,20 @@
 package tcpkv
 
 import (
+	"bytes"
+	"fmt"
 	"net"
 	"testing"
 	"time"
 
+	"efactory/internal/fault"
 	"efactory/internal/nvm"
+	"efactory/internal/store"
 )
 
 // TestPeerCallsBounded: a peer that accepts connections but never
 // answers is listed in the map. A map push to it returns within twice
-// the peer policy's timeout — the policy bounds the dial handshake too —
+// the peer timeout — the timeout bounds the dial handshake too —
 // and Server.Close still returns. The test guards itself with a timer, so
 // a hang fails it instead of stalling the suite.
 func TestPeerCallsBounded(t *testing.T) {
@@ -39,7 +43,7 @@ func TestPeerCallsBounded(t *testing.T) {
 	nm := srvA.ClusterMap().WithInstance("h", hung.Addr().String())
 	srvA.SetClusterMap(nm)
 
-	bound := 2 * peerRetryPolicy().Timeout
+	bound := 2 * peerTimeout
 	done := make(chan time.Duration, 1)
 	go func() {
 		t0 := time.Now()
@@ -119,5 +123,66 @@ func TestPeerRedialsAfterRestart(t *testing.T) {
 	}
 	if _, _, demotions, _, _ := srvA.ReplCounters(); demotions != 0 {
 		t.Fatalf("the restarted backup was demoted %d times", demotions)
+	}
+}
+
+// TestPeerQuickRetryKeepsBackup: the backup drops every third response
+// frame, so mirror appends lose their acks on connections the primary's
+// peer table already holds. The table's quick retry redials — the new
+// connection's handshake takes the next frame — and replays the append,
+// which is idempotent, on the fresh connection. Routed Puts and the Gets
+// that force their flags (each flag waits on a mirror append) all
+// succeed, the backup holds every key, and the primary demotes nobody.
+// Without the quick retry the first dropped ack demotes the backup.
+//
+// The period is 3, not 2: each recovery spends two frames (handshake,
+// replayed append), so under a period of 2 every replay would meet the
+// next drop.
+func TestPeerQuickRetryKeepsBackup(t *testing.T) {
+	cfgB := clusterTestConfig()
+	cfgB.NetFaults = &fault.NetPlan{DropEvery: 3}
+	p := startReplPairWith(t, 4, clusterTestConfig(), cfgB)
+	srvA, srvB := p.a, p.b
+	cc, err := DialCluster(srvA.clSelf, DefaultClusterClientConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cc.Close()
+
+	appends0, _, _, _, _ := srvA.ReplCounters()
+	const n = 30
+	for i := 0; i < n; i++ {
+		k, v := []byte(fmt.Sprintf("k%02d", i)), []byte(fmt.Sprintf("v%02d", i))
+		if err := cc.Put(k, v); err != nil {
+			t.Fatalf("put %s: %v", k, err)
+		}
+		if got, err := cc.Get(k); err != nil || !bytes.Equal(got, v) {
+			t.Fatalf("get %s = %q, %v; want %q", k, got, err, v)
+		}
+	}
+	appends, failures, _, _, _ := srvA.ReplCounters()
+	if appends-appends0 < n {
+		t.Fatalf("%d mirror appends acked for %d flagged writes", appends-appends0, n)
+	}
+	if failures != 0 {
+		t.Fatalf("%d mirror appends failed", failures)
+	}
+	if _, _, _, _, ingested := srvB.ReplCounters(); ingested < appends {
+		t.Fatalf("the backup ingested %d records of %d acked appends", ingested, appends)
+	}
+	for i := 0; i < n; i++ {
+		k := []byte(fmt.Sprintf("k%02d", i))
+		if gr := srvB.st.Shard(srvB.st.ShardFor(k)).Get(nil, k); gr.Status != store.StatusOK {
+			t.Fatalf("the backup lacks %s: %+v", k, gr)
+		}
+	}
+	snap := srvA.Metrics().Snapshot()
+	for _, cause := range []string{"full", "transport", "status"} {
+		if got, _ := snap.CounterValue("efactory_repl_demotions_total", map[string]string{"cause": cause}); got != 0 {
+			t.Errorf("%v demotions with cause %q, want 0", got, cause)
+		}
+	}
+	if bs := srvA.ClusterMap().BackupsFor(0); len(bs) != 1 || bs[0] != "b" {
+		t.Errorf("PG 0's backups = %v, want [b]", bs)
 	}
 }

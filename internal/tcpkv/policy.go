@@ -1,10 +1,11 @@
-// Shared transport-recovery policy for the client's two channels. The
-// pipelined RPC channel and the lock-step one-sided channel fail in the
-// same ways (resets, stalls, torn frames) and must recover the same way:
-// one RetryPolicy drives both, one deadline discipline bounds each
-// attempt on both, and one dial helper re-establishes either. Keeping
-// these here — instead of copy-pasted per channel — is what guarantees
-// the two channels can never drift apart on timeout or backoff behavior.
+// Shared transport policy for the client's two channels. The pipelined
+// RPC channel and the lock-step one-sided channel fail in the same ways
+// (resets, stalls, torn frames): one timeout fixed at dial bounds each
+// attempt on both under one deadline discipline, one dial helper opens
+// either, and one classifier (transient) tells the callers that recover —
+// the peer table and the route loop — which failures a fresh connection
+// may cure. Keeping these here — instead of copy-pasted per channel — is
+// what guarantees the two channels can never drift apart on timeouts.
 package tcpkv
 
 import (
@@ -37,9 +38,9 @@ var ErrRouteStale = errors.New("tcpkv: routing stalled on a stale instance")
 // applied the op (transport error, or an unacknowledged quorum
 // failure), a later StNotFound means an earlier attempt's delete landed
 // and maps to success, not ErrNotFound. The rule lives here, once, and
-// runs in Client.delAttempt, the one DELETE attempt both the plain
-// client's retry loop and the routed client's route loop make:
-// ClusterClient.Delete threads ONE state through every route attempt.
+// runs in Client.delAttempt, the one DELETE attempt both Client.Delete
+// and the routed client's route loop make: ClusterClient.Delete threads
+// ONE state through every route attempt.
 type delRetryState struct {
 	unknown bool
 }
@@ -77,33 +78,6 @@ func jitteredBackoff(prev, base, max time.Duration, intn func(int64) int64) time
 		d = max
 	}
 	return d
-}
-
-// RetryPolicy governs how the client reacts to transient transport
-// failures (connection resets, timeouts, truncated response frames): each
-// op is retried on a fresh pair of connections with exponential backoff
-// under decorrelated jitter (see jitteredBackoff), so clients that failed
-// together do not retry in lock-step against a recovering server.
-// Retried ops are at-least-once — a lost response frame does not reveal
-// whether the server applied the op, so a retried PUT may write twice and
-// a retried DELETE may find the key already gone (the client maps that to
-// success, not ErrNotFound, when a prior attempt's outcome was unknown;
-// the rule is delRetryState and survives re-routing across a failover).
-type RetryPolicy struct {
-	Attempts   int           // total tries per op; <= 1 means no retry
-	Backoff    time.Duration // delay before the first retry; later delays drawn from [Backoff, 3*prev]
-	MaxBackoff time.Duration // backoff cap (0 = uncapped)
-	Timeout    time.Duration // per-attempt I/O deadline (0 = none)
-}
-
-// DefaultRetryPolicy is a sensible policy for flaky networks.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{
-		Attempts:   4,
-		Backoff:    2 * time.Millisecond,
-		MaxBackoff: 50 * time.Millisecond,
-		Timeout:    2 * time.Second,
-	}
 }
 
 // attemptDeadline is the per-attempt deadline discipline both channels
@@ -163,49 +137,4 @@ func transient(err error) bool {
 		errors.Is(err, syscall.EPIPE) ||
 		errors.Is(err, syscall.ECONNREFUSED) ||
 		errors.As(err, &ne)
-}
-
-// retrying runs do under the client's RetryPolicy: on a transient error it
-// backs off (exponentially, capped), reconnects, and tries again. Each
-// caller replays only its own op — sequences already acknowledged on the
-// shared pipelined connection are never resent.
-func (c *Client) retrying(do func() error) error {
-	c.mu.Lock()
-	rp := c.retry
-	c.mu.Unlock()
-	attempts := rp.Attempts
-	if attempts < 1 {
-		attempts = 1
-	}
-	backoff := rp.Backoff
-	var (
-		gen uint64
-		err error
-	)
-	for i := 0; i < attempts; i++ {
-		if i > 0 {
-			c.mu.Lock()
-			c.Retries++
-			c.mu.Unlock()
-			if backoff > 0 {
-				time.Sleep(backoff)
-				backoff = jitteredBackoff(backoff, rp.Backoff, rp.MaxBackoff, c.jitter)
-			}
-			var rerr error
-			if gen, rerr = c.reconnect(gen); rerr != nil {
-				err = rerr
-				continue
-			}
-		}
-		// The generation this attempt runs against: a failure redials only
-		// if nobody else has since this point.
-		c.mu.Lock()
-		gen = c.gen
-		c.mu.Unlock()
-		err = do()
-		if !transient(err) {
-			return err
-		}
-	}
-	return err
 }

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"efactory/internal/client"
-	"efactory/internal/wire"
 )
 
 // blackholeServer accepts connections, swallows the channel handshake
@@ -34,23 +33,15 @@ func blackholeServer(t *testing.T) string {
 	return ln.Addr().String()
 }
 
-// TestBothChannelsHonourAttemptDeadline pins the satellite's contract: the
+// TestBothChannelsHonourAttemptDeadline pins the shared deadline: the
 // pipelined RPC channel and the one-sided channel apply the SAME
-// per-attempt deadline from the shared RetryPolicy. Against a server that
-// never answers, a call on either channel must fail with a deadline
-// expiry (classified transient, so retries would engage) in bounded time.
+// per-attempt timeout, fixed at dial. Against a server that never
+// answers, a call on either channel — the dial's own handshake included —
+// must fail with a deadline expiry (classified transient, so the peer
+// table and the route loop would recover) in bounded time.
 func TestBothChannelsHonourAttemptDeadline(t *testing.T) {
 	addr := blackholeServer(t)
 	const d = 60 * time.Millisecond
-	c := &Client{addr: addr}
-	c.retry = RetryPolicy{Attempts: 1, Timeout: d}
-	c.mu.Lock()
-	err := c.dialLocked()
-	c.mu.Unlock()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
 
 	check := func(channel string, err error, elapsed time.Duration) {
 		t.Helper()
@@ -64,13 +55,19 @@ func TestBothChannelsHonourAttemptDeadline(t *testing.T) {
 			t.Fatalf("%s: deadline expiry %v not classified transient", channel, err)
 		}
 		if elapsed < d/2 || elapsed > 20*d {
-			t.Fatalf("%s: deadline fired after %v, policy says %v", channel, elapsed, d)
+			t.Fatalf("%s: deadline fired after %v, timeout is %v", channel, elapsed, d)
 		}
 	}
 
 	start := time.Now()
-	_, err = c.rpc(wire.Msg{Type: wire.THello})
+	_, err := dial(addr, d) // the handshake is the first pipelined call
 	check("pipelined", err, time.Since(start))
+
+	c, err := connect(addr, d) // both channels, no handshake
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
 
 	start = time.Now()
 	err = c.osBurst([]client.Req{{Buf: make([]byte, 8), RKey: 1}})

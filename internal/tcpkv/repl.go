@@ -67,7 +67,7 @@ const (
 	// The rest are failures, each of which demotes the backup; the
 	// outcome is the demotion's cause.
 	replFull      // the backup had no room for the record (StFull)
-	replTransport // no answer within the peer retry policy
+	replTransport // no answer within the peer table's timeout and quick retry
 	replStatus    // any other refusal
 	numReplOutcomes
 )
@@ -284,14 +284,11 @@ func replStateChanged(sent *store.ExportKey, tomb bool, cut, newest uint64) bool
 	return tomb != sent.Tombstone || cut != sent.CutSeq || newest != sent.NewestSeq()
 }
 
-// peerRetryPolicy is the transport policy of every instance-to-instance
-// call: one quick retry, tightly bounded attempts — a backup that cannot
-// answer inside it is demoted rather than waited on, and a hung peer
-// costs a map push one timeout, not a hang.
-func peerRetryPolicy() RetryPolicy {
-	return RetryPolicy{Attempts: 2, Backoff: 2 * time.Millisecond,
-		MaxBackoff: 20 * time.Millisecond, Timeout: 2 * time.Second}
-}
+// peerTimeout bounds each attempt of an instance-to-instance call: a
+// backup that cannot answer inside it (and inside the peer table's one
+// quick retry) is demoted rather than waited on, and a hung peer costs a
+// map push bounded time, not a hang.
+const peerTimeout = 2 * time.Second
 
 // demoteBackup removes a failed backup from pg's replica set, counting the
 // demotion under its cause (a failure replOutcome): epoch+1 map

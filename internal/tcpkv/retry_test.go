@@ -3,6 +3,7 @@ package tcpkv
 import (
 	"errors"
 	"fmt"
+	"os"
 	"testing"
 	"time"
 
@@ -11,7 +12,7 @@ import (
 )
 
 // TestDroppedFramesSurfaceWithoutRetry pins the negative control: with
-// response-frame drops injected and no retry policy, ops fail with a
+// every response frame dropped, the client's one attempt fails with a
 // transient transport error (not a protocol outcome).
 func TestDroppedFramesSurfaceWithoutRetry(t *testing.T) {
 	cfg := smallConfig()
@@ -29,113 +30,77 @@ func TestDroppedFramesSurfaceWithoutRetry(t *testing.T) {
 	}
 }
 
-// TestClientRetriesThroughDrops is the satellite's core check: with every
-// third response frame dropped (leaking a truncated prefix, so the client
-// sees torn frames, not clean EOFs), a retrying client completes a full
-// PUT/GET/DEL workload correctly.
-func TestClientRetriesThroughDrops(t *testing.T) {
-	cfg := smallConfig()
-	cfg.NetFaults = &fault.NetPlan{DropEvery: 3, PartialFrame: true}
-	_, addr := startServer(t, nvm.New(cfg.DeviceSize()), cfg)
-
-	// Dial itself needs luck with DropEvery=3: retry it like an op.
-	var cl *Client
-	var err error
-	for attempt := 0; attempt < 5; attempt++ {
-		cl, err = Dial(addr)
-		if err == nil {
-			break
-		}
-	}
-	if err != nil {
-		t.Fatalf("dial never survived the drop schedule: %v", err)
-	}
-	defer cl.Close()
-	cl.SetRetryPolicy(RetryPolicy{
-		Attempts:   6,
-		Backoff:    500 * time.Microsecond,
-		MaxBackoff: 4 * time.Millisecond,
-		Timeout:    2 * time.Second,
-	})
-
-	for i := 0; i < 25; i++ {
-		key := []byte(fmt.Sprintf("retry-%02d", i))
-		val := []byte(fmt.Sprintf("value-%02d", i))
-		if err := cl.Put(key, val); err != nil {
-			t.Fatalf("put %s: %v", key, err)
-		}
-		got, err := cl.Get(key)
-		if err != nil {
-			t.Fatalf("get %s: %v", key, err)
-		}
-		if string(got) != string(val) {
-			t.Fatalf("get %s: got %q want %q", key, got, val)
-		}
-	}
-	for i := 0; i < 25; i += 3 {
-		key := []byte(fmt.Sprintf("retry-%02d", i))
-		if err := cl.Delete(key); err != nil {
-			t.Fatalf("delete %s: %v", key, err)
-		}
-		if _, err := cl.Get(key); !errors.Is(err, ErrNotFound) {
-			t.Fatalf("get after delete %s: %v", key, err)
-		}
-	}
-	if cl.Retries == 0 || cl.Reconnects == 0 {
-		t.Fatalf("fault schedule never exercised the retry path: retries=%d reconnects=%d", cl.Retries, cl.Reconnects)
-	}
-}
-
 // TestClientTimeoutRecoversFromStalledRead: every third one-sided read
-// stalls longer than the per-attempt deadline; the client must time out,
-// reconnect, and complete on a non-stalled attempt. (The period is
-// coprime with the two reads a hybrid GET issues, so the stall drifts
-// across attempts instead of pinning the same read every time.)
+// stalls longer than the per-attempt deadline fixed at dial. The stalled
+// Get must fail with a deadline expiry in bounded time, and recovery is a
+// freshly dialed client, which completes on a non-stalled attempt. (The
+// period is coprime with the two reads a hybrid GET issues, so the stall
+// drifts across attempts instead of pinning the same read every time.)
 func TestClientTimeoutRecoversFromStalledRead(t *testing.T) {
+	const timeout = 40 * time.Millisecond // well under StallFor
 	cfg := smallConfig()
 	cfg.NetFaults = &fault.NetPlan{StallEvery: 3, StallFor: 150 * time.Millisecond}
 	_, addr := startServer(t, nvm.New(cfg.DeviceSize()), cfg)
-	cl, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
+	redial := func() *Client {
+		t.Helper()
+		cl, err := dial(addr, timeout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cl
 	}
-	defer cl.Close()
-	cl.SetRetryPolicy(RetryPolicy{
-		Attempts: 8,
-		Backoff:  500 * time.Microsecond,
-		Timeout:  40 * time.Millisecond, // well under StallFor
-	})
+	cl := redial()
+	defer func() { cl.Close() }()
 
+	// Recovery is the caller's: after a deadline expiry, a fresh client.
+	timeouts := 0
+	try := func(what string, op func(c *Client) error) {
+		t.Helper()
+		for attempt := 1; ; attempt++ {
+			start := time.Now()
+			err := op(cl)
+			if err == nil {
+				return
+			}
+			if !errors.Is(err, os.ErrDeadlineExceeded) || attempt == 8 {
+				t.Fatalf("%s attempt %d: %v", what, attempt, err)
+			}
+			if d := time.Since(start); d > 20*timeout {
+				t.Fatalf("%s: the deadline fired after %v, timeout is %v", what, d, timeout)
+			}
+			timeouts++
+			cl.Close()
+			cl = redial()
+		}
+	}
 	for i := 0; i < 8; i++ {
 		key := []byte(fmt.Sprintf("stall-%02d", i))
 		val := []byte(fmt.Sprintf("value-%02d", i))
-		if err := cl.Put(key, val); err != nil {
-			t.Fatalf("put %s: %v", key, err)
-		}
-		got, err := cl.Get(key)
-		if err != nil {
-			t.Fatalf("get %s: %v", key, err)
-		}
-		if string(got) != string(val) {
-			t.Fatalf("get %s: got %q want %q", key, got, val)
-		}
+		try("put "+string(key), func(c *Client) error { return c.Put(key, val) })
+		try("get "+string(key), func(c *Client) error {
+			got, err := c.Get(key)
+			if err == nil && string(got) != string(val) {
+				t.Fatalf("get %s: got %q want %q", key, got, val)
+			}
+			return err
+		})
 	}
-	if cl.Retries == 0 {
-		t.Fatal("stall schedule never triggered a timeout retry")
+	if timeouts == 0 {
+		t.Fatal("stall schedule never triggered a timeout")
 	}
 }
 
 // TestOneSidedTimeoutDoesNotServeStaleReply: a one-sided burst that times
-// out leaves its replies in flight. With no retry left to redial, the
-// client's next burst must not read them as its own: the timed-out
-// connection is closed, so the next Get fails (or reads fresh) instead of
-// returning the value the stale replies describe.
+// out leaves its replies in flight. The client never redials, so its next
+// burst must not read them as its own: the timed-out connection is
+// closed, so the next Get fails (or reads fresh) instead of returning the
+// value the stale replies describe.
 func TestOneSidedTimeoutDoesNotServeStaleReply(t *testing.T) {
 	const stall = 200 * time.Millisecond
 	cfg := smallConfig()
 	cfg.NetFaults = &fault.NetPlan{StallEvery: 3, StallFor: stall}
 	srv, addr := startServer(t, nvm.New(cfg.DeviceSize()), cfg)
-	cl, err := Dial(addr)
+	cl, err := dial(addr, stall/2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +115,6 @@ func TestOneSidedTimeoutDoesNotServeStaleReply(t *testing.T) {
 		t.Fatalf("first Get = %q, %v", got, err)
 	}
 	// Reads 3 and 4: the hinted burst; read 3 stalls past the deadline.
-	cl.SetRetryPolicy(RetryPolicy{Attempts: 1, Timeout: 50 * time.Millisecond})
 	if got, err := cl.Get(key); err == nil {
 		t.Fatalf("stalled Get = %q, want a deadline error", got)
 	}
@@ -169,16 +133,15 @@ func TestOneSidedTimeoutDoesNotServeStaleReply(t *testing.T) {
 	if got, err := cl.Get(key); err == nil && string(got) != "value-2" {
 		t.Fatalf("Get after the timeout = %q, want value-2 or an error", got)
 	}
-	// A retry redials and reads the current value.
-	cl.SetRetryPolicy(RetryPolicy{Attempts: 2, Timeout: 2 * time.Second})
-	if got, err := cl.Get(key); err != nil || string(got) != "value-2" {
-		t.Fatalf("Get with a retry = %q, %v; want value-2", got, err)
+	// A fresh client reads the current value.
+	if got, err := writer.Get(key); err != nil || string(got) != "value-2" {
+		t.Fatalf("Get on a fresh client = %q, %v; want value-2", got, err)
 	}
 }
 
 // TestDeleteRetryRule pins the at-least-once DELETE rule encoded once in
-// delRetryState and shared by the single-connection retry loop and the
-// routed client's cross-failover re-route: a fresh state surfaces
+// delRetryState and shared by Client.Delete and the routed client's
+// cross-failover re-route: a fresh state surfaces
 // not-found as ErrNotFound; once any attempt's outcome is unknown (the
 // delete may have applied server-side), not-found maps to success — and
 // the rule stays sticky across however many further attempts follow,
@@ -197,11 +160,10 @@ func TestDeleteRetryRule(t *testing.T) {
 	}
 }
 
-// TestCloseIsFinal: an op issued after Close fails instead of redialing
-// under the retry policy. A closed client must stay closed — the routed
-// client's connection table drops a failed connection by closing it, and
-// a retry that reconnected would leave two live connections no table
-// owns.
+// TestCloseIsFinal: an op issued after Close fails. A closed client must
+// stay closed — the peer table drops a failed connection by closing it,
+// and a client that came back to life would leave a live connection no
+// table owns.
 func TestCloseIsFinal(t *testing.T) {
 	cfg := smallConfig()
 	_, addr := startServer(t, nvm.New(cfg.DeviceSize()), cfg)
@@ -209,7 +171,6 @@ func TestCloseIsFinal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl.SetRetryPolicy(DefaultRetryPolicy())
 	if err := cl.Put([]byte("k"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
@@ -219,8 +180,5 @@ func TestCloseIsFinal(t *testing.T) {
 	}
 	if err := cl.Put([]byte("k"), []byte("w")); err == nil {
 		t.Fatal("Put after Close succeeded")
-	}
-	if cl.Reconnects != 0 {
-		t.Fatalf("a closed client reconnected %d times", cl.Reconnects)
 	}
 }

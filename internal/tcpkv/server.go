@@ -165,7 +165,8 @@ type Config struct {
 	FaultPlan *fault.Plan
 	// NetFaults, when non-nil, injects network faults: response-frame
 	// drops (optionally leaking a truncated prefix) on the RPC channel and
-	// stalls on one-sided reads. Exercises client retry/timeout logic.
+	// stalls on one-sided reads. Exercises the deadlines and the recovery
+	// paths (peer table, route loop) above the client.
 	NetFaults *fault.NetPlan
 }
 
@@ -307,11 +308,11 @@ func NewServer(dev nvm.Device, cfg Config) (*Server, error) {
 		dev:         dev,
 		closing:     make(chan struct{}),
 		conns:       make(map[net.Conn]struct{}),
-		peers:       newPeers(peerRetryPolicy()),
+		peers:       newPeers(peerTimeout, true),
 		replSenders: make(map[string]*sync.Mutex),
 		// Servers never head-sample: they trace exactly the requests whose
 		// frames carry an ID, and retain all of them (threshold 0).
-		tracer: trace.NewTracer(0, 0),
+		tracer: newTracer(0, 0),
 	}
 	deps := store.Deps{
 		Spawn: func(name string, fn func(h any)) {

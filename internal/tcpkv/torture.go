@@ -23,13 +23,12 @@ import (
 // no op would ever meet one pending.
 const tcpVerifyTimeout = 25 * time.Millisecond
 
-// oneAttempt is the single-instance torture client's transport policy:
-// no retries — a crash run must see each op's first outcome, not a masked
-// one — and a deadline that is a hang safety net only. The routed
-// client's connections make one attempt by construction; its route
-// loop's re-routes, after wrong-epoch rejects and transport failures
-// alike, stay on: they are the redirect contract under test.
-var oneAttempt = RetryPolicy{Attempts: 1, Timeout: 5 * time.Second}
+// tortureTimeout bounds each op of the single-instance torture client: a
+// hang safety net only. Like every Client it makes one attempt per op, so
+// a crash run sees each op's first outcome, not a masked one. The routed
+// client's route loop re-routes after wrong-epoch rejects and transport
+// failures alike: those re-routes are the redirect contract under test.
+const tortureTimeout = 5 * time.Second
 
 // allocOnly sends a PUT allocation RPC and never writes the value — the
 // torture workload's torn PUT, a client that died mid-write. It goes
@@ -211,12 +210,11 @@ func RunTCPTorture(tc fault.Config) (fault.Result, error) {
 	if err != nil {
 		return fault.Result{}, err
 	}
-	cl, err := Dial(addr)
+	cl, err := dial(addr, tortureTimeout)
 	if err != nil {
 		return fault.Result{}, err
 	}
 	defer cl.Close()
-	cl.SetRetryPolicy(oneAttempt)
 	cl.EnableTracing(1, 0)
 	oracle := tracedOracle(cl.Tracer(), srv.Tracer())
 

@@ -3,6 +3,7 @@ package tcpkv
 import (
 	"encoding/json"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"efactory/internal/client"
@@ -16,7 +17,7 @@ import (
 // sampleEvery <= 0 disables tracing (the default). Configure before
 // issuing concurrent ops.
 func (c *Client) EnableTracing(sampleEvery int, slowNS uint64) {
-	c.core.EnableTracing(sampleEvery, slowNS)
+	c.core.EnableTracing(newTracer(sampleEvery, slowNS))
 }
 
 // Tracer returns the client's retained-trace store (nil when tracing
@@ -28,7 +29,15 @@ func (c *Client) Tracer() *trace.Tracer { return c.core.Tracer() }
 // (marked traces — error, wrong-epoch, migration — are kept regardless;
 // 0 keeps every submitted trace). Call before Serve.
 func (s *Server) SetTraceRetention(slowNS uint64) {
-	s.tracer = trace.NewTracer(0, slowNS)
+	s.tracer = newTracer(0, slowNS)
+}
+
+// tracerSeq numbers the package's tracers (trace.NewTracer): clients and
+// servers built in one process mint disjoint trace IDs.
+var tracerSeq atomic.Uint64
+
+func newTracer(sampleEvery int, slowNS uint64) *trace.Tracer {
+	return trace.NewTracer(tracerSeq.Add(1), sampleEvery, slowNS)
 }
 
 // wallClock is the trace clock of ops traced above a single connection

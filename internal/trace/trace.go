@@ -217,12 +217,6 @@ type Trace struct {
 	Spans []Span `json:"spans"`
 }
 
-// tracerSeq numbers Tracer instances process-wide; the sequence number
-// forms the top bits of every trace ID the tracer mints, so clients and
-// servers created in any deterministic order mint non-colliding IDs
-// without consulting a clock or RNG.
-var tracerSeq atomic.Uint64
-
 // DefaultStoreCap bounds a Tracer's retained-trace ring unless overridden.
 const DefaultStoreCap = 1024
 
@@ -242,13 +236,17 @@ type Tracer struct {
 	total uint64 // traces ever retained
 }
 
-// NewTracer returns a tracer sampling 1-in-sampleEvery requests and
-// tail-retaining those slower than slowNS (0 retains every sampled
+// NewTracer returns tracer number id, sampling 1-in-sampleEvery requests
+// and tail-retaining those slower than slowNS (0 retains every sampled
 // trace). sampleEvery <= 0 disables sampling; such a tracer still
 // stores traces submitted to it (a server retains traces for IDs minted
-// by clients without sampling on its own).
-func NewTracer(sampleEvery int, slowNS uint64) *Tracer {
-	t := &Tracer{slowNS: slowNS, base: tracerSeq.Add(1) << 40}
+// by clients without sampling on its own). The id forms the top bits of
+// every trace ID the tracer mints, so tracers numbered apart mint
+// disjoint IDs without consulting a clock or RNG. The creator owns the
+// numbering: a simulation numbers the tracers of its environment, so its
+// IDs do not depend on what else the process built.
+func NewTracer(id uint64, sampleEvery int, slowNS uint64) *Tracer {
+	t := &Tracer{slowNS: slowNS, base: id << 40}
 	if sampleEvery > 0 {
 		t.sampleEvery = uint64(sampleEvery)
 	}
@@ -275,14 +273,6 @@ func (t *Tracer) Mint() uint64 {
 		return 0
 	}
 	return t.base | t.seq.Add(1)
-}
-
-// SlowNS returns the tail-retention threshold.
-func (t *Tracer) SlowNS() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.slowNS
 }
 
 // Submit applies the tail-retention rules to a finished trace context:

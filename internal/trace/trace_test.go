@@ -6,7 +6,7 @@ import (
 )
 
 func TestSamplingCadence(t *testing.T) {
-	tr := NewTracer(4, 0)
+	tr := NewTracer(1, 4, 0)
 	var ids []uint64
 	for i := 0; i < 16; i++ {
 		if id := tr.Sample(); id != 0 {
@@ -23,7 +23,7 @@ func TestSamplingCadence(t *testing.T) {
 		}
 		seen[id] = true
 	}
-	if NewTracer(0, 0).Sample() != 0 {
+	if NewTracer(1, 0, 0).Sample() != 0 {
 		t.Fatal("sampleEvery=0 must never sample")
 	}
 	var nilT *Tracer
@@ -33,7 +33,7 @@ func TestSamplingCadence(t *testing.T) {
 }
 
 func TestMintBypassesCadence(t *testing.T) {
-	tr := NewTracer(0, 0)
+	tr := NewTracer(1, 0, 0)
 	if tr.Mint() == 0 {
 		t.Fatal("Mint on a non-sampling tracer returned 0")
 	}
@@ -43,7 +43,7 @@ func TestMintBypassesCadence(t *testing.T) {
 }
 
 func TestTracersMintDisjointIDs(t *testing.T) {
-	a, b := NewTracer(1, 0), NewTracer(1, 0)
+	a, b := NewTracer(1, 1, 0), NewTracer(2, 1, 0)
 	if a.Sample() == b.Sample() {
 		t.Fatal("two tracers minted the same id")
 	}
@@ -131,7 +131,7 @@ func submit(tr *Tracer, dur uint64, mark string) uint64 {
 }
 
 func TestTailRetentionRules(t *testing.T) {
-	tr := NewTracer(1, 1000)
+	tr := NewTracer(1, 1, 1000)
 	if submit(tr, 500, "") != 0 {
 		t.Fatal("fast clean trace retained despite slow threshold")
 	}
@@ -143,7 +143,7 @@ func TestTailRetentionRules(t *testing.T) {
 			t.Fatalf("marked (%s) fast trace dropped", why)
 		}
 	}
-	all := NewTracer(1, 0)
+	all := NewTracer(1, 1, 0)
 	if submit(all, 1, "") != 1 {
 		t.Fatal("slowNS=0 must retain every sampled trace")
 	}
@@ -160,7 +160,7 @@ func TestTailRetentionRules(t *testing.T) {
 }
 
 func TestRingBoundedAndOldestFirst(t *testing.T) {
-	tr := NewTracer(1, 0)
+	tr := NewTracer(1, 1, 0)
 	var ids []uint64
 	for i := 0; i < DefaultStoreCap+10; i++ {
 		c := NewCtx(tr.Mint())
@@ -185,7 +185,7 @@ func TestRingBoundedAndOldestFirst(t *testing.T) {
 }
 
 func TestSpansForKey(t *testing.T) {
-	tr := NewTracer(1, 0)
+	tr := NewTracer(1, 1, 0)
 	for i, kh := range []uint64{0xaa, 0xbb, 0xaa} {
 		c := NewCtx(tr.Mint())
 		c.Root("op", uint64(10*i), uint64(10*i)+5)
