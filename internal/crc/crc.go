@@ -1,92 +1,22 @@
-// Package crc implements the CRC-32 checksum used by eFactory and the
+// Package crc implements the CRC-32C checksum used by eFactory and the
 // baselines for object integrity verification (paper §4.2.1: a 32-bit CRC
 // of the value is stored in the object metadata).
 //
-// The implementation is written from scratch: a reflected (LSB-first)
-// CRC-32 with the Castagnoli polynomial, using the slicing-by-8 technique
-// for throughput. It is verified against hash/crc32 in tests.
+// It is hash/crc32 with the Castagnoli polynomial, which runs on the CPU's
+// crc32 instruction where there is one (SSE4.2 on amd64, the CRC32
+// instructions on arm64) and on the standard library's slicing-by-8
+// elsewhere.
 //
-// Note that the simulator charges virtual time for checksum computation
-// separately (model.Params.CRCPerByte); this package only does the real
-// arithmetic so that torn writes are actually detected.
+// The simulator charges virtual time for checksum computation separately
+// (model.Params.CRCPerByte, the paper's software cost); this package only
+// does the real arithmetic so that torn writes are actually detected.
 package crc
 
-// CastagnoliPoly is the reversed representation of the CRC-32C polynomial
-// (iSCSI / SSE4.2 crc32 instruction), the common choice for storage
-// integrity because of its superior error-detection properties.
-const CastagnoliPoly = 0x82f63b78
+import "hash/crc32"
 
-// tables[0] is the classic byte-at-a-time table; tables[1..7] extend it for
-// slicing-by-8.
-var tables = buildTables(CastagnoliPoly)
-
-func buildTables(poly uint32) *[8][256]uint32 {
-	var t [8][256]uint32
-	for i := 0; i < 256; i++ {
-		crc := uint32(i)
-		for j := 0; j < 8; j++ {
-			if crc&1 == 1 {
-				crc = (crc >> 1) ^ poly
-			} else {
-				crc >>= 1
-			}
-		}
-		t[0][i] = crc
-	}
-	for i := 0; i < 256; i++ {
-		crc := t[0][i]
-		for k := 1; k < 8; k++ {
-			crc = t[0][crc&0xff] ^ (crc >> 8)
-			t[k][i] = crc
-		}
-	}
-	return &t
-}
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Checksum returns the CRC-32C of data.
 func Checksum(data []byte) uint32 {
-	return Update(0, data)
+	return crc32.Checksum(data, castagnoli)
 }
-
-// Update adds data to a running checksum and returns the new value. Pass 0
-// as the initial crc: Update(Update(0, a), b) == Checksum(append(a, b...)).
-func Update(crc uint32, data []byte) uint32 {
-	crc = ^crc
-	// Slicing-by-8 over the bulk.
-	for len(data) >= 8 {
-		crc ^= uint32(data[0]) | uint32(data[1])<<8 | uint32(data[2])<<16 | uint32(data[3])<<24
-		crc = tables[7][crc&0xff] ^
-			tables[6][(crc>>8)&0xff] ^
-			tables[5][(crc>>16)&0xff] ^
-			tables[4][crc>>24] ^
-			tables[3][data[4]] ^
-			tables[2][data[5]] ^
-			tables[1][data[6]] ^
-			tables[0][data[7]]
-		data = data[8:]
-	}
-	// Byte-at-a-time tail.
-	for _, b := range data {
-		crc = tables[0][byte(crc)^b] ^ (crc >> 8)
-	}
-	return ^crc
-}
-
-// Digest is an incremental CRC-32C accumulator implementing a subset of
-// hash.Hash32's behaviour without the interface dependency.
-type Digest struct {
-	crc uint32
-}
-
-// Write adds p to the digest. It never fails; the error return mirrors
-// io.Writer so a *Digest can be used with io plumbing.
-func (d *Digest) Write(p []byte) (int, error) {
-	d.crc = Update(d.crc, p)
-	return len(p), nil
-}
-
-// Sum32 returns the checksum of everything written so far.
-func (d *Digest) Sum32() uint32 { return d.crc }
-
-// Reset restores the initial state.
-func (d *Digest) Reset() { d.crc = 0 }

@@ -12,10 +12,10 @@ import (
 	"efactory/internal/nvm"
 )
 
-// chanCalls counts the Read and Write calls a server makes on the
-// connections of one channel, and stamps the latest of each with its
-// place in the listener's sequence of calls.
-type chanCalls struct{ reads, writes, lastRead, lastWrite atomic.Int64 }
+// chanCalls counts the connections of one channel a server accepts and
+// the Read and Write calls it makes on them, and stamps the latest of each
+// call with its place in the listener's sequence of calls.
+type chanCalls struct{ conns, reads, writes, lastRead, lastWrite atomic.Int64 }
 
 // countingListener hands the server connections that count their calls
 // per channel.
@@ -50,8 +50,10 @@ func (c *countingConn) Read(p []byte) (int, error) {
 		switch p[0] {
 		case chanOneSided:
 			c.calls.Store(&c.ln.oneSided)
+			c.ln.oneSided.conns.Add(1)
 		case chanRPCPipe:
 			c.calls.Store(&c.ln.pipelined)
+			c.ln.pipelined.conns.Add(1)
 		}
 	}
 	return n, err

@@ -30,46 +30,69 @@ type peers struct {
 	quick   bool
 	mu      sync.Mutex
 	conns   map[string]*Client
+	dials   map[string]*peerDial // in flight, by name
 	closed  bool
 }
 
+// peerDial is one dial in flight; c and err are set before done closes.
+type peerDial struct {
+	addr string
+	done chan struct{}
+	c    *Client
+	err  error
+}
+
 func newPeers(timeout time.Duration, quick bool) *peers {
-	return &peers{timeout: timeout, quick: quick, conns: make(map[string]*Client)}
+	return &peers{timeout: timeout, quick: quick, conns: make(map[string]*Client),
+		dials: make(map[string]*peerDial)}
 }
 
 // conn returns the connection to instance name at addr, dialing one when
 // the table has none (or has one to an older address); held reports that
-// the table already had it.
+// the table already had it. One dial per name is in flight at a time: a
+// caller that finds one to the same address waits for it and shares its
+// result, so the callers a dropped connection fails redial it once.
 func (p *peers) conn(name, addr string) (c *Client, held bool, err error) {
 	p.mu.Lock()
-	c, closed := p.conns[name], p.closed
-	p.mu.Unlock()
-	if closed {
+	if p.closed {
+		p.mu.Unlock()
 		return nil, false, net.ErrClosed
 	}
-	if c != nil && c.addr == addr {
-		return c, true, nil
+	if cur := p.conns[name]; cur != nil && cur.addr == addr {
+		p.mu.Unlock()
+		return cur, true, nil
 	}
+	if d := p.dials[name]; d != nil && d.addr == addr {
+		p.mu.Unlock()
+		<-d.done
+		return d.c, false, d.err
+	}
+	d := &peerDial{addr: addr, done: make(chan struct{})}
+	p.dials[name] = d
+	p.mu.Unlock()
+	defer close(d.done)
 	// Dial outside the lock: a slow peer must not stall calls to the others.
-	nc, err := dial(addr, p.timeout)
-	if err != nil {
-		return nil, false, err
-	}
+	d.c, d.err = dial(addr, p.timeout)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.closed {
-		nc.Close()
-		return nil, false, net.ErrClosed
+	if p.dials[name] == d {
+		delete(p.dials, name)
 	}
-	if cur := p.conns[name]; cur != nil {
-		if cur.addr == addr { // a concurrent caller dialed first
-			nc.Close()
-			return cur, false, nil
+	switch cur := p.conns[name]; {
+	case d.err != nil:
+	case p.closed:
+		d.c.Close()
+		d.c, d.err = nil, net.ErrClosed
+	case cur != nil && cur.addr == addr: // another dial to addr finished first
+		d.c.Close()
+		d.c = cur
+	default:
+		if cur != nil {
+			cur.Close() // the instance moved
 		}
-		cur.Close() // the instance moved
+		p.conns[name] = d.c
 	}
-	p.conns[name] = nc
-	return nc, false, nil
+	return d.c, false, d.err
 }
 
 // drop removes c from the table (if it is still name's connection) and

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"net"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -184,5 +186,62 @@ func TestPeerQuickRetryKeepsBackup(t *testing.T) {
 	}
 	if bs := srvA.ClusterMap().BackupsFor(0); len(bs) != 1 || bs[0] != "b" {
 		t.Errorf("PG 0's backups = %v, want [b]", bs)
+	}
+}
+
+// TestPeerRedialsOncePerFailure: K calls are in flight on one held
+// connection when one of them fails at the transport and the table drops
+// it. The other K-1 then fail with net.ErrClosed, and all K take the
+// quick retry. They must share one dial: the server accepts exactly one
+// new connection pair, and every call succeeds on it.
+func TestPeerRedialsOncePerFailure(t *testing.T) {
+	const k = 8
+	_, ln, _ := startCountedServer(t, smallConfig())
+	addr := ln.Addr().String()
+	p := newPeers(peerTimeout, true)
+	defer p.close()
+	if err := p.call("s", addr, func(c *Client) error { _, err := c.ServerStats(); return err }); err != nil {
+		t.Fatal(err)
+	}
+	conns0 := ln.pipelined.conns.Load()
+
+	var (
+		inside  sync.WaitGroup // every call holds the first connection
+		failed  atomic.Bool
+		dropped = make(chan struct{})
+		wg      sync.WaitGroup
+		errs    = make([]error, k)
+	)
+	inside.Add(k)
+	for i := range k {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			first := true
+			errs[i] = p.call("s", addr, func(c *Client) error {
+				if first {
+					first = false
+					inside.Done()
+					inside.Wait()
+					if failed.CompareAndSwap(false, true) {
+						c.Close() // the transport fails under every call on c
+						close(dropped)
+						return net.ErrClosed
+					}
+					<-dropped
+				}
+				_, err := c.ServerStats()
+				return err
+			})
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("call %d: %v", i, err)
+		}
+	}
+	if n := ln.pipelined.conns.Load() - conns0; n != 1 {
+		t.Errorf("%d calls that lost one connection dialed %d new ones, want 1", k, n)
 	}
 }
