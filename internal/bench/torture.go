@@ -88,11 +88,6 @@ func tortureRunner(transport string) (run fault.Runner, wallClock, ok bool) {
 // history); an unknown transport or a harness error counts as a
 // violation so callers can exit nonzero on it.
 func Torture(w io.Writer, spec TortureSpec) int {
-	cfg := fault.Config{Ops: spec.Ops, Keys: spec.Keys, Survival: spec.Survival}
-	if spec.Ops > 0 {
-		// Trigger cleaning a couple of times inside the shortened workload.
-		cfg.CleanEvery = spec.Ops/3 + 1
-	}
 	fmt.Fprintf(w, "Crash-point torture: seeds=%v ops=%d survival=%.2f\n", spec.Seeds, spec.Ops, spec.Survival)
 	fmt.Fprintf(w, "%-12s %6s %-14s %s\n", "transport", "runs", "boundaries", "violations")
 	total := 0
@@ -108,31 +103,7 @@ func Torture(w io.Writer, spec TortureSpec) int {
 			fmt.Fprintf(w, "(%s: capping sweep at %d points per seed — wall-clock runs)\n", tr, tcpPointsCap)
 			points = tcpPointsCap
 		}
-		cfg := cfg
-		if tr == "mig" || tr == "failover" {
-			cfg.PoolSize = max(cfg.PoolSize, clusterPoolFloor)
-		}
-		legs := []struct {
-			label string
-			cfg   fault.Config
-		}{{tr, cfg}}
-		if spec.GetBatch {
-			gb := cfg
-			gb.GetBatch = true
-			legs = append(legs, struct {
-				label string
-				cfg   fault.Config
-			}{tr + "+gb", gb})
-		}
-		if spec.Txn {
-			tx := cfg
-			tx.Txn = true
-			legs = append(legs, struct {
-				label string
-				cfg   fault.Config
-			}{tr + "+txn", tx})
-		}
-		for _, leg := range legs {
+		for _, leg := range tortureLegs(tr, spec) {
 			sr, err := fault.Sweep(run, leg.cfg, spec.Seeds, points)
 			if err != nil {
 				fmt.Fprintf(w, "%-12s harness error after %d runs: %v\n", leg.label, sr.Runs, err)
@@ -151,4 +122,35 @@ func Torture(w io.Writer, spec TortureSpec) int {
 		fmt.Fprintln(w, "all crash points recovered consistently")
 	}
 	return total
+}
+
+// tortureLeg is one row of a sweep: a transport, plain or with the
+// batched-GET or transaction workload.
+type tortureLeg struct {
+	label string
+	cfg   fault.Config
+}
+
+// tortureLegs returns the rows spec sweeps on transport tr.
+func tortureLegs(tr string, spec TortureSpec) []tortureLeg {
+	cfg := fault.Config{Ops: spec.Ops, Keys: spec.Keys, Survival: spec.Survival}
+	if spec.Ops > 0 {
+		// Trigger cleaning a couple of times inside the shortened workload.
+		cfg.CleanEvery = spec.Ops/3 + 1
+	}
+	if tr == "mig" || tr == "failover" {
+		cfg.PoolSize = max(cfg.PoolSize, clusterPoolFloor)
+	}
+	legs := []tortureLeg{{tr, cfg}}
+	if spec.GetBatch {
+		gb := cfg
+		gb.GetBatch = true
+		legs = append(legs, tortureLeg{tr + "+gb", gb})
+	}
+	if spec.Txn {
+		tx := cfg
+		tx.Txn = true
+		legs = append(legs, tortureLeg{tr + "+txn", tx})
+	}
+	return legs
 }

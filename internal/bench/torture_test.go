@@ -1,0 +1,40 @@
+package bench
+
+import (
+	"slices"
+	"testing"
+
+	"efactory/internal/fault"
+)
+
+// TestTortureRowsPinned pins the deterministic rows of
+//
+//	efactory-torture -transport store|sim -seeds 2 -points 25 -ops 30
+//
+// Every leg must recover every crash point, and each seed's boundary
+// count — every charge, flush and drain of the workload — must stay as
+// measured: a change that adds, drops or moves one on a write path moves
+// these lists.
+func TestTortureRowsPinned(t *testing.T) {
+	want := map[string][]int64{
+		"store": {392, 347}, "store+gb": {499, 408}, "store+txn": {808, 748},
+		"sim": {487, 459}, "sim+gb": {515, 439}, "sim+txn": {1018, 918},
+	}
+	spec := TortureSpec{Seeds: []uint64{1, 2}, Points: 25, Ops: 30, GetBatch: true, Txn: true}
+	for _, tr := range []string{"store", "sim"} {
+		run, _, _ := tortureRunner(tr)
+		for _, leg := range tortureLegs(tr, spec) {
+			sr, err := fault.Sweep(run, leg.cfg, spec.Seeds, spec.Points)
+			if err != nil {
+				t.Errorf("%s: harness error after %d runs: %v", leg.label, sr.Runs, err)
+				continue
+			}
+			for _, v := range sr.Violations {
+				t.Errorf("%s: %s", leg.label, v)
+			}
+			if !slices.Equal(sr.Boundaries, want[leg.label]) {
+				t.Errorf("%s boundaries = %v, want %v", leg.label, sr.Boundaries, want[leg.label])
+			}
+		}
+	}
+}

@@ -56,14 +56,10 @@ type Core struct {
 // New builds a core over v for a server with the given per-shard regions
 // and per-shard bucket count, and the inline budget in bytes the server
 // announced (0: none; see put and read). Path choices are counted into
-// stats. The hybrid read scheme starts enabled, the hint cache when
-// hinted is set (see EnableHintCache), tracing off.
-func New(v Verbs, shards []Shard, buckets int, stats *Stats, hinted bool, inline int) *Core {
-	c := &Core{v: v, shards: shards, buckets: buckets, hybrid: true, stats: stats, inline: inline}
-	if hinted {
-		c.EnableHintCache()
-	}
-	return c
+// stats. The hybrid read scheme starts enabled, the hint cache detached
+// (see EnableHintCache), tracing off.
+func New(v Verbs, shards []Shard, buckets int, stats *Stats, inline int) *Core {
+	return &Core{v: v, shards: shards, buckets: buckets, hybrid: true, stats: stats, inline: inline}
 }
 
 // SetHybridRead toggles the hybrid read scheme. Disabling it yields the

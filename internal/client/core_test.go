@@ -69,7 +69,7 @@ func newFakeBudget(t *testing.T, buckets, budget int) (*fakeVerbs, *Core, *Stats
 	f.st = st
 	f.core = server.New(st, [][2]uint32{{2, 3}}, nil, budget)
 	stats := new(Stats)
-	return f, New(f, []Shard{{Table: 1, Pool: [2]uint32{2, 3}}}, buckets, stats, false, budget), stats
+	return f, New(f, []Shard{{Table: 1, Pool: [2]uint32{2, 3}}}, buckets, stats, budget), stats
 }
 
 func (f *fakeVerbs) eng() *store.Engine { return f.st.Shard(0) }
@@ -810,7 +810,7 @@ func TestPutInlineBudget(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			f, _, stats := newFake(t, 64)
-			c := New(f, []Shard{{Table: 1, Pool: [2]uint32{2, 3}}}, 64, stats, false, tc.budget)
+			c := New(f, []Shard{{Table: 1, Pool: [2]uint32{2, 3}}}, 64, stats, tc.budget)
 			n := 1
 			if tc.batch {
 				n = len(keys)
@@ -1036,7 +1036,7 @@ func (v parentTxnVerbs) Call(req wire.Msg) (wire.Msg, *[]byte, error) {
 // and the id, and the commit succeeds as it would without the payload.
 func TestTxnCommitIgnoresStatusPayload(t *testing.T) {
 	f, _, stats := newFake(t, 64)
-	c := New(parentTxnVerbs{f}, []Shard{{Table: 1, Pool: [2]uint32{2, 3}}}, 64, stats, false, 0)
+	c := New(parentTxnVerbs{f}, []Shard{{Table: 1, Pool: [2]uint32{2, 3}}}, 64, stats, 0)
 	keys := [][]byte{[]byte("left"), []byte("right")}
 	vals := [][]byte{[]byte("v-left"), []byte("v-right")}
 	id, err := c.TxnCommit(nil, keys, vals)

@@ -61,7 +61,7 @@ func newClient(env *sim.Env, par *model.Params, nic *rnic.NIC, ep *rnic.Endpoint
 	c := &Client{env: env, par: par, nic: nic, ep: ep}
 	// No inline budget: every PUT is the paper's allocation RPC, then a
 	// one-sided WRITE, and a read's RPC a grant, then a one-sided READ.
-	c.core = client.New((*verbs)(c), shards, buckets, &c.Stats, false, 0)
+	c.core = client.New((*verbs)(c), shards, buckets, &c.Stats, 0)
 	return c
 }
 

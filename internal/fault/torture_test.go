@@ -93,43 +93,6 @@ func newTinyStore(t *testing.T) *store.Store {
 	return st
 }
 
-// TestPoolFullReleasesSlot pins the slot-leak bug: a PUT whose log
-// allocation fails must give back the hash-table slot FindSlot claimed,
-// or distinct failing PUTs consume buckets until the table is full.
-func TestPoolFullReleasesSlot(t *testing.T) {
-	st := newTinyStore(t)
-	eng := st.Shard(0)
-	val := make([]byte, 40)
-	for i := 0; i < 2; i++ {
-		key := []byte(fmt.Sprintf("fill-%d", i))
-		if pr := eng.Put(nil, key, len(val), crc.Checksum(val)); pr.Status != store.StatusOK {
-			t.Fatalf("fill put %d: status %v", i, pr.Status)
-		}
-	}
-	for i := 0; i < 10; i++ {
-		key := []byte(fmt.Sprintf("fail-%d", i))
-		if pr := eng.Put(nil, key, len(val), crc.Checksum(val)); pr.Status != store.StatusFull {
-			t.Fatalf("put %d on a full pool: status %v, want StatusFull", i, pr.Status)
-		}
-	}
-	if got := eng.Table().Occupied(); got != 2 {
-		t.Errorf("table slots occupied = %d, want 2 (failing PUTs leaked slots)", got)
-	}
-	if got := eng.Stats().SlotsReleased; got != 10 {
-		t.Errorf("SlotsReleased = %d, want 10", got)
-	}
-	// A failing re-PUT of an existing key must NOT release its live slot.
-	if pr := eng.Put(nil, []byte("fill-0"), len(val), crc.Checksum(val)); pr.Status != store.StatusFull {
-		t.Fatalf("re-put on full pool: %v", pr.Status)
-	}
-	if got := eng.Table().Occupied(); got != 2 {
-		t.Errorf("occupied after failing re-put = %d, want 2", got)
-	}
-	if got := eng.Stats().SlotsReleased; got != 10 {
-		t.Errorf("SlotsReleased after failing re-put = %d, want 10 (existing slot must stay)", got)
-	}
-}
-
 // TestOpAllocObservedOnPoolFull pins the metrics bug: the OpAlloc section
 // latency must be observed on the pool-full failure path too.
 func TestOpAllocObservedOnPoolFull(t *testing.T) {

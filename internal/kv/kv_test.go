@@ -509,3 +509,36 @@ func TestTableLookupAt(t *testing.T) {
 		t.Fatal("LookupAt accepted a reclaimed slot")
 	}
 }
+
+func TestHead(t *testing.T) {
+	// en(mark, cut) is an entry whose current pool is mark, with a cut.
+	en := func(mark int, cut uint64) Entry {
+		return Entry{Flags: cut<<entryFlagBits | uint64(mark)}
+	}
+	v := func(seq uint64) *Header { return &Header{Seq: seq} }
+	for _, tc := range []struct {
+		name   string
+		en     Entry
+		cand   [2]*Header
+		loc    int
+		wantOK bool
+	}{
+		{"no candidates", en(0, 0), [2]*Header{}, 0, false},
+		{"lone current", en(0, 0), [2]*Header{v(5), nil}, 0, true},
+		{"lone staged", en(0, 0), [2]*Header{nil, v(5)}, 1, true},
+		{"higher seq wins, staged", en(0, 0), [2]*Header{v(4), v(5)}, 1, true},
+		{"higher seq wins, current", en(0, 0), [2]*Header{v(6), v(5)}, 0, true},
+		{"tie goes to staged, mark 0", en(0, 0), [2]*Header{v(5), v(5)}, 1, true},
+		{"tie goes to staged, mark 1", en(1, 0), [2]*Header{v(5), v(5)}, 0, true},
+		{"below cut skipped though newer", en(0, 7), [2]*Header{v(9), v(3)}, 0, true},
+		{"staged below cut skipped", en(1, 7), [2]*Header{v(5), v(8)}, 1, true},
+		{"at the cut survives", en(0, 5), [2]*Header{v(5), v(4)}, 0, true},
+		{"both below cut", en(0, 9), [2]*Header{v(5), v(8)}, 0, false},
+		{"lone below cut", en(1, 9), [2]*Header{nil, v(8)}, 0, false},
+	} {
+		loc, ok := Head(tc.en, tc.cand)
+		if ok != tc.wantOK || ok && loc != tc.loc {
+			t.Errorf("%s: Head = (%d, %v), want (%d, %v)", tc.name, loc, ok, tc.loc, tc.wantOK)
+		}
+	}
+}

@@ -149,31 +149,24 @@ func (p *Pool) SetFlagsVolatile(off uint64, flags uint8) {
 	SetFlags(p.dev, p.base, off, flags)
 }
 
-// SetNextPtr updates and persists the NextPtr word of the object at off
-// (an 8-byte atomic store: the field is 8-aligned within the header).
-func (p *Pool) SetNextPtr(off uint64, next uint64) {
-	addr := p.base + int(off) + offNextPtr
-	p.dev.Write8(addr, next)
-	p.dev.Flush(addr, 8)
-	p.dev.Drain()
-}
+// SetNextPtr updates and persists the NextPtr word of the object at off.
+func (p *Pool) SetNextPtr(off uint64, next uint64) { p.setWord(off, offNextPtr, next) }
 
-// SetVersionSeq updates and persists the Seq word of the object at off
-// (an 8-byte atomic store: the field is 8-aligned within the header). The
-// transaction layer uses it to assign a staged version its commit-time
-// sequence number.
-func (p *Pool) SetVersionSeq(off uint64, seq uint64) {
-	addr := p.base + int(off) + offSeq
-	p.dev.Write8(addr, seq)
-	p.dev.Flush(addr, 8)
-	p.dev.Drain()
-}
+// SetVersionSeq updates and persists the Seq word of the object at off.
+// The transaction layer uses it to assign a staged version its
+// commit-time sequence number.
+func (p *Pool) SetVersionSeq(off uint64, seq uint64) { p.setWord(off, offSeq, seq) }
 
 // SetPrePtr updates and persists the PrePtr word of the object at off,
 // linking a committing staged version to the previous version of its key.
-func (p *Pool) SetPrePtr(off uint64, pre uint64) {
-	addr := p.base + int(off) + offPrePtr
-	p.dev.Write8(addr, pre)
+func (p *Pool) SetPrePtr(off uint64, pre uint64) { p.setWord(off, offPrePtr, pre) }
+
+// setWord updates and persists the header word at byte field of the
+// object at off with one 8-byte atomic store (the word fields are
+// 8-aligned within the header).
+func (p *Pool) setWord(off uint64, field int, v uint64) {
+	addr := p.base + int(off) + field
+	p.dev.Write8(addr, v)
 	p.dev.Flush(addr, 8)
 	p.dev.Drain()
 }

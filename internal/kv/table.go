@@ -68,6 +68,20 @@ func (e *Entry) Free() bool { return e.Flags&entryFree != 0 }
 // cleaner and recovery scan the log, not the chain. Zero means no cut.
 func (e *Entry) CutSeq() uint64 { return e.Flags >> entryFlagBits }
 
+// Head is the head rule (DESIGN.md, "Log cleaning"): of the candidate
+// versions in en's two locations, cand[i] for Loc[i] (nil for none), it
+// skips one below en's cut, then takes the higher sequence number; a tie
+// can only be a migrated copy of the same version and goes to the staged
+// one, outside the current pool. ok is false when neither qualifies.
+func Head(en Entry, cand [2]*Header) (loc int, ok bool) {
+	for _, i := range [2]int{1 - en.Mark(), en.Mark()} {
+		if c := cand[i]; c != nil && c.Seq >= en.CutSeq() && (!ok || c.Seq > cand[loc].Seq) {
+			loc, ok = i, true
+		}
+	}
+	return loc, ok
+}
+
 // Current returns the packed location in the current working pool.
 func (e *Entry) Current() uint64 { return e.Loc[e.Mark()] }
 

@@ -26,7 +26,7 @@ type Registry struct {
 	opNames []string
 	shards  int
 	hists   []Histogram // flat [shard*len(opNames) + op]
-	ring    *Ring
+	ring    *Ring[Event]
 
 	instance atomic.Pointer[string] // stamped onto ring events (nil = unclustered)
 	epoch    atomic.Uint64          // cluster-map epoch stamped onto ring events
@@ -57,7 +57,7 @@ func New(prefix string, shards int, opNames []string, ringCap int) *Registry {
 		opNames: opNames,
 		shards:  shards,
 		hists:   make([]Histogram, shards*len(opNames)),
-		ring:    NewRing(ringCap),
+		ring:    NewRing[Event](ringCap),
 	}
 }
 
@@ -68,7 +68,7 @@ func (r *Registry) Shards() int { return r.shards }
 func (r *Registry) OpNames() []string { return r.opNames }
 
 // Ring returns the trace ring.
-func (r *Registry) Ring() *Ring { return r.ring }
+func (r *Registry) Ring() *Ring[Event] { return r.ring }
 
 // Hist returns the histogram for (shard, op).
 func (r *Registry) Hist(shard, op int) *Histogram {

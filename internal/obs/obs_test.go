@@ -109,7 +109,7 @@ func TestSnapshotMerge(t *testing.T) {
 }
 
 func TestRingWrapsAndDumpsOldestFirst(t *testing.T) {
-	r := NewRing(4)
+	r := NewRing[Event](4)
 	for i := 0; i < 7; i++ {
 		r.Append(Event{TimeNS: uint64(i), Shard: i, Op: "put", Outcome: "invalidated"})
 	}

@@ -17,53 +17,52 @@ type Event struct {
 	Epoch    uint64 `json:"epoch,omitempty"`    // cluster-map epoch at append time (0 = no map)
 }
 
-// Ring is a bounded ring buffer of trace events: the newest capacity events
-// are retained, older ones are overwritten.
-type Ring struct {
+// Ring is a bounded ring buffer: the newest capacity items are retained,
+// older ones are overwritten. It holds a registry's trace events and a
+// trace.Tracer's retained traces. The buffer is allocated on the first
+// Append, so a ring nothing is appended to costs nothing.
+type Ring[T any] struct {
 	mu    sync.Mutex
-	buf   []Event
+	buf   []T
+	cap   int
 	next  int    // slot the next append goes to
-	total uint64 // events ever appended
+	total uint64 // items ever appended
 }
 
-// NewRing returns a ring retaining the last capacity events.
-func NewRing(capacity int) *Ring {
-	if capacity <= 0 {
-		capacity = 1
-	}
-	return &Ring{buf: make([]Event, 0, capacity)}
+// NewRing returns a ring retaining the last capacity items.
+func NewRing[T any](capacity int) *Ring[T] {
+	return &Ring[T]{cap: max(capacity, 1)}
 }
 
-// Append records one event, evicting the oldest when full.
-func (r *Ring) Append(e Event) {
+// Append records one item, evicting the oldest when full.
+func (r *Ring[T]) Append(e T) {
 	r.mu.Lock()
-	if len(r.buf) < cap(r.buf) {
+	if r.buf == nil {
+		r.buf = make([]T, 0, r.cap)
+	}
+	if len(r.buf) < r.cap {
 		r.buf = append(r.buf, e)
 	} else {
 		r.buf[r.next] = e
 	}
-	r.next = (r.next + 1) % cap(r.buf)
+	r.next = (r.next + 1) % r.cap
 	r.total++
 	r.mu.Unlock()
 }
 
-// Total returns the number of events ever appended (dropped ones included).
-func (r *Ring) Total() uint64 {
+// Total returns the number of items ever appended (dropped ones included).
+func (r *Ring[T]) Total() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.total
 }
 
-// Dump returns the retained events, oldest first.
-func (r *Ring) Dump() []Event {
+// Dump returns the retained items, oldest first (empty, not nil, when
+// there are none).
+func (r *Ring[T]) Dump() []T {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]Event, 0, len(r.buf))
-	if len(r.buf) == cap(r.buf) {
-		out = append(out, r.buf[r.next:]...)
-		out = append(out, r.buf[:r.next]...)
-	} else {
-		out = append(out, r.buf...)
-	}
-	return out
+	out := make([]T, 0, len(r.buf))
+	out = append(out, r.buf[r.next:]...)
+	return append(out, r.buf[:r.next]...)
 }

@@ -242,7 +242,7 @@ func (e *Engine) tryMigrate(h any, sc *cleanScratch, pi int, off uint64) bool {
 		return false
 	}
 	hd = pool.Header(off) // re-read: ensureDurableLocked set the flag
-	dst := e.pools[1-pi]
+	sc.val = pool.ReadValueInto(sc.val, off, hd.KLen, hd.VLen)
 	nh := kv.Header{
 		PrePtr:    kv.NilPtr,
 		NextPtr:   kv.NilPtr,
@@ -252,19 +252,16 @@ func (e *Engine) tryMigrate(h any, sc *cleanScratch, pi int, off uint64) bool {
 		VLen:      hd.VLen,
 		Flags:     kv.FlagValid | kv.FlagDurable,
 	}
-	newOff, ok := dst.AppendObject(&nh, key)
+	newOff, ok := e.appendLocked(1-pi, &nh, key, sc.val, true)
 	if !ok {
 		// Should be impossible: the live set fits by construction. Leave
 		// the old copy authoritative.
 		return true
 	}
-	sc.val = pool.ReadValueInto(sc.val, off, hd.KLen, hd.VLen)
-	dst.WriteValue(newOff, hd.KLen, sc.val)
-	dst.FlushObject(newOff, hd.KLen, hd.VLen)
 	e.observe(int(OpCleanCopy), tCopy)
 	// Mark the old copy as transferred, then stage the entry.
 	pool.SetFlags(off, hd.Flags|kv.FlagTrans)
-	e.table.SetLoc(idx, 1-pi, kv.PackLoc(newOff, size))
+	e.publishLocked(idx, false, 0, kv.NilPtr, kv.PackVPtr(1-pi, newOff, size))
 	// An old-pool location naming dead versions that roll back to this one
 	// would outrank the copy by sequence number, and a merge-stage PUT
 	// would chain past the copy into the pool this run recycles: the copy

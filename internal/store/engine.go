@@ -249,14 +249,14 @@ func (e *Engine) seq() uint64 {
 	return e.nextSeq
 }
 
-// writePool returns the pool (and its index) new allocations go to: the
+// writePool returns the index of the pool new allocations go to: the
 // current pool normally and during the compress stage, the new pool during
 // the merge stage (§4.4). Callers hold mu.
-func (e *Engine) writePool() (int, *kv.Pool) {
+func (e *Engine) writePool() int {
 	if e.merging {
-		return 1 - e.cur, e.pools[1-e.cur]
+		return 1 - e.cur
 	}
-	return e.cur, e.pools[e.cur]
+	return e.cur
 }
 
 // maybeCleanLocked starts a cleaning run if appending size bytes would
@@ -265,27 +265,23 @@ func (e *Engine) writePool() (int, *kv.Pool) {
 // backup that only ever imports cleans like the primary it mirrors.
 // Callers hold mu.
 func (e *Engine) maybeCleanLocked(size int) {
-	_, pool := e.writePool()
+	pool := e.pools[e.writePool()]
 	if e.cfg.CleanThreshold > 0 && !e.cleaning && !e.stopped &&
 		float64(pool.Free()-size) < e.cfg.CleanThreshold*float64(pool.Cap()) {
 		e.startCleaningLocked()
 	}
 }
 
-// head is the engine's one rule for which version of a key is newest (see
-// DESIGN.md, "Log cleaning"). An entry names at most one version per data
-// pool — Loc[i] lives in pool i, and the mark bit says which pool is
-// current — and names two only mid-clean. Of two, head skips one whose
-// version is below the entry's cut (belowCut), then takes the higher
-// sequence number; a tie can only be a migrated copy of the same version
-// and goes to the staged one, so chains built on it stay in the pool the
-// run keeps. Those two header reads are the rule's only cost, and only
-// mid-clean: a lone location is the head as it stands, because a live
-// entry's lone version is never below its cut (a re-PUT's version is the
-// cut it sets, and the final sweep tombstones an entry left with only a
-// pre-delete copy). The cleaner, whose candidates stand alone, applies
-// belowCut itself. Reads, version chains, the cleaner, export and import
-// all start here; recovery applies the same rule to the persisted image
+// head resolves which version of a key is newest. An entry names at most
+// one version per data pool — Loc[i] lives in pool i, and the mark bit
+// says which pool is current — and names two only mid-clean, when kv.Head
+// picks between the headers at the two locations. Those two header reads
+// are the rule's only cost: a lone location is the head as it stands,
+// because a live entry's lone version is never below its cut (a re-PUT's
+// version is the cut it sets, and the final sweep tombstones an entry left
+// with only a pre-delete copy). The cleaner, whose candidates stand alone,
+// applies belowCut itself. Reads, version chains, the cleaner, export and
+// import all start here; recovery applies kv.Head to the persisted image
 // (ResolvePersisted). The tombstone is the caller's business. Callers hold
 // mu.
 func (e *Engine) head(en kv.Entry) (pi int, off uint64, totalLen int, ok bool) {
@@ -298,14 +294,16 @@ func (e *Engine) head(en kv.Entry) (pi int, off uint64, totalLen int, ok bool) {
 		}
 		return 0, 0, 0, false
 	}
-	var seq uint64
-	for _, slot := range [2]int{1 - en.Mark(), en.Mark()} {
-		o, l, _ := kv.UnpackLoc(en.Loc[slot])
-		if s := e.pools[slot].Header(o).Seq; !belowCut(en, s) && (!ok || s > seq) {
-			pi, off, totalLen, seq, ok = slot, o, l, s, true
-		}
+	var hd [2]kv.Header
+	for i := range hd {
+		o, _, _ := kv.UnpackLoc(en.Loc[i])
+		hd[i] = e.pools[i].Header(o)
 	}
-	return pi, off, totalLen, ok
+	if pi, ok = kv.Head(en, [2]*kv.Header{&hd[0], &hd[1]}); !ok {
+		return 0, 0, 0, false
+	}
+	off, totalLen, _ = kv.UnpackLoc(en.Loc[pi])
+	return pi, off, totalLen, true
 }
 
 // belowCut is the head rule's cut test: a version of en's key with
@@ -395,9 +393,8 @@ func (e *Engine) putLocked(h any, op PutOp) PutResult {
 	e.maybeCleanLocked(size)
 
 	keyHash := kv.HashKey(key)
-	idx, existed, ok := e.table.FindSlot(keyHash)
+	c, ok := e.claimSlot(keyHash)
 	if !ok {
-		e.stats.AllocFailures++
 		e.trace("put", "table_full", keyHash, 0)
 		return PutResult{Status: StatusFull}
 	}
@@ -410,11 +407,9 @@ func (e *Engine) putLocked(h any, op PutOp) PutResult {
 	// a version appended to the old pool after that is never merged.
 	tAlloc := e.sink.Now()
 	e.sink.Charge(h, OpAlloc, size)
-	pi, pool := e.writePool()
-	if !existed && pi == 1 {
-		e.table.SetMark(idx, pi)
-	}
-	en := e.table.Entry(idx)
+	pi := e.writePool()
+	e.markFresh(c, pi)
+	en := e.table.Entry(c.idx)
 	pre := e.chainHead(en)
 
 	hd := kv.Header{
@@ -426,46 +421,107 @@ func (e *Engine) putLocked(h any, op PutOp) PutResult {
 		VLen:      op.VLen,
 		Flags:     kv.FlagValid,
 	}
-	off, allocOK := pool.AppendObject(&hd, key)
-	if !allocOK {
-		if !existed {
-			// Give back the slot FindSlot claimed above, or repeated
-			// failing PUTs of distinct keys would consume buckets until
-			// the table reports full.
-			e.table.Release(idx)
-			e.stats.SlotsReleased++
-		}
-		e.stats.AllocFailures++
-		e.observeH(h, int(OpAlloc), tAlloc)
+	// An inline value is written before the entry publishes: a reader
+	// that finds the new version finds its value, and it cannot land past
+	// VerifyTimeout.
+	off, ok := e.appendLocked(pi, &hd, key, op.Value, false)
+	e.observeH(h, int(OpAlloc), tAlloc)
+	if !ok {
+		e.releaseFresh(c)
 		e.trace("put", "pool_full", keyHash, hd.Seq)
 		return PutResult{Status: StatusFull}
 	}
-	e.observeH(h, int(OpAlloc), tAlloc)
-	if op.Value != nil {
-		// Before the entry publishes: a reader that finds the new version
-		// finds its value, and it cannot land past VerifyTimeout.
-		pool.WriteValue(off, len(key), op.Value)
-	}
-
-	e.table.SetLoc(idx, pi, kv.PackLoc(off, size))
-	if en.Tombstone() {
-		// Publish the new location BEFORE clearing the tombstone: each
-		// table word persists individually, so the other order leaves a
-		// crash window where the entry is un-tombstoned but still points
-		// at the pre-delete version — an acknowledged DELETE would
-		// resurrect on recovery. The new version's sequence number becomes
-		// the entry's cut: pre-delete versions in the log stay dead for
-		// the cleaner, staged-slot reads, and recovery.
-		e.table.Undelete(idx, hd.Seq)
-	}
-
-	// Maintain the forward link (Figure 4's NextPTR): the previous
-	// version now knows its successor, which log cleaning uses to locate
-	// the next version of a migrated object.
-	if prePool, preOff, _, ok := kv.UnpackVPtr(pre); ok {
-		e.pools[prePool].SetNextPtr(preOff, kv.PackVPtr(pi, off, size))
-	}
+	e.publishLocked(c.idx, en.Tombstone(), hd.Seq, pre, kv.PackVPtr(pi, off, size))
 	return PutResult{Status: StatusOK, Pool: pi, Off: off, Len: size, Seq: hd.Seq}
+}
+
+// A version enters the log one way, whichever path writes it (PUT,
+// transaction stage and commit, import, recovery, the cleaner's copy): a
+// slot claim (claimSlot, markFresh, releaseFresh), an append (appendLocked)
+// and a publish (publishLocked). None of them charges the sink, so a
+// caller's no-yield window stays one.
+
+// claim is a table slot a write claimed: fresh when the key did not hold
+// it before.
+type claim struct {
+	idx   int
+	fresh bool
+}
+
+// claimSlot finds keyHash's table slot, claiming an empty one if the key
+// has none; ok is false when the table is full. Callers hold mu.
+func (e *Engine) claimSlot(keyHash uint64) (c claim, ok bool) {
+	idx, existed, ok := e.table.FindSlot(keyHash)
+	if !ok {
+		e.stats.AllocFailures++
+	}
+	return claim{idx: idx, fresh: !existed}, ok
+}
+
+// markFresh gives a freshly claimed slot the mark of write pool pi:
+// FindSlot leaves it at mark 0, and every entry must agree on the current
+// pool. Callers hold mu.
+func (e *Engine) markFresh(c claim, pi int) {
+	if c.fresh && pi == 1 {
+		e.table.SetMark(c.idx, pi)
+	}
+}
+
+// releaseFresh gives back a freshly claimed slot whose write failed, or
+// repeated failing writes of distinct keys would consume buckets until the
+// table reports full. A slot the key already held stays. Callers hold mu.
+func (e *Engine) releaseFresh(c claim) {
+	if c.fresh {
+		e.table.Release(c.idx)
+		e.stats.SlotsReleased++
+	}
+}
+
+// appendLocked appends one version to pool pi: hd and key (AppendObject
+// flushes them, so the chain survives a crash even if the value never
+// lands), then value unless it is nil, then, when flush is set, the whole
+// object. ok is false when the pool is full. Callers hold mu.
+func (e *Engine) appendLocked(pi int, hd *kv.Header, key, value []byte, flush bool) (off uint64, ok bool) {
+	pool := e.pools[pi]
+	if off, ok = pool.AppendObject(hd, key); !ok {
+		e.stats.AllocFailures++
+		return 0, false
+	}
+	if value != nil {
+		pool.WriteValue(off, len(key), value)
+	}
+	if flush {
+		pool.FlushObject(off, len(key), hd.VLen)
+	}
+	return off, true
+}
+
+// publishLocked makes the version v (a version pointer) the location of
+// its pool in the entry at idx. Each table word persists on its own, so
+// the order is the crash protocol: the location first, and only then, when
+// undelete is set, the one word that clears the tombstone and records cut
+// — the other order leaves a window where the entry is un-tombstoned but
+// still names the pre-delete version, and an acknowledged DELETE would
+// resurrect on recovery. A re-PUT's cut is its own sequence number, so
+// pre-delete versions in the log stay dead for the cleaner, staged-slot
+// reads and recovery. Last, the predecessor pre, if any, learns its
+// successor (Figure 4's NextPTR). Callers hold mu.
+func (e *Engine) publishLocked(idx int, undelete bool, cut, pre, v uint64) {
+	pi, off, size, _ := kv.UnpackVPtr(v)
+	e.table.SetLoc(idx, pi, kv.PackLoc(off, size))
+	if undelete {
+		e.table.Undelete(idx, cut)
+	}
+	e.linkLocked(pre, v)
+}
+
+// linkLocked points the forward link of the version pre names, if any, at
+// v: log cleaning uses it to locate the next version of a migrated object.
+// Callers hold mu.
+func (e *Engine) linkLocked(pre, v uint64) {
+	if pi, off, _, ok := kv.UnpackVPtr(pre); ok {
+		e.pools[pi].SetNextPtr(off, v)
+	}
 }
 
 // Get implements the RPC side of the hybrid read scheme (GET steps 6-8 of

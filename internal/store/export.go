@@ -244,16 +244,13 @@ func (e *Engine) ImportKey(h any, ek ExportKey) Status {
 		chainSize += kv.ObjectSize(len(ek.Key), len(v.Value))
 	}
 	e.maybeCleanLocked(chainSize)
-	idx, existed, ok := e.table.FindSlot(keyHash)
+	c, ok := e.claimSlot(keyHash)
 	if !ok {
-		e.stats.AllocFailures++
 		return StatusFull
 	}
-	pi, pool := e.writePool()
-	if !existed && pi == 1 {
-		e.table.SetMark(idx, pi)
-	}
-	en := e.table.Entry(idx)
+	pi := e.writePool()
+	e.markFresh(c, pi)
+	en := e.table.Entry(c.idx)
 
 	// Supersession: keep whichever side is newer. The exporter serializes
 	// states per key, so a newest-seq comparison is a total order — with
@@ -272,7 +269,7 @@ func (e *Engine) ImportKey(h any, ek ExportKey) Status {
 	// durable.
 	pre := kv.NilPtr
 	versions := ek.Versions
-	if existed && !en.Tombstone() {
+	if !c.fresh && !en.Tombstone() {
 		if hpi, off, l, ok := e.head(en); ok {
 			hd := e.pools[hpi].Header(off)
 			if hd.Magic == kv.Magic {
@@ -290,10 +287,11 @@ func (e *Engine) ImportKey(h any, ek ExportKey) Status {
 		}
 	}
 
-	var (
-		lastOff  uint64
-		lastSize int
-	)
+	// Each version is linked into the chain as it lands, then the newest
+	// publishes. Persist only what the source had persisted: a durable
+	// version's value is flushed, a not-yet-durable one stays volatile, so
+	// a crash on the importing engine discards exactly the versions a
+	// crash on the exporting engine would have.
 	for _, v := range versions {
 		hd := kv.Header{
 			PrePtr:    pre,
@@ -305,40 +303,20 @@ func (e *Engine) ImportKey(h any, ek ExportKey) Status {
 			Flags:     v.Flags,
 			TxnID:     v.TxnID,
 		}
-		size := kv.ObjectSize(len(ek.Key), len(v.Value))
-		off, allocOK := pool.AppendObject(&hd, ek.Key)
-		if !allocOK {
+		off, ok := e.appendLocked(pi, &hd, ek.Key, v.Value, v.Flags&kv.FlagDurable != 0)
+		if !ok {
 			// Already-appended versions become unpublished garbage for the
-			// cleaner; a freshly claimed slot goes back like a failed PUT.
-			if !existed {
-				e.table.Release(idx)
-				e.stats.SlotsReleased++
-			}
-			e.stats.AllocFailures++
+			// cleaner.
+			e.releaseFresh(c)
 			return StatusFull
 		}
-		pool.WriteValue(off, len(ek.Key), v.Value)
-		// Persist only what the source had persisted: a durable version's
-		// value is flushed, a not-yet-durable one stays volatile (header +
-		// key are already flushed by AppendObject), so a crash on the
-		// importing engine discards exactly the versions a crash on the
-		// exporting engine would have.
-		if v.Flags&kv.FlagDurable != 0 {
-			pool.FlushObject(off, len(ek.Key), len(v.Value))
-		}
-		if prePool, preOff, _, okPre := kv.UnpackVPtr(pre); okPre {
-			e.pools[prePool].SetNextPtr(preOff, kv.PackVPtr(pi, off, size))
-		}
-		pre = kv.PackVPtr(pi, off, size)
-		lastOff, lastSize = off, size
+		next := kv.PackVPtr(pi, off, kv.ObjectSize(len(ek.Key), len(v.Value)))
+		e.linkLocked(pre, next)
+		pre = next
 	}
-
-	e.table.SetLoc(idx, pi, kv.PackLoc(lastOff, lastSize))
-	if en.Tombstone() || ek.CutSeq > 0 {
-		// One persisted word clears the tombstone (if any) and records the
-		// incoming cut sequence, exactly like a re-PUT over a tombstone.
-		e.table.Undelete(idx, ek.CutSeq)
-	}
+	// One persisted word clears the tombstone (if any) and records the
+	// incoming cut sequence, exactly like a re-PUT over a tombstone.
+	e.publishLocked(c.idx, en.Tombstone() || ek.CutSeq > 0, ek.CutSeq, kv.NilPtr, pre)
 	if ns := ek.NewestSeq(); ns > e.nextSeq {
 		e.nextSeq = ns
 	}

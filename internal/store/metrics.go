@@ -99,7 +99,7 @@ func (e *Engine) PoolUsage(i int) (used, capacity int) {
 func (e *Engine) Occupancy() float64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	_, pool := e.writePool()
+	pool := e.pools[e.writePool()]
 	return float64(pool.Used()) / float64(pool.Cap())
 }
 

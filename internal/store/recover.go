@@ -68,27 +68,17 @@ func (e *Engine) recover(l kv.Layout) RecoveryStats {
 		e.pools[pi] = kv.NewPool(e.dev, e.pools[pi].Base(), e.cfg.PoolSize)
 	}
 	for _, sv := range live {
-		h := kv.Header{
-			PrePtr:    kv.NilPtr,
-			NextPtr:   kv.NilPtr,
-			Seq:       sv.Header.Seq,
-			CreatedAt: sv.Header.CreatedAt,
-			CRC:       sv.Header.CRC,
-			VLen:      sv.Header.VLen,
-			Flags:     kv.FlagValid | kv.FlagDurable,
-			TxnID:     sv.Header.TxnID,
-		}
-		off, ok := e.pools[0].AppendObject(&h, sv.Key)
+		h := sv.Header // its seq, stamp, CRC and txn id; a fresh chain, durable
+		h.PrePtr, h.NextPtr, h.Flags = kv.NilPtr, kv.NilPtr, kv.FlagValid|kv.FlagDurable
+		off, ok := e.appendLocked(0, &h, sv.Key, sv.Value, true)
 		if !ok {
 			panic("store: recovery pool overflow")
 		}
-		e.pools[0].WriteValue(off, len(sv.Key), sv.Value)
-		e.pools[0].FlushObject(off, len(sv.Key), sv.Header.VLen)
-		idx, _, ok := e.table.FindSlot(kv.HashKey(sv.Key))
+		c, ok := e.claimSlot(kv.HashKey(sv.Key))
 		if !ok {
 			panic("store: recovery table overflow")
 		}
-		e.table.Publish(idx, kv.PackLoc(off, kv.ObjectSize(len(sv.Key), sv.Header.VLen)))
+		e.publishLocked(c.idx, false, 0, kv.NilPtr, kv.PackVPtr(0, off, kv.ObjectSize(len(sv.Key), sv.Header.VLen)))
 	}
 	e.bgCursor[0] = e.pools[0].Used()
 	e.bgCursor[1] = 0
@@ -110,18 +100,20 @@ type PersistedHead struct {
 }
 
 // ResolvePersisted is recovery's per-entry resolver, and efactory-fsck's:
-// Engine.head's rule applied to the persisted image of pools, where a
-// crash can leave any version torn and can interrupt log cleaning at any
-// stage — so the two locations may name disjoint chains, and after a
-// DELETE plus merge-stage re-PUT only the staged chain holds a live
-// version. Each location's chain is walked to its newest intact version
-// at or above the entry's cut, and the higher sequence number wins (the
-// staged chain on a tie). ok is false when nothing survives: the key was
-// never durable. The tombstone is the caller's business.
+// the head rule applied to the persisted image of pools, where a crash can
+// leave any version torn and can interrupt log cleaning at any stage — so
+// the two locations may name disjoint chains, and after a DELETE plus
+// merge-stage re-PUT only the staged chain holds a live version. Each
+// location's chain is walked to its newest intact version at or above the
+// entry's cut, and kv.Head picks between the two. ok is false when nothing
+// survives: the key was never durable. The tombstone is the caller's
+// business.
 func ResolvePersisted(pools [2]*kv.Pool, en kv.Entry) (best PersistedHead, ok bool) {
 	cut := en.CutSeq()
 	discarded := 0
-	for _, slot := range [2]int{1 - en.Mark(), en.Mark()} {
+	var newest [2]PersistedHead
+	var cand [2]*kv.Header
+	for slot := range cand {
 		if en.Loc[slot] == 0 {
 			continue
 		}
@@ -139,9 +131,8 @@ func ResolvePersisted(pools [2]*kv.Pool, en kv.Entry) (best PersistedHead, ok bo
 				pool.Device().ReadPersisted(base+kv.KeyOffset(), key)
 				pool.Device().ReadPersisted(base+kv.ValueOffset(h.KLen), val)
 				if crc.Checksum(val) == h.CRC {
-					if !ok || h.Seq > best.Header.Seq {
-						best, ok = PersistedHead{Key: key, Value: val, Header: h, Rolled: rolled}, true
-					}
+					newest[slot] = PersistedHead{Key: key, Value: val, Header: h, Rolled: rolled}
+					cand[slot] = &newest[slot].Header
 					break // newest intact version on this chain
 				}
 			}
@@ -155,6 +146,10 @@ func ResolvePersisted(pools [2]*kv.Pool, en kv.Entry) (best PersistedHead, ok bo
 				break
 			}
 		}
+	}
+	slot, ok := kv.Head(en, cand)
+	if ok {
+		best = newest[slot]
 	}
 	best.Discarded = discarded
 	return best, ok

@@ -23,7 +23,7 @@
 //
 //  3. Flip. Each staged version gets its sequence number and previous-
 //     version pointer persisted, its FlagValid set, and its table entry
-//     published — the same word order as a single-key PUT. When every op
+//     published through the engine's one publish. When every op
 //     has flipped, the record is marked applied (FlagDurable on the
 //     record) so recovery ignores it; the engine locks are held from
 //     record write to applied mark, so no foreign write can interleave
@@ -76,9 +76,8 @@ type stagedOp struct {
 	value []byte
 	crc   uint32
 	// assigned by txnCommit:
-	seq     uint64
-	idx     int
-	existed bool
+	seq   uint64
+	claim claim
 }
 
 // Commit atomically writes vals[i] to keys[i] for all i, or none of
@@ -181,7 +180,7 @@ func (s *Store) txnStage(h any, txnID uint64, key, value []byte) (*stagedOp, Sta
 	e.sink.Charge(h, OpAlloc, size)
 	// The charge may have yielded (simulation) and started a cleaning run;
 	// re-resolve the working pool so the append lands where commit expects.
-	pi, pool := e.writePool()
+	pi := e.writePool()
 	op := &stagedOp{
 		shard: e.shard,
 		key:   append([]byte(nil), key...),
@@ -189,29 +188,36 @@ func (s *Store) txnStage(h any, txnID uint64, key, value []byte) (*stagedOp, Sta
 		crc:   crc.Checksum(value),
 		size:  size,
 	}
+	if !e.stageLocked(op, txnID, pi, false) {
+		e.trace("txn", "stage_pool_full", kv.HashKey(key), 0)
+		return nil, StatusFull
+	}
+	e.observeH(h, int(OpAlloc), tAlloc)
+	tFlush := e.sink.Now()
+	e.sink.Charge(h, OpFlush, size)
+	e.pools[pi].FlushObject(op.off, len(key), len(value))
+	e.observeH(h, int(OpFlush), tFlush)
+	return op, StatusOK
+}
+
+// stageLocked appends op to pool pi as a staged object (FlagTxn, no
+// sequence number, no chain), flushed whole when flush is set, and records
+// where it landed. Callers hold mu.
+func (e *Engine) stageLocked(op *stagedOp, txnID uint64, pi int, flush bool) bool {
 	hd := kv.Header{
 		PrePtr:    kv.NilPtr,
 		NextPtr:   kv.NilPtr,
 		CreatedAt: e.sink.Now(),
 		CRC:       op.crc,
-		VLen:      len(value),
+		VLen:      len(op.value),
 		Flags:     kv.FlagTxn,
 		TxnID:     txnID,
 	}
-	off, ok := pool.AppendObject(&hd, key)
-	if !ok {
-		e.stats.AllocFailures++
-		e.trace("txn", "stage_pool_full", kv.HashKey(key), 0)
-		return nil, StatusFull
+	off, ok := e.appendLocked(pi, &hd, op.key, op.value, flush)
+	if ok {
+		op.pi, op.pool, op.off = pi, e.pools[pi], off
 	}
-	e.observeH(h, int(OpAlloc), tAlloc)
-	pool.WriteValue(off, len(key), value)
-	tFlush := e.sink.Now()
-	e.sink.Charge(h, OpFlush, size)
-	pool.FlushObject(off, len(key), len(value))
-	e.observeH(h, int(OpFlush), tFlush)
-	op.pi, op.pool, op.off = pi, pool, off
-	return op, StatusOK
+	return ok
 }
 
 // txnCommit atomically commits the staged ops of one transaction: it
@@ -248,64 +254,37 @@ func (s *Store) txnCommit(txnID uint64, ops []*stagedOp) Status {
 	// to the current working pool from the retained copy.
 	for _, op := range ops {
 		e := s.engines[op.shard]
-		wi, wpool := e.writePool()
-		fresh := e.pools[op.pi] == op.pool && op.pool == wpool
+		wi := e.writePool()
+		fresh := e.pools[op.pi] == op.pool && op.pool == e.pools[wi]
 		if fresh {
 			hd := op.pool.Header(op.off)
 			fresh = hd.Magic == kv.Magic && hd.TxnID == txnID && hd.Staged()
 		}
-		if !fresh {
-			hd := kv.Header{
-				PrePtr:    kv.NilPtr,
-				NextPtr:   kv.NilPtr,
-				CreatedAt: e.sink.Now(),
-				CRC:       op.crc,
-				VLen:      len(op.value),
-				Flags:     kv.FlagTxn,
-				TxnID:     txnID,
-			}
-			off, ok := wpool.AppendObject(&hd, op.key)
-			if !ok {
-				e.stats.AllocFailures++
-				e.stats.TxnAborts++
-				return StatusFull
-			}
-			wpool.WriteValue(off, len(op.key), op.value)
-			wpool.FlushObject(off, len(op.key), len(op.value))
-			op.pi, op.pool, op.off = wi, wpool, off
+		if !fresh && !e.stageLocked(op, txnID, wi, true) {
+			e.stats.TxnAborts++
+			return StatusFull
 		}
 	}
 
 	// Phase 2: reserve table slots and assign commit sequence numbers.
 	// Fresh slots claimed here are released if the record cannot be
-	// written, exactly like a pool-full PUT.
-	type claim struct {
-		shard, idx int
-	}
-	var claimed []claim
-	release := func() {
-		for _, c := range claimed {
-			s.engines[c.shard].table.Release(c.idx)
-			s.engines[c.shard].stats.SlotsReleased++
+	// written.
+	release := func(ops []*stagedOp) {
+		for _, op := range ops {
+			s.engines[op.shard].releaseFresh(op.claim)
 		}
 	}
-	for _, op := range ops {
+	for i, op := range ops {
 		e := s.engines[op.shard]
-		idx, existed, ok := e.table.FindSlot(kv.HashKey(op.key))
+		c, ok := e.claimSlot(kv.HashKey(op.key))
 		if !ok {
-			release()
-			e.stats.AllocFailures++
+			release(ops[:i])
 			e.stats.TxnAborts++
 			e.trace("txn", "table_full", kv.HashKey(op.key), 0)
 			return StatusFull
 		}
-		if !existed {
-			if op.pi == 1 {
-				e.table.SetMark(idx, op.pi)
-			}
-			claimed = append(claimed, claim{op.shard, idx})
-		}
-		op.idx, op.existed = idx, existed
+		e.markFresh(c, op.pi)
+		op.claim = c
 		op.seq = e.seq()
 	}
 
@@ -329,51 +308,35 @@ func (s *Store) txnCommit(txnID uint64, ops []*stagedOp) Status {
 		Flags:     kv.FlagTxnRec,
 		TxnID:     txnID,
 	}
-	_, rpool := re.writePool()
-	recOff, ok := rpool.AppendObject(&rh, txnRecKey)
+	rpi := re.writePool()
+	recOff, ok := re.appendLocked(rpi, &rh, txnRecKey, manifest, true)
 	if !ok {
-		release()
-		re.stats.AllocFailures++
+		release(ops)
 		re.stats.TxnAborts++
 		re.trace("txn", "record_pool_full", 0, txnID)
 		return StatusFull
 	}
-	rpool.WriteValue(recOff, len(txnRecKey), manifest)
-	rpool.FlushObject(recOff, len(txnRecKey), len(manifest))
 
-	// Phase 4: flip every op visible. Any crash from here until the
-	// applied mark below is repaired by replaying the record.
+	// Phase 4: flip every op visible — sequence number, chain link, valid
+	// flag, then the publish. Any crash from here until the applied mark
+	// below is repaired by replaying the record.
 	for _, op := range ops {
-		s.engines[op.shard].flipStagedLocked(op)
+		e := s.engines[op.shard]
+		pool := e.pools[op.pi]
+		en := e.table.Entry(op.claim.idx)
+		pre := e.chainHead(en)
+		pool.SetVersionSeq(op.off, op.seq)
+		pool.SetPrePtr(op.off, pre)
+		pool.SetFlags(op.off, kv.FlagTxn|kv.FlagValid)
+		e.publishLocked(op.claim.idx, en.Tombstone(), op.seq, pre, kv.PackVPtr(op.pi, op.off, op.size))
 	}
 
 	// Phase 5: mark the record applied — recovery ignores it from now on,
 	// which is what makes a post-commit DELETE of an involved key stick.
-	rpool.SetFlags(recOff, kv.FlagTxnRec|kv.FlagDurable)
+	re.pools[rpi].SetFlags(recOff, kv.FlagTxnRec|kv.FlagDurable)
 	re.stats.TxnCommits++
 	re.trace("txn", "committed", 0, txnID)
 	return StatusOK
-}
-
-// flipStagedLocked publishes one staged op: sequence number, chain link,
-// valid flag, table entry — the transactional twin of putLocked's publish
-// tail. Callers hold the engine lock.
-func (e *Engine) flipStagedLocked(op *stagedOp) {
-	pool := e.pools[op.pi]
-	en := e.table.Entry(op.idx)
-	pre := e.chainHead(en)
-	pool.SetVersionSeq(op.off, op.seq)
-	pool.SetPrePtr(op.off, pre)
-	pool.SetFlags(op.off, kv.FlagTxn|kv.FlagValid)
-	e.table.SetLoc(op.idx, op.pi, kv.PackLoc(op.off, op.size))
-	if en.Tombstone() {
-		// Publish before untombstoning, like putLocked: the other order
-		// has a crash window resurrecting the pre-delete version.
-		e.table.Undelete(op.idx, op.seq)
-	}
-	if prePool, preOff, _, ok := kv.UnpackVPtr(pre); ok {
-		e.pools[prePool].SetNextPtr(preOff, kv.PackVPtr(op.pi, op.off, op.size))
-	}
 }
 
 // seqVector pins a snapshot cut: every shard's current sequence number,

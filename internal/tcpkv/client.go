@@ -325,7 +325,8 @@ func dial(addr string, timeout time.Duration) (*Client, error) {
 		d := rkeysPerShard * uint32(s)
 		shards[s] = client.Shard{Table: resp.RKey + d, Pool: [2]uint32{resp.Token + d, resp.Token + d + 1}}
 	}
-	c.core = client.New((*verbs)(c), shards, buckets, &c.Stats, true, int(resp.KLen))
+	c.core = client.New((*verbs)(c), shards, buckets, &c.Stats, int(resp.KLen))
+	c.core.EnableHintCache()
 	return c, nil
 }
 

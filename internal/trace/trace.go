@@ -26,6 +26,8 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"efactory/internal/obs"
 )
 
 // Span is one timed section of one request on one instance. Times are
@@ -229,11 +231,7 @@ type Tracer struct {
 	base        uint64 // high bits of minted IDs
 	seq         atomic.Uint64
 	tick        atomic.Uint64
-
-	mu    sync.Mutex
-	ring  []Trace
-	next  int
-	total uint64 // traces ever retained
+	kept        *obs.Ring[Trace] // retained traces, DefaultStoreCap of them
 }
 
 // NewTracer returns tracer number id, sampling 1-in-sampleEvery requests
@@ -246,7 +244,7 @@ type Tracer struct {
 // numbering: a simulation numbers the tracers of its environment, so its
 // IDs do not depend on what else the process built.
 func NewTracer(id uint64, sampleEvery int, slowNS uint64) *Tracer {
-	t := &Tracer{slowNS: slowNS, base: id << 40}
+	t := &Tracer{slowNS: slowNS, base: id << 40, kept: obs.NewRing[Trace](DefaultStoreCap)}
 	if sampleEvery > 0 {
 		t.sampleEvery = uint64(sampleEvery)
 	}
@@ -298,19 +296,7 @@ func (t *Tracer) Submit(c *Ctx, rootDur uint64) {
 			return
 		}
 	}
-	t.mu.Lock()
-	if cap(t.ring) == 0 {
-		t.ring = make([]Trace, 0, DefaultStoreCap)
-	}
-	tr := Trace{ID: c.TraceID, Why: why, Spans: spans}
-	if len(t.ring) < cap(t.ring) {
-		t.ring = append(t.ring, tr)
-	} else {
-		t.ring[t.next] = tr
-	}
-	t.next = (t.next + 1) % cap(t.ring)
-	t.total++
-	t.mu.Unlock()
+	t.kept.Append(Trace{ID: c.TraceID, Why: why, Spans: spans})
 }
 
 // Retained returns how many traces were ever retained (evicted included).
@@ -318,9 +304,7 @@ func (t *Tracer) Retained() uint64 {
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.total
+	return t.kept.Total()
 }
 
 // Dump returns the retained traces, oldest first. id filters to one
@@ -329,14 +313,9 @@ func (t *Tracer) Dump(id uint64) []Trace {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var all []Trace
-	if len(t.ring) == cap(t.ring) && cap(t.ring) > 0 {
-		all = append(all, t.ring[t.next:]...)
-		all = append(all, t.ring[:t.next]...)
-	} else {
-		all = append(all, t.ring...)
+	all := t.kept.Dump()
+	if len(all) == 0 {
+		return nil
 	}
 	if id == 0 {
 		return all
