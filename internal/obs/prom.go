@@ -18,7 +18,7 @@ import (
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	histName := r.prefix + "_op_latency_ns"
-	fmt.Fprintf(bw, "# HELP %s Engine operation latency (ns; virtual time in simulation, wall clock over TCP).\n", histName)
+	fmt.Fprintf(bw, "# HELP %s Engine operation latency (ns; virtual time in simulation, wall clock over TCP). put/get/del time every request; on the wall clock a section (lookup, alloc, crc, bg_*, clean_*, ...) is sampled: every traced request, and 1 in 64 of each kind per shard.\n", histName)
 	fmt.Fprintf(bw, "# TYPE %s histogram\n", histName)
 	for sh := 0; sh < r.shards; sh++ {
 		for op, name := range r.opNames {

@@ -21,6 +21,11 @@ func (e *Engine) BGStep(h any, pi int) bool { return e.BGBatch(h, pi, 1) > 0 }
 func (e *Engine) BGBatch(h any, pi, limit int) int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	return e.bgBatchLocked(h, pi, limit)
+}
+
+// bgBatchLocked is BGBatch with mu held.
+func (e *Engine) bgBatchLocked(h any, pi, limit int) int {
 	if limit > 1 {
 		e.lastBGBatch = limit
 	}
@@ -31,13 +36,13 @@ func (e *Engine) BGBatch(h any, pi, limit int) int {
 scan:
 	for processed < max(limit, 1) && e.bgCursor[pi]+kv.HeaderSize <= pool.Used() {
 		off := uint64(e.bgCursor[pi])
-		tScan := e.sink.Now()
+		scan := e.begin(h, OpBGScan)
 		e.sink.Charge(h, OpBGScan, 0)
 		if pool != e.pools[pi] {
 			break // the cleaner recycled this pool while we yielded
 		}
 		hd := pool.Header(off)
-		e.observe(int(OpBGScan), tScan)
+		e.end(h, scan)
 		if hd.Magic != kv.Magic || hd.KLen <= 0 {
 			break // allocation raced us; retry this position later
 		}
@@ -84,17 +89,23 @@ scan:
 }
 
 // BGDrain runs the shard's verifier to a standstill: it passes over both
-// pools, verifying up to max objects per run (BGBatch sized from the
-// durability lag; max <= 1 is one object per run), until a whole
-// pass moves neither cursor — each is parked at the end of its log or on
-// an in-flight value. Both transports' verifier loops are "BGDrain, then
-// wait": the simulation one process per shard sleeping BGIdlePoll, the TCP
-// server one goroutine per shard on a ticker.
+// pools, verifying up to max objects per run (a BGBatch sized as
+// AdaptiveBGBatch sizes it, under the same lock hold; max <= 1 is one
+// object per run), until a whole pass moves neither cursor — each is
+// parked at the end of its log or on an in-flight value. Both transports'
+// verifier loops are "BGDrain, then wait": the simulation one process per
+// shard sleeping BGIdlePoll, the TCP server one goroutine per shard on a
+// ticker.
 func (e *Engine) BGDrain(h any, max int) {
+	run := func(pi int) int {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		return e.bgBatchLocked(h, pi, e.adaptiveLocked(max))
+	}
 	for progressed := true; progressed; {
 		progressed = false
 		for pi := 0; pi < 2; pi++ {
-			for e.BGBatch(h, pi, e.AdaptiveBGBatch(max)) > 0 {
+			for run(pi) > 0 {
 				progressed = true
 			}
 		}
@@ -112,11 +123,14 @@ const adaptiveBatchStep = 2048
 // time to durability, while a backlogged shard coalesces up to max
 // objects per lock acquisition, maximizing drain throughput.
 func (e *Engine) AdaptiveBGBatch(max int) int {
-	if max <= 1 {
-		return 1
-	}
-	backlog, _ := e.DurabilityLag()
-	return bgSize(backlog, adaptiveBatchStep, max)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.adaptiveLocked(max)
+}
+
+// adaptiveLocked is AdaptiveBGBatch with mu held.
+func (e *Engine) adaptiveLocked(max int) int {
+	return bgSize(e.backlogLocked(), adaptiveBatchStep, max)
 }
 
 // bgSize maps a durability-lag backlog (bytes not yet verified) to a
@@ -137,11 +151,11 @@ func bgSize(backlogBytes, step, max int) int {
 func (e *Engine) bgSuperseded(h any, pi int, off uint64, klen int) bool {
 	pool := e.pools[pi]
 	e.keyScratch = pool.ReadKeyInto(e.keyScratch, off, klen)
-	tLookup := e.sink.Now()
+	lookup := e.begin(h, OpBGLookup)
 	keyHash := kv.HashKey(e.keyScratch)
 	e.sink.Charge(h, OpBGLookup, 0)
 	_, en, found := e.table.Lookup(keyHash)
-	e.observe(int(OpBGLookup), tLookup)
+	e.end(h, lookup)
 	if !found {
 		return true // entry reclaimed: version unreachable
 	}

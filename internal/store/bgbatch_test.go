@@ -215,6 +215,57 @@ func TestAdaptiveBGBatchTracksBacklog(t *testing.T) {
 	}
 }
 
+// TestVirtualClockTimesEverySection: an engine off the wall clock times
+// every section, so each section histogram counts exactly the work it
+// names. The batch figure's bg-runs is the bg_flush count.
+func TestVirtualClockTimesEverySection(t *testing.T) {
+	st, _, _ := directStore(t)
+	defer st.Stop()
+	eng := st.Shard(0)
+	const keys = 100 // more than one wall-clock sample period
+	val := []byte("a value the verifier checks")
+	for gen := 0; gen < 2; gen++ {
+		for i := 0; i < keys; i++ {
+			key := []byte(fmt.Sprintf("sec-%03d", i))
+			if pr := eng.PutInline(nil, key, val, crc.Checksum(val)); pr.Status != store.StatusOK {
+				t.Fatalf("put %d: %v", i, pr.Status)
+			}
+		}
+	}
+	eng.BGDrain(nil, 1) // one object per run: one bg_flush per verified object
+	for i := 0; i < keys; i++ {
+		if r := eng.Get(nil, []byte(fmt.Sprintf("sec-%03d", i))); r.Status != store.StatusOK {
+			t.Fatalf("get %d: %v", i, r.Status)
+		}
+	}
+	eng.Del(nil, []byte("sec-000"))
+
+	s := eng.Stats()
+	snap := st.Metrics().Snapshot()
+	for _, c := range []struct {
+		section string
+		want    int
+	}{
+		{"put", s.Puts},
+		{"alloc", s.Puts},
+		{"get", s.Gets},
+		{"lookup", s.Gets + s.Dels},
+		{"get_scan", s.Gets},
+		{"del", s.Dels},
+		{"bg_scan", s.BGVerified + s.BGStale},
+		{"bg_lookup", s.BGVerified + s.BGStale},
+		{"bg_crc", s.BGVerified},
+		{"bg_flush", s.BGVerified},
+	} {
+		if got := snap.MergedOp(c.section).Count; got != uint64(c.want) {
+			t.Errorf("%s histogram has %d samples, want %d", c.section, got, c.want)
+		}
+	}
+	if s.BGVerified != keys || s.BGStale != keys {
+		t.Fatalf("verifier verified %d and skipped %d stale, want %d each", s.BGVerified, s.BGStale, keys)
+	}
+}
+
 // loadForDrain fills a fresh store with verified-ready objects, so a
 // drain benchmark measures pure background-verification work.
 func loadForDrain(b *testing.B, st *store.Store, dev *nvm.Memory, n, vlen int) {
@@ -233,17 +284,32 @@ func loadForDrain(b *testing.B, st *store.Store, dev *nvm.Memory, n, vlen int) {
 	}
 }
 
-func benchStore(b *testing.B) (*store.Store, *nvm.Memory) {
+// benchClocks are the engine set-ups the engine benchmarks run under:
+// "virtual" is a step clock with no-op locks, as the simulator runs the
+// engine; "wall" is the default Deps (the wall clock and sync.Mutex), as
+// tcpkv runs it.
+var benchClocks = []struct {
+	name string
+	wall bool
+}{{"virtual", false}, {"wall", true}}
+
+// benchStore builds a one-shard bench store, on the wall clock when wall
+// is set and on a step clock otherwise. Cleaning is off.
+func benchStore(b *testing.B, wall bool) (*store.Store, *nvm.Memory) {
 	b.Helper()
 	cfg := store.Config{Shards: 1, Buckets: 4096, PoolSize: 8 << 20, VerifyTimeout: time.Second}
 	dev := nvm.New(cfg.DeviceSize())
-	tick := &stepSink{}
-	st, _, err := store.New(dev, cfg, store.Deps{
-		Sink:        tick,
-		NewLock:     func() sync.Locker { return nopLocker{} },
-		Spawn:       func(name string, fn func(h any)) { fn(nil) },
-		CleanerWait: func(h any) bool { tick.now += 500; return true },
-	})
+	var deps store.Deps
+	if !wall {
+		tick := &stepSink{}
+		deps = store.Deps{
+			Sink:        tick,
+			NewLock:     func() sync.Locker { return nopLocker{} },
+			Spawn:       func(name string, fn func(h any)) { fn(nil) },
+			CleanerWait: func(h any) bool { tick.now += 500; return true },
+		}
+	}
+	st, _, err := store.New(dev, cfg, deps)
 	if err != nil {
 		b.Fatalf("store.New: %v", err)
 	}
@@ -258,7 +324,7 @@ func BenchmarkBGStepDrain(b *testing.B) {
 	const objs = 512
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		st, dev := benchStore(b)
+		st, dev := benchStore(b, false)
 		loadForDrain(b, st, dev, objs, 256)
 		eng := st.Shard(0)
 		b.StartTimer()
@@ -279,7 +345,7 @@ func BenchmarkBGBatchDrain(b *testing.B) {
 	const objs = 512
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		st, dev := benchStore(b)
+		st, dev := benchStore(b, false)
 		loadForDrain(b, st, dev, objs, 256)
 		eng := st.Shard(0)
 		b.StartTimer()
@@ -298,21 +364,25 @@ func BenchmarkBGBatchDrain(b *testing.B) {
 // durability bookkeeping); with the scratch buffers it must be
 // allocation-free.
 func BenchmarkEngineGet(b *testing.B) {
-	st, dev := benchStore(b)
-	defer st.Stop()
-	loadForDrain(b, st, dev, 256, 256)
-	eng := st.Shard(0)
-	for eng.BGBatch(nil, eng.CurrentPool(), 16) > 0 {
-	}
-	keys := make([][]byte, 256)
-	for i := range keys {
-		keys[i] = []byte(fmt.Sprintf("obj-%04d", i))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if gr := eng.Get(nil, keys[i%len(keys)]); gr.Status != store.StatusOK {
-			b.Fatalf("get: %v", gr.Status)
-		}
+	for _, c := range benchClocks {
+		b.Run(c.name, func(b *testing.B) {
+			st, dev := benchStore(b, c.wall)
+			defer st.Stop()
+			loadForDrain(b, st, dev, 256, 256)
+			eng := st.Shard(0)
+			for eng.BGBatch(nil, eng.CurrentPool(), 16) > 0 {
+			}
+			keys := make([][]byte, 256)
+			for i := range keys {
+				keys[i] = []byte(fmt.Sprintf("obj-%04d", i))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if gr := eng.Get(nil, keys[i%len(keys)]); gr.Status != store.StatusOK {
+					b.Fatalf("get: %v", gr.Status)
+				}
+			}
+		})
 	}
 }

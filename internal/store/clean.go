@@ -98,7 +98,7 @@ func (e *Engine) runCleaner(h any) {
 	// already on it is left as it is.
 	e.mu.Lock()
 	e.table.RangeAll(func(i int, en kv.Entry) bool {
-		tEntry := e.sink.Now()
+		entry := e.begin(h, OpCleanEntry)
 		e.sink.Charge(h, OpCleanEntry, 0)
 		// Re-read: the charge may have yielded to a request on this entry.
 		if en = e.table.Entry(i); en.Free() {
@@ -114,7 +114,7 @@ func (e *Engine) runCleaner(h any) {
 		default:
 			e.table.FlipMark(i, newer)
 		}
-		e.observe(int(OpCleanEntry), tEntry)
+		e.end(h, entry)
 		return true
 	})
 	e.cur = newer
@@ -164,20 +164,20 @@ func (e *Engine) tryMigrate(h any, sc *cleanScratch, pi int, off uint64) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	pool := e.pools[pi]
-	tScan := e.sink.Now()
+	scan := e.begin(h, OpBGScan)
 	e.sink.Charge(h, OpBGScan, 0)
 	hd := pool.Header(off)
-	e.observe(int(OpBGScan), tScan)
+	e.end(h, scan)
 	if hd.Magic != kv.Magic || !hd.Valid() {
 		e.stats.CleanDropped++
 		return true
 	}
-	tLookup := e.sink.Now()
+	lookup := e.begin(h, OpBGLookup)
 	sc.key = pool.ReadKeyInto(sc.key, off, hd.KLen)
 	key := sc.key
 	e.sink.Charge(h, OpBGLookup, 0)
 	idx, en, found := e.table.Lookup(kv.HashKey(key))
-	e.observe(int(OpBGLookup), tLookup)
+	e.end(h, lookup)
 	if !found || en.Tombstone() {
 		e.stats.CleanDropped++
 		return true
@@ -236,7 +236,7 @@ func (e *Engine) tryMigrate(h any, sc *cleanScratch, pi int, off uint64) bool {
 	// the version is flagged durable now, so the re-run revalidates without
 	// another window.
 	size := kv.ObjectSize(hd.KLen, hd.VLen)
-	tCopy := e.sink.Now()
+	cp := e.begin(h, OpCleanCopy)
 	e.sink.Charge(h, OpCleanCopy, size)
 	if idx2, en2, found2 := e.table.Lookup(kv.HashKey(key)); !found2 || idx2 != idx || en2 != en {
 		return false
@@ -258,7 +258,7 @@ func (e *Engine) tryMigrate(h any, sc *cleanScratch, pi int, off uint64) bool {
 		// the old copy authoritative.
 		return true
 	}
-	e.observe(int(OpCleanCopy), tCopy)
+	e.end(h, cp)
 	// Mark the old copy as transferred, then stage the entry.
 	pool.SetFlags(off, hd.Flags|kv.FlagTrans)
 	e.publishLocked(idx, false, 0, kv.NilPtr, kv.PackVPtr(1-pi, newOff, size))

@@ -176,6 +176,12 @@ type Engine struct {
 	// wider than one — the efactory_bg_batch_width gauge (guarded by mu).
 	lastBGBatch int
 
+	// wall is set on the wall-clock sink (Deps.Sink nil), where sections
+	// are sampled; sections counts each kind run there (guarded by mu).
+	// See timed.
+	wall     bool
+	sections [numSections]uint32
+
 	// Scratch buffers for the hot GET and verify paths (guarded by mu).
 	// They never outlive a yield point: each is consumed (CRC, hash) before
 	// the next Charge, so cooperative interleavings cannot clobber live data.
@@ -195,6 +201,7 @@ func newEngine(dev nvm.Device, cfg Config, deps Deps, l kv.Layout, shard int, re
 		table: kv.NewTable(dev, l.TableBase(shard), l.Buckets),
 		mu:    deps.NewLock(),
 	}
+	_, e.wall = deps.Sink.(realSink)
 	for i := 0; i < 2; i++ {
 		e.pools[i] = kv.NewPool(dev, l.PoolBase(shard, i), l.PoolSize)
 	}
@@ -346,8 +353,9 @@ func (e *Engine) put(h any, op PutOp) PutResult {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	t0 := e.sink.Now()
-	defer func() { e.observeMop(h, mopPut, t0) }()
-	return e.putLocked(h, op)
+	r := e.putLocked(h, op)
+	e.observeMop(h, mopPut, t0)
+	return r
 }
 
 // PutOp is one allocation request of a PutBatch: the store-level twin of
@@ -366,7 +374,8 @@ type PutOp struct {
 // bouncing for work that is contiguous anyway; here the group runs to
 // completion while other shards proceed in parallel. res, when it has the
 // capacity, is reused as the result backing so callers with a scratch
-// slice keep the hot path alloc-free. Results index-align with ops.
+// slice keep the hot path alloc-free. Results index-align with ops. One
+// clock read ends each op's put latency and starts the next op's.
 func (e *Engine) PutBatch(h any, ops []PutOp, res []PutResult) []PutResult {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -376,10 +385,10 @@ func (e *Engine) PutBatch(h any, ops []PutOp, res []PutResult) []PutResult {
 	} else {
 		res = make([]PutResult, len(ops))
 	}
+	t0 := e.sink.Now()
 	for i, op := range ops {
-		t0 := e.sink.Now()
 		res[i] = e.putLocked(h, op)
-		e.observeMop(h, mopPut, t0)
+		t0 = e.observeMop(h, mopPut, t0)
 	}
 	return res
 }
@@ -405,7 +414,7 @@ func (e *Engine) putLocked(h any, op PutOp) PutResult {
 	// orphan versions from the chain). The write pool is re-read for the
 	// same reason: the cleaner may have switched to merging meanwhile, and
 	// a version appended to the old pool after that is never merged.
-	tAlloc := e.sink.Now()
+	alloc := e.begin(h, OpAlloc)
 	e.sink.Charge(h, OpAlloc, size)
 	pi := e.writePool()
 	e.markFresh(c, pi)
@@ -425,7 +434,7 @@ func (e *Engine) putLocked(h any, op PutOp) PutResult {
 	// that finds the new version finds its value, and it cannot land past
 	// VerifyTimeout.
 	off, ok := e.appendLocked(pi, &hd, key, op.Value, false)
-	e.observeH(h, int(OpAlloc), tAlloc)
+	e.end(h, alloc)
 	if !ok {
 		e.releaseFresh(c)
 		e.trace("put", "pool_full", keyHash, hd.Seq)
@@ -543,9 +552,9 @@ func (e *Engine) GetInto(h any, key, vals []byte, limit int) (GetResult, []byte)
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	t0 := e.sink.Now()
-	defer func() { e.observeMop(h, mopGet, t0) }()
 	r := e.getLocked(h, key, -1, noSeqLimit)
 	vals = e.valueLocked(&r, vals, limit)
+	e.observeMop(h, mopGet, t0)
 	return r, vals
 }
 
@@ -562,7 +571,8 @@ func (e *Engine) GetBatch(h any, keys [][]byte, slots []int) []GetResult {
 // GetBatchInto is GetBatch that also returns values, as GetInto does for
 // each key in turn against the one limit: a value that would take vals
 // past limit is not copied and its key's result is bare. res, when it has
-// the capacity, is reused as the result backing.
+// the capacity, is reused as the result backing. One clock read ends each
+// key's get latency and starts the next key's.
 func (e *Engine) GetBatchInto(h any, keys [][]byte, slots []int, res []GetResult, vals []byte, limit int) ([]GetResult, []byte) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -572,15 +582,15 @@ func (e *Engine) GetBatchInto(h any, keys [][]byte, slots []int, res []GetResult
 	} else {
 		res = make([]GetResult, len(keys))
 	}
+	t0 := e.sink.Now()
 	for i, key := range keys {
-		t0 := e.sink.Now()
 		hint := -1
 		if slots != nil {
 			hint = slots[i]
 		}
 		res[i] = e.getLocked(h, key, hint, noSeqLimit)
 		vals = e.valueLocked(&res[i], vals, limit)
-		e.observeMop(h, mopGet, t0)
+		t0 = e.observeMop(h, mopGet, t0)
 	}
 	return res, vals
 }
@@ -614,7 +624,7 @@ func (e *Engine) valueLocked(r *GetResult, vals []byte, limit int) []byte {
 func (e *Engine) getLocked(h any, key []byte, slotHint int, seqLimit uint64) GetResult {
 	e.stats.Gets++
 	keyHash := kv.HashKey(key)
-	t0 := e.sink.Now()
+	lookup := e.begin(h, OpLookup)
 	e.sink.Charge(h, OpLookup, 0)
 	var (
 		idx   int
@@ -632,7 +642,7 @@ func (e *Engine) getLocked(h any, key []byte, slotHint int, seqLimit uint64) Get
 	if !found {
 		idx, en, found = e.table.Lookup(keyHash)
 	}
-	e.observeH(h, int(OpLookup), t0)
+	e.end(h, lookup)
 	if !found || en.Tombstone() {
 		return GetResult{Status: StatusNotFound}
 	}
@@ -643,10 +653,10 @@ func (e *Engine) getLocked(h any, key []byte, slotHint int, seqLimit uint64) Get
 	first := true
 	for {
 		pool := e.pools[pi]
-		tScan := e.sink.Now()
+		scan := e.begin(h, OpGetScan)
 		e.sink.Charge(h, OpGetScan, 0) // header fetch + durability check
 		hd := pool.Header(off)
-		e.observeH(h, int(OpGetScan), tScan)
+		e.end(h, scan)
 		if hd.Magic != kv.Magic {
 			break
 		}
@@ -699,9 +709,11 @@ func (e *Engine) Del(h any, key []byte) Status {
 	t0 := e.sink.Now()
 	defer func() { e.observeMop(h, mopDel, t0) }()
 	e.stats.Dels++
+	// The lookup section starts with the request.
+	lookup := section{op: OpLookup, t0: t0, timed: e.timed(h, OpLookup)}
 	e.sink.Charge(h, OpLookup, 0)
 	idx, en, found := e.table.Lookup(kv.HashKey(key))
-	e.observeH(h, int(OpLookup), t0)
+	e.end(h, lookup)
 	if !found || en.Tombstone() {
 		return StatusNotFound
 	}

@@ -12,7 +12,7 @@ import (
 // Op values, so the engine can feed section timings straight through; the
 // tail adds whole-request latencies the sink never sees as a unit.
 const (
-	mopPut = int(OpCleanEntry) + 1 + iota
+	mopPut = numSections + iota
 	mopGet
 	mopDel
 	numMetricOps
@@ -43,40 +43,82 @@ func MetricOpNames() []string {
 // traceRingCap bounds the structured trace ring (per store, all shards).
 const traceRingCap = 4096
 
-// observe records one section latency, measured on the sink clock between
-// t0 and now: virtual nanoseconds under the simulator (Charge sleeps the
-// acting process), wall-clock nanoseconds over TCP (Charge is free but the
-// native work is not).
-func (e *Engine) observe(op int, t0 uint64) {
-	e.obs.Observe(e.shard, op, e.sink.Now()-t0)
+// sectionSample is the wall-clock sampling period of section latencies.
+const sectionSample = 64
+
+// section is an open engine section of kind op; t0 is its start on the
+// sink clock when it is timed.
+type section struct {
+	op    Op
+	t0    uint64
+	timed bool
 }
 
-// observeH is observe for sections attributable to one request: when the
-// request is traced (h carries a trace.Ctx), the section also records a
-// span — same clock, same boundaries as the histogram sample — and the
-// trace ID becomes the histogram bucket's exemplar. Untraced requests
-// pay one type assertion and take the plain path.
-func (e *Engine) observeH(h any, op int, t0 uint64) {
+// timed reports whether the section of kind op that request h is about to
+// run is timed. On a sink whose clock is free (the simulator's virtual
+// clock, a test's step clock) every section is. A wall-clock read costs
+// tens of nanoseconds under mu, so there a shard times every section of a
+// traced request and, per section kind, the first and every
+// sectionSample-th after it. Callers hold mu.
+func (e *Engine) timed(h any, op Op) bool {
+	if !e.wall {
+		return true
+	}
+	n := e.sections[op]
+	e.sections[op]++
+	if n%sectionSample == 0 {
+		return true
+	}
 	_, tc := trace.Unwrap(h)
-	if tc == nil {
-		e.observe(op, t0)
+	return tc != nil
+}
+
+// begin opens a section of kind op for request h, reading the clock only
+// when the section is timed. Callers hold mu.
+func (e *Engine) begin(h any, op Op) section {
+	s := section{op: op, timed: e.timed(h, op)}
+	if s.timed {
+		s.t0 = e.sink.Now()
+	}
+	return s
+}
+
+// end closes s. A timed section records its latency on the sink clock
+// from its start to now: virtual nanoseconds under the simulator (Charge
+// sleeps the acting process), wall-clock nanoseconds over TCP (Charge is
+// free but the native work is not). A traced request's section also
+// records a span with the same boundaries.
+func (e *Engine) end(h any, s section) {
+	if !s.timed {
 		return
 	}
 	now := e.sink.Now()
-	e.obs.Hist(e.shard, op).ObserveTraced(now-t0, tc.TraceID)
-	tc.AddSpan(trace.Span{Name: e.obs.OpNames()[op], Shard: e.shard, StartNS: t0, EndNS: now})
+	if tc := e.record(h, int(s.op), now-s.t0); tc != nil {
+		tc.AddSpan(trace.Span{Name: e.obs.OpNames()[s.op], Shard: e.shard, StartNS: s.t0, EndNS: now})
+	}
 }
 
-// observeMop is observeH for the whole-request put/get/del histograms:
-// exemplar only, no span — the transport's root span already covers the
-// request, and a duplicate would double-count coverage.
-func (e *Engine) observeMop(h any, op int, t0 uint64) {
+// observeMop records a whole-request put/get/del latency from t0 to now,
+// on every request, and returns now, so a batch's next request can start
+// there. A traced request records no span: the transport's root span
+// already covers the request, and a duplicate would double-count coverage.
+func (e *Engine) observeMop(h any, op int, t0 uint64) uint64 {
+	now := e.sink.Now()
+	e.record(h, op, now-t0)
+	return now
+}
+
+// record adds one latency sample to op's histogram. When request h is
+// traced, its trace ID becomes the bucket's exemplar and its trace
+// context is returned; untraced requests pay one type assertion.
+func (e *Engine) record(h any, op int, ns uint64) *trace.Ctx {
 	_, tc := trace.Unwrap(h)
 	if tc == nil {
-		e.observe(op, t0)
-		return
+		e.obs.Observe(e.shard, op, ns)
+		return nil
 	}
-	e.obs.Hist(e.shard, op).ObserveTraced(e.sink.Now()-t0, tc.TraceID)
+	e.obs.Hist(e.shard, op).ObserveTraced(ns, tc.TraceID)
+	return tc
 }
 
 // trace appends a structured event to the store's trace ring.
@@ -121,12 +163,7 @@ func (e *Engine) DurabilityLag() (backlogBytes int, oldestNS uint64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	now := e.sink.Now()
-	for pi := 0; pi < 2; pi++ {
-		pool := e.pools[pi]
-		if e.bgCursor[pi] >= pool.Used() {
-			continue
-		}
-		backlogBytes += pool.Used() - e.bgCursor[pi]
+	for pi, pool := range e.pools {
 		if e.bgCursor[pi]+kv.HeaderSize > pool.Used() {
 			continue
 		}
@@ -137,7 +174,16 @@ func (e *Engine) DurabilityLag() (backlogBytes int, oldestNS uint64) {
 			}
 		}
 	}
-	return backlogBytes, oldestNS
+	return e.backlogLocked(), oldestNS
+}
+
+// backlogLocked returns the log bytes the background verifier has not yet
+// passed over, in both pools. Callers hold mu.
+func (e *Engine) backlogLocked() (n int) {
+	for pi, pool := range e.pools {
+		n += max(pool.Used()-e.bgCursor[pi], 0)
+	}
+	return n
 }
 
 // registerMetrics wires every shard's gauges and counters into the

@@ -1,7 +1,8 @@
 // Write hot-path benchmarks: the PUT allocation path (lookup + log
 // alloc + metadata persist + publish) must be allocation-free, both
 // per-op (Put) and in the run-to-completion batch form (PutBatch, one
-// lock acquisition per group). The alloc counts here are regression
+// lock acquisition per group), on the simulator's kind of clock and on
+// the wall clock tcpkv runs on. The alloc counts here are regression
 // gates — CI greps for "0 allocs/op".
 package store_test
 
@@ -34,8 +35,14 @@ func benchPutKeys(n, vlen int) (keys [][]byte, sum uint32, _ int) {
 
 // BenchmarkEnginePut overwrites a fixed key set one Put at a time: the
 // allocate-in-log + persist-metadata + publish path, which must not
-// touch the heap.
+// touch the heap, on each of benchClocks.
 func BenchmarkEnginePut(b *testing.B) {
+	for _, c := range benchClocks {
+		b.Run(c.name, func(b *testing.B) { benchEnginePut(b, c.wall) })
+	}
+}
+
+func benchEnginePut(b *testing.B, wall bool) {
 	keys, sum, vlen := benchPutKeys(256, 256)
 	var (
 		st  *store.Store
@@ -46,7 +53,7 @@ func BenchmarkEnginePut(b *testing.B) {
 		if st != nil {
 			st.Stop()
 		}
-		st, _ = benchStore(b)
+		st, _ = benchStore(b, wall)
 		eng = st.Shard(0)
 		b.StartTimer()
 	}
@@ -69,6 +76,12 @@ func BenchmarkEnginePut(b *testing.B) {
 // caller-owned op and result scratch: one lock acquisition per
 // batchWidth allocations. Reported per PUT, not per batch.
 func BenchmarkEnginePutBatch(b *testing.B) {
+	for _, c := range benchClocks {
+		b.Run(c.name, func(b *testing.B) { benchEnginePutBatch(b, c.wall) })
+	}
+}
+
+func benchEnginePutBatch(b *testing.B, wall bool) {
 	const batchWidth = 64
 	keys, sum, vlen := benchPutKeys(256, 256)
 	ops := make([]store.PutOp, batchWidth)
@@ -82,7 +95,7 @@ func BenchmarkEnginePutBatch(b *testing.B) {
 		if st != nil {
 			st.Stop()
 		}
-		st, _ = benchStore(b)
+		st, _ = benchStore(b, wall)
 		eng = st.Shard(0)
 		b.StartTimer()
 	}

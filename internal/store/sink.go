@@ -26,6 +26,10 @@ const (
 	OpCleanEntry // cleaner per-entry table touch during the final sweep
 )
 
+// numSections is the number of section kinds: the engine times its work
+// per Op.
+const numSections = int(OpCleanEntry) + 1
+
 // Foreground reports whether op runs on a request worker (and should be
 // accounted as server-busy time by sinks that track it).
 func (op Op) Foreground() bool {

@@ -176,7 +176,7 @@ func (s *Store) txnStage(h any, txnID uint64, key, value []byte) (*stagedOp, Sta
 	e.stats.TxnStages++
 	size := kv.ObjectSize(len(key), len(value))
 	e.maybeCleanLocked(size)
-	tAlloc := e.sink.Now()
+	alloc := e.begin(h, OpAlloc)
 	e.sink.Charge(h, OpAlloc, size)
 	// The charge may have yielded (simulation) and started a cleaning run;
 	// re-resolve the working pool so the append lands where commit expects.
@@ -192,11 +192,11 @@ func (s *Store) txnStage(h any, txnID uint64, key, value []byte) (*stagedOp, Sta
 		e.trace("txn", "stage_pool_full", kv.HashKey(key), 0)
 		return nil, StatusFull
 	}
-	e.observeH(h, int(OpAlloc), tAlloc)
-	tFlush := e.sink.Now()
+	e.end(h, alloc)
+	flush := e.begin(h, OpFlush)
 	e.sink.Charge(h, OpFlush, size)
 	e.pools[pi].FlushObject(op.off, len(key), len(value))
-	e.observeH(h, int(OpFlush), tFlush)
+	e.end(h, flush)
 	return op, StatusOK
 }
 

@@ -45,14 +45,14 @@ const (
 // on verMoved the caller must not touch the offset again.
 func (e *Engine) verify(h any, pi int, off uint64, hd kv.Header, op Op) verdict {
 	pool := e.pools[pi]
-	tCRC := e.sink.Now()
+	check := e.begin(h, op)
 	e.sink.Charge(h, op, hd.VLen)
 	if pool != e.pools[pi] {
 		return verMoved
 	}
 	e.valScratch = pool.ReadValueInto(e.valScratch, off, hd.KLen, hd.VLen)
 	match := crc.Checksum(e.valScratch) == hd.CRC
-	e.observeH(h, int(op), tCRC)
+	e.end(h, check)
 	if match {
 		ok, mirrored := e.mirrorVersion(h, pi, off, hd)
 		switch {
@@ -87,7 +87,7 @@ func (e *Engine) persist(h any, pi int, run []uint64, end uint64, op Op) bool {
 	pool := e.pools[pi]
 	start, last := run[0], run[len(run)-1]
 	n := int(end - start)
-	tFlush := e.sink.Now()
+	flush := e.begin(h, op)
 	e.sink.Charge(h, op, n)
 	if pool != e.pools[pi] {
 		return false
@@ -97,7 +97,7 @@ func (e *Engine) persist(h any, pi int, run []uint64, end uint64, op Op) bool {
 		pool.SetFlagsVolatile(off, pool.Header(off).Flags|kv.FlagDurable)
 	}
 	pool.FlushRange(start, int(last-start)+kv.HeaderSize)
-	e.observeH(h, int(op), tFlush)
+	e.end(h, flush)
 	return true
 }
 
@@ -114,20 +114,21 @@ func (e *Engine) persist(h any, pi int, run []uint64, end uint64, op Op) bool {
 // sequence — return (true, true) without calling the hook: they may be
 // flagged (the flag only vouches for local bytes nobody can read), but a
 // mirror record for them could resurrect an acknowledged DELETE on the
-// backup.
+// backup. A key with no backups (MirrorNeeded false) returns (true, true)
+// before the table lookup: dead or live, its verdict is the same.
 func (e *Engine) mirrorVersion(h any, pi int, off uint64, hd kv.Header) (ok, mirrored bool) {
 	if e.deps.Mirror == nil {
 		return true, true
 	}
 	pool := e.pools[pi]
 	e.keyScratch = pool.ReadKeyInto(e.keyScratch, off, hd.KLen)
-	_, en, found := e.table.Lookup(kv.HashKey(e.keyScratch))
-	if !found || en.Tombstone() || belowCut(en, hd.Seq) {
-		return true, true
-	}
 	if e.deps.MirrorNeeded != nil && !e.deps.MirrorNeeded(e.keyScratch) {
 		// No backups to reach: the flag may be set under the lock we
 		// already hold, exactly like an engine with no Mirror installed.
+		return true, true
+	}
+	_, en, found := e.table.Lookup(kv.HashKey(e.keyScratch))
+	if !found || en.Tombstone() || belowCut(en, hd.Seq) {
 		return true, true
 	}
 	rec := ExportKey{

@@ -3,7 +3,9 @@ package tcpkv
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
+	"time"
 
 	"efactory/internal/cluster"
 	"efactory/internal/nvm"
@@ -141,5 +143,68 @@ func TestServerTraceDumpEmptyWithoutTracing(t *testing.T) {
 	}
 	if len(trs) != 0 {
 		t.Fatalf("server retained %d traces from an untraced client", len(trs))
+	}
+}
+
+// TestTracedRequestsTimeEverySection: on the wall clock the engine times
+// one section in 64 of each kind, but every section of a traced request.
+// A traced PUT records its alloc section, and a traced RPC GET (the
+// verifier is parked, so the read verifies on demand) its lookup,
+// get_scan, crc and flush sections, each as a span with a positive
+// wall-clock duration; more than one sample period of requests runs.
+func TestTracedRequestsTimeEverySection(t *testing.T) {
+	cfg := smallConfig()
+	cfg.BGInterval = time.Hour
+	srv, addr := startServer(t, nvm.New(cfg.DeviceSize()), cfg)
+	cl, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	cl.EnableTracing(1, 0)
+	const keys = 100
+	val := []byte("a traced value")
+	for i := 0; i < keys; i++ {
+		if err := cl.Put([]byte(fmt.Sprintf("traced-%03d", i)), val); err != nil {
+			t.Fatalf("put %d: %v", i, err)
+		}
+	}
+	for i := 0; i < keys; i++ {
+		if _, err := cl.Get([]byte(fmt.Sprintf("traced-%03d", i))); err != nil {
+			t.Fatalf("get %d: %v", i, err)
+		}
+	}
+
+	want := map[string][]string{
+		"server_put": {"alloc"},
+		"server_get": {"lookup", "get_scan", "crc", "flush"},
+	}
+	seen := map[string]int{}
+	for _, tr := range srv.Tracer().Dump(0) {
+		var root string
+		got := map[string]bool{}
+		for _, s := range tr.Spans {
+			if strings.HasPrefix(s.Name, "server_") {
+				root = s.Name
+				continue
+			}
+			if s.EndNS <= s.StartNS {
+				t.Fatalf("trace %x: %s span has no wall-clock duration: %+v", tr.ID, s.Name, s)
+			}
+			got[s.Name] = true
+		}
+		sections, ok := want[root]
+		if !ok {
+			continue
+		}
+		seen[root]++
+		for _, name := range sections {
+			if !got[name] {
+				t.Fatalf("%s trace %x has no %s span: %+v", root, tr.ID, name, tr.Spans)
+			}
+		}
+	}
+	if seen["server_put"] != keys || seen["server_get"] != keys {
+		t.Fatalf("server retained %d put and %d get traces, want %d each", seen["server_put"], seen["server_get"], keys)
 	}
 }
