@@ -315,7 +315,6 @@ func (n *node) allocObject(key []byte, vlen int, crcv uint32, pre uint64, flags 
 	size := kv.ObjectSize(len(key), vlen)
 	h := kv.Header{
 		PrePtr:    pre,
-		NextPtr:   kv.NilPtr,
 		Seq:       n.seq(),
 		CreatedAt: uint64(n.env.Now()),
 		CRC:       crcv,

@@ -17,8 +17,8 @@ import (
 // these lists.
 func TestTortureRowsPinned(t *testing.T) {
 	want := map[string][]int64{
-		"store": {392, 347}, "store+gb": {499, 408}, "store+txn": {808, 748},
-		"sim": {487, 459}, "sim+gb": {515, 439}, "sim+txn": {1018, 918},
+		"store": {365, 333}, "store+gb": {457, 376}, "store+txn": {725, 684},
+		"sim": {424, 407}, "sim+gb": {473, 384}, "sim+txn": {910, 827},
 	}
 	spec := TortureSpec{Seeds: []uint64{1, 2}, Points: 25, Ops: 30, GetBatch: true, Txn: true}
 	for _, tr := range []string{"store", "sim"} {

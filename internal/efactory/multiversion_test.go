@@ -139,10 +139,10 @@ func TestCrashDuringLogCleaning(t *testing.T) {
 	env2.Run()
 }
 
-// TestNextPtrForwardLinks checks the forward version links (Figure 4's
-// NextPTR): after a series of updates, walking NextPtr from the oldest
-// version must reach the head in order.
-func TestNextPtrForwardLinks(t *testing.T) {
+// TestPrePtrChain checks the version list (Figure 4's PrePTR, the only
+// link the log persists): after a series of updates, walking PrePtr from
+// the head reaches every version, newest first, and ends at the first.
+func TestPrePtrChain(t *testing.T) {
 	c := newCluster(t, DefaultConfig(), 1)
 	c.run(func(p *sim.Proc) {
 		cl := c.clients[0]
@@ -153,43 +153,27 @@ func TestNextPtrForwardLinks(t *testing.T) {
 		}
 		p.Sleep(time.Millisecond)
 	})
-	// Find the oldest version by walking PrePtr from the head...
 	_, e, found := c.srv.Table().Lookup(kv.HashKey([]byte("k")))
 	if !found {
 		t.Fatal("entry missing")
 	}
-	headOff, _, _ := kv.UnpackLoc(e.Current())
+	off, _, _ := kv.UnpackLoc(e.Current())
 	pi := c.srv.CurrentPool()
-	off := headOff
-	var chain []uint64
+	var seqs []uint64
 	for {
-		chain = append(chain, off)
 		h := c.srv.Pool(pi).Header(off)
+		if n := len(seqs); n > 0 && h.Seq >= seqs[n-1] {
+			t.Fatalf("version %d has seq %d, not older than its successor's %d", n, h.Seq, seqs[n-1])
+		}
+		seqs = append(seqs, h.Seq)
 		var ok bool
 		pi, off, _, ok = kv.UnpackVPtr(h.PrePtr)
 		if !ok {
 			break
 		}
 	}
-	if len(chain) != 4 {
-		t.Fatalf("backward chain length = %d, want 4", len(chain))
-	}
-	// ...then walk NextPtr forward and expect the reverse sequence.
-	pi = c.srv.CurrentPool()
-	off = chain[len(chain)-1]
-	for i := len(chain) - 1; i > 0; i-- {
-		h := c.srv.Pool(pi).Header(off)
-		nPool, nOff, _, ok := kv.UnpackVPtr(h.NextPtr)
-		if !ok {
-			t.Fatalf("version %d has no forward link", i)
-		}
-		if nOff != chain[i-1] {
-			t.Fatalf("forward link from %d points to %d, want %d", off, nOff, chain[i-1])
-		}
-		pi, off = nPool, nOff
-	}
-	if h := c.srv.Pool(pi).Header(off); h.NextPtr != kv.NilPtr {
-		t.Fatal("head version must have no forward link")
+	if len(seqs) != 4 {
+		t.Fatalf("backward chain length = %d, want 4", len(seqs))
 	}
 }
 

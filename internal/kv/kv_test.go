@@ -1,6 +1,8 @@
 package kv
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand/v2"
 	"testing"
@@ -10,13 +12,20 @@ import (
 )
 
 func TestHeaderRoundTrip(t *testing.T) {
-	f := func(pre, next, seq, created uint64, crc uint32, klen, vlen uint16, flags uint8) bool {
+	f := func(pre, seq, created uint64, crc uint32, klen, vlen uint16, flags uint8) bool {
 		h := Header{
-			PrePtr: pre, NextPtr: next, Seq: seq, CreatedAt: created,
+			PrePtr: pre, Seq: seq, CreatedAt: created,
 			CRC: crc, KLen: int(klen), VLen: int(vlen), Flags: flags, Magic: Magic,
 		}
-		got := DecodeHeader(EncodeHeader(&h))
-		return got == h
+		b := EncodeHeader(&h)
+		dev := nvm.New(HeaderSize)
+		WriteHeader(dev, 0, 0, &h)
+		line := make([]byte, HeaderSize)
+		dev.Read(0, line)
+		// Word 8 (Figure 4's NextPtr) is reserved and written NilPtr by
+		// both encoders, as when it was a link, so the layout is unchanged.
+		return DecodeHeader(b) == h && bytes.Equal(line, b) &&
+			binary.LittleEndian.Uint64(b[offReserved:]) == NilPtr
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -105,7 +114,7 @@ func TestPoolAllocExhaustion(t *testing.T) {
 
 func TestAppendAndReadObject(t *testing.T) {
 	p := newTestPool(8192)
-	h := Header{PrePtr: NilPtr, NextPtr: NilPtr, Seq: 7, CRC: 0xabc, VLen: 11, Flags: FlagValid}
+	h := Header{PrePtr: NilPtr, Seq: 7, CRC: 0xabc, VLen: 11, Flags: FlagValid}
 	off, ok := p.AppendObject(&h, []byte("mykey"))
 	if !ok {
 		t.Fatal("append failed")
@@ -126,7 +135,7 @@ func TestAppendAndReadObject(t *testing.T) {
 func TestAppendPersistsHeaderAndKey(t *testing.T) {
 	dev := nvm.New(8192)
 	p := NewPool(dev, 0, 8192)
-	h := Header{PrePtr: NilPtr, NextPtr: NilPtr, VLen: 64, Flags: FlagValid}
+	h := Header{PrePtr: NilPtr, VLen: 64, Flags: FlagValid}
 	off, _ := p.AppendObject(&h, []byte("durable-key"))
 	// Value never written; crash with zero survival.
 	dev.Crash(1, 0)
@@ -145,7 +154,7 @@ func TestPoolScanWalksLog(t *testing.T) {
 	p := newTestPool(1 << 14)
 	var offs []uint64
 	for i := 0; i < 5; i++ {
-		h := Header{PrePtr: NilPtr, NextPtr: NilPtr, Seq: uint64(i), VLen: 100 * (i + 1), Flags: FlagValid}
+		h := Header{PrePtr: NilPtr, Seq: uint64(i), VLen: 100 * (i + 1), Flags: FlagValid}
 		off, ok := p.AppendObject(&h, []byte(fmt.Sprintf("key-%d", i)))
 		if !ok {
 			t.Fatal("append failed")
@@ -171,11 +180,11 @@ func TestPoolScanWalksLog(t *testing.T) {
 func TestScanPersistedIgnoresVolatile(t *testing.T) {
 	dev := nvm.New(1 << 14)
 	p := NewPool(dev, 0, dev.Size())
-	h1 := Header{PrePtr: NilPtr, NextPtr: NilPtr, VLen: 10, Flags: FlagValid}
+	h1 := Header{PrePtr: NilPtr, VLen: 10, Flags: FlagValid}
 	p.AppendObject(&h1, []byte("flushed")) // AppendObject flushes header+key
 	// Second object: write header volatile only (bypass AppendObject).
 	off2, _ := p.Alloc(ObjectSize(3, 10))
-	h2 := Header{PrePtr: NilPtr, NextPtr: NilPtr, VLen: 10, KLen: 3, Magic: Magic, Flags: FlagValid}
+	h2 := Header{PrePtr: NilPtr, VLen: 10, KLen: 3, Magic: Magic, Flags: FlagValid}
 	WriteHeader(dev, 0, off2, &h2) // never flushed
 	count := 0
 	p.ScanPersisted(func(off uint64, h Header) bool { count++; return true })
@@ -186,7 +195,7 @@ func TestScanPersistedIgnoresVolatile(t *testing.T) {
 
 func TestSetFlagsPreservesNeighbours(t *testing.T) {
 	p := newTestPool(4096)
-	h := Header{PrePtr: NilPtr, NextPtr: NilPtr, VLen: 123, Flags: FlagValid}
+	h := Header{PrePtr: NilPtr, VLen: 123, Flags: FlagValid}
 	off, _ := p.AppendObject(&h, []byte("k"))
 	p.SetFlags(off, FlagValid|FlagDurable)
 	got := p.Header(off)

@@ -20,13 +20,13 @@ import (
 //
 //	offset size field
 //	0      8    PrePtr    pool offset of the previous version (NilPtr if none)
-//	8      8    NextPtr   pool offset of the next (newer) version, for cleaning
+//	8      8    (reserved, written NilPtr: Figure 4's NextPtr, which nothing read)
 //	16     8    Seq       global write sequence number
 //	24     8    CreatedAt virtual ns when the server allocated the region
 //	32     4    CRC       checksum of the value bytes
 //	36     4    KLen      key length
 //	40     4    VLen      value length
-//	44     1    Flags     Valid | Durable | Trans | Txn | TxnRec bits
+//	44     1    Flags     Valid | Durable | (reserved) | Txn | TxnRec bits
 //	45     3    (pad)
 //	48     4    Magic     layout guard, set at allocation
 //	52     4    (reserved)
@@ -41,7 +41,7 @@ const (
 	HeaderSize = 64
 
 	offPrePtr    = 0
-	offNextPtr   = 8
+	offReserved  = 8
 	offSeq       = 16
 	offCreatedAt = 24
 	offCRC       = 32
@@ -52,17 +52,17 @@ const (
 	offTxnID     = 56
 )
 
-// NilPtr marks the absence of a previous/next version.
+// NilPtr marks the absence of a previous version.
 const NilPtr = ^uint64(0)
 
 // Magic guards against interpreting unallocated pool space as an object.
 const Magic = 0x65464143 // "eFAC"
 
-// Flag bits.
+// Flag bits. Bit 2 is reserved and ignored: it was §4.4's transfer flag,
+// which nothing read.
 const (
 	FlagValid   = 1 << 0 // version participates in its object's chain
 	FlagDurable = 1 << 1 // verified + persisted (the durability flag)
-	FlagTrans   = 1 << 2 // previous version migrated to the new pool
 	FlagTxn     = 1 << 3 // staged by an uncommitted transaction (invisible)
 	FlagTxnRec  = 1 << 4 // transaction commit record (not key data)
 )
@@ -70,7 +70,6 @@ const (
 // Header is the decoded object metadata.
 type Header struct {
 	PrePtr    uint64
-	NextPtr   uint64
 	Seq       uint64
 	CreatedAt uint64
 	CRC       uint32
@@ -87,9 +86,6 @@ func (h *Header) Valid() bool { return h.Flags&FlagValid != 0 }
 // Durable reports the durability flag.
 func (h *Header) Durable() bool { return h.Flags&FlagDurable != 0 }
 
-// Trans reports the transfer flag.
-func (h *Header) Trans() bool { return h.Flags&FlagTrans != 0 }
-
 // Staged reports whether the object is a transaction-staged version that
 // has not been committed (never visible to reads or recovery).
 func (h *Header) Staged() bool { return h.Flags&FlagTxn != 0 && h.Flags&FlagValid == 0 }
@@ -98,7 +94,7 @@ func (h *Header) Staged() bool { return h.Flags&FlagTxn != 0 && h.Flags&FlagVali
 func EncodeHeader(h *Header) []byte {
 	b := make([]byte, HeaderSize)
 	binary.LittleEndian.PutUint64(b[offPrePtr:], h.PrePtr)
-	binary.LittleEndian.PutUint64(b[offNextPtr:], h.NextPtr)
+	binary.LittleEndian.PutUint64(b[offReserved:], NilPtr)
 	binary.LittleEndian.PutUint64(b[offSeq:], h.Seq)
 	binary.LittleEndian.PutUint64(b[offCreatedAt:], h.CreatedAt)
 	binary.LittleEndian.PutUint32(b[offCRC:], h.CRC)
@@ -114,7 +110,6 @@ func EncodeHeader(h *Header) []byte {
 func DecodeHeader(b []byte) Header {
 	return Header{
 		PrePtr:    binary.LittleEndian.Uint64(b[offPrePtr:]),
-		NextPtr:   binary.LittleEndian.Uint64(b[offNextPtr:]),
 		Seq:       binary.LittleEndian.Uint64(b[offSeq:]),
 		CreatedAt: binary.LittleEndian.Uint64(b[offCreatedAt:]),
 		CRC:       binary.LittleEndian.Uint32(b[offCRC:]),
@@ -149,12 +144,13 @@ func ValueOffset(klen int) int { return HeaderSize + pad8(klen) }
 // are line-aligned), so one WriteLine moves it under one device lock hold
 // instead of one per word. The words travel in an array by value, so
 // nothing escapes through the Device interface and the PUT allocation
-// path stays off the heap. The pad, reserved, and trailing bytes are
-// written zero, exactly as EncodeHeader leaves them.
+// path stays off the heap. The reserved word 8 is written NilPtr, and the
+// pad, reserved, and trailing bytes zero, exactly as EncodeHeader leaves
+// them.
 func WriteHeader(dev nvm.Device, base int, off uint64, h *Header) {
 	dev.WriteLine(base+int(off), [8]uint64{
 		offPrePtr / 8:    h.PrePtr,
-		offNextPtr / 8:   h.NextPtr,
+		offReserved / 8:  NilPtr,
 		offSeq / 8:       h.Seq,
 		offCreatedAt / 8: h.CreatedAt,
 		offCRC / 8:       uint64(h.CRC) | uint64(uint32(h.KLen))<<32,
@@ -175,7 +171,6 @@ func ReadHeader(dev nvm.Device, base int, off uint64) Header {
 	wVLen := w[offVLen/8] // VLen | Flags<<32
 	return Header{
 		PrePtr:    w[offPrePtr/8],
-		NextPtr:   w[offNextPtr/8],
 		Seq:       w[offSeq/8],
 		CreatedAt: w[offCreatedAt/8],
 		CRC:       uint32(wCRC),

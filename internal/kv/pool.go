@@ -149,9 +149,6 @@ func (p *Pool) SetFlagsVolatile(off uint64, flags uint8) {
 	SetFlags(p.dev, p.base, off, flags)
 }
 
-// SetNextPtr updates and persists the NextPtr word of the object at off.
-func (p *Pool) SetNextPtr(off uint64, next uint64) { p.setWord(off, offNextPtr, next) }
-
 // SetVersionSeq updates and persists the Seq word of the object at off.
 // The transaction layer uses it to assign a staged version its
 // commit-time sequence number.

@@ -204,10 +204,6 @@ func (e *Engine) tryMigrate(h any, sc *cleanScratch, pi int, off uint64) bool {
 		}
 		switch e.ensureDurableLocked(h, hpi, hoff) {
 		case verFlagged:
-			// Re-read the flags: the mirror inside ensureDurableLocked may
-			// have dropped the lock, and a BG/GET verify could have flagged
-			// this version durable during the window.
-			pool.SetFlags(off, pool.Header(off).Flags|kv.FlagTrans)
 			e.stats.CleanDropped++
 			return true
 		case verPending:
@@ -241,11 +237,9 @@ func (e *Engine) tryMigrate(h any, sc *cleanScratch, pi int, off uint64) bool {
 	if idx2, en2, found2 := e.table.Lookup(kv.HashKey(key)); !found2 || idx2 != idx || en2 != en {
 		return false
 	}
-	hd = pool.Header(off) // re-read: ensureDurableLocked set the flag
 	sc.val = pool.ReadValueInto(sc.val, off, hd.KLen, hd.VLen)
 	nh := kv.Header{
 		PrePtr:    kv.NilPtr,
-		NextPtr:   kv.NilPtr,
 		Seq:       hd.Seq,
 		CreatedAt: hd.CreatedAt,
 		CRC:       hd.CRC,
@@ -259,9 +253,14 @@ func (e *Engine) tryMigrate(h any, sc *cleanScratch, pi int, off uint64) bool {
 		return true
 	}
 	e.end(h, cp)
-	// Mark the old copy as transferred, then stage the entry.
-	pool.SetFlags(off, hd.Flags|kv.FlagTrans)
-	e.publishLocked(idx, false, 0, kv.NilPtr, kv.PackVPtr(1-pi, newOff, size))
+	// The copy lands durable, so a verifier cursor standing on it moves
+	// past. In stage 1 only the cleaner appends to the new pool, so the
+	// cursor keeps pace with every copy; in stage 2 a merge-stage PUT may
+	// hold it back, and it skips the copies behind that PUT as durable.
+	if e.bgCursor[1-pi] == int(newOff) {
+		e.bgCursor[1-pi] += size
+	}
+	e.publishLocked(idx, false, 0, kv.PackVPtr(1-pi, newOff, size))
 	// An old-pool location naming dead versions that roll back to this one
 	// would outrank the copy by sequence number, and a merge-stage PUT
 	// would chain past the copy into the pool this run recycles: the copy

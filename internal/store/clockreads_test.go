@@ -120,7 +120,6 @@ func TestWallClockReads(t *testing.T) {
 
 	// A value that never lands fails its CRC: the verifier reads the
 	// clock once, to test VerifyTimeout, and leaves the version pending.
-	e.BGDrain(nil, 1) // past the copies the cleaner made
 	e.Put(nil, []byte("torn"), vlen, sum)
 	pi := e.CurrentPool()
 	torn := reads(func() {

@@ -33,11 +33,17 @@ func (d *callCounter) WriteLine(off int, w [8]uint64)    { d.calls++; d.Device.W
 // TestEngineDeviceCalls bounds the device calls one engine op makes, on a
 // store preloaded with 256 keys of 256 B and drained by the verifier: the
 // mean per PutInline of an existing key, per object the verifier visits
-// (one object per BGBatch, the idle verifier's width), and per Get of a
-// durable version. An object header and a hash entry are one cache line
-// or part of one, so each is read or written with one call; a word-wise
-// header or entry pays a lock hold per 8-byte word (23.2, 26.2 and 12.2
-// calls on this fixture). The counts are deterministic: the fixture runs
+// (one object per BGBatch, the idle verifier's width), per Get of a
+// durable version, and per object a cleaning run then handles (the 512
+// versions, half of them stale). An object header and a hash entry are one
+// cache line or part of one, so each is read or written with one call; a
+// word-wise header or entry pays a lock hold per 8-byte word (23.2, 26.2
+// and 12.2 calls on this fixture). A PUT persists no forward link to its
+// predecessor and the cleaner no transfer flag (10.1 and 27.1 calls with
+// them). The cleaner's copies land durable behind the verifier's cursor,
+// so the verifier visits none of them and the run leaves no durability
+// lag (256 visits and 98,304 backlog bytes when the cursor stayed at the
+// start of the new pool). The counts are deterministic: the fixture runs
 // on one goroutine in virtual time.
 func TestEngineDeviceCalls(t *testing.T) {
 	const keys, vlen = 256, 256
@@ -96,15 +102,36 @@ func TestEngineDeviceCalls(t *testing.T) {
 		t.Fatalf("%d of %d gets took the fast path; the fixture must serve durable versions", s.GetFastPath, keys)
 	}
 
-	t.Logf("device calls: %.1f per PutInline, %.1f per verifier visit (%d visits), %.1f per durable Get",
-		perPut, perVisit, visits, perGet)
+	cleaned := func() int { s := eng.Stats(); return s.CleanMoved + s.CleanDropped }
+	c0 := cleaned()
+	dev.calls = 0
+	if !eng.StartCleaning() {
+		t.Fatal("no cleaning run started")
+	}
+	objs := cleaned() - c0
+	if s := eng.Stats(); s.Cleanings != 1 || objs != 2*keys {
+		t.Fatalf("cleaning: %d runs over %d objects, want 1 over %d", s.Cleanings, objs, 2*keys)
+	}
+	perClean := float64(dev.calls) / float64(objs)
+	if lag, _ := eng.DurabilityLag(); lag != 0 {
+		t.Errorf("after a cleaning run the durability lag is %d bytes, want 0", lag)
+	}
+	v0 = visited()
+	eng.BGDrain(nil, 1)
+	if n := visited() - v0; n != 0 {
+		t.Errorf("after a cleaning run the verifier visits %d objects, want 0", n)
+	}
+
+	t.Logf("device calls: %.1f per PutInline, %.1f per verifier visit (%d visits), %.1f per durable Get, %.1f per cleaned object",
+		perPut, perVisit, visits, perGet, perClean)
 	for _, c := range []struct {
 		what     string
 		got, max float64
 	}{
-		{"PutInline of an existing key", perPut, 11},
+		{"PutInline of an existing key", perPut, 9},
 		{"verifier visit", perVisit, 10},
 		{"durable Get", perGet, 3},
+		{"cleaned object", perClean, 24},
 	} {
 		if c.got > c.max {
 			t.Errorf("%s makes %.1f device calls, want at most %v", c.what, c.got, c.max)

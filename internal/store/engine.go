@@ -423,7 +423,6 @@ func (e *Engine) putLocked(h any, op PutOp) PutResult {
 
 	hd := kv.Header{
 		PrePtr:    pre,
-		NextPtr:   kv.NilPtr,
 		Seq:       e.seq(),
 		CreatedAt: e.sink.Now(),
 		CRC:       op.Crc,
@@ -440,7 +439,7 @@ func (e *Engine) putLocked(h any, op PutOp) PutResult {
 		e.trace("put", "pool_full", keyHash, hd.Seq)
 		return PutResult{Status: StatusFull}
 	}
-	e.publishLocked(c.idx, en.Tombstone(), hd.Seq, pre, kv.PackVPtr(pi, off, size))
+	e.publishLocked(c.idx, en.Tombstone(), hd.Seq, kv.PackVPtr(pi, off, size))
 	return PutResult{Status: StatusOK, Pool: pi, Off: off, Len: size, Seq: hd.Seq}
 }
 
@@ -513,23 +512,12 @@ func (e *Engine) appendLocked(pi int, hd *kv.Header, key, value []byte, flush bo
 // still names the pre-delete version, and an acknowledged DELETE would
 // resurrect on recovery. A re-PUT's cut is its own sequence number, so
 // pre-delete versions in the log stay dead for the cleaner, staged-slot
-// reads and recovery. Last, the predecessor pre, if any, learns its
-// successor (Figure 4's NextPTR). Callers hold mu.
-func (e *Engine) publishLocked(idx int, undelete bool, cut, pre, v uint64) {
+// reads and recovery. Callers hold mu.
+func (e *Engine) publishLocked(idx int, undelete bool, cut, v uint64) {
 	pi, off, size, _ := kv.UnpackVPtr(v)
 	e.table.SetLoc(idx, pi, kv.PackLoc(off, size))
 	if undelete {
 		e.table.Undelete(idx, cut)
-	}
-	e.linkLocked(pre, v)
-}
-
-// linkLocked points the forward link of the version pre names, if any, at
-// v: log cleaning uses it to locate the next version of a migrated object.
-// Callers hold mu.
-func (e *Engine) linkLocked(pre, v uint64) {
-	if pi, off, _, ok := kv.UnpackVPtr(pre); ok {
-		e.pools[pi].SetNextPtr(off, v)
 	}
 }
 

@@ -287,15 +287,14 @@ func (e *Engine) ImportKey(h any, ek ExportKey) Status {
 		}
 	}
 
-	// Each version is linked into the chain as it lands, then the newest
-	// publishes. Persist only what the source had persisted: a durable
+	// Each version's PrePtr names the one appended before it, then the
+	// newest publishes. Persist only what the source had persisted: a durable
 	// version's value is flushed, a not-yet-durable one stays volatile, so
 	// a crash on the importing engine discards exactly the versions a
 	// crash on the exporting engine would have.
 	for _, v := range versions {
 		hd := kv.Header{
 			PrePtr:    pre,
-			NextPtr:   kv.NilPtr,
 			Seq:       v.Seq,
 			CreatedAt: v.CreatedAt,
 			CRC:       v.CRC,
@@ -310,13 +309,11 @@ func (e *Engine) ImportKey(h any, ek ExportKey) Status {
 			e.releaseFresh(c)
 			return StatusFull
 		}
-		next := kv.PackVPtr(pi, off, kv.ObjectSize(len(ek.Key), len(v.Value)))
-		e.linkLocked(pre, next)
-		pre = next
+		pre = kv.PackVPtr(pi, off, kv.ObjectSize(len(ek.Key), len(v.Value)))
 	}
 	// One persisted word clears the tombstone (if any) and records the
 	// incoming cut sequence, exactly like a re-PUT over a tombstone.
-	e.publishLocked(c.idx, en.Tombstone() || ek.CutSeq > 0, ek.CutSeq, kv.NilPtr, pre)
+	e.publishLocked(c.idx, en.Tombstone() || ek.CutSeq > 0, ek.CutSeq, pre)
 	if ns := ek.NewestSeq(); ns > e.nextSeq {
 		e.nextSeq = ns
 	}

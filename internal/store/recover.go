@@ -69,7 +69,7 @@ func (e *Engine) recover(l kv.Layout) RecoveryStats {
 	}
 	for _, sv := range live {
 		h := sv.Header // its seq, stamp, CRC and txn id; a fresh chain, durable
-		h.PrePtr, h.NextPtr, h.Flags = kv.NilPtr, kv.NilPtr, kv.FlagValid|kv.FlagDurable
+		h.PrePtr, h.Flags = kv.NilPtr, kv.FlagValid|kv.FlagDurable
 		off, ok := e.appendLocked(0, &h, sv.Key, sv.Value, true)
 		if !ok {
 			panic("store: recovery pool overflow")
@@ -78,7 +78,7 @@ func (e *Engine) recover(l kv.Layout) RecoveryStats {
 		if !ok {
 			panic("store: recovery table overflow")
 		}
-		e.publishLocked(c.idx, false, 0, kv.NilPtr, kv.PackVPtr(0, off, kv.ObjectSize(len(sv.Key), sv.Header.VLen)))
+		e.publishLocked(c.idx, false, 0, kv.PackVPtr(0, off, kv.ObjectSize(len(sv.Key), sv.Header.VLen)))
 	}
 	e.bgCursor[0] = e.pools[0].Used()
 	e.bgCursor[1] = 0

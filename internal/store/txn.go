@@ -206,7 +206,6 @@ func (s *Store) txnStage(h any, txnID uint64, key, value []byte) (*stagedOp, Sta
 func (e *Engine) stageLocked(op *stagedOp, txnID uint64, pi int, flush bool) bool {
 	hd := kv.Header{
 		PrePtr:    kv.NilPtr,
-		NextPtr:   kv.NilPtr,
 		CreatedAt: e.sink.Now(),
 		CRC:       op.crc,
 		VLen:      len(op.value),
@@ -300,7 +299,6 @@ func (s *Store) txnCommit(txnID uint64, ops []*stagedOp) Status {
 	manifest := encodeTxnManifest(txnID, ops)
 	rh := kv.Header{
 		PrePtr:    kv.NilPtr,
-		NextPtr:   kv.NilPtr,
 		Seq:       maxSeq,
 		CreatedAt: re.sink.Now(),
 		CRC:       crc.Checksum(manifest),
@@ -328,7 +326,7 @@ func (s *Store) txnCommit(txnID uint64, ops []*stagedOp) Status {
 		pool.SetVersionSeq(op.off, op.seq)
 		pool.SetPrePtr(op.off, pre)
 		pool.SetFlags(op.off, kv.FlagTxn|kv.FlagValid)
-		e.publishLocked(op.claim.idx, en.Tombstone(), op.seq, pre, kv.PackVPtr(op.pi, op.off, op.size))
+		e.publishLocked(op.claim.idx, en.Tombstone(), op.seq, kv.PackVPtr(op.pi, op.off, op.size))
 	}
 
 	// Phase 5: mark the record applied — recovery ignores it from now on,

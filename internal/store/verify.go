@@ -39,9 +39,8 @@ const (
 // mirror. An intact version without a quorum is pending, never dead: the
 // flag stays clear and a later pass retries the mirror. A mismatch past
 // VerifyTimeout invalidates, but only after one re-read of the flags: a
-// concurrent site may have flagged the version, or the cleaner marked it
-// FlagTrans, while this one yielded, and writing the stale flags back would
-// destroy an acknowledged write. Callers hold mu; the mirror drops it, so
+// concurrent site may have flagged the version while this one yielded,
+// and writing the stale flags back would destroy an acknowledged write. Callers hold mu; the mirror drops it, so
 // on verMoved the caller must not touch the offset again.
 func (e *Engine) verify(h any, pi int, off uint64, hd kv.Header, op Op) verdict {
 	pool := e.pools[pi]
