@@ -53,6 +53,9 @@ type cleanScratch struct {
 	key, val []byte
 }
 
+// zeroChunk bounds one Zero call of the cleaner's pool clear.
+const zeroChunk = 1 << 20
+
 // runCleaner is the log-cleaning process for one run.
 func (e *Engine) runCleaner(h any) {
 	e.trace("clean", "start", 0, 0)
@@ -63,13 +66,22 @@ func (e *Engine) runCleaner(h any) {
 	e.mu.Lock()
 	old := e.cur
 	newer := 1 - e.cur
-	// Prepare the new pool: recycle the region and zero it so stale
+	// Prepare the new pool: recycle the region, then zero it so stale
 	// headers from the run before last cannot be misread.
-	e.dev.Zero(e.pools[newer].Base(), e.cfg.PoolSize)
 	e.pools[newer] = kv.NewPool(e.dev, e.pools[newer].Base(), e.cfg.PoolSize)
 	e.bgCursor[newer] = 0
 	compressEnd := e.pools[old].Used()
 	e.mu.Unlock()
+	// The zeroing runs outside mu, a chunk at a time, so requests do not
+	// stall behind a whole pool's clear (nor behind the device lock each
+	// Zero holds). Nothing touches the fresh pool until stage 1 appends to
+	// it below: writes, ImportKey and transaction stages all append to
+	// writePool(), which stays the old pool until merging starts, and the
+	// verifier's scan of it ends at Used(), which is 0.
+	base := e.pools[newer].Base()
+	for off := 0; off < e.cfg.PoolSize; off += zeroChunk {
+		e.dev.Zero(base+off, min(zeroChunk, e.cfg.PoolSize-off))
+	}
 
 	var sc cleanScratch
 

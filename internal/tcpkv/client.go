@@ -41,7 +41,9 @@ const DefaultPipelineDepth = 16
 // Client is a TCP-mode eFactory client: the protocol core
 // (internal/client) bound to two connections — a pipelined RPC channel
 // that carries many requests in flight at once (sequence-tagged frames,
-// demultiplexed by a reader goroutine) and a lock-step one-sided channel.
+// whose replies the waiting callers read and demultiplex themselves; see
+// pipe) and a lock-step one-sided channel. A Client runs no goroutine of
+// its own.
 // A Client keeps the connection pair it dialed for its whole life and
 // makes exactly one attempt per op, bounded by the timeout fixed at dial:
 // a transport failure reaches the caller, and recovery is a fresh client
@@ -77,18 +79,24 @@ type Client struct {
 	Reconnects int
 }
 
-// pipe is one pipelined RPC connection: callers write their own
-// sequence-tagged request frames under a write mutex, and a reader
-// goroutine demultiplexes responses back to the callers waiting on them
-// by sequence number, so the connection carries up to DefaultPipelineDepth
-// RPCs in flight at once.
+// pipe is one pipelined RPC connection with no goroutine of its own:
+// callers write their own sequence-tagged request frames under a write
+// mutex, and then read the replies themselves. The right to read is a
+// token (a one-slot channel): after writing, a caller waits for its own
+// reply on its slot or for the token, whichever comes first. The holder
+// reads frames through br, hands every other caller's reply to its slot,
+// and gives the token back once its own arrives — so a lone caller
+// writes, reads and returns with no hand-off, and the connection still
+// carries up to DefaultPipelineDepth RPCs in flight at once.
 type pipe struct {
 	conn    net.Conn
+	br      *bufio.Reader // replies; read only by the token holder
 	timeout time.Duration // per-call bound (0 = none)
 
-	done chan struct{}
-	sem  chan struct{} // bounds in-flight calls to DefaultPipelineDepth
-	wmu  sync.Mutex    // serializes request frames onto the socket
+	done  chan struct{}
+	sem   chan struct{} // bounds in-flight calls to DefaultPipelineDepth
+	token chan struct{} // holds the read token while nobody reads
+	wmu   sync.Mutex    // serializes request frames onto the socket
 
 	mu      sync.Mutex
 	pending map[uint32]chan pipeResult
@@ -135,51 +143,20 @@ func releaseResp(bp *[]byte) {
 func newPipe(conn net.Conn, timeout time.Duration) *pipe {
 	p := &pipe{
 		conn:    conn,
+		br:      bufio.NewReaderSize(conn, connBufSize),
 		timeout: timeout,
 		done:    make(chan struct{}),
 		sem:     make(chan struct{}, DefaultPipelineDepth),
+		token:   make(chan struct{}, 1),
 		pending: make(map[uint32]chan pipeResult),
 	}
-	go p.reader()
+	p.token <- struct{}{}
 	return p
 }
 
-// reader demultiplexes responses to waiting callers. It reads with no
-// deadline: an idle pipelined connection must be able to sit quietly
-// between bursts without spuriously timing out. Timeliness is enforced
-// per call in call(), where a caller that stops waiting kills the pipe.
-func (p *pipe) reader() {
-	br := bufio.NewReaderSize(p.conn, connBufSize)
-	for {
-		bp := frameBufPool.Get().(*[]byte)
-		raw, err := readFrameInto(br, *bp, maxPipeFrame)
-		if err != nil {
-			frameBufPool.Put(bp)
-			p.fail(err)
-			return
-		}
-		*bp = raw[:0] // keep any growth in the pooled backing
-		if len(raw) < 4 {
-			frameBufPool.Put(bp)
-			p.fail(errors.New("tcpkv: short pipelined frame"))
-			return
-		}
-		seq := binary.BigEndian.Uint32(raw)
-		p.mu.Lock()
-		ch := p.pending[seq]
-		delete(p.pending, seq)
-		p.mu.Unlock()
-		if ch != nil {
-			ch <- pipeResult{payload: raw[4:], raw: bp}
-		} else {
-			frameBufPool.Put(bp)
-		}
-	}
-}
-
 // fail marks the pipe dead exactly once: the socket closes (unblocking the
-// reader and any writer), every pending caller gets err, and future calls
-// fail fast.
+// token holder's read and any writer), every pending caller gets err, and
+// future calls fail fast.
 func (p *pipe) fail(err error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -201,10 +178,15 @@ func (p *pipe) failure() error {
 	return p.err
 }
 
-func (p *pipe) forget(seq uint32) {
+// claim removes seq's waiter and returns its slot channel, or nil when
+// the call has none anymore (it gave up, or fail already answered it).
+// Whoever claims a waiter owes it exactly one result.
+func (p *pipe) claim(seq uint32) chan pipeResult {
 	p.mu.Lock()
+	ch := p.pending[seq]
 	delete(p.pending, seq)
 	p.mu.Unlock()
+	return ch
 }
 
 // call issues one RPC from a prepared slot and waits for its response.
@@ -220,12 +202,16 @@ func (p *pipe) forget(seq uint32) {
 // checked out. The write runs under the shared attemptDeadline discipline
 // (arm, write, clear) — nothing further is owed on the write side until
 // the next request, and a stale deadline would poison an idle connection.
+// The wait for the reply is bounded by the same timeout, counted from
+// the write's end: the token holder reads under it as a read deadline,
+// and a caller waiting without the token on a timer. Either expiry fails
+// the whole pipe.
 //
 // clean reports whether the slot completed its exchange (a result —
 // success or error — was received on cs.ch): only then may the caller
-// return cs to the pool. On the failure paths the reader or fail() may
-// still send on the slot's channel, so the slot must be abandoned to the
-// GC.
+// return cs to the pool. On the failure paths a token holder or fail()
+// may still send on the slot's channel, so the slot must be abandoned to
+// the GC.
 func (p *pipe) call(cs *callSlot) (r pipeResult, clean bool) {
 	select {
 	case p.sem <- struct{}{}:
@@ -255,27 +241,85 @@ func (p *pipe) call(cs *callSlot) (r pipeResult, clean bool) {
 	if err != nil {
 		// A torn request frame leaves the stream unparseable for everyone
 		// sharing it: fail them over together.
-		p.forget(seq)
+		p.claim(seq)
 		p.fail(err)
 		return pipeResult{err: p.failure()}, false
 	}
 
+	var deadline time.Time
+	if p.timeout > 0 {
+		deadline = time.Now().Add(p.timeout)
+	}
+	// A lone caller finds the token free and reads at once, arming no
+	// timer; only a caller that has to wait for it needs one.
+	select {
+	case r := <-cs.ch:
+		return r, true
+	case <-p.token:
+		return p.await(seq, cs, deadline)
+	default:
+	}
 	var expired <-chan time.Time
 	if p.timeout > 0 {
-		t := time.NewTimer(p.timeout)
+		t := time.NewTimer(time.Until(deadline))
 		defer t.Stop()
 		expired = t.C
 	}
 	select {
 	case r := <-cs.ch:
 		return r, true
+	case <-p.token:
+		return p.await(seq, cs, deadline)
 	case <-expired:
 		// This sequence has no waiter anymore; the connection can no
 		// longer be trusted to stay in sync, so fail everything on it
 		// together.
-		p.forget(seq)
+		p.claim(seq)
 		p.fail(os.ErrDeadlineExceeded)
 		return pipeResult{err: os.ErrDeadlineExceeded}, false
+	}
+}
+
+// await reads replies as the token holder until seq's own arrives, then
+// passes the token on. Every other reply goes to its caller's slot; a
+// reply nobody waits for (its caller gave up) is dropped. A read failure
+// — the holder's deadline, a closed or torn connection — fails the pipe,
+// and the holder returns the error fail delivered to its own slot.
+func (p *pipe) await(seq uint32, cs *callSlot, deadline time.Time) (pipeResult, bool) {
+	defer func() { p.token <- struct{}{} }()
+	select {
+	case r := <-cs.ch: // delivered before the token changed hands
+		return r, true
+	default:
+	}
+	if !deadline.IsZero() {
+		p.conn.SetReadDeadline(deadline)
+	}
+	for {
+		bp := frameBufPool.Get().(*[]byte)
+		raw, err := readFrameInto(p.br, *bp, maxPipeFrame)
+		if err == nil && len(raw) < 4 {
+			err = errors.New("tcpkv: short pipelined frame")
+		}
+		if err != nil {
+			frameBufPool.Put(bp)
+			p.fail(err)
+			return <-cs.ch, true
+		}
+		*bp = raw[:0] // keep any growth in the pooled backing
+		got := binary.BigEndian.Uint32(raw)
+		r := pipeResult{payload: raw[4:], raw: bp}
+		switch ch := p.claim(got); {
+		case ch == nil:
+			frameBufPool.Put(bp)
+			if got == seq { // fail answered this call first
+				return <-cs.ch, true
+			}
+		case got == seq:
+			return r, true
+		default:
+			ch <- r
+		}
 	}
 }
 

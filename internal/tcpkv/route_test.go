@@ -58,9 +58,10 @@ func TestRoutedClientRetriesOnlyByRerouting(t *testing.T) {
 // PutBatch and GetBatch of 1 KiB values against a one-instance, 8-PG,
 // 2-shard cluster. Before the route loops merged these cost 2, 19, 4 and
 // 20. The one loop keeps its bookkeeping in pooled scratch, so what is
-// left is the op's own: a Get's object slab, the pipelined call's
-// deadline timer (three objects) behind a Put, and a batch's result
-// slices plus its group's gathered keys, values and results.
+// left is the op's own: a Get's object slab, and a batch's result slices
+// plus its group's gathered keys, values and results. A lone pipelined
+// call arms no timer (three objects, which Put and PutBatch paid until
+// the caller took to reading its own reply under a read deadline).
 func TestRoutedOpAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc accounting is load-sensitive under -short")
@@ -98,8 +99,8 @@ func TestRoutedOpAllocs(t *testing.T) {
 	}{
 		{"Get", 1, func() error { _, err := cc.Get(keys[i%len(keys)]); return err }},
 		{"GetBatch", 6, func() error { _, errs := cc.GetBatch(keys); return client.FirstErr(errs) }},
-		{"Put", 3, func() error { return cc.Put(keys[i%len(keys)], vals[i%len(keys)]) }},
-		{"PutBatch", 7, func() error { return client.FirstErr(cc.PutBatch(keys, vals)) }},
+		{"Put", 0, func() error { return cc.Put(keys[i%len(keys)], vals[i%len(keys)]) }},
+		{"PutBatch", 4, func() error { return client.FirstErr(cc.PutBatch(keys, vals)) }},
 	}
 	for _, g := range gates {
 		for w := 0; w < 16; w++ { // warm the pools this op draws on

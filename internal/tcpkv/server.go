@@ -250,6 +250,11 @@ type Server struct {
 	migKeysMoved atomic.Uint64 // keys copied out by sourced migrations
 	migDone      atomic.Uint64 // migrations completed as the source
 
+	// rpcInline and rpcWorker count pipelined requests by where they were
+	// served: on the connection's read loop, or by a worker it handed the
+	// frame to (see servePipelined).
+	rpcInline, rpcWorker atomic.Uint64
+
 	// peers holds this instance's connections to every other instance:
 	// mirror appends, copies, pulls, map pushes and fetches all go through
 	// it (see peers.go).
@@ -368,6 +373,11 @@ func NewServer(dev nvm.Device, cfg Config) (*Server, error) {
 	reg.AddCounter("efactory_wrong_epoch_rejects_total",
 		"Routed ops rejected with StWrongEpoch (key outside owned placement groups, or PG blocked mid-cutover).", nil,
 		func() float64 { return float64(s.wrongEpoch.Load()) })
+	const dispatchHelp = "Pipelined RPCs by where they were served: inline on the connection's read loop, or handed to a worker."
+	reg.AddCounter("efactory_rpc_dispatch_total", dispatchHelp, map[string]string{"path": "inline"},
+		func() float64 { return float64(s.rpcInline.Load()) })
+	reg.AddCounter("efactory_rpc_dispatch_total", dispatchHelp, map[string]string{"path": "worker"},
+		func() float64 { return float64(s.rpcWorker.Load()) })
 	for i := 0; i < st.NumShards(); i++ {
 		s.wg.Add(1)
 		go s.background(st.Shard(i))
@@ -543,57 +553,76 @@ var frameBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); retur
 // carries many requests in flight at once. Each frame's payload is a
 // 4-byte big-endian sequence number followed by the wire message; the
 // response echoes the sequence so the client can demultiplex completions
-// that return out of order. Requests are handled by a pool of
-// DefaultPipelineWorkers workers and responses are written under a
-// per-connection mutex so frames never interleave.
+// that return out of order. Responses are written under a per-connection
+// mutex so frames never interleave.
+//
+// The read loop answers an engine-only request itself (inlineOp) when no
+// further frame is buffered behind it: a lone call is read, served and
+// answered on one goroutine, with no hand-off. Everything else goes to a
+// pool of DefaultPipelineWorkers workers: a DELETE or a commit, which
+// waits for a mirror quorum before it acks; a snapshot read and every
+// control-plane type; and any frame with another behind it, so the
+// requests of a pipelined burst still run in parallel.
+//
+// Serving inline cannot deadlock. The only inline op that waits on
+// another instance is a read's verify-on-demand mirror, and its handler
+// on the backup, TReplAppend, is itself inline and purely local (it
+// imports into the backup's engine and waits on nobody), so the wait
+// cannot close a cycle back to a blocked read loop.
 func (s *Server) servePipelined(conn net.Conn) {
 	const workers = DefaultPipelineWorkers
+	var wmu sync.Mutex
+	// serve handles one request and writes its reply, framed in *out; the
+	// read loop and every worker answer through it, so NetFaults drops
+	// reach both.
+	serve := func(sc *server.Scratch, out *[]byte, seq uint32, m wire.Msg, raw *[]byte) {
+		resp := s.handle(m, sc)
+		// Frame: 4-byte length + 4-byte seq echo + message.
+		var zero [8]byte
+		b := append((*out)[:0], zero[:]...)
+		b = resp.AppendEncode(b)
+		binary.BigEndian.PutUint32(b, uint32(len(b)-4))
+		binary.BigEndian.PutUint32(b[4:], seq)
+		*out = b
+		// The response no longer references the request frame
+		// (AppendEncode copied any aliased key/value bytes).
+		*raw = (*raw)[:0]
+		frameBufPool.Put(raw)
+		wmu.Lock()
+		defer wmu.Unlock()
+		if drop, partial := s.cfg.NetFaults.NextFrame(); drop {
+			// The op was applied; only its response is lost. Cut the
+			// connection so the client fails everything in flight over to
+			// a fresh one.
+			if partial {
+				conn.Write(b[:4+(len(b)-4+1)/2])
+			}
+			conn.Close()
+		} else if _, err := conn.Write(b); err != nil {
+			conn.Close()
+		}
+	}
 	// Persistent workers instead of a goroutine per request: the spawn,
-	// its closure, and its response buffer were three allocations per op
-	// on the hot path. Each worker owns a core scratch and a response
-	// frame buffer for its connection lifetime; request frames come from
-	// frameBufPool and go back once the response is encoded.
+	// its closure, and its response buffer were three allocations per op.
+	// Each worker, like the read loop, owns a core scratch and a response
+	// frame buffer for its connection lifetime.
 	jobs := make(chan pipeJob, workers)
-	var (
-		wmu sync.Mutex
-		wg  sync.WaitGroup
-	)
+	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
 			var sc server.Scratch
 			out := make([]byte, 0, 4096)
-			var zero [8]byte
 			for job := range jobs {
-				resp := s.handle(job.m, &sc)
-				// Frame: 4-byte length + 4-byte seq echo + message.
-				out = append(out[:0], zero[:]...)
-				out = resp.AppendEncode(out)
-				binary.BigEndian.PutUint32(out, uint32(len(out)-4))
-				binary.BigEndian.PutUint32(out[4:], job.seq)
-				// The response no longer references the request frame
-				// (AppendEncode copied any aliased key/value bytes).
-				*job.raw = (*job.raw)[:0]
-				frameBufPool.Put(job.raw)
-				wmu.Lock()
-				if drop, partial := s.cfg.NetFaults.NextFrame(); drop {
-					// The op was applied; only its response is lost. Cut
-					// the connection so the client fails everything in
-					// flight over to a fresh one.
-					if partial {
-						conn.Write(out[:4+(len(out)-4+1)/2])
-					}
-					conn.Close()
-				} else if _, err := conn.Write(out); err != nil {
-					conn.Close()
-				}
-				wmu.Unlock()
+				serve(&sc, &out, job.seq, job.m, job.raw)
 			}
 		}()
 	}
 	defer wg.Wait() // workers finish before serveConn closes the socket
 	defer close(jobs)
+	var sc server.Scratch
+	out := make([]byte, 0, 4096)
 	br := bufio.NewReaderSize(conn, connBufSize)
 	for {
 		bp := frameBufPool.Get().(*[]byte)
@@ -613,8 +642,25 @@ func (s *Server) servePipelined(conn net.Conn) {
 			frameBufPool.Put(bp)
 			return
 		}
+		if inlineOp(m.Type) && !frameBuffered(br) {
+			s.rpcInline.Add(1)
+			serve(&sc, &out, seq, m, bp)
+			continue
+		}
+		s.rpcWorker.Add(1)
 		jobs <- pipeJob{seq: seq, m: m, raw: bp}
 	}
+}
+
+// inlineOp reports whether the pipelined read loop may serve a request of
+// type t itself: the engine-only data-plane ops, and a backup's record
+// append, which only imports into the local engines.
+func inlineOp(t uint8) bool {
+	switch t {
+	case wire.TGet, wire.TGetBatch, wire.TPut, wire.TPutBatch, wire.TReplAppend:
+		return true
+	}
+	return false
 }
 
 // pipeJob hands one decoded pipelined request from the read loop to a
