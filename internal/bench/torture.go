@@ -27,6 +27,12 @@ const tcpPointsCap = 12
 // this sweep's subject.
 const clusterPoolFloor = 256 << 10
 
+// recCrashPoints is how many of its own boundaries the first recovery of
+// each crash image is crashed at on the +rec rows. Only the deterministic
+// runners have the row: a wall-clock restart per recovery crash point is
+// what tcpkv's restart test does once, not a sweep.
+const recCrashPoints = 8
+
 // TortureSpec parameterizes a torture sweep across transports.
 type TortureSpec struct {
 	Transports []string // any of "store", "sim", "tcp", "mig", "failover"
@@ -124,8 +130,8 @@ func Torture(w io.Writer, spec TortureSpec) int {
 	return total
 }
 
-// tortureLeg is one row of a sweep: a transport, plain or with the
-// batched-GET or transaction workload.
+// tortureLeg is one row of a sweep: a transport, plain, with the
+// batched-GET or transaction workload, or with recovery itself crashed.
 type tortureLeg struct {
 	label string
 	cfg   fault.Config
@@ -151,6 +157,11 @@ func tortureLegs(tr string, spec TortureSpec) []tortureLeg {
 		tx := cfg
 		tx.Txn = true
 		legs = append(legs, tortureLeg{tr + "+txn", tx})
+	}
+	if tr == "store" || tr == "sim" {
+		rec := cfg
+		rec.RecCrashes = recCrashPoints
+		legs = append(legs, tortureLeg{tr + "+rec", rec})
 	}
 	return legs
 }

@@ -6,6 +6,7 @@ import (
 	"efactory/internal/crc"
 	"efactory/internal/fault"
 	"efactory/internal/model"
+	"efactory/internal/nvm"
 	"efactory/internal/sim"
 	"efactory/internal/wire"
 )
@@ -90,9 +91,39 @@ func RunSimTorture(tc fault.Config) (fault.Result, error) {
 	// oracle through a post-crash client.
 	dev := srv.Device()
 	dev.Crash(tc.Seed^0xc4a5_4ed, tc.Survival)
-	env2 := sim.NewEnv(tc.Seed + 99)
 	rcfg := cfg
 	rcfg.FaultPlan = nil
+	recVs, err := fault.CrashRecoveries(tc, oracle, dev,
+		func(img *nvm.Memory, plan *fault.Plan) error {
+			pcfg := rcfg
+			pcfg.FaultPlan = plan
+			env := sim.NewEnv(tc.Seed + 99)
+			srv, _ := Recover(env, &par, pcfg, img)
+			srv.Stop()
+			env.Run()
+			return nil
+		},
+		func(img *nvm.Memory, keys []string) (map[string][]byte, error) {
+			env := sim.NewEnv(tc.Seed + 99)
+			srv, _ := Recover(env, &par, rcfg, img)
+			cl := srv.AttachClient("post-crash")
+			got := make(map[string][]byte)
+			env.Go("torture-verify", func(p *sim.Proc) {
+				defer srv.Stop()
+				for _, k := range keys {
+					if v, err := cl.Get(p, []byte(k)); err == nil {
+						got[k] = v
+					}
+				}
+			})
+			env.Run()
+			return got, nil
+		})
+	violations = append(violations, recVs...)
+	if err != nil {
+		return fault.Result{}, err
+	}
+	env2 := sim.NewEnv(tc.Seed + 99)
 	srv2, _ := Recover(env2, &par, rcfg, dev)
 	cl2 := srv2.AttachClient("post-crash")
 	env2.Go("torture-verify", func(p *sim.Proc) {

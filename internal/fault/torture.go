@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"time"
@@ -41,6 +42,12 @@ type Config struct {
 	// flush, the visibility flips, the applied mark — and the oracle holds
 	// commits to "all-in or all-out, and acked commits survive".
 	Txn bool
+	// RecCrashes crashes recovery too: the first recovery of each crashed
+	// image trips at up to RecCrashes evenly spaced points of its own
+	// boundaries, the image is crashed again and recovered injection-free,
+	// and the result must pass the oracle and equal what an uninterrupted
+	// recovery restores (CrashRecoveries). Zero recovers once, unharmed.
+	RecCrashes int
 }
 
 // TxnMaxOps is the widest transactional commit the torture workload
@@ -334,6 +341,34 @@ func runStore(cfg Config, ops []Op) (Result, error) {
 	// lottery (Survival 0 = only explicitly flushed lines persist), then
 	// the store is rebuilt, injection-free, on the raw device.
 	dev.Crash(cfg.Seed^0xc4a5_4ed, cfg.Survival)
+	recVs, err := CrashRecoveries(cfg, oracle, dev,
+		func(img *nvm.Memory, plan *Plan) error {
+			tick := &tickSink{now: tick.now}
+			st, _, err := store.New(WrapDevice(img, plan), scfg, harnessDeps(tick, WrapSink(plan, tick)))
+			if err == nil {
+				st.Stop()
+			}
+			return err
+		},
+		func(img *nvm.Memory, keys []string) (map[string][]byte, error) {
+			tick := &tickSink{now: tick.now}
+			st, _, err := store.New(img, scfg, harnessDeps(tick, tick))
+			if err != nil {
+				return nil, err
+			}
+			defer st.Stop()
+			got := make(map[string][]byte)
+			for _, k := range keys {
+				if v, ok := StoreGet(st, []byte(k)); ok {
+					got[k] = v
+				}
+			}
+			return got, nil
+		})
+	violations = append(violations, recVs...)
+	if err != nil {
+		return res, err
+	}
 	tick2 := &tickSink{now: tick.now}
 	st2, _, err := store.New(dev, scfg, harnessDeps(tick2, tick2))
 	if err != nil {
@@ -344,6 +379,68 @@ func runStore(cfg Config, ops []Op) (Result, error) {
 	})...)
 	st2.Stop()
 	return res, nil
+}
+
+// CrashRecoveries is the RecCrashes leg of a runner whose crashed image is
+// dev (its volatile overlay already resolved); dev itself is left as it is.
+// Each recovery works on a fresh copy of dev. recover runs one recovery
+// with its device and sink under plan and lets it go; read recovers an
+// image injection-free and returns what it holds for keys (absent keys
+// omitted). One uninterrupted recovery counts recovery's own boundaries and
+// fixes the state every interrupted one must come back to; then, for each
+// of up to RecCrashes evenly spaced boundaries J, a recovery trips at J,
+// the image is crashed again under cfg.Survival and read, and the result
+// is held to the oracle and to that state.
+func CrashRecoveries(cfg Config, o *Oracle, dev *nvm.Memory,
+	recover func(img *nvm.Memory, plan *Plan) error,
+	read func(img *nvm.Memory, keys []string) (map[string][]byte, error)) ([]string, error) {
+	if cfg.RecCrashes <= 0 {
+		return nil, nil
+	}
+	probe := NewPlan(0)
+	if err := recover(cloneImage(dev), probe); err != nil {
+		return nil, fmt.Errorf("recovery failed: %w", err)
+	}
+	keys := o.Keys()
+	want, err := read(cloneImage(dev), keys)
+	if err != nil {
+		return nil, fmt.Errorf("recovery failed: %w", err)
+	}
+	var violations []string
+	for _, j := range SweepPoints(probe.Boundaries(), cfg.RecCrashes) {
+		img := cloneImage(dev)
+		if err := recover(img, NewPlan(j)); err != nil {
+			return violations, fmt.Errorf("recovery crashed at J=%d failed: %w", j, err)
+		}
+		img.Crash(cfg.Seed^0x2ec0_4e2, cfg.Survival)
+		got, err := read(img, keys)
+		if err != nil {
+			return violations, fmt.Errorf("recovery after a crash at J=%d failed: %w", j, err)
+		}
+		for _, v := range o.Check(func(k string) ([]byte, bool) { v, ok := got[k]; return v, ok }) {
+			violations = append(violations, fmt.Sprintf("recovery crashed at J=%d: %s", j, v))
+		}
+		for _, k := range keys {
+			g, gok := got[k]
+			w, wok := want[k]
+			if gok != wok || !bytes.Equal(g, w) {
+				violations = append(violations, fmt.Sprintf(
+					"recovery crashed at J=%d: key %q recovered %.40q (found %v), an uninterrupted recovery %.40q (found %v)",
+					j, k, g, gok, w, wok))
+			}
+		}
+	}
+	return violations, nil
+}
+
+// cloneImage returns a new device holding dev's persisted image.
+func cloneImage(dev *nvm.Memory) *nvm.Memory {
+	img := make([]byte, dev.Size())
+	dev.ReadPersisted(0, img)
+	c := nvm.New(len(img))
+	c.Write(0, img)
+	c.Flush(0, len(img))
+	return c
 }
 
 // SweepResult aggregates a seed × crash-point matrix.
