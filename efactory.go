@@ -98,8 +98,10 @@ func NewServer(env *Env, par *Params, cfg Config) *Server {
 }
 
 // Recover rebuilds a consistent server from the persisted contents of a
-// crashed device, rolling every key back to its newest intact version.
-func Recover(env *Env, par *Params, cfg Config, dev *Memory) (*Server, RecoveryStats) {
+// crashed device, rolling every key back to its newest intact version. A
+// crash during Recover loses nothing: the next Recover restores the same
+// state.
+func Recover(env *Env, par *Params, cfg Config, dev *Memory) (*Server, RecoveryStats, error) {
 	return efactory.Recover(env, par, cfg, dev)
 }
 

@@ -54,7 +54,10 @@ func Example_crashConsistency() {
 	dev.Crash(1, 0) // power failure: all unflushed lines lost
 
 	env2 := efactory.NewEnv(3)
-	srv2, stats := efactory.Recover(env2, &par, cfg, dev)
+	srv2, stats, err := efactory.Recover(env2, &par, cfg, dev)
+	if err != nil {
+		panic(err)
+	}
 	fmt.Printf("recovered %d key(s)\n", stats.KeysRecovered)
 	cl2 := srv2.AttachClient("reader")
 	env2.Go("verify", func(p *efactory.Proc) {

@@ -9,6 +9,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 	"time"
 
 	"efactory"
@@ -59,7 +60,10 @@ func main() {
 
 	// Recover on the same device in a fresh environment.
 	env2 := efactory.NewEnv(8)
-	srv2, st := efactory.Recover(env2, &par, cfg, dev)
+	srv2, st, err := efactory.Recover(env2, &par, cfg, dev)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("recovery: %d keys restored, %d versions discarded, %d rolled back\n",
 		st.KeysRecovered, st.VersionsDiscarded, st.RolledBack)
 

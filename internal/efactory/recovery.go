@@ -12,21 +12,22 @@ import (
 type RecoveryStats = store.RecoveryStats
 
 // Recover rebuilds a consistent server from the persisted contents of dev
-// (the post-crash state). The walk itself lives in the shared engine
-// (internal/store): every hash entry resolves to its newest intact version
-// via the version list and CRC checks, and the survivors are
-// re-materialized into a canonical, fully-durable state per shard.
-func Recover(env *sim.Env, par *model.Params, cfg Config, dev *nvm.Memory) (*Server, RecoveryStats) {
+// (the post-crash state) with the shared engine's recovery
+// (internal/store.New): every hash entry resolves to its newest intact
+// version via the version list and CRC checks, and each shard is repaired
+// in place, so a crash during Recover loses nothing. The error is
+// store.New's: a device smaller than cfg needs, or store.ErrRecoveryFull.
+func Recover(env *sim.Env, par *model.Params, cfg Config, dev *nvm.Memory) (*Server, RecoveryStats, error) {
 	if cfg.VerifyTimeout == 0 {
 		cfg.VerifyTimeout = par.VerifyTimeout
-	}
-	if dev.Size() < cfg.DeviceSize() {
-		panic("efactory: device smaller than configuration requires")
 	}
 	s := &Server{env: env, par: par, cfg: cfg, dev: dev}
 	s.nic = rnic.NewNIC(env, par, "efactory-server")
 	s.srq = s.nic.EnableSRQ()
-	st := s.initStore()
+	st, err := s.initStore()
+	if err != nil {
+		return nil, st, err
+	}
 	s.startProcs()
-	return s, st
+	return s, st, nil
 }

@@ -22,7 +22,10 @@ func crashAndRecover(c *simCluster, t time.Duration, survival float64) (*sim.Env
 	dev := c.srv.Device()
 	dev.Crash(42, survival)
 	env2 := sim.NewEnv(99)
-	srv2, st := Recover(env2, &c.par, c.srv.cfg, dev)
+	srv2, st, err := Recover(env2, &c.par, c.srv.cfg, dev)
+	if err != nil {
+		panic(err)
+	}
 	return env2, srv2, st
 }
 

@@ -123,14 +123,16 @@ func NewServer(env *sim.Env, par *model.Params, cfg Config) *Server {
 	s.tracer = trace.NewTracer(env.TracerID(), 0, 0)
 	s.nic = rnic.NewNIC(env, par, "efactory-server")
 	s.srq = s.nic.EnableSRQ()
-	s.initStore()
+	if _, err := s.initStore(); err != nil {
+		panic("efactory: " + err.Error())
+	}
 	s.startProcs()
 	return s
 }
 
 // initStore builds the sharded engine over the device (recovering any
 // persisted state) and registers one MR per shard region.
-func (s *Server) initStore() store.RecoveryStats {
+func (s *Server) initStore() (store.RecoveryStats, error) {
 	s.sink = &simSink{env: s.env, par: s.par}
 	// With a fault plan, the engine sees the wrapped device and sink so
 	// every flush/drain and cost charge counts a crash-point boundary; the
@@ -158,7 +160,7 @@ func (s *Server) initStore() store.RecoveryStats {
 	}
 	st, rst, err := store.New(dev, s.cfg.storeConfig(), deps)
 	if err != nil {
-		panic("efactory: " + err.Error())
+		return rst, err
 	}
 	s.st = st
 	l := st.Layout()
@@ -175,7 +177,7 @@ func (s *Server) initStore() store.RecoveryStats {
 	// No Guard: the simulated server is unclustered. No inline budget: its
 	// PUTs and reads keep the paper's grant-then-WRITE and grant-then-READ.
 	s.core = server.New(st, pools, nil, 0)
-	return rst
+	return rst, nil
 }
 
 func (s *Server) startProcs() {

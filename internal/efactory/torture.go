@@ -98,14 +98,20 @@ func RunSimTorture(tc fault.Config) (fault.Result, error) {
 			pcfg := rcfg
 			pcfg.FaultPlan = plan
 			env := sim.NewEnv(tc.Seed + 99)
-			srv, _ := Recover(env, &par, pcfg, img)
+			srv, _, err := Recover(env, &par, pcfg, img)
+			if err != nil {
+				return err
+			}
 			srv.Stop()
 			env.Run()
 			return nil
 		},
 		func(img *nvm.Memory, keys []string) (map[string][]byte, error) {
 			env := sim.NewEnv(tc.Seed + 99)
-			srv, _ := Recover(env, &par, rcfg, img)
+			srv, _, err := Recover(env, &par, rcfg, img)
+			if err != nil {
+				return nil, err
+			}
 			cl := srv.AttachClient("post-crash")
 			got := make(map[string][]byte)
 			env.Go("torture-verify", func(p *sim.Proc) {
@@ -124,7 +130,10 @@ func RunSimTorture(tc fault.Config) (fault.Result, error) {
 		return fault.Result{}, err
 	}
 	env2 := sim.NewEnv(tc.Seed + 99)
-	srv2, _ := Recover(env2, &par, rcfg, dev)
+	srv2, _, err := Recover(env2, &par, rcfg, dev)
+	if err != nil {
+		return res, fmt.Errorf("recovery failed: %w", err)
+	}
 	cl2 := srv2.AttachClient("post-crash")
 	env2.Go("torture-verify", func(p *sim.Proc) {
 		defer srv2.Stop()

@@ -206,9 +206,7 @@ func (p *Pool) Scan(limit int, fn func(off uint64, h Header) bool) {
 func (p *Pool) ScanPersisted(fn func(off uint64, h Header) bool) {
 	off := 0
 	for off+HeaderSize <= p.cap {
-		b := make([]byte, HeaderSize)
-		p.dev.ReadPersisted(p.base+off, b)
-		h := DecodeHeader(b)
+		h := p.PersistedHeader(uint64(off))
 		if h.Magic != Magic || h.KLen <= 0 || h.VLen < 0 {
 			return
 		}
@@ -217,6 +215,23 @@ func (p *Pool) ScanPersisted(fn func(off uint64, h Header) bool) {
 		}
 		off += ObjectSize(h.KLen, h.VLen)
 	}
+}
+
+// PersistedHeader decodes the header of the object at off from the
+// persisted (post-crash) image.
+func (p *Pool) PersistedHeader(off uint64) Header {
+	b := make([]byte, HeaderSize)
+	p.dev.ReadPersisted(p.base+int(off), b)
+	return DecodeHeader(b)
+}
+
+// PersistedKV reads the key and value of the object at off, whose header
+// is h, from the persisted image.
+func (p *Pool) PersistedKV(off uint64, h Header) (key, value []byte) {
+	key, value = make([]byte, h.KLen), make([]byte, h.VLen)
+	p.dev.ReadPersisted(p.base+int(off)+KeyOffset(), key)
+	p.dev.ReadPersisted(p.base+int(off)+ValueOffset(h.KLen), value)
+	return key, value
 }
 
 // SetHead fast-forwards the allocation head (used by recovery after

@@ -289,8 +289,8 @@ func (e *Engine) maybeCleanLocked(size int) {
 // with only a pre-delete copy). The cleaner, whose candidates stand alone,
 // applies belowCut itself. Reads, version chains, the cleaner, export and
 // import all start here; recovery applies kv.Head to the persisted image
-// (ResolvePersisted). The tombstone is the caller's business. Callers hold
-// mu.
+// (kv.ResolvePersisted). The tombstone is the caller's business. Callers
+// hold mu.
 func (e *Engine) head(en kv.Entry) (pi int, off uint64, totalLen int, ok bool) {
 	if en.Loc[0] == 0 || en.Loc[1] == 0 {
 		for pi, loc := range en.Loc {

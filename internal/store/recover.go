@@ -1,163 +1,130 @@
 package store
 
 import (
-	"efactory/internal/crc"
+	"fmt"
+	"slices"
+
 	"efactory/internal/kv"
 )
 
-// recover rebuilds a consistent shard from the persisted contents of the
-// device (the post-crash state). Every hash entry is resolved by
-// ResolvePersisted to its newest intact version, CRC-checked against the
-// persisted bytes (§4.1: "a consistent state can be recovered using the
-// previous intact version"). The survivors are then re-materialized into a
-// fresh log in pool 0 with a clean hash table, so the recovered shard
-// starts from a canonical, fully-durable state. Keys with no intact
-// version are dropped — they were never durable, so losing them is
-// consistent. A shard whose pools are empty is left untouched (fresh
-// device fast path).
-func (e *Engine) recover(l kv.Layout) RecoveryStats {
-	var st RecoveryStats
-
-	// Pass 1: bound each pool's log extent and find the highest sequence
-	// number in the persisted image.
-	maxSeq := uint64(0)
-	empty := true
-	for pi := 0; pi < 2; pi++ {
-		head := 0
-		e.pools[pi].ScanPersisted(func(off uint64, h kv.Header) bool {
-			head = int(off) + kv.ObjectSize(h.KLen, h.VLen)
-			if h.Seq > maxSeq {
-				maxSeq = h.Seq
+// recover repairs the shard in place from the persisted image (the
+// post-crash state): every hash entry is resolved by kv.ResolvePersisted to
+// its newest intact version (§4.1: "a consistent state can be recovered
+// using the previous intact version") and pointed at it with the table's
+// 8-byte words. Nothing is zeroed; only survivors a cut-short cleaning run
+// left in the other pool are copied. Survivors become durable and
+// chain-terminated, every other valid version in the working pool is
+// invalidated, so a write whose entry never published cannot later stand
+// in for one, and entries nothing survives for are cleared. Every write
+// leaves the image resolving to the same survivors and is skipped where
+// the word already holds its value, so a crash inside recovery recovers to
+// the same state and a second recovery writes nothing.
+func (e *Engine) recover() (st RecoveryStats, err error) {
+	// Pass 1: bound each pool's log, find the highest sequence number, and
+	// list the valid versions.
+	var valid [2][]uint64
+	for pi, pool := range e.pools {
+		pool.ScanPersisted(func(off uint64, h kv.Header) bool {
+			pool.SetHead(int(off) + kv.ObjectSize(h.KLen, h.VLen))
+			e.nextSeq = max(e.nextSeq, h.Seq)
+			if h.Valid() {
+				valid[pi] = append(valid[pi], off)
 			}
 			return true
 		})
-		e.pools[pi].SetHead(head)
-		if head > 0 {
-			empty = false
-		}
 	}
-	if empty {
-		return st
+	if e.pools[0].Used() == 0 && e.pools[1].Used() == 0 {
+		return st, nil // a fresh device
 	}
 
-	// Pass 2: resolve every entry to its newest intact version.
-	var live []PersistedHead
+	// Pass 2: resolve every entry. The shard works in the pool t holding
+	// more survivor bytes, unless it has no room for the rest: survivors
+	// span both pools only when a cleaning run, or a recovery copying
+	// them, was cut short.
+	var live []kv.PersistedHead
+	var slot []int // each survivor's table index
+	var held [2]int
 	e.table.RangeAll(func(i int, en kv.Entry) bool {
 		if en.Tombstone() {
 			return true
 		}
-		ph, ok := ResolvePersisted(e.pools, en)
+		ph, ok := kv.ResolvePersisted(e.pools, en)
 		st.VersionsDiscarded += ph.Discarded
-		if !ok {
+		switch {
+		case !ok:
 			st.KeysLost++
 			return true
-		}
-		live = append(live, ph)
-		st.KeysRecovered++
-		if ph.Rolled {
+		case ph.Rolled:
 			st.RolledBack++
 		}
+		live, slot = append(live, ph), append(slot, i)
+		held[ph.Pool] += kv.ObjectSize(ph.Header.KLen, ph.Header.VLen)
 		return true
 	})
-
-	// Pass 3: re-materialize the survivors into a canonical state — a
-	// fresh log in pool 0 and a clean table — fully flushed.
-	e.dev.Zero(l.TableBase(e.shard), l.TableBytesAligned())
-	for pi := 0; pi < 2; pi++ {
-		e.dev.Zero(e.pools[pi].Base(), e.cfg.PoolSize)
-		e.pools[pi] = kv.NewPool(e.dev, e.pools[pi].Base(), e.cfg.PoolSize)
+	t := 0
+	if held[1] > held[0] {
+		t = 1
 	}
-	for _, sv := range live {
-		h := sv.Header // its seq, stamp, CRC and txn id; a fresh chain, durable
-		h.PrePtr, h.Flags = kv.NilPtr, kv.FlagValid|kv.FlagDurable
-		off, ok := e.appendLocked(0, &h, sv.Key, sv.Value, true)
-		if !ok {
-			panic("store: recovery pool overflow")
-		}
-		c, ok := e.claimSlot(kv.HashKey(sv.Key))
-		if !ok {
-			panic("store: recovery table overflow")
-		}
-		e.publishLocked(c.idx, false, 0, kv.PackVPtr(0, off, kv.ObjectSize(len(sv.Key), sv.Header.VLen)))
+	if e.pools[t].Free() < held[1-t] {
+		t = 1 - t
 	}
-	e.bgCursor[0] = e.pools[0].Used()
-	e.bgCursor[1] = 0
-	e.nextSeq = maxSeq
-	e.dev.Drain()
 
-	e.stats.Recovered = st.KeysRecovered
-	e.stats.RolledBack = st.RolledBack
-	return st
-}
-
-// PersistedHead is what recovery makes of one hash entry: the version it
-// restores and how it got there.
-type PersistedHead struct {
-	Key, Value []byte
-	Header     kv.Header
-	Rolled     bool // a newer version on the winning chain was torn
-	Discarded  int  // torn or pre-cut versions walked past
-}
-
-// ResolvePersisted is recovery's per-entry resolver, and efactory-fsck's:
-// the head rule applied to the persisted image of pools, where a crash can
-// leave any version torn and can interrupt log cleaning at any stage — so
-// the two locations may name disjoint chains, and after a DELETE plus
-// merge-stage re-PUT only the staged chain holds a live version. Each
-// location's chain is walked to its newest intact version at or above the
-// entry's cut, and kv.Head picks between the two. ok is false when nothing
-// survives: the key was never durable. The tombstone is the caller's
-// business.
-func ResolvePersisted(pools [2]*kv.Pool, en kv.Entry) (best PersistedHead, ok bool) {
-	cut := en.CutSeq()
-	discarded := 0
-	var newest [2]PersistedHead
-	var cand [2]*kv.Header
-	for slot := range cand {
-		if en.Loc[slot] == 0 {
-			continue
-		}
-		pi := slot
-		off, totalLen, _ := kv.UnpackLoc(en.Loc[slot])
-		rolled := false
-		for int(off)+totalLen <= pools[pi].Cap() {
-			pool := pools[pi]
-			h := persistedHeader(pool, off)
-			if h.Magic == kv.Magic && h.Valid() && h.KLen > 0 && h.Seq >= cut &&
-				kv.ObjectSize(h.KLen, h.VLen) == totalLen {
-				key := make([]byte, h.KLen)
-				val := make([]byte, h.VLen)
-				base := pool.Base() + int(off)
-				pool.Device().ReadPersisted(base+kv.KeyOffset(), key)
-				pool.Device().ReadPersisted(base+kv.ValueOffset(h.KLen), val)
-				if crc.Checksum(val) == h.CRC {
-					newest[slot] = PersistedHead{Key: key, Value: val, Header: h, Rolled: rolled}
-					cand[slot] = &newest[slot].Header
-					break // newest intact version on this chain
+	// Pass 3, in table order: copy a survivor outside t into it, or make
+	// it durable and chain-terminated in place (a volatile store); point
+	// the entry at it, mark the entry t and clear its other location.
+	// Tombstones keep their cuts and move to t too; the rest are cleared.
+	pool, dirty, j := e.pools[t], false, 0
+	offs := make([]uint64, 0, len(live))
+	e.table.RangeAll(func(i int, en kv.Entry) bool {
+		switch {
+		case j < len(slot) && slot[j] == i:
+			sv := &live[j]
+			j++
+			h := sv.Header
+			h.PrePtr, h.Flags = kv.NilPtr, kv.FlagValid|kv.FlagDurable
+			if sv.Pool != t {
+				off, ok := e.appendLocked(t, &h, sv.Key, sv.Value, true)
+				if !ok {
+					err = fmt.Errorf("%w: shard %d: pool %d cannot take the survivors left in pool %d", ErrRecoveryFull, e.shard, t, 1-t)
+					return false
 				}
+				sv.Off = off
+			} else if h != sv.Header {
+				kv.WriteHeader(pool.Device(), pool.Base(), sv.Off, &h)
+				dirty = true
 			}
-			discarded++
-			rolled = true
-			if h.Magic != kv.Magic {
-				break
+			offs = append(offs, sv.Off)
+			if loc := kv.PackLoc(sv.Off, kv.ObjectSize(h.KLen, h.VLen)); en.Loc[t] != loc {
+				e.table.SetLoc(i, t, loc)
 			}
-			var okPre bool
-			if pi, off, totalLen, okPre = kv.UnpackVPtr(h.PrePtr); !okPre {
-				break
-			}
+		case !en.Tombstone():
+			e.table.Clear(i)
+			return true
+		}
+		e.table.FlipMark(i, t)
+		return true
+	})
+	if err != nil {
+		return st, err
+	}
+
+	// Pass 4: invalidate every other version valid in t (volatile stores),
+	// then flush what passes 3 and 4 stored.
+	slices.Sort(offs)
+	for _, off := range valid[t] {
+		if _, found := slices.BinarySearch(offs, off); !found {
+			pool.SetFlagsVolatile(off, pool.PersistedHeader(off).Flags&^kv.FlagValid)
+			dirty = true
 		}
 	}
-	slot, ok := kv.Head(en, cand)
-	if ok {
-		best = newest[slot]
+	if dirty {
+		pool.FlushRange(0, pool.Used())
 	}
-	best.Discarded = discarded
-	return best, ok
-}
-
-// persistedHeader decodes an object header from the persisted image.
-func persistedHeader(p *kv.Pool, off uint64) kv.Header {
-	b := make([]byte, kv.HeaderSize)
-	p.Device().ReadPersisted(p.Base()+int(off), b)
-	return kv.DecodeHeader(b)
+	e.cur = t
+	for pi, p := range e.pools {
+		e.bgCursor[pi] = p.Used()
+	}
+	st.KeysRecovered = len(live)
+	e.stats.Recovered, e.stats.RolledBack = st.KeysRecovered, st.RolledBack
+	return st, nil
 }

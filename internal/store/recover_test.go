@@ -2,10 +2,13 @@ package store
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"testing"
 	"time"
 
 	"efactory/internal/crc"
+	"efactory/internal/kv"
 	"efactory/internal/nvm"
 )
 
@@ -78,5 +81,53 @@ func TestRecoverStagedSlotAfterDeleteRePut(t *testing.T) {
 	got := e2.Pool(gr.Pool).ReadValue(gr.Off, hd.KLen, hd.VLen)
 	if !bytes.Equal(got, v2) {
 		t.Fatalf("recovered %x, want the re-put value %x", got, v2)
+	}
+}
+
+// TestRecoveryOutOfRoomIsAnError leaves nine durable keys in each pool of a
+// sixteen-object pool pair — a cleaning run cut short in its merge stage,
+// with the merge-stage writes filling the new pool — so neither pool can
+// take the other's survivors. Recovery must say so with ErrRecoveryFull,
+// not panic, and leave an image that still resolves every key.
+func TestRecoveryOutOfRoomIsAnError(t *testing.T) {
+	cfg := Config{Buckets: 64, PoolSize: 16 * 128, VerifyTimeout: time.Hour}
+	dev := nvm.New(cfg.Layout().DeviceSize())
+	st, _, err := New(dev, cfg, Deps{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := st.Shard(0)
+	put := func(key string) {
+		val := bytes.Repeat([]byte{'v'}, 48) // a 128-byte object
+		if pr := e.PutInline(nil, []byte(key), val, crc.Checksum(val)); pr.Status != StatusOK {
+			t.Fatalf("put %s: status %v", key, pr.Status)
+		}
+		e.Get(nil, []byte(key)) // verifies and persists it
+	}
+	for i := 0; i < 9; i++ {
+		put(fmt.Sprintf("a%d", i))
+	}
+	e.mu.Lock()
+	e.cleaning, e.merging = true, true // writes now go to pool 1
+	e.mu.Unlock()
+	for i := 0; i < 9; i++ {
+		put(fmt.Sprintf("b%d", i))
+	}
+
+	dev.Crash(7, 0)
+	if _, _, err := New(dev, cfg, Deps{}); !errors.Is(err, ErrRecoveryFull) {
+		t.Fatalf("recovery error = %v, want ErrRecoveryFull", err)
+	}
+	l := cfg.Layout()
+	pools := [2]*kv.Pool{kv.NewPool(dev, l.PoolBase(0, 0), l.PoolSize), kv.NewPool(dev, l.PoolBase(0, 1), l.PoolSize)}
+	live := 0
+	kv.NewTable(dev, l.TableBase(0), l.Buckets).Range(func(i int, en kv.Entry) bool {
+		if _, ok := kv.ResolvePersisted(pools, en); ok {
+			live++
+		}
+		return true
+	})
+	if live != 18 {
+		t.Fatalf("after the failed recovery the image resolves %d keys, want 18", live)
 	}
 }

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -26,9 +27,11 @@ type Store struct {
 
 // New carves dev into per-shard regions, builds one engine per shard, and
 // recovers any persisted state (a reopened file-backed device or a crashed
-// in-memory one). The caller owns dev's lifetime. A device written with N
-// shards must be reopened with the same N: the layout is not
-// self-describing.
+// in-memory one): the commit records a crash left unapplied are replayed
+// or discarded whole, then each engine repairs its shard in place. A crash
+// inside New loses nothing; the next New recovers the same state. The caller owns
+// dev's lifetime. A device written with N shards must be reopened with
+// the same N: the layout is not self-describing.
 func New(dev nvm.Device, cfg Config, deps Deps) (*Store, RecoveryStats, error) {
 	if cfg.Buckets <= 0 || cfg.PoolSize <= 0 || cfg.VerifyTimeout <= 0 {
 		return nil, RecoveryStats{}, errInvalidConfig
@@ -48,19 +51,26 @@ func New(dev nvm.Device, cfg Config, deps Deps) (*Store, RecoveryStats, error) {
 	for i := range s.engines {
 		s.engines[i] = newEngine(dev, cfg, deps, l, i, s.reg)
 	}
-	// Capture unapplied transaction commit records BEFORE per-engine
-	// recovery rebuilds the pools (which zeroes staged objects and records
-	// alike), then replay the captured transactions over the recovered
-	// state — whole transactions or nothing, never a subset.
-	recs, discarded := s.captureTxnRecords()
-	rst.TxnsDiscarded = discarded
-	for i := range s.engines {
-		rst.Add(s.engines[i].recover(l))
+	if err := s.replayTxns(&rst); err != nil {
+		return nil, rst, err
 	}
-	rst.TxnsReplayed = s.replayTxns(recs)
+	for _, e := range s.engines {
+		est, err := e.recover()
+		rst.Add(est)
+		if err != nil {
+			return nil, rst, err
+		}
+	}
 	s.registerMetrics()
 	return s, rst, nil
 }
+
+// ErrRecoveryFull is New's error when recovery cannot finish for lack of
+// room: neither pool can take the survivors a cut-short cleaning run left
+// in the other, or the table has no slot for a replayed transaction's key.
+// Recovery stops short of that write, so the image still resolves to the
+// survivors it started from.
+var ErrRecoveryFull = errors.New("store: recovery ran out of room")
 
 // Metrics returns the store's telemetry registry: per-shard, per-op
 // latency histograms, gauges (pool occupancy, table load, durability lag),

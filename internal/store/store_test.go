@@ -123,7 +123,10 @@ func (h *simHarness) Restart() store.RecoveryStats {
 	dev.Crash(42, 0)
 	h.env = sim.NewEnv(99)
 	h.horizon = 0
-	srv2, st := efactory.Recover(h.env, &h.par, h.cfg, dev)
+	srv2, st, err := efactory.Recover(h.env, &h.par, h.cfg, dev)
+	if err != nil {
+		panic(err)
+	}
 	h.srv = srv2
 	h.cl = srv2.AttachClient("harness-post-crash")
 	return st

@@ -416,15 +416,16 @@ type txnRecOp struct {
 	seq        uint64
 }
 
-// txnRecord is a decoded, capture-complete commit record: the manifest
-// plus each op's key/value bytes read from the persisted image before
-// recovery rebuilds the pools.
+// txnRecord is a decoded commit record: the manifest, each op's key read
+// from the persisted image, and where the record itself lies. A torn one
+// is discarded whole.
 type txnRecord struct {
-	id        uint64
-	ops       []txnRecOp
-	keys      [][]byte
-	vals      [][]byte
-	createdAt []uint64
+	id   uint64
+	ops  []txnRecOp
+	keys [][]byte
+	pool *kv.Pool
+	off  uint64
+	torn bool
 }
 
 // decodeTxnManifest parses a manifest (already CRC-verified).
@@ -458,102 +459,93 @@ func decodeTxnManifest(b []byte) (txnRecord, error) {
 // --- recovery ----------------------------------------------------------
 
 // captureTxnRecords scans every pool's persisted image for unapplied
-// commit records and captures the staged bytes their manifests name,
-// BEFORE per-engine recovery rebuilds the pools. Applied records (flagged
-// durable) were fully flipped pre-crash and are ignored; records whose
-// manifest or any staged op fails its CRC never committed and are
-// discarded whole — all-in or all-out, never a subset.
-func (s *Store) captureTxnRecords() (recs []txnRecord, discarded int) {
+// commit records and reads the keys of the staged ops their manifests
+// name. Applied records (flagged durable) were fully flipped, or settled by
+// an earlier recovery, and are skipped; a record whose manifest or any
+// staged op fails its CRC never committed and comes back torn. Records are
+// ordered by transaction id.
+func (s *Store) captureTxnRecords() (recs []txnRecord) {
 	for _, e := range s.engines {
-		for pi := 0; pi < 2; pi++ {
-			pool := e.pools[pi]
+		for _, pool := range e.pools {
 			pool.ScanPersisted(func(off uint64, h kv.Header) bool {
 				if h.Flags&kv.FlagTxnRec == 0 || h.Durable() {
 					return true
 				}
-				manifest := make([]byte, h.VLen)
-				s.dev.ReadPersisted(pool.Base()+int(off)+kv.ValueOffset(h.KLen), manifest)
-				if crc.Checksum(manifest) != h.CRC {
-					discarded++ // torn record: the transaction never committed
-					return true
-				}
+				_, manifest := pool.PersistedKV(off, h)
 				rec, err := decodeTxnManifest(manifest)
-				if err != nil || rec.id != h.TxnID {
-					discarded++
-					return true
+				if crc.Checksum(manifest) != h.CRC || err != nil || rec.id != h.TxnID || !s.captureTxnOps(&rec) {
+					rec = txnRecord{id: h.TxnID, torn: true}
 				}
-				if s.captureTxnOps(&rec) {
-					recs = append(recs, rec)
-				} else {
-					discarded++
-				}
+				rec.pool, rec.off = pool, off
+				recs = append(recs, rec)
 				return true
 			})
 		}
 	}
 	sort.Slice(recs, func(i, j int) bool { return recs[i].id < recs[j].id })
-	return recs, discarded
+	return recs
 }
 
-// captureTxnOps reads every staged op's persisted key/value bytes for
-// rec, verifying each against the manifest. Staged values are flushed
-// before the record is written, so a mismatch means the record is not
-// replayable; the whole transaction is discarded.
+// captureTxnOps checks every staged op rec names against its manifest
+// locator in the persisted image and reads its key. Staged values are
+// flushed before the record is written, so a mismatch means the record is
+// not replayable; the whole transaction is discarded.
 func (s *Store) captureTxnOps(rec *txnRecord) bool {
 	for _, op := range rec.ops {
 		if op.shard < 0 || op.shard >= len(s.engines) || op.pi < 0 || op.pi > 1 {
 			return false
 		}
-		e := s.engines[op.shard]
-		pool := e.pools[op.pi]
+		pool := s.engines[op.shard].pools[op.pi]
 		if int(op.off)+op.size > pool.Cap() || op.klen <= 0 || op.vlen < 0 ||
 			kv.ObjectSize(op.klen, op.vlen) != op.size {
 			return false
 		}
-		h := persistedHeader(pool, op.off)
+		h := pool.PersistedHeader(op.off)
 		if h.Magic != kv.Magic || h.TxnID != rec.id || h.KLen != op.klen || h.VLen != op.vlen {
 			return false
 		}
-		key := make([]byte, op.klen)
-		val := make([]byte, op.vlen)
-		base := pool.Base() + int(op.off)
-		s.dev.ReadPersisted(base+kv.KeyOffset(), key)
-		s.dev.ReadPersisted(base+kv.ValueOffset(op.klen), val)
+		key, val := pool.PersistedKV(op.off, h)
 		if crc.Checksum(val) != op.crc {
 			return false
 		}
 		rec.keys = append(rec.keys, key)
-		rec.vals = append(rec.vals, val)
-		rec.createdAt = append(rec.createdAt, h.CreatedAt)
 	}
 	return true
 }
 
-// replayTxns applies captured commit records over the freshly recovered
-// engines, in transaction-id order. ImportKey's supersession rule makes
-// the replay idempotent per op: a version that already flipped and
-// survived normal recovery (its sequence number >= the manifest's) is
-// left alone, everything else is re-materialized durable.
-func (s *Store) replayTxns(recs []txnRecord) (applied int) {
-	for _, rec := range recs {
+// replayTxns settles every unapplied commit record before the engines
+// repair their shards: an intact record's ops are flipped in place, in
+// transaction-id order, as the commit's phase 4 would have flipped them,
+// and a torn one is discarded whole — all-in or all-out, never a subset.
+// Each record is then marked applied (FlagDurable), so no later recovery
+// looks at it again. An op whose key already resolves to a version at
+// least as new flipped before the crash and is left alone, so a crash
+// before the mark replays the record again to the same state. The replay
+// appends nothing; it fails only when the table has no slot for a key.
+func (s *Store) replayTxns(rst *RecoveryStats) error {
+	for _, rec := range s.captureTxnRecords() {
 		for i, op := range rec.ops {
 			e := s.engines[op.shard]
-			st := e.ImportKey(nil, ExportKey{
-				Key: rec.keys[i],
-				Versions: []ExportVersion{{
-					Seq:       op.seq,
-					CreatedAt: rec.createdAt[i],
-					CRC:       op.crc,
-					Flags:     kv.FlagValid | kv.FlagDurable | kv.FlagTxn,
-					TxnID:     rec.id,
-					Value:     rec.vals[i],
-				}},
-			})
-			if st != StatusOK {
-				panic("store: txn replay overflow")
+			c, ok := e.claimSlot(kv.HashKey(rec.keys[i]))
+			if !ok {
+				return fmt.Errorf("%w: shard %d has no table slot for transaction %d", ErrRecoveryFull, op.shard, rec.id)
 			}
+			en := e.table.Entry(c.idx)
+			if ph, ok := kv.ResolvePersisted(e.pools, en); ok && !en.Tombstone() && ph.Header.Seq >= op.seq {
+				continue
+			}
+			pool := e.pools[op.pi]
+			pool.SetVersionSeq(op.off, op.seq)
+			pool.SetFlags(op.off, kv.FlagTxn|kv.FlagValid)
+			e.markFresh(c, op.pi)
+			e.publishLocked(c.idx, en.Tombstone(), op.seq, kv.PackVPtr(op.pi, op.off, op.size))
 		}
-		applied++
+		if rec.torn {
+			rst.TxnsDiscarded++
+		} else {
+			rst.TxnsReplayed++
+		}
+		rec.pool.SetFlags(rec.off, kv.FlagTxnRec|kv.FlagDurable)
 	}
-	return applied
+	return nil
 }

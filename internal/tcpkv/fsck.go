@@ -6,7 +6,6 @@ import (
 
 	"efactory/internal/kv"
 	"efactory/internal/nvm"
-	"efactory/internal/store"
 )
 
 // FsckReport summarizes an offline consistency check of a store device.
@@ -39,7 +38,7 @@ func (r FsckReport) Consistent() bool { return r.LostKeys == 0 }
 
 // Fsck performs a read-only consistency check of a store device laid out
 // with cfg: it walks the log pools of every shard and resolves every hash
-// entry with recovery's own resolver (store.ResolvePersisted) against the
+// entry with recovery's own resolver (kv.ResolvePersisted) against the
 // persisted image, so its live, lost and torn counts are what recovery
 // would find. It never modifies the device.
 func Fsck(dev nvm.Device, cfg Config) (FsckReport, error) {
@@ -75,7 +74,7 @@ func fsckShard(dev nvm.Device, l kv.Layout, shard int, r *FsckReport) {
 			r.Tombstones++
 			return true
 		}
-		ph, ok := store.ResolvePersisted(pools, e)
+		ph, ok := kv.ResolvePersisted(pools, e)
 		if !ok {
 			r.LostKeys++
 			return true

@@ -1,6 +1,9 @@
 package tcpkv
 
 import (
+	"bytes"
+	"fmt"
+	"os"
 	"testing"
 	"time"
 
@@ -136,5 +139,88 @@ func TestTCPTortureSlowCleaner(t *testing.T) {
 	}
 	for _, v := range res.Violations {
 		t.Error(v)
+	}
+}
+
+// TestRestartCrashedInsideRecovery is the file-backed restart leg of a
+// crash during recovery: a server takes overwrites (so the restart has
+// chains to cut and predecessors to invalidate), every acked key is made
+// durable, and the process stops. The restart is then crashed at each of up
+// to eight of its recovery's own boundaries — the device under
+// fault.WrapDevice, the file holding only flushed lines, as in
+// RunTCPTorture — and restarted again, injection-free. Every acked key
+// must read back with its last value.
+func TestRestartCrashedInsideRecovery(t *testing.T) {
+	cfg := smallConfig()
+	cfg.PoolSize = 256 << 10
+	dev, err := newFileDev(cfg.DeviceSize())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dev.remove()
+	srv, addr := startServer(t, dev, cfg)
+	cl, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[string][]byte)
+	for round := 0; round < 3; round++ {
+		for i := 0; i < 20; i++ {
+			k, v := fmt.Sprintf("k%02d", i), []byte(fmt.Sprintf("round-%d-of-k%02d", round, i))
+			if err := cl.Put([]byte(k), v); err != nil {
+				t.Fatal(err)
+			}
+			want[k] = v
+		}
+	}
+	for k := range want {
+		if _, err := cl.Get([]byte(k)); err != nil { // verifies and persists it
+			t.Fatal(err)
+		}
+	}
+	cl.Close()
+	srv.Close()
+	img, err := os.ReadFile(dev.path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// restart reopens the image, under plan when it is non-nil.
+	restart := func(plan *fault.Plan) *Server {
+		t.Helper()
+		if err := os.WriteFile(dev.path, img, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := dev.reopen(); err != nil {
+			t.Fatal(err)
+		}
+		pcfg := cfg
+		pcfg.FaultPlan = plan
+		s, err := NewServer(dev, pcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	probe := fault.NewPlan(0)
+	restart(probe).Close()
+	if probe.Boundaries() == 0 {
+		t.Fatal("the restart's recovery wrote nothing; the leg crashes nothing")
+	}
+	for _, j := range fault.SweepPoints(probe.Boundaries(), 8) {
+		restart(fault.NewPlan(j)).Close()
+		if err := dev.reopen(); err != nil {
+			t.Fatal(err)
+		}
+		s, err := NewServer(dev, cfg)
+		if err != nil {
+			t.Fatalf("J=%d: restart after the crash: %v", j, err)
+		}
+		for k, v := range want {
+			if got, ok := engineGet(s, k); !ok || !bytes.Equal(got, v) {
+				t.Errorf("J=%d: %s = %q (found %v), want %q", j, k, got, ok, v)
+			}
+		}
+		s.Close()
 	}
 }
