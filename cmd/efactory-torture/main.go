@@ -10,7 +10,10 @@
 //	                 [-points k] [-ops n] [-keys n] [-survival f]
 //	                 [-get-batch] [-txn]
 //
-// "all" is store + sim + tcp. mig and failover replay the two-instance
+// "all" is store + sim + tcp. The store and sim runners also sweep a +rec
+// row: the plain workload, with each crash image's first recovery itself
+// crashed at up to 8 of its own boundaries before the image is recovered
+// again and checked. mig and failover replay the two-instance
 // cluster runners (online migration with a source crash; primary death
 // and promotion at RF=2) over the same seeded schedule. -points <= 0
 // sweeps every boundary (store and sim only; the wall-clock runners are

@@ -93,29 +93,29 @@ func RunSimTorture(tc fault.Config) (fault.Result, error) {
 	dev.Crash(tc.Seed^0xc4a5_4ed, tc.Survival)
 	rcfg := cfg
 	rcfg.FaultPlan = nil
-	recVs, err := fault.CrashRecoveries(tc, oracle, dev,
+	vs, err := fault.CheckRecovered(tc, oracle, dev,
 		func(img *nvm.Memory, plan *fault.Plan) error {
 			pcfg := rcfg
 			pcfg.FaultPlan = plan
 			env := sim.NewEnv(tc.Seed + 99)
-			srv, _, err := Recover(env, &par, pcfg, img)
+			rs, _, err := Recover(env, &par, pcfg, img)
 			if err != nil {
 				return err
 			}
-			srv.Stop()
+			rs.Stop()
 			env.Run()
 			return nil
 		},
 		func(img *nvm.Memory, keys []string) (map[string][]byte, error) {
 			env := sim.NewEnv(tc.Seed + 99)
-			srv, _, err := Recover(env, &par, rcfg, img)
+			rs, _, err := Recover(env, &par, rcfg, img)
 			if err != nil {
 				return nil, err
 			}
-			cl := srv.AttachClient("post-crash")
+			cl := rs.AttachClient("post-crash")
 			got := make(map[string][]byte)
 			env.Go("torture-verify", func(p *sim.Proc) {
-				defer srv.Stop()
+				defer rs.Stop()
 				for _, k := range keys {
 					if v, err := cl.Get(p, []byte(k)); err == nil {
 						got[k] = v
@@ -125,29 +125,8 @@ func RunSimTorture(tc fault.Config) (fault.Result, error) {
 			env.Run()
 			return got, nil
 		})
-	violations = append(violations, recVs...)
-	if err != nil {
-		return fault.Result{}, err
-	}
-	env2 := sim.NewEnv(tc.Seed + 99)
-	srv2, _, err := Recover(env2, &par, rcfg, dev)
-	if err != nil {
-		return res, fmt.Errorf("recovery failed: %w", err)
-	}
-	cl2 := srv2.AttachClient("post-crash")
-	env2.Go("torture-verify", func(p *sim.Proc) {
-		defer srv2.Stop()
-		violations = append(violations, oracle.Check(func(k string) ([]byte, bool) {
-			got, err := cl2.Get(p, []byte(k))
-			if err != nil {
-				return nil, false
-			}
-			return got, true
-		})...)
-	})
-	env2.Run()
-	res.Violations = violations
-	return res, nil
+	res.Violations = append(violations, vs...)
+	return res, err
 }
 
 // simTarget is the simulated client/server pair as the torture driver

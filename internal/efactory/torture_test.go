@@ -115,6 +115,26 @@ func TestSimTortureSweepTxn(t *testing.T) {
 	}
 }
 
+// TestSimTortureSweepRecoveryCrashTxn crashes the sim server's recovery
+// (efactory.Recover) at every one of its boundaries on the transactional
+// leg, so a crash lands inside a commit replay and inside the copy of
+// survivors a cut-short cleaning run left behind.
+func TestSimTortureSweepRecoveryCrashTxn(t *testing.T) {
+	cfg := simTortureConfig()
+	cfg.Txn, cfg.RecCrashes = true, 1<<20
+	points := 25
+	if testing.Short() {
+		points = 8
+	}
+	sr, err := fault.Sweep(RunSimTorture, cfg, []uint64{1, 2}, points)
+	if err != nil {
+		t.Fatalf("sweep: %v", err)
+	}
+	for _, v := range sr.Violations {
+		t.Error(v)
+	}
+}
+
 // TestSimTortureTxnCoverage: the sim txn leg must actually commit and
 // snapshot-read through the server's store (Commit, SnapshotGet).
 func TestSimTortureTxnCoverage(t *testing.T) {

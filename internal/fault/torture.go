@@ -341,7 +341,7 @@ func runStore(cfg Config, ops []Op) (Result, error) {
 	// lottery (Survival 0 = only explicitly flushed lines persist), then
 	// the store is rebuilt, injection-free, on the raw device.
 	dev.Crash(cfg.Seed^0xc4a5_4ed, cfg.Survival)
-	recVs, err := CrashRecoveries(cfg, oracle, dev,
+	vs, err := CheckRecovered(cfg, oracle, dev,
 		func(img *nvm.Memory, plan *Plan) error {
 			tick := &tickSink{now: tick.now}
 			st, _, err := store.New(WrapDevice(img, plan), scfg, harnessDeps(tick, WrapSink(plan, tick)))
@@ -365,75 +365,71 @@ func runStore(cfg Config, ops []Op) (Result, error) {
 			}
 			return got, nil
 		})
-	violations = append(violations, recVs...)
-	if err != nil {
-		return res, err
-	}
-	tick2 := &tickSink{now: tick.now}
-	st2, _, err := store.New(dev, scfg, harnessDeps(tick2, tick2))
-	if err != nil {
-		return res, fmt.Errorf("recovery failed: %w", err)
-	}
-	res.Violations = append(violations, oracle.Check(func(k string) ([]byte, bool) {
-		return StoreGet(st2, []byte(k))
-	})...)
-	st2.Stop()
-	return res, nil
+	res.Violations = append(violations, vs...)
+	return res, err
 }
 
-// CrashRecoveries is the RecCrashes leg of a runner whose crashed image is
-// dev (its volatile overlay already resolved); dev itself is left as it is.
-// Each recovery works on a fresh copy of dev. recover runs one recovery
-// with its device and sink under plan and lets it go; read recovers an
-// image injection-free and returns what it holds for keys (absent keys
-// omitted). One uninterrupted recovery counts recovery's own boundaries and
-// fixes the state every interrupted one must come back to; then, for each
-// of up to RecCrashes evenly spaced boundaries J, a recovery trips at J,
-// the image is crashed again under cfg.Survival and read, and the result
-// is held to the oracle and to that state.
-func CrashRecoveries(cfg Config, o *Oracle, dev *nvm.Memory,
+// CheckRecovered recovers a runner's crashed image dev (its volatile
+// overlay already resolved) with read, which recovers an image
+// injection-free and returns what it holds for keys (absent keys
+// omitted), and holds the result to the oracle.
+//
+// With cfg.RecCrashes it first crashes recovery itself, on fresh copies of
+// dev: recover runs one recovery with its device and sink under plan and
+// lets it go. One uninterrupted recovery counts recovery's own boundaries
+// and fixes the state every interrupted one must come back to; then, for
+// each of up to RecCrashes evenly spaced boundaries J, a recovery trips at
+// J, the image is crashed again under cfg.Survival and read, and the
+// result is held to the oracle and to that state.
+func CheckRecovered(cfg Config, o *Oracle, dev *nvm.Memory,
 	recover func(img *nvm.Memory, plan *Plan) error,
 	read func(img *nvm.Memory, keys []string) (map[string][]byte, error)) ([]string, error) {
-	if cfg.RecCrashes <= 0 {
-		return nil, nil
-	}
-	probe := NewPlan(0)
-	if err := recover(cloneImage(dev), probe); err != nil {
-		return nil, fmt.Errorf("recovery failed: %w", err)
-	}
 	keys := o.Keys()
-	want, err := read(cloneImage(dev), keys)
-	if err != nil {
-		return nil, fmt.Errorf("recovery failed: %w", err)
+	check := func(got map[string][]byte) []string {
+		return o.Check(func(k string) ([]byte, bool) { v, ok := got[k]; return v, ok })
 	}
 	var violations []string
-	for _, j := range SweepPoints(probe.Boundaries(), cfg.RecCrashes) {
-		img, plan := cloneImage(dev), NewPlan(j)
-		// Past the trip the recovery runs on against a frozen device, as a
-		// process with its power gone would not: what it then reports is
-		// moot.
-		if err := recover(img, plan); err != nil && !plan.Tripped() {
-			return violations, fmt.Errorf("recovery crashed at J=%d failed: %w", j, err)
+	if cfg.RecCrashes > 0 {
+		probe := NewPlan(0)
+		if err := recover(cloneImage(dev), probe); err != nil {
+			return nil, fmt.Errorf("recovery failed: %w", err)
 		}
-		img.Crash(cfg.Seed^0x2ec0_4e2, cfg.Survival)
-		got, err := read(img, keys)
+		want, err := read(cloneImage(dev), keys)
 		if err != nil {
-			return violations, fmt.Errorf("recovery after a crash at J=%d failed: %w", j, err)
+			return nil, fmt.Errorf("recovery failed: %w", err)
 		}
-		for _, v := range o.Check(func(k string) ([]byte, bool) { v, ok := got[k]; return v, ok }) {
-			violations = append(violations, fmt.Sprintf("recovery crashed at J=%d: %s", j, v))
-		}
-		for _, k := range keys {
-			g, gok := got[k]
-			w, wok := want[k]
-			if gok != wok || !bytes.Equal(g, w) {
-				violations = append(violations, fmt.Sprintf(
-					"recovery crashed at J=%d: key %q recovered %.40q (found %v), an uninterrupted recovery %.40q (found %v)",
-					j, k, g, gok, w, wok))
+		for _, j := range SweepPoints(probe.Boundaries(), cfg.RecCrashes) {
+			img, plan := cloneImage(dev), NewPlan(j)
+			// Past the trip the recovery runs on against a frozen device, as
+			// a process with its power gone would not: what it then reports
+			// is moot.
+			if err := recover(img, plan); err != nil && !plan.Tripped() {
+				return violations, fmt.Errorf("recovery crashed at J=%d failed: %w", j, err)
+			}
+			img.Crash(cfg.Seed^0x2ec0_4e2, cfg.Survival)
+			got, err := read(img, keys)
+			if err != nil {
+				return violations, fmt.Errorf("recovery after a crash at J=%d failed: %w", j, err)
+			}
+			for _, v := range check(got) {
+				violations = append(violations, fmt.Sprintf("recovery crashed at J=%d: %s", j, v))
+			}
+			for _, k := range keys {
+				g, gok := got[k]
+				w, wok := want[k]
+				if gok != wok || !bytes.Equal(g, w) {
+					violations = append(violations, fmt.Sprintf(
+						"recovery crashed at J=%d: key %q recovered %.40q (found %v), an uninterrupted recovery %.40q (found %v)",
+						j, k, g, gok, w, wok))
+				}
 			}
 		}
 	}
-	return violations, nil
+	got, err := read(dev, keys)
+	if err != nil {
+		return violations, fmt.Errorf("recovery failed: %w", err)
+	}
+	return append(violations, check(got)...), nil
 }
 
 // cloneImage returns a new device holding dev's persisted image.

@@ -304,3 +304,25 @@ func TestTortureTxnCoverageAndDeterminism(t *testing.T) {
 		t.Errorf("non-deterministic txn runs: %+v vs %+v", b1, b2)
 	}
 }
+
+// TestTortureSweepStoreRecoveryCrashTxn crashes recovery itself on the
+// transactional leg, over two shards and with half the unflushed lines
+// surviving each crash: recovery then replays commit records (flipping
+// their stages in place) and copies survivors a cut-short cleaning run
+// left in the other pool, and every one of its boundaries is a crash
+// point. Each result must pass the oracle and equal what an uninterrupted
+// recovery restores.
+func TestTortureSweepStoreRecoveryCrashTxn(t *testing.T) {
+	cfg := Config{Ops: 60, Shards: 2, CleanEvery: 13, Txn: true, Survival: 0.5, RecCrashes: 1 << 20}
+	points := 40
+	if testing.Short() {
+		points = 10
+	}
+	sr, err := SweepStore(cfg, []uint64{1, 2, 3}, points)
+	if err != nil {
+		t.Fatalf("sweep: %v", err)
+	}
+	for _, v := range sr.Violations {
+		t.Error(v)
+	}
+}

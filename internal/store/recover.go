@@ -21,7 +21,8 @@ import (
 // the same state and a second recovery writes nothing.
 func (e *Engine) recover() (st RecoveryStats, err error) {
 	// Pass 1: bound each pool's log, find the highest sequence number, and
-	// list the valid versions.
+	// list the valid versions. Headers persist in append order, so every
+	// survivor lies inside the log found here, below the pool's head.
 	var valid [2][]uint64
 	for pi, pool := range e.pools {
 		pool.ScanPersisted(func(off uint64, h kv.Header) bool {

@@ -29,9 +29,9 @@ type Store struct {
 // recovers any persisted state (a reopened file-backed device or a crashed
 // in-memory one): the commit records a crash left unapplied are replayed
 // or discarded whole, then each engine repairs its shard in place. A crash
-// inside New loses nothing; the next New recovers the same state. The caller owns
-// dev's lifetime. A device written with N shards must be reopened with
-// the same N: the layout is not self-describing.
+// inside New loses nothing; the next New recovers the same state. The
+// caller owns dev's lifetime. A device written with N shards must be
+// reopened with the same N: the layout is not self-describing.
 func New(dev nvm.Device, cfg Config, deps Deps) (*Store, RecoveryStats, error) {
 	if cfg.Buckets <= 0 || cfg.PoolSize <= 0 || cfg.VerifyTimeout <= 0 {
 		return nil, RecoveryStats{}, errInvalidConfig
