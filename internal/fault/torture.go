@@ -46,7 +46,7 @@ type Config struct {
 	// image trips at up to RecCrashes evenly spaced points of its own
 	// boundaries, the image is crashed again and recovered injection-free,
 	// and the result must pass the oracle and equal what an uninterrupted
-	// recovery restores (CrashRecoveries). Zero recovers once, unharmed.
+	// recovery restores (CheckRecovered). Zero recovers once, unharmed.
 	RecCrashes int
 }
 
