@@ -161,17 +161,23 @@ func TestPoolScanWalksLog(t *testing.T) {
 		}
 		offs = append(offs, off)
 	}
-	var seen []uint64
-	p.Scan(-1, func(off uint64, h Header) bool {
-		seen = append(seen, off)
-		return true
-	})
-	if fmt.Sprint(seen) != fmt.Sprint(offs) {
+	scan := func(from, limit int) (seen []uint64) {
+		p.Scan(from, limit, func(off uint64, h Header) bool {
+			seen = append(seen, off)
+			return true
+		})
+		return seen
+	}
+	if seen := scan(0, -1); fmt.Sprint(seen) != fmt.Sprint(offs) {
 		t.Fatalf("scan saw %v, want %v", seen, offs)
+	}
+	// A window starting at an object and ending inside another.
+	if seen := scan(int(offs[2]), int(offs[4])+1); fmt.Sprint(seen) != fmt.Sprint(offs[2:4]) {
+		t.Fatalf("scan of [%d, %d] saw %v, want %v", offs[2], offs[4], seen, offs[2:4])
 	}
 	// Early stop.
 	n := 0
-	p.Scan(-1, func(off uint64, h Header) bool { n++; return n < 2 })
+	p.Scan(0, -1, func(off uint64, h Header) bool { n++; return n < 2 })
 	if n != 2 {
 		t.Fatalf("scan did not stop early: %d", n)
 	}

@@ -180,15 +180,16 @@ func (p *Pool) Header(off uint64) Header {
 	return ReadHeader(p.dev, p.base, off)
 }
 
-// Scan walks the log from the start, yielding each object's offset and
-// header until it reaches unallocated space or the given limit. It is the
-// backbone of both the background verification thread and crash recovery.
-// The callback returns false to stop the scan.
-func (p *Pool) Scan(limit int, fn func(off uint64, h Header) bool) {
+// Scan walks the log from offset from, which must be 0 or the start of
+// an object, yielding each object's offset and header until it reaches
+// unallocated space or the given limit (negative: the pool's end). The
+// cleaner's sweeps walk their windows with it. The callback returns false
+// to stop the scan.
+func (p *Pool) Scan(from, limit int, fn func(off uint64, h Header) bool) {
 	if limit < 0 || limit > p.cap {
 		limit = p.cap
 	}
-	off := 0
+	off := from
 	for off+HeaderSize <= limit {
 		h := ReadHeader(p.dev, p.base, uint64(off))
 		if h.Magic != Magic || h.KLen <= 0 || h.VLen < 0 {

@@ -3,7 +3,6 @@ package nvm
 import (
 	"fmt"
 	"os"
-	"slices"
 )
 
 // FileBacked is a Device whose persistent media is a real file, so
@@ -43,13 +42,13 @@ func OpenFile(path string, size int) (*FileBacked, error) {
 			return nil, fmt.Errorf("nvm: extend %s: %w", path, err)
 		}
 	}
-	persist := make([]byte, size)
-	if _, err := f.ReadAt(persist, 0); err != nil {
+	d := &FileBacked{f: f}
+	d.init(size)
+	if _, err := f.ReadAt(d.persist, 0); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("nvm: read %s: %w", path, err)
 	}
-	d := &FileBacked{f: f}
-	d.init(slices.Clone(persist), persist)
+	copy(d.view, d.persist)
 	d.wrote = d.writeThrough
 	return d, nil
 }

@@ -70,7 +70,9 @@ type Device interface {
 }
 
 // Memory is an emulated NVMM module: the overlay over plain DRAM, plus the
-// crash model.
+// crash model. A Memory of a huge page (2 MiB) or more holds its images in
+// memory mapped from the kernel, not in the Go heap; the map is returned
+// when the Memory is garbage collected.
 //
 // It is safe for concurrent use; the simulator runs single-threaded but the
 // TCP transport accesses a Memory from multiple goroutines.
@@ -86,7 +88,7 @@ func New(size int) *Memory {
 	}
 	size = roundUp(size)
 	m := &Memory{}
-	m.init(make([]byte, size), make([]byte, size))
+	m.init(size)
 	return m
 }
 

@@ -24,101 +24,130 @@ func TestWriteReadCoherent(t *testing.T) {
 	}
 }
 
+// eachImage runs fn on a Memory whose images are Go slices and on one
+// whose images are mapped (on an OS that maps): span bytes of the small
+// one from offset 0, and span bytes from base in one of two huge pages,
+// placed so the span straddles the boundary between the two pages. base
+// is line-aligned, so line arithmetic reads the same on both.
+func eachImage(t *testing.T, span int, fn func(t *testing.T, m *Memory, base int)) {
+	t.Run("heap", func(t *testing.T) {
+		m := New(span)
+		if m.mapped != nil {
+			t.Fatalf("a %d B device is mapped", span)
+		}
+		fn(t, m, 0)
+	})
+	t.Run("mapped", func(t *testing.T) {
+		m := New(2 * hugePage)
+		if m.mapped == nil && mapAnon(hugePage) != nil {
+			t.Fatalf("a %d B device is not mapped", 2*hugePage)
+		}
+		fn(t, m, hugePage-span/2/LineSize*LineSize)
+	})
+}
+
 func TestUnflushedDataNotPersisted(t *testing.T) {
-	m := New(1024)
-	m.Write(0, []byte("volatile"))
-	got := make([]byte, 8)
-	m.ReadPersisted(0, got)
-	if !bytes.Equal(got, make([]byte, 8)) {
-		t.Fatalf("unflushed write reached media: %q", got)
-	}
+	eachImage(t, 1024, func(t *testing.T, m *Memory, base int) {
+		m.Write(base, []byte("volatile"))
+		got := make([]byte, 8)
+		m.ReadPersisted(base, got)
+		if !bytes.Equal(got, make([]byte, 8)) {
+			t.Fatalf("unflushed write reached media: %q", got)
+		}
+	})
 }
 
 func TestFlushPersists(t *testing.T) {
-	m := New(1024)
-	data := []byte("durable data crossing a cache line boundary......................")
-	m.Write(40, data) // straddles lines 0..1
-	m.Flush(40, len(data))
-	got := make([]byte, len(data))
-	m.ReadPersisted(40, got)
-	if !bytes.Equal(got, data) {
-		t.Fatalf("flushed data not on media: %q", got)
-	}
-	if m.DirtyLines() != 0 {
-		t.Fatalf("DirtyLines = %d after full flush", m.DirtyLines())
-	}
+	eachImage(t, 1024, func(t *testing.T, m *Memory, base int) {
+		data := []byte("durable data crossing a cache line boundary......................")
+		m.Write(base+40, data) // straddles lines 0..1
+		m.Flush(base+40, len(data))
+		got := make([]byte, len(data))
+		m.ReadPersisted(base+40, got)
+		if !bytes.Equal(got, data) {
+			t.Fatalf("flushed data not on media: %q", got)
+		}
+		if m.DirtyLines() != 0 {
+			t.Fatalf("DirtyLines = %d after full flush", m.DirtyLines())
+		}
+	})
 }
 
 func TestPartialFlushOnlyCoversRange(t *testing.T) {
-	m := New(1024)
-	m.Write(0, bytes.Repeat([]byte{0xAA}, 256)) // lines 0-3 dirty
-	m.Flush(0, 64)                              // only line 0
-	if m.DirtyLines() != 3 {
-		t.Fatalf("DirtyLines = %d, want 3", m.DirtyLines())
-	}
-	got := make([]byte, 128)
-	m.ReadPersisted(0, got)
-	if got[0] != 0xAA || got[63] != 0xAA {
-		t.Fatal("line 0 not persisted")
-	}
-	if got[64] != 0 {
-		t.Fatal("line 1 persisted without flush")
-	}
+	eachImage(t, 1024, func(t *testing.T, m *Memory, base int) {
+		m.Write(base, bytes.Repeat([]byte{0xAA}, 256)) // lines 0-3 dirty
+		m.Flush(base, 64)                              // only line 0
+		if m.DirtyLines() != 3 {
+			t.Fatalf("DirtyLines = %d, want 3", m.DirtyLines())
+		}
+		got := make([]byte, 128)
+		m.ReadPersisted(base, got)
+		if got[0] != 0xAA || got[63] != 0xAA {
+			t.Fatal("line 0 not persisted")
+		}
+		if got[64] != 0 {
+			t.Fatal("line 1 persisted without flush")
+		}
+	})
 }
 
 func TestCrashDropsDirtyLines(t *testing.T) {
-	m := New(1024)
-	m.Write(0, []byte("to be lost"))
-	m.Write(512, []byte("to be kept"))
-	m.Flush(512, 10)
-	m.Crash(1, 0) // survival 0: all unflushed lines lost
-	got := make([]byte, 10)
-	m.Read(0, got)
-	if !bytes.Equal(got, make([]byte, 10)) {
-		t.Fatalf("unflushed data survived crash: %q", got)
-	}
-	m.Read(512, got)
-	if string(got) != "to be kept" {
-		t.Fatalf("flushed data lost in crash: %q", got)
-	}
+	eachImage(t, 1024, func(t *testing.T, m *Memory, base int) {
+		m.Write(base, []byte("to be lost"))
+		m.Write(base+512, []byte("to be kept"))
+		m.Flush(base+512, 10)
+		m.Crash(1, 0) // survival 0: all unflushed lines lost
+		got := make([]byte, 10)
+		m.Read(base, got)
+		if !bytes.Equal(got, make([]byte, 10)) {
+			t.Fatalf("unflushed data survived crash: %q", got)
+		}
+		m.Read(base+512, got)
+		if string(got) != "to be kept" {
+			t.Fatalf("flushed data lost in crash: %q", got)
+		}
+	})
 }
 
 func TestCrashSurvivalOneKeepsEverything(t *testing.T) {
-	m := New(1024)
-	m.Write(128, []byte("evicted before crash"))
-	m.Crash(1, 1)
-	got := make([]byte, 20)
-	m.Read(128, got)
-	if string(got) != "evicted before crash" {
-		t.Fatalf("survival=1 lost data: %q", got)
-	}
+	eachImage(t, 1024, func(t *testing.T, m *Memory, base int) {
+		m.Write(base+128, []byte("evicted before crash"))
+		m.Crash(1, 1)
+		got := make([]byte, 20)
+		m.Read(base+128, got)
+		if string(got) != "evicted before crash" {
+			t.Fatalf("survival=1 lost data: %q", got)
+		}
+	})
 }
 
 func TestCrashPartialIsDeterministic(t *testing.T) {
-	run := func() []byte {
-		m := New(4096)
+	eachImage(t, 4096, func(t *testing.T, dev *Memory, base int) {
+		run := func() []byte {
+			m := New(dev.Size())
+			for i := 0; i < 64; i++ {
+				m.Write(base+i*64, bytes.Repeat([]byte{byte(i + 1)}, 64))
+			}
+			m.Crash(99, 0.5)
+			out := make([]byte, 4096)
+			m.Read(base, out)
+			return out
+		}
+		a, b := run(), run()
+		if !bytes.Equal(a, b) {
+			t.Fatal("crash with same seed is nondeterministic")
+		}
+		// And a 0.5 survival rate over 64 lines should keep some, lose some.
+		kept := 0
 		for i := 0; i < 64; i++ {
-			m.Write(i*64, bytes.Repeat([]byte{byte(i + 1)}, 64))
+			if a[i*64] != 0 {
+				kept++
+			}
 		}
-		m.Crash(99, 0.5)
-		out := make([]byte, 4096)
-		m.Read(0, out)
-		return out
-	}
-	a, b := run(), run()
-	if !bytes.Equal(a, b) {
-		t.Fatal("crash with same seed is nondeterministic")
-	}
-	// And a 0.5 survival rate over 64 lines should keep some, lose some.
-	kept := 0
-	for i := 0; i < 64; i++ {
-		if a[i*64] != 0 {
-			kept++
+		if kept == 0 || kept == 64 {
+			t.Fatalf("survival=0.5 kept %d/64 lines; model not partial", kept)
 		}
-	}
-	if kept == 0 || kept == 64 {
-		t.Fatalf("survival=0.5 kept %d/64 lines; model not partial", kept)
-	}
+	})
 }
 
 func TestWrite8Atomicity(t *testing.T) {
@@ -153,16 +182,17 @@ func TestSizeRoundsUpToLine(t *testing.T) {
 }
 
 func TestFlushedLinesCounter(t *testing.T) {
-	m := New(1024)
-	m.Write(0, bytes.Repeat([]byte{1}, 192))
-	m.Flush(0, 192)
-	if m.FlushedLines() != 3 {
-		t.Fatalf("FlushedLines = %d, want 3", m.FlushedLines())
-	}
-	m.Flush(0, 192) // clean lines: no-op
-	if m.FlushedLines() != 3 {
-		t.Fatalf("FlushedLines = %d after redundant flush, want 3", m.FlushedLines())
-	}
+	eachImage(t, 1024, func(t *testing.T, m *Memory, base int) {
+		m.Write(base, bytes.Repeat([]byte{1}, 192))
+		m.Flush(base, 192)
+		if m.FlushedLines() != 3 {
+			t.Fatalf("FlushedLines = %d, want 3", m.FlushedLines())
+		}
+		m.Flush(base, 192) // clean lines: no-op
+		if m.FlushedLines() != 3 {
+			t.Fatalf("FlushedLines = %d after redundant flush, want 3", m.FlushedLines())
+		}
+	})
 }
 
 // TestPropertyFlushedEqualsCrashView: after an arbitrary sequence of writes
@@ -174,45 +204,47 @@ func TestPropertyFlushedEqualsCrashView(t *testing.T) {
 		Data  []byte
 		Flush bool
 	}
-	f := func(ops []op, seed uint64) bool {
-		const size = 4096
-		m := New(size)
-		shadow := make([]byte, size)   // expected persistent state
-		volatile := make([]byte, size) // expected coherent state
-		for _, o := range ops {
-			if len(o.Data) == 0 {
-				continue
-			}
-			off := int(o.Off) % (size - len(o.Data)%size)
-			if off+len(o.Data) > size {
-				continue
-			}
-			m.Write(off, o.Data)
-			copy(volatile[off:], o.Data)
-			if o.Flush {
-				m.Flush(off, len(o.Data))
-				// Flush persists whole covering lines of the coherent view.
-				first := off / LineSize * LineSize
-				last := (off + len(o.Data) + LineSize - 1) / LineSize * LineSize
-				if last > size {
-					last = size
+	const size = 4096
+	eachImage(t, size, func(t *testing.T, dev *Memory, base int) {
+		f := func(ops []op, seed uint64) bool {
+			m := New(dev.Size())
+			shadow := make([]byte, size)   // expected persistent state
+			volatile := make([]byte, size) // expected coherent state
+			for _, o := range ops {
+				if len(o.Data) == 0 {
+					continue
 				}
-				copy(shadow[first:last], volatile[first:last])
+				off := int(o.Off) % (size - len(o.Data)%size)
+				if off+len(o.Data) > size {
+					continue
+				}
+				m.Write(base+off, o.Data)
+				copy(volatile[off:], o.Data)
+				if o.Flush {
+					m.Flush(base+off, len(o.Data))
+					// Flush persists whole covering lines of the coherent view.
+					first := off / LineSize * LineSize
+					last := (off + len(o.Data) + LineSize - 1) / LineSize * LineSize
+					if last > size {
+						last = size
+					}
+					copy(shadow[first:last], volatile[first:last])
+				}
 			}
+			// Coherent view must match the volatile shadow before crash.
+			got := make([]byte, size)
+			m.Read(base, got)
+			if !bytes.Equal(got, volatile) {
+				return false
+			}
+			m.Crash(seed, 0)
+			m.Read(base, got)
+			return bytes.Equal(got, shadow)
 		}
-		// Coherent view must match the volatile shadow before crash.
-		got := make([]byte, size)
-		m.Read(0, got)
-		if !bytes.Equal(got, volatile) {
-			return false
+		if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+			t.Fatal(err)
 		}
-		m.Crash(seed, 0)
-		m.Read(0, got)
-		return bytes.Equal(got, shadow)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
+	})
 }
 
 func TestFileBackedRoundTrip(t *testing.T) {
@@ -392,30 +424,31 @@ func TestLineMisalignedPanics(t *testing.T) {
 }
 
 func TestZeroClearsPersistAndOverlay(t *testing.T) {
-	m := New(1024)
-	m.Write(0, bytes.Repeat([]byte{0xFF}, 256))
-	m.Flush(0, 128) // first two lines persisted, next two dirty
-	m.Zero(64, 128) // spans one persisted and one dirty line
-	got := make([]byte, 256)
-	m.Read(0, got)
-	for i := 0; i < 64; i++ {
-		if got[i] != 0xFF {
-			t.Fatalf("byte %d clobbered outside Zero range", i)
+	eachImage(t, 1024, func(t *testing.T, m *Memory, base int) {
+		m.Write(base, bytes.Repeat([]byte{0xFF}, 256))
+		m.Flush(base, 128)   // first two lines persisted, next two dirty
+		m.Zero(base+64, 128) // spans one persisted and one dirty line
+		got := make([]byte, 256)
+		m.Read(base, got)
+		for i := 0; i < 64; i++ {
+			if got[i] != 0xFF {
+				t.Fatalf("byte %d clobbered outside Zero range", i)
+			}
 		}
-	}
-	for i := 64; i < 192; i++ {
-		if got[i] != 0 {
-			t.Fatalf("byte %d not zeroed (coherent view)", i)
+		for i := 64; i < 192; i++ {
+			if got[i] != 0 {
+				t.Fatalf("byte %d not zeroed (coherent view)", i)
+			}
 		}
-	}
-	m.ReadPersisted(64, got[:128])
-	for i, b := range got[:128] {
-		if b != 0 {
-			t.Fatalf("persisted byte %d not zeroed", 64+i)
+		m.ReadPersisted(base+64, got[:128])
+		for i, b := range got[:128] {
+			if b != 0 {
+				t.Fatalf("persisted byte %d not zeroed", 64+i)
+			}
 		}
-	}
-	m.Drain() // no-op, for coverage of the contract
-	m.Zero(0, 0)
+		m.Drain() // no-op, for coverage of the contract
+		m.Zero(base, 0)
+	})
 }
 
 func TestFileBackedZeroAndSize(t *testing.T) {
@@ -594,9 +627,11 @@ type diffDevice interface {
 
 // replayAgainstModel drives dev and a refModel with one seeded op sequence
 // and compares coherent bytes, persisted bytes, DirtyLines and FlushedLines
-// after every step. crash applies the device's notion of a crash to both
-// and returns the device to continue with.
-func replayAgainstModel(t *testing.T, seed uint64, dev diffDevice, crash func(ref *refModel, seed uint64, survival float64) diffDevice) {
+// after every step. The ops fall in the 200 lines from base, a line
+// multiple, and the rest of the device is never touched. crash applies
+// the device's notion of a crash to both and returns the device to
+// continue with.
+func replayAgainstModel(t *testing.T, seed uint64, dev diffDevice, base int, crash func(ref *refModel, seed uint64, survival float64) diffDevice) {
 	t.Helper()
 	// 200 lines: four dirty-bitmap words, the last one partial.
 	const size = 200 * LineSize
@@ -617,12 +652,12 @@ func replayAgainstModel(t *testing.T, seed uint64, dev diffDevice, crash func(re
 				src[i] = byte(rng.Uint32() | 1)
 			}
 			op = fmt.Sprintf("Write(%d, %d B)", off, n)
-			dev.Write(off, src)
+			dev.Write(base+off, src)
 			ref.write(off, src)
 		case k < 8:
 			off, v := 8*rng.IntN(size/8), rng.Uint64()
 			op = fmt.Sprintf("Write8(%d)", off)
-			dev.Write8(off, v)
+			dev.Write8(base+off, v)
 			var b [8]byte
 			binary.LittleEndian.PutUint64(b[:], v)
 			ref.write(off, b[:])
@@ -632,7 +667,7 @@ func replayAgainstModel(t *testing.T, seed uint64, dev diffDevice, crash func(re
 				w[i] = rng.Uint64()
 			}
 			op = fmt.Sprintf("WriteLine(%d)", off)
-			dev.WriteLine(off, w)
+			dev.WriteLine(base+off, w)
 			b := make([]byte, LineSize)
 			for i, v := range w {
 				binary.LittleEndian.PutUint64(b[8*i:], v)
@@ -644,17 +679,17 @@ func replayAgainstModel(t *testing.T, seed uint64, dev diffDevice, crash func(re
 				n = 0
 			}
 			op = fmt.Sprintf("Flush(%d, %d)", off, n)
-			dev.Flush(off, n)
+			dev.Flush(base+off, n)
 			ref.flush(off, n)
 		case k < 16: // cuts through dirty lines
 			off, n := span(0, 6*LineSize)
 			op = fmt.Sprintf("Zero(%d, %d)", off, n)
-			dev.Zero(off, n)
+			dev.Zero(base+off, n)
 			ref.zero(off, n)
 		case k < 17:
 			off, n := span(0, 3*LineSize)
 			op = fmt.Sprintf("Read(%d, %d)", off, n)
-			dev.Read(off, got[:n])
+			dev.Read(base+off, got[:n])
 			ref.read(off, want[:n])
 			if !bytes.Equal(got[:n], want[:n]) {
 				t.Fatalf("seed %d step %d %s: got %x want %x", seed, step, op, got[:n], want[:n])
@@ -663,7 +698,7 @@ func replayAgainstModel(t *testing.T, seed uint64, dev diffDevice, crash func(re
 			off := LineSize * rng.IntN(size/LineSize)
 			op = fmt.Sprintf("ReadLine(%d)", off)
 			ref.read(off, want[:LineSize])
-			g := dev.ReadLine(off)
+			g := dev.ReadLine(base + off)
 			for i := range g {
 				if w := binary.LittleEndian.Uint64(want[8*i:]); g[i] != w {
 					t.Fatalf("seed %d step %d %s: word %d got %#x want %#x", seed, step, op, i, g[i], w)
@@ -672,7 +707,7 @@ func replayAgainstModel(t *testing.T, seed uint64, dev diffDevice, crash func(re
 		case k < 19:
 			off, n := span(0, 3*LineSize)
 			op = fmt.Sprintf("ReadPersisted(%d, %d)", off, n)
-			dev.ReadPersisted(off, got[:n])
+			dev.ReadPersisted(base+off, got[:n])
 			if !bytes.Equal(got[:n], ref.persist[off:off+n]) {
 				t.Fatalf("seed %d step %d %s: got %x want %x", seed, step, op, got[:n], ref.persist[off:off+n])
 			}
@@ -681,12 +716,12 @@ func replayAgainstModel(t *testing.T, seed uint64, dev diffDevice, crash func(re
 			op = fmt.Sprintf("Crash(%v)", survival)
 			dev = crash(ref, rng.Uint64(), survival)
 		}
-		dev.Read(0, got)
+		dev.Read(base, got)
 		ref.read(0, want)
 		if !bytes.Equal(got, want) {
 			t.Fatalf("seed %d step %d after %s: coherent image differs from model", seed, step, op)
 		}
-		dev.ReadPersisted(0, got)
+		dev.ReadPersisted(base, got)
 		if !bytes.Equal(got, ref.persist) {
 			t.Fatalf("seed %d step %d after %s: persisted image differs from model", seed, step, op)
 		}
@@ -704,14 +739,16 @@ func replayAgainstModel(t *testing.T, seed uint64, dev diffDevice, crash func(re
 // bytes, which holds only if the lottery draws once per dirty line in
 // ascending line order.
 func TestMemoryMatchesSparseModel(t *testing.T) {
-	for seed := uint64(1); seed <= 16; seed++ {
-		m := New(200 * LineSize)
-		replayAgainstModel(t, seed, m, func(ref *refModel, cseed uint64, survival float64) diffDevice {
-			ref.crash(cseed, survival)
-			m.Crash(cseed, survival)
-			return m
-		})
-	}
+	eachImage(t, 200*LineSize, func(t *testing.T, dev *Memory, base int) {
+		for seed := uint64(1); seed <= 16; seed++ {
+			m := New(dev.Size())
+			replayAgainstModel(t, seed, m, base, func(ref *refModel, cseed uint64, survival float64) diffDevice {
+				ref.crash(cseed, survival)
+				m.Crash(cseed, survival)
+				return m
+			})
+		}
+	})
 }
 
 // TestFileBackedMatchesSparseModel replays the same sequences against a
@@ -725,7 +762,7 @@ func TestFileBackedMatchesSparseModel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		replayAgainstModel(t, seed, d, func(ref *refModel, cseed uint64, _ float64) diffDevice {
+		replayAgainstModel(t, seed, d, 0, func(ref *refModel, cseed uint64, _ float64) diffDevice {
 			ref.crash(cseed, 0)
 			ref.flushes = 0 // the counter belongs to the handle, not the file
 			if err := d.Close(); err != nil {

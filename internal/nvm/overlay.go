@@ -15,11 +15,14 @@ import (
 // dirty line is flushed, wins the crash lottery, or is zeroed. A clean line
 // is byte-equal in both images, so loads and stores are plain copies and a
 // flush is one copy per run of dirty lines. The price is RAM: twice the
-// device size.
+// bytes written (stored or zeroed), in huge pages where the kernel grants
+// them, since a device of a huge page or more maps its images (newImages)
+// and the kernel backs a page only once it is first written.
 type overlay struct {
 	mu      sync.Mutex
 	view    []byte   // coherent image
 	persist []byte   // durable image
+	mapped  *mapping // keeps a mapped view and persist alive; nil for Go slices
 	dirty   []uint64 // bit li: line li was stored to since it last reached persist
 	ndirty  int      // set bits in dirty
 	flushes int      // dirty lines flushed, cumulative
@@ -34,11 +37,11 @@ func roundUp(size int) int {
 	return (size + LineSize - 1) / LineSize * LineSize
 }
 
-// init adopts the two images, which must be equal and of one line-multiple
-// length.
-func (o *overlay) init(view, persist []byte) {
-	o.view, o.persist = view, persist
-	o.dirty = make([]uint64, (len(view)/LineSize+63)/64)
+// init gives the overlay two zeroed images of size bytes, a line
+// multiple.
+func (o *overlay) init(size int) {
+	o.view, o.persist, o.mapped = newImages(size)
+	o.dirty = make([]uint64, (size/LineSize+63)/64)
 }
 
 // Size returns the capacity in bytes.

@@ -145,12 +145,12 @@ func (e *Engine) runCleaner(h any) {
 // the other pool. It returns false if the run was aborted by CleanerWait.
 func (e *Engine) sweep(h any, sc *cleanScratch, pi, lo, hi int) bool {
 	e.mu.Lock()
-	// Collect object offsets in the window, then walk newest-first.
+	// Collect object offsets in the window, then walk newest-first. lo is
+	// 0 or stage 1's end, which is an object boundary: the stage-2 scan
+	// does not re-read stage 1's headers.
 	offs := sc.offs[:0]
-	e.pools[pi].Scan(hi, func(off uint64, hd kv.Header) bool {
-		if int(off) >= lo {
-			offs = append(offs, off)
-		}
+	e.pools[pi].Scan(lo, hi, func(off uint64, hd kv.Header) bool {
+		offs = append(offs, off)
 		return true
 	})
 	sc.offs = offs
