@@ -53,7 +53,6 @@ func TestTCPClusterDifferential(t *testing.T) {
 		// the 2s there because each migration's blocked cutover waits
 		// out one full verify window.
 		VerifyTimeout:  250 * time.Millisecond,
-		BGInterval:     100 * time.Microsecond,
 		CleanThreshold: 0.15,
 	}
 	srvA, addrA := startInstance(t, cfg)

@@ -33,7 +33,6 @@ func TestTCPFailoverDifferential(t *testing.T) {
 		// under -race an acked write's value bytes can trail by tens of
 		// milliseconds, and a short verify window would invalidate it.
 		VerifyTimeout:  250 * time.Millisecond,
-		BGInterval:     100 * time.Microsecond,
 		CleanThreshold: 0.15,
 		Replicas:       2,
 	}

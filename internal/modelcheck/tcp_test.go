@@ -35,7 +35,6 @@ func TestTCPDifferential(t *testing.T) {
 					Shards:         shards,
 					BGBatch:        bgBatch,
 					VerifyTimeout:  2 * time.Second,
-					BGInterval:     100 * time.Microsecond,
 					CleanThreshold: 0.15,
 				}
 				srv, err := tcpkv.NewServer(nvm.New(cfg.DeviceSize()), cfg)

@@ -57,7 +57,6 @@ func tcpTxnServer(t *testing.T, shards int) string {
 		PoolSize:       8 << 20,
 		Shards:         shards,
 		VerifyTimeout:  2 * time.Second,
-		BGInterval:     100 * time.Microsecond,
 		CleanThreshold: 0.15,
 	}
 	srv, err := tcpkv.NewServer(nvm.New(cfg.DeviceSize()), cfg)

@@ -95,7 +95,7 @@ scan:
 // parked at the end of its log or on an in-flight value. Both transports'
 // verifier loops are "BGDrain, then wait": the simulation one process per
 // shard sleeping BGIdlePoll, the TCP server one goroutine per shard on a
-// ticker.
+// timer while the shard has a backlog and on Work while it has none.
 func (e *Engine) BGDrain(h any, max int) {
 	run := func(pi int) int {
 		e.mu.Lock()

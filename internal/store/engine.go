@@ -187,7 +187,8 @@ type Engine struct {
 	// the next Charge, so cooperative interleavings cannot clobber live data.
 	keyScratch []byte
 	valScratch []byte
-	bgRun      []uint64 // verified-offset run reused across BGBatch calls
+	bgRun      []uint64      // verified-offset run reused across BGBatch calls
+	work       chan struct{} // see Work
 }
 
 func newEngine(dev nvm.Device, cfg Config, deps Deps, l kv.Layout, shard int, reg *obs.Registry) *Engine {
@@ -200,6 +201,7 @@ func newEngine(dev nvm.Device, cfg Config, deps Deps, l kv.Layout, shard int, re
 		obs:   reg,
 		table: kv.NewTable(dev, l.TableBase(shard), l.Buckets),
 		mu:    deps.NewLock(),
+		work:  make(chan struct{}, 1),
 	}
 	_, e.wall = deps.Sink.(realSink)
 	for i := 0; i < 2; i++ {
@@ -501,8 +503,15 @@ func (e *Engine) appendLocked(pi int, hd *kv.Header, key, value []byte, flush bo
 	if flush {
 		pool.FlushObject(off, len(key), hd.VLen)
 	}
+	select {
+	case e.work <- struct{}{}:
+	default:
+	}
 	return off, true
 }
+
+// Work is a one-slot token that every append raises, durable ones included.
+func (e *Engine) Work() <-chan struct{} { return e.work }
 
 // publishLocked makes the version v (a version pointer) the location of
 // its pool in the entry at idx. Each table word persists on its own, so

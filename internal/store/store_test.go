@@ -156,7 +156,6 @@ func newTCPHarness(t *testing.T, shards, poolSize int) harness {
 	cfg.Buckets = 1024
 	cfg.PoolSize = poolSize
 	cfg.VerifyTimeout = 20 * time.Millisecond
-	cfg.BGInterval = 100 * time.Microsecond
 	h := &tcpHarness{t: t, cfg: cfg, dev: nvm.New(cfg.DeviceSize())}
 	h.start()
 	return h

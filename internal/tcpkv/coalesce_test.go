@@ -212,7 +212,7 @@ func TestReadIsAtMostTwoRoundTrips(t *testing.T) {
 		unhinted = 23
 	)
 	cfg := smallConfig()
-	cfg.BGInterval, cfg.VerifyTimeout = time.Hour, time.Hour
+	cfg.disableBackground, cfg.VerifyTimeout = true, time.Hour
 	srv, ln, cl := startCountedServer(t, cfg)
 	other, err := Dial(cl.addr)
 	if err != nil {

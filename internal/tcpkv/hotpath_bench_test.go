@@ -26,7 +26,6 @@ func startBenchServer(tb testing.TB) (*Server, string) {
 		Buckets:        4096,
 		PoolSize:       64 << 20,
 		VerifyTimeout:  50 * time.Millisecond,
-		BGInterval:     200 * time.Microsecond,
 		CleanThreshold: 0.15,
 		BGBatch:        16,
 	}
@@ -107,9 +106,10 @@ func TestPutAllocFreeAcrossReconnect(t *testing.T) {
 			t.Fatalf("warm put %d: %v", i, err)
 		}
 	}
-	// Background goroutines (GC workers, the server's BG ticker) add a
-	// handful of allocations on their own schedule; a 0.5/op budget over
-	// 2000 ops rejects any per-op allocation while absorbing that noise.
+	// Background goroutines (GC workers, the server's verifier and
+	// cleaner) add a handful of allocations on their own schedule; a 0.5/op
+	// budget over 2000 ops rejects any per-op allocation while absorbing
+	// that noise.
 	const budget = 0.5
 	if avg := measureAllocsPerPut(t, cl, keys, vals, 2000); avg > budget {
 		t.Fatalf("steady-state PUT allocates %.3f/op, budget %.1f", avg, budget)

@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"efactory/internal/nvm"
 	"efactory/internal/obs"
@@ -86,7 +85,7 @@ func TestMetricsRPC(t *testing.T) {
 
 func TestMetricsHTTPEndpoint(t *testing.T) {
 	cfg := smallConfig()
-	cfg.BGInterval = time.Hour // park the verifier so durability lag stays visible
+	cfg.disableBackground = true // park the verifier so durability lag stays visible
 	srv, addr := startServer(t, nvm.New(cfg.DeviceSize()), cfg)
 	cl, err := Dial(addr)
 	if err != nil {

@@ -24,15 +24,14 @@ type replPair struct {
 func startReplPair(t *testing.T, pgs int, cfgB Config) *replPair {
 	t.Helper()
 	cfg := clusterTestConfig()
-	cfg.BGInterval = time.Hour
-	cfgB.BGInterval = cfg.BGInterval
+	cfg.disableBackground, cfgB.disableBackground = true, true
 	return startReplPairWith(t, pgs, cfg, cfgB)
 }
 
 // startReplPairWith starts the pair with both configs as given. Unlike
-// startReplPair it leaves the background verifier running, which a
-// cleaning test needs: the cleaner retries a busy version once per
-// BGInterval.
+// startReplPair it leaves the background verifiers running, which a
+// cleaning test needs: the cleaner backs off from a busy version until a
+// verifier or a read flags it.
 func startReplPairWith(t *testing.T, pgs int, cfg, cfgB Config) *replPair {
 	t.Helper()
 	cfg.Replicas, cfgB.Replicas = 2, 2

@@ -138,8 +138,6 @@ type Config struct {
 	// VerifyTimeout bounds how long an incomplete write may stay pending
 	// before being invalidated.
 	VerifyTimeout time.Duration
-	// BGInterval is the background verifier's idle poll period.
-	BGInterval time.Duration
 	// CleanThreshold triggers log cleaning when the working pool's free
 	// fraction drops below it. Zero disables automatic cleaning.
 	CleanThreshold float64
@@ -167,7 +165,8 @@ type Config struct {
 	// drops (optionally leaking a truncated prefix) on the RPC channel and
 	// stalls on one-sided reads. Exercises the deadlines and the recovery
 	// paths (peer table, route loop) above the client.
-	NetFaults *fault.NetPlan
+	NetFaults         *fault.NetPlan
+	disableBackground bool // tests only: start no verifier
 }
 
 // DefaultConfig returns a small, usable configuration.
@@ -176,10 +175,12 @@ func DefaultConfig() Config {
 		Buckets:        16384,
 		PoolSize:       64 << 20,
 		VerifyTimeout:  50 * time.Millisecond,
-		BGInterval:     200 * time.Microsecond,
 		CleanThreshold: 0.15,
 	}
 }
+
+// bgInterval spaces a backlogged verifier's drains and the cleaner's back-offs.
+const bgInterval = 200 * time.Microsecond
 
 func (c Config) storeConfig() store.Config {
 	return store.Config{
@@ -295,9 +296,6 @@ func NewServer(dev nvm.Device, cfg Config) (*Server, error) {
 	if cfg.VerifyTimeout == 0 {
 		cfg.VerifyTimeout = DefaultConfig().VerifyTimeout
 	}
-	if cfg.BGInterval == 0 {
-		cfg.BGInterval = DefaultConfig().BGInterval
-	}
 	if dev.Size() < cfg.DeviceSize() {
 		return nil, fmt.Errorf("tcpkv: device %d B smaller than config needs (%d B)", dev.Size(), cfg.DeviceSize())
 	}
@@ -324,14 +322,15 @@ func NewServer(dev nvm.Device, cfg Config) (*Server, error) {
 			s.wg.Add(1)
 			go func() {
 				defer s.wg.Done()
-				fn(nil)
+				fn(time.NewTimer(bgInterval)) // the cleaner's handle: the timer its back-offs reuse
 			}()
 		},
 		CleanerWait: func(h any) bool {
+			h.(*time.Timer).Reset(bgInterval)
 			select {
 			case <-s.closing:
 				return false
-			case <-time.After(cfg.BGInterval):
+			case <-h.(*time.Timer).C:
 				return true
 			}
 		},
@@ -378,7 +377,7 @@ func NewServer(dev nvm.Device, cfg Config) (*Server, error) {
 		func() float64 { return float64(s.rpcInline.Load()) })
 	reg.AddCounter("efactory_rpc_dispatch_total", dispatchHelp, map[string]string{"path": "worker"},
 		func() float64 { return float64(s.rpcWorker.Load()) })
-	for i := 0; i < st.NumShards(); i++ {
+	for i := 0; i < st.NumShards() && !cfg.disableBackground; i++ {
 		s.wg.Add(1)
 		go s.background(st.Shard(i))
 	}
@@ -853,18 +852,25 @@ func (s *Server) dispatch(h any, m wire.Msg, sc *server.Scratch) wire.Msg {
 	return wire.Msg{Type: m.Type + 1, Status: wire.StError}
 }
 
-// background drives one shard's verification-and-persisting thread
-// (§4.3.2) in real time: on every tick, run the verifier to a standstill.
+// background is one shard's verification-and-persisting thread (§4.3.2):
+// at most one drain per bgInterval; with no backlog, it waits for Work.
 func (s *Server) background(eng *store.Engine) {
 	defer s.wg.Done()
-	ticker := time.NewTicker(s.cfg.BGInterval)
-	defer ticker.Stop()
+	tick := time.NewTimer(bgInterval)
 	for {
 		select {
 		case <-s.closing:
 			return
-		case <-ticker.C:
+		case <-tick.C:
 		}
+		tick.Reset(bgInterval) // armed as the drain starts, as a ticker would be
 		eng.BGDrain(nil, s.cfg.BGBatch)
+		if backlog, _ := eng.DurabilityLag(); backlog == 0 {
+			select {
+			case <-s.closing:
+				return
+			case <-eng.Work():
+			}
+		}
 	}
 }

@@ -53,7 +53,6 @@ func smallConfig() Config {
 		Buckets:       1024,
 		PoolSize:      4 << 20,
 		VerifyTimeout: raceScale(20 * time.Millisecond),
-		BGInterval:    100 * time.Microsecond,
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 
 	"efactory/internal/cluster"
 	"efactory/internal/nvm"
@@ -154,7 +153,7 @@ func TestServerTraceDumpEmptyWithoutTracing(t *testing.T) {
 // wall-clock duration; more than one sample period of requests runs.
 func TestTracedRequestsTimeEverySection(t *testing.T) {
 	cfg := smallConfig()
-	cfg.BGInterval = time.Hour
+	cfg.disableBackground = true
 	srv, addr := startServer(t, nvm.New(cfg.DeviceSize()), cfg)
 	cl, err := Dial(addr)
 	if err != nil {
