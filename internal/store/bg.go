@@ -11,17 +11,47 @@ func (e *Engine) BGStep(h any, pi int) bool { return e.BGBatch(h, pi, 1) > 0 }
 // invalid and those superseded by a newer write, and runs the verify step
 // on the rest. Every version found intact is then persisted as one run
 // (persist) — two drains per run instead of two per object, and every
-// value durable before any flag is. A value still in flight, or intact
-// without a mirror quorum, stalls the scan there for a later call to
-// retry; one past VerifyTimeout is invalidated and passed over (log
-// cleaning reclaims the space). The lock is taken per run so request
-// handling interleaves. It returns the number of objects passed over; 0
-// means the cursor is parked at the end of the log, on an in-flight
-// value, or in a pool the cleaner just recycled.
+// value durable before any flag is. A value still in flight stalls the
+// scan there for a later call to retry; one past VerifyTimeout is
+// invalidated and passed over (log cleaning reclaims the space). The lock
+// is taken per run so request handling interleaves. It returns the number
+// of objects passed over; 0 means the cursor is parked at the end of the
+// log, on an in-flight value, on a version without a mirror quorum, or in
+// a pool the cleaner just recycled.
+//
+// With Deps.Mirror installed, the run queues a record for each intact
+// version of a replicated key instead of mirroring it at once, may then
+// run wider than limit (up to mirrorRunMax objects, sized from the
+// backlog as AdaptiveBGBatch sizes a batch), and ships every record in
+// one Mirror call with the lock dropped. It persists the run up to the
+// first record without a quorum and parks the cursor on that record.
 func (e *Engine) BGBatch(h any, pi, limit int) int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.bgBatchLocked(h, pi, limit)
+}
+
+// A run that ships mirror records passes over at most mirrorRunMax
+// objects, and queues no record that would take its keys and values past
+// mirrorRunBytes (its first record excepted), so its frame stays well
+// under a transport's frame cap.
+const (
+	mirrorRunMax   = 64
+	mirrorRunBytes = 8 << 20
+)
+
+// bgTally counts a verifier run's visits by outcome.
+type bgTally struct{ skipped, stale, invalidated int }
+
+// count counts one visit in the engine's stats at once (now) while the
+// run has queued no mirror record, and in the run's deferred tally
+// (later) after: those visits count only if the cursor stays past them.
+func (rs *runScratch) count(now, later *int) {
+	if len(rs.recs) == 0 {
+		*now++
+	} else {
+		*later++
+	}
 }
 
 // bgBatchLocked is BGBatch with mu held.
@@ -30,11 +60,15 @@ func (e *Engine) bgBatchLocked(h any, pi, limit int) int {
 		e.lastBGBatch = limit
 	}
 	pool := e.pools[pi]
-	processed := 0
-	run := e.bgRun[:0]
-	var end uint64
+	processed, width := 0, max(limit, 1)
+	rs := e.takeRun()
+	defer e.putRun(rs)
+	var (
+		end  uint64
+		late bgTally
+	)
 scan:
-	for processed < max(limit, 1) && e.bgCursor[pi]+kv.HeaderSize <= pool.Used() {
+	for processed < width && e.bgCursor[pi]+kv.HeaderSize <= pool.Used() {
 		off := uint64(e.bgCursor[pi])
 		scan := e.begin(h, OpBGScan)
 		e.sink.Charge(h, OpBGScan, 0)
@@ -49,7 +83,7 @@ scan:
 		size := kv.ObjectSize(hd.KLen, hd.VLen)
 		switch {
 		case !hd.Valid() || hd.Durable():
-			e.stats.BGSkipped++
+			rs.count(&e.stats.BGSkipped, &late.skipped)
 		case e.bgSuperseded(h, pi, off, hd.KLen):
 			// Nobody reads a superseded version through the entry head, so
 			// verifying it buys nothing: log cleaning reclaims it, and a
@@ -60,25 +94,52 @@ scan:
 			if pool != e.pools[pi] {
 				break scan
 			}
-			e.stats.BGStale++
+			rs.count(&e.stats.BGStale, &late.stale)
+		case len(rs.recs) > 0 && len(rs.buf)+hd.KLen+hd.VLen > mirrorRunBytes:
+			break scan
 		default:
-			switch e.verify(h, pi, off, hd, OpBGCRC) {
+			v := e.check(h, pi, off, hd, OpBGCRC)
+			if v == verPending && len(rs.recs) == 0 {
+				v = e.expire(pi, off, hd)
+			}
+			switch v {
 			case verIntact:
-				run, end = append(run, off), off+uint64(size)
+				if cut, need := e.mirrorCut(pi, off, hd); need {
+					if len(rs.recs) == 0 {
+						width = max(width, bgSize(e.backlogLocked(), adaptiveBatchStep, mirrorRunMax))
+					}
+					rs.add(e.keyScratch, e.valScratch, cut, hd,
+						runMark{off: off, offs: len(rs.offs), end: end, passed: processed, late: late})
+				}
+				rs.offs, end = append(rs.offs, off), off+uint64(size)
 			case verFlagged:
-				e.stats.BGSkipped++
+				rs.count(&e.stats.BGSkipped, &late.skipped)
 			case verDead:
-				e.stats.BGInvalidated++
+				rs.count(&e.stats.BGInvalidated, &late.invalidated)
 				e.keyScratch = pool.ReadKeyInto(e.keyScratch, off, hd.KLen)
 				e.trace("bg_verify", "invalidated", kv.HashKey(e.keyScratch), hd.Seq)
 			default:
+				// In flight, recycled, or a mismatch behind queued records,
+				// which a later run settles before it queues any.
 				break scan
 			}
 		}
 		e.bgCursor[pi] += size
 		processed++
 	}
-	e.bgRun = run[:0] // retain capacity for the next batch
+	run := rs.offs
+	if len(rs.recs) > 0 {
+		if stop, _ := e.mirrorLocked(h, pi, rs); stop < len(rs.recs) {
+			mk := rs.at[stop]
+			run, end, processed, late = run[:mk.offs], mk.end, mk.passed, mk.late
+			if pool == e.pools[pi] {
+				e.bgCursor[pi] = min(e.bgCursor[pi], int(mk.off))
+			}
+		}
+		e.stats.BGSkipped += late.skipped
+		e.stats.BGStale += late.stale
+		e.stats.BGInvalidated += late.invalidated
+	}
 	if len(run) > 0 && pool == e.pools[pi] && e.persist(h, pi, run, end, OpBGFlush) {
 		e.stats.BGVerified += len(run)
 		if len(run) > 1 {

@@ -386,3 +386,56 @@ func BenchmarkEngineGet(b *testing.B) {
 		})
 	}
 }
+
+// TestMirrorRunAllocs: a verifier run that ships mirror records builds
+// them in scratch the engine reuses — the records, their key and value
+// bytes, the verdicts and the offsets to persist — so once warm, writing
+// 64 versions and draining them through Deps.Mirror allocates nothing,
+// and each drain hands the hook all 64 records in one call.
+func TestMirrorRunAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime's own bookkeeping allocates")
+	}
+	const keys = 64
+	cfg := store.Config{Shards: 1, Buckets: 1024, PoolSize: 8 << 20, VerifyTimeout: time.Second}
+	calls, recs := 0, 0
+	st, _, err := store.New(nvm.New(cfg.DeviceSize()), cfg, store.Deps{
+		Mirror: func(_ any, rs []store.ExportKey, ok []bool) {
+			calls, recs = calls+1, recs+len(rs)
+			for i := range ok {
+				ok[i] = true
+			}
+		},
+	})
+	if err != nil {
+		t.Fatalf("store.New: %v", err)
+	}
+	defer st.Stop()
+	eng := st.Shard(0)
+	val := bytes.Repeat([]byte{'v'}, 4096)
+	sum := crc.Checksum(val)
+	var names [keys][]byte
+	for k := range names {
+		names[k] = []byte(fmt.Sprintf("obj-%02d", k))
+	}
+	round := func() {
+		for _, k := range names {
+			if pr := eng.PutInline(nil, k, val, sum); pr.Status != store.StatusOK {
+				t.Fatalf("put %s: %v", k, pr.Status)
+			}
+		}
+		eng.BGDrain(nil, 0)
+	}
+	round()
+	calls, recs = 0, 0
+	avg := testing.AllocsPerRun(20, round)
+	if avg != 0 {
+		t.Errorf("writing and mirroring %d versions allocates %.1f objects, want 0", keys, avg)
+	}
+	if calls != 21 || recs != 21*keys {
+		t.Errorf("the hook got %d records in %d calls, want %d in 21", recs, calls, 21*keys)
+	}
+	if lag, _ := eng.DurabilityLag(); lag != 0 {
+		t.Errorf("%d bytes left unverified", lag)
+	}
+}

@@ -74,15 +74,18 @@ type Deps struct {
 	// client notifications from them). Either may be nil.
 	OnCleanStart func(h any)
 	OnCleanEnd   func(h any)
-	// Mirror, when non-nil, must make the verified version in rec durable
-	// on the replica set BEFORE the engine persists its durability flag:
-	// the flag⇒durable invariant generalizes to flag⇒quorum-durable, so
-	// no flag may be set until the record would survive this node's
-	// death. It is called WITHOUT the engine lock held (it does network
-	// I/O); a false return leaves the flag clear — the version stays
-	// valid-but-unverified and a later pass retries. Nil keeps the
-	// single-node behavior bit-identical.
-	Mirror func(h any, rec ExportKey) bool
+	// Mirror, when non-nil, must make each verified version in recs
+	// durable on the replica set BEFORE the engine persists its
+	// durability flag: the flag⇒durable invariant generalizes to
+	// flag⇒quorum-durable, so no flag may be set until the record would
+	// survive this node's death. It sets ok[i] for each record that
+	// reached a quorum; one left false keeps its flag clear — the version
+	// stays valid-but-unverified and a later pass retries. A background
+	// verifier run passes all of its records in one call, in log order;
+	// the other verify sites pass one. It is called WITHOUT the engine
+	// lock held (it does network I/O), and recs and ok are only valid
+	// until it returns. Nil keeps the single-node behavior bit-identical.
+	Mirror func(h any, recs []ExportKey, ok []bool)
 	// MirrorNeeded, when non-nil, reports whether key currently has any
 	// replicas Mirror must reach. A false return lets the engine set the
 	// durability flag WITHOUT dropping its lock around Mirror — the
@@ -187,7 +190,7 @@ type Engine struct {
 	// the next Charge, so cooperative interleavings cannot clobber live data.
 	keyScratch []byte
 	valScratch []byte
-	bgRun      []uint64      // verified-offset run reused across BGBatch calls
+	runFree    []*runScratch // idle verify-run scratch (see takeRun)
 	work       chan struct{} // see Work
 }
 

@@ -51,7 +51,11 @@ func TestVerifySitesAgree(t *testing.T) {
 			t.Run(s.name+"/"+site.name, func(t *testing.T) {
 				refuse := s.refuse
 				r := newHeadRig(t, false, func(d *store.Deps) {
-					d.Mirror = func(any, store.ExportKey) bool { return !refuse }
+					d.Mirror = func(_ any, _ []store.ExportKey, ok []bool) {
+						for i := range ok {
+							ok[i] = !refuse
+						}
+					}
 				})
 				pr := r.eng.Put(nil, []byte(key), len(val), crc.Checksum([]byte(val)))
 				pool := r.eng.Pool(pr.Pool)

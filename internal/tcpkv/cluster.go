@@ -430,11 +430,14 @@ func (s *Server) addClusterMetrics() {
 		"Migrations this instance completed as the source.", lbl,
 		func() float64 { return float64(s.migDone.Load()) })
 	reg.AddGauge("efactory_repl_lag",
-		"Mirror appends currently awaiting backup acks.", lbl,
+		"Mirror records currently awaiting backup acks.", lbl,
 		func() float64 { return float64(s.replPending.Load()) })
 	reg.AddCounter("efactory_repl_appends_total",
-		"Replicated commit records shipped to backups.", lbl,
+		"Mirror frames (TReplAppend) acked by backups.", lbl,
 		func() float64 { return float64(s.replAppends.Load()) })
+	reg.AddCounter("efactory_repl_records_total",
+		"Mirror records in the frames acked by backups.", lbl,
+		func() float64 { return float64(s.replRecords.Load()) })
 	reg.AddCounter("efactory_repl_append_failures_total",
 		"Mirror appends that failed (each demotes the backup).", lbl,
 		func() float64 { return float64(s.replFailures.Load()) })

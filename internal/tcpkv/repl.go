@@ -32,14 +32,17 @@
 //     ownership, and SetClusterMap purges the PGs it lost so stale
 //     one-sided readers miss and fall back to the routed path.
 //
-// Record ordering per backup is total: each backup has one sender mutex,
-// one append in flight, and the synchronous ack means the backup applied
-// the record before the next send starts. A record built before a
-// concurrent DELETE (or newer PUT) could still be the last one sent, so
-// every send is followed — under the same sender mutex — by a check of
-// the key's head state, and a full export only when it moved, shipped as
-// a compensating append: the last record in any backup's order always
-// reflects engine state current as of that send, so an acked DELETE can
+// A verify run's records travel as one record frame per backup: the
+// records of every PG the backup serves, in the run's log order. Record
+// ordering per backup is total: each backup has one sender mutex, one
+// frame in flight, and the synchronous ack means the backup applied every
+// record of the frame, in order, before the next frame starts. A record
+// built before a concurrent DELETE (or newer PUT) could still be the last
+// one sent for its key, so every frame is followed — under the same
+// sender mutex — by a check of each of its keys' head state, and the
+// full exports of the keys that moved travel as one compensating frame:
+// the last record for each key in any backup's order always reflects
+// engine state current as of that frame's send, so an acked DELETE can
 // never be resurrected by a stale mirror and an acked PUT never erased by
 // a stale tombstone.
 package tcpkv
@@ -64,6 +67,7 @@ type replOutcome int
 const (
 	replAcked   replOutcome = iota // record durable on the backup
 	replDeposed                    // backup holds a newer map: stop flagging
+	replAborted                    // a crash point fired around the frame
 	// The rest are failures, each of which demotes the backup; the
 	// outcome is the demotion's cause.
 	replFull      // the backup had no room for the record (StFull)
@@ -84,20 +88,22 @@ func (e *replStatusError) Error() string {
 	return fmt.Sprintf("tcpkv: repl append status %d", e.status)
 }
 
-// replMirror is the engine's Deps.Mirror hook: called (without the
-// engine lock) for every version about to be flagged durable. The
-// pre-mirror / post-mirror returns model the primary dying just before
-// or just after the record traveled but before the flag persisted —
-// torture harnesses only.
-func (s *Server) replMirror(h any, rec store.ExportKey) bool {
-	if s.replCrash != nil && s.replCrash("pre-mirror") {
-		return false
-	}
-	ok := s.replicate(h, rec)
-	if ok && s.replCrash != nil && s.replCrash("post-mirror") {
-		return false
-	}
-	return ok
+// replPoints names the replCrash points consulted around each frame of a
+// replicate call: before it travels, and after it is acked.
+type replPoints struct{ pre, post string }
+
+var (
+	mirrorPoints = replPoints{"pre-mirror", "post-mirror"}
+	deletePoints = replPoints{"del-pre-mirror", "del-post-mirror"}
+)
+
+// replMirror is the engine's Deps.Mirror hook: called (without the engine
+// lock) with the records of every version a verify run is about to flag
+// durable. The pre-mirror / post-mirror crash points model the primary
+// dying just before or just after a frame traveled but before the flags
+// persisted — torture harnesses only.
+func (s *Server) replMirror(h any, recs []store.ExportKey, ok []bool) {
+	s.replicate(h, recs, ok, mirrorPoints)
 }
 
 // mirrorDelete ships an acknowledged DELETE's tombstone to the PG's
@@ -109,20 +115,15 @@ func (s *Server) mirrorDelete(h any, eng *store.Engine, key []byte) bool {
 	if !s.replicatedPG(key) {
 		return true
 	}
-	if s.replCrash != nil && s.replCrash("del-pre-mirror") {
-		return false
-	}
-	ek, ok := eng.ExportOne(key)
-	if !ok {
+	ek, found := eng.ExportOne(key)
+	if !found {
 		// Entry already reclaimed: synthesize the tombstone that was
 		// just observed to exist.
 		ek = store.ExportKey{Key: append([]byte(nil), key...), Tombstone: true}
 	}
-	done := s.replicate(h, ek)
-	if done && s.replCrash != nil && s.replCrash("del-post-mirror") {
-		return false
-	}
-	return done
+	recs, ok := [1]store.ExportKey{ek}, [1]bool{}
+	s.replicate(h, recs[:], ok[:], deletePoints)
+	return ok[0]
 }
 
 // replicatedPG reports whether key's placement group currently carries
@@ -132,80 +133,145 @@ func (s *Server) replicatedPG(key []byte) bool {
 	s.clMu.RLock()
 	m, name := s.clMap, s.clName
 	s.clMu.RUnlock()
-	if m == nil {
-		return false
-	}
-	pg := cluster.PGOf(kv.HashKey(key), m.PGs)
-	return pg < len(m.Assign) && m.Assign[pg] == name && len(m.BackupsFor(pg)) > 0
+	return m != nil && replicaPG(m, name, key) >= 0
 }
 
-// replicate makes rec durable on a quorum of its PG's replica set. It
-// reports whether the caller may persist a durability flag (or ack a
-// DELETE): true when the record is quorum-durable — counting this
-// instance, and counting demotions, which shrink the set rather than
-// fail the quorum (a failure that cannot demote leaves the backup in
-// the set, counted against the quorum) — false when a backup proved
-// this instance is no longer the PG's primary under the newest epoch.
-func (s *Server) replicate(h any, rec store.ExportKey) bool {
+// replicaPG returns the placement group of key if this instance (name)
+// primaries it under m and it carries backups, and -1 otherwise.
+func replicaPG(m *cluster.Map, name string, key []byte) int {
+	pg := cluster.PGOf(kv.HashKey(key), m.PGs)
+	if pg < len(m.Assign) && m.Assign[pg] == name && len(m.BackupsFor(pg)) > 0 {
+		return pg
+	}
+	return -1
+}
+
+// replRun is one replicate call's scratch, pooled so a steady mirror
+// stream allocates nothing: each record's quorum tally, the backups the
+// run reaches, and one backup's share of the records and its compensating
+// exports.
+type replRun struct {
+	tally   []replTally
+	backups []string
+	idx     []int             // the records of the current backup's share
+	share   []store.ExportKey // their records, in run order
+	out     []replOutcome     // the share's outcomes
+	comp    []store.ExportKey // compensating exports of the share
+	compIdx []int             // positions in share of comp's records
+}
+
+// replTally is one record's quorum count in a replicate call.
+type replTally struct {
+	pg         int // -1: the record needs no backup
+	acks, live int // replicas holding the record (this instance included), and counted
+	abort      bool
+}
+
+var replRunPool = sync.Pool{New: func() any { return new(replRun) }}
+
+// replicate makes each record of a run durable on a quorum of its PG's
+// replica set, and sets ok[i] when the caller may persist record i's
+// durability flag (or ack a DELETE): when it is quorum-durable — counting
+// this instance, and counting demotions, which shrink the set rather than
+// fail the quorum (a failure that cannot demote leaves the backup in the
+// set, counted against the quorum). A record whose PG this instance does
+// not primary, or that has no backups, is ok at once. A record is not ok
+// when a backup proved this instance is no longer its PG's primary under
+// the newest epoch, or when a crash point at pts fired around its frame.
+//
+// Each backup gets one frame with every record that names it (appendRun);
+// quorum, demotion and the deposed verdict are per record, from its own PG.
+func (s *Server) replicate(h any, recs []store.ExportKey, ok []bool, pts replPoints) {
 	s.clMu.RLock()
 	m, name := s.clMap, s.clName
 	s.clMu.RUnlock()
-	if m == nil || len(rec.Key) == 0 {
-		return true
+	r := replRunPool.Get().(*replRun)
+	defer replRunPool.Put(r)
+	r.tally, r.backups = r.tally[:0], r.backups[:0]
+	pending := 0
+	for i := range recs {
+		ok[i] = true
+		// A record of a PG this instance does not own (deposed, or
+		// mid-migration) needs no backup: its flag only vouches for local
+		// bytes routed clients can no longer observe, so setting it is
+		// harmless and unblocks the verifier.
+		pg := -1
+		if m != nil && len(recs[i].Key) > 0 {
+			pg = replicaPG(m, name, recs[i].Key)
+		}
+		if pg >= 0 {
+			pending++
+			for _, b := range m.BackupsFor(pg) {
+				if !slices.Contains(r.backups, b) {
+					r.backups = append(r.backups, b)
+				}
+			}
+		}
+		r.tally = append(r.tally, replTally{pg: pg, acks: 1, live: 1})
 	}
-	pg := cluster.PGOf(kv.HashKey(rec.Key), m.PGs)
-	if pg >= len(m.Assign) || m.Assign[pg] != name {
-		// Not this instance's PG (deposed, or mid-migration): the flag
-		// only vouches for local bytes routed clients can no longer
-		// observe, so setting it is harmless and unblocks the verifier.
-		return true
+	if pending == 0 {
+		return
 	}
-	backups := m.BackupsFor(pg)
-	if len(backups) == 0 {
-		return true
-	}
-	s.replPending.Add(1)
-	defer s.replPending.Add(-1)
+	s.replPending.Add(int64(pending))
+	defer s.replPending.Add(-int64(pending))
 	_, tc := trace.Unwrap(h)
 	t0 := uint64(time.Now().UnixNano())
-	eng := s.st.Shard(s.st.ShardFor(rec.Key))
-	acks, live := 1, 1
-	for _, b := range backups {
-		switch out := s.appendTo(eng, m, b, rec); out {
-		case replAcked:
-			acks++
-			live++
-		case replDeposed:
-			if tc != nil {
-				tc.Add("repl_append", t0, uint64(time.Now().UnixNano()))
-				tc.Mark("repl_deposed")
+	deposed := false
+	for _, b := range r.backups {
+		r.idx, r.share = r.idx[:0], r.share[:0]
+		for i, t := range r.tally {
+			if t.pg >= 0 && slices.Contains(m.BackupsFor(t.pg), b) {
+				r.idx, r.share = append(r.idx, i), append(r.share, recs[i])
 			}
-			return false
-		default:
-			if !s.demoteBackup(pg, b, out) {
-				// The set could not be shrunk (this instance was deposed
-				// mid-replicate, or clustering vanished): the backup stays
-				// a live replica the record did not reach, so it counts
-				// against the quorum instead of out of it.
-				live++
+		}
+		s.appendRun(m, b, r, pts)
+		for j, out := range r.out {
+			t := &r.tally[r.idx[j]]
+			switch out {
+			case replAcked:
+				t.acks++
+				t.live++
+			case replDeposed:
+				t.abort, deposed = true, true
+			case replAborted:
+				t.abort = true
+			default:
+				if !s.demoteBackup(t.pg, b, out) {
+					// The set could not be shrunk (this instance was
+					// deposed mid-replicate, or clustering vanished): the
+					// backup stays a live replica the record did not reach,
+					// so it counts against the quorum instead of out of it.
+					t.live++
+				}
 			}
 		}
 	}
+	clear(r.share) // drop the records' buffers until the next run
+	for i, t := range r.tally {
+		ok[i] = t.pg < 0 || !t.abort && t.acks >= t.live/2+1
+	}
 	if tc != nil {
 		tc.Add("repl_append", t0, uint64(time.Now().UnixNano()))
+		if deposed {
+			tc.Mark("repl_deposed")
+		}
 	}
-	return acks >= live/2+1
 }
 
-// appendTo ships rec to the named backup and, under the same sender
-// mutex, checks the key's head state (Engine.ExportState) against it. Only
-// if a concurrent mutation moved that state does it export the key and
-// ship the export as a compensating record (see the package comment on
-// ordering).
-func (s *Server) appendTo(eng *store.Engine, m *cluster.Map, name string, rec store.ExportKey) replOutcome {
+// appendRun ships r.share to the named backup in one frame and, under the
+// same sender mutex, checks each key's head state (Engine.ExportState)
+// against the record shipped. Only the keys a concurrent mutation moved
+// are exported, and those exports travel as one compensating frame (see
+// the package comment on ordering). It leaves each record's outcome in
+// r.out — the compensating frame's for a compensated record.
+func (s *Server) appendRun(m *cluster.Map, name string, r *replRun, pts replPoints) {
+	r.out = r.out[:0]
 	addr, ok := m.AddrOf(name)
 	if !ok {
-		return replTransport
+		for range r.share {
+			r.out = append(r.out, replTransport)
+		}
+		return
 	}
 	s.replMu.Lock()
 	mu := s.replSenders[name]
@@ -217,27 +283,45 @@ func (s *Server) appendTo(eng *store.Engine, m *cluster.Map, name string, rec st
 
 	mu.Lock()
 	defer mu.Unlock()
-	out := s.sendAppend(name, addr, rec, m.Epoch)
+	out := s.sendFrame(name, addr, r.share, m.Epoch, pts)
+	for range r.share {
+		r.out = append(r.out, out)
+	}
 	if out != replAcked {
-		return out
+		return
 	}
-	// An absent key reads as a bare tombstone on both checks.
-	if tomb, cut, newest, found := eng.ExportState(rec.Key); !replStateChanged(&rec, tomb || !found, cut, newest) {
-		return replAcked
+	r.comp, r.compIdx = r.comp[:0], r.compIdx[:0]
+	for j := range r.share {
+		rec := &r.share[j]
+		eng := s.st.Shard(s.st.ShardFor(rec.Key))
+		// An absent key reads as a bare tombstone on both checks.
+		if tomb, cut, newest, found := eng.ExportState(rec.Key); !replStateChanged(rec, tomb || !found, cut, newest) {
+			continue
+		}
+		cur, found := eng.ExportOne(rec.Key)
+		if !found {
+			cur = store.ExportKey{Key: rec.Key, Tombstone: true}
+		}
+		if replStateChanged(rec, cur.Tombstone, cur.CutSeq, cur.NewestSeq()) {
+			r.comp, r.compIdx = append(r.comp, cur), append(r.compIdx, j)
+		}
 	}
-	cur, found := eng.ExportOne(rec.Key)
-	if !found {
-		cur = store.ExportKey{Key: rec.Key, Tombstone: true}
+	if len(r.comp) > 0 {
+		out := s.sendFrame(name, addr, r.comp, m.Epoch, pts)
+		for _, j := range r.compIdx {
+			r.out[j] = out
+		}
+		clear(r.comp)
 	}
-	if replStateChanged(&rec, cur.Tombstone, cur.CutSeq, cur.NewestSeq()) {
-		return s.sendAppend(name, addr, cur, m.Epoch)
-	}
-	return replAcked
 }
 
-// sendAppend ships one mirror record and classifies the outcome.
-func (s *Server) sendAppend(name, addr string, rec store.ExportKey, epoch uint64) replOutcome {
-	err := s.ship(name, addr, []store.ExportKey{rec}, epoch)
+// sendFrame ships one frame of mirror records, consulting the crash points
+// around it, and classifies the outcome.
+func (s *Server) sendFrame(name, addr string, recs []store.ExportKey, epoch uint64, pts replPoints) replOutcome {
+	if s.replCrash != nil && s.replCrash(pts.pre) {
+		return replAborted
+	}
+	err := s.ship(name, addr, recs, epoch)
 	var (
 		we *cluster.WrongEpochError
 		se *replStatusError
@@ -245,6 +329,10 @@ func (s *Server) sendAppend(name, addr string, rec store.ExportKey, epoch uint64
 	switch {
 	case err == nil:
 		s.replAppends.Add(1)
+		s.replRecords.Add(uint64(len(recs)))
+		if s.replCrash != nil && s.replCrash(pts.post) {
+			return replAborted
+		}
 		return replAcked
 	case errors.As(err, &we):
 		return replDeposed
@@ -516,8 +604,8 @@ func (s *Server) settlePGs(take map[int]bool, pgs int) int {
 	return len(keys)
 }
 
-// ReplCounters returns the replication-layer event counters: records
-// shipped to backups, failed appends, backups demoted (whatever the
+// ReplCounters returns the replication-layer event counters: mirror
+// frames acked by backups, failed frames, backups demoted (whatever the
 // cause), promotions completed, and records ingested from peers.
 func (s *Server) ReplCounters() (appends, failures, demotions, promotions, ingested uint64) {
 	for i := range s.replDemotions {

@@ -255,3 +255,116 @@ func TestBackupCleansUnderHotRewrites(t *testing.T) {
 		}
 	}
 }
+
+// TestVerifierRunIsOneFrame pins that one verifier run mirrors as one
+// record frame. A backlog of 64 unflagged 4 KiB versions drains in one
+// TReplAppend carrying 64 records, not 64 round trips, and every version
+// is flagged. With the backup refusing the frame (it holds a newer map),
+// the drain flags nothing and its cursor stays on the first record; once
+// the primary has adopted that map, the next drain flags every key. The
+// verifier's outcome counters count each object once across both drains.
+func TestVerifierRunIsOneFrame(t *testing.T) {
+	cfg := clusterTestConfig()
+	cfg.Shards, cfg.disableBackground = 1, true
+	p := startReplPairWith(t, 8, cfg, cfg)
+	eng := p.a.st.Shard(0)
+	val := make([]byte, 4096)
+	counter := func(srv *Server, name string) float64 {
+		v, ok := srv.Metrics().Snapshot().CounterValue(name, nil)
+		if !ok {
+			t.Fatalf("%s is not exported", name)
+		}
+		return v
+	}
+	type mark struct {
+		frames, records, ingested float64
+		bg                        store.Stats
+	}
+	now := func() mark {
+		return mark{counter(p.a, "efactory_repl_appends_total"), counter(p.a, "efactory_repl_records_total"),
+			counter(p.b, "efactory_repl_ingested_total"), eng.Stats()}
+	}
+	// moved checks what a drain did: frames shipped, records in them and
+	// ingested by the backup, and the verifier's outcome counters.
+	moved := func(leg string, from mark, frames, records float64, verified, stale int) {
+		t.Helper()
+		to := now()
+		if got := to.frames - from.frames; got != frames {
+			t.Errorf("%s: %v mirror frames, want %v", leg, got, frames)
+		}
+		if got := to.records - from.records; got != records {
+			t.Errorf("%s: %v mirror records shipped, want %v", leg, got, records)
+		}
+		if got := to.ingested - from.ingested; got != records {
+			t.Errorf("%s: the backup ingested %v records, want %v", leg, got, records)
+		}
+		got := [4]int{to.bg.BGVerified - from.bg.BGVerified, to.bg.BGSkipped - from.bg.BGSkipped,
+			to.bg.BGStale - from.bg.BGStale, to.bg.BGInvalidated - from.bg.BGInvalidated}
+		if want := [4]int{verified, 0, stale, 0}; got != want {
+			t.Errorf("%s: verifier verified/skipped/stale/invalidated %v, want %v", leg, got, want)
+		}
+	}
+	put := func(key string) store.PutResult {
+		t.Helper()
+		pr := eng.Put(nil, []byte(key), len(val), crc.Checksum(val))
+		if pr.Status != store.StatusOK {
+			t.Fatalf("put %s: status %v", key, pr.Status)
+		}
+		eng.Pool(pr.Pool).WriteValue(pr.Off, len(key), val)
+		return pr
+	}
+	flagged := func(heads []store.PutResult) (n int) {
+		for _, pr := range heads {
+			if hd := eng.Pool(pr.Pool).Header(pr.Off); hd.Durable() {
+				n++
+			}
+		}
+		return n
+	}
+
+	from := now()
+	heads := make([]store.PutResult, 64)
+	for i := range heads {
+		heads[i] = put(fmt.Sprintf("one-%02d", i))
+	}
+	eng.BGDrain(nil, p.a.cfg.BGBatch)
+	moved("one frame", from, 1, 64, 64, 0)
+	if n := flagged(heads); n != 64 {
+		t.Errorf("one frame: %d of 64 versions flagged", n)
+	}
+
+	// The refusing leg: 64 keys, then the last four rewritten, so four
+	// superseded versions sit behind the first record.
+	if p.b.SetClusterMap(p.a.ClusterMap().WithAssign(0, "a")) <= p.a.ClusterMap().Epoch {
+		t.Fatal("the backup did not take the newer map")
+	}
+	for i := range heads {
+		heads[i] = put(fmt.Sprintf("two-%02d", i))
+	}
+	for i := 60; i < 64; i++ {
+		heads[i] = put(fmt.Sprintf("two-%02d", i))
+	}
+	backlog, _ := eng.DurabilityLag()
+	from = now()
+	eng.BGDrain(nil, p.a.cfg.BGBatch)
+	moved("refused", from, 0, 0, 0, 0)
+	if n := flagged(heads); n != 0 {
+		t.Errorf("refused: %d versions flagged without a quorum", n)
+	}
+	if after, _ := eng.DurabilityLag(); after != backlog {
+		t.Errorf("refused: the backlog went from %d to %d bytes; the cursor must stay on the first record", backlog, after)
+	}
+	if p.a.ClusterMap().Epoch != p.b.ClusterMap().Epoch {
+		t.Fatal("the primary did not adopt the backup's map")
+	}
+	// 68 objects: a run of 64 (60 records and the four superseded
+	// versions), then a run of the last four.
+	eng.BGDrain(nil, p.a.cfg.BGBatch)
+	moved("accepted", from, 2, 64, 64, 4)
+	if n := flagged(heads); n != 64 {
+		t.Errorf("accepted: %d of 64 keys flagged", n)
+	}
+	if _, _, d, _, _ := p.a.ReplCounters(); d != 0 {
+		t.Errorf("%d demotions, want 0", d)
+	}
+}

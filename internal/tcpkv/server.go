@@ -273,7 +273,8 @@ type Server struct {
 	// died there. Failover torture harnesses only.
 	replCrash      func(point string) bool
 	replPending    atomic.Int64  // mirror appends awaiting backup acks
-	replAppends    atomic.Uint64 // records shipped to backups
+	replAppends    atomic.Uint64 // mirror frames acked by backups
+	replRecords    atomic.Uint64 // mirror records in those frames
 	replFailures   atomic.Uint64 // failed appends, whatever the cause
 	replPromotions atomic.Uint64 // promotions completed on this instance
 	replIngested   atomic.Uint64 // records ingested from peers
