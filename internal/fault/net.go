@@ -6,16 +6,17 @@ import (
 )
 
 // NetPlan injects network faults into the tcpkv server, deterministically
-// by frame count: every DropEvery-th response frame the connection is cut
-// (optionally after leaking a truncated prefix of the frame, so the
-// client sees a partial read rather than a clean EOF), and every
-// StallEvery-th one-sided read stalls for StallFor before answering. A
-// nil plan injects nothing. Counters are global across connections so a
-// reconnecting client keeps meeting faults.
+// by count: every DropEvery-th response frame — a TReadResp among them —
+// the connection is cut (optionally after leaking a truncated prefix of
+// the frame, so the client sees a partial read rather than a clean EOF),
+// and every StallEvery-th READ the server serves, counting each READ of a
+// TRead burst, stalls for StallFor before it is read. A nil plan injects
+// nothing. Counters are global across connections so a reconnecting
+// client keeps meeting faults.
 type NetPlan struct {
 	DropEvery    int           // cut the connection every Nth response frame (0 = never)
 	PartialFrame bool          // leak a truncated frame prefix before cutting
-	StallEvery   int           // stall every Nth one-sided read (0 = never)
+	StallEvery   int           // stall every Nth served READ (0 = never)
 	StallFor     time.Duration // how long a stalled read sleeps
 
 	mu     sync.Mutex
@@ -39,7 +40,7 @@ func (n *NetPlan) NextFrame() (drop, partial bool) {
 	return false, false
 }
 
-// NextRead counts one one-sided read and returns how long to stall before
+// NextRead counts one served READ and returns how long to stall before
 // serving it (0 = serve immediately).
 func (n *NetPlan) NextRead() time.Duration {
 	if n == nil || n.StallEvery <= 0 {

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"os"
 	"sync"
@@ -35,16 +34,17 @@ var (
 )
 
 // DefaultPipelineDepth bounds how many RPCs a client keeps in flight on
-// its pipelined channel.
+// its connection.
 const DefaultPipelineDepth = 16
 
 // Client is a TCP-mode eFactory client: the protocol core
-// (internal/client) bound to two connections — a pipelined RPC channel
-// that carries many requests in flight at once (sequence-tagged frames,
-// whose replies the waiting callers read and demultiplex themselves; see
-// pipe) and a lock-step one-sided channel. A Client runs no goroutine of
+// (internal/client) bound to one pipelined connection that carries many
+// requests in flight at once (sequence-tagged frames, whose replies the
+// waiting callers read and demultiplex themselves; see pipe). The RPCs
+// and the one-sided READ bursts (TRead) share it, as an RDMA client's
+// SENDs and READs share one queue pair. A Client runs no goroutine of
 // its own.
-// A Client keeps the connection pair it dialed for its whole life and
+// A Client keeps the connection it dialed for its whole life and
 // makes exactly one attempt per op, bounded by the timeout fixed at dial:
 // a transport failure reaches the caller, and recovery is a fresh client
 // (the peer table's quick retry, the routed client's route loop). What
@@ -54,19 +54,9 @@ const DefaultPipelineDepth = 16
 // use; concurrent RPCs share the pipelined connection instead of queueing
 // behind each other.
 type Client struct {
-	addr    string
-	timeout time.Duration // per-attempt I/O bound, dial and handshake included (0 = none)
-	core    *client.Core
-
-	pipe   *pipe
-	osConn net.Conn
-	osRd   *bufio.Reader // osConn's replies
-
-	// osMu serializes the one-sided channel: a burst's requests and its
-	// replies are lock-step. osHdr is the reused reply-header read buffer,
-	// guarded by osMu.
-	osMu  sync.Mutex
-	osHdr [5]byte
+	addr string
+	core *client.Core
+	pipe *pipe // its timeout bounds each attempt, the handshake included
 
 	// Stats holds the protocol core's path counters (PureReads,
 	// FallbackReads, RPCReads, BatchedGets, HintedReads, ...), promoted as
@@ -111,12 +101,13 @@ type pipeResult struct {
 }
 
 // callSlot is one pooled RPC call context: the request-frame scratch the
-// caller sends as-is (zero copies on the write side) and the reusable
-// completion channel. Slots live in a package-level pool rather than on
-// the pipe, so scratch reuse outlives any one connection — a fresh
-// client starts on warmed buffers.
+// caller sends as-is (zero copies on the write side), the scratch a READ
+// burst encodes its READs in, and the reusable completion channel. Slots
+// live in a package-level pool rather than on the pipe, so scratch reuse
+// outlives any one connection — a fresh client starts on warmed buffers.
 type callSlot struct {
 	frame []byte
+	reads []byte
 	ch    chan pipeResult
 }
 
@@ -199,9 +190,9 @@ func (p *pipe) claim(seq uint32) chan pipeResult {
 //
 // The caller writes its own frame, so nothing else ever touches cs.frame:
 // a response that overtakes the return of Write finds the slot still
-// checked out. The write runs under the shared attemptDeadline discipline
-// (arm, write, clear) — nothing further is owed on the write side until
-// the next request, and a stale deadline would poison an idle connection.
+// checked out. The write's deadline is armed before it and cleared after
+// — nothing further is owed on the write side until the next request, and
+// a stale deadline would poison an idle connection.
 // The wait for the reply is bounded by the same timeout, counted from
 // the write's end: the token holder reads under it as a read deadline,
 // and a caller waiting without the token on a timer. Either expiry fails
@@ -233,10 +224,13 @@ func (p *pipe) call(cs *callSlot) (r pipeResult, clean bool) {
 	binary.BigEndian.PutUint32(cs.frame[4:], seq)
 
 	p.wmu.Lock()
-	err := attemptDeadline{set: p.conn.SetWriteDeadline, d: p.timeout}.guard(func() error {
-		_, err := p.conn.Write(cs.frame)
-		return err
-	})
+	if p.timeout > 0 {
+		p.conn.SetWriteDeadline(time.Now().Add(p.timeout))
+	}
+	_, err := p.conn.Write(cs.frame)
+	if err == nil && p.timeout > 0 {
+		err = p.conn.SetWriteDeadline(time.Time{})
+	}
 	p.wmu.Unlock()
 	if err != nil {
 		// A torn request frame leaves the stream unparseable for everyone
@@ -323,20 +317,14 @@ func (p *pipe) await(seq uint32, cs *callSlot, deadline time.Time) (pipeResult, 
 	}
 }
 
-// connect opens both channels to addr, each connect bounded by timeout.
-// The client has no protocol core until dial's handshake builds one.
+// connect opens the connection to addr, bounded by timeout. The client
+// has no protocol core until dial's handshake builds one.
 func connect(addr string, timeout time.Duration) (*Client, error) {
-	rpcConn, err := dialChannel(addr, chanRPCPipe, timeout)
+	conn, err := dialChannel(addr, timeout)
 	if err != nil {
 		return nil, err
 	}
-	osConn, err := dialChannel(addr, chanOneSided, timeout)
-	if err != nil {
-		rpcConn.Close()
-		return nil, err
-	}
-	return &Client{addr: addr, timeout: timeout, pipe: newPipe(rpcConn, timeout),
-		osConn: osConn, osRd: bufio.NewReaderSize(osConn, connBufSize)}, nil
+	return &Client{addr: addr, pipe: newPipe(conn, timeout)}, nil
 }
 
 // Dial connects to a tcpkv server and performs the geometry handshake.
@@ -374,10 +362,10 @@ func dial(addr string, timeout time.Duration) (*Client, error) {
 	return c, nil
 }
 
-// Close tears both connections down for good: later ops fail.
+// Close tears the connection down for good: later ops fail.
 func (c *Client) Close() error {
 	c.pipe.fail(net.ErrClosed)
-	return c.osConn.Close()
+	return nil
 }
 
 // HintCache returns the client's location hint cache.
@@ -395,7 +383,7 @@ func wrongEpoch(resp wire.Msg) error {
 	return &cluster.WrongEpochError{Epoch: uint64(resp.Token)}
 }
 
-// rpc performs one request/response over the pipelined channel. Concurrent
+// rpc performs one request/response over the connection. Concurrent
 // callers share the connection; responses demultiplex by sequence number.
 // The decoded Msg may alias the response buffer, which is left to the GC —
 // the protocol core, which bounds every response's lifetime, goes through
@@ -410,7 +398,11 @@ func (c *Client) rpc(req wire.Msg) (wire.Msg, error) {
 // buffer, which the caller gives back via releaseResp once every aliased
 // byte (Key/Value) is dead. A nil buffer is safe to release.
 func (c *Client) rpcShared(req *wire.Msg) (wire.Msg, *[]byte, error) {
-	cs := callSlotPool.Get().(*callSlot)
+	return c.exchange(callSlotPool.Get().(*callSlot), req)
+}
+
+// exchange is rpcShared on a slot the caller took from callSlotPool.
+func (c *Client) exchange(cs *callSlot, req *wire.Msg) (wire.Msg, *[]byte, error) {
 	cs.begin()
 	cs.frame = req.AppendEncode(cs.frame)
 	r, clean := c.pipe.call(cs)
@@ -429,74 +421,44 @@ func (c *Client) rpcShared(req *wire.Msg) (wire.Msg, *[]byte, error) {
 	return m, r.raw, nil
 }
 
-// burstScratch is a pooled builder for pre-framed one-sided bursts;
-// pooled package-wide so the warmed buffer outlives any one client.
-type burstScratch struct{ buf []byte }
-
-var burstScratchPool = sync.Pool{New: func() any {
-	return &burstScratch{buf: make([]byte, 0, 4096)}
-}}
-
-// osBurst is the one-sided channel's doorbell batch: the READs in reqs
-// are framed into one contiguous buffer and sent with a single Write, then
-// one reply per request is consumed in order through the channel's
-// buffered reader — a READ's data is copied into its Req.Buf, a refusal
-// sets Req.NAK. One attemptDeadline covers the whole exchange, same
-// discipline as the pipelined channel's writes. Any failure closes the
-// connection: replies still in flight (or already buffered) would
-// otherwise be read as the next burst's own.
-func (c *Client) osBurst(reqs []client.Req) error {
-	if len(reqs) == 0 {
-		return nil
-	}
-	bs := burstScratchPool.Get().(*burstScratch)
-	defer burstScratchPool.Put(bs)
-	buf := bs.buf[:0]
+// readBurst is one TRead call: the READs in reqs go out in one frame,
+// and the reply's data lands in each Req.Buf; a READ the server refused
+// sets its Req.NAK instead.
+func (c *Client) readBurst(reqs []client.Req) error {
+	cs := callSlotPool.Get().(*callSlot)
+	le := binary.LittleEndian
+	b := cs.reads[:0]
 	for i := range reqs {
-		// Frame: [len][opRead][rkey][off][length].
-		r := &reqs[i]
-		var hdr [4 + maxOneSidedFrame]byte
-		binary.BigEndian.PutUint32(hdr[0:], maxOneSidedFrame)
-		hdr[4] = opRead
-		binary.BigEndian.PutUint32(hdr[5:], r.RKey)
-		binary.BigEndian.PutUint64(hdr[9:], r.Off)
-		binary.BigEndian.PutUint32(hdr[17:], uint32(len(r.Buf)))
-		buf = append(buf, hdr[:]...)
+		b = le.AppendUint32(b, reqs[i].RKey)
+		b = le.AppendUint64(b, reqs[i].Off)
+		b = le.AppendUint32(b, uint32(len(reqs[i].Buf)))
 	}
-	bs.buf = buf
-	conn, rd := c.osConn, c.osRd
-	c.osMu.Lock()
-	defer c.osMu.Unlock()
-	err := attemptDeadline{set: conn.SetDeadline, d: c.timeout}.guard(func() error {
-		if _, err := conn.Write(buf); err != nil {
-			return err
-		}
-		for i := range reqs {
-			// Reply: [len][status], then the data.
-			hdr := c.osHdr[:]
-			if _, err := io.ReadFull(rd, hdr); err != nil {
-				return err
-			}
-			n := int(binary.BigEndian.Uint32(hdr)) - 1
-			dst := reqs[i].Buf
-			switch {
-			case hdr[4] != 1 && n == 0:
-				reqs[i].NAK = true
-			case hdr[4] == 1 && n == len(dst):
-				if _, err := io.ReadFull(rd, dst); err != nil {
-					return err
-				}
-			default:
-				return fmt.Errorf("tcpkv: malformed one-sided reply (status %d, %d bytes, want %d)", hdr[4], n, len(dst))
-			}
-		}
-		return nil
-	})
+	cs.reads = b
+	resp, raw, err := c.exchange(cs, &wire.Msg{Type: wire.TRead, Value: b})
 	if err != nil {
-		// The stream can no longer be trusted to stay in sync.
-		conn.Close()
+		return err
 	}
-	return err
+	defer releaseResp(raw)
+	if resp.Status != wire.StOK {
+		return fmt.Errorf("tcpkv: READ burst refused with status %d", resp.Status)
+	}
+	p := resp.Value
+	for i := range reqs {
+		dst := reqs[i].Buf
+		switch {
+		case len(p) > 0 && p[0] == 0:
+			reqs[i].NAK = true
+			p = p[1:]
+		case len(p) > len(dst) && p[0] == 1:
+			p = p[1+copy(dst, p[1:]):]
+		default:
+			return fmt.Errorf("tcpkv: malformed READ reply at READ %d of %d", i, len(reqs))
+		}
+	}
+	if len(p) != 0 {
+		return fmt.Errorf("tcpkv: %d bytes after the last READ's reply", len(p))
+	}
+	return nil
 }
 
 // verbs is Client seen through the protocol core's seam. A distinct type
@@ -525,12 +487,27 @@ func (v *verbs) Call(req wire.Msg) (wire.Msg, *[]byte, error) {
 
 func (*verbs) Release(buf *[]byte) { releaseResp(buf) }
 
-func (v *verbs) ReadBurst(reqs []client.Req) error { return (*Client)(v).osBurst(reqs) }
+// ReadBurst sends reqs as one TRead call, or as several when their
+// replies would pass inlineBudget, the most a server answers in one.
+func (v *verbs) ReadBurst(reqs []client.Req) error {
+	for len(reqs) > 0 {
+		n, size := 1, 1+len(reqs[0].Buf)
+		for n < len(reqs) && size+1+len(reqs[n].Buf) <= inlineBudget {
+			size += 1 + len(reqs[n].Buf)
+			n++
+		}
+		if err := (*Client)(v).readBurst(reqs[:n]); err != nil {
+			return err
+		}
+		reqs = reqs[n:]
+	}
+	return nil
+}
 
 // WriteBurst is unreachable: the core sends every value inline to a
-// server that announces a budget, and the one-sided channel has no WRITE.
+// server that announces a budget, and tcpkv has no one-sided WRITE.
 func (*verbs) WriteBurst([]client.Req) error {
-	return errors.New("tcpkv: the one-sided channel serves only READs")
+	return errors.New("tcpkv: there is no one-sided WRITE")
 }
 
 // Put stores value under key: checksum, then one allocation RPC that
@@ -587,10 +564,9 @@ func (c *Client) Get(key []byte) (out []byte, err error) {
 }
 
 // GetBatch resolves len(keys) GETs as one operation: each round, the
-// one-sided READs of every in-flight key go out in ONE burst on the
-// one-sided channel, and keys whose optimistic read fails verification
-// fall back together in one read RPC on the pipelined channel (see
-// client.Core.GetBatch). Results are index-aligned with keys: values[i]
+// one-sided READs of every in-flight key go out in ONE TRead burst, and
+// keys whose optimistic read fails verification fall back together in one
+// read RPC (see client.Core.GetBatch). Results are index-aligned with keys: values[i]
 // is valid iff errs[i] is nil (ErrNotFound, or a transport/status error
 // shared by every key the failure reached).
 func (c *Client) GetBatch(keys [][]byte) ([][]byte, []error) {

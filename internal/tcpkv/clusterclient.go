@@ -85,11 +85,12 @@ func (c *Client) MigrateRPC(pg int, target string) (MigrationSummary, error) {
 }
 
 // ReplAppend ships exported records — a mirror append, or one batch of a
-// migration or replica-attach copy — under the sender's map epoch. A
-// *cluster.WrongEpochError return means the receiver holds a strictly
-// newer map: the sender is deposed (it must stop flagging writes durable
-// until it adopts that map), or its copy runs under a stale map.
-func (c *Client) ReplAppend(batch []store.ExportKey, epoch uint64) error {
+// migration or replica-attach copy — under the sender's map epoch, and
+// returns the receiver's status; the error is a transport failure.
+// StWrongEpoch means the receiver holds a strictly newer map: the sender
+// is deposed (it must stop flagging writes durable until it adopts that
+// map), or its copy runs under a stale map.
+func (c *Client) ReplAppend(batch []store.ExportKey, epoch uint64) (uint8, error) {
 	bp := recBufPool.Get().(*[]byte)
 	*bp = store.AppendRecords((*bp)[:0], batch)
 	// Imports are idempotent, so the peer table may replay an append on
@@ -97,16 +98,7 @@ func (c *Client) ReplAppend(batch []store.ExportKey, epoch uint64) error {
 	// buffer, so the encoded frame is free again once it returns.
 	resp, err := c.rpc(wire.Msg{Type: wire.TReplAppend, Token: uint32(epoch), Value: *bp})
 	recBufPool.Put(bp)
-	if err != nil {
-		return err
-	}
-	switch resp.Status {
-	case wire.StOK:
-		return nil
-	case wire.StWrongEpoch:
-		return wrongEpoch(resp)
-	}
-	return &replStatusError{resp.Status}
+	return resp.Status, err
 }
 
 // ReplPull fetches every record the serving replica holds in placement

@@ -10,19 +10,15 @@ import (
 	"efactory/internal/client"
 	"efactory/internal/kv"
 	"efactory/internal/nvm"
+	"efactory/internal/wire"
 )
 
-// chanCalls counts the connections of one channel a server accepts and
-// the Read and Write calls it makes on them, and stamps the latest of each
-// call with its place in the listener's sequence of calls.
-type chanCalls struct{ conns, reads, writes, lastRead, lastWrite atomic.Int64 }
-
-// countingListener hands the server connections that count their calls
-// per channel.
+// countingListener hands the server connections that count the
+// connections opened on the pipelined channel and the Read and Write
+// calls the server makes on them.
 type countingListener struct {
 	net.Listener
-	oneSided, pipelined chanCalls
-	calls               atomic.Int64 // every counted call, both channels
+	conns, reads, writes atomic.Int64
 }
 
 func (l *countingListener) Accept() (net.Conn, error) {
@@ -33,36 +29,28 @@ func (l *countingListener) Accept() (net.Conn, error) {
 	return &countingConn{Conn: conn, ln: l}, nil
 }
 
-// countingConn attributes its calls to a channel once the server has read
-// the channel byte, which it reads alone.
+// countingConn counts its calls once the server has read the channel
+// byte, which it reads alone.
 type countingConn struct {
 	net.Conn
-	ln    *countingListener
-	calls atomic.Pointer[chanCalls]
+	ln       *countingListener
+	counting atomic.Bool
 }
 
 func (c *countingConn) Read(p []byte) (int, error) {
 	n, err := c.Conn.Read(p)
-	if cc := c.calls.Load(); cc != nil {
-		cc.reads.Add(1)
-		cc.lastRead.Store(c.ln.calls.Add(1))
-	} else if n > 0 {
-		switch p[0] {
-		case chanOneSided:
-			c.calls.Store(&c.ln.oneSided)
-			c.ln.oneSided.conns.Add(1)
-		case chanRPCPipe:
-			c.calls.Store(&c.ln.pipelined)
-			c.ln.pipelined.conns.Add(1)
-		}
+	if c.counting.Load() {
+		c.ln.reads.Add(1)
+	} else if n > 0 && p[0] == chanRPCPipe {
+		c.counting.Store(true)
+		c.ln.conns.Add(1)
 	}
 	return n, err
 }
 
 func (c *countingConn) Write(p []byte) (int, error) {
-	if cc := c.calls.Load(); cc != nil {
-		cc.writes.Add(1)
-		cc.lastWrite.Store(c.ln.calls.Add(1))
+	if c.counting.Load() {
+		c.ln.writes.Add(1)
 	}
 	return c.Conn.Write(p)
 }
@@ -101,23 +89,22 @@ func ratio(t *testing.T, what string, num, den int64) float64 {
 }
 
 // TestBurstRepliesCoalesce pins the buffered transport in calls, not
-// time: the one-sided server answers a burst of 128 READs with about one
-// write, and the pipelined server reads a request frame with about one
-// read. Both are averages, so a burst split across TCP segments does not
-// fail the test. A PutBatch sends no one-sided frame at all.
+// time. The server reads a PutBatch's request frame with about one read
+// (an average, so a frame split across TCP segments does not fail the
+// test), and the client sends it as one write with no READ burst. A
+// 64-key hinted GetBatch is one READ burst: one client write and one
+// server write.
 func TestBurstRepliesCoalesce(t *testing.T) {
 	const (
 		width  = 64
 		rounds = 100
 	)
 	srv, ln, cl := startCountedServer(t, smallConfig())
-	// One client write per burst: the denominator.
-	bursts := &writeCounter{Conn: cl.osConn}
-	cl.osConn = bursts
+	frames := countWrites(cl)
 
 	keys, vals := benchKVs(width, 256)
 	errs := make([]error, 0, width)
-	osReads, pipeReads := ln.oneSided.reads.Load(), ln.pipelined.reads.Load()
+	reads, bursts := ln.reads.Load(), cl.ReadBursts
 	for i := 0; i < rounds; i++ {
 		for j, err := range cl.PutBatchInto(keys, vals, errs) {
 			if err != nil {
@@ -126,18 +113,22 @@ func TestBurstRepliesCoalesce(t *testing.T) {
 		}
 	}
 	// Each PutBatch is one TPutBatch request frame carrying its values.
-	perFrame := ratio(t, "PutBatch request frames", ln.pipelined.reads.Load()-pipeReads, rounds)
-	t.Logf("PutBatch: %.2f pipelined server reads per request frame, %d one-sided bursts",
-		perFrame, bursts.writes)
+	perFrame := ratio(t, "PutBatch request frames", ln.reads.Load()-reads, rounds)
+	t.Logf("PutBatch: %.2f server reads per request frame, %d client writes", perFrame, frames.writes)
 	if perFrame > 1.5 {
-		t.Errorf("pipelined server reads %.2f times per request frame, want at most 1.5", perFrame)
+		t.Errorf("server reads %.2f times per request frame, want at most 1.5", perFrame)
 	}
-	if n := ln.oneSided.reads.Load() - osReads; bursts.writes != 0 || n != 0 {
-		t.Errorf("inline PutBatch: %d one-sided bursts, %d one-sided server reads, want 0", bursts.writes, n)
+	if frames.writes != rounds || cl.ReadBursts != bursts {
+		t.Errorf("%d PutBatches: %d client writes and %d READ bursts, want %d and 0",
+			rounds, frames.writes, cl.ReadBursts-bursts, rounds)
 	}
 
 	waitDurable(t, srv)
-	osWrites, osReads := ln.oneSided.writes.Load(), ln.oneSided.reads.Load()
+	if _, errs := cl.GetBatch(keys); client.FirstErr(errs) != nil {
+		t.Fatal(client.FirstErr(errs))
+	}
+	frames.writes, bursts = 0, cl.ReadBursts
+	writes, rpcs := ln.writes.Load(), cl.ReadRPCs
 	for i := 0; i < rounds; i++ {
 		_, errs := cl.GetBatch(keys)
 		for j, err := range errs {
@@ -146,19 +137,19 @@ func TestBurstRepliesCoalesce(t *testing.T) {
 			}
 		}
 	}
-	perBurst := ratio(t, "GetBatch bursts", ln.oneSided.writes.Load()-osWrites, int64(bursts.writes))
-	t.Logf("GetBatch: %.2f one-sided server writes and %.2f reads per burst (%d bursts)",
-		perBurst, ratio(t, "GetBatch bursts", ln.oneSided.reads.Load()-osReads, int64(bursts.writes)), bursts.writes)
-	if perBurst > 2 {
-		t.Errorf("GetBatch: one-sided server writes %.2f times per burst, want at most 2", perBurst)
+	sw := ln.writes.Load() - writes
+	t.Logf("GetBatch: %d READ bursts, %d client writes, %d server writes", cl.ReadBursts-bursts, frames.writes, sw)
+	if cl.ReadBursts-bursts != rounds || cl.ReadRPCs != rpcs || frames.writes != rounds || sw != rounds {
+		t.Errorf("%d hinted GetBatches: %d READ bursts, %d read RPCs, %d client writes, %d server writes; want %d, 0, %d, %d",
+			rounds, cl.ReadBursts-bursts, cl.ReadRPCs-rpcs, frames.writes, sw, rounds, rounds, rounds)
 	}
 }
 
 // TestPutIsOneRoundTrip pins the inline PUT in frames: after warm-up, a
-// Put and a 64-key PutBatchInto each cost the pipelined server exactly
-// one write (its one response) and the one-sided server no read at all.
-// The server's budget holds any storable object, so no single Put falls
-// back to a WRITE.
+// Put and a 64-key PutBatchInto each cost the server exactly one write
+// (its one response), so no READ or WRITE burst rides along. The server's
+// budget holds any storable object, so no single Put falls back to a
+// WRITE.
 func TestPutIsOneRoundTrip(t *testing.T) {
 	const n = 50
 	if inlineBudget < kv.MaxObjectSize {
@@ -182,17 +173,14 @@ func TestPutIsOneRoundTrip(t *testing.T) {
 		{"Put", func(i int) error { return cl.Put(keys[i%len(keys)], vals[i%len(keys)]) }},
 		{"PutBatchInto", func(int) error { return client.FirstErr(cl.PutBatchInto(keys, vals, errs)) }},
 	} {
-		pipeWrites, osReads := ln.pipelined.writes.Load(), ln.oneSided.reads.Load()
+		writes := ln.writes.Load()
 		for i := 0; i < n; i++ {
 			if err := leg.op(i); err != nil {
 				t.Fatalf("%s %d: %v", leg.name, i, err)
 			}
 		}
-		if d := ln.pipelined.writes.Load() - pipeWrites; d != n {
-			t.Errorf("%d %ss: %d pipelined server writes, want %d", n, leg.name, d, n)
-		}
-		if d := ln.oneSided.reads.Load() - osReads; d != 0 {
-			t.Errorf("%d %ss: %d one-sided server reads, want 0", n, leg.name, d)
+		if d := ln.writes.Load() - writes; d != n {
+			t.Errorf("%d %ss: %d server writes, want %d", n, leg.name, d, n)
 		}
 	}
 }
@@ -201,10 +189,10 @@ func TestPutIsOneRoundTrip(t *testing.T) {
 // inline budget. Each of n 64-key GetBatches mixes settled hinted keys,
 // keys the client holds no hint for, and the client's own write, which
 // is not durable yet because the verifier never runs. Together they may
-// move the one-sided server's reads by at most n, one hinted burst
-// each, and the pipelined server's writes by at most n, one read RPC
-// each: no probe walk, no READ after the RPC. A Get of an undurable own
-// write is then exactly one burst and one RPC, in that order.
+// move the server's writes by at most 2n, one hinted READ burst and one
+// read RPC each: no probe walk, no READ after the RPC. A Get of an
+// undurable own write is then exactly one burst and one RPC, in that
+// order.
 func TestReadIsAtMostTwoRoundTrips(t *testing.T) {
 	const (
 		n        = 10
@@ -235,7 +223,7 @@ func TestReadIsAtMostTwoRoundTrips(t *testing.T) {
 		t.Fatal(client.FirstErr(errs))
 	}
 
-	var osReads, pipeWrites int64
+	var writes int64
 	before := cl.Stats
 	var batch, want [][]byte
 	for i := 0; i < n; i++ {
@@ -245,20 +233,18 @@ func TestReadIsAtMostTwoRoundTrips(t *testing.T) {
 		lo, hi := hinted+i*unhinted, hinted+(i+1)*unhinted
 		batch = append(append(append(batch[:0], keys[:hinted]...), keys[lo:hi]...), own)
 		want = append(append(append(want[:0], vals[:hinted]...), vals[lo:hi]...), ownVal)
-		r, w := ln.oneSided.reads.Load(), ln.pipelined.writes.Load()
+		w := ln.writes.Load()
 		got, errs := cl.GetBatch(batch)
-		osReads += ln.oneSided.reads.Load() - r
-		pipeWrites += ln.pipelined.writes.Load() - w
+		writes += ln.writes.Load() - w
 		for j, k := range batch {
 			if errs[j] != nil || !bytes.Equal(got[j], want[j]) {
 				t.Fatalf("batch %d key %q: %d bytes, %v", i, k, len(got[j]), errs[j])
 			}
 		}
 	}
-	t.Logf("%d GetBatches: %d one-sided server reads, %d pipelined server writes", n, osReads, pipeWrites)
-	if osReads > n || pipeWrites > n {
-		t.Errorf("%d GetBatches moved the one-sided server's reads by %d and the pipelined server's writes by %d, want at most %d each",
-			n, osReads, pipeWrites, n)
+	t.Logf("%d GetBatches: %d server writes", n, writes)
+	if writes > 2*n {
+		t.Errorf("%d GetBatches moved the server's writes by %d, want at most %d", n, writes, 2*n)
 	}
 	if d := cl.Stats.RPCReads - before.RPCReads; d != n*unhinted {
 		t.Errorf("%d unhinted keys went straight to the server, want %d", d, n*unhinted)
@@ -270,20 +256,23 @@ func TestReadIsAtMostTwoRoundTrips(t *testing.T) {
 		t.Errorf("counted %d read RPCs and %d READ bursts, want %d each", d, b, n)
 	}
 
+	frames := countWrites(cl)
 	for i := 0; i < n; i++ {
 		if err := cl.Put(own, vals[i]); err != nil {
 			t.Fatal(err)
 		}
-		r, w := ln.oneSided.reads.Load(), ln.pipelined.writes.Load()
+		w := ln.writes.Load()
+		frames.types = frames.types[:0]
 		got, err := cl.Get(own)
 		if err != nil || !bytes.Equal(got, vals[i]) {
 			t.Fatalf("Get of own write %d: %d bytes, %v", i, len(got), err)
 		}
-		if dr, dw := ln.oneSided.reads.Load()-r, ln.pipelined.writes.Load()-w; dr != 1 || dw != 1 {
-			t.Fatalf("Get of an undurable own write: %d one-sided server reads and %d pipelined server writes, want 1 and 1", dr, dw)
+		if d := ln.writes.Load() - w; d != 2 {
+			t.Fatalf("Get of an undurable own write: %d server writes, want 2", d)
 		}
-		if ln.oneSided.lastRead.Load() > ln.pipelined.lastWrite.Load() {
-			t.Fatal("Get of an undurable own write posted a one-sided frame after the read RPC")
+		if len(frames.types) != 2 || frames.types[0] != wire.TRead || frames.types[1] != wire.TGet {
+			t.Fatalf("Get of an undurable own write sent frames of types %v, want a TRead (%d), then a TGet (%d)",
+				frames.types, wire.TRead, wire.TGet)
 		}
 	}
 }

@@ -18,6 +18,7 @@ import (
 
 	"efactory/internal/nvm"
 	"efactory/internal/server"
+	"efactory/internal/wire"
 )
 
 func TestGetBatchMatchesGetTCP(t *testing.T) {
@@ -110,22 +111,34 @@ func TestGetBatchHintCacheTCP(t *testing.T) {
 	}
 }
 
-// writeCounter counts the writes made through a connection: on the
-// one-sided channel, one per burst.
+// writeCounter counts the frames a client sends, one per Write call, and
+// records each one's wire message type.
 type writeCounter struct {
 	net.Conn
 	writes int
+	types  []uint8
 }
 
 func (w *writeCounter) Write(b []byte) (int, error) {
 	w.writes++
+	if len(b) > 8 { // [len][seq][msg]
+		w.types = append(w.types, b[8])
+	}
 	return w.Conn.Write(b)
+}
+
+// countWrites makes cl's connection count the frames cl sends from now
+// on. Read the counts between calls.
+func countWrites(cl *Client) *writeCounter {
+	wc := &writeCounter{Conn: cl.pipe.conn}
+	cl.pipe.conn = wc
+	return wc
 }
 
 // TestDialReadsHinted: a client straight from Dial, with no configuration
 // call, reads through the hint cache. A settled key's first Get learns the
-// hint's table slot; the second is one one-sided burst (entry + object)
-// and no RPC.
+// hint's table slot; the second is one READ burst (entry + object),
+// one frame on the client's connection, and no RPC.
 func TestDialReadsHinted(t *testing.T) {
 	cfg := smallConfig()
 	srv, addr := startServer(t, nvm.New(cfg.DeviceSize()), cfg)
@@ -142,22 +155,22 @@ func TestDialReadsHinted(t *testing.T) {
 	if _, err := cl.Get(key); err != nil {
 		t.Fatal(err)
 	}
-	wc := &writeCounter{Conn: cl.osConn}
-	cl.osConn = wc
+	wc := countWrites(cl)
 	rpcGets, hinted := srv.Stats().Gets, cl.HintedReads
 	got, err := cl.Get(key)
 	if err != nil || string(got) != string(val) {
 		t.Fatalf("second Get = %q, %v", got, err)
 	}
-	if wc.writes != 1 || cl.HintedReads-hinted != 1 || srv.Stats().Gets != rpcGets {
-		t.Fatalf("second Get: %d one-sided bursts, HintedReads +%d, %d RPC GETs; want 1, 1, 0",
-			wc.writes, cl.HintedReads-hinted, srv.Stats().Gets-rpcGets)
+	if wc.writes != 1 || wc.types[0] != wire.TRead || cl.HintedReads-hinted != 1 || srv.Stats().Gets != rpcGets {
+		t.Fatalf("second Get: %d frames of types %v, HintedReads +%d, %d RPC GETs; want 1 TRead, 1, 0",
+			wc.writes, wc.types, cl.HintedReads-hinted, srv.Stats().Gets-rpcGets)
 	}
 }
 
 // TestDialReadsOwnWriteHinted: a client's own acknowledged Put teaches its
 // hint cache where the new version lives, so the first Get of the settled
-// key is already one one-sided burst (entry + object) and no RPC.
+// key is already one READ burst (entry + object), one frame on the
+// client's connection, and no RPC.
 func TestDialReadsOwnWriteHinted(t *testing.T) {
 	cfg := smallConfig()
 	srv, addr := startServer(t, nvm.New(cfg.DeviceSize()), cfg)
@@ -171,16 +184,15 @@ func TestDialReadsOwnWriteHinted(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitDurable(t, srv)
-	wc := &writeCounter{Conn: cl.osConn}
-	cl.osConn = wc
+	wc := countWrites(cl)
 	rpcGets := srv.Stats().Gets
 	got, err := cl.Get(key)
 	if err != nil || string(got) != string(val) {
 		t.Fatalf("first Get = %q, %v", got, err)
 	}
-	if wc.writes != 1 || cl.HintedReads != 1 || srv.Stats().Gets != rpcGets {
-		t.Fatalf("first Get: %d one-sided bursts, HintedReads %d, %d RPC GETs; want 1, 1, 0",
-			wc.writes, cl.HintedReads, srv.Stats().Gets-rpcGets)
+	if wc.writes != 1 || wc.types[0] != wire.TRead || cl.HintedReads != 1 || srv.Stats().Gets != rpcGets {
+		t.Fatalf("first Get: %d frames of types %v, HintedReads %d, %d RPC GETs; want 1 TRead, 1, 0",
+			wc.writes, wc.types, cl.HintedReads, srv.Stats().Gets-rpcGets)
 	}
 }
 

@@ -1,5 +1,5 @@
-// Client write hot-path benchmarks over a real loopback connection pair
-// (pipelined RPC mux + one-sided data channel) against an in-process
+// Client hot-path benchmarks over a real loopback connection (the
+// pipelined RPC mux, READ bursts included) against an in-process
 // server. Go benchmarks count allocations across ALL goroutines, so a
 // "0 allocs/op" result here certifies the whole round trip — client
 // encode, mux writer, server read/decode/handle (the inline value write
@@ -86,8 +86,8 @@ func measureAllocsPerPut(tb testing.TB, cl *Client, keys, vals [][]byte, n int) 
 // TestPutAllocFreeAcrossReconnect pins the two pooled-scratch claims the
 // benchmarks cannot express: the steady-state PUT path stays (near)
 // allocation-free in absolute terms, and the pools survive a reconnect —
-// closing the client tears down its connection pair, a fresh client
-// dials a new one, and the package-level slot/frame/burst pools must keep
+// closing the client tears down its connection, a fresh client
+// dials a new one, and the package-level slot and frame pools must keep
 // amortizing rather than being rebuilt per connection.
 func TestPutAllocFreeAcrossReconnect(t *testing.T) {
 	if testing.Short() {
@@ -221,7 +221,7 @@ func BenchmarkGetOwnWrite(b *testing.B) {
 }
 
 // BenchmarkGetBatch measures a 64-key GetBatch of settled, hinted keys:
-// one one-sided burst of 128 READs, answered in one server write. Reported
+// one TRead burst of 128 READs, one frame each way. Reported
 // per op, where one op is a 64-key batch.
 func BenchmarkGetBatch(b *testing.B) {
 	srv, addr := startBenchServer(b)

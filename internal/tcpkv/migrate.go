@@ -359,8 +359,10 @@ func (cp *pgCopy) send(keys []store.ExportKey) (int, error) {
 			bytes += len(keys[n].Key)
 			n++
 		}
-		if err := cp.s.ship(cp.target, cp.addr, keys[:n], cp.m.Epoch); err != nil {
+		if st, err := cp.s.ship(cp.target, cp.addr, keys[:n], cp.m.Epoch); err != nil {
 			return sent, err
+		} else if st != wire.StOK {
+			return sent, fmt.Errorf("tcpkv: copy batch refused with status %d", st)
 		}
 		sent += n
 		cp.s.migKeysMoved.Add(uint64(n))

@@ -193,7 +193,7 @@ func TestPeerQuickRetryKeepsBackup(t *testing.T) {
 // connection when one of them fails at the transport and the table drops
 // it. The other K-1 then fail with net.ErrClosed, and all K take the
 // quick retry. They must share one dial: the server accepts exactly one
-// new connection pair, and every call succeeds on it.
+// new connection, and every call succeeds on it.
 func TestPeerRedialsOncePerFailure(t *testing.T) {
 	const k = 8
 	_, ln, _ := startCountedServer(t, smallConfig())
@@ -203,7 +203,7 @@ func TestPeerRedialsOncePerFailure(t *testing.T) {
 	if err := p.call("s", addr, func(c *Client) error { _, err := c.ServerStats(); return err }); err != nil {
 		t.Fatal(err)
 	}
-	conns0 := ln.pipelined.conns.Load()
+	conns0 := ln.conns.Load()
 
 	var (
 		inside  sync.WaitGroup // every call holds the first connection
@@ -241,7 +241,7 @@ func TestPeerRedialsOncePerFailure(t *testing.T) {
 			t.Errorf("call %d: %v", i, err)
 		}
 	}
-	if n := ln.pipelined.conns.Load() - conns0; n != 1 {
+	if n := ln.conns.Load() - conns0; n != 1 {
 		t.Errorf("%d calls that lost one connection dialed %d new ones, want 1", k, n)
 	}
 }

@@ -1,11 +1,7 @@
-// Shared transport policy for the client's two channels. The pipelined
-// RPC channel and the lock-step one-sided channel fail in the same ways
-// (resets, stalls, torn frames): one timeout fixed at dial bounds each
-// attempt on both under one deadline discipline, one dial helper opens
-// either, and one classifier (transient) tells the callers that recover —
-// the peer table and the route loop — which failures a fresh connection
-// may cure. Keeping these here — instead of copy-pasted per channel — is
-// what guarantees the two channels can never drift apart on timeouts.
+// Shared transport policy: one dial helper opens a client's connection,
+// and one classifier (transient) tells the callers that recover — the
+// peer table and the route loop — which failures a fresh connection may
+// cure.
 package tcpkv
 
 import (
@@ -80,40 +76,15 @@ func jitteredBackoff(prev, base, max time.Duration, intn func(int64) int64) time
 	return d
 }
 
-// attemptDeadline is the per-attempt deadline discipline both channels
-// share: arm the connection's deadline before the guarded I/O and clear
-// it again on success, so nothing is owed between ops and an idle
-// connection never trips over a stale deadline later. set is whichever
-// deadline setter bounds exactly the I/O the channel owes (SetDeadline
-// for the lock-step one-sided exchange, SetWriteDeadline for the
-// pipelined writer, whose read side is bounded per call instead).
-type attemptDeadline struct {
-	set func(time.Time) error
-	d   time.Duration
-}
-
-func (a attemptDeadline) guard(op func() error) error {
-	if a.d > 0 {
-		a.set(time.Now().Add(a.d))
-	}
-	if err := op(); err != nil {
-		return err
-	}
-	if a.d > 0 {
-		return a.set(time.Time{})
-	}
-	return nil
-}
-
 // dialChannel opens one connection to addr within timeout (0 = none) and
-// announces its channel kind with the one-byte handshake every tcpkv
-// channel starts with.
-func dialChannel(addr string, kind byte, timeout time.Duration) (net.Conn, error) {
+// announces the pipelined channel with the one-byte handshake every tcpkv
+// connection starts with.
+func dialChannel(addr string, timeout time.Duration) (net.Conn, error) {
 	conn, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := conn.Write([]byte{kind}); err != nil {
+	if _, err := conn.Write([]byte{chanRPCPipe}); err != nil {
 		conn.Close()
 		return nil, err
 	}

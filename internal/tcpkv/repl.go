@@ -81,13 +81,6 @@ var demotionCauses = [numReplOutcomes]string{
 	replFull: "full", replTransport: "transport", replStatus: "status",
 }
 
-// replStatusError is a backup's refusal of a record frame.
-type replStatusError struct{ status uint8 }
-
-func (e *replStatusError) Error() string {
-	return fmt.Sprintf("tcpkv: repl append status %d", e.status)
-}
-
 // replPoints names the replCrash points consulted around each frame of a
 // replicate call: before it travels, and after it is acked.
 type replPoints struct{ pre, post string }
@@ -321,47 +314,45 @@ func (s *Server) sendFrame(name, addr string, recs []store.ExportKey, epoch uint
 	if s.replCrash != nil && s.replCrash(pts.pre) {
 		return replAborted
 	}
-	err := s.ship(name, addr, recs, epoch)
-	var (
-		we *cluster.WrongEpochError
-		se *replStatusError
-	)
+	st, err := s.ship(name, addr, recs, epoch)
 	switch {
-	case err == nil:
+	case err == nil && st == wire.StOK:
 		s.replAppends.Add(1)
 		s.replRecords.Add(uint64(len(recs)))
 		if s.replCrash != nil && s.replCrash(pts.post) {
 			return replAborted
 		}
 		return replAcked
-	case errors.As(err, &we):
+	case err == nil && st == wire.StWrongEpoch:
 		return replDeposed
 	}
 	s.replFailures.Add(1)
 	switch {
-	case !errors.As(err, &se):
+	case err != nil:
 		return replTransport
-	case se.status == wire.StFull:
+	case st == wire.StFull:
 		return replFull
 	}
 	return replStatus
 }
 
 // ship sends one record frame to the named instance under epoch — the
-// one sender of TReplAppend, for mirror appends and copies alike. A
-// receiver holding a strictly newer map refuses the frame with a
-// *cluster.WrongEpochError, and this instance adopts that map.
-func (s *Server) ship(name, addr string, recs []store.ExportKey, epoch uint64) error {
-	return s.peers.call(name, addr, func(c *Client) error {
-		err := c.ReplAppend(recs, epoch)
-		var we *cluster.WrongEpochError
-		if errors.As(err, &we) {
+// one sender of TReplAppend, for mirror appends and copies alike — and
+// returns the receiver's status. A receiver holding a strictly newer map
+// refuses the frame with StWrongEpoch, and this instance adopts that map.
+func (s *Server) ship(name, addr string, recs []store.ExportKey, epoch uint64) (uint8, error) {
+	var st uint8
+	err := s.peers.call(name, addr, func(c *Client) error {
+		var err error
+		st, err = c.ReplAppend(recs, epoch)
+		if err == nil && st == wire.StWrongEpoch {
 			if nm, merr := c.ClusterMapRPC(); merr == nil {
 				s.SetClusterMap(nm)
 			}
 		}
 		return err
 	})
+	return st, err
 }
 
 // replStateChanged reports whether the key's authoritative state — its

@@ -30,8 +30,8 @@ func TestDroppedFramesSurfaceWithoutRetry(t *testing.T) {
 	}
 }
 
-// TestClientTimeoutRecoversFromStalledRead: every third one-sided read
-// stalls longer than the per-attempt deadline fixed at dial. The stalled
+// TestClientTimeoutRecoversFromStalledRead: every third READ the server
+// serves stalls longer than the per-attempt deadline fixed at dial. The stalled
 // Get must fail with a deadline expiry in bounded time, and recovery is a
 // freshly dialed client, which completes on a non-stalled attempt. (The
 // period is coprime with the two reads a hybrid GET issues, so the stall
@@ -90,11 +90,11 @@ func TestClientTimeoutRecoversFromStalledRead(t *testing.T) {
 	}
 }
 
-// TestOneSidedTimeoutDoesNotServeStaleReply: a one-sided burst that times
-// out leaves its replies in flight. The client never redials, so its next
-// burst must not read them as its own: the timed-out connection is
-// closed, so the next Get fails (or reads fresh) instead of returning the
-// value the stale replies describe.
+// TestOneSidedTimeoutDoesNotServeStaleReply: a READ burst that times out
+// leaves its reply in flight. The client never redials, so its next burst
+// must not read it as its own: the timed-out connection is closed, so the
+// next Get fails (or reads fresh) instead of returning the value the
+// stale reply describes.
 func TestOneSidedTimeoutDoesNotServeStaleReply(t *testing.T) {
 	const stall = 200 * time.Millisecond
 	cfg := smallConfig()

@@ -8,11 +8,12 @@
 // (internal/server); this package is the TCP transport binding. RDMA
 // semantics are emulated faithfully:
 //
-//   - One-sided READ frames are served by a dedicated engine goroutine
-//     per connection that reads the device directly, never the request
-//     loop — like an RNIC bypassing the host CPU. Racing reads can observe
-//     torn objects, exactly as over real RDMA; the durability flag and CRC
-//     machinery handle it. The channel has no WRITE.
+//   - A client is one connection, as an RDMA client is one queue pair: its
+//     one-sided READs travel as TRead bursts among its RPCs, and the server
+//     answers them from the device directly, never through the engine —
+//     like an RNIC bypassing the host CPU. Racing reads can observe torn
+//     objects, exactly as over real RDMA; the durability flag and CRC
+//     machinery handle it. There is no one-sided WRITE.
 //   - PUT acknowledges before durability (client-active scheme with
 //     asynchronous durability); a background goroutine per shard verifies
 //     and persists, setting the durability flag. The hello announces an
@@ -63,6 +64,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -78,44 +80,36 @@ import (
 	"efactory/internal/wire"
 )
 
-// Channel bytes sent as the first byte of each TCP connection. 0x01 was
-// the retired blocking RPC channel; a peer announcing it is disconnected.
-const (
-	chanOneSided = 0x02
-	// chanRPCPipe is the pipelined RPC channel: every frame carries a
-	// 4-byte sequence tag ahead of the wire message, and responses may
-	// return out of order, so one connection can hold many RPCs in flight.
-	chanRPCPipe = 0x03
-)
+// chanRPCPipe is the channel byte every tcpkv connection opens with: the
+// pipelined RPC channel, whose frames carry a 4-byte sequence tag ahead
+// of the wire message, so replies may return out of order and one
+// connection holds many RPCs in flight. A peer announcing a retired
+// channel — 0x01 (blocking RPCs) or 0x02 (one-sided READs, now TRead) —
+// is disconnected.
+const chanRPCPipe = 0x03
 
 // DefaultPipelineWorkers bounds how many of one pipelined connection's
 // requests the server processes concurrently.
 const DefaultPipelineWorkers = 4
 
-// connBufSize sizes the buffered reader (and, on the one-sided server,
-// the buffered writer) at each end of a channel: 64 KiB holds a 64-key
-// hinted GetBatch burst's requests or replies whole, so either side moves
-// the burst in one syscall.
+// connBufSize sizes the buffered reader at each end of a connection:
+// 64 KiB holds a 64-key hinted GetBatch burst's reply whole, so the
+// client reads it in one syscall.
 const connBufSize = 64 << 10
 
-// Frame caps. A pipelined frame may carry a TReplAppend copy batch; a
-// one-sided request is a READ's 17-byte header and nothing else.
-const (
-	maxPipeFrame     = 64 << 20
-	maxOneSidedFrame = 17
-)
+// maxPipeFrame caps a frame; one may carry a TReplAppend copy batch.
+const maxPipeFrame = 64 << 20
 
 // inlineBudget is the inline budget the hello announces: a PUT sends its
 // values in allocation requests carrying at most this many bytes each
 // (a larger batch goes as several), so it needs no one-sided WRITE, and
-// a read RPC's reply carries up to this many bytes of values. Half a
-// pipelined frame leaves the other half for the keys and op headers or
+// a read RPC's or a TRead burst's reply carries up to this many bytes.
+// Half a frame leaves the other half for the keys and op headers or
 // grants, and it holds any storable object.
 const inlineBudget = maxPipeFrame / 2
 
-// opRead is the one one-sided opcode. 0x02 was the retired WRITE; a
-// frame naming it closes the connection.
-const opRead = 0x01
+// readOpSize is the wire size of one READ of a TRead burst.
+const readOpSize = 16
 
 // Region keys for shard 0 (and pre-sharding servers): the hash table plus
 // one rkey per data pool. Shard s adds 3*s to each.
@@ -162,8 +156,8 @@ type Config struct {
 	// boundary would leave it. Torture harnesses only.
 	FaultPlan *fault.Plan
 	// NetFaults, when non-nil, injects network faults: response-frame
-	// drops (optionally leaking a truncated prefix) on the RPC channel and
-	// stalls on one-sided reads. Exercises the deadlines and the recovery
+	// drops (optionally leaking a truncated prefix) and stalls on the
+	// READs of TRead bursts. Exercises the deadlines and the recovery
 	// paths (peer table, route loop) above the client.
 	NetFaults         *fault.NetPlan
 	disableBackground bool // tests only: start no verifier
@@ -301,8 +295,8 @@ func NewServer(dev nvm.Device, cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("tcpkv: device %d B smaller than config needs (%d B)", dev.Size(), cfg.DeviceSize())
 	}
 	if cfg.FaultPlan != nil {
-		// All device traffic — engine mutations, flushes, and the
-		// one-sided channel — goes through the fault wrapper, so a tripped
+		// All device traffic — engine mutations, flushes, and TRead
+		// bursts — goes through the fault wrapper, so a tripped
 		// plan freezes the persisted image even against in-flight value
 		// writes, exactly as a process crash would.
 		dev = fault.WrapDevice(dev, cfg.FaultPlan)
@@ -491,15 +485,10 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.connMu.Unlock()
 	}()
 	var kind [1]byte
-	if _, err := io.ReadFull(conn, kind[:]); err != nil {
+	if _, err := io.ReadFull(conn, kind[:]); err != nil || kind[0] != chanRPCPipe {
 		return
 	}
-	switch kind[0] {
-	case chanRPCPipe:
-		s.servePipelined(conn)
-	case chanOneSided:
-		s.serveOneSided(conn)
-	}
+	s.servePipelined(conn)
 }
 
 // readFrameInto receives one length-prefixed frame of at most limit bytes
@@ -556,13 +545,13 @@ var frameBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); retur
 // that return out of order. Responses are written under a per-connection
 // mutex so frames never interleave.
 //
-// The read loop answers an engine-only request itself (inlineOp) when no
-// further frame is buffered behind it: a lone call is read, served and
-// answered on one goroutine, with no hand-off. Everything else goes to a
-// pool of DefaultPipelineWorkers workers: a DELETE or a commit, which
-// waits for a mirror quorum before it acks; a snapshot read and every
-// control-plane type; and any frame with another behind it, so the
-// requests of a pipelined burst still run in parallel.
+// The read loop answers an engine-only request or a TRead burst itself
+// (inlineOp) when no further frame is buffered behind it: a lone call is
+// read, served and answered on one goroutine, with no hand-off.
+// Everything else goes to a pool of DefaultPipelineWorkers workers: a
+// DELETE or a commit, which waits for a mirror quorum before it acks; a
+// snapshot read and every control-plane type; and any frame with another
+// behind it, so the requests of a pipelined burst still run in parallel.
 //
 // Serving inline cannot deadlock. The only inline op that waits on
 // another instance is a read's verify-on-demand mirror, and its handler
@@ -572,18 +561,23 @@ var frameBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); retur
 func (s *Server) servePipelined(conn net.Conn) {
 	const workers = DefaultPipelineWorkers
 	var wmu sync.Mutex
-	// serve handles one request and writes its reply, framed in *out; the
-	// read loop and every worker answer through it, so NetFaults drops
+	// serve handles one request and writes its reply, framed in ps.out;
+	// the read loop and every worker answer through it, so NetFaults drops
 	// reach both.
-	serve := func(sc *server.Scratch, out *[]byte, seq uint32, m wire.Msg, raw *[]byte) {
-		resp := s.handle(m, sc)
+	serve := func(ps *pipeScratch, seq uint32, m wire.Msg, raw *[]byte) {
+		var resp wire.Msg
+		if m.Type == wire.TRead {
+			resp = s.serveRead(m, &ps.read)
+		} else {
+			resp = s.handle(m, &ps.sc)
+		}
 		// Frame: 4-byte length + 4-byte seq echo + message.
 		var zero [8]byte
-		b := append((*out)[:0], zero[:]...)
+		b := append(ps.out[:0], zero[:]...)
 		b = resp.AppendEncode(b)
 		binary.BigEndian.PutUint32(b, uint32(len(b)-4))
 		binary.BigEndian.PutUint32(b[4:], seq)
-		*out = b
+		ps.out = b
 		// The response no longer references the request frame
 		// (AppendEncode copied any aliased key/value bytes).
 		*raw = (*raw)[:0]
@@ -604,25 +598,23 @@ func (s *Server) servePipelined(conn net.Conn) {
 	}
 	// Persistent workers instead of a goroutine per request: the spawn,
 	// its closure, and its response buffer were three allocations per op.
-	// Each worker, like the read loop, owns a core scratch and a response
-	// frame buffer for its connection lifetime.
+	// Each worker, like the read loop, owns its scratch for the
+	// connection's lifetime.
 	jobs := make(chan pipeJob, workers)
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			var sc server.Scratch
-			out := make([]byte, 0, 4096)
+			var ps pipeScratch
 			for job := range jobs {
-				serve(&sc, &out, job.seq, job.m, job.raw)
+				serve(&ps, job.seq, job.m, job.raw)
 			}
 		}()
 	}
 	defer wg.Wait() // workers finish before serveConn closes the socket
 	defer close(jobs)
-	var sc server.Scratch
-	out := make([]byte, 0, 4096)
+	var ps pipeScratch
 	br := bufio.NewReaderSize(conn, connBufSize)
 	for {
 		bp := frameBufPool.Get().(*[]byte)
@@ -644,7 +636,7 @@ func (s *Server) servePipelined(conn net.Conn) {
 		}
 		if inlineOp(m.Type) && !frameBuffered(br) {
 			s.rpcInline.Add(1)
-			serve(&sc, &out, seq, m, bp)
+			serve(&ps, seq, m, bp)
 			continue
 		}
 		s.rpcWorker.Add(1)
@@ -652,12 +644,21 @@ func (s *Server) servePipelined(conn net.Conn) {
 	}
 }
 
+// pipeScratch is what one goroutine serving a pipelined connection — its
+// read loop or a worker — reuses for the connection's lifetime.
+type pipeScratch struct {
+	sc   server.Scratch
+	out  []byte // the reply frame
+	read []byte // a TReadResp's payload
+}
+
 // inlineOp reports whether the pipelined read loop may serve a request of
-// type t itself: the engine-only data-plane ops, and a backup's record
-// append, which only imports into the local engines.
+// type t itself: the engine-only data-plane ops, a READ burst, which
+// touches only the device, and a backup's record append, which only
+// imports into the local engines.
 func inlineOp(t uint8) bool {
 	switch t {
-	case wire.TGet, wire.TGetBatch, wire.TPut, wire.TPutBatch, wire.TReplAppend:
+	case wire.TGet, wire.TGetBatch, wire.TPut, wire.TPutBatch, wire.TRead, wire.TReplAppend:
 		return true
 	}
 	return false
@@ -672,62 +673,46 @@ type pipeJob struct {
 	raw *[]byte
 }
 
-// serveOneSided is the RNIC-emulation channel: READ frames read the
-// device directly, bypassing the request loop. Replies queue in one
-// buffered writer and leave together: the writer is flushed only when the
-// next frame has not fully arrived, so a burst's replies cost one write
-// while no reply ever waits on a read that could block. A frame that is
-// not a bare READ header — the retired WRITE, or any payload — closes the
-// connection.
-func (s *Server) serveOneSided(conn net.Conn) {
-	// One-sided frames are strictly sequential per connection, so one
-	// request buffer and one response buffer serve the whole session.
-	var (
-		raw = make([]byte, 0, maxOneSidedFrame)
-		out = make([]byte, 0, 4096)
-		err error
-	)
-	br := bufio.NewReaderSize(conn, connBufSize)
-	bw := bufio.NewWriterSize(conn, connBufSize)
-	// Pre-framed refusal (4-byte length prefix + status 0).
-	nak := [5]byte{0, 0, 0, 1, 0}
-	for {
-		if bw.Buffered() > 0 && !frameBuffered(br) {
-			if bw.Flush() != nil {
-				return
-			}
-		}
-		raw, err = readFrameInto(br, raw, maxOneSidedFrame)
-		if err != nil || len(raw) != maxOneSidedFrame || raw[0] != opRead {
-			return
-		}
-		rkey := binary.BigEndian.Uint32(raw[1:])
-		off := int(binary.BigEndian.Uint64(raw[5:]))
-		length := int(binary.BigEndian.Uint32(raw[13:]))
-		base, size, ok := s.region(rkey)
-		// Compared without adding: off+length wraps for an offset near the
-		// top of the int range, and the sum would pass as in-bounds. No
-		// object is longer than kv.MaxObjectSize, so no READ needs to be.
-		if !ok || off < 0 || length < 0 || length > kv.MaxObjectSize || off > size || length > size-off {
-			bw.Write(nak[:])
+// serveRead answers a TRead burst from the device, bypassing the engine
+// as an RNIC bypasses the host CPU, into the reply payload *buf. Each READ
+// is checked on its own: one naming an unknown region, reaching past its
+// region's end or longer than any object is refused, and the rest are
+// served. A payload that is not whole READs, or a burst whose reply would
+// pass inlineBudget, is refused whole with StError before any READ.
+func (s *Server) serveRead(m wire.Msg, buf *[]byte) wire.Msg {
+	refused := wire.Msg{Type: wire.TReadResp, Status: wire.StError}
+	if len(m.Value)%readOpSize != 0 {
+		return refused
+	}
+	le := binary.LittleEndian
+	size := 0
+	for op := m.Value; len(op) > 0; op = op[readOpSize:] {
+		size += 1 + int(le.Uint32(op[12:]))
+	}
+	if size > inlineBudget {
+		return refused
+	}
+	b := (*buf)[:0]
+	for op := m.Value; len(op) > 0; op = op[readOpSize:] {
+		base, size, ok := s.region(le.Uint32(op))
+		off, n := le.Uint64(op[4:]), uint64(le.Uint32(op[12:]))
+		// Compared without adding: off+n wraps for an offset near the top
+		// of the range, and the sum would pass as in-bounds. No object is
+		// longer than kv.MaxObjectSize, so no READ needs to be.
+		if !ok || n > kv.MaxObjectSize || off > uint64(size) || n > uint64(size)-off {
+			b = append(b, 0)
 			continue
 		}
 		if d := s.cfg.NetFaults.NextRead(); d > 0 {
 			time.Sleep(d) // a stalled RNIC read completion
 		}
-		// Frame: 4-byte length + status + data. A reply larger than the
-		// writer's buffer goes straight to the socket.
-		if cap(out) < 5+length {
-			out = make([]byte, 0, 5+length)
-		}
-		out = out[:5+length]
-		binary.BigEndian.PutUint32(out, uint32(1+length))
-		out[4] = 1
-		s.dev.Read(base+off, out[5:])
-		if _, err := bw.Write(out); err != nil {
-			return
-		}
+		b = append(b, 1)
+		at := len(b)
+		b = slices.Grow(b, int(n))[:at+int(n)]
+		s.dev.Read(base+int(off), b[at:])
 	}
+	*buf = b
+	return wire.Msg{Type: wire.TReadResp, Status: wire.StOK, Value: b}
 }
 
 // region resolves an rkey to a device window. Shard s's table is rkey

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"path/filepath"
 	"sync"
@@ -280,6 +279,10 @@ func TestTornWriteRollsBackOnRestart(t *testing.T) {
 	}
 }
 
+// TestOneSidedBoundsChecked: the READs of one TRead burst are checked one
+// by one. Refusals are reported per READ, and the in-bounds READ after
+// two refusals is served. A payload that is not whole READs is refused
+// with StError, and the connection keeps serving.
 func TestOneSidedBoundsChecked(t *testing.T) {
 	cfg := smallConfig()
 	_, addr := startServer(t, nvm.New(cfg.DeviceSize()), cfg)
@@ -288,14 +291,12 @@ func TestOneSidedBoundsChecked(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	// One burst: refusals are reported per request, and the stream stays
-	// in sync past them (the in-bounds READ after two NAKs is served).
 	reqs := []client.Req{
 		{Buf: make([]byte, 64), RKey: 99},
 		{Buf: make([]byte, 64), RKey: rkeyPoolBase, Off: uint64(cfg.PoolSize - 10)},
 		{Buf: make([]byte, 64), RKey: rkeyPoolBase},
 	}
-	if err := cl.osBurst(reqs); err != nil {
+	if err := cl.readBurst(reqs); err != nil {
 		t.Fatal(err)
 	}
 	if !reqs[0].NAK {
@@ -306,6 +307,16 @@ func TestOneSidedBoundsChecked(t *testing.T) {
 	}
 	if reqs[2].NAK {
 		t.Fatal("in-bounds read refused")
+	}
+	for _, n := range []int{1, readOpSize - 1, readOpSize + 1, 3*readOpSize + 7} {
+		resp, err := cl.rpc(wire.Msg{Type: wire.TRead, Value: make([]byte, n)})
+		if err != nil || resp.Type != wire.TReadResp || resp.Status != wire.StError {
+			t.Fatalf("TRead of %d payload bytes: type %d status %d, %v; want TReadResp, StError", n, resp.Type, resp.Status, err)
+		}
+	}
+	reqs[2].NAK = false
+	if err := cl.readBurst(reqs[2:]); err != nil || reqs[2].NAK {
+		t.Fatalf("in-bounds read after the malformed bursts: NAK %v, %v", reqs[2].NAK, err)
 	}
 }
 
@@ -641,107 +652,180 @@ func TestShardedConcurrentClients(t *testing.T) {
 	}
 }
 
-// TestOneSidedBoundsOverflow: hostile one-sided frames are refused, and
-// the server keeps serving. A READ whose offset sits at the top of the int
-// range makes off+length wrap negative: the bounds check must NAK it — not
-// index the device out of range, which panics the whole process from a
-// connection goroutine — and the same connection keeps serving. A READ
-// longer than any object is NAKed before a reply buffer is grown for it.
-// A frame naming the retired WRITE opcode, in bounds, with its data or
-// bare, closes the connection and leaves the device unchanged, and a frame
-// longer than a READ header closes the connection before its payload is
-// read. After each, a valid READ on a fresh connection still succeeds.
+// TestOneSidedBoundsOverflow: hostile READs are refused, and the server
+// keeps serving. A READ whose offset sits at the top of the offset range
+// makes off+length wrap: the bounds check must refuse it — not index the
+// device out of range, which panics the whole process from a connection
+// goroutine. A READ longer than any object is refused before a reply
+// buffer is grown for it, and a burst whose reply would pass the inline
+// budget is refused whole, before any READ is served. After each, a valid
+// READ on the same connection still succeeds. A peer announcing the
+// retired one-sided channel is disconnected, its old WRITE frame
+// unapplied.
 func TestOneSidedBoundsOverflow(t *testing.T) {
-	const retiredWrite = 0x02
+	const retiredOneSided, retiredWrite = 0x02, 0x02
 	cfg := smallConfig()
 	cfg.PoolSize = 2 * kv.MaxObjectSize // a READ past the object limit is in bounds
 	_, addr := startServer(t, nvm.New(cfg.DeviceSize()), cfg)
-	dial := func() net.Conn {
+	cl, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	type read struct {
+		rkey uint32
+		off  uint64
+		n    uint32
+	}
+	burst := func(reads ...read) (status uint8, payload []byte) {
 		t.Helper()
-		conn, err := dialChannel(addr, chanOneSided, 0)
+		var b []byte
+		for _, r := range reads {
+			b = binary.LittleEndian.AppendUint32(b, r.rkey)
+			b = binary.LittleEndian.AppendUint64(b, r.off)
+			b = binary.LittleEndian.AppendUint32(b, r.n)
+		}
+		resp, err := cl.rpc(wire.Msg{Type: wire.TRead, Value: b})
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("TRead: no reply (server died?): %v", err)
 		}
-		t.Cleanup(func() { conn.Close() })
-		conn.SetDeadline(time.Now().Add(5 * time.Second))
-		return conn
+		return resp.Status, resp.Value
 	}
-	send := func(conn net.Conn, op byte, rkey uint32, off uint64, length uint32, data []byte) {
+	validRead := func(after string) {
 		t.Helper()
-		frame := make([]byte, 21, 21+len(data))
-		binary.BigEndian.PutUint32(frame, uint32(17+len(data)))
-		frame[4] = op
-		binary.BigEndian.PutUint32(frame[5:], rkey)
-		binary.BigEndian.PutUint64(frame[9:], off)
-		binary.BigEndian.PutUint32(frame[17:], length)
-		if _, err := conn.Write(append(frame, data...)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	exchange := func(conn net.Conn, rkey uint32, off uint64, length uint32) (status byte, payload []byte) {
-		t.Helper()
-		send(conn, opRead, rkey, off, length, nil)
-		var hdr [5]byte
-		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-			t.Fatalf("READ off %#x: no reply (server died?): %v", off, err)
-		}
-		payload = make([]byte, binary.BigEndian.Uint32(hdr[:])-1)
-		if _, err := io.ReadFull(conn, payload); err != nil {
-			t.Fatal(err)
-		}
-		return hdr[4], payload
-	}
-	validRead := func(conn net.Conn, after string) {
-		t.Helper()
-		if st, p := exchange(conn, rkeyTable, 0, 64); st != 1 || len(p) != 64 {
+		if st, p := burst(read{rkeyTable, 0, 64}); st != wire.StOK || len(p) != 65 || p[0] != 1 {
 			t.Fatalf("valid READ after %s: status %d, %d bytes", after, st, len(p))
 		}
 	}
-	// closed fails unless the server closed conn: EOF, or a reset when it
-	// left the rest of a frame unread. A deadline means it is still open.
-	closed := func(conn net.Conn, after string) {
-		t.Helper()
-		n, err := conn.Read(make([]byte, 1))
-		var ne net.Error
-		if n != 0 || err == nil || errors.As(err, &ne) && ne.Timeout() {
-			t.Fatalf("%s: read %d bytes, %v; want the server to close", after, n, err)
-		}
-	}
-	conn := dial()
 	const top = 0x7fff_ffff_ffff_ffff
-	if st, p := exchange(conn, rkeyTable, top, 16); st != 0 || len(p) != 0 {
-		t.Fatalf("hostile READ: status %d with %d bytes, want a bare NAK", st, len(p))
-	}
-	validRead(conn, "the wrapping READ")
-	validRead(dial(), "the wrapping READ")
-
-	if st, p := exchange(conn, rkeyPoolBase, 0, kv.MaxObjectSize+1); st != 0 || len(p) != 0 {
-		t.Fatalf("READ of %d bytes: status %d with %d bytes, want a bare NAK", kv.MaxObjectSize+1, st, len(p))
-	}
-	validRead(conn, "the oversized READ")
-	validRead(dial(), "the oversized READ")
-
-	_, before := exchange(dial(), rkeyTable, 0, 16)
-	for _, data := range [][]byte{bytes.Repeat([]byte{0xab}, 16), nil} {
-		what := fmt.Sprintf("WRITE frame with %d data bytes", len(data))
-		conn := dial()
-		send(conn, retiredWrite, rkeyTable, 0, 16, data)
-		closed(conn, what)
-		if st, after := exchange(dial(), rkeyTable, 0, 16); st != 1 || !bytes.Equal(after, before) {
-			t.Fatalf("%s changed the device: %x, was %x", what, after, before)
+	for _, off := range []uint64{top, ^uint64(0)} {
+		if st, p := burst(read{rkeyTable, off, 16}); st != wire.StOK || !bytes.Equal(p, []byte{0}) {
+			t.Fatalf("READ at %#x: status %d, reply %x; want one refusal", off, st, p)
 		}
+		validRead("the wrapping READ")
 	}
 
-	// Only the length prefix is sent: a server that waits for the payload
-	// instead of closing leaves the read below to hit its deadline.
-	conn = dial()
-	var prefix [4]byte
-	binary.BigEndian.PutUint32(prefix[:], maxOneSidedFrame+1)
-	if _, err := conn.Write(prefix[:]); err != nil {
+	if st, p := burst(read{rkeyPoolBase, 0, kv.MaxObjectSize + 1}); st != wire.StOK || !bytes.Equal(p, []byte{0}) {
+		t.Fatalf("READ of %d bytes: status %d, reply of %d bytes; want one refusal", kv.MaxObjectSize+1, st, len(p))
+	}
+	validRead("the oversized READ")
+
+	over := make([]read, inlineBudget/kv.MaxObjectSize+1)
+	for i := range over {
+		over[i] = read{rkeyPoolBase, 0, kv.MaxObjectSize}
+	}
+	if st, p := burst(over...); st != wire.StError || len(p) != 0 {
+		t.Fatalf("READs of %d bytes: status %d, %d bytes; want StError", len(over)*kv.MaxObjectSize, st, len(p))
+	}
+	validRead("the burst past the budget")
+
+	var before [16]byte
+	if err := cl.readBurst([]client.Req{{RKey: rkeyTable, Buf: before[:]}}); err != nil {
 		t.Fatal(err)
 	}
-	closed(conn, "oversized frame")
-	validRead(dial(), "the oversized frame")
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	// The retired channel's WRITE frame: [len][op][rkey][off][length][data].
+	frame := []byte{retiredOneSided, 0, 0, 0, 33, retiredWrite}
+	frame = binary.BigEndian.AppendUint32(frame, rkeyTable)
+	frame = binary.BigEndian.AppendUint64(frame, 0)
+	frame = binary.BigEndian.AppendUint32(frame, 16)
+	frame = append(frame, bytes.Repeat([]byte{0xab}, 16)...)
+	if _, err := conn.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	var ne net.Error
+	if n, err := conn.Read(make([]byte, 1)); n != 0 || err == nil || errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("retired one-sided channel: read %d bytes, %v; want the server to close", n, err)
+	}
+	after := make([]byte, 16)
+	if err := cl.readBurst([]client.Req{{RKey: rkeyTable, Buf: after}}); err != nil || !bytes.Equal(after, before[:]) {
+		t.Fatalf("the retired WRITE changed the device: %x, was %x (%v)", after, before, err)
+	}
+}
+
+// FuzzReadBurst drives the TRead handler of an unserved server, whose
+// pools hold a byte pattern, with arbitrary payloads. It must not panic.
+// It refuses a payload that is not whole READs, or whose reply could pass
+// the inline budget, with StError; otherwise its reply holds one status
+// per READ, and every served READ equals the device's bytes in the same
+// range.
+func FuzzReadBurst(f *testing.F) {
+	cfg := smallConfig()
+	cfg.PoolSize, cfg.disableBackground = 1<<20, true
+	srv, err := NewServer(nvm.New(cfg.DeviceSize()), cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { srv.Close() })
+	for pool := range 2 {
+		pattern := make([]byte, cfg.PoolSize)
+		for i := range pattern {
+			pattern[i] = byte(i*7 + pool)
+		}
+		srv.dev.Write(srv.layout.PoolBase(0, pool), pattern)
+	}
+	le := binary.LittleEndian
+	reads := func(ops ...[3]uint64) []byte {
+		var b []byte
+		for _, op := range ops {
+			b = le.AppendUint32(b, uint32(op[0]))
+			b = le.AppendUint64(b, op[1])
+			b = le.AppendUint32(b, uint32(op[2]))
+		}
+		return b
+	}
+	end := uint64(cfg.PoolSize)
+	f.Add(reads([3]uint64{99, 0, 64}, [3]uint64{rkeyPoolBase, end - 10, 64}, [3]uint64{rkeyPoolBase, 0, 64}))
+	f.Add(reads([3]uint64{rkeyTable, 0x7fff_ffff_ffff_ffff, 16}, [3]uint64{rkeyTable, ^uint64(0), 16}, [3]uint64{rkeyTable, 0, 64}))
+	f.Add(reads([3]uint64{rkeyPoolBase, 0, kv.MaxObjectSize + 1}, [3]uint64{rkeyPoolBase + 1, end - 64, 64}))
+	f.Add(reads([3]uint64{rkeyPoolBase, 0, kv.MaxObjectSize}, [3]uint64{rkeyPoolBase, 0, inlineBudget}))
+	f.Add([]byte{1, 2, 3})
+	f.Add(append(reads([3]uint64{rkeyPoolBase, 8, 8}), 0))
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		var buf []byte
+		resp := srv.serveRead(wire.Msg{Type: wire.TRead, Value: payload}, &buf)
+		whole, size := len(payload)%readOpSize == 0, 0
+		for op := payload; whole && len(op) > 0; op = op[readOpSize:] {
+			size += 1 + int(le.Uint32(op[12:]))
+		}
+		if refuse := !whole || size > inlineBudget; resp.Type != wire.TReadResp || (resp.Status == wire.StError) != refuse ||
+			(resp.Status != wire.StOK && resp.Status != wire.StError) {
+			t.Fatalf("%d payload bytes: type %d status %d", len(payload), resp.Type, resp.Status)
+		}
+		if resp.Status != wire.StOK {
+			return
+		}
+		p := resp.Value
+		for op := payload; len(op) > 0; op = op[readOpSize:] {
+			if len(p) == 0 {
+				t.Fatal("fewer statuses than READs")
+			}
+			st := p[0]
+			p = p[1:]
+			if st == 0 {
+				continue
+			}
+			n := int(le.Uint32(op[12:]))
+			base, _, ok := srv.region(le.Uint32(op))
+			if st != 1 || !ok || len(p) < n {
+				t.Fatalf("READ %x: status %d, %d bytes left", op[:readOpSize], st, len(p))
+			}
+			want := make([]byte, n)
+			srv.dev.Read(base+int(le.Uint64(op[4:])), want)
+			if !bytes.Equal(p[:n], want) {
+				t.Fatalf("READ %x served other bytes than the device holds", op[:readOpSize])
+			}
+			p = p[n:]
+		}
+		if len(p) != 0 {
+			t.Fatalf("%d bytes after the last READ's reply", len(p))
+		}
+	})
 }
 
 // TestDialDuringCloseRaceFree hammers connection attempts against a

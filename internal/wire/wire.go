@@ -194,6 +194,13 @@ const (
 	// TTxnReadResp answers TTxnRead: Value carries one TxnResult per key
 	// (AppendTxnResults), index-aligned with the request.
 	TTxnReadResp
+	// TRead is a burst of one-sided READs (TCP transport), served from the
+	// device without the engine. Value carries 16 bytes per READ,
+	// little-endian: [rkey u32][off u64][len u32].
+	TRead
+	// TReadResp answers TRead: Value carries, per READ in request order, a
+	// status byte (1 served, 0 refused) and, when served, its len bytes.
+	TReadResp
 )
 
 // Status codes.
